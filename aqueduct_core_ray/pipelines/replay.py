@@ -34,10 +34,12 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 import ray.data
+from ray.exceptions import RayError
 
 from ..schema import CHANGE_EVENT, evolve_schema
 from ..stages.compact import LWW, ConflictPolicy
 from ..stages.merge_apply import (
+    FileCache,
     absorb_partition,
     fold_chain_partition,
     diff_partition,
@@ -103,6 +105,11 @@ def _adopted_entry(prev: dict, r: dict, path: str) -> dict:
                                                for d in rem)
         entry["rows"] = int(r["rows"])
     return entry
+
+
+def _entry_files(entry: dict) -> list[str]:
+    """Lake-relative paths of one partition entry: base, then chain."""
+    return [entry["path"]] + [d["path"] for d in entry.get("deltas") or []]
 
 
 def _merge_fan_mult(default: int = 2) -> int:
@@ -237,6 +244,10 @@ class CDCEngine:
         # never affected)
         self._bg: dict[int, dict[str, Any]] = {}
         self._cached_manifest: Manifest | None = None
+        # decoded committed files behind get_docs: filled only by point
+        # reads, pruned to the files of the manifest they read
+        self.file_cache = FileCache()
+        self._files_basis: "tuple[Manifest, pa.Schema] | None" = None
         # last watermark seen on the parent/log this engine consumes —
         # basis of the UP_TO_DATE / OUT_OF_DATE pipe state (reference:
         # PipeState.java:3-5, MessageResults.java:8-14: every read tells
@@ -900,8 +911,8 @@ class CDCEngine:
             try:
                 _ray.wait([v["ref"] for v in self._bg.values()],
                           num_returns=len(self._bg))
-            except Exception:
-                pass
+            except RayError:
+                pass     # cleanup only: the absorbs are dropped either way
             for v in self._bg.values():
                 self.store.drop_staged(v["wid"])
             self._bg.clear()
@@ -1373,8 +1384,8 @@ class CDCEngine:
 
         try:
             _ray.get(p["refs"])
-        except Exception:
-            pass
+        except RayError:
+            pass     # cleanup only: a failed scan's output is discarded too
         _shutil.rmtree(p["sdir"], ignore_errors=True)
 
     def replay(self, log_path: str,
@@ -1631,19 +1642,38 @@ class CDCEngine:
         return ray.data.from_items(descs).map_batches(
             load, batch_format="pyarrow", batch_size=1)
 
+    def live_files(self) -> set[str]:
+        """Absolute paths of every base and sidecar file CURRENT names."""
+        m = self.manifest
+        return set() if m is None else {
+            self.store.abs(rel) for e in m.partitions.values()
+            for rel in _entry_files(e)}
+
     def get_docs(self, doc_ids: list[str],
                  columns: list[str] | None = None) -> pa.Table:
         """Point reads: the live rows for ``doc_ids``, touching ONLY the
         hash partitions those keys map to (plus their sidecars) — the
-        key-addressed read the doc_id partitioning exists for. Driver-
-        side: O(|keys| / P × partition size) I/O, no scan of the lake."""
+        key-addressed read the doc_id partitioning exists for.
+        Driver-side merge-on-read over this engine's FileCache: each
+        committed base/sidecar file is decoded once and kept until
+        CURRENT stops naming it. A warm lookup does no file I/O: it
+        filters the touched partitions' decoded files to the keys
+        (O(their rows), in memory) and merges only the matching rows —
+        no merge at all when no sidecar row matches. A cold file costs
+        one parquet decode. A projected read (``columns=``) bypasses
+        the cache and decodes only its columns of each touched file."""
         from ..partitioning import partition_ids
-        from ..stages.merge_apply import live_rows, load_partition_table
+        from ..stages import merge_apply
         import numpy as np
 
         m = self.manifest
         if m is None or not doc_ids:
             return default_lake_schema().empty_table()
+        if self._files_basis is None or self._files_basis[0] is not m:
+            self.file_cache.retain(self.live_files())
+            self._files_basis = (m, m.schema)
+        schema = self._files_basis[1]
+        read = self.file_cache if columns is None else merge_apply.read_columns
         ids = np.asarray(doc_ids, dtype=object)
         pids = set(partition_ids(ids, m.num_partitions).tolist())
         tabs = []
@@ -1652,16 +1682,13 @@ class CDCEngine:
             entry = m.partitions.get(str(pid))
             if entry is None:
                 continue
-            t = live_rows(load_partition_table(self.store.root, entry,
-                                               m.schema, self.conflict,
-                                               columns))
-            t = t.filter(pc.is_in(t.column("doc_id"), value_set=want))
-            if columns is not None:
-                t = t.select(columns)
-            tabs.append(t)
+            t = merge_apply.live_rows(merge_apply.load_partition_table(
+                self.store.root, entry, schema, self.conflict, columns,
+                keys=want, read=read))
+            tabs.append(t if columns is None else t.select(columns))
         if not tabs:
-            sch = m.schema if columns is None else pa.schema(
-                [f for f in m.schema if f.name in columns])
+            sch = schema if columns is None else pa.schema(
+                [f for f in schema if f.name in columns])
             return sch.empty_table()
         out = pa.concat_tables(tabs)
         return out.sort_by("doc_id") if "doc_id" in out.column_names else out
@@ -2602,30 +2629,17 @@ class CDCEngine:
         cur = self.manifest
         if src is None or cur is None:
             raise ValueError(f"generation {generation} is not available")
-        missing = []
-        for e in src.partitions.values():
-            for rel in [e["path"]] + [d["path"]
-                                      for d in (e.get("deltas") or [])]:
-                if not os.path.exists(self.store.abs(rel)):
-                    missing.append(rel)
+        missing = [rel for e in src.partitions.values()
+                   for rel in _entry_files(e)
+                   if not os.path.exists(self.store.abs(rel))]
         if missing:
             raise ValueError(
                 f"cannot restore g{generation}: {len(missing)} part "
                 f"file(s) vacuumed away, e.g. {missing[0]}")
         # in-flight background absorbs were computed against the
         # pre-restore basis — wait them out and drop them (the same
-        # stale-basis hazard as the bootstrap wipe, see
-        # _consume_bootstrap_request)
-        if self._bg:
-            import ray as _ray
-            try:
-                _ray.wait([v["ref"] for v in self._bg.values()],
-                          num_returns=len(self._bg))
-            except Exception:
-                pass
-            for v in self._bg.values():
-                self.store.drop_staged(v["wid"])
-            self._bg.clear()
+        # stale-basis hazard as the bootstrap wipe)
+        self._drain_bg_for_reset()
         wave_id = f"restore-g{generation:06d}"
         lineage = list(cur.lineage) + [{
             "wave_id": wave_id, "lo": -1, "hi": src.watermark,
