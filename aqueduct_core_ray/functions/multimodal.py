@@ -23,6 +23,10 @@ import pyarrow.compute as pc
 import ray.data
 
 FEAT_DIM = 8
+# what PIL raises on bytes it cannot identify or decode
+# (UnidentifiedImageError and truncated-file errors are OSErrors; some
+# format plugins raise SyntaxError or ValueError on corrupt headers)
+_PIL_DECODE_ERRORS = (OSError, SyntaxError, ValueError)
 
 
 class MediaFeatureExtractor:
@@ -62,7 +66,7 @@ class MediaFeatureExtractor:
                 img = self._pil.open(io.BytesIO(payload)).convert("L")
                 px = np.asarray(img, dtype=np.float64).ravel()
                 return _pooled(px / 255.0)
-            except Exception:
+            except _PIL_DECODE_ERRORS:
                 pass                    # fall through to stdlib decoders
         if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
             import wave
@@ -240,8 +244,8 @@ class ImageResizer:
             try:
                 img = self._pil.open(io.BytesIO(payload)).convert("L")
                 return np.asarray(img, dtype=np.uint8)
-            except Exception:
-                pass
+            except _PIL_DECODE_ERRORS:
+                pass                    # fall through to PGM/PPM or fake
         m = re.match(rb"(P[56])\s+(\d+)\s+(\d+)\s+\d+\s", payload)
         if m is not None:
             w, h = int(m.group(2)), int(m.group(3))

@@ -42,8 +42,8 @@ def _result_rows(res: Any) -> "int | None":
             return res.num_rows
         if isinstance(res, pd.DataFrame):
             return len(res)
-    except Exception:
-        pass
+    except ImportError:
+        pass                    # no frame library: the row count is unknown
     return None
 
 

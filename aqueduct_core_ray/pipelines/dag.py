@@ -19,11 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _MERGE_FN = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
-_GLOBAL_KEY = "__all__"
+# pandas' sum: a group whose values are all null sums to 0, not null
+_SUM_OPTS = pc.ScalarAggregateOptions(min_count=0)
+
+
+def _nan_as_null(col: pa.ChunkedArray) -> pa.ChunkedArray:
+    """NaN counts as missing, as in pandas. Arrow's hash min/max skip
+    NaN but still report the group's extreme as -inf/inf when NaN and
+    null are all it holds."""
+    if not pa.types.is_floating(col.type):
+        return col
+    return pc.if_else(pc.is_nan(col), pa.scalar(None, col.type), col)
 
 
 @dataclass(frozen=True)
@@ -45,31 +55,43 @@ class Derivation:
     def out_col(self, col: str, fn: str) -> str:
         return "n_rows" if (fn == "count") else f"{fn}_{col}"
 
-    def _group_agg(self, df: pd.DataFrame) -> pd.DataFrame:
-        key = self.key or _GLOBAL_KEY
-        if self.key is None:
-            df = df.assign(**{_GLOBAL_KEY: 0})
-        gb = df.groupby(key, sort=True)
-        out = pd.DataFrame(index=gb.size().index)
-        for col, fn in self.aggs:
-            if fn == "count":
-                out[self.out_col(col, fn)] = gb.size()
-            else:
-                out[self.out_col(col, fn)] = getattr(gb[col], fn)()
-        out = out.reset_index()
-        if self.key is None:
-            out = out.drop(columns=[_GLOBAL_KEY])
-        return out
+    def _group_agg(self, table: pa.Table,
+                   aggs: "list[tuple[str, str, str]]") -> pa.Table:
+        """groupby(key) -> aggregates as one Arrow hash aggregation.
+        ``aggs`` = (column, fn, output name); fn "count" counts rows.
+        Semantics are pandas' groupby defaults: null (and NaN) keys are
+        dropped, a sum over only nulls is 0, a min/max over only nulls
+        is null, groups come out sorted by key, and a global aggregate
+        (key=None) over no rows has no rows."""
+        need = {c for c, fn, _ in aggs if fn != "count"}
+        if self.key:
+            need.add(self.key)
+        t = pa.table({c: _nan_as_null(table.column(c)) for c in need}) \
+            if need else table.select([])
+        if self.key and t.column(self.key).null_count:
+            t = t.filter(pc.is_valid(t.column(self.key)))
+        spec = [([], "count_all") if fn == "count"
+                else (c, fn, _SUM_OPTS if fn == "sum" else None)
+                for c, fn, _ in aggs]
+        res = t.group_by([self.key] if self.key else []).aggregate(spec)
+        if self.key:
+            res = res.sort_by(self.key)
+        elif t.num_rows == 0:
+            res = res.slice(0, 0)
+        vals = res.drop_columns([self.key]) if self.key else res
+        out = {self.key: res.column(self.key)} if self.key else {}
+        for i, (_, _, name) in enumerate(aggs):
+            out[name] = vals.column(i)
+        return pa.table(out)
+
+    def _own_aggs(self) -> "list[tuple[str, str, str]]":
+        return [(c, f, self.out_col(c, f)) for c, f in self.aggs]
 
     # -- partials over one lake partition (runs inside the merge task) ----
     def partial_records(self, part_table: pa.Table) -> list[dict]:
         if part_table.num_rows == 0:
             return []
-        cols = sorted({c for c, f in self.aggs if f != "count"}
-                      | ({self.key} if self.key else set()))
-        df = part_table.select(
-            [c for c in cols if c in part_table.column_names]).to_pandas()
-        return self._group_agg(df).to_dict("records")
+        return self._group_agg(part_table, self._own_aggs()).to_pylist()
 
     # -- fold partials from all partitions into the final table -----------
     def finalize(self, partials_by_pid: dict[str, list[dict]]) -> pa.Table:
@@ -79,20 +101,12 @@ class Derivation:
             cols.update({self.out_col(c, f): pa.array([], pa.int64())
                          for c, f in self.aggs})
             return pa.table(cols)
-        df = pd.DataFrame.from_records(records)
-        key = self.key or _GLOBAL_KEY
-        if self.key is None:
-            df = df.assign(**{_GLOBAL_KEY: 0})
-        agg = {self.out_col(c, f): _MERGE_FN[f] for c, f in self.aggs}
-        res = df.groupby(key, sort=True).agg(agg).reset_index()
-        if self.key is None:
-            res = res.drop(columns=[_GLOBAL_KEY])
-        return pa.Table.from_pandas(res, preserve_index=False)
+        merge = [(name, _MERGE_FN[f], name) for _, f, name in self._own_aggs()]
+        return self._group_agg(pa.Table.from_pylist(records), merge)
 
     # -- derive from another derivation's finalized table (tiny) ----------
     def derive_from_table(self, upstream: pa.Table) -> pa.Table:
-        return pa.Table.from_pandas(self._group_agg(upstream.to_pandas()),
-                                    preserve_index=False)
+        return self._group_agg(upstream, self._own_aggs())
 
 
 # The default DAG shipped with the engine: per-source corpus stats, and a

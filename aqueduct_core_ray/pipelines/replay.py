@@ -573,6 +573,7 @@ class CDCEngine:
         # the entry) so a touched partition's stats row below builds on
         # the adopted entry — its sidecar append/chain fold already ran
         # against the adopted read view
+        t_promote0 = time.perf_counter()
         if adopted:
             self._adopt_into(adopted, new_parts, new_partials, gen)
         for r in stats:
@@ -632,7 +633,8 @@ class CDCEngine:
                 for dname, recs in _json.loads(r["partials_json"]).items():
                     new_partials.setdefault(dname, {})[str(pid)] = recs
 
-        wall = time.perf_counter() - t0
+        t_promoted = time.perf_counter()
+        wall = t_promoted - t0
         lineage = (list(cur.lineage) if cur else []) + [{
             "wave_id": wave_id, "lo": lo, "hi": hi, "generation": gen,
             "parts_touched": len(stats), "n_applied_or_deleted": n_events,
@@ -684,6 +686,7 @@ class CDCEngine:
             named_offsets=named, hour_max=hour_max,
         )
         import shutil as _shutil
+        t_commit0 = time.perf_counter()
         try:
             self.store.commit(man)
         except RuntimeError:
@@ -717,6 +720,10 @@ class CDCEngine:
         _shutil.rmtree(self._shuffle_dir(wave_id), ignore_errors=True)
         if self.emit_changelog:
             self._publish_outbox_watermark()
+        # promote + manifest commit + staging cleanup + outbox marker;
+        # the promote part falls inside wall_s, the rest after it
+        commit_s = (t_promoted - t_promote0
+                    + time.perf_counter() - t_commit0)
         bg_launched = self._launch_absorbs(man) if self.bg_absorb else 0
         n_delta = sum(1 for r in stats if r.get("mode") == "delta")
         n_chain = sum(1 for r in stats if r.get("mode") == "chain")
@@ -729,6 +736,7 @@ class CDCEngine:
             "full_parts": len(stats) - n_delta - n_chain,
             "bg_absorbed": len(adopted), "bg_launched": bg_launched,
             **getattr(self, "_phase_t", {}),
+            "commit_s": round(commit_s, 4),
         })
         rec = {"wave_id": wave_id, "generation": gen, "watermark": hi,
                "parts_touched": len(stats), "events": n_events,

@@ -1903,37 +1903,6 @@ def interp_quantiles_by_type(sf_dir: str,
 # .java:10-31 / MetricsInterceptor.java:12-36 analog): every public
 # operator above records (op, wall_s, rows) per call — see
 # aqueduct_core_ray/metrics.py for the sinks.
-def global_value_rank(sf_dir: str, num_partitions: int = 16
-                      ) -> ray.data.Dataset:
-    """Distributed GLOBAL total-order sort exercised end-to-end:
-    every event ranked by (value cents, event_id) across the whole
-    table — SQL's ``row_number() OVER (ORDER BY value_c, event_id)``
-    with no PARTITION BY, the one window shape the hash-partitioned
-    window family (running_total & co) cannot express. Returns
-    (event_id, value_c, rnk).
-
-    Scale shape (stages.exchange.fx_sort_by): a stride sample of the
-    sort key pools O(blocks) values on the driver into range
-    boundaries, the data moves ONCE through a range exchange, each
-    range sorts locally with one Arrow kernel, and global ranks are
-    local offsets plus a bounded prefix-sum of per-range counts —
-    never a single-node sort, never a second data pass."""
-    from ..stages.exchange import fx_sort_by
-
-    def conform(t: pa.Table) -> pa.Table:
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_id": t.column("event_id"),
-            "value_c": pa.array(np.floor(v * 100.0 + 0.5)
-                                .astype(np.int64)),
-        })
-
-    ds = read_events(sf_dir, columns=["event_id", "value"]
-                     ).map_batches(conform, batch_format="pyarrow")
-    return fx_sort_by(ds, ["value_c", "event_id"],
-                      num_partitions=num_partitions, rank_col="rnk")
-
-
 from ..metrics import instrument_entry_points  # noqa: E402
 
 instrument_entry_points(globals(), (

@@ -147,8 +147,8 @@ def _cluster_cpus() -> int:
     if ray.is_initialized():
         try:
             return max(1, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            pass
+        except ray.exceptions.RaySystemError:
+            pass                # shut down since the check: use the default
     return 8
 
 
@@ -405,142 +405,6 @@ def fx_sum_by(ds: ray.data.Dataset, keys: "list[str]",
     """``ds.groupby(keys).sum(sums)`` over the file exchange."""
     return fx_agg_by(ds, keys, [(c, "sum") for c in sums],
                      num_partitions)
-
-
-def fx_sort_by(ds: ray.data.Dataset, keys: "list[str] | str",
-               num_partitions: "int | None" = None,
-               rank_col: "str | None" = None,
-               samples_per_block: int = 64) -> ray.data.Dataset:
-    """Distributed GLOBAL total-order sort over the file exchange —
-    the classic sample → range-partition → per-range sort shape
-    (TeraSort / Spark sortByKey), skipping Ray's sort-shuffle fixed
-    floor like every other fx primitive. ``keys[0]`` drives the range
-    partitioning (deterministic stride sample pooled on the driver
-    into P-1 quantile boundaries); the full lexicographic
-    ``(keys[0], keys[1], ...)`` order is established within each range
-    by one Arrow sort. Rows equal on ``keys[0]`` always land in the
-    same range (searchsorted is side-consistent), so ranges are
-    disjoint key intervals and their concatenation in part order IS
-    the global order.
-
-    ``rank_col``: when set, a second metadata-sized pass folds
-    per-range row counts into prefix offsets (bounded: P rows per
-    block partial) and every row gets its 1-based GLOBAL rank — the
-    distributed ``row_number() OVER (ORDER BY keys)``. Output blocks
-    are the sorted ranges in arbitrary block order; the rank column
-    carries the total order explicitly (the module-wide convention —
-    the driver's value compare is order-insensitive).
-
-    Scale shape: the sample pass moves ``samples_per_block`` keys per
-    block to the driver (O(blocks), never data-sized); the data moves
-    exactly once through the exchange. A single dominant ``keys[0]``
-    value bounds below by one range — raise cardinality by salting a
-    composite first key upstream if that ever binds (rank math cannot
-    refold a split range, so no refold guard applies here)."""
-    keys = [keys] if isinstance(keys, str) else list(keys)
-    P = _auto_virtual_parts() if num_partitions is None \
-        else max(1, int(num_partitions))
-    import pyarrow.compute as pc
-
-    schema = pa.schema(ds.schema().base_schema)
-    for k in keys:
-        if k not in schema.names:
-            raise ValueError(f"sort key {k!r} missing from input")
-    if "part" in schema.names or "_loc" in schema.names:
-        raise ValueError("'part'/'_loc' are reserved column names")
-
-    def sample(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"k": pa.array([], schema.field(keys[0])
-                                           .type)})
-        step = max(1, t.num_rows // samples_per_block)
-        idx = pa.array(np.arange(0, t.num_rows, step, dtype=np.int64))
-        return pa.table({"k": t.column(keys[0]).take(idx)})
-
-    sampled = [r["k"] for r in ds.map_batches(
-        sample, batch_format="pyarrow").take_all()]
-    pooled = pa.array([v for v in sampled if v is not None],
-                      schema.field(keys[0]).type)
-    ks = np.sort(pooled.to_numpy(zero_copy_only=False))
-    if len(ks) and P > 1:
-        cuts = np.linspace(0, len(ks) - 1, P + 1)[1:-1]
-        bounds = ks[cuts.astype(np.int64)]
-    else:
-        bounds = ks[:0]
-
-    def tag(t: pa.Table) -> pa.Table:
-        kv = t.column(keys[0]).to_numpy(zero_copy_only=False)
-        if len(bounds):
-            part = np.searchsorted(bounds, kv, side="right")
-        else:
-            part = np.zeros(t.num_rows, np.int64)
-        # nulls sort FIRST (range 0) — matches Arrow's at_start default
-        try:
-            isna = pa.compute.is_null(t.column(keys[0]))\
-                .to_numpy(zero_copy_only=False)
-            part[isna] = 0
-        except Exception:
-            pass
-        return t.append_column("part",
-                               pa.array(part.astype(np.int32)))
-
-    def sort_range(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(
-            g, sort_keys=[(k, "ascending") for k in keys],
-            null_placement="at_start")
-        s = g.take(order)
-        if rank_col is not None:
-            s = s.append_column(
-                "_loc", pa.array(np.arange(s.num_rows,
-                                           dtype=np.int64)))
-        return s
-
-    empty = schema
-    if rank_col is not None:
-        empty = empty.append(pa.field("_loc", pa.int64()))
-    empty = empty.append(pa.field("part", pa.int32()))
-    out = file_exchange_map_groups(
-        ds.map_batches(tag, batch_format="pyarrow"), sort_range,
-        empty_result=empty.empty_table())
-    if rank_col is None:
-        return out.map_batches(lambda t: t.drop_columns(["part"]),
-                               batch_format="pyarrow", batch_size=None)
-
-    # bounded metadata pass: per-block (range, rows) partials -> prefix
-    # offsets; every row's global rank = offset[range] + local + 1
-    def counts(t: pa.Table) -> pa.Table:
-        p = t.column("part").to_numpy(zero_copy_only=False)
-        up, n = np.unique(p, return_counts=True)
-        return pa.table({"part": pa.array(up.astype(np.int32)),
-                         "n": pa.array(n.astype(np.int64))})
-
-    partials = out.map_batches(counts, batch_format="pyarrow",
-                               batch_size=None).take_all()
-    per_part: "dict[int, int]" = {}
-    for r in partials:
-        per_part[int(r["part"])] = (per_part.get(int(r["part"]), 0)
-                                    + int(r["n"]))
-    if not per_part:                    # empty input: typed empty out
-        return ray.data.from_arrow(
-            schema.append(pa.field(rank_col, pa.int64()))
-            .empty_table())
-    offset, acc = {}, 0
-    for p_ in sorted(per_part):
-        offset[p_] = acc
-        acc += per_part[p_]
-
-    def add_rank(t: pa.Table) -> pa.Table:
-        p = t.column("part").to_numpy(zero_copy_only=False)
-        loc = t.column("_loc").to_numpy(zero_copy_only=False)
-        up, inv = np.unique(p, return_inverse=True)
-        offs = np.array([offset.get(int(x), 0) for x in up], np.int64)
-        rk = (offs[inv] if len(up) else
-              np.zeros(0, np.int64)) + loc + 1
-        return (t.drop_columns(["part", "_loc"])
-                .append_column(rank_col, pa.array(rk)))
-
-    return out.map_batches(add_rank, batch_format="pyarrow",
-                           batch_size=None)
 
 
 def fx_join(left: ray.data.Dataset, right: ray.data.Dataset,

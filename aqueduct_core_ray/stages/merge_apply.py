@@ -366,16 +366,13 @@ def _source_max_lsn(block: pa.Table) -> dict[str, int]:
     the type registry is bounded by design."""
     if "source" not in block.column_names:
         return {}
-    col = block.column("source").combine_chunks()
-    ok = col.is_valid().to_numpy(zero_copy_only=False)
-    if not ok.any():
-        return {}
-    src = col.to_numpy(zero_copy_only=False)[ok]
-    lsn = block.column("lsn").to_numpy(zero_copy_only=False)[ok]
-    order = np.argsort(src, kind="stable")
-    s, start = np.unique(src[order], return_index=True)
-    mx = np.maximum.reduceat(lsn[order], start)
-    return {str(ss): int(m) for ss, m in zip(s, mx)}
+    t = pa.table({"source": block.column("source"),
+                  "lsn": block.column("lsn")})
+    if t.column("source").null_count:
+        t = t.filter(pc.is_valid(t.column("source")))
+    mx = t.group_by("source").aggregate([("lsn", "max")]).sort_by("source")
+    return {str(s): int(m) for s, m in zip(mx.column("source").to_pylist(),
+                                           mx.column("lsn_max").to_pylist())}
 
 
 def merge_partition_files(
@@ -494,8 +491,8 @@ def merge_partition_files(
         os.makedirs(outbox_dir, exist_ok=True)
         seg = os.path.join(outbox_dir, f"{wave_id}-p{pid:06d}.parquet")
         drop = [c for c in ("part", "salt") if c in delta.column_names]
-        pq.write_table(delta.drop_columns(drop) if drop else delta,
-                       seg + ".tmp", compression="zstd")
+        write_lake_file(delta.drop_columns(drop) if drop else delta,
+                        seg + ".tmp", "zstd")
         os.replace(seg + ".tmp", seg)
     pending = sum(int(d["rows"]) for d in existing) + delta.num_rows
     if pending <= _staggered_frac(sidecar_frac, pid) * base_rows \
@@ -589,18 +586,22 @@ def _staggered_frac(sidecar_frac: float, pid: int) -> float:
     return sidecar_frac * (1.0 + 0.5 * ((pid * 2654435761) % 97) / 97.0)
 
 
-def _jsafe(o):
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    raise TypeError(type(o))
-
-
 # byte budget of one engine's FileCache (decoded committed files kept
 # for point reads); a lookup-serving node keeps its hot partitions'
 # chains resident, ~10 MB for a 20k-doc lake at P=16
 FILE_CACHE_BYTES = 64 << 20
+
+
+def write_lake_file(table: pa.Table, path: str, compression: str) -> None:
+    """The one parquet writer of every file the engine puts in a lake:
+    bases (zstd), sidecars and chain segments (lz4), outbox segments
+    (zstd). Flat columns keep dictionary encoding (doc_id, source and
+    the ints repeat or are small); nested ones (``tokens``) drop it: a
+    token-list dictionary overflows the page limit and falls back to
+    plain encoding anyway, so building it only costs write time."""
+    pq.write_table(table, path, compression=compression,
+                   use_dictionary=[f.name for f in table.schema
+                                   if not pa.types.is_nested(f.type)])
 
 
 def read_columns(path: str,
@@ -770,7 +771,7 @@ def _stage_sidecar(pid: int, delta: pa.Table, lake_root: str,
     # critical path — measured +10-40% steady-state throughput over
     # zstd staging; base files stay zstd (they are the lake's resident
     # footprint)
-    pq.write_table(out, path, compression="lz4")
+    write_lake_file(out, path, "lz4")
     n_tomb = int(pc.sum(pc.equal(out.column("op"),
                                  pa.scalar(1, pa.int8()))).as_py() or 0)
     return {
@@ -813,7 +814,7 @@ def _compact_chain(pid: int, delta: pa.Table, lake_root: str,
     staged_dir = os.path.join(lake_root, "_staged", wave_id)
     os.makedirs(staged_dir, exist_ok=True)
     path = os.path.join(staged_dir, f"p={pid:06d}.parquet")
-    pq.write_table(merged, path, compression="lz4")
+    write_lake_file(merged, path, "lz4")
     n_tomb = int(pc.sum(pc.equal(mine.column("op"),
                                  pa.scalar(1, pa.int8()))).as_py() or 0)
     return {
@@ -858,7 +859,7 @@ def fold_chain(pid: int, lake_root: str, wave_id: str,
     staged_dir = os.path.join(lake_root, "_staged", wave_id)
     os.makedirs(staged_dir, exist_ok=True)
     path = os.path.join(staged_dir, f"p={pid:06d}.parquet")
-    pq.write_table(merged, path, compression="lz4")
+    write_lake_file(merged, path, "lz4")
     return {"pid": pid, "file_rows": merged.num_rows,
             "bytes": os.path.getsize(path)}
 
@@ -892,7 +893,7 @@ def partition_accounting(pid: int, lake_root: str, entry: dict,
         for d in derivations if d.upstream == "lake"
     }
     return {"pid": pid, "rows": live.num_rows,
-            "partials_json": json.dumps(partials, default=_jsafe)}
+            "partials_json": json.dumps(partials)}
 
 
 def fold_chain_partition(pid: int, lake_root: str, wave_id: str,
@@ -934,7 +935,7 @@ def absorb_partition(pid: int, lake_root: str, wave_id: str,
     staged_dir = os.path.join(lake_root, "_staged", wave_id)
     os.makedirs(staged_dir, exist_ok=True)
     path = os.path.join(staged_dir, f"p={pid:06d}.parquet")
-    pq.write_table(merged, path, compression="zstd")
+    write_lake_file(merged, path, "zstd")
     live = live_rows(merged)
     partials = {d.name: d.partial_records(live)
                 for d in derivations if getattr(d, "upstream",
@@ -942,7 +943,7 @@ def absorb_partition(pid: int, lake_root: str, wave_id: str,
     return {"pid": pid, "rows": live.num_rows,
             "file_rows": merged.num_rows,
             "bytes": os.path.getsize(path),
-            "partials_json": json.dumps(partials, default=_jsafe),
+            "partials_json": json.dumps(partials),
             "basis_path": entry["path"],
             "absorbed": [d["path"] for d in (entry.get("deltas") or [])]}
 
@@ -1081,7 +1082,7 @@ def _merge_and_stage(pid: int, delta: pa.Table, lake_root: str,
     staged_dir = os.path.join(lake_root, "_staged", wave_id)
     os.makedirs(staged_dir, exist_ok=True)
     path = os.path.join(staged_dir, f"p={pid:06d}.parquet")
-    pq.write_table(merged, path, compression="zstd")
+    write_lake_file(merged, path, "zstd")
 
     live = live_rows(merged)
     partials = {
@@ -1097,7 +1098,7 @@ def _merge_and_stage(pid: int, delta: pa.Table, lake_root: str,
         "hwm": hwm,
         "n_applied": n_applied,
         "n_deleted": n_deleted,
-        "partials_json": json.dumps(partials, default=_jsafe),
+        "partials_json": json.dumps(partials),
     }
 
 
