@@ -7,9 +7,10 @@ engine's wave path hit the same wall and replaced it with an Arrow-IPC
 file exchange — stages/merge_apply.py). This is that technique as a
 reusable primitive: writer tasks slice each block by an existing int
 ``part`` column into one IPC file per block (record batch per part,
-sliced zero-copy after one stable argsort), a bounded manifest returns
-to the driver, and one raw Ray task per non-empty partition
-concatenates its slices and applies ``fn``.
+sliced zero-copy after one stable argsort), a bounded manifest of
+slice sizes returns to the driver, which cuts the parts into
+byte-budgeted runs, and one raw Ray task per run applies ``fn`` to each
+of its parts.
 
 Placement contract (same as the engine's lake root): ``root`` must be
 on storage every worker can reach — node-local /tmp is correct in this
@@ -24,6 +25,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import time
 import uuid
 from typing import Any, Callable
 
@@ -32,6 +34,8 @@ import pyarrow as pa
 
 import ray
 import ray.data
+
+from aqueduct_core_ray import metrics
 
 
 def _write_block_slices(t: pa.Table, *, xdir: str,
@@ -78,11 +82,23 @@ def _write_block_slices(t: pa.Table, *, xdir: str,
     })
 
 
-def _read_entries(entries: "list[tuple[str, int]]") -> pa.Table:
-    tabs = []
+def _concat(tabs: "list[pa.Table]") -> pa.Table:
+    # align by NAME order when tables disagree (e.g. tagged-union
+    # streams of different vintages); a Schema carrying parquet/pandas
+    # metadata is unhashable, so only column names are compared
+    names0 = tabs[0].column_names
+    if any(t.column_names != names0 for t in tabs[1:]):
+        tabs = [t.select(sorted(t.column_names)) for t in tabs]
+    return pa.concat_tables(tabs, promote_options="default")
+
+
+def _read_parts(run: "list[list[tuple[str, int]]]") -> "list[pa.Table]":
+    """One table per part of a run, from its (path, batch) slices."""
     by_path: "dict[str, list[int]]" = {}
-    for path, bi in entries:
-        by_path.setdefault(path, []).append(bi)
+    for es in run:
+        for path, bi in es:
+            by_path.setdefault(path, []).append(bi)
+    got = {}
     for path, bis in by_path.items():
         # buffered pread, not mmap — same finding as the engine's merge
         # fan (per-page fault overhead under mmap_lock dominates on
@@ -90,29 +106,25 @@ def _read_entries(entries: "list[tuple[str, int]]") -> pa.Table:
         with pa.OSFile(path, "rb") as src:
             reader = pa.ipc.open_file(src)
             for bi in bis:
-                tabs.append(pa.Table.from_batches([reader.get_batch(bi)]))
-    # align by NAME order when blocks disagree (e.g. tagged-union
-    # streams of different vintages); schemas are compared by column
-    # names, never hashed — a Schema carrying parquet/pandas metadata
-    # is unhashable (dict payload)
-    names0 = tabs[0].column_names
-    if any(t.column_names != names0 for t in tabs[1:]):
-        tabs = [t.select(sorted(t.column_names)) for t in tabs]
-    return pa.concat_tables(tabs, promote_options="default")
+                got[path, bi] = pa.Table.from_batches(
+                    [reader.get_batch(bi)])
+    return [_concat([got[e] for e in es]) for es in run]
 
 
 @ray.remote(num_cpus=1)
 def _run_partition(fn: Callable[[pa.Table], pa.Table],
-                   entries: "list[tuple[str, int]]") -> pa.Table:
-    return fn(_read_entries(entries))
+                   run: "list[list[tuple[str, int]]]") -> pa.Table:
+    """One task per run: ``fn`` once per part, in the run's (ascending)
+    part order; empty outputs are dropped unless all are empty."""
+    outs = [fn(t) for t in _read_parts(run)]
+    return _concat([t for t in outs if t.num_rows] or outs[:1])
 
 
 @ray.remote(num_cpus=1)
 def _refold_partials(refold_fn: Callable[[pa.Table], pa.Table],
                      *partials: pa.Table) -> pa.Table:
     """Second fold over chunk partials of one oversized partition."""
-    return refold_fn(pa.concat_tables(list(partials),
-                                      promote_options="default"))
+    return refold_fn(_concat(list(partials)))
 
 
 def _alive_node_count() -> int:
@@ -121,8 +133,8 @@ def _alive_node_count() -> int:
         return 1
     try:
         return sum(1 for n in ray.nodes() if n.get("Alive"))
-    except Exception:
-        return 1
+    except ray.exceptions.RaySystemError:
+        return 1                # shut down since the check: one node
 
 
 def _guard_shared_root(base: str, *, explicit: bool, kind: str,
@@ -169,26 +181,49 @@ def _auto_virtual_parts() -> int:
     return min(4096, max(64, 4 * _cluster_cpus()))
 
 
-def _pack_bins(plan: "dict[int, list[tuple[str, int, int]]]",
-               budget: int):
-    """First-fit-decreasing packing of whole buckets into byte-budgeted
-    bins. A single bucket larger than the budget gets its own bin (the
-    split/refold guard handles it downstream)."""
-    sized = sorted(((sum(b for _, _, b in es), p, es)
-                    for p, es in plan.items()), reverse=True)
-    bins: "list[list]" = []      # [used_bytes, entries]
-    for nb, _p, es in sized:
-        placed = False
-        if nb <= budget:
-            for b in bins:
-                if b[0] + nb <= budget:
-                    b[0] += nb
-                    b[1].extend(es)
-                    placed = True
-                    break
-        if not placed:
-            bins.append([nb, list(es)])
-    return bins
+def _cut_runs(sizes: "dict[int, int]", cap: int, budget: int,
+              salt: int) -> "list[list[int]]":
+    """Cut the parts, ascending, into contiguous runs of at most ``cap``
+    bytes. A part over ``budget`` runs alone, and no run holds two
+    parts of one ``part // salt`` bucket (never binds at ``salt`` 1)."""
+    runs: "list[list[int]]" = []
+    used = 0
+    for p in sorted(sizes):
+        nb = sizes[p]
+        if (not runs or used + nb > cap or max(used, nb) > budget
+                or p // salt == runs[-1][-1] // salt):
+            runs.append([])
+            used = 0
+        runs[-1].append(p)
+        used += nb
+    return runs
+
+
+def _empty_exchange(ds: ray.data.Dataset, fn, empty_result):
+    """The caller's typed empty wins (Ray's schema() is None for an
+    empty mapped dataset); else fn's output on an empty input-shaped
+    table, falling back to the input schema for fns that assume
+    non-empty groups."""
+    if empty_result is not None:
+        return ray.data.from_arrow(empty_result)
+    sample = ds.schema()
+    if sample is None:
+        return ray.data.from_arrow(pa.table({}))
+    empty_in = pa.schema(sample.base_schema).empty_table()
+    try:
+        return ray.data.from_arrow(fn(empty_in))
+    except IndexError:
+        # the one legitimate empty-probe failure: a group fn indexing
+        # its (never empty on the real path) group, e.g.
+        # t.column(part)[0]. Anything else (KeyError, TypeError, ...)
+        # is a real fn bug and must surface, not a schema-flipped empty.
+        import warnings
+        warnings.warn(
+            f"file_exchange_map_groups: empty exchange and "
+            f"{getattr(fn, '__name__', fn)!r} raised IndexError on the "
+            f"empty probe; returning an INPUT-schema empty (pass "
+            f"empty_result= for a typed output schema)", RuntimeWarning)
+        return ray.data.from_arrow(empty_in)
 
 
 def file_exchange_map_groups(
@@ -197,7 +232,7 @@ def file_exchange_map_groups(
     root: "str | None" = None,
     part_col: str = "part",
     empty_result: "pa.Table | None" = None,
-    pack: bool = False,
+    salt: int = 1,
     refold_fn: "Callable[[pa.Table], pa.Table] | None" = None,
     target_bytes: "int | None" = None,
     _plan_out: "dict | None" = None,
@@ -206,28 +241,29 @@ def file_exchange_map_groups(
     batch_format="pyarrow")`` when ``part`` is already a bounded int
     partition id (hash %% P — the module-wide idiom): ``fn`` runs once
     per NON-EMPTY part over the concatenation of that part's rows
-    (part column included, exactly like map_groups). Skips Ray's
-    sort-shuffle fixed floor; the exchange itself is still a barrier.
-    Exchange files are deleted before returning — the result rows ride
-    the object store.
+    (part column included, exactly like map_groups), and output blocks
+    come out in ascending part order. Skips Ray's sort-shuffle fixed
+    floor; the exchange itself is still a barrier. Exchange files are
+    deleted before returning — the result rows ride the object store.
 
-    Scale controls (the manifest carries per-slice byte counts, so
-    both decisions are STAT-DRIVEN, no second pass over the data):
+    Task layout is STAT-DRIVEN from the manifest's slice sizes (no
+    second pass over the data): the parts, ascending, are cut into
+    contiguous runs of up to ``max(1 MiB, min(target_bytes, total //
+    (2 * cluster CPUs)))`` bytes, and each run is one task that calls
+    ``fn`` per part and concatenates the outputs — the number of parts
+    (the caller's hash modulus) does not set the task count.
 
-    - ``pack=True``: parts are packed whole into byte-budgeted tasks
-      (first-fit-decreasing at ``target_bytes`` per task, floored so
-      small inputs still fan out ~2 tasks/CPU). Only valid when ``fn``
-      is part-mix-agnostic (a group_by fold, a side-split join — NOT a
-      per-bucket algorithm); the default keeps the one-task-per-part
-      map_groups contract.
-    - ``refold_fn``: when a single partition exceeds ``target_bytes``
-      (unbounded-cardinality or hot key), its slices are split into
-      byte-budgeted chunks, ``fn`` folds each chunk, and ``refold_fn``
-      folds the concatenated partials — the memory guard that keeps
-      any one task's working set bounded. ``refold_fn(concat(fn(c1),
-      fn(c2), ...))`` must equal ``fn(c1 + c2 + ...)``.
-    - ``_plan_out``: test/telemetry hook — filled with the planned
-      task/split counts."""
+    - ``salt``: parts are ``bucket * salt + sub`` sub-buckets of salted
+      keys (fx_join); no run holds two sub-buckets of one bucket.
+    - ``refold_fn``: a partition over ``target_bytes`` (hot or
+      unbounded key) runs alone, split into byte-budgeted chunks; ``fn``
+      folds each chunk and ``refold_fn`` folds the concatenated
+      partials, so ``refold_fn(concat(fn(c1), fn(c2), ...))`` must
+      equal ``fn(c1 + c2 + ...)``.
+    - ``_plan_out``: test hook, filled with the planned ``tasks``,
+      ``split`` (chunk-folded parts), ``packed`` (runs of >1 part),
+      ``parts`` and ``bytes``. The same counts, with writer and task
+      seconds, go to one ``op="exchange"`` row of ``metrics``."""
     base = (root or os.environ.get("AQR_EXCHANGE_ROOT")
             or tempfile.gettempdir())
     _guard_shared_root(base, explicit=bool(
@@ -236,85 +272,54 @@ def file_exchange_map_groups(
     xdir = os.path.join(base, f"aqr_xchg_{uuid.uuid4().hex}")
     os.makedirs(xdir, exist_ok=True)
     budget = target_bytes or _default_target_bytes()
+    t0 = time.perf_counter()
     try:
         from functools import partial as _p
         manifest = ds.map_batches(
             _p(_write_block_slices, xdir=xdir, part_col=part_col),
             batch_format="pyarrow", batch_size=None).take_all()
+        t1 = time.perf_counter()
         plan: dict[int, list[tuple[str, int, int]]] = {}
         for r in manifest:                     # bounded: blocks x parts
             plan.setdefault(int(r["part"]), []).append(
                 (r["path"], int(r["batch"]), int(r["bytes"])))
-        if not plan:
-            shutil.rmtree(xdir, ignore_errors=True)
-            # empty exchange: the caller's typed empty wins (Ray's
-            # schema() is None for an empty mapped dataset, so there
-            # may be nothing to derive from); else derive the OUTPUT
-            # schema by applying fn to an empty input-shaped table
-            # (group fns that return typed empties keep their schema
-            # downstream), falling back to the input schema for fns
-            # that assume non-empty groups
-            if empty_result is not None:
-                return ray.data.from_arrow(empty_result)
-            sample = ds.schema()
-            if sample is not None:
-                empty_in = pa.schema(sample.base_schema).empty_table()
-                try:
-                    return ray.data.from_arrow(fn(empty_in))
-                except IndexError:
-                    # the one legitimate empty-probe failure: a group fn
-                    # that indexes its (guaranteed non-empty on the real
-                    # path) group, e.g. t.column(part)[0]. Anything else
-                    # (KeyError from a typo'd column, TypeError, ...) is
-                    # a real fn bug and must surface, not be masked by a
-                    # schema-flipped empty. Callers whose fn can't probe
-                    # empty input should pass empty_result instead.
-                    import warnings
-                    warnings.warn(
-                        f"file_exchange_map_groups: empty exchange and "
-                        f"{getattr(fn, '__name__', fn)!r} raised "
-                        f"IndexError on the empty probe; returning an "
-                        f"INPUT-schema empty (pass empty_result= for a "
-                        f"typed output schema)", RuntimeWarning)
-                    return ray.data.from_arrow(empty_in)
-            return ray.data.from_arrow(pa.table({}))
-        if pack:
-            total = sum(b for es in plan.values() for _, _, b in es)
-            # aim for ~2 tasks/CPU while small; cap at budget when big
-            eff = max(1 << 20, min(budget,
-                                   total // (2 * _cluster_cpus()) or 1))
-            task_entries = [es for _, es in _pack_bins(plan, eff)]
-        else:
-            task_entries = [es for _, es in sorted(plan.items())]
+        sizes = {p: sum(b for _, _, b in es) for p, es in plan.items()}
+        total = sum(sizes.values())
+        cap = max(1 << 20, min(budget, total // (2 * _cluster_cpus())))
+        runs = _cut_runs(sizes, cap, budget, salt)
         refs, n_split = [], 0
-        for es in task_entries:
-            nb = sum(b for _, _, b in es)
-            if refold_fn is not None and nb > budget and len(es) > 1:
-                # oversized partition: chunk-fold + refold (bounded
-                # per-task working set even under a single hot key)
-                chunks, cur, cb = [], [], 0
-                for e in es:
-                    if cur and cb + e[2] > budget:
-                        chunks.append(cur)
-                        cur, cb = [], 0
-                    cur.append(e)
-                    cb += e[2]
-                if cur:
-                    chunks.append(cur)
-                prefs = [_run_partition.remote(
-                    fn, [(p, bi) for p, bi, _ in ch]) for ch in chunks]
-                refs.append(_refold_partials.remote(refold_fn, *prefs))
+        for run in runs:
+            es = plan[run[0]]
+            if refold_fn is not None and sizes[run[0]] > budget \
+                    and len(es) > 1:
+                # oversized partition (alone in its run): chunk-fold +
+                # refold (bounded per-task working set even under a
+                # single hot key); chunks are cut like runs, by slice
+                chunks = _cut_runs(dict(enumerate(b for _, _, b in es)),
+                                   budget, budget, 1)
+                refs.append(_refold_partials.remote(refold_fn, *[
+                    _run_partition.remote(fn, [[es[i][:2] for i in ch]])
+                    for ch in chunks]))
                 n_split += 1
             else:
                 refs.append(_run_partition.remote(
-                    fn, [(p, bi) for p, bi, _ in es]))
+                    fn, [[e[:2] for e in plan[q]] for q in run]))
+        stats = dict(tasks=len(runs), split=n_split,
+                     packed=sum(len(r) > 1 for r in runs),
+                     parts=len(plan), bytes=total)
         if _plan_out is not None:
-            _plan_out.update(tasks=len(task_entries), split=n_split,
-                             packed=pack, parts=len(plan))
+            _plan_out.update(stats)
         ray.wait(refs, num_returns=len(refs))  # files consumed: safe to rm
-        return ray.data.from_arrow_refs(refs)
+        t2 = time.perf_counter()
+        out = (ray.data.from_arrow_refs(refs) if refs
+               else _empty_exchange(ds, fn, empty_result))
     finally:
         shutil.rmtree(xdir, ignore_errors=True)
+    metrics.record({"op": "exchange", "fn": getattr(fn, "__name__", str(fn)),
+                    "ok": True, "wall_s": round(time.perf_counter() - t0, 6),
+                    "write_s": round(t1 - t0, 6),
+                    "run_s": round(t2 - t1, 6), **stats})
+    return out
 
 
 def _ds_fx_map_groups(self: ray.data.Dataset, fn, part_col: str = "part",
@@ -345,18 +350,15 @@ def fx_agg_by(ds: ray.data.Dataset, keys: "list[str]",
     per-block partials of the same kind). Output columns keep the
     input names (no "sum(x)" renames).
 
-    ``num_partitions=None`` (the default) is the STAT-DRIVEN mode:
-    rows are tagged into ``_auto_virtual_parts()`` virtual buckets and
-    the exchange packs whole buckets into byte-budgeted tasks from the
-    manifest's measured slice sizes — task count scales with data
-    volume instead of a fixed modulus, and a single oversized bucket
-    (hot/low-cardinality key) is chunk-folded then re-folded so no
-    task's working set exceeds ``target_bytes``. Pass an explicit int
-    to pin the legacy one-task-per-part layout."""
+    ``num_partitions`` is only the hash modulus (default
+    ``_auto_virtual_parts()`` virtual buckets): the exchange packs
+    whole buckets into byte-budgeted tasks from the manifest's measured
+    slice sizes, so task count scales with data volume, and a single
+    oversized bucket (hot/low-cardinality key) is chunk-folded then
+    re-folded so no task's working set exceeds ``target_bytes``."""
     import pandas as pd
 
-    auto = num_partitions is None
-    P = _auto_virtual_parts() if auto else num_partitions
+    P = num_partitions or _auto_virtual_parts()
 
     def tag(t: pa.Table) -> pa.Table:
         # a stray inbound "part" (e.g. the empty-input schema of an
@@ -395,8 +397,7 @@ def fx_agg_by(ds: ray.data.Dataset, keys: "list[str]",
 
     return file_exchange_map_groups(
         ds.map_batches(tag, batch_format="pyarrow"), fold,
-        pack=auto, refold_fn=refold, target_bytes=target_bytes,
-        _plan_out=_plan_out)
+        refold_fn=refold, target_bytes=target_bytes, _plan_out=_plan_out)
 
 
 def fx_sum_by(ds: ray.data.Dataset, keys: "list[str]",
@@ -419,10 +420,9 @@ def fx_join(left: ray.data.Dataset, right: ray.data.Dataset,
     and flow through ONE exchange; each partition task splits its rows
     by side and merges vectorized (arrow-backed frames, so int64 keys
     and values survive null-introduction without a float64 upcast).
-    ``num_partitions=None`` (default) = stat-driven mode: tag into
-    ``_auto_virtual_parts()`` virtual buckets, pack whole buckets into
-    byte-budgeted tasks from measured slice sizes (see fx_agg_by); an
-    explicit int pins the legacy one-task-per-part layout.
+    ``num_partitions`` is only the hash modulus (default
+    ``_auto_virtual_parts()``); whole buckets are packed into
+    byte-budgeted tasks from measured slice sizes (see fx_agg_by).
 
     ``how``: inner | left | outer | semi | anti. SQL null-key
     semantics on the MATCH (a null key never matches — including in
@@ -445,7 +445,8 @@ def fx_join(left: ray.data.Dataset, right: ray.data.Dataset,
     north rule's salted repartitioning applied to the join): each
     LEFT row lands in one of ``salt`` sub-buckets of its key's
     partition while every RIGHT row is replicated into all ``salt``
-    sub-buckets — a hot key's probe side fans across ``salt`` tasks at
+    sub-buckets, and no exchange task holds two sub-buckets of one
+    bucket — a hot key's probe side fans across ``salt`` tasks at
     the cost of ``salt``x the (small) build side, and every (l, r)
     pair still meets exactly once, so the OUTPUT is identical for any
     salt (pinned in tests)."""
@@ -455,12 +456,10 @@ def fx_join(left: ray.data.Dataset, right: ray.data.Dataset,
         raise ValueError(f"unsupported how={how!r}")
     if how == "outer" and salt > 1:
         # replicating the right side into sub-buckets would emit its
-        # unmatched rows once per sub-bucket — outer joins defuse hot
-        # keys by raising num_partitions instead
+        # unmatched rows once per sub-bucket, so outer joins run
+        # unsalted (num_partitions spreads keys, not one hot key)
         raise ValueError("salt > 1 is not supported with how='outer'")
-    auto = num_partitions is None
-    num_partitions = (_auto_virtual_parts() if auto
-                      else num_partitions)
+    num_partitions = num_partitions or _auto_virtual_parts()
     ls = pa.schema(left.schema().base_schema)
     rs = pa.schema(right.schema().base_schema)
     for k in keys:
@@ -590,4 +589,4 @@ def fx_join(left: ray.data.Dataset, right: ray.data.Dataset,
     # and probe rows of a key) — hot keys are the salt's job
     return file_exchange_map_groups(
         tagged, join_part, empty_result=out_schema.empty_table(),
-        pack=auto, target_bytes=target_bytes, _plan_out=_plan_out)
+        salt=salt, target_bytes=target_bytes, _plan_out=_plan_out)

@@ -412,3 +412,165 @@ def test_multinode_guard_refuses_node_local_default(ray_session,
         pass
     monkeypatch.setenv("AQR_IVF_ROOT", "/tmp/aqr_ivf_shared")
     assert _default_index_root("unused") == "/tmp/aqr_ivf_shared"
+
+
+def _part_stats_fn():
+    # one output row per fn call: which parts the call saw, and how many
+    def fn(g: pa.Table) -> pa.Table:
+        part = g.column("part").to_numpy(zero_copy_only=False)
+        return pa.table({"part": pa.array([int(part[0])], pa.int32()),
+                         "n_parts": pa.array([len(set(part))], pa.int64()),
+                         "n": pa.array([len(part)], pa.int64())})
+    return fn
+
+
+def _blocks(ds) -> "list[pa.Table]":
+    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+
+
+def test_cut_runs_contiguous_budgeted_and_salted():
+    from aqueduct_core_ray.stages.exchange import _cut_runs
+    sizes = {5: 3, 0: 3, 2: 3, 1: 3}
+    assert _cut_runs(sizes, 7, 100, 1) == [[0, 1], [2, 5]]
+    # a part over budget runs alone, whatever the cap
+    assert _cut_runs({0: 1, 1: 50, 2: 1}, 100, 10, 1) == [[0], [1], [2]]
+    # salt 3: parts 0-2 are bucket 0, 3-5 bucket 1 — no run holds two
+    # sub-buckets of one bucket, different buckets may share a run
+    assert _cut_runs({p: 1 for p in range(6)}, 100, 100, 3) == [
+        [0], [1], [2, 3], [4], [5]]
+
+
+def test_packed_exchange_calls_fn_once_per_part_alone(ray_session):
+    """Many parts, fewer tasks: fn still sees every non-empty part
+    exactly once, alone, with its part column — the map_groups
+    contract survives packing."""
+    rng = np.random.default_rng(3)
+    n = 30_000
+    part = rng.choice(np.arange(0, 120, 3), n).astype(np.int32)  # sparse
+    t = pa.table({"part": pa.array(part),
+                  "v": pa.array(rng.integers(0, 9, n).astype(np.int64))})
+    plan = {}
+    got = file_exchange_map_groups(ray.data.from_arrow(t).repartition(5),
+                                   _part_stats_fn(), _plan_out=plan
+                                   ).to_pandas()
+    assert plan["parts"] == 40 and plan["tasks"] < plan["parts"]
+    assert plan["packed"] >= 1
+    assert sorted(got["part"]) == sorted(set(part.tolist()))   # once each
+    assert (got["n_parts"] == 1).all()                         # alone
+    want = pd.Series(part).value_counts()
+    assert all(int(r.n) == int(want[r.part]) for r in got.itertuples())
+
+
+def test_packed_exchange_output_in_ascending_part_order(ray_session):
+    """Concatenated output blocks come out in ascending part order,
+    whether the parts fit one run or several."""
+    rng = np.random.default_rng(5)
+    for n, tasks in ((2_000, 1), (400_000, 3)):
+        t = pa.table({
+            "part": pa.array(rng.integers(0, 64, n).astype(np.int32)),
+            "v": pa.array(np.arange(n, dtype=np.int64))})
+        plan = {}
+        out = file_exchange_map_groups(
+            ray.data.from_arrow(t).repartition(4), _part_stats_fn(),
+            target_bytes=1 << 20, _plan_out=plan)
+        parts = pa.concat_tables(_blocks(out)).column("part").to_pylist()
+        assert parts == sorted(set(t.column("part").to_pylist())), n
+        assert plan["tasks"] >= tasks, (n, plan)
+
+
+def test_exchange_tasks_grow_with_input_bytes(ray_session):
+    """At a fixed target_bytes the task count follows the data volume,
+    not the number of parts (the hash modulus)."""
+    tasks = []
+    for n in (50_000, 200_000, 800_000):
+        t = pa.table({
+            "part": pa.array((np.arange(n) % 16).astype(np.int32)),
+            "v": pa.array(np.arange(n, dtype=np.int64))})
+        plan = {}
+        file_exchange_map_groups(ray.data.from_arrow(t).repartition(4),
+                                 _part_stats_fn(), target_bytes=1 << 20,
+                                 _plan_out=plan).materialize()
+        assert plan["parts"] == 16
+        tasks.append(plan["tasks"])
+    assert tasks[0] < tasks[1] < tasks[2], tasks
+
+
+def test_packed_run_concatenates_reordered_and_empty_outputs(ray_session):
+    """Within one run, parts whose fn outputs list columns in different
+    orders, or are empty with other column types, concatenate into one
+    clean block."""
+    def fn(g: pa.Table) -> pa.Table:
+        p = int(g.column("part")[0].as_py())
+        cols = {"part": pa.array([p], pa.int32()),
+                "n": pa.array([g.num_rows], pa.int64())}
+        if p % 3 == 0:      # an empty output typed unlike the others
+            return pa.table({"part": pa.array([], pa.int32()),
+                             "n": pa.array([], pa.int32())})
+        if p % 2:                               # reversed column order
+            return pa.table(dict(reversed(list(cols.items()))))
+        return pa.table(cols)
+
+    t = pa.table({"part": pa.array((np.arange(300) % 12).astype(np.int32)),
+                  "v": pa.array(np.arange(300, dtype=np.int64))})
+    plan = {}
+    out = file_exchange_map_groups(ray.data.from_arrow(t).repartition(3),
+                                   fn, _plan_out=plan)
+    blocks = _blocks(out)
+    assert plan["tasks"] == 1 and len(blocks) == 1
+    assert sorted(blocks[0].column_names) == ["n", "part"]
+    assert blocks[0].column("part").to_pylist() == [
+        p for p in range(12) if p % 3]
+    assert set(blocks[0].column("n").to_pylist()) == {25}
+    # a run whose parts ALL return empty yields no rows, not an error
+    none = file_exchange_map_groups(ray.data.from_arrow(t),
+                                    lambda g: g.slice(0, 0))
+    assert none.count() == 0
+
+
+def test_exchange_writes_one_metrics_row_per_call(ray_session, tmp_path,
+                                                  monkeypatch):
+    """Every exchange call appends one op="exchange" row (writer and
+    task seconds, parts, tasks, split, bytes) to $AQR_METRICS_PATH; its
+    task count is the planned one."""
+    import json
+
+    from aqueduct_core_ray import metrics
+    path = tmp_path / "ops.jsonl"
+    monkeypatch.setenv("AQR_METRICS_PATH", str(path))
+    metrics.drain()
+    t = pa.table({"part": pa.array((np.arange(500) % 7).astype(np.int32)),
+                  "v": pa.array(np.arange(500, dtype=np.int64))})
+    plans = []
+    for _ in range(2):
+        plans.append({})
+        file_exchange_map_groups(ray.data.from_arrow(t).repartition(2),
+                                 _make_fn(), _plan_out=plans[-1])
+    rows = [json.loads(x) for x in path.read_text().splitlines()]
+    assert [r["op"] for r in rows] == ["exchange", "exchange"]
+    for r, plan in zip(rows, plans):
+        assert r["fn"] == "fn" and r["ok"]
+        assert r["tasks"] == plan["tasks"] and r["parts"] == 7
+        assert r["split"] == 0 and r["bytes"] == plan["bytes"] > 0
+        assert 0 <= r["write_s"] + r["run_s"] <= r["wall_s"] + 1e-5
+    assert len(metrics.recent("exchange")) == 2
+
+
+def test_alive_node_count_propagates_non_ray_errors(ray_session,
+                                                    monkeypatch):
+    """Only a Ray shutdown race reads as one node; any other error from
+    ray.nodes() must surface — silently reporting one node would turn
+    the multi-node shared-root guard off."""
+    import pytest
+
+    import aqueduct_core_ray.stages.exchange as ex
+
+    def broken():
+        raise ValueError("bad node table")
+    monkeypatch.setattr(ex.ray, "nodes", broken)
+    with pytest.raises(ValueError):
+        ex._alive_node_count()
+
+    def shut_down():
+        raise ray.exceptions.RaySystemError("shut down")
+    monkeypatch.setattr(ex.ray, "nodes", shut_down)
+    assert ex._alive_node_count() == 1
