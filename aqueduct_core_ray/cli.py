@@ -351,8 +351,8 @@ def cmd_sql(args) -> int:
     _init_ray()
     import duckdb
 
-    import ray as _ray
     from .pipelines.replay import CDCEngine
+    from .stages.exchange import collect_tables
     eng = CDCEngine(args.lake, num_partitions=None)
     try:
         ds = eng.read_lake(generation=args.generation)
@@ -360,7 +360,7 @@ def cmd_sql(args) -> int:
         print(json.dumps({"ok": False, "error": str(exc)}))
         return 1
     import pyarrow as pa
-    tabs = _ray.get(ds.to_arrow_refs())
+    tabs = collect_tables(ds)
     lake = (pa.concat_tables(tabs, promote_options="default")
             if tabs else None)
     if lake is None:

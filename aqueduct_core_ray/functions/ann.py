@@ -26,7 +26,7 @@ import ray.data
 
 # registers ray.data.Dataset.fx_map_groups (file exchange — skips
 # Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
-from ..stages import exchange as _exchange  # noqa: F401
+from ..stages.exchange import collect_tables
 
 
 def _load_queries(sf_dir: str, nq: int) -> tuple[np.ndarray, np.ndarray]:
@@ -512,7 +512,7 @@ def kmeans_embeddings(sf_dir: str, k: int = 8, iters: int = 12
     top-k fold, no full read)."""
     import ray
 
-    blocks = _read_embeddings(sf_dir).to_arrow_refs()   # read ONCE
+    blocks = _read_embeddings(sf_dir).materialize().to_arrow_refs()
     C = _kmeans_fit(blocks, k, iters)
     if C is None:
         return ray.data.from_arrow(pa.table({
@@ -575,9 +575,9 @@ def _moment_fold(sf_dir: str) -> "tuple[int, np.ndarray, np.ndarray]":
             "xx": pa.array([(X.T @ X).ravel().tobytes()], pa.binary()),
         })
 
-    tabs = [t for t in ray.get(
+    tabs = [t for t in collect_tables(
         _read_embeddings(sf_dir)
-        .map_batches(partial, batch_format="pyarrow").to_arrow_refs())
+        .map_batches(partial, batch_format="pyarrow"))
         if t.num_rows]
     n = 0
     s = xx = None

@@ -35,15 +35,18 @@ independent naive-recount BPE implementation in tests/test_bpe.py.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
 
+from ..stages.exchange import collect_tables, dict_encode
 from .text import BPE_PATTERN, hash_str_array, read_documents
 
 _PRETOKEN_RE = re.compile(BPE_PATTERN)
@@ -56,11 +59,28 @@ MERGE_SCHEMA = pa.schema([
 ])
 
 
+def _word_head(g: pa.Table, max_words: int) -> pa.Table:
+    """The ``max_words`` most frequent words of a (word, count) table,
+    counts summed per word; ties by word asc. Runs on dictionary codes:
+    Arrow sorts strings by UTF-8 bytes, which is code-point (Python
+    str) order."""
+    d = dict_encode(g.column("word"))
+    sums = np.bincount(d.indices.to_numpy(),       # exact below 2**53
+                       weights=g.column("count").to_numpy(),
+                       minlength=len(d.dictionary)).astype(np.int64)
+    rank = np.empty(len(d.dictionary), np.int64)
+    rank[pc.sort_indices(d.dictionary).to_numpy()] = np.arange(
+        len(d.dictionary))
+    head = np.lexsort((rank, -sums))[:max_words]
+    return pa.table({"word": d.dictionary.take(head),
+                     "count": pa.array(sums[head])})
+
+
 def _word_count_table(sf_dir: str, num_partitions: int,
                       max_words: int) -> tuple[list[str], np.ndarray]:
     """(words, counts) of the corpus's ``max_words`` most frequent
     pretokens (ties broken lexicographically for determinism). One
-    map_batches partial-count pass + one hash exchange; only P local
+    map_batches partial-count pass + one file exchange; only P local
     heads ever reach the driver."""
 
     def partial(t: pa.Table) -> pa.Table:
@@ -76,30 +96,17 @@ def _word_count_table(sf_dir: str, num_partitions: int,
             "count": pa.array([c[w] for w in words], pa.int64()),
         })
 
-    def local_head(g: pa.Table) -> pa.Table:
-        w = np.asarray(g.column("word").to_pylist(), dtype=object)
-        n = g.column("count").to_numpy(zero_copy_only=False)
-        order = np.argsort(w, kind="stable")
-        w, n = w[order], n[order]
-        starts = np.flatnonzero(np.concatenate([[True], w[1:] != w[:-1]]))
-        words = w[starts]
-        sums = np.add.reduceat(n.astype(np.int64), starts)
-        head = np.lexsort((words, -sums))[:max_words]
-        return pa.table({"word": pa.array(words[head], pa.string()),
-                         "count": pa.array(sums[head])})
-
-    parts = (read_documents(sf_dir, columns=["text"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("part")
-             .map_groups(local_head, batch_format="pyarrow"))
-    tabs = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows > 0]
+    tabs = [t for t in collect_tables(
+        read_documents(sf_dir, columns=["text"])
+        .map_batches(partial, batch_format="pyarrow")
+        .fx_map_groups(functools.partial(_word_head, max_words=max_words)))
+        if t.num_rows > 0]
     if not tabs:
         return [], np.empty(0, np.int64)
-    t = pa.concat_tables(tabs)
-    words = np.asarray(t.column("word").to_pylist(), dtype=object)
-    counts = t.column("count").to_numpy(zero_copy_only=False)
-    head = np.lexsort((words, -counts))[:max_words]
-    return list(words[head]), counts[head].astype(np.int64)
+    # the parts hold disjoint words: the head of their heads is global
+    t = _word_head(pa.concat_tables(tabs), max_words)
+    return (t.column("word").to_pylist(),
+            t.column("count").to_numpy().astype(np.int64))
 
 
 def _merge_loop(words: list[str], counts: np.ndarray,

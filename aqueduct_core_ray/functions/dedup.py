@@ -38,7 +38,7 @@ from .text import fingerprint_batch, hash_str_array, read_documents
 
 # registers ray.data.Dataset.fx_map_groups (file exchange — skips
 # Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
-from ..stages import exchange as _exchange  # noqa: F401
+from ..stages.exchange import collect_tables
 
 # fixed odd 64-bit mixing constants (splitmix64-flavored)
 _P1, _P2, _P3 = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
@@ -1268,7 +1268,7 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 12,
     ascending vec_id order (pinned by tests)."""
     from .ann import _kmeans_fit, _read_embeddings
 
-    blocks = _read_embeddings(sf_dir).to_arrow_refs()   # read ONCE
+    blocks = _read_embeddings(sf_dir).materialize().to_arrow_refs()
     C = _kmeans_fit(blocks, k, iters)
     if C is None:
         return ray.data.from_arrow(pa.table({
@@ -1751,10 +1751,9 @@ def split_leakage(sf_dir: str, shingle: int = 8,
              if sub.num_rows else np.array([], np.uint64))
         return pa.table({"h": pa.array(h.view(np.int64))})
 
-    parts = ray.get(
+    parts = collect_tables(
         read_documents(sf_dir, columns=["doc_id", "text"])
-        .map_batches(val_grams, batch_format="pyarrow")
-        .to_arrow_refs())
+        .map_batches(val_grams, batch_format="pyarrow"))
     # sort in UNSIGNED space: int64 is only the Arrow transport type —
     # a signed-sorted array breaks count_blocklist_hits' searchsorted
     bl = np.unique(np.concatenate(

@@ -21,7 +21,7 @@ from .text import read_documents
 
 # registers ray.data.Dataset.fx_map_groups (file exchange — skips
 # Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
-from ..stages import exchange as _exchange  # noqa: F401
+from ..stages.exchange import collect_tables
 
 
 def _accept(ids: np.ndarray, frac: float, seed: int) -> np.ndarray:
@@ -233,7 +233,7 @@ def weighted_sample(sf_dir: str, k: int = 20, seed: int = 7,
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "source", weight_col])
     cand = ds.map_batches(local_topk, batch_format="pyarrow")
-    tables = [t for t in ray.get(cand.to_arrow_refs()) if t.num_rows]
+    tables = [t for t in collect_tables(cand) if t.num_rows]
     empty = pa.table({"source": pa.array([], pa.string()),
                       "doc_id": pa.array([], pa.int64()),
                       "weight": pa.array([], pa.float64()),

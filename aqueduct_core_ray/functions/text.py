@@ -10,6 +10,7 @@ are the §"beyond the reference" training-data operators.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -19,29 +20,17 @@ import pyarrow.compute as pc
 
 import ray.data
 
-# registers ray.data.Dataset.fx_map_groups (file exchange — skips
-# Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
-from ..stages import exchange as _exchange  # noqa: F401
+# importing the exchange registers ray.data.Dataset.fx_map_groups (file
+# exchange — skips Ray's ~3 s sort-shuffle floor per co-partitioned
+# exchange); hash_str_array is re-exported for the dedup family
+from ..stages.exchange import (collect_tables, dict_encode,  # noqa: F401
+                               hash_str_array)
 
 
 def read_documents(sf_dir: str, columns: list[str] | None = None
                    ) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=columns)
-
-
-def hash_str_array(arr: "pa.Array | pa.ChunkedArray | np.ndarray"
-                   ) -> np.ndarray:
-    """The canonical keyed-siphash string kernel (stable across
-    processes/nodes/runs): 'string equality <=> hash equality' at
-    ~1e-11 collision odds. The dedup family and the repetition metrics
-    MUST share this one definition — word/line/shingle identity across
-    operators de-synchronizes if any of them hashes differently.
-    Accepts Arrow arrays or a numpy array of strings."""
-    if isinstance(arr, (pa.Array, pa.ChunkedArray)):
-        arr = arr.to_numpy(zero_copy_only=False)
-    return pd.util.hash_array(np.asarray(arr, dtype=object),
-                              categorize=False)
 
 
 # --------------------------------------------------------------------- #
@@ -440,7 +429,7 @@ def approx_top_tokens(sf_dir: str, k: int = 20,
 
     ds = read_documents(sf_dir, columns=["text"])
     parts = ds.map_batches(summary, batch_format="pyarrow")
-    tables = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
+    tables = [t for t in collect_tables(parts) if t.num_rows]
     if not tables:
         return ray.data.from_arrow(pa.table({
             "token": pa.array([], pa.string()),
@@ -513,7 +502,7 @@ def doc_frequency(sf_dir: str, k: int = 20) -> ray.data.Dataset:
         ["token"], ["df"]
     ).map_batches(local_topk, batch_format="pyarrow")
     # driver fold of <= k x blocks candidate rows: exact global top-k
-    tables = [t for t in ray.get(total.to_arrow_refs()) if t.num_rows]
+    tables = [t for t in collect_tables(total) if t.num_rows]
     cand = (pa.concat_tables(tables, promote_options="default")
             if tables else None)
     if cand is None or cand.num_rows == 0:
@@ -529,6 +518,90 @@ def doc_frequency(sf_dir: str, k: int = 20) -> ray.data.Dataset:
         "df": pa.array(cnt[order].astype(np.int64)),
         "rk": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
     }))
+
+
+def _codes(arr: "pa.Array | pa.ChunkedArray") -> np.ndarray:
+    """Dense int codes of a column: equal values share a code."""
+    return dict_encode(arr).indices.to_numpy()
+
+
+def _tf_rows(t: pa.Table, num_partitions: int) -> pa.Table:
+    """Per-block (doc, whitespace token, tf) counts via one Arrow
+    group_by — each doc lives in one block, so the counts are final —
+    tagged ``tpart`` = hash(token) %% P."""
+    txt = pc.utf8_trim_whitespace(t.column("text"))
+    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
+    agg = pa.table({
+        "doc_id": t.column("doc_id").combine_chunks()
+        .take(pc.list_parent_indices(words)),
+        "token": words.flatten(),
+    }).group_by(["doc_id", "token"]).aggregate([("token", "count")])
+    return pa.table({
+        "tpart": pa.array((hash_str_array(agg.column("token"))
+                           % np.uint64(num_partitions)).astype(np.int32)),
+        "doc_id": agg.column("doc_id"),
+        "token": agg.column("token"),
+        "tf": agg.column("token_count"),
+    })
+
+
+def _tfidf_scores(g: pa.Table, n_docs: int,
+                  num_partitions: int) -> pa.Table:
+    """Token-partition task of tfidf_top_terms: df is the row count of
+    each token (the partition owns all of its rows); rows re-tagged
+    ``dpart`` = hash(doc_id) %% P."""
+    tok = _codes(g.column("token"))
+    tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
+    idf = np.log((n_docs + 1.0) / (np.bincount(tok)[tok] + 1.0))
+    return pa.table({
+        "dpart": pa.array((hash_str_array(g.column("doc_id"))
+                           % np.uint64(num_partitions)).astype(np.int32)),
+        "doc_id": g.column("doc_id"),
+        "token": g.column("token"),
+        "tf": pa.array(tf),
+        "score_permille": pa.array(
+            np.floor(tf * idf * 1000.0 + 0.5).astype(np.int64)),
+    })
+
+
+def _tfidf_topk(g: pa.Table, k: int) -> pa.Table:
+    """Doc-partition task of tfidf_top_terms: each doc's ``k`` best
+    rows by (score desc, token asc) from one lexsort on int keys."""
+    d = dict_encode(g.column("token"))
+    # token order as code ranks: Arrow sorts strings by UTF-8 bytes,
+    # which is code-point (Python str) order
+    rank = np.empty(len(d.dictionary), np.int64)
+    rank[pc.sort_indices(d.dictionary).to_numpy()] = np.arange(
+        len(d.dictionary))
+    doc = g.column("doc_id").to_numpy(zero_copy_only=False)
+    sc = g.column("score_permille").to_numpy(zero_copy_only=False)
+    order = np.lexsort((rank[d.indices.to_numpy()], -sc, doc))
+    d_s = doc[order]
+    starts = np.flatnonzero(np.concatenate([[True], d_s[1:] != d_s[:-1]]))
+    pos = np.arange(len(d_s)) - np.repeat(
+        starts, np.diff(np.append(starts, len(d_s))))
+    keep = pa.array(order[pos < k])
+    return pa.table({
+        "doc_id": g.column("doc_id").take(keep),
+        "token": g.column("token").take(keep),
+        "tf": g.column("tf").take(keep),
+        "score_permille": g.column("score_permille").take(keep),
+        "rk": pa.array((pos[pos < k] + 1).astype(np.int64)),
+    })
+
+
+def _unigram_scores(g: pa.Table, total: float) -> pa.Table:
+    """Token-partition task of unigram_logprob_score: each row scores
+    ``tf x lp(token)`` from the token's corpus count."""
+    tok = _codes(g.column("token"))
+    tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
+    cnt = np.bincount(tok, weights=tf)[tok]     # exact below 2**53
+    lp = np.floor(np.log(cnt / total) * 1000.0 + 0.5).astype(np.int64)
+    return pa.table({
+        "doc_id": g.column("doc_id"),
+        "n_tok": pa.array(tf),
+        "score_permille": pa.array(tf * lp),
+    })
 
 
 def tfidf_top_terms(sf_dir: str, k: int = 5,
@@ -553,72 +626,14 @@ def tfidf_top_terms(sf_dir: str, k: int = 5,
     import pyarrow.parquet as pq
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
 
-    def tf_rows(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        dids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        pairs = pa.table({
-            "doc_id": pa.array(np.repeat(dids, counts)),
-            "token": words.flatten(),
-        })
-        agg = pairs.group_by(["doc_id", "token"]).aggregate(
-            [("token", "count")])
-        return pa.table({
-            "tpart": pa.array((hash_str_array(agg.column("token"))
-                               % np.uint64(num_partitions))
-                              .astype(np.int32)),
-            "doc_id": agg.column("doc_id"),
-            "token": agg.column("token"),
-            "tf": agg.column("token_count"),
-        })
-
-    def score_rows(g: pa.Table) -> pa.Table:
-        tok = g.column("token").to_numpy(zero_copy_only=False)
-        tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(tok, kind="stable")
-        tok_s = tok[order]
-        starts = np.flatnonzero(np.concatenate([[True],
-                                                tok_s[1:] != tok_s[:-1]]))
-        sizes = np.diff(np.append(starts, len(tok_s)))
-        df = np.empty(len(tok_s), np.int64)
-        df[order] = np.repeat(sizes, sizes)
-        idf = np.log((n_docs + 1.0) / (df + 1.0))
-        score = np.floor(tf * idf * 1000.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "dpart": pa.array((hash_str_array(g.column("doc_id"))
-                               % np.uint64(num_partitions))
-                              .astype(np.int32)),
-            "doc_id": g.column("doc_id"),
-            "token": g.column("token"),
-            "tf": pa.array(tf),
-            "score_permille": pa.array(score),
-        })
-
-    def topk_rows(g: pa.Table) -> pa.Table:
-        doc = g.column("doc_id").to_numpy(zero_copy_only=False)
-        tok = g.column("token").to_numpy(zero_copy_only=False)
-        sc = g.column("score_permille").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tok, -sc, doc))
-        d_s = doc[order]
-        starts = np.flatnonzero(np.concatenate([[True],
-                                                d_s[1:] != d_s[:-1]]))
-        sizes = np.diff(np.append(starts, len(d_s)))
-        pos = np.arange(len(d_s)) - np.repeat(starts, sizes)
-        keep = order[pos < k]
-        return pa.table({
-            "doc_id": g.column("doc_id").take(pa.array(keep)),
-            "token": g.column("token").take(pa.array(keep)),
-            "tf": g.column("tf").take(pa.array(keep)),
-            "score_permille": g.column("score_permille")
-            .take(pa.array(keep)),
-            "rk": pa.array((pos[pos < k] + 1).astype(np.int64)),
-        })
-
     return (read_documents(sf_dir, columns=["doc_id", "text"])
-            .map_batches(tf_rows, batch_format="pyarrow")
-            .fx_map_groups(score_rows, part_col="tpart")
-            .fx_map_groups(topk_rows, part_col="dpart"))
+            .map_batches(_tf_rows, batch_format="pyarrow",
+                         fn_kwargs={"num_partitions": num_partitions})
+            .fx_map_groups(functools.partial(
+                _tfidf_scores, n_docs=n_docs, num_partitions=num_partitions),
+                part_col="tpart")
+            .fx_map_groups(functools.partial(_tfidf_topk, k=k),
+                           part_col="dpart"))
 
 
 def unigram_logprob_score(sf_dir: str,
@@ -638,11 +653,11 @@ def unigram_logprob_score(sf_dir: str,
     — the same two co-partitioned exchanges as tfidf_top_terms.
     (1) per-block (doc, token, tf) counts via one Arrow group_by,
     tagged hash(token) %% P; the token partition owns every row of its
-    tokens, folds global counts with one sort+reduceat and scores each
-    row ``tf x lp(token)`` in place. (2) a native groupby(doc_id).sum
-    finishes the per-doc fold. The corpus-wide token total (one int64)
-    is the only driver scalar, folded from per-block word counts in a
-    narrow pre-pass."""
+    tokens, folds global counts with one bincount over token codes and
+    scores each row ``tf x lp(token)`` in place. (2) a keyed sum by
+    doc_id finishes the per-doc fold. The corpus-wide token total (one
+    int64) is the only driver scalar, folded from per-block word counts
+    in a narrow pre-pass."""
 
     def n_tok_partial(t: pa.Table) -> pa.Table:
         txt = pc.utf8_trim_whitespace(t.column("text"))
@@ -650,58 +665,20 @@ def unigram_logprob_score(sf_dir: str,
         n = pc.sum(pc.list_value_length(words)).as_py() or 0
         return pa.table({"n": pa.array([int(n)], pa.int64())})
 
-    total = sum(
+    total = float(sum(
         t.column("n").to_numpy().sum()
-        for t in ray.get(
+        for t in collect_tables(
             read_documents(sf_dir, columns=["text"])
-            .map_batches(n_tok_partial, batch_format="pyarrow")
-            .to_arrow_refs())
-        if t.num_rows)
-    total = float(total)
-
-    def tf_rows(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        dids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        pairs = pa.table({
-            "doc_id": pa.array(np.repeat(dids, counts)),
-            "token": words.flatten(),
-        })
-        agg = pairs.group_by(["doc_id", "token"]).aggregate(
-            [("token", "count")])
-        return pa.table({
-            "tpart": pa.array((hash_str_array(agg.column("token"))
-                               % np.uint64(num_partitions))
-                              .astype(np.int32)),
-            "doc_id": agg.column("doc_id"),
-            "token": agg.column("token"),
-            "tf": agg.column("token_count"),
-        })
-
-    def score_rows(g: pa.Table) -> pa.Table:
-        tok = g.column("token").to_numpy(zero_copy_only=False)
-        tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(tok, kind="stable")
-        tok_s, tf_s = tok[order], tf[order]
-        starts = np.flatnonzero(np.concatenate([[True],
-                                                tok_s[1:] != tok_s[:-1]]))
-        cnt_per_group = np.add.reduceat(tf_s, starts)
-        sizes = np.diff(np.append(starts, len(tok_s)))
-        cnt = np.empty(len(tok_s), np.int64)
-        cnt[order] = np.repeat(cnt_per_group, sizes)
-        lp = np.floor(np.log(cnt / total) * 1000.0 + 0.5).astype(np.int64)
-        return pa.table({
-            "doc_id": g.column("doc_id"),
-            "n_tok": pa.array(tf),
-            "score_permille": pa.array(tf * lp),
-        })
+            .map_batches(n_tok_partial, batch_format="pyarrow"))
+        if t.num_rows))
 
     from ..stages.exchange import fx_sum_by
     return fx_sum_by(
         read_documents(sf_dir, columns=["doc_id", "text"])
-        .map_batches(tf_rows, batch_format="pyarrow")
-        .fx_map_groups(score_rows, part_col="tpart"),
+        .map_batches(_tf_rows, batch_format="pyarrow",
+                     fn_kwargs={"num_partitions": num_partitions})
+        .fx_map_groups(functools.partial(_unigram_scores, total=total),
+                       part_col="tpart"),
         ["doc_id"], ["n_tok", "score_permille"])
 
 
@@ -867,7 +844,7 @@ def dsir_weights(sf_dir: str, target_lang: str = "en",
              .map_batches(dist_partial, batch_format="pyarrow"))
     raw = np.zeros(dim, np.int64)
     tgt = np.zeros(dim, np.int64)
-    for pt in ray.get(parts.to_arrow_refs()):
+    for pt in collect_tables(parts):
         if pt.num_rows == 0:
             continue
         f = pt.column("feat").to_numpy(zero_copy_only=False)
@@ -951,10 +928,9 @@ def bm25_topk(sf_dir: str, query: tuple[str, ...] = ("hash", "merge",
                                       pa.int64())
         return pa.table(out)
 
-    gparts = [t for t in ray.get(
+    gparts = [t for t in collect_tables(
         read_documents(sf_dir, columns=["text"])
-        .map_batches(globals_partial, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
+        .map_batches(globals_partial, batch_format="pyarrow")) if t.num_rows]
     total_tok = sum(int(t.column("total_tok").to_numpy().sum())
                     for t in gparts)
     df = np.array([sum(int(t.column(f"df_{j}").to_numpy().sum())
@@ -992,7 +968,7 @@ def bm25_topk(sf_dir: str, query: tuple[str, ...] = ("hash", "merge",
 
     cand = (read_documents(sf_dir, columns=["doc_id", "text"])
             .map_batches(score_local_topk, batch_format="pyarrow"))
-    tables = [t for t in ray.get(cand.to_arrow_refs()) if t.num_rows]
+    tables = [t for t in collect_tables(cand) if t.num_rows]
     if not tables:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
@@ -1045,7 +1021,7 @@ def rank_auc(sf_dir: str, label_lang: str = "en") -> ray.data.Dataset:
     parts = (read_documents(sf_dir, columns=["lang", "n_chars"])
              .map_batches(partial, batch_format="pyarrow"))
     hist: dict[int, list[int]] = {}
-    for t in ray.get(parts.to_arrow_refs()):
+    for t in collect_tables(parts):
         if t.num_rows == 0:
             continue
         ss = t.column("s").to_numpy(zero_copy_only=False)
@@ -1106,7 +1082,7 @@ def spearman_chars_tokens(sf_dir: str) -> ray.data.Dataset:
     parts = (read_documents(sf_dir, columns=["text", "n_chars"])
              .map_batches(partial, batch_format="pyarrow"))
     joint: dict[tuple[int, int], int] = {}
-    for t in ray.get(parts.to_arrow_refs()):
+    for t in collect_tables(parts):
         if t.num_rows == 0:
             continue
         for x, y, n in zip(t.column("x").to_pylist(),
@@ -1198,10 +1174,9 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
                               pa.int64()),
         })
 
-    parts = [t for t in ray.get(
+    parts = [t for t in collect_tables(
         read_documents(sf_dir, columns=["text"])
-        .map_batches(scalar_partial, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
+        .map_batches(scalar_partial, batch_format="pyarrow")) if t.num_rows]
     n_tok = float(sum(t.column("n_tok").to_numpy().sum() for t in parts))
     n_big = float(sum(t.column("n_big").to_numpy().sum() for t in parts))
 
@@ -1342,7 +1317,7 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
         "pmi_permille": pa.array([], pa.int64()),
     }))
     # driver fold of <= k x P candidates: exact global top-k
-    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in collect_tables(ds) if t.num_rows]
     if not tabs:
         return ray.data.from_arrow(pa.table({
             "w1": pa.array([], pa.string()),
@@ -1417,7 +1392,7 @@ def source_divergence(sf_dir: str,
     totals_t = fx_sum_by(partials.drop_columns(["part", "token"])
                          .map_batches(lambda t: t, batch_format="pyarrow"),
                          ["source"], ["cnt"])
-    tot_tabs = [t for t in ray.get(totals_t.to_arrow_refs()) if t.num_rows]
+    tot_tabs = [t for t in collect_tables(totals_t) if t.num_rows]
     totals: dict = {}
     for t in tot_tabs:
         for r in range(t.num_rows):
@@ -1469,7 +1444,7 @@ def source_divergence(sf_dir: str,
 
     contrib = file_exchange_map_groups(partials, per_token_part,
                                        empty_result=empty)
-    tabs = [t for t in ray.get(contrib.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in collect_tables(contrib) if t.num_rows]
     acc: dict = {pr: 0.0 for pr in pairs}
     for t in tabs:
         for r in range(t.num_rows):
@@ -1554,10 +1529,9 @@ def skyline_docs(sf_dir: str) -> ray.data.Dataset:
             "n_tok": pa.array(tk[keep]),
         })
 
-    cand_tabs = [t for t in ray.get(
+    cand_tabs = [t for t in collect_tables(
         read_documents(sf_dir, columns=["doc_id", "text", "n_chars"])
-        .map_batches(local_skyline, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
+        .map_batches(local_skyline, batch_format="pyarrow")) if t.num_rows]
     if not cand_tabs:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
@@ -1711,6 +1685,85 @@ def profile_documents(sf_dir: str) -> pa.Table:
     })
 
 
+def _vocab_hashes(t: pa.Table, num_partitions: int) -> pa.Table:
+    """Distinct 64-bit digests of a block's whitespace tokens, tagged
+    ``part`` = digest %% P for bigram_logprob_score's vocabulary count."""
+    txt = pc.utf8_trim_whitespace(t.column("text"))
+    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
+    h = np.unique(hash_str_array(pc.unique(words.flatten())))
+    return pa.table({
+        "part": pa.array((h % np.uint64(num_partitions)).astype(np.int32)),
+        "h": pa.array(h.view(np.int64))})
+
+
+def _n_distinct(g: pa.Table) -> pa.Table:
+    return pa.table({"n": pa.array(
+        [pc.count_distinct(g.column("h")).as_py()], pa.int64())})
+
+
+def _bigram_grams(t: pa.Table, num_partitions: int) -> pa.Table:
+    """Per-block (doc, a, b, kind, tf) rows of bigram_logprob_score:
+    kind 1 = bigram (a, b), kind 0 = a doc's first token ``a`` (b = "");
+    tagged ``apart`` = hash(a) %% P."""
+    txt = pc.utf8_trim_whitespace(t.column("text"))
+    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
+    flat = words.flatten()
+    doc = pc.list_parent_indices(words).to_numpy()
+    a_idx = np.flatnonzero(doc[1:] == doc[:-1])   # bigram left tokens
+    first = np.flatnonzero(np.diff(doc, prepend=-1))  # doc starts
+    dids = t.column("doc_id").combine_chunks()
+    agg = pa.table({
+        "doc_id": pa.concat_arrays([dids.take(doc[a_idx]),
+                                    dids.take(doc[first])]),
+        "a": pa.concat_arrays([flat.take(a_idx), flat.take(first)]),
+        "b": pa.concat_arrays([flat.take(a_idx + 1), pa.repeat(
+            pa.scalar("", flat.type), len(first))]),
+        "kind": np.concatenate([np.ones(len(a_idx), np.int8),
+                                np.zeros(len(first), np.int8)]),
+        "tf": np.ones(len(a_idx) + len(first), np.int64),
+    }).group_by(["doc_id", "a", "b", "kind"]).aggregate([("tf", "sum")])
+    return pa.table({
+        "apart": pa.array((hash_str_array(agg.column("a"))
+                           % np.uint64(num_partitions)).astype(np.int32)),
+        "doc_id": agg.column("doc_id"),
+        "a": agg.column("a"),
+        "b": agg.column("b"),
+        "kind": agg.column("kind"),
+        "tf": agg.column("tf_sum"),
+    })
+
+
+def _bigram_scores(g: pa.Table, vocab: float, n_docs: int) -> pa.Table:
+    """Left-token-partition task of bigram_logprob_score: folds c(a,b),
+    c(a) and c_first(a) over the partition's rows and scores each."""
+    a, b = _codes(g.column("a")), _codes(g.column("b"))
+    kind = g.column("kind").to_numpy(zero_copy_only=False)
+    tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
+    sp = np.zeros(len(a), np.int64)
+
+    def fold(codes, mask):
+        """Sums of ``tf`` over the rows selected by ``mask``, grouped by
+        int ``codes``, scattered back to those rows (float64 sums of
+        ints: exact below 2**53)."""
+        c = codes[mask]
+        return np.bincount(c, weights=tf[mask])[c]
+
+    bi = kind == 1
+    if bi.any():
+        ab = np.unique(a.astype(np.int64) * (int(b.max()) + 1) + b,
+                       return_inverse=True)[1]
+        lp = np.floor(np.log((fold(ab, bi) + 1.0) / (fold(a, bi) + vocab))
+                      * 1000.0 + 0.5).astype(np.int64)
+        sp[bi] = tf[bi] * lp
+    ft = kind == 0
+    if ft.any():
+        lp = np.floor(np.log((fold(a, ft) + 1.0) / (n_docs + vocab))
+                      * 1000.0 + 0.5).astype(np.int64)
+        sp[ft] = tf[ft] * lp
+    return pa.table({"doc_id": g.column("doc_id"),
+                     "score_permille": pa.array(sp)})
+
+
 def bigram_logprob_score(sf_dir: str,
                          num_partitions: int = 32) -> ray.data.Dataset:
     """Corpus-LM quality scoring, one order up from
@@ -1728,105 +1781,27 @@ def bigram_logprob_score(sf_dir: str,
     Scale shape: the bigram vocabulary is unbounded so nothing is
     broadcast — ONE exchange keyed by hash(LEFT token) co-locates every
     (a, b) bigram row AND every first-token row of ``a``; the owning
-    partition folds c(a,b) (lexsort + reduceat), c(a) and c_first(a)
-    in place and scores rows locally; a native groupby(doc).sum
+    partition folds c(a,b), c(a) and c_first(a) in place (bincounts
+    over dictionary codes) and scores rows locally; a keyed sum by doc
     finishes. The only driver scalars are n_docs and V (V's distinct
-    fold moves 64-bit token digests, never tokens; collision odds
-    ~V^2/2^64)."""
+    count is one exchange of 64-bit token digests, never tokens;
+    collision odds ~V^2/2^64)."""
     docs = read_documents(sf_dir, columns=["doc_id", "text"])
     n_docs = docs.count()
 
-    def tok_hashes(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        h = np.unique(hash_str_array(words.flatten()))
-        return pa.table({"h": pa.array(h.view(np.int64))})
-
-    vocab = float(
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(tok_hashes, batch_format="pyarrow")
-        .groupby("h").count().count())
-
-    def gram_rows(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        cnt = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        flat = words.flatten().to_numpy(zero_copy_only=False)
-        dids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        starts = np.concatenate([[0], np.cumsum(cnt)[:-1]])
-        nb = np.maximum(cnt - 1, 0)              # bigrams per doc
-        seg = np.arange(int(nb.sum())) - np.repeat(np.cumsum(nb) - nb, nb)
-        a_idx = np.repeat(starts, nb) + seg
-        first = flat[starts]                     # every doc has >=1 token
-        g = pa.table({
-            "doc_id": pa.array(np.concatenate(
-                [np.repeat(dids, nb), dids])),
-            "a": pa.array(np.concatenate([flat[a_idx], first])),
-            "b": pa.array(np.concatenate(
-                [flat[a_idx + 1], np.full(len(dids), "", object)])),
-            "kind": pa.array(np.concatenate(
-                [np.ones(len(a_idx), np.int8),
-                 np.zeros(len(dids), np.int8)])),
-            "tf": pa.array(np.ones(len(a_idx) + len(dids), np.int64)),
-        })
-        agg = g.group_by(["doc_id", "a", "b", "kind"]).aggregate(
-            [("tf", "sum")])
-        return pa.table({
-            "apart": pa.array((hash_str_array(agg.column("a"))
-                               % np.uint64(num_partitions))
-                              .astype(np.int32)),
-            "doc_id": agg.column("doc_id"),
-            "a": agg.column("a"),
-            "b": agg.column("b"),
-            "kind": agg.column("kind"),
-            "tf": agg.column("tf_sum"),
-        })
-
-    def score_rows(g: pa.Table) -> pa.Table:
-        a = g.column("a").to_numpy(zero_copy_only=False)
-        b = g.column("b").to_numpy(zero_copy_only=False)
-        kind = g.column("kind").to_numpy(zero_copy_only=False)
-        tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
-        sp = np.zeros(len(a), np.int64)
-
-        def fold(keys_tuple, vals, mask):
-            """Global sums of ``vals`` over rows selected by ``mask``,
-            grouped by the key tuple, scattered back to those rows."""
-            idx = np.flatnonzero(mask)
-            order = idx[np.lexsort(tuple(k[idx] for k in keys_tuple))]
-            change = np.zeros(len(order), bool)
-            change[0:1] = True
-            for k in keys_tuple:
-                change[1:] |= k[order][1:] != k[order][:-1]
-            starts = np.flatnonzero(change)
-            sums = np.add.reduceat(vals[order], starts)
-            sizes = np.diff(np.append(starts, len(order)))
-            out = np.empty(len(order), np.int64)
-            out[:] = np.repeat(sums, sizes)
-            full = np.zeros(len(a), np.int64)
-            full[order] = out
-            return full
-
-        bi = kind == 1
-        if bi.any():
-            c_ab = fold((b, a), tf, bi)
-            c_a = fold((a,), tf, bi)
-            lp = np.floor(np.log((c_ab[bi] + 1.0) / (c_a[bi] + vocab))
-                          * 1000.0 + 0.5).astype(np.int64)
-            sp[bi] = tf[bi] * lp
-        ft = kind == 0
-        if ft.any():
-            c_f = fold((a,), tf, ft)
-            lp = np.floor(np.log((c_f[ft] + 1.0) / (n_docs + vocab))
-                          * 1000.0 + 0.5).astype(np.int64)
-            sp[ft] = tf[ft] * lp
-        return pa.table({"doc_id": g.column("doc_id"),
-                         "score_permille": pa.array(sp)})
+    vocab = float(sum(
+        t.column("n").to_numpy().sum() for t in collect_tables(
+            read_documents(sf_dir, columns=["text"])
+            .map_batches(_vocab_hashes, batch_format="pyarrow",
+                         fn_kwargs={"num_partitions": num_partitions})
+            .fx_map_groups(_n_distinct))))
 
     from ..stages.exchange import fx_sum_by
     return fx_sum_by(
-        docs.map_batches(gram_rows, batch_format="pyarrow")
-        .fx_map_groups(score_rows, part_col="apart"),
+        docs.map_batches(_bigram_grams, batch_format="pyarrow",
+                         fn_kwargs={"num_partitions": num_partitions})
+        .fx_map_groups(functools.partial(_bigram_scores, vocab=vocab,
+                                         n_docs=n_docs), part_col="apart"),
         ["doc_id"], ["score_permille"])
 
 
@@ -1869,7 +1844,7 @@ def zipf_fit(sf_dir: str, k: int = 100) -> pa.Table:
         .map_batches(tf_partial, batch_format="pyarrow"),
         ["token"], ["cnt"]
     ).map_batches(local_topk, batch_format="pyarrow")
-    tables = [t for t in ray.get(cand_ds.to_arrow_refs()) if t.num_rows]
+    tables = [t for t in collect_tables(cand_ds) if t.num_rows]
     empty = pa.table({"k_used": pa.array([], pa.int64()),
                       "slope_micro": pa.array([], pa.int64()),
                       "intercept_micro": pa.array([], pa.int64())})

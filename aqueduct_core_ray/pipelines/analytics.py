@@ -41,7 +41,7 @@ _Q1_CUTOFF = np.datetime64("1998-09-02T00:00:00", "us")
 # exchange below runs over the FILE exchange (stages/exchange.py):
 # Ray's sort-based groupby costs ~3 s fixed per exchange at any size,
 # which dominated every one-exchange query in this module
-from ..stages import exchange as _exchange  # noqa: F401
+from ..stages.exchange import collect_tables
 
 
 def _cents(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -67,7 +67,7 @@ def _concat_nonempty(ds: ray.data.Dataset,
                      fallback: pa.Table) -> pa.Table:
     """Collect a Dataset's blocks, dropping the zero-column empty blocks
     Ray emits for groupless partitions (they break concat_tables)."""
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows > 0]
+    tables = [t for t in collect_tables(ds) if t.num_rows > 0]
     return pa.concat_tables(tables) if tables else fallback
 
 

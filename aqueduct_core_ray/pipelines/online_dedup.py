@@ -35,9 +35,8 @@ import os
 
 import pyarrow as pa
 
-import ray
-
 from ..functions.dedup import build_minhash_index, match_minhash_index
+from ..stages.exchange import collect_tables
 
 _GEN_FILE = "_GEN"
 _EMPTY_MATCHES = pa.table({
@@ -123,7 +122,7 @@ def online_dedup_step(engine, index_root: str, *, k: int = 64,
         delta, index_root, k=k, bands=bands, shingle=shingle,
         min_est_pct=min_est_pct, num_partitions=num_partitions,
         column="tokens", fold_best=False)
-    tabs = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in collect_tables(pairs) if t.num_rows]
     out = (pa.concat_tables(tabs) if tabs else _EMPTY_MATCHES)
     if out.num_rows:
         # intra-delta keeper rule BEFORE the best fold (else a doc
@@ -131,7 +130,7 @@ def online_dedup_step(engine, index_root: str, *, k: int = 64,
         # lose its legitimate cross-generation match): within the
         # delta only the LARGER id reports the smaller as its dup
         delta_ids = set()
-        for t in ray.get(delta.to_arrow_refs()):
+        for t in collect_tables(delta):
             delta_ids.update(t.column("doc_id").to_pylist())
         d = out.column("doc_id").to_pylist()
         o = out.column("dup_of").to_pylist()

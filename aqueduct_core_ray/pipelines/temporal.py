@@ -29,7 +29,7 @@ from .log_queries import read_events
 
 # registers ray.data.Dataset.fx_map_groups (file exchange — skips
 # Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
-from ..stages import exchange as _exchange  # noqa: F401
+from ..stages.exchange import collect_tables
 
 
 def tumbling_window_counts(sf_dir: str, unit: str = "hour"
@@ -1637,10 +1637,9 @@ def late_events(sf_dir: str, lateness_minutes: int = 10,
             "mx": pa.array(np.maximum.reduceat(t_s, starts)),
         })
 
-    parts = [t for t in ray.get(
+    parts = [t for t in collect_tables(
         read_events(sf_dir, columns=["event_id", "ts"])
-        .map_batches(range_max_partial, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
+        .map_batches(range_max_partial, batch_format="pyarrow")) if t.num_rows]
     range_max = np.full(n_rng, np.iinfo(np.int64).min, np.int64)
     for t in parts:
         r = t.column("rng").to_numpy(zero_copy_only=False)
@@ -1768,7 +1767,7 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, k: int = 10,
         .fx_map_groups(per_part),
         ["path"], ["cnt"]).map_batches(local_topk,
                                        batch_format="pyarrow")
-    tabs = [t for t in ray.get(counted.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in collect_tables(counted) if t.num_rows]
     if not tabs:
         return ray.data.from_arrow(pa.table({
             "path": pa.array([], pa.string()),
@@ -1822,9 +1821,9 @@ def cumulative_users_by_day(sf_dir: str,
                          "new_users": pa.array(counts.astype(np.int64))})
 
     ds = read_events(sf_dir, columns=["user_id", "ts"])
-    parts = [t for t in ray.get(
+    parts = [t for t in collect_tables(
         ds.map_batches(part_col, batch_format="pyarrow")
-        .fx_map_groups(per_part).to_arrow_refs()) if t.num_rows]
+        .fx_map_groups(per_part)) if t.num_rows]
     acc: dict = {}
     for t in parts:
         for d, n in zip(t.column("day_us").to_pylist(),

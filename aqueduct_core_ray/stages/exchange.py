@@ -30,12 +30,48 @@ import uuid
 from typing import Any, Callable
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
 
 from aqueduct_core_ray import metrics
+
+
+def dict_encode(arr: "pa.Array | pa.ChunkedArray") -> pa.DictionaryArray:
+    """One dictionary array over an Arrow array or chunked array (the
+    chunks share one dictionary). Nulls are a dictionary entry, so the
+    indices are null-free dense codes: equal values, equal codes."""
+    d = pc.dictionary_encode(arr, null_encoding="encode")
+    return d.combine_chunks() if isinstance(d, pa.ChunkedArray) else d
+
+
+def hash_str_array(arr: "pa.Array | pa.ChunkedArray | np.ndarray"
+                   ) -> np.ndarray:
+    """The canonical keyed-siphash string kernel (stable across
+    processes/nodes/runs): 'string equality <=> hash equality' at
+    ~1e-11 collision odds. The dedup family, the repetition metrics and
+    the keyed exchanges MUST share this one definition — word/line/
+    shingle identity and key routing across operators de-synchronize if
+    any of them hashes differently. An Arrow input hashes each distinct
+    value once and gathers by its dictionary codes (same values as the
+    per-row hash); a numpy array of strings is hashed per row."""
+    if isinstance(arr, (pa.Array, pa.ChunkedArray)):
+        d = dict_encode(arr)
+        return hash_str_array(d.dictionary.to_numpy(zero_copy_only=False)
+                              )[d.indices.to_numpy()]
+    return pd.util.hash_array(np.asarray(arr, dtype=object),
+                              categorize=False)
+
+
+def collect_tables(ds: ray.data.Dataset) -> "list[pa.Table]":
+    """The Dataset's blocks as Arrow tables, from ONE execution of its
+    plan. ``ray.get(ds.to_arrow_refs())`` runs a lazy plan a second time
+    for its schema probe, and a cut-short re-run is what trips Ray
+    2.49.2's cancel race (``task_manager.cc:930``)."""
+    return ray.get(ds.materialize().to_arrow_refs())
 
 
 def _write_block_slices(t: pa.Table, *, xdir: str,
@@ -315,7 +351,8 @@ def file_exchange_map_groups(
                else _empty_exchange(ds, fn, empty_result))
     finally:
         shutil.rmtree(xdir, ignore_errors=True)
-    metrics.record({"op": "exchange", "fn": getattr(fn, "__name__", str(fn)),
+    name = getattr(getattr(fn, "func", fn), "__name__", str(fn))  # partial
+    metrics.record({"op": "exchange", "fn": name,
                     "ok": True, "wall_s": round(time.perf_counter() - t0, 6),
                     "write_s": round(t1 - t0, 6),
                     "run_s": round(t2 - t1, 6), **stats})
@@ -356,8 +393,6 @@ def fx_agg_by(ds: ray.data.Dataset, keys: "list[str]",
     slice sizes, so task count scales with data volume, and a single
     oversized bucket (hot/low-cardinality key) is chunk-folded then
     re-folded so no task's working set exceeds ``target_bytes``."""
-    import pandas as pd
-
     P = num_partitions or _auto_virtual_parts()
 
     def tag(t: pa.Table) -> pa.Table:
@@ -450,7 +485,6 @@ def fx_join(left: ray.data.Dataset, right: ray.data.Dataset,
     the cost of ``salt``x the (small) build side, and every (l, r)
     pair still meets exactly once, so the OUTPUT is identical for any
     salt (pinned in tests)."""
-    import pandas as pd
     keys = [on] if isinstance(on, str) else list(on)
     if how not in ("inner", "left", "outer", "semi", "anti"):
         raise ValueError(f"unsupported how={how!r}")
@@ -490,11 +524,7 @@ def fx_join(left: ray.data.Dataset, right: ray.data.Dataset,
                 # dtype-dependent hashing would route the same key to
                 # different partitions per block/side and silently drop
                 # matches (found in review)
-                import pyarrow.compute as _pc
-                sk = _pc.cast(t.column(k), pa.string())
-                hk = pd.util.hash_array(
-                    np.asarray(sk.to_numpy(zero_copy_only=False),
-                               dtype=object), categorize=False)
+                hk = hash_str_array(pc.cast(t.column(k), pa.string()))
                 h = hk if h is None else (
                     (h * np.uint64(0x9E3779B97F4A7C15)) ^ hk)
             base = (h % np.uint64(num_partitions)).astype(np.int64)
