@@ -80,12 +80,7 @@ def _init_ray() -> None:
 def cmd_replay(args) -> int:
     _init_ray()
     from .pipelines.replay import CDCEngine
-    if args.bg_absorb and args.strategy != "exchange":
-        print(json.dumps({"ok": False, "error":
-                          "--bg-absorb requires --strategy exchange"}))
-        return 2
     eng = CDCEngine(args.lake, num_partitions=args.partitions,
-                    merge_strategy=args.strategy,
                     bg_absorb=args.bg_absorb)
     if args.seed:
         print(json.dumps({"bootstrap": eng.bootstrap(args.seed)}))
@@ -793,13 +788,11 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--watermark", type=int,
                    help="highest lsn to apply (default: max in log)")
     r.add_argument("--bg-absorb", action=argparse.BooleanOptionalAction,
-                   dest="bg_absorb", default=None,
+                   dest="bg_absorb", default=True,
                    help="absorbing rewrites run off the wave critical "
                         "path (LSM background compaction); default ON "
-                        "for the exchange strategy — --no-bg-absorb for "
-                        "strictly synchronous waves")
-    r.add_argument("--strategy", choices=("exchange", "groupby"),
-                   default="exchange")
+                        "— --no-bg-absorb for strictly synchronous "
+                        "waves")
     r.set_defaults(fn=cmd_replay)
 
     tl = sub.add_parser("tail", help="continuously apply a growing log")
@@ -821,7 +814,7 @@ def main(argv: list[str] | None = None) -> int:
     tl.add_argument("--failover-after", type=int, default=2,
                     help="consecutive dead idle polls before re-pointing")
     tl.add_argument("--bg-absorb", action=argparse.BooleanOptionalAction,
-                    dest="bg_absorb", default=None,
+                    dest="bg_absorb", default=True,
                     help="absorbing rewrites run off the wave critical "
                          "path (LSM background compaction); default ON "
                          "— --no-bg-absorb for strictly synchronous "

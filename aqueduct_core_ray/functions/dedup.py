@@ -1543,7 +1543,8 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
                         min_est_pct: int = 50,
                         max_matches: int | None = None,
                         column: str = "text",
-                        fold_best: bool = True) -> ray.data.Dataset:
+                        fold_best: bool = True,
+                        root: str | None = None) -> ray.data.Dataset:
     """Match NEW documents against a persisted band index: per new doc
     the best near-duplicate already in the corpus (max estimated
     Jaccard, ties to the smallest corpus doc_id). Returns (doc_id,
@@ -1557,7 +1558,9 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
     index-vs-index, never new-vs-new), caps per-row candidates at
     ``max_matches`` (deterministic smallest-doc_id prefix — the
     canonical keeper always survives), and folds the per-doc argmax
-    with one lexsort. The index is never loaded whole anywhere."""
+    with one lexsort. The index is never loaded whole anywhere.
+    ``root``: the exchange root (default: the system tempdir; an engine
+    passes a dir under its lake)."""
     cap = max_matches or MAX_BUCKET
 
     def match(t: pa.Table) -> pa.Table:
@@ -1638,14 +1641,15 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
                       "dup_of": pa.array([], id_type),
                       "est_jaccard_pct": pa.array([], pa.int64())})
     from ..stages.exchange import file_exchange_map_groups
-    pairs = file_exchange_map_groups(banded, match, part_col="bpart",
-                                     empty_result=empty)
+    pairs = file_exchange_map_groups(banded, match, root=root,
+                                     part_col="bpart", empty_result=empty)
     if not fold_best:
         # raw candidate pairs (band-duplicates included) — callers that
         # filter pairs (e.g. the online keeper rule) fold afterwards
         return pairs
-    return (pairs.map_batches(tag_doc, batch_format="pyarrow")
-            .fx_map_groups(best_per_doc, empty_result=empty))
+    return file_exchange_map_groups(
+        pairs.map_batches(tag_doc, batch_format="pyarrow"), best_per_doc,
+        root=root, empty_result=empty)
 
 
 def incremental_dedup(sf_dir: str, *, k: int = 64, bands: int = 16,

@@ -1,4 +1,4 @@
-"""Hash partitioning and hot-key salting.
+"""Hash partitioning.
 
 The reference routes rows by cluster/routing id (PostgresqlStorage.java:
 446-467 lateral per-cluster scans); here the lake is hash-partitioned by
@@ -9,13 +9,13 @@ Hashes are computed with pandas' vectorized siphash
 (`pandas.util.hash_array`, fixed key) — deterministic across processes and
 nodes, so every task and every run agrees on row placement.
 
-Salting (north_rule): a high-churn doc_id would funnel its whole wave-delta
-into one group. `add_partition` therefore supports an optional salt that
-splits each partition's *pre-compaction* traffic into sub-groups; the
-per-batch partial LWW compaction (stages/compact.py) acts as a combiner so
-at most one row per (batch, doc_id) reaches the shuffle, and the final
-in-partition compaction merges the salts. Reference analog: none needed
-(per-store data small, SURVEY.md §4 skew row).
+Hot keys (north_rule) are handled on the exchange, not here: each scan
+block's LWW pre-compaction (stages/compact.py) acts as a combiner, so at
+most one row per (block, doc_id) reaches the shuffle, and the engine's
+`salt=S` folds a wide wave's blocks in S combine tasks so at most S rows
+of a hot doc reach its merge task (stages/merge_apply.combine_blocks).
+Reference analog: none needed (per-store data small, SURVEY.md §4 skew
+row).
 """
 
 from __future__ import annotations
@@ -38,54 +38,8 @@ def partition_ids(doc_ids, num_partitions: int) -> np.ndarray:
     return (hash_doc_ids(doc_ids) % np.uint64(num_partitions)).astype(np.int32)
 
 
-def detect_hot_keys(ds, key: str = "doc_id", min_frac: float = 0.01,
-                    per_block_top: int = 16) -> dict[str, int]:
-    """Per-wave heavy-hitter detection (SURVEY.md §7.2 milestone 5):
-    each block reports its top-``per_block_top`` key counts (a tiny
-    space-saving sketch — any key with global frequency ≥ min_frac must
-    appear in some block's top list), the driver folds them and returns
-    {key: observed_count} for keys above ``min_frac`` of total rows.
-
-    Used to size `salt` for the groupby merge strategy; the exchange
-    strategy does not need it (its per-block combiner already bounds any
-    key's shuffle contribution to O(blocks))."""
-    import pyarrow.compute as pc
-
-    def block_top(t: pa.Table) -> pa.Table:
-        vc = t.column(key).combine_chunks().value_counts()
-        counts = vc.field("counts")
-        order = pc.sort_indices(
-            counts, sort_keys=[("", "descending")])[:per_block_top]
-        n = len(order)
-        # block_rows only on the first row: summing non-nulls gives the
-        # exact wave row count on the driver
-        br = pa.array([t.num_rows] + [None] * (n - 1), pa.int64()) \
-            if n else pa.array([], pa.int64())
-        return pa.table({
-            key: vc.field("values").take(order),
-            "cnt": counts.take(order).cast(pa.int64()),
-            "block_rows": br,
-        })
-
-    tops = ds.map_batches(block_top, batch_format="pyarrow",
-                          batch_size=None).take_all()
-    total = sum(int(r["block_rows"]) for r in tops
-                if r["block_rows"] is not None)
-    agg: dict[str, int] = {}
-    for r in tops:
-        agg[r[key]] = agg.get(r[key], 0) + int(r["cnt"])
-    floor = max(1, int(min_frac * max(total, 1)))
-    return {k: c for k, c in agg.items() if c >= floor}
-
-
-def add_partition(batch: pa.Table, num_partitions: int,
-                  salt: int = 0) -> pa.Table:
-    """Append `part` (hash(doc_id) % P) and, when salt>0, a `salt` column
-    cycling 0..salt-1 so grouped pre-aggregation fans a hot key out over
-    `salt` sub-groups. Runs inside map_batches(batch_format='pyarrow')."""
+def add_partition(batch: pa.Table, num_partitions: int) -> pa.Table:
+    """Append `part` (hash(doc_id) % P). Runs inside
+    map_batches(batch_format='pyarrow') or a raw task."""
     part = partition_ids(batch.column("doc_id"), num_partitions)
-    batch = batch.append_column("part", pa.array(part))
-    if salt > 0:
-        s = (np.arange(batch.num_rows, dtype=np.int64) % salt).astype(np.int32)
-        batch = batch.append_column("salt", pa.array(s))
-    return batch
+    return batch.append_column("part", pa.array(part))

@@ -121,7 +121,8 @@ def online_dedup_step(engine, index_root: str, *, k: int = 64,
     pairs = match_minhash_index(
         delta, index_root, k=k, bands=bands, shingle=shingle,
         min_est_pct=min_est_pct, num_partitions=num_partitions,
-        column="tokens", fold_best=False)
+        column="tokens", fold_best=False,
+        root=os.path.join(engine.store.root, "_exchange"))
     tabs = [t for t in collect_tables(pairs) if t.num_rows]
     out = (pa.concat_tables(tabs) if tabs else _EMPTY_MATCHES)
     if out.num_rows:

@@ -14,11 +14,13 @@ and re-runs only unfinished waves, whose re-execution is deterministic and
 idempotent. No dup/loss — validated by tests/test_resume.py.
 
 Scale notes: the only exchange per wave is the indexed-file shuffle of
-the *pre-compacted delta* (raw per-segment scan tasks on the default
-exchange path); the lake is read/written partition-locally by the merge
-tasks — as full rewrites for big waves or O(delta) sidecar segments for
-small ones; manifest/driver traffic is O(P) tiny rows; promotes are
-O(P) renames. At 10^10 events this is a loop of bounded waves.
+the *pre-compacted delta*, written by raw scan tasks over log segments,
+seed units (bootstrap) or source partitions (reshard) — one wave path,
+no Ray Data execution; the lake is read/written partition-locally by
+the merge tasks — as full rewrites for big waves or O(delta) sidecar
+segments for small ones; manifest/driver traffic is O(P) tiny rows;
+promotes are O(P) renames. At 10^10 events this is a loop of bounded
+waves.
 """
 
 from __future__ import annotations
@@ -41,17 +43,17 @@ from ..stages.compact import LWW, ConflictPolicy
 from ..stages.merge_apply import (
     FileCache,
     absorb_partition,
+    combine_blocks,
     fold_chain_partition,
     diff_partition,
     reshard_partition,
-    make_delta_splitter,
-    make_wave_merger,
     merge_partition_files,
     merge_partition_files_batch,
     partition_accounting,
     payload_schema,
-    prep_wave_batch,
     scan_split_segment,
+    seed_events,
+    seed_split_segment,
 )
 from ..state.manifest import LakeStore, Manifest, schema_to_b64
 from .dag import DEFAULT_DAG, Derivation, topo_check
@@ -60,6 +62,8 @@ from .dag import DEFAULT_DAG, Derivation, topo_check
 # re-export the function to the cluster every wave — measured as part of
 # a ~0.4 s/wave fixed scan cost in the 32-wave steady state
 _SCAN_TASK = ray.remote(num_cpus=1)(scan_split_segment)
+_SEED_TASK = ray.remote(num_cpus=1)(seed_split_segment)
+_COMBINE_TASK = ray.remote(num_cpus=1)(combine_blocks)
 _MERGE_TASK = ray.remote(num_cpus=1)(merge_partition_files)
 _MERGE_BATCH_TASK = ray.remote(num_cpus=1)(merge_partition_files_batch)
 _ACCT_TASK = ray.remote(num_cpus=1)(partition_accounting)
@@ -112,16 +116,23 @@ def _entry_files(entry: dict) -> list[str]:
     return [entry["path"]] + [d["path"] for d in entry.get("deltas") or []]
 
 
-def _merge_fan_mult(default: int = 2) -> int:
-    """Merge-fan tasks per CPU (``AQR_MERGE_FAN_MULT``). Parsed
-    defensively ONCE per call site, clamped to >=1: a malformed or
-    non-positive value must degrade to the default, never crash a wave
-    mid-replay (1/2/4 measured indistinguishable under box noise —
-    BASELINE.md)."""
-    try:
-        return max(1, int(os.environ.get("AQR_MERGE_FAN_MULT", default)))
-    except (TypeError, ValueError):
-        return default
+# merge-fan tasks per CPU (1, 2 and 4 measured indistinguishable under
+# box noise — BASELINE.md)
+MERGE_FAN_MULT = 2
+
+
+def _rg_pieces(path: str, nbytes: int, rg_bytes: list[int],
+               keep: "Iterable[int] | None" = None
+               ) -> list[tuple[str, int | None, int]]:
+    """(path, row_group_id | None, est. compressed bytes) scan pieces of
+    one parquet file, row groups limited to ``keep``. Footer
+    total_byte_size is uncompressed, so it is scaled to the file size;
+    a file with no row groups is one whole-file piece."""
+    if not rg_bytes:
+        return [(path, None, nbytes)]
+    scale = nbytes / (sum(rg_bytes) or 1)
+    return [(path, i, max(1, int(rg_bytes[i] * scale)))
+            for i in (range(len(rg_bytes)) if keep is None else keep)]
 
 
 def default_lake_schema() -> pa.Schema:
@@ -136,9 +147,10 @@ class CDCEngine:
         num_partitions: "int | None" = 64,   # None = adopt the committed
                                              # lake's count (64 if new)
         derivations: tuple[Derivation, ...] = DEFAULT_DAG,
-        salt: int = 0,
+        salt: int = 0,                            # S>1: S combine tasks fold
+                                                  # a wide wave's scan blocks
+                                                  # (_collect_scans)
         sources: tuple[str, ...] | None = None,   # type-subscription filter (T1)
-        merge_strategy: str = "exchange",         # "exchange" | "groupby"
         conflict: "ConflictPolicy | None" = None, # default LWW-by-lsn
         emit_changelog: bool = False,             # write outbox/ segments
         sidecar_frac: float = 1.0,                # pending-delta/base row
@@ -168,7 +180,7 @@ class CDCEngine:
                                                   # the base (O(base)); False
                                                   # = pre-tiering behavior
                                                   # (A/B + escape hatch)
-        bg_absorb: "bool | None" = None,          # BACKGROUND absorbs: waves
+        bg_absorb: bool = True,                   # BACKGROUND absorbs: waves
                                                   # never pay the O(base)
                                                   # rewrite in-line — over-
                                                   # threshold partitions keep
@@ -177,20 +189,16 @@ class CDCEngine:
                                                   # an async task adopted by
                                                   # a later wave's commit
                                                   # (LSM background
-                                                  # compaction). DEFAULT ON
-                                                  # (None = auto: True on the
-                                                  # exchange strategy, False
-                                                  # on groupby which lacks
-                                                  # the sidecar machinery):
-                                                  # +23-37% steady-state
-                                                  # throughput measured in
-                                                  # the 32-wave bench, with
-                                                  # the lazy-accounting
-                                                  # staleness contract
-                                                  # already covering the
-                                                  # cost. Pass False for the
-                                                  # strictly-synchronous
-                                                  # wave behavior.
+                                                  # compaction): +23-37%
+                                                  # steady-state throughput
+                                                  # measured in the 32-wave
+                                                  # bench, with the lazy-
+                                                  # accounting staleness
+                                                  # contract already
+                                                  # covering the cost. Pass
+                                                  # False for the strictly-
+                                                  # synchronous wave
+                                                  # behavior.
         post_commit: "tuple | list" = (),         # callables f(engine,
                                                   # wave_record) invoked
                                                   # after EVERY durable wave
@@ -213,11 +221,6 @@ class CDCEngine:
                                                   # .refresh() already do).
     ):
         topo_check(derivations)
-        if merge_strategy not in ("exchange", "groupby"):
-            raise ValueError(merge_strategy)
-        if emit_changelog and merge_strategy != "exchange":
-            raise ValueError("emit_changelog requires the exchange "
-                             "merge strategy")
         self.store = LakeStore(lake_root)
         if num_partitions is None:
             m = self.store.current_manifest()
@@ -226,16 +229,11 @@ class CDCEngine:
         self.derivations = derivations
         self.salt = salt
         self.sources = sources
-        self.merge_strategy = merge_strategy
         self.conflict = conflict if conflict is not None else LWW
         self.emit_changelog = emit_changelog
         self.sidecar_frac = sidecar_frac
         self.max_deltas = max_deltas
         self.chain_compact = chain_compact
-        if bg_absorb is None:
-            bg_absorb = merge_strategy == "exchange"
-        if bg_absorb and merge_strategy != "exchange":
-            raise ValueError("bg_absorb requires the exchange strategy")
         self.bg_absorb = bg_absorb
         self.post_commit = tuple(post_commit)
         # pid -> {"ref", "wid", "basis_path", "absorbed"} for absorbs in
@@ -282,140 +280,69 @@ class CDCEngine:
     def bootstrap(self, seed: str | pa.Table) -> dict[str, Any]:
         """Materialize an initial lake from a seed table of LAKE_ROW shape
         (reference analog: initial till bootstrap — BootstrapService).
-        Runs through the same wave machinery with lsn = last_lsn (0)."""
+        Runs through the same wave machinery with lsn = last_lsn (0):
+        raw seed tasks write the exchange blocks (``_seed_scans``)."""
         if self.manifest is not None:
             return {"skipped": True, "watermark": self.watermark}
-        ds = (ray.data.read_parquet(
-                  seed, override_num_blocks=self.wave_blocks())
-              if isinstance(seed, str) else ray.data.from_arrow(seed))
+        refs, schema = self._seed_scans(
+            seed, self._fresh_shuffle_dir("bootstrap"))
+        return self._apply(refs, lo=-1, hi=0, wave_id="bootstrap",
+                           incoming_schema=schema)
 
-        def to_events(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            cols = {
-                "lsn": t.column("last_lsn").cast(pa.int64())
-                if "last_lsn" in t.column_names
-                else pa.array([0] * n, pa.int64()),
-                "op": pa.array([0] * n, pa.int8()),
-            }
-            for name in t.column_names:
-                if name not in ("last_lsn",):
-                    cols[name] = t.column(name)
-            # ts last — same column order as regular change events, so
-            # bootstrap outbox segments concat cleanly with wave segments
-            cols["ts"] = pa.nulls(n, pa.timestamp("us"))
-            return pa.table(cols)
+    def _seed_scans(self, seed: str | pa.Table, sdir: str,
+                    pid: int | None = None) -> tuple[list, pa.Schema]:
+        """Launch the raw seed tasks into ``sdir``: seed files cut into
+        row-group units by the wave scan's byte packing, an in-memory
+        table ``ray.put`` in row slices under the same byte budget.
+        Returns (task refs, the seed's event schema)."""
+        args = (sdir, self.num_partitions, self.conflict, pid)
+        if isinstance(seed, pa.Table):
+            schema = seed.schema
+            n = max(1, -(-seed.nbytes // self._unit_bytes(seed.nbytes)))
+            rows = max(1, -(-seed.num_rows // n))
+            refs = [_SEED_TASK.remote(ray.put(seed.slice(i, rows)), *args)
+                    for i in range(0, seed.num_rows, rows)]
+        else:
+            pieces: list[tuple[str, int | None, int]] = []
+            schema = None
+            for path in pads.dataset(seed, format="parquet").files:
+                f = pq.ParquetFile(path)
+                schema = (f.schema_arrow if schema is None
+                          else evolve_schema(schema, f.schema_arrow))
+                md = f.metadata
+                pieces += _rg_pieces(
+                    path, os.path.getsize(path),
+                    [md.row_group(i).total_byte_size
+                     for i in range(md.num_row_groups)])
+            if schema is None:
+                raise ValueError(f"no parquet files under seed {seed!r}")
+            refs = [_SEED_TASK.remote(u, *args)
+                    for u in self._pack_units(pieces)]
+        return refs, seed_events(schema.empty_table()).schema
 
-        return self._apply(ds.map_batches(to_events, batch_format="pyarrow"),
-                           lo=-1, hi=0, wave_id="bootstrap")
-
-    # ------------------------------------------------------------------ #
-    def wave_dataset(self, log_path: str, lo: int, hi: int) -> ray.data.Dataset:
-        """The wave source: parquet scan with lsn-range row-group pushdown —
-        the visibility window (PostgresqlStorage.java:129-131: never read
-        past the publish watermark, never re-read below the HWM).
-
-        ``override_num_blocks``: a wave is exchange-bound, so block count
-        is sized to keep every core busy (≈4 blocks/CPU) while bounding
-        the exchange fan-in — each merge task touches every split block,
-        so the file-exchange cost has a B×P term; B must track cluster
-        size, not data size or partition count. (The byte-targeted
-        default is worse in both directions: a 75 MB wave would be ONE
-        block — parallelism 1 — while a 20 GB wave would be 160 blocks
-        of needless fan-in.)"""
-        import os
-
-        idx = self._segment_index(log_path)
-        files = [os.path.join(log_path, fn)
-                 for fn, (mn, mx, *_) in idx.items()
-                 if mx > lo and mn <= hi]
-        if not files:
-            # empty wave: an empty dataset with the log's schema if any
-            any_file = next(iter(idx), None)
-            schema = idx[any_file][3] if any_file else CHANGE_EVENT
-            self._last_wave_schema = None
-            return ray.data.from_arrow(schema.empty_table())
-        wave_bytes = sum(idx[os.path.basename(f)][2] for f in files)
-        # the wave's event schema is the UNION over its segments —
-        # ds.schema() samples one fragment and would miss a column that
-        # first appears mid-wave, silently dropping it from the evolved
-        # lake schema (found via the chain schema-evolution test)
-        union = None
-        for f in files:
-            sch = idx[os.path.basename(f)][3]
-            union = sch if union is None else evolve_schema(union, sch)
-        self._last_wave_schema = union
-        flt = (pads.field("lsn") > lo) & (pads.field("lsn") <= hi)
-        if self.sources:
-            flt = flt & pads.field("source").isin(list(self.sources))
-        return ray.data.read_parquet(files, filter=flt,
-                                     override_num_blocks=self.wave_blocks(
-                                         wave_bytes))
-
-    # bytes of compressed log per split block before we split finer than P
-    # (token lists decompress ~2-3x: ~64 MB on disk ≈ 150-200 MB in heap)
+    # bytes of compressed input per scan unit at most (token lists
+    # decompress ~2-3x: ~64 MB on disk ≈ 150-200 MB in heap)
     TARGET_SPLIT_BYTES = 64 * 1024 * 1024
-
-    def wave_blocks(self, wave_bytes: int | None = None) -> int:
-        """Split-block count for a wave.
-
-        Baseline = num_partitions: deterministic (same physical plan at
-        any cluster size), exchange fan-in bounded at B×P = P²; cluster
-        size only changes how many blocks run at once — exactly what
-        should scale. For BYTE-heavy waves (wide token rows — SURVEY.md
-        §7.5 item 6: cap block bytes, not row counts) the count grows so
-        no split task's working set exceeds ~TARGET_SPLIT_BYTES of
-        compressed input, capped at 4P to bound the fan-in."""
-        blocks = self.num_partitions
-        if wave_bytes:
-            need = -(-wave_bytes // self.TARGET_SPLIT_BYTES)
-            blocks = max(blocks, min(int(need), 4 * self.num_partitions))
-        return blocks
-
     # floor on scan-unit size: below this, per-task overhead dominates
     MIN_SPLIT_BYTES = 4 * 1024 * 1024
 
-    def _scan_plan(self, log_path: str, lo: int, hi: int
-                   ) -> tuple[list[list[tuple[str, list[int] | None]]],
-                              pa.Schema | None]:
-        """Raw-task scan plan for a wave: per-task unit lists of
-        (file, row_group_ids|None), pruned at ROW-GROUP granularity from
-        the cached footer stats (no per-wave metadata I/O). Unit size
+    def _unit_bytes(self, total: int) -> int:
+        """Scan-unit byte budget for a wave of ``total`` input bytes.
         ADAPTS to the wave: a full-replay wave packs ~TARGET_SPLIT_BYTES
         per task, while a small steady-state wave splits down to
         MIN_SPLIT_BYTES so its scan fans out across the cluster instead
         of decoding serially on a handful of tasks (a fixed ~0.4 s/wave
-        scan floor at 32 CPUs before this). Also returns the union
-        schema over the wave's segments (same evolution contract as
-        wave_dataset)."""
-        idx = self._segment_index(log_path)
-        # (file, rg_id | None-for-whole-file, est. compressed bytes)
-        pieces: list[tuple[str, int | None, int]] = []
-        union: pa.Schema | None = None
-        total = 0
-        for fn in sorted(idx):
-            mn, mx, nbytes, schema, rgs = idx[fn]
-            if not (mx > lo and mn <= hi):
-                continue
-            union = schema if union is None else evolve_schema(union, schema)
-            full = os.path.join(log_path, fn)
-            if not rgs:
-                pieces.append((full, None, nbytes))
-                total += nbytes
-                continue
-            # footer total_byte_size is uncompressed; scale to file size
-            rg_tot = sum(b for _, _, b in rgs) or 1
-            scale = nbytes / rg_tot
-            for rg_id, (gmn, gmx, gbytes) in enumerate(rgs):
-                if gmx > lo and gmn <= hi:
-                    b = max(1, int(gbytes * scale))
-                    pieces.append((full, rg_id, b))
-                    total += b
-        if not pieces:
-            return [], union
-        cpus = _cluster_cpus()
-        unit_bytes = max(self.MIN_SPLIT_BYTES,
-                         min(self.TARGET_SPLIT_BYTES,
-                             total // (2 * cpus) + 1))
+        scan floor at 32 CPUs before this)."""
+        return max(self.MIN_SPLIT_BYTES,
+                   min(self.TARGET_SPLIT_BYTES,
+                       total // (2 * _cluster_cpus()) + 1))
+
+    def _pack_units(self, pieces: list[tuple[str, int | None, int]]
+                    ) -> list[list[tuple[str, list[int] | None]]]:
+        """Cut (file, row_group_id | None, bytes) pieces, in order, into
+        per-task unit lists [(file, row_group_ids | None)] of up to
+        ``_unit_bytes`` each."""
+        unit_bytes = self._unit_bytes(sum(b for *_, b in pieces))
         units: list[list[tuple[str, list[int] | None]]] = []
         cur: list[tuple[str, list[int] | None]] = []
         cur_b = 0
@@ -432,48 +359,68 @@ class CDCEngine:
             cur_b += b
         if cur:
             units.append(cur)
-        return units, union
+        return units
+
+    def _scan_plan(self, log_path: str, lo: int, hi: int
+                   ) -> tuple[list[list[tuple[str, list[int] | None]]],
+                              pa.Schema | None]:
+        """Raw-task scan plan for a wave — the visibility window
+        (PostgresqlStorage.java:129-131: never read past the publish
+        watermark, never re-read below the HWM): per-task unit lists of
+        (file, row_group_ids|None), pruned at ROW-GROUP granularity from
+        the cached footer stats (no per-wave metadata I/O), packed by
+        ``_pack_units``. Also returns the wave's event schema: the UNION
+        over its segments — one segment's schema would miss a column
+        that first appears mid-wave, silently dropping it from the
+        evolved lake schema (found via the chain schema-evolution
+        test)."""
+        idx = self._segment_index(log_path)
+        pieces: list[tuple[str, int | None, int]] = []
+        union: pa.Schema | None = None
+        for fn in sorted(idx):
+            mn, mx, nbytes, schema, rgs = idx[fn]
+            if not (mx > lo and mn <= hi):
+                continue
+            union = schema if union is None else evolve_schema(union, schema)
+            pieces += _rg_pieces(
+                os.path.join(log_path, fn), nbytes, [b for *_, b in rgs],
+                keep=[i for i, (gmn, gmx, _) in enumerate(rgs)
+                      if gmx > lo and gmn <= hi])
+        return self._pack_units(pieces), union
 
     def apply_wave(self, log_path: str, hi: int,
                    lo: int | None = None,
                    _prefetched: dict | None = None) -> dict[str, Any]:
         lo = self.watermark if lo is None else lo
+        p = _prefetched
         if hi <= self.watermark:
-            if _prefetched is not None:
-                self._discard_prefetch(_prefetched)
-            return {"skipped": True, "watermark": self.watermark}
-        if self.merge_strategy == "exchange":
-            # raw-task scan path: per-segment tasks read/filter/prep/
-            # split without a Dataset plan (see scan_split_segment)
-            p = _prefetched
-            if (p is not None and p["log"] == log_path
-                    and p["lo"] == lo and p["hi"] == hi):
-                return self._apply(None, lo, hi, wave_id=p["wave_id"],
-                                   incoming_schema=p["union"],
-                                   scan_units=p["units"],
-                                   scan_refs=p["refs"])
-            if p is not None:        # bounds shifted (resume mid-window)
+            if p is not None:
                 self._discard_prefetch(p)
-            units, union = self._scan_plan(log_path, lo, hi)
-            return self._apply(None, lo, hi, wave_id=f"wave-{hi:012d}",
-                               incoming_schema=union, scan_units=units)
-        ds = self.wave_dataset(log_path, lo, hi)
-        return self._apply(ds, lo, hi, wave_id=f"wave-{hi:012d}",
-                           incoming_schema=self._last_wave_schema)
+            return {"skipped": True, "watermark": self.watermark}
+        if p is not None and (p["log"], p["lo"], p["hi"]) != (
+                log_path, lo, hi):
+            self._discard_prefetch(p)    # bounds shifted (resume mid-window)
+            p = None
+        if p is None:
+            p = self._launch_scan(log_path, lo, hi)
+        return self._apply(p["refs"], lo, hi, wave_id=p["wave_id"],
+                           incoming_schema=p["union"])
 
     # ------------------------------------------------------------------ #
-    def _apply(self, ds: "ray.data.Dataset | None", lo: int, hi: int,
+    def _apply(self, scans: list, lo: int, hi: int,
                wave_id: str,
-               incoming_schema: pa.Schema | None = None,
-               scan_units: list | None = None,
-               scan_refs: list | None = None,
+               incoming_schema: pa.Schema | None,
                carry_named_offsets: "dict[str, int] | None" = None,
                carry_hour_max: "dict[str, int] | None" = None,
-               lineage_note: "dict[str, Any] | None" = None
-               ,
+               lineage_note: "dict[str, Any] | None" = None,
                base_schema: "pa.Schema | None" = None) -> dict[str, Any]:
+        """Merge and commit ONE wave. ``scans`` = refs of the raw tasks
+        (log scan, seed, reshard) that wrote the wave's exchange blocks
+        into ``_shuffle_dir(wave_id)``; each yields a ``split_events``
+        result dict. ``incoming_schema`` = the wave's event schema
+        (None for an empty log wave: the lake schema stays)."""
         t0 = time.perf_counter()
-        self._phase_t = {}          # per-wave phase telemetry (exchange)
+        self._phase_t = {}          # per-wave phase telemetry
         cur = self.manifest
         if cur is not None and cur.num_partitions != self.num_partitions:
             raise ValueError(
@@ -486,24 +433,18 @@ class CDCEngine:
         gen = cur.generation + 1 if cur else 0
 
         # schema evolution: reconcile lake schema with the wave's payload
-        # (incoming_schema = union over the wave's segments when the
-        # caller computed one; ds.schema() samples a single fragment)
-        if incoming_schema is None:
-            ds_schema = ds.schema() if ds is not None else None
         base = cur.schema if cur else (
             base_schema if base_schema is not None
             else default_lake_schema())
-        if incoming_schema is None and ds_schema is None:
+        if incoming_schema is None:
             lake_schema = base           # empty wave: keep current schema
         else:
-            incoming = (incoming_schema if incoming_schema is not None
-                        else pa.schema(ds_schema.base_schema))
-            incoming_pay = payload_schema(incoming)
+            incoming_pay = payload_schema(incoming_schema)
             extra = [pa.field("last_lsn", pa.int64())]
             lof = self.conflict.lake_order_field
-            if lof and self.conflict.order_col in incoming.names:
+            if lof and self.conflict.order_col in incoming_schema.names:
                 extra.append(pa.field(
-                    lof, incoming.field(self.conflict.order_col).type))
+                    lof, incoming_schema.field(self.conflict.order_col).type))
             if self.conflict.retains_tombstones:
                 # tombstone winners stay materialized as fence rows so
                 # a later wave cannot resurrect a deleted doc under
@@ -525,44 +466,8 @@ class CDCEngine:
                                   f"p={pid:06d}.parquet")
             parts_map[str(pid)] = _adopted_entry(parts_map[str(pid)],
                                                  r, staged)
-        # Two stages on purpose (Dataset path): a map_batches directly
-        # fused onto the parquet read is invoked once per READ CHUNK
-        # (~row-group), not once per block — measured 16 splitter
-        # calls/block → 16× the exchange files and merge fan-in. The
-        # prep stage both runs the LWW pre-compaction (combiner) and
-        # re-blocks its output, so the splitter sees exactly one batch
-        # per block (batch_size=None).
-        prepped = None if ds is None else ds.map_batches(
-            prep_wave_batch, batch_format="pyarrow", batch_size=None,
-            fn_kwargs={"num_partitions": self.num_partitions,
-                       "salt": self.salt, "policy": self.conflict},
-        )
-        if self.merge_strategy == "exchange":
-            stats = self._exchange_merge(prepped, wave_id, parts_map,
-                                         lake_schema,
-                                         scan=(scan_units, lo, hi,
-                                               scan_refs)
-                                         if scan_units is not None else None)
-        else:
-            src = prepped
-            if self.salt > 0:
-                # salted pre-aggregation: a hot partition's cross-block
-                # traffic is combined in `salt` parallel sub-groups
-                # before the single per-partition merge task sees it
-                from ..stages.compact import compact_lww as _compact
-                pol = self.conflict
-
-                def salt_combine(g: pa.Table) -> pa.Table:
-                    return _compact(g, policy=pol)
-
-                src = src.groupby(["part", "salt"]).map_groups(
-                    salt_combine, batch_format="pyarrow")
-            merger = make_wave_merger(self.store.root, wave_id, parts_map,
-                                      schema_to_b64(lake_schema),
-                                      self.derivations, self.conflict)
-            stats = (src.groupby("part")
-                     .map_groups(merger, batch_format="pyarrow")
-                     .take_all())                  # ≤ P tiny rows
+        stats, wave_hour_max, wave_source_max = self._exchange_merge(
+            scans, wave_id, parts_map, lake_schema)
 
         n_events = 0
         new_parts = dict(cur.partitions) if cur else {}
@@ -656,7 +561,7 @@ class CDCEngine:
         for k, v in (carry_named_offsets or {}).items():
             if int(v) > named.get(k, -1):
                 named[k] = int(v)
-        for h, m in getattr(self, "_wave_hour_max", {}).items():
+        for h, m in wave_hour_max.items():
             if m > hour_max.get(h, -1):
                 hour_max[h] = m
         named["GLOBAL_LATEST"] = hi
@@ -665,7 +570,7 @@ class CDCEngine:
         # MAX_OFFSET_CONSUMERS:<type> keys — the consumer-max answer is
         # then a checkpoint read, never a log scan
         # (SQLiteQueries.java:114-124 is the scan it replaces)
-        for s, m in getattr(self, "_wave_source_max", {}).items():
+        for s, m in wave_source_max.items():
             k = f"MAX_OFFSET_CONSUMERS:{s}"
             if m > named.get(k, -1):
                 named[k] = m
@@ -735,7 +640,7 @@ class CDCEngine:
             "sidecar_parts": n_delta, "chain_parts": n_chain,
             "full_parts": len(stats) - n_delta - n_chain,
             "bg_absorbed": len(adopted), "bg_launched": bg_launched,
-            **getattr(self, "_phase_t", {}),
+            **self._phase_t,
             "commit_s": round(commit_s, 4),
         })
         rec = {"wave_id": wave_id, "generation": gen, "watermark": hi,
@@ -1030,87 +935,90 @@ class CDCEngine:
         return removed
 
     def _shuffle_dir(self, wave_id: str) -> str:
-        import os
         return os.path.join(self.store.root, "_shuffle", wave_id)
 
-    def _exchange_merge(self, prepped: "ray.data.Dataset | None",
-                        wave_id: str,
-                        parts_map: dict[str, str],
-                        lake_schema: pa.Schema,
-                        scan: tuple | None = None) -> list[dict[str, Any]]:
-        """File-exchange shuffle (see stages/merge_apply.py): split blocks
-        into per-partition delta files, then one merge task per touched
-        partition. Both sides run at full parallelism with no object-store
-        all-to-all; the barrier between them is the wave semantics (every
-        delta must exist before a partition merges).
-
-        ``scan`` = (units, lo, hi, refs|None): the raw-task fast path —
-        per-segment scan tasks replace the Dataset read+prep+split
-        stages, removing ~0.4 s/wave of planner critical path (measured;
-        see scan_split_segment). When ``refs`` is non-None the fan was
-        PREFETCHED by ``replay()`` during the previous wave's merges
-        (the scan is pure w.r.t. lake state, so it overlaps them) — the
-        tasks are already in flight and the exchange dir was already
-        wiped+created at launch, so this side only collects."""
-        import os
+    def _fresh_shuffle_dir(self, wave_id: str) -> str:
+        """The wave's exchange dir, emptied of any stale partial attempt
+        — every launcher of a wave's scan tasks calls this first."""
         import shutil as _shutil
 
         sdir = self._shuffle_dir(wave_id)
-        prefetched = scan is not None and scan[3] is not None
-        if not prefetched:
-            _shutil.rmtree(sdir, ignore_errors=True)  # stale partial attempt
-            os.makedirs(sdir, exist_ok=True)
+        _shutil.rmtree(sdir, ignore_errors=True)
+        os.makedirs(sdir, exist_ok=True)
+        return sdir
+
+    def _collect_scans(self, scans: list, sdir: str
+                       ) -> tuple[dict[int, list], dict[str, int],
+                                  dict[str, int], int]:
+        """Fold the scan tasks' results: {pid: [(block, batch ids)]}
+        read plans, the per-hour and per-source max lsn, and the number
+        of salt combine tasks run. With ``salt=S>1`` and more than S
+        blocks, S combine tasks first fold every S-th block on (part,
+        doc_id) into one block each (``combine_blocks``), so a hot doc
+        reaches its merge task as at most S rows, not one row per scan
+        block. Combined blocks go to ``sdir/salt`` — the merge tasks'
+        glob fallback reads the scan blocks, equally correct."""
         import ray as _ray
+
+        res = _ray.get(scans)
+        hour_max: dict[str, int] = {}
+        source_max: dict[str, int] = {}
+        for r in res:
+            for h, m in r["hour_max"].items():
+                if m > hour_max.get(h, -1):
+                    hour_max[h] = m
+            for src, m in r["source_max"].items():
+                if m > source_max.get(src, -1):
+                    source_max[src] = m
+        res = [r for r in res if r["block"] is not None]
+        n_combine = 0
+        if self.salt > 1 and len(res) > self.salt:
+            n_combine = self.salt
+            res = _ray.get([_COMBINE_TASK.remote(
+                [r["block"] for r in res[i::n_combine]],
+                os.path.join(sdir, "salt"), self.conflict)
+                for i in range(n_combine)])
+        plans: dict[int, list] = {}
+        for r in res:
+            for pid, bids in r["idx"].items():
+                plans.setdefault(int(pid), []).append((r["block"], bids))
+        return plans, hour_max, source_max, n_combine
+
+    def _exchange_merge(self, scans: list, wave_id: str,
+                        parts_map: dict[str, str],
+                        lake_schema: pa.Schema
+                        ) -> tuple[list[dict[str, Any]], dict[str, int],
+                                   dict[str, int]]:
+        """File-exchange shuffle (see stages/merge_apply.py): the raw
+        scan tasks split their input into indexed per-partition exchange
+        blocks, then one merge task per touched partition. Both sides
+        run at full parallelism with no object-store all-to-all; the
+        barrier between them is the wave semantics (every delta must
+        exist before a partition merges). When ``replay()`` PREFETCHED
+        the scans during the previous wave's merges, they are already
+        done and this side only collects. Returns (merge stats, wave
+        hour maxima, wave source maxima)."""
+        import ray as _ray
+
         t_scan0 = time.perf_counter()
-        touched_set: set[int] = set()
-        self._wave_hour_max: dict[str, int] = {}
-        self._wave_source_max: dict[str, int] = {}
-        if scan is not None:
-            units, lo, hi, refs = scan
-            if units:
-                if refs is None:
-                    refs = [_SCAN_TASK.remote(u, lo, hi, self.sources,
-                                              sdir, self.num_partitions,
-                                              self.salt, self.conflict)
-                            for u in units]
-                plans: dict[int, list] = {}
-                for r in _ray.get(refs):
-                    touched_set.update(r["pids"])
-                    for h, m in r["hour_max"].items():
-                        if m > self._wave_hour_max.get(h, -1):
-                            self._wave_hour_max[h] = m
-                    for s, m in r.get("source_max", {}).items():
-                        if m > self._wave_source_max.get(s, -1):
-                            self._wave_source_max[s] = m
-                    if r["block"] is not None:
-                        for pid_s, bids in r["idx"].items():
-                            plans.setdefault(int(pid_s), []).append(
-                                (r["block"], bids))
-        else:
-            splitter = make_delta_splitter(sdir, self.num_partitions)
-            prepped.map_batches(splitter, batch_format="pyarrow",
-                                batch_size=None).take_all()
-            import glob as _glob
-            import json as _json
-            for idx_path in _glob.glob(
-                    os.path.join(sdir, "block-*.idx.json")):
-                with open(idx_path) as f:
-                    touched_set.update(int(k) for k in _json.load(f))
-        touched = sorted(touched_set)
-        self._phase_t = {"scan_s": round(time.perf_counter() - t_scan0, 4)}
+        sdir = self._shuffle_dir(wave_id)
+        plans, hour_max, source_max, n_combine = self._collect_scans(
+            scans, sdir)
+        touched = sorted(plans)
+        self._phase_t = {"scan_s": round(time.perf_counter() - t_scan0, 4),
+                         "combine_tasks": n_combine}
         if not touched:
-            return []
+            return [], hour_max, source_max
         t_merge0 = time.perf_counter()
         b64 = schema_to_b64(lake_schema)
         outbox = self.outbox_dir if self.emit_changelog else None
-        plans = plans if scan is not None else {}
         # explicit plans are B×P driver-side entries; past ~2M (huge P ×
         # byte-capped B) the memory and per-task arg cost outweigh the
         # saved sidecar reads — fall back to the glob discovery path
-        if len(touched) and sum(len(v) for v in plans.values()) > 2_000_000:
+        if sum(len(v) for v in plans.values()) > 2_000_000:
             plans = {}
         cpus = _cluster_cpus()
-        n_tasks = max(1, min(len(touched), _merge_fan_mult() * cpus))
+        n_tasks = max(1, min(len(touched), MERGE_FAN_MULT * cpus))
         if n_tasks >= len(touched):
             refs = [_MERGE_TASK.remote(p, self.store.root, wave_id, sdir,
                                       parts_map.get(str(p)), b64,
@@ -1141,7 +1049,7 @@ class CDCEngine:
                     for g in groups]
             out = [r for chunk in _ray.get(refs) for r in chunk]
         self._phase_t["merge_s"] = round(time.perf_counter() - t_merge0, 4)
-        return out
+        return out, hour_max, source_max
 
     # ------------------------------------------------------------------ #
     def _segment_index(self, log_path: str
@@ -1354,34 +1262,27 @@ class CDCEngine:
         return out
 
     # ------------------------------------------------------------------ #
-    def _prefetch_scan(self, log_path: str, lo: int,
-                       hi: int) -> dict | None:
-        """Launch the NEXT wave's raw scan fan while the CURRENT wave's
-        merges run. The scan is pure w.r.t. lake state — it reads only
-        the immutable log window (lo, hi] and writes only the next
-        wave's own exchange dir — so overlapping it with the previous
-        wave's merge+commit is safe and hides the ~0.1 s/wave scan term
-        in the steady-state floor. ``apply_wave`` validates the handle's
-        (log, lo, hi) before using it and discards on mismatch (e.g. a
-        resume landing mid-window). Only ``replay()`` prefetches: its
-        contract is a static log for the whole schedule (``tail()``
-        polls a growing log and never prefetches)."""
-        if hi <= lo:
-            return None
-        import shutil as _shutil
-
+    def _launch_scan(self, log_path: str, lo: int, hi: int) -> dict:
+        """Launch a log wave's raw scan fan into its fresh exchange dir;
+        the handle carries (log, lo, hi), the wave id, the event schema
+        and the task refs. ``replay()`` launches the NEXT wave's fan
+        while the CURRENT wave's merges run: the scan is pure w.r.t.
+        lake state — it reads only the immutable log window (lo, hi] and
+        writes only the next wave's own exchange dir — so overlapping it
+        with the previous wave's merge+commit is safe and hides the
+        ~0.1 s/wave scan term in the steady-state floor. ``apply_wave``
+        validates a prefetched handle's (log, lo, hi) before using it
+        and discards on mismatch (e.g. a resume landing mid-window).
+        Only ``replay()`` prefetches: its contract is a static log for
+        the whole schedule (``tail()`` polls a growing log)."""
         units, union = self._scan_plan(log_path, lo, hi)
         wave_id = f"wave-{hi:012d}"
-        sdir = self._shuffle_dir(wave_id)
-        _shutil.rmtree(sdir, ignore_errors=True)   # stale partial attempt
-        os.makedirs(sdir, exist_ok=True)
+        sdir = self._fresh_shuffle_dir(wave_id)
         refs = [_SCAN_TASK.remote(u, lo, hi, self.sources, sdir,
-                                  self.num_partitions, self.salt,
-                                  self.conflict)
+                                  self.num_partitions, self.conflict)
                 for u in units]
         return {"log": log_path, "lo": lo, "hi": hi, "wave_id": wave_id,
-                "units": units, "union": union, "refs": refs,
-                "sdir": sdir}
+                "union": union, "refs": refs, "sdir": sdir}
 
     def _discard_prefetch(self, p: dict) -> None:
         """Drop an unused prefetch: wait out its in-flight tasks (so the
@@ -1400,8 +1301,8 @@ class CDCEngine:
                wave_bounds: Iterable[tuple[int, int]]) -> list[dict[str, Any]]:
         """Apply every wave whose watermark is beyond CURRENT's — i.e.
         resume-from-checkpoint is the same code path as a fresh run.
-        On the exchange path, wave N+1's scan fan is PREFETCHED while
-        wave N's merges run (see _prefetch_scan)."""
+        Wave N+1's scan fan is PREFETCHED while wave N's merges run
+        (see _launch_scan)."""
         if self.emit_changelog:
             self._publish_outbox_watermark()   # heal crash-before-marker
         bounds = list(wave_bounds)
@@ -1410,12 +1311,12 @@ class CDCEngine:
         for i, (lo, hi) in enumerate(bounds):
             cur_pre, pre = pre, None
             nxt = bounds[i + 1] if i + 1 < len(bounds) else None
-            if (nxt is not None and self.merge_strategy == "exchange"
-                    and hi > self.watermark and nxt[1] > hi):
+            if (nxt is not None and hi > self.watermark
+                    and nxt[1] > max(nxt[0], hi)):
                 # this wave will run, so after it the watermark is hi —
                 # the next wave's effective lo is max(its lo, hi)
-                pre = self._prefetch_scan(log_path, max(nxt[0], hi),
-                                          nxt[1])
+                pre = self._launch_scan(log_path, max(nxt[0], hi),
+                                        nxt[1])
             try:
                 out.append(self.apply_wave(log_path, hi=hi,
                                            lo=max(lo, self.watermark),
@@ -1438,11 +1339,12 @@ class CDCEngine:
         seed, when the lake was seeded) and splicing the result into a
         new manifest generation at the SAME watermark.
 
-        Scale shape: the read is the full log ≤ watermark but every
-        batch immediately filters to the 1/P hash slice and pre-compacts
-        (combiner), so the exchange carries one partition's compacted
-        history — the same order of work as a normal wave merge for that
-        partition. Untouched partitions are not read or written."""
+        Scale shape: the read is the full log ≤ watermark (raw scan
+        tasks, plus raw seed tasks) but every unit immediately filters
+        to the 1/P hash slice and pre-compacts (combiner), so the
+        exchange carries one partition's compacted history — the same
+        order of work as a normal wave merge for that partition.
+        Untouched partitions are not read or written."""
         cur = self.manifest
         if cur is None:
             raise RuntimeError("no CURRENT manifest — nothing to rebuild "
@@ -1455,59 +1357,26 @@ class CDCEngine:
         wm = cur.watermark
         gen = cur.generation + 1
         wave_id = f"rebuild-p{pid:06d}-g{gen:06d}"
-        ds = self.wave_dataset(log_path, lo=-1, hi=wm)
-        union_schema = self._last_wave_schema
+        sdir = self._fresh_shuffle_dir(wave_id)
+        units, _ = self._scan_plan(log_path, -1, wm)
+        refs = [_SCAN_TASK.remote(u, -1, wm, self.sources, sdir,
+                                  self.num_partitions, self.conflict, pid)
+                for u in units]
         if seed is not None:
-            seed_ds = ray.data.read_parquet(seed)
-
-            def seed_events(t: pa.Table) -> pa.Table:
-                n = t.num_rows
-                cols = {
-                    "lsn": t.column("last_lsn").cast(pa.int64())
-                    if "last_lsn" in t.column_names
-                    else pa.array([0] * n, pa.int64()),
-                    "op": pa.array([0] * n, pa.int8()),
-                }
-                for name in t.column_names:
-                    if name != "last_lsn":
-                        cols[name] = t.column(name)
-                cols["ts"] = pa.nulls(n, pa.timestamp("us"))
-                return pa.table(cols)
-
-            seed_ds = seed_ds.map_batches(seed_events,
-                                          batch_format="pyarrow")
-            ds = ds.union(seed_ds)
-            union_schema = None      # mixed vintages: let merge unify
-
-        pol = self.conflict
-        npart, salt, target = self.num_partitions, self.salt, pid
-
-        def prep_one(t: pa.Table) -> pa.Table:
-            t = prep_wave_batch(t, num_partitions=npart, salt=salt,
-                                policy=pol)
-            return t.filter(pc.equal(t.column("part"), target))
-
-        import shutil as _shutil
-        sdir = self._shuffle_dir(wave_id)
-        _shutil.rmtree(sdir, ignore_errors=True)
-        os.makedirs(sdir, exist_ok=True)
-        splitter = make_delta_splitter(sdir, self.num_partitions)
-        (ds.map_batches(prep_one, batch_format="pyarrow", batch_size=None)
-           .map_batches(splitter, batch_format="pyarrow", batch_size=None)
-           .take_all())
-        import glob as _glob
+            refs += self._seed_scans(seed, sdir, pid)[0]
         import json as _json
-        have_delta = any(
-            str(pid) in _json.load(open(p))
-            for p in _glob.glob(os.path.join(sdir, "block-*.idx.json")))
+        import shutil as _shutil
+
+        import ray as _ray
+        plan = [(r["block"], r["idx"][pid]) for r in _ray.get(refs)
+                if r["block"] is not None]
         new_parts = dict(cur.partitions)
         new_partials = {k: dict(v) for k, v in cur.partials.items()}
-        if have_delta:
-            import ray as _ray
+        if plan:
             r = _ray.get(_MERGE_TASK.remote(
                 pid, self.store.root, wave_id, sdir, None,
                 schema_to_b64(cur.schema), self.derivations, self.conflict,
-                None))
+                None, plan=plan))
             dst = self.store.promote_staged(wave_id, pid, gen)
             new_parts[str(pid)] = {
                 "path": self.store.rel(dst), "rows": int(r["rows"]),
@@ -1828,7 +1697,6 @@ class CDCEngine:
         return CDCEngine(dst_root, num_partitions=None,
                          derivations=self.derivations, salt=self.salt,
                          sources=self.sources,
-                         merge_strategy=self.merge_strategy,
                          conflict=self.conflict,
                          emit_changelog=self.emit_changelog,
                          bg_absorb=self.bg_absorb,
@@ -1853,10 +1721,11 @@ class CDCEngine:
         kernel every wave uses).
 
         Scale shape: one raw task per SOURCE partition re-emits its
-        merged rows as pseudo change events into the object store
-        (``from_arrow_refs`` — never the driver), and the ordinary
-        wave machinery hash-routes them into the new partition layout;
-        cost is one full lake rewrite, the floor for any reshard."""
+        merged rows as pseudo change events straight into the
+        destination wave's exchange dir, hash-routed into the new
+        partition layout (no row passes through this process), and the
+        ordinary merge fan and commit apply them; cost is one full lake
+        rewrite, the floor for any reshard."""
         from ..stages.merge_apply import FENCE_COL
         if num_partitions < 1:
             raise ValueError(
@@ -1872,7 +1741,6 @@ class CDCEngine:
                                      else _derivations),
                         salt=self.salt,
                         sources=self.sources,
-                        merge_strategy=self.merge_strategy,
                         conflict=self.conflict,
                         emit_changelog=self.emit_changelog,
                         bg_absorb=self.bg_absorb,
@@ -1900,17 +1768,17 @@ class CDCEngine:
             fields.append(pa.field("ts", pa.timestamp("us")))
         ev_schema = pa.schema(fields)
 
-        refs = [_RESHARD_TASK.remote(int(pid), self.store.root, e,
-                                     src.schema_b64, self.conflict)
-                for pid, e in src.partitions.items()]
-        ds = (ray.data.from_arrow_refs(refs) if refs
-              else ray.data.from_arrow(ev_schema.empty_table()))
+        mig = None
         if _migrate is not None:
-            mig_fn, ev_schema = _migrate(ev_schema)
-            ds = ds.map_batches(mig_fn, batch_format="pyarrow")
+            mig, ev_schema = _migrate(ev_schema)
+        sdir = dst._fresh_shuffle_dir("reshard")
+        refs = [_RESHARD_TASK.remote(int(pid), self.store.root, e,
+                                     src.schema_b64, self.conflict, sdir,
+                                     num_partitions, mig)
+                for pid, e in src.partitions.items()]
         # the source's checkpoint state rides the reshard wave's OWN
         # manifest commit — the whole reshard is one atomic publish
-        dst._apply(ds, lo=-1, hi=src.watermark, wave_id="reshard",
+        dst._apply(refs, lo=-1, hi=src.watermark, wave_id="reshard",
                    incoming_schema=ev_schema,
                    base_schema=_base_schema,
                    carry_named_offsets=dict(src.named_offsets),
@@ -2447,12 +2315,10 @@ class CDCEngine:
         checkpoints, not per-query scans): GLOBAL_LATEST is the
         watermark; MAX_OFFSET_PREVIOUS_HOUR is the max lsn whose event
         time falls before the latest hour boundary seen in the stream,
-        folded incrementally from each wave's scan stats and persisted
-        in the manifest. Maintained by the default EXCHANGE merge
-        strategy (whose raw scan tasks report per-hour maxima for
-        free); a groupby-strategy engine returns -1 for hour
-        checkpoints — use the A3 query (max_offset_before_hour) there.
-        Returns -1 when unknown."""
+        folded incrementally from each log wave's scan stats (the raw
+        scan tasks report per-hour maxima for free) and persisted in the
+        manifest; seed, reshard and rebuild waves fold none. Returns -1
+        when unknown."""
         m = self.manifest
         if m is None:
             return -1
@@ -2472,26 +2338,25 @@ class CDCEngine:
 
     def _require_consumer_offsets(self, m) -> None:
         """MAX_OFFSET_CONSUMERS:<type> checkpoints are maintained by the
-        EXCHANGE strategy's raw scan tasks (which see every raw event);
-        the groupby strategy pre-compacts per batch, so losing events'
-        lsns are gone before any stage could fold them. Fail loudly
-        instead of returning 0 as if the types were never seen.
+        raw log scan tasks (which see every raw event before the
+        combiner pre-compacts away losing lsns). A lake whose log waves
+        never folded one — every wave filtered empty by a ``sources=``
+        subscription that matched no event — fails loudly instead of
+        returning 0 as if the types were never seen.
 
         The gate is KEY PRESENCE on the lake, not the reading engine's
-        strategy — a default-strategy reader opening a groupby-built
-        lake must hit the same loud error (an exchange-built lake that
-        applied any event always carries at least one checkpoint key,
-        since every event has a source)."""
+        subscription — an unfiltered reader opening such a lake hits
+        the same loud error (a lake that applied any log event always
+        carries at least one checkpoint key, since every event has a
+        source)."""
         if (m.watermark > 0
                 and not any(k.startswith("MAX_OFFSET_CONSUMERS:")
                             for k in m.named_offsets)):
             raise NotImplementedError(
                 "MAX_OFFSET_CONSUMERS checkpoints were never maintained "
-                "on this lake (it was replayed with the groupby merge "
-                "strategy, which pre-compacts away raw per-source lsns, "
-                "or applied only source-filtered empty waves); replay "
-                "with the default merge_strategy='exchange', or scan "
-                "the log with max_offset_for_types")
+                "on this lake (its log waves applied no event: a "
+                "source-filtered subscription matched none); scan the "
+                "log with max_offset_for_types")
 
     def max_offset_for_consumers(self, types: "Iterable[str]") -> int:
         """Max lsn among events of the given types, answered from the

@@ -340,7 +340,7 @@ def write_message_jsonl(log_dir: str, out_dir: str,
                 pa.array(["{}"] * t.num_rows, pa.string()))
         for name in t.column_names:
             if name not in ("lsn", "op", "doc_id", "ts", "source",
-                            "data", "part", "salt"):
+                            "data", "part"):
                 cols[name] = t.column(name)
         df = pa.table(cols).to_pandas()
         path = os.path.join(out_dir,

@@ -10,16 +10,18 @@ Reference semantics being reproduced per partition (SURVEY.md D1/ST3):
     yields byte-identical output (the reference's PK fence,
     SQLiteQueries.java:22).
 
-Execution shape: wave segments get `part = hash(doc_id) % P` plus a
-per-block LWW pre-compaction (the combiner) in `prep_wave_batch`
-(running inside raw scan tasks on the exchange path, or a map_batches
-stage on the Dataset path); the indexed file exchange routes each
-partition's delta to one merge task. The task holds the "per-partition
-sorted upsert buffer" of the north star: the compacted delta sorted by
-doc_id, merged against the partition's committed state — either as a
-FULL rewrite or, for small waves, a DELTA SIDECAR next to the untouched
-base (see merge_partition_files). Only the DELTA is ever shuffled — the
-lake itself is read and written partition-locally.
+Execution shape: raw scan tasks (log row groups, seed row groups or
+rows, or a reshard's pseudo events) run the one split core,
+`split_events`: tag `part = hash(doc_id) % P`, pre-compact per block
+(the combiner) and write one indexed exchange block; with `salt=S`, S
+combine tasks re-fold a wide wave's blocks (`combine_blocks`). The
+exchange routes each partition's delta to one merge task. The task
+holds the "per-partition sorted upsert buffer" of the north star: the
+compacted delta sorted by doc_id, merged against the partition's
+committed state — either as a FULL rewrite or, for small waves, a
+DELTA SIDECAR next to the untouched base (see merge_partition_files).
+Only the DELTA is ever shuffled — the lake itself is read and written
+partition-locally.
 """
 
 from __future__ import annotations
@@ -40,39 +42,11 @@ from ..state.manifest import schema_from_b64
 from .compact import LWW, ConflictPolicy, compact_lww, split_tombstones
 
 # CDC envelope columns that never land in the lake
-ENVELOPE = ("lsn", "op", "ts", "part", "salt")
-
-STATS_SCHEMA = pa.schema(
-    [
-        pa.field("pid", pa.int32()),
-        pa.field("mode", pa.string()),         # "full" | "delta"
-        pa.field("rows", pa.int64()),          # LOGICAL live rows
-        pa.field("file_rows", pa.int64()),     # physical rows staged
-        pa.field("bytes", pa.int64()),
-        pa.field("hwm", pa.int64()),
-        pa.field("n_applied", pa.int64()),
-        pa.field("n_deleted", pa.int64()),
-        pa.field("partials_json", pa.string()),
-    ]
-)
+ENVELOPE = ("lsn", "op", "ts", "part")
 
 
 def payload_schema(event_schema: pa.Schema) -> pa.Schema:
     return pa.schema([f for f in event_schema if f.name not in ENVELOPE])
-
-
-def prep_wave_batch(batch: pa.Table, *, num_partitions: int,
-                    salt: int = 0,
-                    policy: ConflictPolicy = LWW) -> pa.Table:
-    """map_batches stage: partition column + per-batch LWW pre-compaction.
-
-    Compacts on the composite key (part, doc_id): doc_id determines part,
-    so the dedup semantics are identical, but the single sort leaves the
-    output GROUPED BY part — the exchange splitter can slice it without a
-    second sort+gather of the token lists (one full-table gather saved
-    per block)."""
-    return compact_lww(add_partition(batch, num_partitions, salt=salt),
-                       key=["part", "doc_id"], policy=policy)
 
 
 FENCE_COL = "last_op"      # tombstone-fence marker (retaining policies)
@@ -174,57 +148,30 @@ def merge_partition(old: pa.Table, delta: pa.Table,
     return merged, n_applied, n_deleted
 
 
-def make_delta_splitter(
-    shuffle_dir: str,
-    num_partitions: int,
-) -> Callable[[pa.Table], pa.Table]:
-    """File-exchange shuffle, write side (runs inside map_batches).
-
-    Splits one prepped (partition-tagged, pre-compacted) block into
-    per-partition Arrow-IPC delta files under
-    ``shuffle_dir/p=PID/<unique>.arrow``. Replaces the object-store
-    all-to-all (Ray Data ``groupby``) whose raylet object churn was the
-    measured scale ceiling (~450k events/s flat from 8→32 CPUs); the
-    filesystem fan-out is embarrassingly parallel on both sides. On a
-    multi-node cluster ``shuffle_dir`` lives on the shared store — the
-    standard lakehouse-ingest staging pattern.
-
-    Idempotent under Ray task retry: a re-executed block writes duplicate
-    delta files, but rows are (doc_id, lsn)-identical and the merge-side
-    ``compact_lww`` keeps exactly one survivor per key — same fence as
-    the reference's PK on msg_offset (SQLiteQueries.java:22).
-    """
-
-    def split(batch: pa.Table) -> pa.Table:
-        uniq, rows, _, _ = write_split_block(batch, shuffle_dir)
-        return pa.table({
-            "pid": pa.array([int(p) for p in uniq], pa.int32()),
-            "rows": pa.array(rows.astype(np.int64)),
-        })
-
-    return split
-
-
 def write_split_block(batch: pa.Table, shuffle_dir: str
-                      ) -> tuple[np.ndarray, np.ndarray, str,
-                                 dict[int, list[int]]]:
+                      ) -> tuple[str, dict[int, list[int]]]:
     """Write ONE prepped block as an indexed Arrow-IPC exchange file;
-    returns (touched pids, rows per pid, data path, pid->batch-index
-    map). Shared by the Dataset splitter and the raw-task segment scan.
-    The map is both persisted as a .idx.json sidecar (the glob fallback
-    used by the Dataset path and rebuilds) and returned so the exchange
-    fast path can hand every merge task its EXACT (file, batches) read
+    returns (data path, pid->batch-index map). The map is both
+    persisted as a .idx.json sidecar (the merge tasks' glob fallback
+    when explicit plans grow past ~2M entries) and returned so the
+    engine can hand every merge task its EXACT (file, batches) read
     plan — without it each of P merge tasks re-read all B sidecars
-    (B×P metadata reads per wave)."""
+    (B×P metadata reads per wave).
+
+    Idempotent under Ray task retry: a re-executed task writes a
+    duplicate block, but rows are (doc_id, lsn)-identical and the
+    merge-side ``compact_lww`` keeps exactly one survivor per key —
+    same fence as the reference's PK on msg_offset
+    (SQLiteQueries.java:22)."""
     import uuid
 
     if "part" not in batch.column_names:
-        # Partitioning/pre-compaction policy lives in prep_wave_batch;
+        # Partitioning/pre-compaction policy lives in split_events;
         # a splitter-side fallback would have to duplicate the
         # ConflictPolicy semantics (an earlier LWW-hardcoded fallback
         # silently kept the wrong winner under non-default policies)
         raise ValueError("splitter input must be prepped "
-                         "(prep_wave_batch adds 'part' and applies "
+                         "(split_events adds 'part' and applies "
                          "the conflict policy)")
     # prep's composite sort leaves blocks grouped by part; re-sort
     # only if that grouping was lost (defensive — one scan to check)
@@ -266,7 +213,54 @@ def write_split_block(batch: pa.Table, shuffle_dir: str
     with open(idx_path + ".tmp", "w") as f:
         json.dump(idx, f)
     os.replace(idx_path + ".tmp", idx_path)
-    return uniq, bounds[1:] - bounds[:-1], data_path, idx
+    return data_path, idx
+
+
+def split_events(events: pa.Table, shuffle_dir: str, num_partitions: int,
+                 policy: ConflictPolicy = LWW,
+                 pid: int | None = None) -> dict[str, Any]:
+    """The one split core of every wave input (log scan, seed unit,
+    reshard partition): tag ``part = hash(doc_id) % P``, keep only
+    ``pid``'s rows for a partition rebuild, pre-compact per block (the
+    combiner), and write ONE indexed exchange block.
+
+    Compacts on the composite key (part, doc_id): doc_id determines part,
+    so the dedup semantics are identical, but the single sort leaves the
+    output GROUPED BY part — the splitter slices it without a second
+    sort+gather of the token lists.
+
+    Returns the scan-result dict the engine folds — {"pids": touched
+    partition ids, "hour_max", "source_max", "block": exchange file path
+    (None when nothing is left), "idx": pid -> batch indices within it};
+    the maxima are empty here, only log scans fill them."""
+    out: dict[str, Any] = {"pids": [], "hour_max": {}, "source_max": {},
+                           "block": None, "idx": {}}
+    if events.num_rows == 0:
+        return out
+    tagged = add_partition(events, num_partitions)
+    if pid is not None:
+        tagged = tagged.filter(pc.equal(tagged.column("part"),
+                                        pa.scalar(pid, pa.int32())))
+        if tagged.num_rows == 0:
+            return out
+    block = compact_lww(tagged, key=["part", "doc_id"], policy=policy)
+    out["block"], out["idx"] = write_split_block(block, shuffle_dir)
+    out["pids"] = sorted(out["idx"])
+    return out
+
+
+def _read_units(units: list[tuple[str, list[int] | None]],
+                each: "Callable[[pa.Table], pa.Table] | None" = None
+                ) -> pa.Table:
+    """Read [(parquet path, row_group_ids | None)] units into one table,
+    applying ``each`` per unit before the concat; schemas of different
+    vintages (mid-stream evolution) are unified."""
+    tabs = []
+    for path, rgs in units:
+        f = pq.ParquetFile(path)
+        t = f.read_row_groups(rgs) if rgs is not None else f.read()
+        tabs.append(each(t) if each is not None else t)
+    return tabs[0] if len(tabs) == 1 else _unify_chain(tabs)
 
 
 def scan_split_segment(
@@ -276,12 +270,12 @@ def scan_split_segment(
     sources: tuple[str, ...] | None,
     shuffle_dir: str,
     num_partitions: int,
-    salt: int = 0,
     policy: ConflictPolicy = LWW,
+    pid: int | None = None,
 ) -> dict[str, Any]:
     """Raw-task wave scan: read the unit's log row-groups, filter the
-    (lo, hi] window + source subscription, prep (partition + combiner
-    compaction) and write the exchange block — one task, no Dataset.
+    (lo, hi] window + source subscription, then ``split_events`` — one
+    task, no Dataset.
 
     Why raw tasks here (same argument as the merge side): a wave's scan
     is a FIXED set of per-segment jobs with nothing to stream between
@@ -291,18 +285,12 @@ def scan_split_segment(
     row-group granularity keeps any task's working set under the byte
     target regardless of segment size.
 
-    Returns {"pids": touched partition ids, "hour_max": {hour_epoch_us
-    (str) -> max lsn}, "source_max": {source -> max lsn}, "block":
-    exchange file path, "idx": pid -> batch indices within it} — hour
-    and per-type maxima feed the maintained named offsets
-    (OffsetName.java:3-5: MAX_OFFSET_PREVIOUS_HOUR and
-    MAX_OFFSET_CONSUMERS) and the idx map feeds the merge tasks'
-    explicit read plans, all folded driver-side from results the task
-    already had, no extra I/O."""
-    tabs = []
-    for path, rgs in units:
-        f = pq.ParquetFile(path)
-        t = f.read_row_groups(rgs) if rgs is not None else f.read()
+    Adds the window's {hour_epoch_us (str) -> max lsn} and {source ->
+    max lsn} to the result (skipped for a one-``pid`` rebuild scan) —
+    they feed the maintained named offsets (OffsetName.java:3-5:
+    MAX_OFFSET_PREVIOUS_HOUR and MAX_OFFSET_CONSUMERS), folded
+    driver-side from data the task already had, no extra I/O."""
+    def window(t: pa.Table) -> pa.Table:
         lsn = t.column("lsn")
         mask = pc.and_(pc.greater(lsn, pa.scalar(lo, pa.int64())),
                        pc.less_equal(lsn, pa.scalar(hi, pa.int64())))
@@ -315,23 +303,67 @@ def scan_split_segment(
         # copy of the token lists
         if int(pc.sum(mask).as_py() or 0) < t.num_rows:
             t = t.filter(mask)
-        tabs.append(t)
-    if len({t.schema for t in tabs}) > 1:
-        union = tabs[0].schema
-        for t in tabs[1:]:
-            union = evolve_schema(union, t.schema)
-        tabs = [reconcile_batch(t, union) for t in tabs]
-    block = tabs[0] if len(tabs) == 1 else pa.concat_tables(tabs)
-    if block.num_rows == 0:
-        return {"pids": [], "hour_max": {}, "source_max": {},
-                "block": None, "idx": {}}
-    hour_max = _hour_max_lsn(block)
-    source_max = _source_max_lsn(block)
-    block = prep_wave_batch(block, num_partitions=num_partitions,
-                            salt=salt, policy=policy)
-    uniq, _, data_path, idx = write_split_block(block, shuffle_dir)
-    return {"pids": [int(p) for p in uniq], "hour_max": hour_max,
-            "source_max": source_max, "block": data_path, "idx": idx}
+        return t
+
+    block = _read_units(units, window)
+    out = split_events(block, shuffle_dir, num_partitions, policy, pid)
+    if pid is None and block.num_rows:
+        out["hour_max"] = _hour_max_lsn(block)
+        out["source_max"] = _source_max_lsn(block)
+    return out
+
+
+def seed_events(t: pa.Table) -> pa.Table:
+    """Seed rows of LAKE_ROW shape as insert events: lsn = last_lsn (0
+    when absent), op = 0, payload as-is, ts null and LAST — the regular
+    change-event column order, so bootstrap outbox segments concat
+    cleanly with wave segments."""
+    n = t.num_rows
+    cols = {
+        "lsn": t.column("last_lsn").cast(pa.int64())
+        if "last_lsn" in t.column_names
+        else pa.array(np.zeros(n, np.int64)),
+        "op": pa.array(np.zeros(n, np.int8)),
+    }
+    for name in t.column_names:
+        if name != "last_lsn":
+            cols[name] = t.column(name)
+    cols["ts"] = pa.nulls(n, pa.timestamp("us"))
+    return pa.table(cols)
+
+
+def seed_split_segment(seed: "list[tuple[str, list[int] | None]] | pa.Table",
+                       shuffle_dir: str, num_partitions: int,
+                       policy: ConflictPolicy = LWW,
+                       pid: int | None = None) -> dict[str, Any]:
+    """Raw seed task (bootstrap, and a seeded partition rebuild): one
+    byte-budgeted seed unit — parquet row groups [(path, row_group_ids)]
+    or an in-memory row slice — as insert events through
+    ``split_events``. No window filter (every seed row is applied) and
+    no hour/source maxima: only log waves maintain those checkpoints."""
+    t = seed if isinstance(seed, pa.Table) else _read_units(seed)
+    return split_events(seed_events(t), shuffle_dir, num_partitions,
+                        policy, pid)
+
+
+def combine_blocks(blocks: list[str], shuffle_dir: str,
+                   policy: ConflictPolicy = LWW) -> dict[str, Any]:
+    """Salt combine (``CDCEngine(salt=S)``): fold several scan blocks of
+    one wave into ONE block on (part, doc_id) under ``policy``. The
+    engine runs S of these over every S-th block when a wave wrote more
+    than S blocks, so a hot doc reaches its merge task as at most S rows
+    instead of one per scan block. Sound because ``compact_lww`` keeps
+    the policy-winning EVENT per key (the same associativity the
+    per-block combiner and the chain tier rely on)."""
+    tabs = []
+    for path in blocks:
+        with pa.OSFile(path, "rb") as src:
+            tabs.append(pa.ipc.open_file(src).read_all())
+    block = compact_lww(_unify_chain(tabs), key=["part", "doc_id"],
+                        policy=policy)
+    data_path, idx = write_split_block(block, shuffle_dir)
+    return {"pids": sorted(idx), "hour_max": {}, "source_max": {},
+            "block": data_path, "idx": idx}
 
 
 _HOUR_US = 3_600_000_000
@@ -421,9 +453,9 @@ def merge_partition_files(
       ``max_deltas=16``) would force an O(base) rewrite ~30x too early."""
     lake_schema = schema_from_b64(lake_schema_b64)
     if plan is None:
-        # glob fallback (Dataset splitter path, rebuilds): discover this
-        # partition's batches from the .idx.json sidecars. The exchange
-        # fast path passes an explicit ``plan`` instead — P tasks each
+        # glob fallback (explicit plans past ~2M entries): discover this
+        # partition's batches from the .idx.json sidecars. The engine
+        # normally passes an explicit ``plan`` instead — P tasks each
         # re-reading all B sidecars was B×P metadata reads per wave.
         import glob as _glob
         plan = []
@@ -490,9 +522,7 @@ def merge_partition_files(
         # identical file and children (idempotent by lsn) are unaffected.
         os.makedirs(outbox_dir, exist_ok=True)
         seg = os.path.join(outbox_dir, f"{wave_id}-p{pid:06d}.parquet")
-        drop = [c for c in ("part", "salt") if c in delta.column_names]
-        write_lake_file(delta.drop_columns(drop) if drop else delta,
-                        seg + ".tmp", "zstd")
+        write_lake_file(_drop_part(delta), seg + ".tmp", "zstd")
         os.replace(seg + ".tmp", seg)
     pending = sum(int(d["rows"]) for d in existing) + delta.num_rows
     if pending <= _staggered_frac(sidecar_frac, pid) * base_rows \
@@ -761,8 +791,7 @@ def _stage_sidecar(pid: int, delta: pa.Table, lake_root: str,
     base-membership-exact applies — identical in the monotonic-lsn
     common path (a compacted delta row always beats the committed
     row), differing only for deletes of absent docs."""
-    drop = [c for c in ("part", "salt") if c in delta.column_names]
-    out = delta.drop_columns(drop) if drop else delta
+    out = _drop_part(delta)
     staged_dir = os.path.join(lake_root, "_staged", wave_id)
     os.makedirs(staged_dir, exist_ok=True)
     path = os.path.join(staged_dir, f"p={pid:06d}.parquet")
@@ -806,8 +835,7 @@ def _compact_chain(pid: int, delta: pa.Table, lake_root: str,
     wave's compacted-delta live/tombstone events ("events processed"),
     not the merged chain's."""
     delta = compact_lww(delta, policy=policy)
-    drop = [c for c in ("part", "salt") if c in delta.column_names]
-    mine = delta.drop_columns(drop) if drop else delta
+    mine = _drop_part(delta)
     tabs = [pq.read_table(os.path.join(lake_root, d["path"]))
             for d in (old_entry.get("deltas") or [])] + [mine]
     merged = compact_lww(_unify_chain(tabs), policy=policy)
@@ -828,6 +856,11 @@ def _compact_chain(pid: int, delta: pa.Table, lake_root: str,
         "n_deleted": n_tomb,
         "partials_json": "",             # manifest partials stay as-of-base
     }
+
+
+def _drop_part(t: pa.Table) -> pa.Table:
+    """The exchange's routing column never lands in a lake or outbox file."""
+    return t.drop_columns(["part"]) if "part" in t.column_names else t
 
 
 def _unify_chain(tabs: "list[pa.Table]") -> pa.Table:
@@ -1070,7 +1103,7 @@ def _merge_and_stage(pid: int, delta: pa.Table, lake_root: str,
                      lake_schema: pa.Schema,
                      derivations: tuple[Any, ...],
                      policy: ConflictPolicy) -> dict[str, Any]:
-    """FULL mode, shared by both merge strategies: apply the delta to
+    """FULL mode: apply the delta to
     the partition's logical state (base + any sidecars — an absorbing
     rewrite resets the sidecar chain), stage the merged base, compute
     partials/stats."""
@@ -1102,57 +1135,33 @@ def _merge_and_stage(pid: int, delta: pa.Table, lake_root: str,
     }
 
 
-def make_wave_merger(
-    lake_root: str,
-    wave_id: str,
-    parts_map: dict[str, dict],         # pid(str) -> partition entry
-    lake_schema_b64: str,
-    derivations: tuple[Any, ...] = (),
-    policy: ConflictPolicy = LWW,
-) -> Callable[[pa.Table], pa.Table]:
-    """Build the map_groups callable for one wave (groupby strategy —
-    always FULL mode; the sidecar fast path lives on the exchange
-    strategy's raw merge tasks).
-
-    The closure is small (P entry dicts + schema bytes) and ships once per
-    task; the lake partition file is read inside the task — partition-local
-    I/O, no broadcast of data.
-    """
-
-    def merge_group(delta: pa.Table) -> pa.Table:
-        lake_schema = schema_from_b64(lake_schema_b64)
-        pid = int(delta.column("part")[0].as_py())
-        # final compaction: merges per-batch partials (and salt sub-groups)
-        delta = compact_lww(delta, policy=policy)
-        stats = _merge_and_stage(pid, delta, lake_root, wave_id,
-                                 parts_map.get(str(pid)), lake_schema,
-                                 derivations, policy)
-        return pa.Table.from_pydict({k: [v] for k, v in stats.items()},
-                                    schema=STATS_SCHEMA)
-
-    return merge_group
-
-
 def reshard_partition(pid: int, lake_root: str,
                       entry: "dict[str, Any]",
                       schema_b64: str,
-                      policy: ConflictPolicy) -> pa.Table:
+                      policy: ConflictPolicy,
+                      shuffle_dir: str,
+                      num_partitions: int,
+                      migrate: "Callable[[pa.Table], pa.Table] | None"
+                      = None) -> dict[str, Any]:
     """RESHARD source task: one committed partition (base + delta
     chain, merged by the unified compaction kernel) re-emitted as
     pseudo change events — ``lsn = last_lsn`` and tombstone-fence rows
     as ``op=1`` events (``_old_as_events``), so replaying them through
     a fresh engine at a DIFFERENT partition count reproduces the exact
-    logical state, conflict policy included. Runs as a raw Ray task
-    from ``CDCEngine.reshard_lake``; the result feeds the ordinary
-    wave machinery via ``from_arrow_refs`` (object-store resident,
-    never on the driver)."""
+    logical state, conflict policy included. ``migrate`` (schema
+    migration) rewrites the events in-task; ``split_events`` then
+    writes them straight into the destination wave's exchange dir at
+    the destination's partition count. Runs as a raw Ray task from
+    ``CDCEngine.reshard_lake``; no row reaches the engine's process."""
     schema = schema_from_b64(schema_b64)
     t = load_partition_table(lake_root, entry, schema, policy)
     ev = _old_as_events(t, policy)
-    if "ts" in ev.column_names:
-        # event-time policy: order_col == "ts" already carries the
-        # timestamps — a second ts column would be a duplicate field
-        return ev
-    # null ts, appended last — the regular change-event column layout
-    return ev.append_column("ts", pa.nulls(ev.num_rows,
-                                           pa.timestamp("us")))
+    if "ts" not in ev.column_names:
+        # null ts, appended last — the regular change-event column
+        # layout (under the event-time policy order_col == "ts" already
+        # carries the timestamps; a second ts would be a duplicate)
+        ev = ev.append_column("ts", pa.nulls(ev.num_rows,
+                                             pa.timestamp("us")))
+    if migrate is not None:
+        ev = migrate(ev)
+    return split_events(ev, shuffle_dir, num_partitions, policy)

@@ -11,6 +11,8 @@ full rescan, the point reads equal ``lake_table()`` filtered to their
 keys, and the engine's decoded-file cache holds only files CURRENT
 names, within its byte budget — so once warm it tracks the live lake
 (whose inserts keep it growing) up to the budget, and never more.
+At the end, ``rebuild_partition`` of one pid and a ``reshard_lake`` to
+half the partitions must each leave ``lake_table()`` unchanged.
 Prints one JSON line, with the cache size at each check.
 
 Usage: python scripts/soak.py [n_waves] [events_per_wave] [work_dir]
@@ -106,6 +108,15 @@ def main() -> int:
     assert holder["idx"].refresh()["mode"] in ("noop", "delta")
     assert holder["idx"].signatures().equals(eng.checksum(columns=cols))
     wall = time.perf_counter() - t0
+
+    # the moved wave paths: rebuild one partition from log + seed, then
+    # reshard to half the partitions; both keep the lake's state
+    want = eng.lake_table()
+    eng.rebuild_partition(log, 7, seed=seed)
+    assert eng.lake_table().sort_by("doc_id").equals(want), "rebuild"
+    half = eng.reshard_lake(os.path.join(root, "resharded"),
+                            eng.num_partitions // 2)
+    assert half.lake_table().sort_by("doc_id").equals(want), "reshard"
 
     m = {"metric": "soak_waves", "n_waves": n_waves,
          "events_per_wave": per_wave,

@@ -265,10 +265,11 @@ def test_max_offset_for_consumers_maintained(tmp_path):
     assert sub.named_offset("MAX_OFFSET_CONSUMERS") == 8
 
 
-def test_consumer_offsets_raise_under_groupby_strategy(tmp_path):
-    """MAX_OFFSET_CONSUMERS checkpoints are maintained by the exchange
-    strategy's raw scan tasks; a groupby-strategy lake must fail loudly
-    instead of answering 0 as if the types were never seen."""
+def test_consumer_offsets_raise_without_checkpoints(tmp_path):
+    """MAX_OFFSET_CONSUMERS checkpoints are folded by the raw log scan
+    tasks; a lake whose log waves never folded one (every wave filtered
+    empty by a sources= subscription that matches no event) must fail
+    loudly instead of answering 0 as if the types were never seen."""
     import pytest as _pytest
 
     from aqueduct_core_ray.sources.changelog import (
@@ -278,20 +279,21 @@ def test_consumer_offsets_raise_under_groupby_strategy(tmp_path):
     log = write_changelog(spec, str(tmp_path / "log"))
     seed = write_seed_lake(spec, str(tmp_path / "seed" / "s.parquet"))
     eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4,
-                    merge_strategy="groupby")
+                    sources=("no-such-type",))
     eng.bootstrap(seed)
     eng.replay(log, spec.wave_bounds)
+    assert eng.watermark == spec.n_events
     with _pytest.raises(NotImplementedError):
         eng.max_offset_for_consumers(["type1"])
     with _pytest.raises(NotImplementedError):
         eng.named_offset("MAX_OFFSET_CONSUMERS")
-    # the gate is KEY PRESENCE on the LAKE, not the reader's strategy:
-    # a default-strategy engine opening the groupby-built lake must
+    # the gate is KEY PRESENCE on the LAKE, not the reader's
+    # subscription: an unfiltered engine opening the keyless lake must
     # hit the same loud error, never a silent 0
     rd = CDCEngine(str(tmp_path / "lake"), num_partitions=None)
     with _pytest.raises(NotImplementedError):
         rd.max_offset_for_consumers(["type1"])
-    # the exchange default still answers (sanity of the guard's scope)
+    # an unfiltered lake still answers (sanity of the guard's scope)
     ex = CDCEngine(str(tmp_path / "lake2"), num_partitions=4)
     ex.bootstrap(seed)
     ex.replay(log, spec.wave_bounds)

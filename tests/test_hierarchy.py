@@ -92,12 +92,6 @@ def test_child_resumes_mid_stream(inputs, tmp_path):
     assert child2.consistency_sum() == parent.consistency_sum()
 
 
-def test_outbox_requires_exchange(tmp_path):
-    with pytest.raises(ValueError):
-        CDCEngine(str(tmp_path / "x"), merge_strategy="groupby",
-                  emit_changelog=True)
-
-
 def test_source_filtered_child(inputs, tmp_path):
     """A child subscribed to a subset of sources (the reference's
     type-filtered till, SQLiteQueries.java:105-112) materializes exactly

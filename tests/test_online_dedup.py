@@ -96,6 +96,40 @@ def test_planted_dups_surface_per_generation(lake):
     assert m3.num_rows == 0 and a == b
 
 
+def test_step_exchange_stays_under_the_lake(lake, monkeypatch):
+    """An engine-invoked online-dedup step routes its match exchange to
+    <lake>/_exchange, never the system tempdir. Exchange dirs are kept
+    after use here (rmtree skips them) so the check sees where they
+    were made."""
+    import shutil
+    import tempfile
+
+    eng, toks, tmp = lake
+    idx = str(tmp / "idx")
+    od.bootstrap_dedup_index(eng, idx)
+    eng.replay(_log(tmp / "log1", [(1, 0, "new0", toks["doc0003"])]),
+               [(0, 1)])
+    sys_tmp = tmp / "systmp"
+    sys_tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(sys_tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    monkeypatch.delenv("AQR_EXCHANGE_ROOT", raising=False)
+    assert tempfile.gettempdir() == str(sys_tmp)
+    real_rmtree = shutil.rmtree
+
+    def keep_exchange_dirs(path, *a, **k):
+        if os.path.basename(str(path)).startswith("aqr_xchg_"):
+            return None
+        return real_rmtree(path, *a, **k)
+
+    monkeypatch.setattr(shutil, "rmtree", keep_exchange_dirs)
+    m, _, _ = od.online_dedup_step(eng, idx)
+    assert m.column("doc_id").to_pylist() == ["new0"]
+    assert list(sys_tmp.glob("aqr_xchg_*")) == []
+    lake_xchg = os.path.join(eng.store.root, "_exchange")
+    assert [d for d in os.listdir(lake_xchg) if d.startswith("aqr_xchg_")]
+
+
 def test_deleted_docs_are_not_matched_or_indexed(lake):
     eng, toks, tmp = lake
     idx = str(tmp / "idx")

@@ -186,9 +186,18 @@ def test_concurrent_committer_fenced(log_dir, seed_path, tmp_path,
     # b entered _apply before a's commit: its in-process cache still
     # holds the stale CURRENT, while commit() re-reads the real one
     b._cached_manifest = stale_manifest
+    # the loser's wave runs on the raw path: scan tasks write its
+    # exchange dir, then merge + commit
+    from aqueduct_core_ray.pipelines.replay import _SCAN_TASK
+    hi = bounds[1][1]
+    sdir = b._fresh_shuffle_dir("wave-loser")
+    units, union = b._scan_plan(log_dir, 0, hi)
+    scans = [_SCAN_TASK.remote(u, 0, hi, b.sources, sdir,
+                               b.num_partitions, b.conflict)
+             for u in units]
     with pytest.raises(RuntimeError, match="stale commit"):
-        b._apply(b.wave_dataset(log_dir, 0, bounds[1][1]),
-                 0, bounds[1][1], wave_id="wave-loser")
+        b._apply(scans, 0, hi, wave_id="wave-loser",
+                 incoming_schema=union)
 
     # winner's committed bytes untouched by the loser's promotion
     for p, v in a.manifest.partitions.items():

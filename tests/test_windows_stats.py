@@ -7,6 +7,7 @@ from __future__ import annotations
 import duckdb
 import numpy as np
 import pandas as pd
+import pytest
 
 from aqueduct_core_ray.pipelines import analytics, temporal
 
@@ -396,6 +397,71 @@ def test_late_events_md5_matches_natural_totals(tmp_path):
     b = (late_events(sf, arrival="md5").to_pandas()
          .set_index("event_type").n_events.sort_index())
     assert a.equals(b)
+
+
+def _late_fixture(sf) -> None:
+    """Seeded events.parquet: columns NOT in the default order, 7 row
+    groups, event ids written out of order, and ts pushed back 20-40
+    minutes on ~12% of events so several types have late rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(20261017)
+    n = 700
+    eid = rng.permutation(n).astype(np.int64)
+    base = 1_700_000_000 * 1_000_000
+    ts = base + eid * 15_000_000 + rng.integers(0, 60_000_000, n)
+    back = rng.random(n) < 0.12
+    ts = ts - back * rng.integers(20, 40, n) * 60_000_000
+    sf.mkdir()
+    pq.write_table(pa.table({
+        "props": pa.array(["{}"] * n),
+        "event_type": pa.array(rng.choice(["a", "b", "c"], n)),
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "value": pa.array(rng.random(n)),
+        "event_id": pa.array(eid),
+        "user_id": pa.array(rng.integers(0, 20, n), pa.int64()),
+    }), sf / "events.parquet", row_group_size=100)
+
+
+def _late_oracle(sf, order_by: str) -> pd.DataFrame:
+    import __ray_entry__ as entry
+    sql = entry.oracle_sql()["late_events"]
+    md5_order = "ORDER BY md5('arr|' || CAST(event_id AS VARCHAR))"
+    assert md5_order in sql
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{sf}/events.parquet')")
+    return (con.execute(sql.replace(md5_order, order_by)).df()
+            .set_index("event_type").sort_index())
+
+
+@pytest.mark.parametrize("arrival,order_by", [
+    ("event_id", "ORDER BY event_id"),
+    ("md5", "ORDER BY md5('arr|' || CAST(event_id AS VARCHAR))"),
+])
+def test_late_events_matches_duckdb_both_arrivals(tmp_path, arrival,
+                                                  order_by):
+    """Both arrival orders against the DuckDB oracle; the natural one
+    reads its ranges from row-group statistics, resolved by column
+    name in a file whose columns are reordered."""
+    import pyarrow.parquet as pq
+
+    from aqueduct_core_ray.pipelines.temporal import late_events
+
+    sf = tmp_path / "sf"
+    _late_fixture(sf)
+    pf = pq.ParquetFile(sf / "events.parquet")
+    assert pf.metadata.num_row_groups == 7
+    assert pf.schema_arrow.names.index("event_id") != 0
+    want = _late_oracle(sf, order_by)
+    got = (late_events(str(sf), lateness_minutes=10, arrival=arrival)
+           .to_pandas().set_index("event_type").sort_index())
+    assert list(got.index) == list(want.index) == ["a", "b", "c"]
+    for c in ("n_events", "n_late", "max_late_us"):
+        assert got[c].astype("int64").tolist() == \
+            want[c].astype("int64").tolist(), c
+    assert (want["n_late"] > 0).sum() >= 2
 
 
 def test_session_paths_crafted(tmp_path):
