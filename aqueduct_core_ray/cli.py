@@ -608,8 +608,14 @@ def cmd_export(args) -> int:
         return 1
     # stream the write (no mid-pipeline materialize — the lake must
     # never be held whole in the object store); row count comes from
-    # the written files' footers, metadata-only
-    cols_out = ds.schema().names
+    # the written files' footers, metadata-only, and the column list
+    # from the manifest's schema (a schema probe would run the plan)
+    from .pipelines.replay import default_lake_schema
+    m = (eng.manifest if args.generation is None
+         else eng.manifest_at(args.generation))
+    names = (m.schema if m is not None and m.partitions
+             else default_lake_schema()).names
+    cols_out = names if cols is None else [c for c in cols if c in names]
     ds.write_parquet(args.out)
     import pyarrow.parquet as pq
     rows = sum(pq.read_metadata(os.path.join(args.out, fn)).num_rows

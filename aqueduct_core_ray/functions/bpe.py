@@ -3,8 +3,9 @@ classic Sennrich word-frequency formulation (Sennrich et al. 2016,
 "Neural Machine Translation of Rare Words with Subword Units"), made
 Ray-Data-first:
 
-1. DISTRIBUTED WORD COUNT (the only corpus-scale work): one
-   ``map_batches`` pass pretokenizes every document with the shared
+1. DISTRIBUTED WORD COUNT (the only corpus-scale work): the
+   exchange's writer tasks read the corpus as a parquet leaf and
+   pretokenize every document with the shared
    GPT-2-flavor ``BPE_PATTERN`` (functions/text.py — leading spaces
    stay attached, acting as the word-boundary marker) and emits
    per-block (word, count) partials; ONE hash exchange on the word
@@ -46,7 +47,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..stages.exchange import collect_tables, dict_encode
+from ..stages import exchange
+from ..stages.exchange import dict_encode
 from .text import BPE_PATTERN, hash_str_array, read_documents
 
 _PRETOKEN_RE = re.compile(BPE_PATTERN)
@@ -80,8 +82,8 @@ def _word_count_table(sf_dir: str, num_partitions: int,
                       max_words: int) -> tuple[list[str], np.ndarray]:
     """(words, counts) of the corpus's ``max_words`` most frequent
     pretokens (ties broken lexicographically for determinism). One
-    map_batches partial-count pass + one file exchange; only P local
-    heads ever reach the driver."""
+    file exchange over the documents leaf, the partial count running
+    in its writers; only P local heads come back to fold."""
 
     def partial(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -96,11 +98,10 @@ def _word_count_table(sf_dir: str, num_partitions: int,
             "count": pa.array([c[w] for w in words], pa.int64()),
         })
 
-    tabs = [t for t in collect_tables(
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .fx_map_groups(functools.partial(_word_head, max_words=max_words)))
-        if t.num_rows > 0]
+    tabs = [t for t in ray.get(exchange.file_exchange_map_groups(
+        exchange.leaf(f"{sf_dir}/documents.parquet", ["text"]),
+        functools.partial(_word_head, max_words=max_words),
+        pre=partial).refs) if t.num_rows > 0]
     if not tabs:
         return [], np.empty(0, np.int64)
     # the parts hold disjoint words: the head of their heads is global

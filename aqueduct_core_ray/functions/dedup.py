@@ -1564,9 +1564,13 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
     cap = max_matches or MAX_BUCKET
 
     def match(t: pa.Table) -> pa.Table:
+        # typed from the input: on the empty probe that is the
+        # writer-reported schema of the banded delta
         empty = pa.table({"doc_id": pa.array([], t.column("doc_id").type),
                           "dup_of": pa.array([], t.column("doc_id").type),
                           "est_jaccard_pct": pa.array([], pa.int64())})
+        if t.num_rows == 0:
+            return empty
         bp = int(t.column("bpart")[0].as_py())
         pdir = os.path.join(index_root, f"bpart={bp}")
         if not os.path.isdir(pdir):
@@ -1576,7 +1580,7 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
             pq.read_table(os.path.join(pdir, f),
                           columns=["bucket", "doc_id", "sig"])
             for f in sorted(os.listdir(pdir)) if f.endswith(".parquet")])
-        if idx.num_rows == 0 or t.num_rows == 0:
+        if idx.num_rows == 0:
             return empty
         ib = idx.column("bucket").to_numpy(zero_copy_only=False)
         iid = idx.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1615,12 +1619,12 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
         o = g.column("dup_of").to_numpy(zero_copy_only=False)
         e = g.column("est_jaccard_pct").to_numpy(zero_copy_only=False)
         order = np.lexsort((o, -e, d))
-        d, o, e = d[order], o[order], e[order]
+        d = d[order]
         first = np.concatenate([[True], d[1:] != d[:-1]]) \
             if len(d) else np.zeros(0, bool)
-        return pa.table({"doc_id": pa.array(d[first]),
-                         "dup_of": pa.array(o[first]),
-                         "est_jaccard_pct": pa.array(e[first])})
+        # take keeps the input types (an empty group stays typed)
+        return g.select(["doc_id", "dup_of", "est_jaccard_pct"]).take(
+            pa.array(order[first], pa.int64()))
 
     def tag_doc(t: pa.Table) -> pa.Table:
         d = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1631,15 +1635,12 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
     banded = ds.map_batches(_to_bands_fn(k, bands, shingle,
                                          num_partitions, column),
                             batch_format="pyarrow")
-    if isinstance(new_docs, str):
-        id_type = pa.int64()            # the documents table's doc_id
-    else:
-        sch = new_docs.schema()
-        id_type = (sch.base_schema.field("doc_id").type
-                   if sch is not None else pa.string())
-    empty = pa.table({"doc_id": pa.array([], id_type),
-                      "dup_of": pa.array([], id_type),
-                      "est_jaccard_pct": pa.array([], pa.int64())})
+    # a documents-table path types doc_id as int64 even for an empty
+    # delta; a Dataset's empties are typed by its writers' schemas
+    empty = (pa.table({"doc_id": pa.array([], pa.int64()),
+                       "dup_of": pa.array([], pa.int64()),
+                       "est_jaccard_pct": pa.array([], pa.int64())})
+             if isinstance(new_docs, str) else None)
     from ..stages.exchange import file_exchange_map_groups
     pairs = file_exchange_map_groups(banded, match, root=root,
                                      part_col="bpart", empty_result=empty)
@@ -1647,9 +1648,8 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
         # raw candidate pairs (band-duplicates included) — callers that
         # filter pairs (e.g. the online keeper rule) fold afterwards
         return pairs
-    return file_exchange_map_groups(
-        pairs.map_batches(tag_doc, batch_format="pyarrow"), best_per_doc,
-        root=root, empty_result=empty)
+    return file_exchange_map_groups(pairs, best_per_doc, root=root,
+                                    pre=tag_doc, empty_result=empty)
 
 
 def incremental_dedup(sf_dir: str, *, k: int = 64, bands: int = 16,

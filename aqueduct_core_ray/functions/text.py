@@ -23,6 +23,7 @@ import ray.data
 # importing the exchange registers ray.data.Dataset.fx_map_groups (file
 # exchange — skips Ray's ~3 s sort-shuffle floor per co-partitioned
 # exchange); hash_str_array is re-exported for the dedup family
+from ..stages import exchange
 from ..stages.exchange import (collect_tables, dict_encode,  # noqa: F401
                                hash_str_array)
 
@@ -626,14 +627,15 @@ def tfidf_top_terms(sf_dir: str, k: int = 5,
     import pyarrow.parquet as pq
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
 
-    return (read_documents(sf_dir, columns=["doc_id", "text"])
-            .map_batches(_tf_rows, batch_format="pyarrow",
-                         fn_kwargs={"num_partitions": num_partitions})
-            .fx_map_groups(functools.partial(
-                _tfidf_scores, n_docs=n_docs, num_partitions=num_partitions),
-                part_col="tpart")
-            .fx_map_groups(functools.partial(_tfidf_topk, k=k),
-                           part_col="dpart"))
+    scored = exchange.file_exchange_map_groups(
+        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"]),
+        functools.partial(_tfidf_scores, n_docs=n_docs,
+                          num_partitions=num_partitions),
+        part_col="tpart",
+        pre=functools.partial(_tf_rows, num_partitions=num_partitions))
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        scored.refs, functools.partial(_tfidf_topk, k=k),
+        part_col="dpart").refs)
 
 
 def unigram_logprob_score(sf_dir: str,
@@ -1786,23 +1788,26 @@ def bigram_logprob_score(sf_dir: str,
     finishes. The only driver scalars are n_docs and V (V's distinct
     count is one exchange of 64-bit token digests, never tokens;
     collision odds ~V^2/2^64)."""
-    docs = read_documents(sf_dir, columns=["doc_id", "text"])
-    n_docs = docs.count()
+    import pyarrow.parquet as pq
+    path = f"{sf_dir}/documents.parquet"
+    n_docs = pq.read_metadata(path).num_rows
 
     vocab = float(sum(
-        t.column("n").to_numpy().sum() for t in collect_tables(
-            read_documents(sf_dir, columns=["text"])
-            .map_batches(_vocab_hashes, batch_format="pyarrow",
-                         fn_kwargs={"num_partitions": num_partitions})
-            .fx_map_groups(_n_distinct))))
+        t.column("n").to_numpy().sum() for t in ray.get(
+            exchange.file_exchange_map_groups(
+                exchange.leaf(path, ["text"]), _n_distinct,
+                pre=functools.partial(_vocab_hashes,
+                                      num_partitions=num_partitions)
+            ).refs)
+        if t.num_rows))
 
-    from ..stages.exchange import fx_sum_by
-    return fx_sum_by(
-        docs.map_batches(_bigram_grams, batch_format="pyarrow",
-                         fn_kwargs={"num_partitions": num_partitions})
-        .fx_map_groups(functools.partial(_bigram_scores, vocab=vocab,
-                                         n_docs=n_docs), part_col="apart"),
-        ["doc_id"], ["score_permille"])
+    scored = exchange.file_exchange_map_groups(
+        exchange.leaf(path, ["doc_id", "text"]),
+        functools.partial(_bigram_scores, vocab=vocab, n_docs=n_docs),
+        part_col="apart",
+        pre=functools.partial(_bigram_grams, num_partitions=num_partitions))
+    return ray.data.from_arrow_refs(exchange.fx_sum_by(
+        scored.refs, ["doc_id"], ["score_permille"]).refs)
 
 
 def zipf_fit(sf_dir: str, k: int = 100) -> pa.Table:

@@ -18,6 +18,16 @@ ray.data.Dataset is NEVER counted — forcing execution for telemetry
 would double-run the pipeline — so Dataset-returning operators record
 rows=None and wall_s covers plan construction plus whatever eager
 work (exchanges, index builds) the operator does internally.
+
+Operators moved onto the exchange's leaf reads and block refs
+(stages/exchange.py: bigram_logprob_score, tfidf_top_terms,
+order_lines_join, parts_unsold_in_window,
+top_customers_by_return_revenue, late_events, bpe_vocab) run every
+exchange eagerly and return a Dataset over finished blocks
+(``from_arrow_refs``), so their wall_s times the execution, not the
+plan: it covers the ``op="exchange"`` rows they wrote. Each exchange
+row's ``src`` (leaf / refs / dataset) shows which calls still start a
+Ray Data execution.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ _Q1_CUTOFF = np.datetime64("1998-09-02T00:00:00", "us")
 # exchange below runs over the FILE exchange (stages/exchange.py):
 # Ray's sort-based groupby costs ~3 s fixed per exchange at any size,
 # which dominated every one-exchange query in this module
+from ..stages import exchange
 from ..stages.exchange import collect_tables
 
 
@@ -656,12 +657,6 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
             "side": pa.array(np.zeros(n, np.int8)),
         })
 
-    rev = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_returnflag"]
-    ).map_batches(rev_partial, batch_format="pyarrow")
-
     def tag_orders(t: pa.Table) -> pa.Table:
         keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
         n = len(keys)
@@ -672,11 +667,6 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
             "o_custkey": t.column("o_custkey"),
             "side": pa.array(np.ones(n, np.int8)),
         })
-
-    orders = (ray.data.read_parquet(
-                  f"{sf_dir}/orders.parquet",
-                  columns=["o_orderkey", "o_custkey"])
-              .map_batches(tag_orders, batch_format="pyarrow"))
 
     cust_empty = pa.table({"part": pa.array([], pa.int32()),
                            "o_custkey": pa.array([], pa.int64()),
@@ -704,8 +694,13 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
             "rev_c": pa.array(sums),
         })
 
-    per_cust = (rev.union(orders)
-                .fx_map_groups(join_to_cust))
+    per_cust = exchange.file_exchange_map_groups(
+        (exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                       ["l_orderkey", "l_extendedprice", "l_discount",
+                        "l_returnflag"]),
+         exchange.leaf(f"{sf_dir}/orders.parquet",
+                       ["o_orderkey", "o_custkey"])),
+        join_to_cust, pre=(rev_partial, tag_orders))
 
     topk_empty = pa.table({"o_custkey": pa.array([], pa.int64()),
                            "rev_c": pa.array([], pa.int64())})
@@ -722,8 +717,9 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
         return pa.table({"o_custkey": pa.array(cu[head]),
                          "rev_c": pa.array(sums[head])})
 
-    cand = (per_cust.fx_map_groups(local_topk))
-    t = _concat_nonempty(cand, topk_empty)
+    cand = exchange.file_exchange_map_groups(per_cust.refs, local_topk)
+    tabs = [t for t in ray.get(cand.refs) if t.num_rows]
+    t = pa.concat_tables(tabs) if tabs else topk_empty
     ck = t.column("o_custkey").to_numpy(zero_copy_only=False)
     rc = t.column("rev_c").to_numpy(zero_copy_only=False)
     head = np.lexsort((ck, -rc))[:k]
@@ -3018,11 +3014,6 @@ def order_lines_join(sf_dir: str,
     reproduces SQL join semantics on real tables, not just the
     hand-fused pipelines elsewhere in this module. Money in integer
     cents as everywhere."""
-    from ..stages.exchange import fx_join
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority"])
 
     def conform(t: pa.Table) -> pa.Table:
         q = t.column("l_quantity").to_numpy(zero_copy_only=False)
@@ -3033,12 +3024,13 @@ def order_lines_join(sf_dir: str,
                               .astype(np.int64)),
         })
 
-    lines = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_quantity"]
-    ).map_batches(conform, batch_format="pyarrow")
-    return fx_join(lines, orders, on="o_orderkey", how="inner",
-                   num_partitions=num_partitions)
+    lines = exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                          ["l_orderkey", "l_linenumber", "l_quantity"])
+    orders = exchange.leaf(f"{sf_dir}/orders.parquet",
+                           ["o_orderkey", "o_orderpriority"])
+    return ray.data.from_arrow_refs(exchange.fx_join(
+        lines, orders, on="o_orderkey", how="inner",
+        num_partitions=num_partitions, pre=(conform, None)).refs)
 
 
 def parts_unsold_in_window(sf_dir: str,
@@ -3047,24 +3039,21 @@ def parts_unsold_in_window(sf_dir: str,
     shipped in 1997-H1 (the slow-mover report). The probe side is the
     filtered fact projection; part (the left/output side) moves once —
     the generic primitive reproducing SQL NOT IN semantics."""
-    from ..stages.exchange import fx_join
-
-    part = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
 
     def conform(t: pa.Table) -> pa.Table:
         return pa.table({"p_partkey": t.column("l_partkey")})
 
     import pyarrow.dataset as pads
-    sold = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_shipdate"],
+    part = exchange.leaf(f"{sf_dir}/part.parquet", ["p_partkey", "p_brand"])
+    sold = exchange.leaf(
+        f"{sf_dir}/lineitem.parquet", ["l_partkey", "l_shipdate"],
         filter=((pads.field("l_shipdate")
                  >= pa.scalar(np.datetime64("1997-01-01", "us")))
                 & (pads.field("l_shipdate")
-                   < pa.scalar(np.datetime64("1997-07-01", "us"))))
-    ).map_batches(conform, batch_format="pyarrow")
-    return fx_join(part, sold, on="p_partkey", how="anti",
-                   num_partitions=num_partitions)
+                   < pa.scalar(np.datetime64("1997-07-01", "us")))))
+    return ray.data.from_arrow_refs(exchange.fx_join(
+        part, sold, on="p_partkey", how="anti",
+        num_partitions=num_partitions, pre=(None, conform)).refs)
 
 
 def active_customers_in_window(sf_dir: str,

@@ -55,6 +55,13 @@ from ..stages.merge_apply import (
     seed_events,
     seed_split_segment,
 )
+from ..stages.scan_units import (
+    MAX_UNIT_BYTES,
+    MIN_UNIT_BYTES,
+    pack_units,
+    rg_pieces,
+    unit_budget,
+)
 from ..state.manifest import LakeStore, Manifest, schema_to_b64
 from .dag import DEFAULT_DAG, Derivation, topo_check
 
@@ -119,20 +126,6 @@ def _entry_files(entry: dict) -> list[str]:
 # merge-fan tasks per CPU (1, 2 and 4 measured indistinguishable under
 # box noise — BASELINE.md)
 MERGE_FAN_MULT = 2
-
-
-def _rg_pieces(path: str, nbytes: int, rg_bytes: list[int],
-               keep: "Iterable[int] | None" = None
-               ) -> list[tuple[str, int | None, int]]:
-    """(path, row_group_id | None, est. compressed bytes) scan pieces of
-    one parquet file, row groups limited to ``keep``. Footer
-    total_byte_size is uncompressed, so it is scaled to the file size;
-    a file with no row groups is one whole-file piece."""
-    if not rg_bytes:
-        return [(path, None, nbytes)]
-    scale = nbytes / (sum(rg_bytes) or 1)
-    return [(path, i, max(1, int(rg_bytes[i] * scale)))
-            for i in (range(len(rg_bytes)) if keep is None else keep)]
 
 
 def default_lake_schema() -> pa.Schema:
@@ -310,7 +303,7 @@ class CDCEngine:
                 schema = (f.schema_arrow if schema is None
                           else evolve_schema(schema, f.schema_arrow))
                 md = f.metadata
-                pieces += _rg_pieces(
+                pieces += rg_pieces(
                     path, os.path.getsize(path),
                     [md.row_group(i).total_byte_size
                      for i in range(md.num_row_groups)])
@@ -322,9 +315,9 @@ class CDCEngine:
 
     # bytes of compressed input per scan unit at most (token lists
     # decompress ~2-3x: ~64 MB on disk ≈ 150-200 MB in heap)
-    TARGET_SPLIT_BYTES = 64 * 1024 * 1024
+    TARGET_SPLIT_BYTES = MAX_UNIT_BYTES
     # floor on scan-unit size: below this, per-task overhead dominates
-    MIN_SPLIT_BYTES = 4 * 1024 * 1024
+    MIN_SPLIT_BYTES = MIN_UNIT_BYTES
 
     def _unit_bytes(self, total: int) -> int:
         """Scan-unit byte budget for a wave of ``total`` input bytes.
@@ -333,33 +326,16 @@ class CDCEngine:
         MIN_SPLIT_BYTES so its scan fans out across the cluster instead
         of decoding serially on a handful of tasks (a fixed ~0.4 s/wave
         scan floor at 32 CPUs before this)."""
-        return max(self.MIN_SPLIT_BYTES,
-                   min(self.TARGET_SPLIT_BYTES,
-                       total // (2 * _cluster_cpus()) + 1))
+        return unit_budget(total, _cluster_cpus(), self.MIN_SPLIT_BYTES,
+                           self.TARGET_SPLIT_BYTES)
 
     def _pack_units(self, pieces: list[tuple[str, int | None, int]]
                     ) -> list[list[tuple[str, list[int] | None]]]:
         """Cut (file, row_group_id | None, bytes) pieces, in order, into
         per-task unit lists [(file, row_group_ids | None)] of up to
         ``_unit_bytes`` each."""
-        unit_bytes = self._unit_bytes(sum(b for *_, b in pieces))
-        units: list[list[tuple[str, list[int] | None]]] = []
-        cur: list[tuple[str, list[int] | None]] = []
-        cur_b = 0
-        for full, rg_id, b in pieces:
-            if cur and cur_b + b > unit_bytes:
-                units.append(cur)
-                cur, cur_b = [], 0
-            if rg_id is None:
-                cur.append((full, None))
-            elif cur and cur[-1][0] == full and cur[-1][1] is not None:
-                cur[-1] = (full, cur[-1][1] + [rg_id])
-            else:
-                cur.append((full, [rg_id]))
-            cur_b += b
-        if cur:
-            units.append(cur)
-        return units
+        return pack_units(
+            pieces, self._unit_bytes(sum(b for *_, b in pieces)))
 
     def _scan_plan(self, log_path: str, lo: int, hi: int
                    ) -> tuple[list[list[tuple[str, list[int] | None]]],
@@ -382,7 +358,7 @@ class CDCEngine:
             if not (mx > lo and mn <= hi):
                 continue
             union = schema if union is None else evolve_schema(union, schema)
-            pieces += _rg_pieces(
+            pieces += rg_pieces(
                 os.path.join(log_path, fn), nbytes, [b for *_, b in rgs],
                 keep=[i for i, (gmn, gmx, _) in enumerate(rgs)
                       if gmx > lo and gmn <= hi])

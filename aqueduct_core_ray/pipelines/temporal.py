@@ -29,6 +29,7 @@ from .log_queries import read_events
 
 # registers ray.data.Dataset.fx_map_groups (file exchange — skips
 # Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
+from ..stages import exchange
 from ..stages.exchange import collect_tables
 
 
@@ -1637,9 +1638,10 @@ def late_events(sf_dir: str, lateness_minutes: int = 10,
             "mx": pa.array(np.maximum.reduceat(t_s, starts)),
         })
 
-    parts = [t for t in collect_tables(
-        read_events(sf_dir, columns=["event_id", "ts"])
-        .map_batches(range_max_partial, batch_format="pyarrow")) if t.num_rows]
+    events = f"{sf_dir}/events.parquet"
+    parts = [t for t in ray.get(exchange.map_blocks(
+        exchange.leaf(events, ["event_id", "ts"]), range_max_partial))
+        if t.num_rows]
     range_max = np.full(n_rng, np.iinfo(np.int64).min, np.int64)
     for t in parts:
         r = t.column("rng").to_numpy(zero_copy_only=False)
@@ -1685,14 +1687,14 @@ def late_events(sf_dir: str, lateness_minutes: int = 10,
             "max_late_us": agg.column("max_late_us_max"),
         })
 
-    from ..stages.exchange import fx_agg_by
-    ds = (read_events(sf_dir, columns=["event_id", "ts", "event_type"])
-          .map_batches(tag, batch_format="pyarrow")
-          .fx_map_groups(per_range))
+    ranged = exchange.file_exchange_map_groups(
+        exchange.leaf(events, ["event_id", "ts", "event_type"]),
+        per_range, pre=tag)
     # fold the <= P x #types partials: sums re-fold, max re-folds
-    return fx_agg_by(ds, ["event_type"],
-                     [("n_events", "sum"), ("n_late", "sum"),
-                      ("max_late_us", "max")])
+    return ray.data.from_arrow_refs(exchange.fx_agg_by(
+        ranged.refs, ["event_type"],
+        [("n_events", "sum"), ("n_late", "sum"),
+         ("max_late_us", "max")]).refs)
 
 
 def session_paths(sf_dir: str, gap_minutes: int = 30, k: int = 10,

@@ -1,7 +1,36 @@
+import faulthandler
 import os
 
 import pytest
 import ray
+
+# stderr as the terminal sees it: pytest_configure runs while output
+# capture is suspended, so a dup taken there outlives the capture
+_STDERR: list = []
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "timeout(seconds): dump every thread's traceback and "
+        "exit the run if the test body runs longer than seconds")
+    _STDERR.append(os.dup(2))
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Enforce ``@pytest.mark.timeout(n)`` with the standard library: a
+    test body still running after n seconds dumps all tracebacks and
+    exits the process (faulthandler), instead of hanging the suite."""
+    mark = item.get_closest_marker("timeout")
+    if mark is None:
+        yield
+        return
+    faulthandler.dump_traceback_later(float(mark.args[0]), exit=True,
+                                      file=_STDERR[0])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -14,3 +43,19 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """Count Ray Data streaming executions started in this process."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *a, **k):
+        calls.append(1)
+        return real(self, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls

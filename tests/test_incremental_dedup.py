@@ -106,6 +106,18 @@ def test_matching_corpus_against_itself_excludes_self(tmp_path):
         assert (got.doc_id != got.dup_of).all()
 
 
+def test_delta_with_no_match_returns_typed_empty():
+    """A clean delta (no pair reaches min_est_pct): every match part is
+    a typed empty, and the result keeps the documented three typed
+    columns instead of an untyped empty table."""
+    from aqueduct_core_ray.stages.exchange import collect_tables
+    tabs = collect_tables(dedup.incremental_dedup(SF, min_est_pct=101))
+    assert sum(t.num_rows for t in tabs) == 0
+    assert {t.schema for t in tabs} == {pa.schema([
+        ("doc_id", pa.int64()), ("dup_of", pa.int64()),
+        ("est_jaccard_pct", pa.int64())])}
+
+
 # ------------------------------------------------------------------ #
 # DSIR importance weights
 # ------------------------------------------------------------------ #

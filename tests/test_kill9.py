@@ -34,6 +34,10 @@ def bounds():
             for i in range(SPEC.n_waves)]
 
 
+# the checkout under test: the child must import THIS tree
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 @pytest.mark.timeout(300)
 def test_sigkill_mid_replay_then_resume(tmp_path):
     import ray
@@ -47,7 +51,7 @@ def test_sigkill_mid_replay_then_resume(tmp_path):
         [sys.executable, "-m", "aqueduct_core_ray.cli", "replay",
          "--log", log, "--lake", lake, "--seed", seed,
          "--partitions", "4", "--waves", str(SPEC.n_waves)],
-        cwd="/root/repo", env=env,
+        cwd=REPO, env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
     # let it commit at least one post-bootstrap wave, then SIGKILL it

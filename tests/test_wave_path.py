@@ -37,22 +37,6 @@ def inputs(tmp_path_factory):
     return log, seed
 
 
-@pytest.fixture()
-def executions(monkeypatch):
-    """Count Ray Data streaming executions started in this process."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor)
-    calls = []
-    real = StreamingExecutor.execute
-
-    def counted(self, *a, **k):
-        calls.append(1)
-        return real(self, *a, **k)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    return calls
-
-
 def test_no_ray_data_execution_on_the_wave_path(inputs, tmp_path,
                                                 executions):
     log, seed = inputs
@@ -129,11 +113,8 @@ def test_seed_shapes_agree(inputs, tmp_path, monkeypatch):
 
 
 def _pieces(path: str):
-    from aqueduct_core_ray.pipelines.replay import _rg_pieces
-    md = pq.ParquetFile(path).metadata
-    return _rg_pieces(path, os.path.getsize(path),
-                      [md.row_group(i).total_byte_size
-                       for i in range(md.num_row_groups)])
+    from aqueduct_core_ray.stages.scan_units import file_pieces
+    return file_pieces(path)
 
 
 def test_reshard_migrate_match_source(inputs, tmp_path):
