@@ -20,10 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
 
 import ray.data
 
 from ..pipelines.events_replay import tokenize_documents
+from ..stages import exchange  # noqa: F401  (Dataset.fx_map_groups)
 
 
 def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
@@ -41,6 +43,13 @@ def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
                 % np.uint64(num_partitions)).astype(np.int32)
         return t.append_column("part", pa.array(part))
 
+    empty = pa.table({
+        "pack_id": pa.array([], pa.string()),
+        "tokens": pa.array([], pa.list_(pa.int32())),
+        "n_tok": pa.array([], pa.int32()),
+        "n_docs": pa.array([], pa.int64()),
+    })
+
     def pack(g: pa.Table) -> pa.Table:
         pid = int(g.column("part")[0].as_py())
         order = np.argsort(
@@ -50,12 +59,7 @@ def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
         flat = toks.flatten().to_numpy(zero_copy_only=False)
         n = len(flat)
         if n == 0:
-            return pa.table({
-                "pack_id": pa.array([], pa.string()),
-                "tokens": pa.array([], pa.list_(pa.int32())),
-                "n_tok": pa.array([], pa.int32()),
-                "n_docs": pa.array([], pa.int64()),
-            })
+            return empty
         if n > (1 << 31) - 1:
             raise ValueError(
                 f"partition holds {n} tokens — exceeds int32 list "
@@ -85,7 +89,7 @@ def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
         })
 
     ds = ds.map_batches(part_col, batch_format="pyarrow")
-    return ds.groupby("part").map_groups(pack, batch_format="pyarrow")
+    return ds.fx_map_groups(pack, empty_result=empty)
 
 
 def pack_sequences(sf_dir: str, context_len: int = 512,
@@ -123,6 +127,19 @@ def pack_documents(sf_dir: str, context_len: int = 512,
                 % np.uint64(num_partitions)).astype(np.int32)
         return t.append_column("part", pa.array(part))
 
+    # the exchange's typed empty result: doc_ids take the documents'
+    # doc_id type, read from the parquet footer (no Ray Data execution)
+    doc_id = pads.dataset(f"{sf_dir}/documents.parquet").schema.field(
+        "doc_id").type
+    empty = pa.table({
+        "pack_id": pa.array([], pa.string()),
+        "doc_ids": pa.array([], pa.list_(doc_id)),
+        "n_tok": pa.array([], pa.int64()),
+        "n_docs": pa.array([], pa.int64()),
+        "waste": pa.array([], pa.int64()),
+        "oversize": pa.array([], pa.bool_()),
+    })
+
     def pack(g: pa.Table) -> pa.Table:
         pid = int(g.column("part")[0].as_py())
         order = np.argsort(
@@ -132,16 +149,6 @@ def pack_documents(sf_dir: str, context_len: int = 512,
         lens = g.column("n_tok").take(pa.array(order)) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
         n = len(lens)
-        empty = pa.table({
-            "pack_id": pa.array([], pa.string()),
-            "doc_ids": pa.array([], pa.list_(dids.type)),
-            "n_tok": pa.array([], pa.int64()),
-            "n_docs": pa.array([], pa.int64()),
-            "waste": pa.array([], pa.int64()),
-            "oversize": pa.array([], pa.bool_()),
-        })
-        if n == 0:
-            return empty
         cum = np.zeros(n + 1, np.int64)
         np.cumsum(lens, out=cum[1:])
         # next-fit: pack p covers docs [b_p, b_{p+1}); the break is the
@@ -180,7 +187,7 @@ def pack_documents(sf_dir: str, context_len: int = 512,
     ds = (tokenize_documents(sf_dir)
           .drop_columns(["tokens"])
           .map_batches(part_col, batch_format="pyarrow"))
-    return ds.groupby("part").map_groups(pack, batch_format="pyarrow")
+    return ds.fx_map_groups(pack, empty_result=empty)
 
 
 # ------------------------------------------------------------------ #

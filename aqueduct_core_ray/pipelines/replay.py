@@ -13,14 +13,14 @@ staged->promote->manifest chain; `replay()` consults CURRENT's watermark
 and re-runs only unfinished waves, whose re-execution is deterministic and
 idempotent. No dup/loss — validated by tests/test_resume.py.
 
-Scale notes: the only exchange per wave is the indexed-file shuffle of
-the *pre-compacted delta*, written by raw scan tasks over log segments,
-seed units (bootstrap) or source partitions (reshard) — one wave path,
-no Ray Data execution; the lake is read/written partition-locally by
-the merge tasks — as full rewrites for big waves or O(delta) sidecar
-segments for small ones; manifest/driver traffic is O(P) tiny rows;
-promotes are O(P) renames. At 10^10 events this is a loop of bounded
-waves.
+Scale notes: the only exchange per wave is the file shuffle of the
+*pre-compacted delta* (stages/exchange_files.py), written by raw scan
+tasks over log segments, seed units (bootstrap) or source partitions
+(reshard) — one wave path, no Ray Data execution; the lake is
+read/written partition-locally by the merge tasks — as full rewrites
+for big waves or O(delta) sidecar segments for small ones;
+manifest/driver traffic is O(P) tiny rows; promotes are O(P) renames.
+At 10^10 events this is a loop of bounded waves.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from ray.exceptions import RayError
 
 from ..schema import CHANGE_EVENT, evolve_schema
 from ..stages.compact import LWW, ConflictPolicy
+from ..stages.exchange_files import plan_slices
 from ..stages.merge_apply import (
     FileCache,
     absorb_partition,
@@ -925,15 +926,17 @@ class CDCEngine:
 
     def _collect_scans(self, scans: list, sdir: str
                        ) -> tuple[dict[int, list], dict[str, int],
-                                  dict[str, int], int]:
-        """Fold the scan tasks' results: {pid: [(block, batch ids)]}
-        read plans, the per-hour and per-source max lsn, and the number
-        of salt combine tasks run. With ``salt=S>1`` and more than S
-        blocks, S combine tasks first fold every S-th block on (part,
-        doc_id) into one block each (``combine_blocks``), so a hot doc
-        reaches its merge task as at most S rows, not one row per scan
-        block. Combined blocks go to ``sdir/salt`` — the merge tasks'
-        glob fallback reads the scan blocks, equally correct."""
+                                  dict[str, int], dict[str, int]]:
+        """Fold the scan tasks' results: {pid: [(path, batch, bytes)]}
+        slice plans from their manifests (``plan_slices``), the per-hour
+        and per-source max lsn, and the wave row's exchange counts:
+        ``combine_tasks`` (salt combine tasks run), ``xchg_bytes`` (the
+        scans' slice bytes) and ``xchg_blocks`` (blocks the scans
+        wrote). With ``salt=S>1`` and more than S blocks, S combine
+        tasks first fold every S-th block on (part, doc_id) into one
+        block each (``combine_blocks``), so a hot doc reaches its merge
+        task as at most S rows, not one row per scan block; the plans
+        then come from the combined blocks' manifests."""
         import ray as _ray
 
         res = _ray.get(scans)
@@ -946,19 +949,19 @@ class CDCEngine:
             for src, m in r["source_max"].items():
                 if m > source_max.get(src, -1):
                     source_max[src] = m
-        res = [r for r in res if r["block"] is not None]
-        n_combine = 0
-        if self.salt > 1 and len(res) > self.salt:
-            n_combine = self.salt
-            res = _ray.get([_COMBINE_TASK.remote(
-                [r["block"] for r in res[i::n_combine]],
-                os.path.join(sdir, "salt"), self.conflict)
-                for i in range(n_combine)])
-        plans: dict[int, list] = {}
-        for r in res:
-            for pid, bids in r["idx"].items():
-                plans.setdefault(int(pid), []).append((r["block"], bids))
-        return plans, hour_max, source_max, n_combine
+        # a scan that wrote a block returns its rows' manifest; one that
+        # wrote nothing returns an empty one
+        blocks = [r["manifest"] for r in res if r["manifest"].num_rows]
+        plans, _ = plan_slices(blocks)
+        phase = {"combine_tasks": 0, "xchg_blocks": len(blocks),
+                 "xchg_bytes": sum(b for sl in plans.values()
+                                   for *_, b in sl)}
+        if self.salt > 1 and len(blocks) > self.salt:
+            phase["combine_tasks"] = self.salt
+            plans, _ = plan_slices(_ray.get([_COMBINE_TASK.remote(
+                blocks[i::self.salt], os.path.join(sdir, "salt"),
+                self.conflict) for i in range(self.salt)]))
+        return plans, hour_max, source_max, phase
 
     def _exchange_merge(self, scans: list, wave_id: str,
                         parts_map: dict[str, str],
@@ -966,11 +969,13 @@ class CDCEngine:
                         ) -> tuple[list[dict[str, Any]], dict[str, int],
                                    dict[str, int]]:
         """File-exchange shuffle (see stages/merge_apply.py): the raw
-        scan tasks split their input into indexed per-partition exchange
-        blocks, then one merge task per touched partition. Both sides
-        run at full parallelism with no object-store all-to-all; the
-        barrier between them is the wave semantics (every delta must
-        exist before a partition merges). When ``replay()`` PREFETCHED
+        scan tasks split their input into per-partition slices of one
+        exchange block each and return its manifest; the driver plans
+        each touched partition's slices from the manifests, then one
+        merge task per touched partition. Both sides run at full
+        parallelism with no object-store all-to-all; the barrier
+        between them is the wave semantics (every delta must exist
+        before a partition merges). When ``replay()`` PREFETCHED
         the scans during the previous wave's merges, they are already
         done and this side only collects. Returns (merge stats, wave
         hour maxima, wave source maxima)."""
@@ -978,30 +983,24 @@ class CDCEngine:
 
         t_scan0 = time.perf_counter()
         sdir = self._shuffle_dir(wave_id)
-        plans, hour_max, source_max, n_combine = self._collect_scans(
+        plans, hour_max, source_max, phase = self._collect_scans(
             scans, sdir)
         touched = sorted(plans)
         self._phase_t = {"scan_s": round(time.perf_counter() - t_scan0, 4),
-                         "combine_tasks": n_combine}
+                         **phase}
         if not touched:
             return [], hour_max, source_max
         t_merge0 = time.perf_counter()
         b64 = schema_to_b64(lake_schema)
         outbox = self.outbox_dir if self.emit_changelog else None
-        # explicit plans are B×P driver-side entries; past ~2M (huge P ×
-        # byte-capped B) the memory and per-task arg cost outweigh the
-        # saved sidecar reads — fall back to the glob discovery path
-        if sum(len(v) for v in plans.values()) > 2_000_000:
-            plans = {}
         cpus = _cluster_cpus()
         n_tasks = max(1, min(len(touched), MERGE_FAN_MULT * cpus))
         if n_tasks >= len(touched):
-            refs = [_MERGE_TASK.remote(p, self.store.root, wave_id, sdir,
-                                      parts_map.get(str(p)), b64,
+            refs = [_MERGE_TASK.remote(p, self.store.root, wave_id,
+                                      plans[p], parts_map.get(str(p)), b64,
                                       self.derivations, self.conflict,
                                       outbox,
                                       self.sidecar_frac, self.max_deltas,
-                                      plans.get(p),
                                       chain_compact=self.chain_compact,
                                       allow_absorb=not self.bg_absorb)
                     for p in touched]
@@ -1015,11 +1014,11 @@ class CDCEngine:
             # hash-uniform)
             groups = [touched[i::n_tasks] for i in range(n_tasks)]
             refs = [_MERGE_BATCH_TASK.remote(
-                        g, self.store.root, wave_id, sdir,
+                        g, self.store.root, wave_id,
+                        [plans[p] for p in g],
                         [parts_map.get(str(p)) for p in g], b64,
                         self.derivations, self.conflict, outbox,
                         self.sidecar_frac, self.max_deltas,
-                        [plans.get(p) for p in g] if plans else None,
                         chain_compact=self.chain_compact,
                         allow_absorb=not self.bg_absorb)
                     for g in groups]
@@ -1344,15 +1343,15 @@ class CDCEngine:
         import shutil as _shutil
 
         import ray as _ray
-        plan = [(r["block"], r["idx"][pid]) for r in _ray.get(refs)
-                if r["block"] is not None]
+        plan = plan_slices(
+            r["manifest"] for r in _ray.get(refs))[0].get(pid)
         new_parts = dict(cur.partitions)
         new_partials = {k: dict(v) for k, v in cur.partials.items()}
         if plan:
             r = _ray.get(_MERGE_TASK.remote(
-                pid, self.store.root, wave_id, sdir, None,
+                pid, self.store.root, wave_id, plan, None,
                 schema_to_b64(cur.schema), self.derivations, self.conflict,
-                None, plan=plan))
+                None))
             dst = self.store.promote_staged(wave_id, pid, gen)
             new_parts[str(pid)] = {
                 "path": self.store.rel(dst), "rows": int(r["rows"]),

@@ -4,13 +4,13 @@
 idiom, but Ray Data's groupby is a SORT-based shuffle with a ~3 s fixed
 floor per exchange at any data size (measured on this box; the CDC
 engine's wave path hit the same wall and replaced it with an Arrow-IPC
-file exchange — stages/merge_apply.py). This is that technique as a
-reusable primitive: writer tasks slice each block by an existing int
-``part`` column into one IPC file per block (record batch per part,
-sliced zero-copy after one stable argsort), a bounded manifest of
-slice sizes returns to the driver, which cuts the parts into
-byte-budgeted runs, and one raw Ray task per run applies ``fn`` to each
-of its parts.
+file exchange — stages/merge_apply.py). This is that exchange as a
+reusable primitive, on the same file format (stages/exchange_files.py:
+one writer, one manifest, one reader): writer tasks slice each block by
+an existing int ``part`` column into one IPC file per block (record
+batch per part), the manifests of slice sizes return to the driver,
+which cuts the parts into byte-budgeted runs, and one raw Ray task per
+run applies ``fn`` to each of its parts.
 
 Inputs. An exchange reads any of:
 - a leaf read (``leaf(paths, columns=, filter=)``): parquet row groups
@@ -73,6 +73,11 @@ import ray
 import ray.data
 
 from aqueduct_core_ray import metrics
+from aqueduct_core_ray.stages.exchange_files import (
+    plan_slices,
+    read_slices,
+    write_slices,
+)
 from aqueduct_core_ray.stages.scan_units import (
     file_pieces,
     pack_units,
@@ -112,65 +117,6 @@ def collect_tables(ds: ray.data.Dataset) -> "list[pa.Table]":
     for its schema probe, and a cut-short re-run is what trips Ray
     2.49.2's cancel race (``task_manager.cc:930``)."""
     return ray.get(ds.materialize().to_arrow_refs())
-
-
-_MANIFEST = pa.schema([("part", pa.int32()), ("path", pa.string()),
-                       ("batch", pa.int32()), ("bytes", pa.int64()),
-                       ("schema", pa.binary())])
-
-
-def _write_block(t: pa.Table, *, xdir: str, part_col: str = "part",
-                 pre: "Callable[[pa.Table], pa.Table] | None" = None
-                 ) -> pa.Table:
-    """Writer side: ``pre`` over the block, then one IPC file per block,
-    one record batch per part present in it (zero-copy slices after a
-    single stable argsort). Returns the block's manifest: one row per
-    slice (part, path, batch, bytes) — the per-slice byte count is what
-    lets the planner pack buckets to a byte budget and split oversized
-    partitions — plus one ``part = -1`` row carrying the serialized
-    schema of the written table, empty blocks included. A column-less
-    empty block (Ray Data's stand-in for a pruned read or a skipped
-    map) has no schema to report: its manifest is empty."""
-    if t.num_columns == 0 and t.num_rows == 0:
-        return _MANIFEST.empty_table()
-    if pre is not None:
-        t = pre(t)
-    head = pa.table({"part": [-1], "path": [None], "batch": [-1],
-                     "bytes": [0],
-                     "schema": [t.schema.serialize().to_pybytes()]},
-                    schema=_MANIFEST)
-    if t.num_rows == 0:
-        return head
-    part = t.column(part_col).to_numpy(zero_copy_only=False)
-    order = np.argsort(part, kind="stable")
-    st = t.take(pa.array(order))
-    sp = part[order]
-    starts = np.flatnonzero(np.concatenate([[True], sp[1:] != sp[:-1]]))
-    sizes = np.diff(np.append(starts, len(sp)))
-    path = os.path.join(xdir, f"block-{uuid.uuid4().hex}.arrow")
-    tmp = path + ".tmp"
-    st = st.combine_chunks()
-    nbytes = []
-    with pa.OSFile(tmp, "wb") as sink:
-        with pa.ipc.new_file(sink, st.schema) as w:
-            for s, n in zip(starts, sizes):
-                # EXACTLY one record batch per part slice — the manifest
-                # addresses slices by batch index, so write_table's
-                # chunk-dependent batch count would desync it
-                sl = st.slice(int(s), int(n))
-                batches = sl.to_batches()
-                assert len(batches) == 1      # single-chunk by combine
-                w.write_batch(batches[0])
-                # nbytes respects slice offsets (referenced ranges only)
-                nbytes.append(sl.nbytes)
-    os.replace(tmp, path)
-    return pa.concat_tables([head, pa.table({
-        "part": pa.array(sp[starts].astype(np.int32)),
-        "path": pa.array([path] * len(starts)),
-        "batch": pa.array(np.arange(len(starts), dtype=np.int32)),
-        "bytes": pa.array(np.asarray(nbytes, dtype=np.int64)),
-        "schema": pa.nulls(len(starts), pa.binary()),
-    }, schema=_MANIFEST)])
 
 
 @dataclass(frozen=True)
@@ -229,7 +175,12 @@ def _load(item: "pa.Table | tuple | Any") -> pa.Table:
 
 @ray.remote(num_cpus=1)
 def _write_task(item, xdir: str, part_col: str, pre) -> pa.Table:
-    return _write_block(_load(item), xdir=xdir, part_col=part_col, pre=pre)
+    """``pre`` over the block (skipped on a column-less one), then the
+    shared slice writer, uncompressed."""
+    t = _load(item)
+    if pre is not None and t.num_columns:
+        t = pre(t)
+    return write_slices(t, xdir, part_col)
 
 
 @ray.remote(num_cpus=1)
@@ -351,33 +302,16 @@ def _conform(t: pa.Table, schema: "pa.Schema | None") -> pa.Table:
     return pa.table(cols)
 
 
-def _read_parts(run: "list[list[tuple[str, int]]]",
-                schema: "pa.Schema | None" = None) -> "list[pa.Table]":
-    """One table per part of a run, from its (path, batch) slices."""
-    by_path: "dict[str, list[int]]" = {}
-    for es in run:
-        for path, bi in es:
-            by_path.setdefault(path, []).append(bi)
-    got = {}
-    for path, bis in by_path.items():
-        # buffered pread, not mmap — same finding as the engine's merge
-        # fan (per-page fault overhead under mmap_lock dominates on
-        # fresh tmpfs pages). One open per file per task, not per slice.
-        with pa.OSFile(path, "rb") as src:
-            reader = pa.ipc.open_file(src)
-            for bi in bis:
-                got[path, bi] = pa.Table.from_batches(
-                    [reader.get_batch(bi)])
-    return [_conform(_concat([got[e] for e in es]), schema) for es in run]
-
-
 @ray.remote(num_cpus=1)
 def _run_partition(fn: Callable[[pa.Table], pa.Table],
                    run: "list[list[tuple[str, int]]]",
                    schema: "pa.Schema | None" = None) -> pa.Table:
     """One task per run: ``fn`` once per part, in the run's (ascending)
-    part order; empty outputs are dropped unless all are empty."""
-    outs = [fn(t) for t in _read_parts(run, schema)]
+    part order, over the part's (path, batch) slices conformed to
+    ``schema``; empty outputs are dropped unless all are empty."""
+    tabs = iter(read_slices([e for es in run for e in es]))
+    outs = [fn(_conform(_concat([next(tabs) for _ in es]), schema))
+            for es in run]
     return _concat([t for t in outs if t.num_rows] or outs[:1])
 
 
@@ -555,17 +489,7 @@ def file_exchange_map_groups(
     budget = target_bytes or _default_target_bytes()
     t0 = time.perf_counter()
     try:
-        plan: dict[int, list[tuple[str, int, int]]] = {}
-        schemas = []
-        for m in _write_inputs(inputs, xdir, part_col):  # blocks x parts
-            c = m.to_pydict()
-            for p, path, bi, nb, sch in zip(c["part"], c["path"],
-                                            c["batch"], c["bytes"],
-                                            c["schema"]):
-                if p < 0:
-                    schemas.append(pa.ipc.read_schema(pa.py_buffer(sch)))
-                else:
-                    plan.setdefault(p, []).append((path, bi, nb))
+        plan, schemas = plan_slices(_write_inputs(inputs, xdir, part_col))
         # fields in order of first appearance, types promoted
         schema = (pa.unify_schemas(schemas, promote_options="permissive")
                   if schemas else None)

@@ -13,13 +13,16 @@ Reference semantics being reproduced per partition (SURVEY.md D1/ST3):
 Execution shape: raw scan tasks (log row groups, seed row groups or
 rows, or a reshard's pseudo events) run the one split core,
 `split_events`: tag `part = hash(doc_id) % P`, pre-compact per block
-(the combiner) and write one indexed exchange block; with `salt=S`, S
-combine tasks re-fold a wide wave's blocks (`combine_blocks`). The
-exchange routes each partition's delta to one merge task. The task
-holds the "per-partition sorted upsert buffer" of the north star: the
-compacted delta sorted by doc_id, merged against the partition's
-committed state — either as a FULL rewrite or, for small waves, a
-DELTA SIDECAR next to the untouched base (see merge_partition_files).
+(the combiner) and write one lz4 exchange block in the shared format
+(stages/exchange_files.py: one record batch per partition, a slice
+manifest returned to the driver); with `salt=S`, S combine tasks
+re-fold a wide wave's blocks (`combine_blocks`). The engine plans each
+partition's slices from the manifests and hands them to one merge
+task. The task holds the "per-partition sorted upsert buffer" of the
+north star: the compacted delta sorted by doc_id, merged against the
+partition's committed state — either as a FULL rewrite or, for small
+waves, a DELTA SIDECAR next to the untouched base (see
+merge_partition_files).
 Only the DELTA is ever shuffled — the lake itself is read and written
 partition-locally.
 """
@@ -40,6 +43,14 @@ from ..partitioning import add_partition
 from ..schema import evolve_schema, reconcile_batch
 from ..state.manifest import schema_from_b64
 from .compact import LWW, ConflictPolicy, compact_lww, split_tombstones
+from .exchange_files import MANIFEST, plan_slices, read_slices, write_slices
+
+# wave exchange blocks are lz4 IPC (the library's are uncompressed).
+# Chosen when lz4 halved the staged-shuffle footprint on tmpfs at 32
+# CPUs, where concurrent page-faulting of fresh tmpfs pages was the
+# scale bottleneck; on one core and ext4 it costs write time and saves
+# little (ROADMAP open perf item).
+WAVE_CODEC = "lz4"
 
 # CDC envelope columns that never land in the lake
 ENVELOPE = ("lsn", "op", "ts", "part")
@@ -148,93 +159,31 @@ def merge_partition(old: pa.Table, delta: pa.Table,
     return merged, n_applied, n_deleted
 
 
-def write_split_block(batch: pa.Table, shuffle_dir: str
-                      ) -> tuple[str, dict[int, list[int]]]:
-    """Write ONE prepped block as an indexed Arrow-IPC exchange file;
-    returns (data path, pid->batch-index map). The map is both
-    persisted as a .idx.json sidecar (the merge tasks' glob fallback
-    when explicit plans grow past ~2M entries) and returned so the
-    engine can hand every merge task its EXACT (file, batches) read
-    plan — without it each of P merge tasks re-read all B sidecars
-    (B×P metadata reads per wave).
-
-    Idempotent under Ray task retry: a re-executed task writes a
-    duplicate block, but rows are (doc_id, lsn)-identical and the
-    merge-side ``compact_lww`` keeps exactly one survivor per key —
-    same fence as the reference's PK on msg_offset
-    (SQLiteQueries.java:22)."""
-    import uuid
-
-    if "part" not in batch.column_names:
-        # Partitioning/pre-compaction policy lives in split_events;
-        # a splitter-side fallback would have to duplicate the
-        # ConflictPolicy semantics (an earlier LWW-hardcoded fallback
-        # silently kept the wrong winner under non-default policies)
-        raise ValueError("splitter input must be prepped "
-                         "(split_events adds 'part' and applies "
-                         "the conflict policy)")
-    # prep's composite sort leaves blocks grouped by part; re-sort
-    # only if that grouping was lost (defensive — one scan to check)
-    parts_np = batch.column("part").to_numpy(zero_copy_only=False)
-    if len(parts_np) > 1 and (np.diff(parts_np) < 0).any():
-        sorted_batch = batch.take(
-            pa.array(np.argsort(parts_np, kind="stable"))
-        ).combine_chunks()
-    else:
-        sorted_batch = batch.combine_chunks()
-    parts = sorted_batch.column("part").to_numpy(zero_copy_only=False)
-    uniq, starts = np.unique(parts, return_index=True)
-    bounds = np.append(starts, len(parts))
-    tag = uuid.uuid4().hex
-    os.makedirs(shuffle_dir, exist_ok=True)
-    # ONE indexed IPC file per block (not one file per partition):
-    # batch i of the file = partition uniq[i]'s slice; the sidecar
-    # maps pid -> batch index. Keeps the exchange at B files total
-    # instead of B×P (65k tiny files measured 3× slower at P=256),
-    # and the merge side mmap-reads only its own batch — zero copy.
-    data_path = os.path.join(shuffle_dir, f"block-{tag}.arrow")
-    idx: dict[int, list[int]] = {}
-    nbatch = 0
-    # lz4 halves the staged-shuffle footprint: on this class of VM,
-    # concurrent page-faulting of fresh tmpfs pages is the scale
-    # bottleneck, so fewer bytes beats zero-copy reads.
-    opts = pa.ipc.IpcWriteOptions(compression="lz4")
-    with pa.OSFile(data_path + ".tmp", "wb") as f:
-        with pa.ipc.new_file(f, sorted_batch.schema, options=opts) as w:
-            for i, pid in enumerate(uniq):
-                sub = sorted_batch.slice(bounds[i],
-                                         bounds[i + 1] - bounds[i])
-                for rb in sub.to_batches():
-                    w.write_batch(rb)
-                    idx.setdefault(int(pid), []).append(nbatch)
-                    nbatch += 1
-    os.replace(data_path + ".tmp", data_path)
-    idx_path = os.path.join(shuffle_dir, f"block-{tag}.idx.json")
-    with open(idx_path + ".tmp", "w") as f:
-        json.dump(idx, f)
-    os.replace(idx_path + ".tmp", idx_path)
-    return data_path, idx
-
-
 def split_events(events: pa.Table, shuffle_dir: str, num_partitions: int,
                  policy: ConflictPolicy = LWW,
                  pid: int | None = None) -> dict[str, Any]:
     """The one split core of every wave input (log scan, seed unit,
     reshard partition): tag ``part = hash(doc_id) % P``, keep only
     ``pid``'s rows for a partition rebuild, pre-compact per block (the
-    combiner), and write ONE indexed exchange block.
+    combiner), and write ONE exchange block (``write_slices``).
 
     Compacts on the composite key (part, doc_id): doc_id determines part,
     so the dedup semantics are identical, but the single sort leaves the
-    output GROUPED BY part — the splitter slices it without a second
+    output GROUPED BY part — the writer slices it without a second
     sort+gather of the token lists.
 
-    Returns the scan-result dict the engine folds — {"pids": touched
-    partition ids, "hour_max", "source_max", "block": exchange file path
-    (None when nothing is left), "idx": pid -> batch indices within it};
-    the maxima are empty here, only log scans fill them."""
-    out: dict[str, Any] = {"pids": [], "hour_max": {}, "source_max": {},
-                           "block": None, "idx": {}}
+    Idempotent under Ray task retry: a re-executed task writes a
+    duplicate block, but rows are (doc_id, lsn)-identical and the
+    merge-side ``compact_lww`` keeps exactly one survivor per key —
+    same fence as the reference's PK on msg_offset
+    (SQLiteQueries.java:22).
+
+    Returns the scan-result dict the engine folds — {"manifest": the
+    block's slice manifest (empty when nothing is left), "hour_max",
+    "source_max"}; the maxima are empty here, only log scans fill
+    them."""
+    out: dict[str, Any] = {"manifest": MANIFEST.empty_table(),
+                           "hour_max": {}, "source_max": {}}
     if events.num_rows == 0:
         return out
     tagged = add_partition(events, num_partitions)
@@ -244,8 +193,8 @@ def split_events(events: pa.Table, shuffle_dir: str, num_partitions: int,
         if tagged.num_rows == 0:
             return out
     block = compact_lww(tagged, key=["part", "doc_id"], policy=policy)
-    out["block"], out["idx"] = write_split_block(block, shuffle_dir)
-    out["pids"] = sorted(out["idx"])
+    out["manifest"] = write_slices(block, shuffle_dir,
+                                   compression=WAVE_CODEC)
     return out
 
 
@@ -346,24 +295,21 @@ def seed_split_segment(seed: "list[tuple[str, list[int] | None]] | pa.Table",
                         policy, pid)
 
 
-def combine_blocks(blocks: list[str], shuffle_dir: str,
-                   policy: ConflictPolicy = LWW) -> dict[str, Any]:
+def combine_blocks(manifests: "list[pa.Table]", shuffle_dir: str,
+                   policy: ConflictPolicy = LWW) -> pa.Table:
     """Salt combine (``CDCEngine(salt=S)``): fold several scan blocks of
-    one wave into ONE block on (part, doc_id) under ``policy``. The
-    engine runs S of these over every S-th block when a wave wrote more
-    than S blocks, so a hot doc reaches its merge task as at most S rows
-    instead of one per scan block. Sound because ``compact_lww`` keeps
-    the policy-winning EVENT per key (the same associativity the
-    per-block combiner and the chain tier rely on)."""
-    tabs = []
-    for path in blocks:
-        with pa.OSFile(path, "rb") as src:
-            tabs.append(pa.ipc.open_file(src).read_all())
+    one wave, given by their manifests, into ONE block on (part, doc_id)
+    under ``policy``. The engine runs S of these over every S-th block
+    when a wave wrote more than S blocks, so a hot doc reaches its merge
+    task as at most S rows instead of one per scan block. Sound because
+    ``compact_lww`` keeps the policy-winning EVENT per key (the same
+    associativity the per-block combiner and the chain tier rely on).
+    Returns the combined block's manifest."""
+    plan, _ = plan_slices(manifests)
+    tabs = read_slices([s for slices in plan.values() for s in slices])
     block = compact_lww(_unify_chain(tabs), key=["part", "doc_id"],
                         policy=policy)
-    data_path, idx = write_split_block(block, shuffle_dir)
-    return {"pids": sorted(idx), "hour_max": {}, "source_max": {},
-            "block": data_path, "idx": idx}
+    return write_slices(block, shuffle_dir, compression=WAVE_CODEC)
 
 
 _HOUR_US = 3_600_000_000
@@ -411,7 +357,7 @@ def merge_partition_files(
     pid: int,
     lake_root: str,
     wave_id: str,
-    shuffle_dir: str,
+    plan: "list[tuple]",
     old_entry: "dict[str, Any] | None",
     lake_schema_b64: str,
     derivations: tuple[Any, ...] = (),
@@ -419,18 +365,19 @@ def merge_partition_files(
     outbox_dir: str | None = None,
     sidecar_frac: float = 0.0,
     max_deltas: int = 8,
-    plan: "list[tuple[str, list[int]]] | None" = None,
     chain_compact: bool = True,
     allow_absorb: bool = True,
 ) -> dict[str, Any]:
     """File-exchange shuffle, read side: merge ONE partition.
 
-    Reads the partition's staged delta files + its committed lake state,
-    applies LWW merge (D1 semantics), stages the result. Runs as a raw
-    Ray task (``ray.remote`` in the engine): the merge fan is a fixed
-    set of P independent single-partition jobs, where a Dataset adds a
-    scheduling layer (stage startup, block accounting) with nothing to
-    stream — measured ~0.5 s/wave saved at P=128.
+    Reads the partition's exchange slices (``plan``: its (path, batch,
+    ...) slices, planned by the engine from the scan manifests) + its
+    committed lake state, applies LWW merge (D1 semantics), stages the
+    result. Runs as a raw Ray task (``ray.remote`` in the engine): the
+    merge fan is a fixed set of P independent single-partition jobs,
+    where a Dataset adds a scheduling layer (stage startup, block
+    accounting) with nothing to stream — measured ~0.5 s/wave saved at
+    P=128.
 
     Two staging modes (the north star's RocksDB-style upsert buffers):
 
@@ -452,31 +399,7 @@ def merge_partition_files(
       regime: 0.1%% waves hit the count cap at ~1.6%% pending with
       ``max_deltas=16``) would force an O(base) rewrite ~30x too early."""
     lake_schema = schema_from_b64(lake_schema_b64)
-    if plan is None:
-        # glob fallback (explicit plans past ~2M entries): discover this
-        # partition's batches from the .idx.json sidecars. The engine
-        # normally passes an explicit ``plan`` instead — P tasks each
-        # re-reading all B sidecars was B×P metadata reads per wave.
-        import glob as _glob
-        plan = []
-        for idx_path in sorted(_glob.glob(
-                os.path.join(shuffle_dir, "block-*.idx.json"))):
-            with open(idx_path) as f:
-                idx = json.load(f)
-            mine = idx.get(str(pid))
-            if mine:
-                plan.append((idx_path[: -len(".idx.json")] + ".arrow",
-                             mine))
-    tabs = []
-    for data_path, mine in plan:
-        # buffered reads, not mmap: with P concurrent mergers each mapping
-        # B files of fresh tmpfs pages, per-page fault overhead under
-        # mmap_lock dominates; pread into pooled Arrow memory reuses
-        # already-faulted heap pages across files
-        with pa.OSFile(data_path, "rb") as src:
-            reader = pa.ipc.open_file(src)
-            for bi in mine:
-                tabs.append(pa.Table.from_batches([reader.get_batch(bi)]))
+    tabs = read_slices(plan)
     if not tabs:
         raise RuntimeError(f"no staged delta for partition {pid}")
     # blocks may disagree on column order/presence when a wave spans
@@ -563,7 +486,7 @@ def merge_partition_files_batch(
     pids: list[int],
     lake_root: str,
     wave_id: str,
-    shuffle_dir: str,
+    plans: "list[list[tuple]]",
     entries: "list[dict | None]",
     lake_schema_b64: str,
     derivations: tuple[Any, ...] = (),
@@ -571,7 +494,6 @@ def merge_partition_files_batch(
     outbox_dir: str | None = None,
     sidecar_frac: float = 0.0,
     max_deltas: int = 8,
-    plans: "list[list | None] | None" = None,
     chain_compact: bool = True,
     allow_absorb: bool = True,
 ) -> list[dict[str, Any]]:
@@ -581,14 +503,12 @@ def merge_partition_files_batch(
     overhead becomes a fixed floor on the wave wall. The engine groups
     touched partitions round-robin into ~2 tasks per CPU and ships one
     arg list instead of P arg tuples."""
-    plans = plans if plans is not None else [None] * len(pids)
-    return [merge_partition_files(p, lake_root, wave_id, shuffle_dir,
-                                  e, lake_schema_b64, derivations,
-                                  policy, outbox_dir, sidecar_frac,
-                                  max_deltas, pl,
+    return [merge_partition_files(p, lake_root, wave_id, pl, e,
+                                  lake_schema_b64, derivations, policy,
+                                  outbox_dir, sidecar_frac, max_deltas,
                                   chain_compact=chain_compact,
                                   allow_absorb=allow_absorb)
-            for p, e, pl in zip(pids, entries, plans)]
+            for p, pl, e in zip(pids, plans, entries)]
 
 
 def _staggered_max(max_deltas: int, pid: int) -> int:

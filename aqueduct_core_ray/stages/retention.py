@@ -35,6 +35,7 @@ import ray.data
 
 from ..partitioning import add_partition
 from ..schema import OP_DELETE
+from . import exchange  # noqa: F401  (Dataset.fx_map_groups)
 from .compact import compact_lww
 
 KEYS = ("doc_id", "source")
@@ -121,6 +122,9 @@ def compact_log(
                                 deletion_ts, compact_deletions, keys)
         return out
 
-    out = ds.groupby("part").map_groups(per_part, batch_format="pyarrow")
+    # a materialized exchange: reading the returned Dataset after the
+    # write does not run the shuffle again. per_part handles an empty
+    # part, so the empty result is typed by the writers' schema.
+    out = ds.fx_map_groups(per_part)
     out.write_parquet(out_dir)
     return out

@@ -12,7 +12,8 @@ keys, and the engine's decoded-file cache holds only files CURRENT
 names, within its byte budget — so once warm it tracks the live lake
 (whose inserts keep it growing) up to the budget, and never more.
 At the end, ``rebuild_partition`` of one pid and a ``reshard_lake`` to
-half the partitions must each leave ``lake_table()`` unchanged.
+half the partitions must each leave ``lake_table()`` unchanged, and no
+exchange file may remain under either lake's ``_shuffle``.
 Prints one JSON line, with the cache size at each check.
 
 Usage: python scripts/soak.py [n_waves] [events_per_wave] [work_dir]
@@ -117,6 +118,13 @@ def main() -> int:
     half = eng.reshard_lake(os.path.join(root, "resharded"),
                             eng.num_partitions // 2)
     assert half.lake_table().sort_by("doc_id").equals(want), "reshard"
+    # each exchange dir goes with its commit: no exchange block (nor an
+    # index sidecar) outlives the waves, the rebuild or the reshard
+    left = [os.path.join(d, f) for lake in (eng, half)
+            for d, _, fs in os.walk(os.path.join(lake.store.root,
+                                                 "_shuffle"))
+            for f in fs]
+    assert not left, f"exchange files left under _shuffle: {left[:5]}"
 
     m = {"metric": "soak_waves", "n_waves": n_waves,
          "events_per_wave": per_wave,

@@ -476,14 +476,14 @@ def test_chain_tier_counts_compacted_pending(inputs, tmp_path):
     common = dict(
         old_entry=entry, lake_schema_b64=eng.manifest.schema_b64,
         derivations=eng.derivations, sidecar_frac=0.4, max_deltas=1,
-        plan=[(blk, [0])],
     )
-    res = merge_partition_files(pid, eng.store.root, "wchain", str(sd),
+    res = merge_partition_files(pid, eng.store.root, "wchain", [(blk, 0)],
                                 **common)
     assert res["mode"] == "chain"
     # O(pending): the folded sidecar holds at most chain + unique keys
     assert res["file_rows"] <= existing + n_unique
     # contrast: without the chain tier the same wave pays the full rewrite
-    res_off = merge_partition_files(pid, eng.store.root, "wfull", str(sd),
-                                    chain_compact=False, **common)
+    res_off = merge_partition_files(pid, eng.store.root, "wfull",
+                                    [(blk, 0)], chain_compact=False,
+                                    **common)
     assert res_off["mode"] == "full"

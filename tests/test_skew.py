@@ -121,7 +121,9 @@ def test_combiner_bounds_hot_key_delta(inputs, tmp_path):
     eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
     eng.bootstrap(seed)
     scans = ray.get(eng._launch_scan(log, 0, SPEC.n_events)["refs"])
-    blocks = [read_block(r["block"]) for r in scans if r["block"]]
+    paths = {p for r in scans
+             for p in r["manifest"].column("path").to_pylist() if p}
+    blocks = [read_block(p) for p in sorted(paths)]
     assert blocks
     for b in blocks:
         counts = b.group_by("doc_id").aggregate([("doc_id", "count")])
@@ -142,19 +144,19 @@ def test_salt_combine_bounds_hot_doc_rows(inputs, tmp_path, wide_scans,
     hot_pid = int(partition_ids(pa.array([hot]), 8)[0])
     p = eng._launch_scan(log, 0, SPEC.wave_bounds[0][1])
     assert len(p["refs"]) == 8
-    plans, _, _, n_combine = eng._collect_scans(p["refs"], p["sdir"])
+    plans, _, _, phase = eng._collect_scans(p["refs"], p["sdir"])
+    n_combine = phase["combine_tasks"]
     assert n_combine == salt
-    blocks = {b for pl in plans.values() for b, _ in pl}
+    blocks = {b for pl in plans.values() for b, *_ in pl}
     assert len(blocks) == (salt or 8)
     hot_rows = 0
-    for path, bids in plans[hot_pid]:
+    for path, bi, _ in plans[hot_pid]:
         with pa.OSFile(path, "rb") as f:
             rd = pa.ipc.open_file(f)
-            for bi in bids:
-                b = rd.get_batch(bi)
-                assert set(b.column("part").to_pylist()) == {hot_pid}
-                hot_rows += pc.sum(pc.equal(b.column("doc_id"),
-                                            hot)).as_py() or 0
+            b = rd.get_batch(bi)
+            assert set(b.column("part").to_pylist()) == {hot_pid}
+            hot_rows += pc.sum(pc.equal(b.column("doc_id"),
+                                        hot)).as_py() or 0
     if salt:
         assert 1 <= hot_rows <= salt
     else:
