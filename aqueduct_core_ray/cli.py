@@ -236,7 +236,6 @@ def cmd_retention(args) -> int:
     min_hwm = (pa.scalar(args.min_consumer_hwm_ts_us, pa.timestamp("us"))
                if args.min_consumer_hwm_ts_us is not None else None)
     compact_log(args.log, args.out, compact_ts, deletion_ts,
-                num_partitions=args.partitions,
                 min_consumer_hwm_ts=min_hwm)
     print(json.dumps({"compacted_to": args.out}))
     return 0
@@ -852,7 +851,6 @@ def main(argv: list[str] | None = None) -> int:
     t.add_argument("--min-consumer-hwm-ts-us", type=int,
                    help="slowest consumer's applied ts; tombstone GC "
                         "refuses to pass it (resurrection guard)")
-    t.add_argument("--partitions", type=int, default=64)
     t.set_defaults(fn=cmd_retention)
 
     cp = sub.add_parser("compact",

@@ -24,8 +24,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-# registers ray.data.Dataset.fx_map_groups (file exchange — skips
-# Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
+from ..stages import exchange
 from ..stages.exchange import collect_tables
 
 
@@ -100,8 +99,9 @@ def knn_bruteforce(sf_dir: str, nq: int = 3, k: int = 5) -> ray.data.Dataset:
     ref = ray.put(_load_queries(sf_dir, nq))
     partial = _read_embeddings(sf_dir).map_batches(
         _batch_topk_fn(ref, k), batch_format="pyarrow")
-    return partial.fx_map_groups(_final_topk_fn(k),
-                                 part_col="query_id")
+    return exchange.file_exchange_map_groups(
+        partial, exchange.each_group(_final_topk_fn(k), ["query_id"]),
+        keys=["query_id"])
 
 
 # --------------------------------------------------------------------- #
@@ -278,8 +278,9 @@ def knn_ivf(sf_dir: str, nq: int = 3, k: int = 5, n_cells: int = 16,
                                    columns=["vec_id", "embedding"])
     partial = pruned.map_batches(_batch_topk_fn(ref, k),
                                  batch_format="pyarrow")
-    return partial.fx_map_groups(_final_topk_fn(k),
-                                 part_col="query_id")
+    return exchange.file_exchange_map_groups(
+        partial, exchange.each_group(_final_topk_fn(k), ["query_id"]),
+        keys=["query_id"])
 
 
 def knn_ivf_recall(sf_dir: str, nq: int = 3, k: int = 5, n_cells: int = 16,

@@ -49,7 +49,7 @@ import ray.data
 
 from ..stages import exchange
 from ..stages.exchange import dict_encode
-from .text import BPE_PATTERN, hash_str_array, read_documents
+from .text import BPE_PATTERN, read_documents
 
 _PRETOKEN_RE = re.compile(BPE_PATTERN)
 
@@ -78,22 +78,20 @@ def _word_head(g: pa.Table, max_words: int) -> pa.Table:
                      "count": pa.array(sums[head])})
 
 
-def _word_count_table(sf_dir: str, num_partitions: int,
-                      max_words: int) -> tuple[list[str], np.ndarray]:
+def _word_count_table(sf_dir: str, max_words: int
+                      ) -> tuple[list[str], np.ndarray]:
     """(words, counts) of the corpus's ``max_words`` most frequent
     pretokens (ties broken lexicographically for determinism). One
-    file exchange over the documents leaf, the partial count running
-    in its writers; only P local heads come back to fold."""
+    exchange keyed on the word over the documents leaf, the partial
+    count running in its writers; only P local heads come back to
+    fold."""
 
     def partial(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for s in t.column("text").to_pylist():
             c.update(_PRETOKEN_RE.findall(s))
         words = list(c.keys())
-        h = hash_str_array(np.asarray(words, dtype=object))
         return pa.table({
-            "part": pa.array((h % np.uint64(num_partitions))
-                             .astype(np.int32)),
             "word": pa.array(words, pa.string()),
             "count": pa.array([c[w] for w in words], pa.int64()),
         })
@@ -101,7 +99,7 @@ def _word_count_table(sf_dir: str, num_partitions: int,
     tabs = [t for t in ray.get(exchange.file_exchange_map_groups(
         exchange.leaf(f"{sf_dir}/documents.parquet", ["text"]),
         functools.partial(_word_head, max_words=max_words),
-        pre=partial).refs) if t.num_rows > 0]
+        keys=["word"], pre=partial).refs) if t.num_rows > 0]
     if not tabs:
         return [], np.empty(0, np.int64)
     # the parts hold disjoint words: the head of their heads is global
@@ -167,12 +165,11 @@ def _merge_loop(words: list[str], counts: np.ndarray,
 
 
 def train_bpe(sf_dir: str, num_merges: int = 200,
-              max_words: int = 100_000,
-              num_partitions: int = 16) -> pa.Table:
+              max_words: int = 100_000) -> pa.Table:
     """Train a BPE merge list over the corpus; returns the ordered
     merge table (rank, left, right, merged) — deterministic for a
     given corpus/config at any partition count or cluster size."""
-    words, counts = _word_count_table(sf_dir, num_partitions, max_words)
+    words, counts = _word_count_table(sf_dir, max_words)
     merges = _merge_loop(words, counts, num_merges)
     return pa.table({
         "rank": pa.array(np.arange(len(merges), dtype=np.int64)),

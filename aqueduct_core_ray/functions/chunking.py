@@ -246,32 +246,37 @@ def chunk_dedup(sf_dir: str, k_bits: int = 8, max_chunk: int = 4096,
                 min_docs: int = 2) -> ray.data.Dataset:
     """Chunk fingerprints appearing in at least ``min_docs`` DISTINCT
     documents: (chunk_fp, n_docs, n_occurrences) — the shared-boilerplate
-    detector. Shuffle moves fingerprints only, and both aggregation
-    stages are NATIVE (distinct-doc counting = a (fp, doc) groupby
-    feeding a per-fp Count/Sum — no per-fingerprint Python call; group
+    detector. The exchange moves per-block (fp, doc, count) pairs keyed
+    on the fingerprint, and both aggregation stages are Arrow group_bys
+    in the fingerprint's part (no per-fingerprint Python call; group
     count here is unbounded at corpus scale)."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Count, Sum
+    from ..stages import exchange
 
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    chunks = ds.map_batches(chunk_batch, batch_format="pyarrow",
-                            fn_kwargs={"k_bits": k_bits,
-                                       "max_chunk": max_chunk})
-    pair_occ = chunks.groupby(["chunk_fp", "doc_id"]).count()
-    per_fp = pair_occ.groupby("chunk_fp").aggregate(
-        Count(), Sum("count()"))
+    def pair_counts(t: pa.Table) -> pa.Table:
+        agg = (chunk_batch(t, k_bits=k_bits, max_chunk=max_chunk)
+               .group_by(["chunk_fp", "doc_id"])
+               .aggregate([([], "count_all")]))
+        return pa.table({"chunk_fp": agg.column("chunk_fp"),
+                         "doc_id": agg.column("doc_id"),
+                         "n": agg.column("count_all")})
 
-    def rename(t: pa.Table) -> pa.Table:
+    def per_fp(g: pa.Table) -> pa.Table:
+        agg = (g.group_by(["chunk_fp", "doc_id"]).aggregate([("n", "sum")])
+               .group_by("chunk_fp")
+               .aggregate([([], "count_all"), ("n_sum", "sum")]))
         out = pa.table({
-            "chunk_fp": t.column("chunk_fp"),
-            "n_docs": t.column("count()").cast(pa.int64()),
-            "n_occurrences": t.column("sum(count())").cast(pa.int64()),
+            "chunk_fp": agg.column("chunk_fp"),
+            "n_docs": agg.column("count_all").cast(pa.int64()),
+            "n_occurrences": agg.column("n_sum_sum").cast(pa.int64()),
         })
         return out.filter(pc.greater_equal(out.column("n_docs"),
                                            min_docs))
 
-    return per_fp.map_batches(rename, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"]),
+        per_fp, keys=["chunk_fp"], pre=pair_counts).refs)
 
 
 # --------------------------------------------------------------------- #

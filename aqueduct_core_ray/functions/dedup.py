@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -36,8 +35,7 @@ import ray.data
 
 from .text import fingerprint_batch, hash_str_array, read_documents
 
-# registers ray.data.Dataset.fx_map_groups (file exchange — skips
-# Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
+from ..stages import exchange
 from ..stages.exchange import collect_tables
 
 # fixed odd 64-bit mixing constants (splitmix64-flavored)
@@ -282,24 +280,13 @@ def _bucket_pairs_fn(min_est_pct: int, max_bucket: int | None = None):
 
 
 def _dedupe_pairs(ds: ray.data.Dataset,
-                  metric_col: str = "est_jaccard_pct",
-                  num_partitions: int = 16) -> ray.data.Dataset:
+                  metric_col: str = "est_jaccard_pct") -> ray.data.Dataset:
     """Same pair can surface from several buckets — keep one (no packed
     key: int packing collides once ids pass 2^31, silently dropping
     candidate pairs). The metric is deterministic per pair
     (signature-derived), so min() returns the one value every bucket
-    computed. One file exchange keyed by hash(a)^hash(b) — the native
-    multi-key aggregate this replaces paid Ray's ~3 s sort-shuffle
-    floor (stages/exchange.py) — then a vectorized lexsort fold per
-    partition."""
-
-    def tag(t: pa.Table) -> pa.Table:
-        a = t.column("doc_id_a").to_numpy(zero_copy_only=False)
-        b = t.column("doc_id_b").to_numpy(zero_copy_only=False)
-        pp = ((pd.util.hash_array(a.copy(), categorize=False)
-               ^ pd.util.hash_array(b.copy(), categorize=False))
-              % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(pp))
+    computed. One exchange keyed on the pair, then a vectorized
+    lexsort fold per partition."""
 
     def fold(g: pa.Table) -> pa.Table:
         a = g.column("doc_id_a").to_numpy(zero_copy_only=False)
@@ -315,36 +302,28 @@ def _dedupe_pairs(ds: ray.data.Dataset,
             metric_col: pa.array(np.minimum.reduceat(m, first)),
         })
 
-    from ..stages.exchange import file_exchange_map_groups
-    return file_exchange_map_groups(
-        ds.map_batches(tag, batch_format="pyarrow"), fold)
+    return exchange.file_exchange_map_groups(
+        ds, fold, keys=["doc_id_a", "doc_id_b"])
 
 
 def minhash_lsh_dedup(sf_dir: str, k: int = 64, bands: int = 16,
                       shingle: int = 3, min_est_pct: int = 50,
-                      max_bucket: int | None = None,
-                      num_partitions: int = 16) -> ray.data.Dataset:
+                      max_bucket: int | None = None) -> ray.data.Dataset:
     """MinHash+LSH near-dup candidate pairs: shingle -> minhash -> band ->
-    bucket-HASH-partition groupby (bounded group count; every bucket in a
-    partition pairs in one vectorized segmented pass) -> global pair
-    dedupe. Bucket co-location is preserved: bpart = bucket % P."""
+    exchange keyed on the bucket (bounded group count; every bucket in
+    a partition pairs in one vectorized segmented pass) -> global pair
+    dedupe."""
 
     def to_bands(t: pa.Table) -> pa.Table:
         sig = minhash_sigs(t, k=k, shingle=shingle)
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        out = _band_rows(ids, sig, bands)
-        bp = (out.column("bucket").to_numpy(zero_copy_only=False)
-              .view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return out.append_column("bpart", pa.array(bp))
+        return _band_rows(ids, sig, bands)
 
     ds = read_documents(sf_dir, columns=["doc_id", "text"])
     banded = ds.map_batches(to_bands, batch_format="pyarrow")
-    # file exchange, not groupby — skips Ray's ~3 s sort-shuffle floor
-    # (stages/exchange.py); bucket co-location unchanged (bpart key)
-    from ..stages.exchange import file_exchange_map_groups
-    cand = file_exchange_map_groups(
+    cand = exchange.file_exchange_map_groups(
         banded, _bucket_pairs_fn(min_est_pct, max_bucket),
-        part_col="bpart")
+        keys=["bucket"])
     return _dedupe_pairs(cand)
 
 
@@ -371,11 +350,6 @@ def _shingle_list_batch(t: pa.Table, shingle: int) -> pa.Table:
     return pa.table({"doc_id": t.column("doc_id"), "sh": lists})
 
 
-def _int_part(ids: np.ndarray, num_partitions: int) -> pa.Array:
-    return pa.array((pd.util.hash_array(ids.copy(), categorize=False)
-                     % np.uint64(num_partitions)).astype(np.int32))
-
-
 def _exact_jaccard_pct(sh_a, sh_b) -> np.ndarray:
     """Vectorized |A∩B|/|A∪B| in integer percent over PAIRS of unique-
     sorted shingle lists: flatten both sides tagged by pair index, sort,
@@ -398,22 +372,19 @@ def _exact_jaccard_pct(sh_a, sh_b) -> np.ndarray:
 
 
 def _attach_shingles(pairs: ray.data.Dataset, shingles: ray.data.Dataset,
-                     key_col: str, carry: list[str],
-                     num_partitions: int) -> ray.data.Dataset:
+                     key_col: str, carry: list[str]) -> ray.data.Dataset:
     """One co-partitioned hash-join pass: attach the shingle list of
     ``key_col``'s doc to every pair row, as column ``sh``.
 
-    Both sides are tagged with the SAME hash partition of the join key
-    and unioned; each bounded ``part`` group then resolves pair→doc with
+    Both sides carry the join key as ``key`` and are unioned into one
+    exchange keyed on it; each bounded part then resolves pair→doc with
     a vectorized searchsorted over the group's (unique) doc keys. The
     shuffle moves candidate pairs + one shingle list per doc — never the
     corpus, never anything to the driver."""
     null_sh = _SH_LIST
 
     def tag_pairs(t: pa.Table) -> pa.Table:
-        keys = t.column(key_col).to_numpy(zero_copy_only=False)
-        cols = {"part": _int_part(keys, num_partitions),
-                "role": pa.array(np.zeros(t.num_rows, np.int8)),
+        cols = {"role": pa.array(np.zeros(t.num_rows, np.int8)),
                 "key": t.column(key_col)}
         for c in carry:
             cols[c] = t.column(c)
@@ -421,9 +392,7 @@ def _attach_shingles(pairs: ray.data.Dataset, shingles: ray.data.Dataset,
         return pa.table(cols)
 
     def tag_docs(t: pa.Table) -> pa.Table:
-        keys = t.column("doc_id").to_numpy(zero_copy_only=False)
-        cols = {"part": _int_part(keys, num_partitions),
-                "role": pa.array(np.ones(t.num_rows, np.int8)),
+        cols = {"role": pa.array(np.ones(t.num_rows, np.int8)),
                 "key": t.column("doc_id")}
         for c in carry:
             cols[c] = pa.nulls(
@@ -462,17 +431,12 @@ def _attach_shingles(pairs: ray.data.Dataset, shingles: ray.data.Dataset,
         out_cols["sh"] = dsh.take(pa.array(pos))
         return pa.table(out_cols)
 
-    # file exchange, not groupby: Ray's sort shuffle costs ~3 s fixed
-    # per exchange at ANY size (stages/exchange.py) — with two attach
-    # passes per verify that floor dominated the whole pipeline
-    from ..stages.exchange import file_exchange_map_groups
-    return file_exchange_map_groups(both, join)
+    return exchange.file_exchange_map_groups(both, join, keys=["key"])
 
 
 def ngram_jaccard_dedup(sf_dir: str, shingle: int = 3,
                         min_jaccard_pct: int = 80, k: int = 64,
-                        bands: int = 16,
-                        num_partitions: int = 16) -> ray.data.Dataset:
+                        bands: int = 16) -> ray.data.Dataset:
     """LSH candidates re-verified with EXACT word-``shingle``-gram Jaccard.
 
     Scale shape (replaces round 1's driver-side whole-corpus shingle-set
@@ -500,7 +464,7 @@ def ngram_jaccard_dedup(sf_dir: str, shingle: int = 3,
 
     # pass A: key = doc_id_a → sh_a
     with_a = _attach_shingles(cand, shingles, "doc_id_a",
-                              ["doc_id_a", "doc_id_b"], num_partitions)
+                              ["doc_id_a", "doc_id_b"])
 
     def rename_a(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id_a": t.column("doc_id_a"),
@@ -511,8 +475,7 @@ def ngram_jaccard_dedup(sf_dir: str, shingle: int = 3,
 
     # pass B: key = doc_id_b → sh (B's list), sh_a carried through
     with_b = _attach_shingles(with_a, shingles, "doc_id_b",
-                              ["doc_id_a", "doc_id_b", "sh_a"],
-                              num_partitions)
+                              ["doc_id_a", "doc_id_b", "sh_a"])
 
     def verify(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -558,13 +521,13 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
 
 
-def simhash_dedup(sf_dir: str, max_hamming: int = 3,
-                  num_partitions: int = 16) -> ray.data.Dataset:
+def simhash_dedup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
     """Near-dup pairs with SimHash Hamming distance <= ``max_hamming``,
     candidate generation by 16-bit band pigeonhole (4 bands: any pair
     within distance 3 shares at least one exact band). Pairing runs per
-    bucket-hash PARTITION with one segmented vectorized pass over all
-    buckets (same scale shape as minhash_lsh_dedup)."""
+    part of an exchange keyed on the bucket, with one segmented
+    vectorized pass over all buckets (same scale shape as
+    minhash_lsh_dedup)."""
 
     def to_bands(t: pa.Table) -> pa.Table:
         sh = simhash_batch(t)
@@ -575,9 +538,7 @@ def simhash_dedup(sf_dir: str, max_hamming: int = 3,
             band = (sh >> np.uint64(16 * b)) & np.uint64(0xFFFF)
             buckets[b * n:(b + 1) * n] = (band.astype(np.int64)
                                           | (np.int64(b) << 32))
-        bp = (buckets % num_partitions).astype(np.int32)
         return pa.table({"bucket": pa.array(buckets),
-                         "bpart": pa.array(bp),
                          "doc_id": pa.array(np.tile(ids, 4)),
                          "simhash": pa.array(np.tile(sh, 4).view(np.int64))})
 
@@ -610,8 +571,9 @@ def simhash_dedup(sf_dir: str, max_hamming: int = 3,
                          "hamming": pa.array(ham[m])})
 
     ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    cand = (ds.map_batches(to_bands, batch_format="pyarrow")
-            .fx_map_groups(pairs, part_col="bpart"))
+    cand = exchange.file_exchange_map_groups(
+        ds.map_batches(to_bands, batch_format="pyarrow"), pairs,
+        keys=["bucket"])
     return _dedupe_pairs(cand, "hamming")
 
 
@@ -675,7 +637,7 @@ def embedding_ann_dedup(sf_dir: str, threshold_pct: int = 35,
         order = np.argsort(-(Bn @ Cm.T), axis=1)[:, :probes]  # (n, probes)
         n = len(ids)
         return pa.table({
-            "cell": pa.array(order.T.reshape(-1).astype(np.int32)),
+            "part": pa.array(order.T.reshape(-1).astype(np.int32)),
             "vec_id": pa.array(np.tile(ids, probes)),
             "embedding": pa.concat_arrays(
                 [t.column("embedding").combine_chunks()] * probes),
@@ -705,8 +667,9 @@ def embedding_ann_dedup(sf_dir: str, threshold_pct: int = 35,
 
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
-    cand = (ds.map_batches(to_cells, batch_format="pyarrow")
-            .fx_map_groups(cell_pairs, part_col="cell"))
+    # the IVF cell is the explicit route
+    cand = exchange.file_exchange_map_groups(
+        ds.map_batches(to_cells, batch_format="pyarrow"), cell_pairs)
 
     from ..stages.exchange import fx_agg_by
     return fx_agg_by(cand, ["vec_id_a", "vec_id_b"],
@@ -865,7 +828,7 @@ def remove_boilerplate_lines(sf_dir: str, min_docs: int = 2,
 # duplicate clusters: distributed connected components over the
 # verified near-dup pair graph
 # --------------------------------------------------------------------- #
-def _cc_min_label(edges: ray.data.Dataset, num_partitions: int = 16,
+def _cc_min_label(edges: ray.data.Dataset,
                   max_iters: int = 16) -> ray.data.Dataset:
     """Connected components by min-label propagation WITH pointer
     jumping: ``(node, cluster_id)`` where ``cluster_id`` is the minimum
@@ -876,24 +839,14 @@ def _cc_min_label(edges: ray.data.Dataset, num_partitions: int = 16,
     reads its label's label too (pointer doubling, Rastogi et al.,
     "Finding Connected Components in MapReduce", ICDE 2013) — rounds are
     O(log diameter), not O(diameter). Per round: one co-partitioned
-    union-tag hash join (edges keyed by src meet labels keyed by node)
-    plus one native ``groupby(node).min``. Convergence is detected by
+    join (edges keyed by src meet labels keyed by node) plus one
+    per-node min, each one keyed exchange. Convergence is detected by
     the label sum — labels are non-negative and only ever decrease, so
     an unchanged sum IS the fixpoint; the driver sees one scalar per
     round, never a row."""
-    from ..stages.exchange import file_exchange_map_groups
-
-    P = num_partitions
-
     def _min_by_node(ds: ray.data.Dataset) -> ray.data.Dataset:
-        """groupby(node).min(lab) as ONE file exchange + a vectorized
-        lexsort fold — the native aggregate pays Ray's ~3 s
-        sort-shuffle floor PER ROUND of the pointer-jumping loop
-        (stages/exchange.py)."""
-        def tagn(t: pa.Table) -> pa.Table:
-            node = t.column("node").to_numpy(zero_copy_only=False)
-            return t.append_column("part", _int_part(node, P))
-
+        """min(lab) per node: ONE exchange keyed on node + a vectorized
+        lexsort fold."""
         def fold(g: pa.Table) -> pa.Table:
             node = g.column("node").to_numpy(zero_copy_only=False)
             lab = g.column("lab").to_numpy(zero_copy_only=False)
@@ -904,8 +857,7 @@ def _cc_min_label(edges: ray.data.Dataset, num_partitions: int = 16,
             return pa.table({"node": pa.array(node[first]),
                              "lab": pa.array(lab[first])})
 
-        return file_exchange_map_groups(
-            ds.map_batches(tagn, batch_format="pyarrow"), fold)
+        return exchange.file_exchange_map_groups(ds, fold, keys=["node"])
 
     def init_labels(t: pa.Table) -> pa.Table:
         src = t.column("src").to_numpy(zero_copy_only=False)
@@ -918,9 +870,7 @@ def _cc_min_label(edges: ray.data.Dataset, num_partitions: int = 16,
                           batch_format="pyarrow")).materialize()
 
     def tag_edges(t: pa.Table) -> pa.Table:
-        src = t.column("src").to_numpy(zero_copy_only=False)
-        return pa.table({"part": _int_part(src, P),
-                         "role": pa.array(np.zeros(t.num_rows, np.int8)),
+        return pa.table({"role": pa.array(np.zeros(t.num_rows, np.int8)),
                          "key": t.column("src"),
                          "val": t.column("dst")})
 
@@ -930,15 +880,12 @@ def _cc_min_label(edges: ray.data.Dataset, num_partitions: int = 16,
         node = t.column("node").to_numpy(zero_copy_only=False)
         lab = t.column("lab").to_numpy(zero_copy_only=False)
         m = lab != node
-        return pa.table({"part": _int_part(lab[m], P),
-                         "role": pa.array(np.zeros(int(m.sum()), np.int8)),
+        return pa.table({"role": pa.array(np.zeros(int(m.sum()), np.int8)),
                          "key": pa.array(lab[m]),
                          "val": pa.array(node[m])})
 
     def tag_labels(t: pa.Table) -> pa.Table:
-        node = t.column("node").to_numpy(zero_copy_only=False)
-        return pa.table({"part": _int_part(node, P),
-                         "role": pa.array(np.ones(t.num_rows, np.int8)),
+        return pa.table({"role": pa.array(np.ones(t.num_rows, np.int8)),
                          "key": t.column("node"),
                          "val": t.column("lab")})
 
@@ -963,7 +910,7 @@ def _cc_min_label(edges: ray.data.Dataset, num_partitions: int = 16,
         return pa.table({"node": pa.array(ev),
                          "lab": pa.array(lv[pos])})
 
-    # the edge→(part, role, key, val) tagging is invariant across
+    # the edge→(role, key, val) tagging is invariant across
     # rounds — materialize it once instead of re-running the O(E) map
     # inside every pointer-jumping iteration
     tagged_edges = (edges.map_batches(tag_edges, batch_format="pyarrow")
@@ -975,7 +922,8 @@ def _cc_min_label(edges: ray.data.Dataset, num_partitions: int = 16,
                                             batch_format="pyarrow"))
                   .union(labels.map_batches(tag_labels,
                                             batch_format="pyarrow")))
-        msgs = file_exchange_map_groups(tagged, send)  # emits (node, lab)
+        msgs = exchange.file_exchange_map_groups(  # emits (node, lab)
+            tagged, send, keys=["key"])
         labels = _min_by_node(msgs.union(labels)).materialize()
         # convergence scalar: bounded per-block partials, no aggregate
         # exchange
@@ -992,8 +940,7 @@ def _cc_min_label(edges: ray.data.Dataset, num_partitions: int = 16,
 
 
 def duplicate_clusters(sf_dir: str, shingle: int = 3,
-                       min_jaccard_pct: int = 80,
-                       num_partitions: int = 16) -> ray.data.Dataset:
+                       min_jaccard_pct: int = 80) -> ray.data.Dataset:
     """``(doc_id, cluster_id)`` for every document that belongs to a
     near-duplicate cluster — the transitive closure of the VERIFIED
     exact-Jaccard pair graph from :func:`ngram_jaccard_dedup`, labeled
@@ -1005,8 +952,7 @@ def duplicate_clusters(sf_dir: str, shingle: int = 3,
     the component computation touches only the pair graph, which is a
     small fraction of the corpus by construction."""
     pairs = ngram_jaccard_dedup(sf_dir, shingle=shingle,
-                                min_jaccard_pct=min_jaccard_pct,
-                                num_partitions=num_partitions)
+                                min_jaccard_pct=min_jaccard_pct)
 
     def both_dirs(t: pa.Table) -> pa.Table:
         a = t.column("doc_id_a").to_numpy(zero_copy_only=False)
@@ -1016,7 +962,7 @@ def duplicate_clusters(sf_dir: str, shingle: int = 3,
 
     edges = pairs.map_batches(both_dirs,
                               batch_format="pyarrow").materialize()
-    labels = _cc_min_label(edges, num_partitions=num_partitions)
+    labels = _cc_min_label(edges)
     return labels.map_batches(
         lambda t: pa.table({"doc_id": t.column("node"),
                             "cluster_id": t.column("lab")}),
@@ -1024,8 +970,7 @@ def duplicate_clusters(sf_dir: str, shingle: int = 3,
 
 
 def near_dedup_keep(sf_dir: str, shingle: int = 3,
-                    min_jaccard_pct: int = 80,
-                    num_partitions: int = 16) -> ray.data.Dataset:
+                    min_jaccard_pct: int = 80) -> ray.data.Dataset:
     """Surviving ``doc_id`` set after near-dedup: drop every cluster
     member except the representative (minimum doc_id); docs in no
     cluster survive untouched.
@@ -1035,8 +980,7 @@ def near_dedup_keep(sf_dir: str, shingle: int = 3,
     the same co-partitioned union-tag exchange as
     pipelines/curate.py — never broadcast, never on the driver."""
     clusters = duplicate_clusters(sf_dir, shingle=shingle,
-                                  min_jaccard_pct=min_jaccard_pct,
-                                  num_partitions=num_partitions)
+                                  min_jaccard_pct=min_jaccard_pct)
 
     def drops_only(t: pa.Table) -> pa.Table:
         doc = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -1045,13 +989,10 @@ def near_dedup_keep(sf_dir: str, shingle: int = 3,
 
     drops = clusters.map_batches(drops_only, batch_format="pyarrow")
     docs = read_documents(sf_dir, columns=["doc_id"])
-    P = num_partitions
 
     def tag(role: int):
         def f(t: pa.Table) -> pa.Table:
-            ids = t.column("doc_id").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _int_part(ids, P),
                 "role": pa.array(np.full(t.num_rows, role, np.int8)),
                 "doc_id": t.column("doc_id")})
         return f
@@ -1067,17 +1008,17 @@ def near_dedup_keep(sf_dir: str, shingle: int = 3,
             keep_ids = keep_ids[gone[pos] != keep_ids]
         return pa.table({"doc_id": pa.array(keep_ids)})
 
-    from ..stages.exchange import file_exchange_map_groups
-    return file_exchange_map_groups(
+    return exchange.file_exchange_map_groups(
         docs.map_batches(tag(0), batch_format="pyarrow")
-        .union(drops.map_batches(tag(1), batch_format="pyarrow")), anti)
+        .union(drops.map_batches(tag(1), batch_format="pyarrow")), anti,
+        keys=["doc_id"])
 
 
 # --------------------------------------------------------------------- #
 # exact duplicated-substring coverage (suffix-array dedup flavor)
 # --------------------------------------------------------------------- #
-def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16,
-                      num_partitions: int = 16) -> ray.data.Dataset:
+def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16
+                      ) -> ray.data.Dataset:
     """Exact duplicated-substring coverage, the distributed stand-in
     for suffix-array substring dedup (Lee et al. 2021, "Deduplicating
     Training Data Makes Language Models Better"): sample every
@@ -1093,7 +1034,7 @@ def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16,
     kernel per offset (vectorized across the batch; offsets bound by
     the LONGEST doc in the batch / stride, not by row count), deduped
     per doc by one Arrow group_by before anything moves. ONE
-    co-partitioned exchange on hash(gram) %% P counts distinct docs per
+    exchange keyed on the gram counts distinct docs per
     gram and collapses to per-(partition, doc) partial counts — a doc's
     distinct grams land in exactly one partition each, so the partial
     totals sum exactly; the finishing per-doc sum is a second bounded
@@ -1105,9 +1046,8 @@ def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16,
     ds = read_documents(sf_dir, columns=["doc_id", "text"])
 
     def grams(t: pa.Table) -> pa.Table:
-        """Distinct (doc_id, gram) pairs of a batch, exchange-tagged."""
-        empty = pa.table({"part": pa.array([], pa.int32()),
-                          "doc_id": pa.array([], pa.int64()),
+        """Distinct (doc_id, gram) pairs of a batch."""
+        empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "g": pa.array([], pa.string())})
         if t.num_rows == 0:
             return empty
@@ -1125,18 +1065,11 @@ def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16,
                                    "g": sub}))
         if not parts:
             return empty
-        u = (pa.concat_tables(parts)
-             .group_by(["doc_id", "g"]).aggregate([]))
-        gh = _hash_str_array(u.column("g").combine_chunks())
-        return pa.table({
-            "part": pa.array((gh % np.uint64(num_partitions))
-                             .astype(np.int32)),
-            "doc_id": u.column("doc_id"),
-            "g": u.column("g"),
-        })
+        return (pa.concat_tables(parts)
+                .group_by(["doc_id", "g"]).aggregate([]))
 
     def mark(gp: pa.Table) -> pa.Table:
-        """One hash(gram) partition: distinct-doc counts per gram ->
+        """One gram partition: distinct-doc counts per gram ->
         per-doc (dup, total) partials. Input rows are already distinct
         (doc, gram) pairs, so a gram's row count IS its doc count."""
         enc = gp.column("g").combine_chunks().dictionary_encode()
@@ -1155,10 +1088,9 @@ def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16,
         })
 
     from ..stages.exchange import fx_sum_by
-    partials = (ds.map_batches(grams, batch_format="pyarrow")
-                .fx_map_groups(mark))
-    return fx_sum_by(partials, ["doc_id"],
-                     ["dup_grams", "total_grams"], num_partitions)
+    partials = exchange.file_exchange_map_groups(
+        ds.map_batches(grams, batch_format="pyarrow"), mark, keys=["g"])
+    return fx_sum_by(partials, ["doc_id"], ["dup_grams", "total_grams"])
 
 
 # --------------------------------------------------------------------- #
@@ -1219,20 +1151,17 @@ def _semdedup_part(g: pa.Table, tau: float, chunk: int = 2048
     })
 
 
-def _semdedup_tag_block(t: pa.Table, C: np.ndarray,
-                        num_partitions: int) -> pa.Table:
+def _semdedup_tag_block(t: pa.Table, C: np.ndarray) -> pa.Table:
     from .ann import _kmeans_dist2, _micro_vectors
     ids, M = _micro_vectors(t)
     if len(ids) == 0:
         return pa.table({
-            "part": pa.array([], pa.int32()),
             "cluster": pa.array([], pa.int64()),
             "vec_id": pa.array([], pa.int64()),
             "embedding": t.column("embedding"),
         })
     assign = np.argmin(_kmeans_dist2(M, C), axis=1).astype(np.int64)
     return pa.table({
-        "part": pa.array((assign % num_partitions).astype(np.int32)),
         "cluster": pa.array(assign),
         "vec_id": pa.array(ids.astype(np.int64)),
         "embedding": t.column("embedding"),
@@ -1243,8 +1172,7 @@ _SEMDEDUP_TAG = ray.remote(num_cpus=1)(_semdedup_tag_block)
 
 
 def semdedup(sf_dir: str, k: int = 8, iters: int = 12,
-             threshold_pm: int = 350,
-             num_partitions: int = 16) -> ray.data.Dataset:
+             threshold_pm: int = 350) -> ray.data.Dataset:
     """SemDeDup (Abbas et al. 2023, arXiv:2303.09540): cluster the
     embedding table with the module's exact-integer k-means, then
     within each cluster drop every vector whose cosine similarity to
@@ -1257,8 +1185,8 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 12,
     Scale shape: centroids come from the shared ``ann._kmeans_fit``
     (blocks read once, one raw-task fan per Lloyd's iteration, no
     shuffle); assignment + exchange tagging is one more raw-task fan
-    over the SAME pinned blocks. The only shuffle is ONE co-partitioned
-    exchange on cluster %% P — a vector moves exactly once, to the
+    over the SAME pinned blocks. The only shuffle is ONE exchange keyed
+    on the cluster — a vector moves exactly once, to the
     partition that owns its cluster. The per-cluster prune is
     column-chunked (O(cluster x 2048) similarity buffer) and the
     pairwise cost is bounded by the largest CLUSTER, not the corpus:
@@ -1278,10 +1206,11 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 12,
             "dup_of": pa.array([], pa.int64())}))
     ref = ray.put(C)
     tagged = ray.data.from_arrow_refs(
-        [_SEMDEDUP_TAG.remote(b, ref, num_partitions) for b in blocks])
+        [_SEMDEDUP_TAG.remote(b, ref) for b in blocks])
     from functools import partial as _p
-    return tagged.fx_map_groups(
-        _p(_semdedup_part, tau=threshold_pm / 1000.0))
+    return exchange.file_exchange_map_groups(
+        tagged, _p(_semdedup_part, tau=threshold_pm / 1000.0),
+        keys=["cluster"])
 
 
 
@@ -1340,8 +1269,8 @@ def _cut_spans_flat(txt: pa.Array, span_doc: np.ndarray,
     return out, removed_c
 
 
-def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16,
-                     num_partitions: int = 16) -> ray.data.Dataset:
+def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16
+                     ) -> ray.data.Dataset:
     """The transform half of ``dup_gram_coverage`` (Lee et al. 2021
     ExactSubstr-style): every sampled ``gram``-char span whose text
     occurs at >= 2 sampled positions corpus-wide in >= 2 distinct
@@ -1349,24 +1278,23 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16,
     (doc_id, pos)); overlapping removal spans merge before cutting.
     Returns (doc_id, text, n_chars_removed, n_spans_removed) for EVERY
     doc (uncut docs pass through unchanged). Deterministic under any
-    partitioning: keeper election happens inside the gram's own hash
+    partitioning: keeper election happens inside the gram's own
     partition, which sees all occurrences.
 
-    Scale shape: same ONE hash(gram) exchange as the coverage op, but
-    occurrence rows carry (doc_id, pos) so the partition can elect the
-    keeper; removals return keyed by doc and meet the corpus in a
-    SECOND co-partitioned union-tag exchange on hash(doc_id) — text
+    Scale shape: same ONE exchange keyed on the gram as the coverage
+    op, but occurrence rows carry (doc_id, pos) so the partition can
+    elect the keeper; removals meet the corpus in a SECOND exchange
+    keyed on doc_id — text
     moves once, spans are tiny. The cut itself is one flat-buffer pass
     (``_cut_spans_flat``): char-start mask, difference-array span
     marks, reduceat re-offsets — no per-row loop anywhere."""
     ds = read_documents(sf_dir, columns=["doc_id", "text"])
 
     def grams_pos(t: pa.Table) -> pa.Table:
-        """(part, doc_id, pos, g) for every sampled occurrence — no
+        """(doc_id, pos, g) for every sampled occurrence — no
         per-doc distinct here: a within-doc repeat is itself removable
         (only the globally-first occurrence survives)."""
-        empty = pa.table({"part": pa.array([], pa.int32()),
-                          "doc_id": pa.array([], pa.int64()),
+        empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "pos": pa.array([], pa.int64()),
                           "g": pa.array([], pa.string())})
         if t.num_rows == 0:
@@ -1387,21 +1315,12 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16,
                 "g": sub}))
         if not parts:
             return empty
-        u = pa.concat_tables(parts)
-        gh = _hash_str_array(u.column("g").combine_chunks())
-        return pa.table({
-            "part": pa.array((gh % np.uint64(num_partitions))
-                             .astype(np.int32)),
-            "doc_id": u.column("doc_id"),
-            "pos": u.column("pos"),
-            "g": u.column("g"),
-        })
+        return pa.concat_tables(parts)
 
     def elect(gp: pa.Table) -> pa.Table:
         """Per gram: if >= 2 distinct docs hold it, every occurrence
         except the (doc_id, pos)-minimum becomes a removal row."""
-        empty = pa.table({"part": pa.array([], pa.int32()),
-                          "doc_id": pa.array([], pa.int64()),
+        empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "pos": pa.array([], pa.int64()),
                           "text": pa.array([], pa.string()),
                           "side": pa.array([], pa.int8())})
@@ -1421,7 +1340,6 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16,
         out = np.repeat(ndocs >= 2, sizes) & ~first
         k = int(out.sum())
         return pa.table({
-            "part": _int_part(ids[out], num_partitions),
             "doc_id": pa.array(ids[out]),
             "pos": pa.array(pos[out]),
             "text": pa.nulls(k, pa.string()),
@@ -1429,9 +1347,7 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16,
         })
 
     def doc_side(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _int_part(ids, num_partitions),
             "doc_id": t.column("doc_id"),
             "pos": pa.nulls(t.num_rows, pa.int64()),
             "text": t.column("text"),
@@ -1483,11 +1399,12 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16,
             "n_spans_removed": pa.array(nspans),
         })
 
-    removals = (ds.map_batches(grams_pos, batch_format="pyarrow")
-                .fx_map_groups(elect))
-    return (ds.map_batches(doc_side, batch_format="pyarrow")
-            .union(removals)
-            .fx_map_groups(cut))
+    removals = exchange.file_exchange_map_groups(
+        ds.map_batches(grams_pos, batch_format="pyarrow"), elect,
+        keys=["g"])
+    return exchange.file_exchange_map_groups(
+        ds.map_batches(doc_side, batch_format="pyarrow").union(removals),
+        cut, keys=["doc_id"])
 
 
 # --------------------------------------------------------------------- #
@@ -1626,10 +1543,6 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
         return g.select(["doc_id", "dup_of", "est_jaccard_pct"]).take(
             pa.array(order[first], pa.int64()))
 
-    def tag_doc(t: pa.Table) -> pa.Table:
-        d = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return t.append_column("part", _int_part(d, num_partitions))
-
     ds = (read_documents(new_docs, columns=["doc_id", column])
           if isinstance(new_docs, str) else new_docs)
     banded = ds.map_batches(_to_bands_fn(k, bands, shingle,
@@ -1641,15 +1554,17 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
                        "dup_of": pa.array([], pa.int64()),
                        "est_jaccard_pct": pa.array([], pa.int64())})
              if isinstance(new_docs, str) else None)
-    from ..stages.exchange import file_exchange_map_groups
-    pairs = file_exchange_map_groups(banded, match, root=root,
-                                     part_col="bpart", empty_result=empty)
+    # the index's band partition is the explicit route
+    pairs = exchange.file_exchange_map_groups(
+        banded, match, root=root, empty_result=empty,
+        pre=lambda t: t.append_column("part", t.column("bpart")))
     if not fold_best:
         # raw candidate pairs (band-duplicates included) — callers that
         # filter pairs (e.g. the online keeper rule) fold afterwards
         return pairs
-    return file_exchange_map_groups(pairs, best_per_doc, root=root,
-                                    pre=tag_doc, empty_result=empty)
+    return exchange.file_exchange_map_groups(
+        pairs, best_per_doc, keys=["doc_id"], root=root,
+        empty_result=empty)
 
 
 def incremental_dedup(sf_dir: str, *, k: int = 64, bands: int = 16,
@@ -1708,20 +1623,19 @@ def incremental_dedup(sf_dir: str, *, k: int = 64, bands: int = 16,
 
 
 def dup_cluster_sizes(sf_dir: str, shingle: int = 3,
-                      min_jaccard_pct: int = 80,
-                      num_partitions: int = 16) -> pa.Table:
+                      min_jaccard_pct: int = 80) -> pa.Table:
     """Duplication REPORT: the near-dup cluster-size distribution
     (size, n_clusters) — how much of the corpus duplication is pairs
     vs deep pile-ups, the number a curation run publishes next to its
     attrition table. Built on :func:`duplicate_clusters`; the fold is
     over cluster labels only (bounded by the pair graph, a small
     fraction of the corpus by construction)."""
-    cc = duplicate_clusters(sf_dir, shingle, min_jaccard_pct,
-                            num_partitions)
-    sizes = cc.groupby("cluster_id").count()
+    sizes = exchange.fx_count_by(
+        duplicate_clusters(sf_dir, shingle, min_jaccard_pct),
+        ["cluster_id"], "size")
     df = sizes.to_pandas()                 # bounded: #clusters rows
-    g = (df.groupby("count()").size().reset_index(name="n_clusters")
-         .rename(columns={"count()": "size"}).sort_values("size"))
+    g = (df.groupby("size").size().reset_index(name="n_clusters")
+         .sort_values("size"))
     return pa.table({
         "size": pa.array(g["size"].astype("int64")),
         "n_clusters": pa.array(g["n_clusters"].astype("int64")),

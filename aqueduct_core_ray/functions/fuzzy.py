@@ -30,10 +30,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .text import hash_str_array, read_documents
+from .text import read_documents
 
-# registers ray.data.Dataset.fx_map_groups
-from ..stages import exchange as _exchange  # noqa: F401
+from ..stages import exchange
 
 __all__ = ["levenshtein_pairs", "fuzzy_match_pairs"]
 
@@ -83,7 +82,6 @@ def levenshtein_pairs(a: "list[str]", b: "list[str]") -> np.ndarray:
 
 def fuzzy_match_pairs(sf_dir: str, block_chars: int = 12,
                       prefix_chars: int = 24, max_dist: int = 4,
-                      num_partitions: int = 16,
                       pair_chunk: int = 1 << 20) -> ray.data.Dataset:
     """All document pairs whose texts share the first ``block_chars``
     characters (the blocking key) and whose first ``prefix_chars``
@@ -95,10 +93,7 @@ def fuzzy_match_pairs(sf_dir: str, block_chars: int = 12,
     def keyed(t: pa.Table) -> pa.Table:
         blk = pc.utf8_slice_codeunits(t.column("text"), 0, block_chars)
         pfx = pc.utf8_slice_codeunits(t.column("text"), 0, prefix_chars)
-        part = (hash_str_array(blk)
-                % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
-            "part": pa.array(part),
             "blk": blk,
             "pfx": pfx,
             "doc_id": t.column("doc_id"),
@@ -147,9 +142,10 @@ def fuzzy_match_pairs(sf_dir: str, block_chars: int = 12,
         return (pa.concat_tables(outs, promote_options="default")
                 if outs else empty)
 
-    return (read_documents(sf_dir, columns=["doc_id", "text"])
-            .map_batches(keyed, batch_format="pyarrow")
-            .fx_map_groups(per_part, empty_result=empty))
+    return exchange.file_exchange_map_groups(
+        read_documents(sf_dir, columns=["doc_id", "text"])
+        .map_batches(keyed, batch_format="pyarrow"),
+        per_part, keys=["blk"], empty_result=empty)
 
 
 # ------------------------------------------------------------------ #

@@ -25,7 +25,7 @@ import pyarrow.dataset as pads
 import ray.data
 
 from ..pipelines.events_replay import tokenize_documents
-from ..stages import exchange  # noqa: F401  (Dataset.fx_map_groups)
+from ..stages import exchange
 
 
 def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
@@ -36,7 +36,7 @@ def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
     (pack_id, tokens, n_tok, n_docs) rows; all packs are exactly
     ``context_len`` tokens except each partition's final partial."""
 
-    def part_col(t: pa.Table) -> pa.Table:
+    def tag_part(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         part = (pd.util.hash_array(np.asarray(ids, dtype=object),
                                    categorize=False)
@@ -88,8 +88,8 @@ def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
             "n_docs": pa.array(per_pack),
         })
 
-    ds = ds.map_batches(part_col, batch_format="pyarrow")
-    return ds.fx_map_groups(pack, empty_result=empty)
+    ds = ds.map_batches(tag_part, batch_format="pyarrow")
+    return exchange.file_exchange_map_groups(ds, pack, empty_result=empty)
 
 
 def pack_sequences(sf_dir: str, context_len: int = 512,
@@ -120,7 +120,7 @@ def pack_documents(sf_dir: str, context_len: int = 512,
     job reproduces identical packs, and its waste is bounded and
     reported per pack rather than hidden."""
 
-    def part_col(t: pa.Table) -> pa.Table:
+    def tag_part(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         part = (pd.util.hash_array(np.asarray(ids, dtype=object),
                                    categorize=False)
@@ -186,8 +186,8 @@ def pack_documents(sf_dir: str, context_len: int = 512,
     # only needs (doc_id, n_tok), so no token bytes move
     ds = (tokenize_documents(sf_dir)
           .drop_columns(["tokens"])
-          .map_batches(part_col, batch_format="pyarrow"))
-    return ds.fx_map_groups(pack, empty_result=empty)
+          .map_batches(tag_part, batch_format="pyarrow"))
+    return exchange.file_exchange_map_groups(ds, pack, empty_result=empty)
 
 
 # ------------------------------------------------------------------ #

@@ -19,8 +19,7 @@ import ray.data
 
 from .text import read_documents
 
-# registers ray.data.Dataset.fx_map_groups (file exchange — skips
-# Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
+from ..stages import exchange
 from ..stages.exchange import collect_tables
 
 
@@ -58,11 +57,13 @@ def mixture_resample(sf_dir: str,
     relative weights per source, compute per-source acceptance
     fractions (≤1 — downsampling only, the largest-feasible mixture)
     from the actual counts, then stratified-sample. Two passes: a tiny
-    native count aggregate, then the streaming filter — the classic
+    keyed count, then the streaming filter — the classic
     mixture-rebalancing step before tokenizer/packing."""
-    counts = {r["source"]: r["count()"] for r in
-              read_documents(sf_dir, columns=["source"])
-              .groupby("source").count().take_all()}
+    counts = {s: n for t in ray.get(exchange.fx_count_by(
+                  exchange.leaf(f"{sf_dir}/documents.parquet", ["source"]),
+                  ["source"], "n").refs)
+              for s, n in zip(t.column("source").to_pylist(),
+                              t.column("n").to_pylist())}
     missing = set(weights) - set(counts)
     if missing:
         raise ValueError(f"weights name unknown sources: {sorted(missing)}")
@@ -264,7 +265,7 @@ def epoch_shuffle(sf_dir: str, seed: int = 0,
     partition of its shuffle hash's high bits (range, not modulo: the
     global order equals the skey sort, so the epoch order is invariant
     to ``num_partitions`` — resuming on a differently-sized cluster
-    reproduces the identical order), ``groupby(spart)`` co-locates each
+    reproduces the identical order), the exchange co-locates each
     range, and one in-partition argsort finishes the permutation. No
     global sort, no driver materialization; rows with colliding hashes
     tie-break by doc_id so the order is total."""
@@ -281,23 +282,22 @@ def epoch_shuffle(sf_dir: str, seed: int = 0,
         else:
             h = hash_str_array(col)
         h = (h + np.uint64(seed)) * np.uint64(0x9E3779B97F4A7C15)
-        spart = ((h >> np.uint64(48)).astype(np.uint64)
-                 * np.uint64(num_partitions)) >> np.uint64(16)
+        part = ((h >> np.uint64(48)).astype(np.uint64)
+                * np.uint64(num_partitions)) >> np.uint64(16)
         return (t.append_column("skey", pa.array(h))   # uint64: the
                 # in-partition sort must order the same way the
                 # high-bits range tag does
-                .append_column("spart",
-                               pa.array(spart.astype(np.int32))))
+                .append_column("part", pa.array(part.astype(np.int32))))
 
     def order_partition(g: pa.Table) -> pa.Table:
         key = g.column("skey").to_numpy(zero_copy_only=False)
         did = g.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((did, key))
-        return g.take(pa.array(order)).drop_columns(["skey", "spart"])
+        return g.take(pa.array(order)).drop_columns(["skey", "part"])
 
-    return (read_documents(sf_dir)
-            .map_batches(tag, batch_format="pyarrow")
-            .fx_map_groups(order_partition, part_col="spart"))
+    return exchange.file_exchange_map_groups(
+        read_documents(sf_dir).map_batches(tag, batch_format="pyarrow"),
+        order_partition)
 
 
 # --------------------------------------------------------------------- #
@@ -357,8 +357,7 @@ def train_val_split(sf_dir: str,
 
 
 def token_budget_sample(sf_dir: str, budget: int = 800,
-                        salt: str = "budget",
-                        num_partitions: int = 16) -> ray.data.Dataset:
+                        salt: str = "budget") -> ray.data.Dataset:
     """Per-source token-budget sampling: greedily keep docs in
     md5(salt '|' doc_id) order (a deterministic, corpus-size-invariant
     shuffle) until each source's cumulative whitespace-token count
@@ -366,7 +365,7 @@ def token_budget_sample(sf_dir: str, budget: int = 800,
     a data recipe says "at most N tokens from source X".
 
     Scale shape: one pass computes (n_tok, order-key) per row, ONE
-    keyed exchange co-locates each source (hash(source) % P — the
+    exchange keyed on source co-locates each source (the
     partitioning assumption: a single source's rows fit one partition
     task, the same contract as top_docs_per_source), and a segmented
     cumsum takes the prefix. Returns (doc_id, source, n_tok, cum_tok)
@@ -374,19 +373,14 @@ def token_budget_sample(sf_dir: str, budget: int = 800,
     tested against, so downstream can audit the cut."""
     import pyarrow.compute as pc
 
-    from .text import hash_str_array
-
     def prep(t: pa.Table) -> pa.Table:
         n_tok = pc.count_substring_regex(
             t.column("text"), r"\S+").cast(pa.int64())
-        part = (hash_str_array(t.column("source"))
-                % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({"doc_id": t.column("doc_id"),
                          "source": t.column("source"),
                          "n_tok": n_tok,
                          "ord": pa.array(
-                             _md5_hex(f"{salt}|", t.column("doc_id"))),
-                         "part": pa.array(part)})
+                             _md5_hex(f"{salt}|", t.column("doc_id")))})
 
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "source": pa.array([], pa.string()),
@@ -414,9 +408,10 @@ def token_budget_sample(sf_dir: str, budget: int = 800,
                          "n_tok": pa.array(tok[keep]),
                          "cum_tok": pa.array(cum[keep])})
 
-    return (read_documents(sf_dir, columns=["doc_id", "source", "text"])
-            .map_batches(prep, batch_format="pyarrow")
-            .fx_map_groups(take_prefix, empty_result=empty))
+    return exchange.file_exchange_map_groups(
+        read_documents(sf_dir, columns=["doc_id", "source", "text"])
+        .map_batches(prep, batch_format="pyarrow"),
+        take_prefix, keys=["source"], empty_result=empty)
 
 
 def stratified_topk_sample(sf_dir: str, k: int = 5,
@@ -463,10 +458,10 @@ def stratified_topk_sample(sf_dir: str, k: int = 5,
                                      dtype=np.int64)),
         })
 
-    ds = read_documents(sf_dir, columns=["doc_id", "source"])
-    cand = ds.map_batches(local_topk, batch_format="pyarrow")
-    return cand.groupby("source").map_groups(final_topk,
-                                             batch_format="pyarrow")
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "source"]),
+        exchange.each_group(final_topk, ["source"]), keys=["source"],
+        pre=local_topk).refs)
 
 
 # ------------------------------------------------------------------ #

@@ -20,9 +20,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-# importing the exchange registers ray.data.Dataset.fx_map_groups (file
-# exchange — skips Ray's ~3 s sort-shuffle floor per co-partitioned
-# exchange); hash_str_array is re-exported for the dedup family
+# the keyed file exchange (stages/exchange.py) runs every per-key
+# exchange below; hash_str_array is re-exported for the dedup family
 from ..stages import exchange
 from ..stages.exchange import (collect_tables, dict_encode,  # noqa: F401
                                hash_str_array)
@@ -128,9 +127,9 @@ def top_tokens_by_source(sf_dir: str, k: int = 10) -> ray.data.Dataset:
     heavy hitters — the corpus-stats staple). Ties break by token asc.
 
     Scale shape: per-block (source, token) partial counts (Arrow
-    group_by combiner — the shuffle moves distinct pairs, never words),
-    native distributed sum, then a top-k per source over a BOUNDED
-    group count (#sources)."""
+    group_by combiner — the exchange moves distinct pairs, never
+    words), a keyed sum, then a top-k per source over a BOUNDED group
+    count (#sources)."""
 
     def pair_counts(t: pa.Table) -> pa.Table:
         txt = pc.utf8_trim_whitespace(t.column("text"))
@@ -149,7 +148,7 @@ def top_tokens_by_source(sf_dir: str, k: int = 10) -> ray.data.Dataset:
         })
 
     def topk(t: pa.Table) -> pa.Table:
-        cnt = t.column("sum(cnt)").to_numpy(zero_copy_only=False)
+        cnt = t.column("cnt").to_numpy(zero_copy_only=False)
         tok = t.column("token").to_numpy(zero_copy_only=False)
         order = np.lexsort((tok, -cnt))[:k]
         n = len(order)
@@ -160,10 +159,12 @@ def top_tokens_by_source(sf_dir: str, k: int = 10) -> ray.data.Dataset:
             "rk": pa.array(np.arange(1, n + 1, dtype=np.int64)),
         })
 
-    ds = read_documents(sf_dir, columns=["source", "text"])
-    partial = ds.map_batches(pair_counts, batch_format="pyarrow")
-    total = partial.groupby(["source", "token"]).sum("cnt")
-    return total.groupby("source").map_groups(topk, batch_format="pyarrow")
+    total = exchange.fx_sum_by(
+        exchange.leaf(f"{sf_dir}/documents.parquet", ["source", "text"]),
+        ["source", "token"], ["cnt"], pre=pair_counts)
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        total.refs, exchange.each_group(topk, ["source"]),
+        keys=["source"]).refs)
 
 
 # --------------------------------------------------------------------- #
@@ -340,9 +341,9 @@ def top_docs_per_source(sf_dir: str, k: int = 3) -> ray.data.Dataset:
 
     Scale shape: each batch emits only its LOCAL top-k per source
     (sort + segmented head — the candidate set shrinks to
-    k·sources·blocks rows before any exchange), then one map_groups
-    over the bounded #sources group count finalizes ranks. No global
-    sort, no full-table shuffle."""
+    k·sources·blocks rows before any exchange), then one exchange keyed
+    on source finalizes ranks over the bounded #sources group count. No
+    global sort, no full-table shuffle."""
 
     def local_topk(t: pa.Table) -> pa.Table:
         src = t.column("source").to_numpy(zero_copy_only=False)
@@ -373,10 +374,11 @@ def top_docs_per_source(sf_dir: str, k: int = 3) -> ray.data.Dataset:
             "rk": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
         })
 
-    ds = read_documents(sf_dir, columns=["doc_id", "source", "n_chars"])
-    cand = ds.map_batches(local_topk, batch_format="pyarrow")
-    return cand.groupby("source").map_groups(final_topk,
-                                             batch_format="pyarrow")
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        exchange.leaf(f"{sf_dir}/documents.parquet",
+                      ["doc_id", "source", "n_chars"]),
+        exchange.each_group(final_topk, ["source"]), keys=["source"],
+        pre=local_topk).refs)
 
 
 # --------------------------------------------------------------------- #
@@ -526,10 +528,9 @@ def _codes(arr: "pa.Array | pa.ChunkedArray") -> np.ndarray:
     return dict_encode(arr).indices.to_numpy()
 
 
-def _tf_rows(t: pa.Table, num_partitions: int) -> pa.Table:
+def _tf_rows(t: pa.Table) -> pa.Table:
     """Per-block (doc, whitespace token, tf) counts via one Arrow
-    group_by — each doc lives in one block, so the counts are final —
-    tagged ``tpart`` = hash(token) %% P."""
+    group_by — each doc lives in one block, so the counts are final."""
     txt = pc.utf8_trim_whitespace(t.column("text"))
     words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
     agg = pa.table({
@@ -538,25 +539,19 @@ def _tf_rows(t: pa.Table, num_partitions: int) -> pa.Table:
         "token": words.flatten(),
     }).group_by(["doc_id", "token"]).aggregate([("token", "count")])
     return pa.table({
-        "tpart": pa.array((hash_str_array(agg.column("token"))
-                           % np.uint64(num_partitions)).astype(np.int32)),
         "doc_id": agg.column("doc_id"),
         "token": agg.column("token"),
         "tf": agg.column("token_count"),
     })
 
 
-def _tfidf_scores(g: pa.Table, n_docs: int,
-                  num_partitions: int) -> pa.Table:
+def _tfidf_scores(g: pa.Table, n_docs: int) -> pa.Table:
     """Token-partition task of tfidf_top_terms: df is the row count of
-    each token (the partition owns all of its rows); rows re-tagged
-    ``dpart`` = hash(doc_id) %% P."""
+    each token (the partition owns all of its rows)."""
     tok = _codes(g.column("token"))
     tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
     idf = np.log((n_docs + 1.0) / (np.bincount(tok)[tok] + 1.0))
     return pa.table({
-        "dpart": pa.array((hash_str_array(g.column("doc_id"))
-                           % np.uint64(num_partitions)).astype(np.int32)),
         "doc_id": g.column("doc_id"),
         "token": g.column("token"),
         "tf": pa.array(tf),
@@ -605,8 +600,7 @@ def _unigram_scores(g: pa.Table, total: float) -> pa.Table:
     })
 
 
-def tfidf_top_terms(sf_dir: str, k: int = 5,
-                    num_partitions: int = 32) -> ray.data.Dataset:
+def tfidf_top_terms(sf_dir: str, k: int = 5) -> ray.data.Dataset:
     """Per-document KEYWORD EXTRACTION: the ``k`` whitespace tokens with
     the highest tf-idf in each document. Score is the INTEGER PERMILLE
     ``floor(tf * ln((N+1)/(df+1)) * 1000 + 0.5)`` (smoothed idf, same
@@ -618,28 +612,24 @@ def tfidf_top_terms(sf_dir: str, k: int = 5,
     Scale shape: two co-partitioned exchanges, no broadcast of the
     (unbounded) vocabulary. (1) per-block (doc, token, tf) counts via
     one Arrow group_by — each doc lives in exactly one block, so the
-    counts are final — tagged hash(token) %% P; the token partition
-    owns every row of its tokens, computes df as its row count per
-    token and scores in place. (2) re-tag hash(doc) %% P; the doc
-    partition does ONE vectorized lexsort for all its docs' top-k
-    (no per-doc loops). Output is O(k x docs), streamed, never folded
-    on the driver."""
+    counts are final — keyed on token; the token partition owns every
+    row of its tokens, computes df as its row count per token and
+    scores in place. (2) keyed on doc_id; the doc partition does ONE
+    vectorized lexsort for all its docs' top-k (no per-doc loops).
+    Output is O(k x docs), streamed, never folded on the driver."""
     import pyarrow.parquet as pq
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
 
     scored = exchange.file_exchange_map_groups(
         exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"]),
-        functools.partial(_tfidf_scores, n_docs=n_docs,
-                          num_partitions=num_partitions),
-        part_col="tpart",
-        pre=functools.partial(_tf_rows, num_partitions=num_partitions))
+        functools.partial(_tfidf_scores, n_docs=n_docs), keys=["token"],
+        pre=_tf_rows)
     return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
         scored.refs, functools.partial(_tfidf_topk, k=k),
-        part_col="dpart").refs)
+        keys=["doc_id"]).refs)
 
 
-def unigram_logprob_score(sf_dir: str,
-                          num_partitions: int = 32) -> ray.data.Dataset:
+def unigram_logprob_score(sf_dir: str) -> ray.data.Dataset:
     """Corpus-LM QUALITY SCORING: train a unigram language model on the
     whole corpus (token relative frequencies) and score every document
     by its total log-likelihood — the cheap stand-in for KenLM-style
@@ -654,7 +644,7 @@ def unigram_logprob_score(sf_dir: str,
     Scale shape: the vocabulary is UNBOUNDED so it is never broadcast
     — the same two co-partitioned exchanges as tfidf_top_terms.
     (1) per-block (doc, token, tf) counts via one Arrow group_by,
-    tagged hash(token) %% P; the token partition owns every row of its
+    keyed on token; the token partition owns every row of its
     tokens, folds global counts with one bincount over token codes and
     scores each row ``tf x lp(token)`` in place. (2) a keyed sum by
     doc_id finishes the per-doc fold. The corpus-wide token total (one
@@ -676,11 +666,11 @@ def unigram_logprob_score(sf_dir: str,
 
     from ..stages.exchange import fx_sum_by
     return fx_sum_by(
-        read_documents(sf_dir, columns=["doc_id", "text"])
-        .map_batches(_tf_rows, batch_format="pyarrow",
-                     fn_kwargs={"num_partitions": num_partitions})
-        .fx_map_groups(functools.partial(_unigram_scores, total=total),
-                       part_col="tpart"),
+        exchange.file_exchange_map_groups(
+            read_documents(sf_dir, columns=["doc_id", "text"])
+            .map_batches(_tf_rows, batch_format="pyarrow"),
+            functools.partial(_unigram_scores, total=total),
+            keys=["token"]),
         ["doc_id"], ["n_tok", "score_permille"])
 
 
@@ -1134,8 +1124,8 @@ def spearman_chars_tokens(sf_dir: str) -> ray.data.Dataset:
 # derived-rollup family as aqueduct-core's DerivedTableSync
 # re-aggregations (offset-windowed recount, never row-at-a-time).
 # --------------------------------------------------------------------- #
-def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
-                num_partitions: int = 16) -> ray.data.Dataset:
+def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5
+                ) -> ray.data.Dataset:
     """Top-``k`` adjacent-token bigrams by pointwise mutual information
     ``ln( (c_xy/N_big) / ((c_x/N_tok)(c_y/N_tok)) )``, restricted to
     bigrams seen at least ``min_count`` times. PMI is emitted as the
@@ -1148,19 +1138,17 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
     Scale shape: the vocabulary AND bigram space are unbounded, so
     nothing is broadcast and no native sort-shuffle runs. One pass
     emits per-block Arrow group_by partials as a tagged union —
-    unigram partials keyed hash(token)%%P, bigram partials keyed
-    hash(w1)%%P — into ONE file exchange whose partition then owns
+    unigram partials of a token and bigram partials of its w1 share
+    ``w1`` — into ONE exchange keyed on w1 whose partition then owns
     every partial of its tokens: it folds GLOBAL unigram counts
     (sort+reduceat), folds global bigram counts, attaches c_x to each
-    surviving (cnt >= min_count) bigram, and re-tags bigrams by
-    hash(w2)%%P while passing its global unigram rows through. The
-    second exchange attaches c_y the same way, scores PMI in place,
-    and local-top-k's — the driver folds <= k x P candidate rows. The
+    surviving (cnt >= min_count) bigram, and re-keys bigrams by w2
+    while passing its global unigram rows through. The second exchange
+    attaches c_y the same way, scores PMI in place, and local-top-k's —
+    the driver folds <= k x P candidate rows. The
     two corpus scalars (N_tok, N_big) fold from one narrow pre-pass
     (one int64 row per block)."""
     from ..stages.exchange import file_exchange_map_groups
-
-    P = np.uint64(num_partitions)
 
     def _tok_arrays(t: pa.Table):
         txt = pc.utf8_trim_whitespace(t.column("text"))
@@ -1183,7 +1171,6 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
     n_big = float(sum(t.column("n_big").to_numpy().sum() for t in parts))
 
     empty = pa.table({
-        "part": pa.array([], pa.int32()),
         "kind": pa.array([], pa.int8()),
         "w1": pa.array([], pa.string()),
         "w2": pa.array([], pa.string()),
@@ -1210,7 +1197,6 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
         else:
             big = None
         cols = {
-            "part": [(hash_str_array(uw) % P).astype(np.int32)],
             "kind": [np.zeros(len(uw), np.int8)],
             "w1": [uw],
             "w2": [pa.nulls(len(uw), pa.string())],
@@ -1218,8 +1204,6 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
             "c1": [np.zeros(len(uw), np.int64)],
         }
         if big is not None:
-            cols["part"].append(
-                (hash_str_array(big.column("w1")) % P).astype(np.int32))
             cols["kind"].append(np.full(big.num_rows, 1, np.int8))
             cols["w1"].append(big.column("w1"))
             cols["w2"].append(big.column("w2"))
@@ -1254,8 +1238,9 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
         c1 = ucnt[np.searchsorted(ukey, bw1)] if len(bw1) else \
             np.empty(0, np.int64)
         out = {
-            "part": [(hash_str_array(ukey) % P).astype(np.int32),
-                     (hash_str_array(bw2) % P).astype(np.int32)],
+            # the second exchange's key: a unigram's token, a bigram's w2
+            "key": [pa.array(ukey.astype(object), pa.string()),
+                    pa.array(bw2.astype(object), pa.string())],
             "kind": [np.zeros(len(ukey), np.int8),
                      np.full(len(bw1), 1, np.int8)],
             "w1": [pa.array(ukey.astype(object), pa.string()),
@@ -1311,8 +1296,10 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
 
     ds = read_documents(sf_dir, columns=["text"]) \
         .map_batches(union_partials, batch_format="pyarrow")
-    ds = file_exchange_map_groups(ds, attach_c1, empty_result=empty)
-    ds = file_exchange_map_groups(ds, score_topk, empty_result=pa.table({
+    ds = file_exchange_map_groups(ds, attach_c1, keys=["w1"],
+                                  empty_result=empty)
+    ds = file_exchange_map_groups(ds, score_topk, keys=["key"],
+                                  empty_result=pa.table({
         "w1": pa.array([], pa.string()),
         "w2": pa.array([], pa.string()),
         "cnt": pa.array([], pa.int64()),
@@ -1347,8 +1334,7 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
 # distributions (the mixture-rebalancing / snapshot-drift audit: "did
 # source A's vocabulary shift vs source B between crawls?").
 # --------------------------------------------------------------------- #
-def source_divergence(sf_dir: str,
-                      num_partitions: int = 16) -> ray.data.Dataset:
+def source_divergence(sf_dir: str) -> ray.data.Dataset:
     """Pairwise JSD between every pair of sources' unigram
     distributions, in INTEGER MICROS (floor(jsd * 1e6 + 0.5)) so the
     DuckDB oracle matches. JSD(P,Q) = 0.5·Σ p·ln(p/m) + 0.5·Σ q·ln(q/m)
@@ -1358,7 +1344,7 @@ def source_divergence(sf_dir: str,
 
     Scale shape: the vocabulary is unbounded so nothing is broadcast —
     per-block (source, token, cnt) Arrow group_by partials feed ONE
-    hash(token) exchange; the owning partition folds each token's
+    exchange keyed on token; the owning partition folds each token's
     global per-source counts and emits ONE float64 JSD-contribution
     row per (pair, partition) — the driver folds <= pairs x P tiny
     rows. Per-source token totals come from the same partials' bounded
@@ -1367,8 +1353,6 @@ def source_divergence(sf_dir: str,
     summation order differs from SQL's only across <= P + blocks
     groups, inside the micros tolerance."""
     from ..stages.exchange import file_exchange_map_groups, fx_sum_by
-
-    P = np.uint64(num_partitions)
 
     def pair_counts(t: pa.Table) -> pa.Table:
         txt = pc.utf8_trim_whitespace(t.column("text"))
@@ -1380,18 +1364,16 @@ def source_divergence(sf_dir: str,
             "token": words.flatten(),
         })
         agg = g.group_by(["source", "token"]).aggregate([("token", "count")])
-        tok = agg.column("token")
         return pa.table({
-            "part": pa.array((hash_str_array(tok) % P).astype(np.int32)),
             "source": agg.column("source"),
-            "token": tok,
+            "token": agg.column("token"),
             "cnt": agg.column("token_count").cast(pa.int64()),
         })
 
     partials = (read_documents(sf_dir, columns=["source", "text"])
                 .map_batches(pair_counts, batch_format="pyarrow"))
     # per-source totals: bounded (#sources) — driver fold
-    totals_t = fx_sum_by(partials.drop_columns(["part", "token"])
+    totals_t = fx_sum_by(partials.drop_columns(["token"])
                          .map_batches(lambda t: t, batch_format="pyarrow"),
                          ["source"], ["cnt"])
     tot_tabs = [t for t in collect_tables(totals_t) if t.num_rows]
@@ -1445,7 +1427,7 @@ def source_divergence(sf_dir: str,
         })
 
     contrib = file_exchange_map_groups(partials, per_token_part,
-                                       empty_result=empty)
+                                       keys=["token"], empty_result=empty)
     tabs = [t for t in collect_tables(contrib) if t.num_rows]
     acc: dict = {pr: 0.0 for pr in pairs}
     for t in tabs:
@@ -1603,9 +1585,10 @@ def profile_documents(sf_dir: str) -> pa.Table:
 
     Scale shape: one column-pruned read per pass. Scalar stats are
     per-block partials folded driver-side (cols x blocks rows).
-    Distinct counts shuffle per-block-DEDUPED (column, hash64) pairs —
-    64-bit siphash digests move, never the values — through one
-    groupby; collision odds are ~n^2/2^64 (negligible; exact at
+    Distinct counts move per-block-DEDUPED (column, hash64) pairs —
+    64-bit siphash digests, never the values — through one exchange
+    keyed on the pair, so each part's distinct counts add up; collision
+    odds are ~n^2/2^64 (negligible; exact at
     testdata scale, where the DuckDB oracle compare is bit-for-bit)."""
     cols = ["doc_id", "n_chars", "source", "text"]
     ds = read_documents(sf_dir, columns=cols)
@@ -1658,17 +1641,14 @@ def profile_documents(sf_dir: str) -> pa.Table:
         })
 
     def count_unique(g: pa.Table) -> pa.Table:
-        return pa.table({
-            "col_name": g.column("col_name").slice(0, 1),
-            "n_distinct": pa.array(
-                [pc.count_distinct(g.column("h")).as_py()], pa.int64()),
-        })
+        agg = g.group_by("col_name").aggregate([("h", "count_distinct")])
+        return pa.table({"col_name": agg.column("col_name"),
+                         "n_distinct": agg.column("h_count_distinct")})
 
-    nd = (read_documents(sf_dir, columns=cols)
-          .map_batches(hash_pairs, batch_format="pyarrow")
-          .groupby("col_name")
-          .map_groups(count_unique, batch_format="pyarrow")
-          .to_pandas().set_index("col_name"))
+    nd = (pa.concat_tables(ray.get(exchange.file_exchange_map_groups(
+              exchange.leaf(f"{sf_dir}/documents.parquet", cols),
+              count_unique, keys=["col_name", "h"], pre=hash_pairs).refs))
+          .to_pandas().groupby("col_name")[["n_distinct"]].sum())
 
     agg = agg.join(nd).reset_index().sort_values("col_name")
 
@@ -1687,15 +1667,13 @@ def profile_documents(sf_dir: str) -> pa.Table:
     })
 
 
-def _vocab_hashes(t: pa.Table, num_partitions: int) -> pa.Table:
-    """Distinct 64-bit digests of a block's whitespace tokens, tagged
-    ``part`` = digest %% P for bigram_logprob_score's vocabulary count."""
+def _vocab_hashes(t: pa.Table) -> pa.Table:
+    """Distinct 64-bit digests of a block's whitespace tokens, for
+    bigram_logprob_score's vocabulary count (keyed on the digest)."""
     txt = pc.utf8_trim_whitespace(t.column("text"))
     words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
     h = np.unique(hash_str_array(pc.unique(words.flatten())))
-    return pa.table({
-        "part": pa.array((h % np.uint64(num_partitions)).astype(np.int32)),
-        "h": pa.array(h.view(np.int64))})
+    return pa.table({"h": pa.array(h.view(np.int64))})
 
 
 def _n_distinct(g: pa.Table) -> pa.Table:
@@ -1703,10 +1681,9 @@ def _n_distinct(g: pa.Table) -> pa.Table:
         [pc.count_distinct(g.column("h")).as_py()], pa.int64())})
 
 
-def _bigram_grams(t: pa.Table, num_partitions: int) -> pa.Table:
+def _bigram_grams(t: pa.Table) -> pa.Table:
     """Per-block (doc, a, b, kind, tf) rows of bigram_logprob_score:
-    kind 1 = bigram (a, b), kind 0 = a doc's first token ``a`` (b = "");
-    tagged ``apart`` = hash(a) %% P."""
+    kind 1 = bigram (a, b), kind 0 = a doc's first token ``a`` (b = "")."""
     txt = pc.utf8_trim_whitespace(t.column("text"))
     words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
     flat = words.flatten()
@@ -1725,8 +1702,6 @@ def _bigram_grams(t: pa.Table, num_partitions: int) -> pa.Table:
         "tf": np.ones(len(a_idx) + len(first), np.int64),
     }).group_by(["doc_id", "a", "b", "kind"]).aggregate([("tf", "sum")])
     return pa.table({
-        "apart": pa.array((hash_str_array(agg.column("a"))
-                           % np.uint64(num_partitions)).astype(np.int32)),
         "doc_id": agg.column("doc_id"),
         "a": agg.column("a"),
         "b": agg.column("b"),
@@ -1766,8 +1741,7 @@ def _bigram_scores(g: pa.Table, vocab: float, n_docs: int) -> pa.Table:
                      "score_permille": pa.array(sp)})
 
 
-def bigram_logprob_score(sf_dir: str,
-                         num_partitions: int = 32) -> ray.data.Dataset:
+def bigram_logprob_score(sf_dir: str) -> ray.data.Dataset:
     """Corpus-LM quality scoring, one order up from
     ``unigram_logprob_score``: train a Laplace-smoothed BIGRAM language
     model on the whole corpus and score every document by total
@@ -1781,7 +1755,7 @@ def bigram_logprob_score(sf_dir: str,
     SQL oracle matches bit-exactly. Returns (doc_id, score_permille).
 
     Scale shape: the bigram vocabulary is unbounded so nothing is
-    broadcast — ONE exchange keyed by hash(LEFT token) co-locates every
+    broadcast — ONE exchange keyed on the LEFT token co-locates every
     (a, b) bigram row AND every first-token row of ``a``; the owning
     partition folds c(a,b), c(a) and c_first(a) in place (bincounts
     over dictionary codes) and scores rows locally; a keyed sum by doc
@@ -1795,17 +1769,14 @@ def bigram_logprob_score(sf_dir: str,
     vocab = float(sum(
         t.column("n").to_numpy().sum() for t in ray.get(
             exchange.file_exchange_map_groups(
-                exchange.leaf(path, ["text"]), _n_distinct,
-                pre=functools.partial(_vocab_hashes,
-                                      num_partitions=num_partitions)
-            ).refs)
+                exchange.leaf(path, ["text"]), _n_distinct, keys=["h"],
+                pre=_vocab_hashes).refs)
         if t.num_rows))
 
     scored = exchange.file_exchange_map_groups(
         exchange.leaf(path, ["doc_id", "text"]),
         functools.partial(_bigram_scores, vocab=vocab, n_docs=n_docs),
-        part_col="apart",
-        pre=functools.partial(_bigram_grams, num_partitions=num_partitions))
+        keys=["a"], pre=_bigram_grams)
     return ray.data.from_arrow_refs(exchange.fx_sum_by(
         scored.refs, ["doc_id"], ["score_permille"]).refs)
 

@@ -18,16 +18,21 @@ Scale shapes:
 - ``top_orders_by_revenue`` (Q3 flavor) / ``revenue_by_nation`` (Q5):
   dimension sides are read driver-side (plain pyarrow, no Ray job) and
   broadcast once via ``ray.put``; lineitem revenue is pre-aggregated
-  per (block, orderkey) and tagged with hash(orderkey) % P so the ONE
-  co-partitioned union-tag ``groupby(part).map_groups`` exchange
-  finishes the per-order sum AND the equi-join; per-partition heads /
-  rollups leave at most k·P (Q3) or 25·P (Q5) rows for a driver fold.
+  per (block, orderkey) so the ONE co-partitioned union-tag exchange
+  keyed on orderkey finishes the per-order sum AND the equi-join;
+  per-partition heads / rollups leave at most k·P (Q3) or 25·P (Q5)
+  rows for a driver fold.
+
+Every co-partitioned exchange here is ``exchange.
+file_exchange_map_groups(src, fn, keys=[...])``: the sides of a join
+carry the key under one column name and the exchange routes each row
+by it (P is the exchange's, never the query's), so no query tags rows
+itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -37,10 +42,8 @@ import ray.data
 _Q1_CUTOFF = np.datetime64("1998-09-02T00:00:00", "us")
 
 
-# registers ray.data.Dataset.fx_map_groups — every co-partitioned
-# exchange below runs over the FILE exchange (stages/exchange.py):
-# Ray's sort-based groupby costs ~3 s fixed per exchange at any size,
-# which dominated every one-exchange query in this module
+# every co-partitioned exchange below is the keyed file exchange
+# (stages/exchange.py): ``keys=`` names the columns it routes on
 from ..stages import exchange
 from ..stages.exchange import collect_tables
 
@@ -57,11 +60,6 @@ def _rev_cents(t: pa.Table) -> np.ndarray:
     price = t.column("l_extendedprice").to_numpy(zero_copy_only=False)
     disc = t.column("l_discount").to_numpy(zero_copy_only=False)
     return np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
-
-
-def _hash_part(keys: np.ndarray, num_partitions: int) -> pa.Array:
-    return pa.array((pd.util.hash_array(keys.copy(), categorize=False)
-                     % np.uint64(num_partitions)).astype(np.int32))
 
 
 def _concat_nonempty(ds: ray.data.Dataset,
@@ -86,21 +84,18 @@ def _fold_partials(ds: ray.data.Dataset, keys: list[str],
                      **{c: agg.column(f"{c}_sum") for c in sums}})
 
 
-def _per_order_revenue_parts(sf_dir: str,
-                             num_partitions: int) -> ray.data.Dataset:
-    """(part, o_orderkey, rev_c) PARTIAL per-order revenue, one row per
+def _per_order_revenue_parts(sf_dir: str) -> ray.data.Dataset:
+    """(o_orderkey, rev_c) PARTIAL per-order revenue, one row per
     (block, orderkey): per-block Arrow group_by combines line items, and
-    the hash-part tag lets the downstream co-partitioned join finish the
-    per-order sum itself — ONE all-to-all for aggregate+join instead of
-    a global orderkey groupby followed by a second part shuffle."""
+    the downstream exchange keyed on o_orderkey finishes the per-order
+    sum itself — ONE all-to-all for aggregate+join instead of a global
+    orderkey groupby followed by a second shuffle."""
 
     def rev_partial(t: pa.Table) -> pa.Table:
         g = pa.table({"o_orderkey": t.column("l_orderkey"),
                       "rev_c": pa.array(_rev_cents(t))})
         agg = g.group_by("o_orderkey").aggregate([("rev_c", "sum")])
-        keys = agg.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table({"part": _hash_part(keys, num_partitions),
-                         "o_orderkey": agg.column("o_orderkey"),
+        return pa.table({"o_orderkey": agg.column("o_orderkey"),
                          "rev_c": agg.column("rev_c_sum")})
 
     return (ray.data.read_parquet(
@@ -207,7 +202,7 @@ def _table_rows(path: str) -> int:
 
 
 def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
-                          k: int = 10, num_partitions: int = 16,
+                          k: int = 10,
                           broadcast_threshold: int = BROADCAST_ROW_LIMIT
                           ) -> ray.data.Dataset:
     """TPC-H Q3-style: the ``k`` highest-revenue orders from customers
@@ -217,13 +212,12 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
     The customer side is SIZE-GATED: under ``broadcast_threshold`` rows
     it is read driver-side and broadcast once (one exchange total);
     above, it is never materialized anywhere — a co-partitioned
-    union-tag semi-join on hash(custkey) %% P filters orders in a
+    union-tag semi-join keyed on custkey filters orders in a
     second bounded exchange (same machinery as
     ``top_customers_by_return_revenue``). Both paths are value-
     identical (pinned by tests/test_analytics.py)."""
     def tag_rev(t: pa.Table) -> pa.Table:
         return pa.table({
-            "part": t.column("part"),
             "o_orderkey": t.column("o_orderkey"),
             "rev_c": t.column("rev_c"),
             "o_orderdate": pa.nulls(t.num_rows, pa.timestamp("us")),
@@ -231,7 +225,7 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
             "side": pa.array(np.zeros(t.num_rows, np.int8)),
         })
 
-    rev = _per_order_revenue_parts(sf_dir, num_partitions) \
+    rev = _per_order_revenue_parts(sf_dir) \
         .map_batches(tag_rev, batch_format="pyarrow")
 
     ord_cols = ["o_orderkey", "o_custkey", "o_orderdate",
@@ -251,9 +245,7 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
             want = ray.get(ref)
             _, hit = _map_keys(want, want, cust)
             t = t.filter(pa.array(hit))
-            keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "o_orderkey": t.column("o_orderkey"),
                 "rev_c": pa.nulls(t.num_rows, pa.int64()),
                 "o_orderdate": t.column("o_orderdate"),
@@ -265,7 +257,7 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
                                         columns=ord_cols)
                   .map_batches(tag_orders, batch_format="pyarrow"))
     else:
-        # exchange path: hash(custkey) % P union-tag semi-join — the
+        # exchange path: a union-tag semi-join keyed on custkey — the
         # unbounded-build-side shape; customer rows shrink to filtered
         # distinct keys per block before the shuffle
         def cust_side(t: pa.Table) -> pa.Table:
@@ -274,7 +266,6 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
             keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
             n = len(keys)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "o_orderkey": pa.nulls(n, pa.int64()),
                 "o_custkey": t.column("c_custkey"),
                 "o_orderdate": pa.nulls(n, pa.timestamp("us")),
@@ -283,9 +274,7 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
             })
 
         def ord_side(t: pa.Table) -> pa.Table:
-            keys = t.column("o_custkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "o_orderkey": t.column("o_orderkey"),
                 "o_custkey": t.column("o_custkey"),
                 "o_orderdate": t.column("o_orderdate"),
@@ -302,9 +291,7 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
             ck = od.column("o_custkey").to_numpy(zero_copy_only=False)
             _, hit = _map_keys(want, want, ck)
             od = od.filter(pa.array(hit))
-            keys = od.column("o_orderkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "o_orderkey": od.column("o_orderkey"),
                 "rev_c": pa.nulls(od.num_rows, pa.int64()),
                 "o_orderdate": od.column("o_orderdate"),
@@ -319,8 +306,8 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
         ord_ds = (ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                         columns=ord_cols)
                   .map_batches(ord_side, batch_format="pyarrow"))
-        orders = (cust_ds.union(ord_ds)
-                  .fx_map_groups(semi))
+        orders = exchange.file_exchange_map_groups(
+            cust_ds.union(ord_ds), semi, keys=["o_custkey"])
 
     def join_topk(g: pa.Table) -> pa.Table:
         side = g.column("side").to_numpy(zero_copy_only=False)
@@ -357,8 +344,8 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
             "rk": pa.array(np.arange(1, len(head) + 1, dtype=np.int64)),
         })
 
-    joined = (rev.union(orders)
-              .fx_map_groups(join_topk))
+    joined = exchange.file_exchange_map_groups(
+        rev.union(orders), join_topk, keys=["o_orderkey"])
     # k·P candidate rows: fold the final rank driver-side (a second
     # exchange would cost seconds to sort a few dozen rows)
     return ray.data.from_arrow(final_topk(
@@ -423,7 +410,7 @@ def _int_sum_by(idx: np.ndarray, vals: np.ndarray
     return nz.astype(np.int64), acc[nz], cnt[nz].astype(np.int64)
 
 
-def revenue_by_nation(sf_dir: str, num_partitions: int = 16,
+def revenue_by_nation(sf_dir: str,
                       broadcast_threshold: int = BROADCAST_ROW_LIMIT
                       ) -> ray.data.Dataset:
     """TPC-H Q5-flavor star join: revenue (integer cents) rolled up to
@@ -432,11 +419,11 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 16,
     map. The customer side is SIZE-GATED: under ``broadcast_threshold``
     rows it joins driver-side into one broadcast custkey -> nidx
     lookup (one fact exchange total); above, customers never leave the
-    cluster — a co-partitioned union-tag exchange on hash(custkey) %% P
+    cluster — a co-partitioned union-tag exchange keyed on custkey
     attaches nidx to orders first (customer scales with the fact table
     at warehouse scale, ~1:40 vs lineitem). Either way the final
     exchange is the co-partitioned rev⋈orders equi-join on
-    hash(orderkey) %% P followed by a ~25-row native sum. Both paths
+    keyed on orderkey followed by a ~25-row native sum. Both paths
     are value-identical (pinned by tests/test_analytics.py)."""
     import pyarrow.parquet as pq
     nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
@@ -451,23 +438,20 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 16,
 
     def tag_rev(t: pa.Table) -> pa.Table:
         return pa.table({
-            "part": t.column("part"),
             "o_orderkey": t.column("o_orderkey"),
             "rev_c": t.column("rev_c"),
             "nidx": pa.nulls(t.num_rows, pa.int64()),
             "side": pa.array(np.zeros(t.num_rows, np.int8)),
         })
 
-    rev = _per_order_revenue_parts(sf_dir, num_partitions) \
+    rev = _per_order_revenue_parts(sf_dir) \
         .map_batches(tag_rev, batch_format="pyarrow")
 
     def _orders_out(t: pa.Table, nidx: np.ndarray) -> pa.Table:
         """(part=hash(orderkey), o_orderkey, rev_c=null, nidx, side=1) —
         the shape the rev⋈orders exchange consumes, shared by both
         customer-side paths."""
-        keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "o_orderkey": t.column("o_orderkey"),
             "rev_c": pa.nulls(t.num_rows, pa.int64()),
             "nidx": pa.array(nidx.astype(np.int64)),
@@ -496,7 +480,7 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 16,
                       columns=["o_orderkey", "o_custkey"])
                   .map_batches(tag_orders, batch_format="pyarrow"))
     else:
-        # exchange path: hash(custkey) % P union-tag join attaches nidx
+        # exchange path: a union-tag join keyed on custkey attaches nidx
         # to orders without materializing customer anywhere — only the
         # tiny nationkey -> nidx map is broadcast
         nk, nval = _sorted_lookup(
@@ -512,7 +496,6 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 16,
             t = t.filter(pa.array(hit))
             keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "o_orderkey": pa.nulls(len(keys), pa.int64()),
                 "o_custkey": t.column("c_custkey"),
                 "nidx": pa.array(mapped[hit].astype(np.int64)),
@@ -520,9 +503,7 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 16,
             })
 
         def ord_side(t: pa.Table) -> pa.Table:
-            keys = t.column("o_custkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "o_orderkey": t.column("o_orderkey"),
                 "o_custkey": t.column("o_custkey"),
                 "nidx": pa.nulls(t.num_rows, pa.int64()),
@@ -548,8 +529,8 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 16,
                       f"{sf_dir}/orders.parquet",
                       columns=["o_orderkey", "o_custkey"])
                   .map_batches(ord_side, batch_format="pyarrow"))
-        orders = (cust_ds.union(ord_ds)
-                  .fx_map_groups(attach_nidx))
+        orders = exchange.file_exchange_map_groups(
+            cust_ds.union(ord_ds), attach_nidx, keys=["o_custkey"])
 
     def join_agg(g: pa.Table) -> pa.Table:
         side = g.column("side").to_numpy(zero_copy_only=False)
@@ -571,8 +552,8 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 16,
             "revenue_c": t.column("rev_c"),
         })
 
-    joined = (rev.union(orders)
-              .fx_map_groups(join_agg))
+    joined = exchange.file_exchange_map_groups(
+        rev.union(orders), join_agg, keys=["o_orderkey"])
     # <=25 rows per partition: fold the nation rollup driver-side
     empty = pa.table({"nidx": pa.array([], pa.int64()),
                       "rev_c": pa.array([], pa.int64())})
@@ -617,8 +598,7 @@ def revenue_by_part_type(sf_dir: str) -> ray.data.Dataset:
                                  "rev_c": pa.array([], pa.int64())}))))
 
 
-def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
-                                    num_partitions: int = 16
+def top_customers_by_return_revenue(sf_dir: str, k: int = 20
                                     ) -> ray.data.Dataset:
     """TPC-H Q10-flavor: the ``k`` customers with the highest revenue
     from RETURNED lines (l_returnflag = 'R'), with name and nation.
@@ -628,12 +608,12 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
     (custkey) differs from its join key (orderkey), so TWO bounded
     co-partitioned exchanges are inherent:
 
-    1. hash(orderkey) %% P: per-(block, orderkey) returned-revenue
+    1. keyed on orderkey: per-(block, orderkey) returned-revenue
        partials union-tagged with (o_orderkey, o_custkey) pairs; the
        map_groups finishes the per-order sum AND the orders equi-join,
        re-emitting (custkey, rev_c) partials already folded per
        partition — at most one row per custkey per partition.
-    2. hash(custkey) %% P: fold per-customer totals and keep each
+    2. keyed on custkey: fold per-customer totals and keep each
        partition's local top-k — k·P candidate rows to the driver.
 
     Customer/nation names are attached at the END, to the k winners
@@ -650,7 +630,6 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
         keys = agg.column("o_orderkey").to_numpy(zero_copy_only=False)
         n = len(keys)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "o_orderkey": agg.column("o_orderkey"),
             "rev_c": agg.column("rev_c_sum"),
             "o_custkey": pa.nulls(n, pa.int64()),
@@ -661,15 +640,13 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
         keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
         n = len(keys)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "o_orderkey": t.column("o_orderkey"),
             "rev_c": pa.nulls(n, pa.int64()),
             "o_custkey": t.column("o_custkey"),
             "side": pa.array(np.ones(n, np.int8)),
         })
 
-    cust_empty = pa.table({"part": pa.array([], pa.int32()),
-                           "o_custkey": pa.array([], pa.int64()),
+    cust_empty = pa.table({"o_custkey": pa.array([], pa.int64()),
                            "rev_c": pa.array([], pa.int64())})
 
     def join_to_cust(g: pa.Table) -> pa.Table:
@@ -689,7 +666,6 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
         cu = cks[starts]
         sums = np.add.reduceat(rcs, starts)
         return pa.table({
-            "part": _hash_part(cu, num_partitions),
             "o_custkey": pa.array(cu),
             "rev_c": pa.array(sums),
         })
@@ -700,7 +676,7 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
                         "l_returnflag"]),
          exchange.leaf(f"{sf_dir}/orders.parquet",
                        ["o_orderkey", "o_custkey"])),
-        join_to_cust, pre=(rev_partial, tag_orders))
+        join_to_cust, keys=["o_orderkey"], pre=(rev_partial, tag_orders))
 
     topk_empty = pa.table({"o_custkey": pa.array([], pa.int64()),
                            "rev_c": pa.array([], pa.int64())})
@@ -717,7 +693,8 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
         return pa.table({"o_custkey": pa.array(cu[head]),
                          "rev_c": pa.array(sums[head])})
 
-    cand = exchange.file_exchange_map_groups(per_cust.refs, local_topk)
+    cand = exchange.file_exchange_map_groups(per_cust.refs, local_topk,
+                                             keys=["o_custkey"])
     tabs = [t for t in ray.get(cand.refs) if t.num_rows]
     t = pa.concat_tables(tabs) if tabs else topk_empty
     ck = t.column("o_custkey").to_numpy(zero_copy_only=False)
@@ -747,8 +724,8 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20,
     }))
 
 
-def customers_without_orders(sf_dir: str, since: str = "2000-01-01",
-                             num_partitions: int = 16) -> ray.data.Dataset:
+def customers_without_orders(sf_dir: str, since: str = "2000-01-01"
+                             ) -> ray.data.Dataset:
     """Distributed ANTI-JOIN: customers with NO order on or after
     ``since`` (lapsed customers). Returns (c_custkey, c_name,
     acctbal_c) — one row per lapsed customer.
@@ -756,7 +733,7 @@ def customers_without_orders(sf_dir: str, since: str = "2000-01-01",
     Scale shape: neither side is broadcast (at warehouse scale BOTH key
     sets are large). The orders side is row-filtered at the read, then
     shrinks to per-block DISTINCT custkey partials before the exchange;
-    one co-partitioned union-tag groupby on hash(custkey) %% P lands
+    one co-partitioned union-tag exchange keyed on custkey lands
     every customer row with every order-key partial that could match
     it, and the per-partition anti is a single vectorized searchsorted
     miss-test. Output stays distributed (a Dataset) — the result can be
@@ -770,7 +747,6 @@ def customers_without_orders(sf_dir: str, since: str = "2000-01-01",
             zero_copy_only=False))
         n = len(keys)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "c_custkey": pa.array(keys.astype(np.int64)),
             "c_name": pa.nulls(n, pa.string()),
             "acctbal_c": pa.nulls(n, pa.int64()),
@@ -784,7 +760,6 @@ def customers_without_orders(sf_dir: str, since: str = "2000-01-01",
     def tag_cust(t: pa.Table) -> pa.Table:
         keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "c_custkey": t.column("c_custkey"),
             "c_name": t.column("c_name"),
             "acctbal_c": pa.array(_cents(t.column("c_acctbal"))),
@@ -809,8 +784,8 @@ def customers_without_orders(sf_dir: str, since: str = "2000-01-01",
                          "c_name": c.column("c_name"),
                          "acctbal_c": c.column("acctbal_c")})
 
-    return (probe.union(cust)
-            .fx_map_groups(anti))
+    return exchange.file_exchange_map_groups(probe.union(cust), anti,
+                                             keys=["c_custkey"])
 
 
 def supplier_balance_by_nation(sf_dir: str) -> ray.data.Dataset:
@@ -856,8 +831,7 @@ def supplier_balance_by_nation(sf_dir: str) -> ray.data.Dataset:
                                  "n_suppliers": pa.array([], pa.int64())}))))
 
 
-def small_quantity_revenue(sf_dir: str,
-                           num_partitions: int = 16) -> ray.data.Dataset:
+def small_quantity_revenue(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q17-flavor AGGREGATE SELF-JOIN on the fact table: total
     revenue (and line count) from lineitems whose quantity is below 20%
     of their own part's average quantity. Returns one row
@@ -865,7 +839,7 @@ def small_quantity_revenue(sf_dir: str,
 
     Scale shape: the per-part average and the rows it filters live in
     the SAME table, so the fact data must meet its own aggregate — one
-    union-tag exchange on hash(partkey) %% P carrying (a) per-(block,
+    union-tag exchange keyed on partkey carrying (a) per-(block,
     partkey) quantity partials (sum_qty_c, n) and (b) the narrow
     (partkey, qty_c, price_c) line triples; each partition folds its
     partials and filters its lines in one vectorized pass, emitting a
@@ -885,9 +859,6 @@ def small_quantity_revenue(sf_dir: str,
         apk = agg.column("pk").to_numpy(zero_copy_only=False)
         n_a, n_l = len(apk), len(pk)
         return pa.table({
-            "part": pa.concat_arrays([
-                _hash_part(apk, num_partitions),
-                _hash_part(pk, num_partitions)]),
             "l_partkey": pa.concat_arrays(
                 [agg.column("pk").combine_chunks(),
                  t.column("l_partkey").combine_chunks()]),
@@ -934,11 +905,12 @@ def small_quantity_revenue(sf_dir: str,
             "n_lines": pa.array([int(keep.sum())], pa.int64()),
         })
 
-    ds = (ray.data.read_parquet(
-              f"{sf_dir}/lineitem.parquet",
-              columns=["l_partkey", "l_quantity", "l_extendedprice"])
-          .map_batches(tag_lines, batch_format="pyarrow")
-          .fx_map_groups(fold_filter))
+    ds = exchange.file_exchange_map_groups(
+        ray.data.read_parquet(
+            f"{sf_dir}/lineitem.parquet",
+            columns=["l_partkey", "l_quantity", "l_extendedprice"])
+        .map_batches(tag_lines, batch_format="pyarrow"),
+        fold_filter, keys=["l_partkey"])
     empty = pa.table({"revenue_c": pa.array([], pa.int64()),
                       "n_lines": pa.array([], pa.int64())})
     t = _concat_nonempty(ds, empty)
@@ -989,8 +961,7 @@ def pricing_rollup(sf_dir: str) -> ray.data.Dataset:
 
 def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
                          date_to: str = "1996-07-01",
-                         late_days: int = 90,
-                         num_partitions: int = 16) -> ray.data.Dataset:
+                         late_days: int = 90) -> ray.data.Dataset:
     """TPC-H Q4-flavor EXISTS semi-join: per order priority, how many
     orders in the window have at least one LATE line item — a shipment
     ``late_days`` or more after the order date (this corpus's lineitem
@@ -1001,7 +972,7 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
     max(l_shipdate) >= o_orderdate + D, so the fact side shrinks to
     per-block per-order max-shipdate partials BEFORE the exchange; the
     orders side is date-filtered at the batch level. One co-partitioned
-    union-tag groupby on hash(orderkey) %% P finishes the max and tests
+    union-tag exchange keyed on orderkey finishes the max and tests
     lateness per order; only (priority, count) partials leave each
     partition and the driver folds O(5 x P) rows."""
     lo = np.datetime64(date_from, "us")
@@ -1015,7 +986,6 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
         keys = agg.column("k").to_numpy(zero_copy_only=False)
         n = len(keys)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "okey": agg.column("k"),
             "maxship": agg.column("s_max"),
             "o_orderpriority": pa.nulls(n, pa.string()),
@@ -1031,9 +1001,7 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
     def order_rows(t: pa.Table) -> pa.Table:
         od = t.column("o_orderdate").to_numpy(zero_copy_only=False)
         t = t.filter(pa.array((od >= lo) & (od < hi)))
-        keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "okey": t.column("o_orderkey"),
             "maxship": pa.nulls(t.num_rows, pa.timestamp("us")),
             "o_orderpriority": t.column("o_orderpriority"),
@@ -1070,8 +1038,8 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
                 pi, minlength=len(up)).astype(np.int64)),
         })
 
-    parts = (lines.union(orders)
-             .fx_map_groups(late_partial))
+    parts = exchange.file_exchange_map_groups(
+        lines.union(orders), late_partial, keys=["okey"])
     return ray.data.from_arrow(_fold_partials(
         parts, ["o_orderpriority"], ["order_count"],
         pa.table({"o_orderpriority": pa.array([], pa.string()),
@@ -1079,8 +1047,7 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
 
 
 def ship_delay_priority(sf_dir: str, date_from: str = "1996-01-01",
-                        date_to: str = "1997-01-01",
-                        num_partitions: int = 16) -> ray.data.Dataset:
+                        date_to: str = "1997-01-01") -> ray.data.Dataset:
     """TPC-H Q12-flavor: line items SHIPPED in the window, banded by
     ship delay (days from order date: <30 FAST, <60 NORMAL, else SLOW
     — this corpus has no l_shipmode, so the delay band plays its role),
@@ -1089,7 +1056,7 @@ def ship_delay_priority(sf_dir: str, date_from: str = "1996-01-01",
 
     Scale shape: the fact side is date-filtered and projected to
     (orderkey, shipdate) at the read; ONE co-partitioned union-tag
-    exchange on hash(orderkey) %% P meets it with the orders dimension
+    exchange keyed on orderkey meets it with the orders dimension
     rows; the per-partition finish is a vectorized searchsorted +
     bincount over band x priority, and only (band, 2 counts) partials
     reach the driver fold."""
@@ -1100,9 +1067,7 @@ def ship_delay_priority(sf_dir: str, date_from: str = "1996-01-01",
     def line_rows(t: pa.Table) -> pa.Table:
         sd = t.column("l_shipdate").to_numpy(zero_copy_only=False)
         t = t.filter(pa.array((sd >= lo) & (sd < hi)))
-        keys = t.column("l_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "okey": t.column("l_orderkey"),
             "ship": t.column("l_shipdate"),
             "o_orderpriority": pa.nulls(t.num_rows, pa.string()),
@@ -1116,9 +1081,7 @@ def ship_delay_priority(sf_dir: str, date_from: str = "1996-01-01",
     ).map_batches(line_rows, batch_format="pyarrow")
 
     def order_rows(t: pa.Table) -> pa.Table:
-        keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "okey": t.column("o_orderkey"),
             "ship": pa.nulls(t.num_rows, pa.timestamp("us")),
             "o_orderpriority": t.column("o_orderpriority"),
@@ -1163,8 +1126,8 @@ def ship_delay_priority(sf_dir: str, date_from: str = "1996-01-01",
             "low_line_count": pa.array(counts[0::2][present]),
         })
 
-    parts = (lines.union(orders)
-             .fx_map_groups(band_partial))
+    parts = exchange.file_exchange_map_groups(
+        lines.union(orders), band_partial, keys=["okey"])
     return ray.data.from_arrow(_fold_partials(
         parts, ["delay_band"], ["high_line_count", "low_line_count"],
         pa.table({"delay_band": pa.array([], pa.string()),
@@ -1180,8 +1143,7 @@ def _ship_years(t: pa.Table) -> np.ndarray:
 
 def _lines_with_supp_nation(sf_dir: str, lines_proj: ray.data.Dataset,
                             proj_fields: "list[tuple[str, pa.DataType]]",
-                            line_partial, num_partitions: int,
-                            broadcast_threshold: int
+                            line_partial, broadcast_threshold: int
                             ) -> ray.data.Dataset:
     """Run ``line_partial(batch, s_nationkey_per_row)`` over projected
     lineitem batches with the supplier's nationkey attached — the
@@ -1193,7 +1155,7 @@ def _lines_with_supp_nation(sf_dir: str, lines_proj: ray.data.Dataset,
     (suppkey -> nationkey) lookup is ONE ``ray.put`` broadcast and the
     attach is a per-batch searchsorted (zero exchanges added). Above,
     supplier never leaves the cluster: a co-partitioned union-tag
-    exchange on hash(suppkey) %% P meets the projected fact rows with
+    exchange keyed on suppkey meets the projected fact rows with
     the (suppkey, nationkey) pairs — one exchange added, O(supplier +
     projected-fact) rows moved."""
     import pyarrow.parquet as pq
@@ -1216,12 +1178,10 @@ def _lines_with_supp_nation(sf_dir: str, lines_proj: ray.data.Dataset,
         return lines_proj.map_batches(attach_snat_bc,
                                       batch_format="pyarrow")
 
-    # union-tag exchange on hash(suppkey) % P — supplier stays
+    # union-tag exchange keyed on suppkey — supplier stays
     # distributed; only its (suppkey, nationkey) pairs move
     def supp_side(t: pa.Table) -> pa.Table:
-        keys = t.column("s_suppkey").to_numpy(zero_copy_only=False)
         cols = {
-            "spart": _hash_part(keys, num_partitions),
             "l_suppkey": t.column("s_suppkey"),
             "snat": pa.array(t.column("s_nationkey").to_numpy(
                 zero_copy_only=False).astype(np.int64)),
@@ -1232,9 +1192,7 @@ def _lines_with_supp_nation(sf_dir: str, lines_proj: ray.data.Dataset,
         return pa.table(cols)
 
     def line_side(t: pa.Table) -> pa.Table:
-        keys = t.column("l_suppkey").to_numpy(zero_copy_only=False)
         cols = {
-            "spart": _hash_part(keys, num_partitions),
             "l_suppkey": t.column("l_suppkey"),
             "snat": pa.nulls(t.num_rows, pa.int64()),
         }
@@ -1258,14 +1216,14 @@ def _lines_with_supp_nation(sf_dir: str, lines_proj: ray.data.Dataset,
                    f"{sf_dir}/supplier.parquet",
                    columns=["s_suppkey", "s_nationkey"])
                .map_batches(supp_side, batch_format="pyarrow"))
-    return (supp_ds.union(
-                lines_proj.map_batches(line_side,
-                                       batch_format="pyarrow"))
-            .fx_map_groups(attach_snat_ex, part_col="spart"))
+    return exchange.file_exchange_map_groups(
+        supp_ds.union(lines_proj.map_batches(line_side,
+                                             batch_format="pyarrow")),
+        attach_snat_ex, keys=["l_suppkey"])
 
 
 def volume_shipping(sf_dir: str, year_from: int = 1995,
-                    year_to: int = 1997, num_partitions: int = 16,
+                    year_to: int = 1997,
                     broadcast_threshold: int = BROADCAST_ROW_LIMIT
                     ) -> ray.data.Dataset:
     """TPC-H Q7-flavor volume shipping: revenue (integer cents) between
@@ -1278,10 +1236,10 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
     attach is SIZE-GATED like revenue_by_nation's: under
     ``broadcast_threshold`` rows the (key -> nationkey) lookup is one
     ``ray.put`` broadcast; above it the dimension never leaves the
-    cluster — a co-partitioned union-tag exchange on hash(key) %% P
+    cluster — a co-partitioned union-tag exchange keyed on the key
     (suppkey for lineitem, custkey for orders) attaches the nationkey.
     Either way the FINAL exchange is one co-partitioned union-tag
-    groupby on hash(orderkey) %% P where per-order customer nation
+    exchange keyed on orderkey where per-order customer nation
     meets the per-(order, supp-nation, year) revenue partials; only
     encoded (cell, rev_c) partials — <=1250 rows per partition — reach
     the driver fold. Both gate paths are value-identical (pinned by
@@ -1318,7 +1276,6 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
         ucell, sums = _sorted_group_reduce(cell, rv.astype(np.int64))
         uok = ucell // (nn * n_years)
         return pa.table({
-            "part": _hash_part(uok, num_partitions),
             "o_orderkey": pa.array(uok),
             "scell": pa.array(ucell % (nn * n_years)),
             "rev_c": pa.array(sums.astype(np.int64)),
@@ -1335,12 +1292,10 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
         sf_dir, lines_proj,
         [("l_orderkey", pa.int64()), ("yidx", pa.int64()),
          ("rev_c", pa.int64())],
-        line_partial, num_partitions, broadcast_threshold)
+        line_partial, broadcast_threshold)
 
     def orders_out(t: pa.Table, cnat: np.ndarray) -> pa.Table:
-        keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "o_orderkey": t.column("o_orderkey"),
             "scell": pa.nulls(t.num_rows, pa.int64()),
             "rev_c": pa.nulls(t.num_rows, pa.int64()),
@@ -1368,11 +1323,9 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
                       columns=["o_orderkey", "o_custkey"])
                   .map_batches(tag_orders, batch_format="pyarrow"))
     else:
-        # union-tag exchange on hash(custkey) % P, as in revenue_by_nation
+        # union-tag exchange keyed on custkey, as in revenue_by_nation
         def cust_side(t: pa.Table) -> pa.Table:
-            keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "cpart": _hash_part(keys, num_partitions),
                 "o_custkey": t.column("c_custkey"),
                 "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
                 "cnat": pa.array(
@@ -1382,9 +1335,7 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
             })
 
         def ord_side(t: pa.Table) -> pa.Table:
-            keys = t.column("o_custkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "cpart": _hash_part(keys, num_partitions),
                 "o_custkey": t.column("o_custkey"),
                 "o_orderkey": t.column("o_orderkey"),
                 "cnat": pa.nulls(t.num_rows, pa.int64()),
@@ -1410,8 +1361,8 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
                       f"{sf_dir}/orders.parquet",
                       columns=["o_orderkey", "o_custkey"])
                   .map_batches(ord_side, batch_format="pyarrow"))
-        orders = (cust_ds.union(ord_ds)
-                  .fx_map_groups(attach_cnat, part_col="cpart"))
+        orders = exchange.file_exchange_map_groups(
+            cust_ds.union(ord_ds), attach_cnat, keys=["o_custkey"])
 
     def join_agg(g: pa.Table) -> pa.Table:
         side = g.column("side").to_numpy(zero_copy_only=False)
@@ -1430,8 +1381,8 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
         gi, sums, _ = _int_sum_by(cell, rv)
         return pa.table({"cell": pa.array(gi), "rev_c": pa.array(sums)})
 
-    joined = (lines.union(orders)
-              .fx_map_groups(join_agg))
+    joined = exchange.file_exchange_map_groups(
+        lines.union(orders), join_agg, keys=["o_orderkey"])
     empty = pa.table({"cell": pa.array([], pa.int64()),
                       "rev_c": pa.array([], pa.int64())})
     folded = _fold_partials(joined, ["cell"], ["rev_c"], empty)
@@ -1446,7 +1397,7 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
     }))
 
 
-def brand_revenue_by_year(sf_dir: str, num_partitions: int = 16,
+def brand_revenue_by_year(sf_dir: str,
                           broadcast_threshold: int = BROADCAST_ROW_LIMIT
                           ) -> ray.data.Dataset:
     """TPC-H Q9-flavor product profit rollup: revenue (integer cents)
@@ -1458,7 +1409,7 @@ def brand_revenue_by_year(sf_dir: str, num_partitions: int = 16,
     (partkey -> brand) lookup broadcasts once and the whole query is
     ZERO exchanges (per-block partials + driver fold of O(brands x
     years x blocks) rows). Above, ONE co-partitioned union-tag
-    exchange on hash(partkey) %% P attaches the brand string to
+    exchange keyed on partkey attaches the brand string to
     per-(partkey, year) revenue partials; only (brand, year, rev_c)
     rows leave each partition. Both paths value-identical (pinned by
     tests/test_analytics.py)."""
@@ -1501,9 +1452,7 @@ def brand_revenue_by_year(sf_dir: str, num_partitions: int = 16,
                  .map_batches(partial, batch_format="pyarrow"))
     else:
         def part_side(t: pa.Table) -> pa.Table:
-            keys = t.column("p_partkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "pkey": t.column("p_partkey"),
                 "p_brand": t.column("p_brand"),
                 "l_year": pa.nulls(t.num_rows, pa.int64()),
@@ -1521,7 +1470,6 @@ def brand_revenue_by_year(sf_dir: str, num_partitions: int = 16,
             gi, sums = _sorted_group_reduce(cell, _rev_cents(t))
             upk = gi // 4096
             return pa.table({
-                "part": _hash_part(upk, num_partitions),
                 "pkey": pa.array(upk),
                 "p_brand": pa.nulls(len(upk), pa.string()),
                 "l_year": pa.array((gi % 4096) + 1970),
@@ -1552,8 +1500,8 @@ def brand_revenue_by_year(sf_dir: str, num_partitions: int = 16,
                        columns=["l_partkey", "l_shipdate",
                                 "l_extendedprice", "l_discount"])
                    .map_batches(line_side, batch_format="pyarrow"))
-        parts = (part_ds.union(line_ds)
-                 .fx_map_groups(attach_brand))
+        parts = exchange.file_exchange_map_groups(
+            part_ds.union(line_ds), attach_brand, keys=["pkey"])
 
     return ray.data.from_arrow(_fold_partials(
         parts, ["p_brand", "l_year"], ["revenue_c"],
@@ -1621,14 +1569,13 @@ def top_supplier_by_revenue(sf_dir: str, date_from: str = "1996-01-01",
     Returns (s_suppkey, s_name, total_revenue_c).
 
     Scale shape: per-block (suppkey, rev_c) partials (Arrow group_by
-    combiner), ONE native distributed ``groupby(suppkey).sum`` — after
+    combiner), ONE ``fx_sum_by`` exchange keyed on suppkey — after
     which every supplier total lives in exactly one block, so a
     per-block (max, ties) shrink bounds the driver fold at
     2 x blocks rows; winner names attach via a predicate-pushdown
     point read of the <=#winners supplier rows, never a broadcast of
     the supplier table."""
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
     lo = np.datetime64(date_from, "us")
     hi = np.datetime64(date_to, "us")
 
@@ -1642,7 +1589,7 @@ def top_supplier_by_revenue(sf_dir: str, date_from: str = "1996-01-01",
                          "rev_c": agg.column("rev_c_sum")})
 
     def local_winners(t: pa.Table) -> pa.Table:
-        rv = t.column("sum(rev_c)").to_numpy(zero_copy_only=False)
+        rv = t.column("rev_c").to_numpy(zero_copy_only=False)
         if len(rv) == 0:
             return pa.table({"s_suppkey": pa.array([], pa.int64()),
                              "total_revenue_c": pa.array([], pa.int64())})
@@ -1652,16 +1599,15 @@ def top_supplier_by_revenue(sf_dir: str, date_from: str = "1996-01-01",
             "total_revenue_c": pa.array(rv[keep].astype(np.int64)),
         })
 
-    total = (ray.data.read_parquet(
-                 f"{sf_dir}/lineitem.parquet",
-                 columns=["l_suppkey", "l_shipdate",
-                          "l_extendedprice", "l_discount"])
-             .map_batches(rev_partial, batch_format="pyarrow")
-             .groupby("s_suppkey").sum("rev_c")
-             .map_batches(local_winners, batch_format="pyarrow"))
-    cand = _concat_nonempty(total, pa.table({
-        "s_suppkey": pa.array([], pa.int64()),
-        "total_revenue_c": pa.array([], pa.int64())}))
+    total = exchange.fx_sum_by(
+        ray.data.read_parquet(
+            f"{sf_dir}/lineitem.parquet",
+            columns=["l_suppkey", "l_shipdate", "l_extendedprice",
+                     "l_discount"])
+        .map_batches(rev_partial, batch_format="pyarrow"),
+        ["s_suppkey"], ["rev_c"])
+    cand = pa.concat_tables([local_winners(t)
+                             for t in collect_tables(total)])
     empty = pa.table({"s_suppkey": pa.array([], pa.int64()),
                       "s_name": pa.array([], pa.string()),
                       "total_revenue_c": pa.array([], pa.int64())})
@@ -1687,8 +1633,7 @@ def top_supplier_by_revenue(sf_dir: str, date_from: str = "1996-01-01",
     }))
 
 
-def large_orders(sf_dir: str, min_qty_c: int = 25_000,
-                 num_partitions: int = 16) -> ray.data.Dataset:
+def large_orders(sf_dir: str, min_qty_c: int = 25_000) -> ray.data.Dataset:
     """TPC-H Q18-flavor large-volume orders: orders whose TOTAL line
     quantity (integer cents, shared floor(x*100+0.5) row convention)
     exceeds ``min_qty_c``. Returns (o_orderkey, o_orderdate,
@@ -1696,7 +1641,7 @@ def large_orders(sf_dir: str, min_qty_c: int = 25_000,
 
     Scale shape: per-block per-order quantity partials shrink the fact
     side before the ONE co-partitioned union-tag exchange on
-    hash(orderkey) %% P, where the order's attributes meet its finished
+    keyed on orderkey, where the order's attributes meet its finished
     quantity sum; each partition emits only its over-threshold rows
     (the HAVING filter runs distributed, the driver never folds)."""
 
@@ -1707,7 +1652,6 @@ def large_orders(sf_dir: str, min_qty_c: int = 25_000,
         keys = agg.column("k").to_numpy(zero_copy_only=False)
         n = len(keys)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "okey": agg.column("k"),
             "qty_c": agg.column("q_sum"),
             "o_orderdate": pa.nulls(n, pa.timestamp("us")),
@@ -1716,9 +1660,7 @@ def large_orders(sf_dir: str, min_qty_c: int = 25_000,
         })
 
     def order_rows(t: pa.Table) -> pa.Table:
-        keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "okey": t.column("o_orderkey"),
             "qty_c": pa.nulls(t.num_rows, pa.int64()),
             "o_orderdate": t.column("o_orderdate"),
@@ -1754,13 +1696,12 @@ def large_orders(sf_dir: str, min_qty_c: int = 25_000,
                   columns=["o_orderkey", "o_orderdate",
                            "o_orderpriority"])
               .map_batches(order_rows, batch_format="pyarrow"))
-    return (lines.union(orders)
-            .fx_map_groups(finish))
+    return exchange.file_exchange_map_groups(lines.union(orders), finish,
+                                             keys=["okey"])
 
 
 def nation_market_share(sf_dir: str, nation: str = "NATION_0",
                         year_from: int = 1995, year_to: int = 1997,
-                        num_partitions: int = 16,
                         broadcast_threshold: int = BROADCAST_ROW_LIMIT
                         ) -> ray.data.Dataset:
     """TPC-H Q8-flavor market share: per ship year in [year_from,
@@ -1810,7 +1751,7 @@ def nation_market_share(sf_dir: str, nation: str = "NATION_0",
     parts = _lines_with_supp_nation(
         sf_dir, lines_proj,
         [("yidx", pa.int64()), ("rev_c", pa.int64())],
-        line_partial, num_partitions, broadcast_threshold)
+        line_partial, broadcast_threshold)
     folded = _fold_partials(parts, ["cell"], ["rev_c"], pa.table({
         "cell": pa.array([], pa.int64()),
         "rev_c": pa.array([], pa.int64())}))
@@ -1833,8 +1774,7 @@ def nation_market_share(sf_dir: str, nation: str = "NATION_0",
     }))
 
 
-def customer_order_distribution(sf_dir: str, num_partitions: int = 16
-                                ) -> ray.data.Dataset:
+def customer_order_distribution(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q13-flavor double aggregation with LEFT-JOIN semantics:
     the distribution of customers by how many orders they placed —
     including the ZERO-order customers an inner join would drop.
@@ -1842,7 +1782,7 @@ def customer_order_distribution(sf_dir: str, num_partitions: int = 16
 
     Scale shape: orders shrink to per-block per-custkey count partials
     before the ONE co-partitioned union-tag exchange on
-    hash(custkey) %% P; each partition finishes its customers' counts
+    keyed on custkey; each partition finishes its customers' counts
     (searchsorted against the folded partials, misses = 0) and
     collapses to an (n_orders, n_customers) histogram partial — the
     driver folds O(max_orders_per_customer x P) two-int rows. Neither
@@ -1853,16 +1793,13 @@ def customer_order_distribution(sf_dir: str, num_partitions: int = 16
         agg = g.group_by("k").aggregate([("k", "count")])
         keys = agg.column("k").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "ckey": agg.column("k"),
             "n": agg.column("k_count").cast(pa.int64()),
             "side": pa.array(np.zeros(len(keys), np.int8)),
         })
 
     def cust_rows(t: pa.Table) -> pa.Table:
-        keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "ckey": t.column("c_custkey"),
             "n": pa.nulls(t.num_rows, pa.int64()),
             "side": pa.array(np.ones(t.num_rows, np.int8)),
@@ -1895,8 +1832,8 @@ def customer_order_distribution(sf_dir: str, num_partitions: int = 16
     cust = (ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                   columns=["c_custkey"])
             .map_batches(cust_rows, batch_format="pyarrow"))
-    parts = (orders.union(cust)
-             .fx_map_groups(hist_partial))
+    parts = exchange.file_exchange_map_groups(
+        orders.union(cust), hist_partial, keys=["ckey"])
     return ray.data.from_arrow(_fold_partials(
         parts, ["n_orders"], ["n_customers"],
         pa.table({"n_orders": pa.array([], pa.int64()),
@@ -1912,7 +1849,6 @@ Q19_BANDS = (("Brand#1", 1.0, 11.0, 5),
 
 def banded_part_revenue(sf_dir: str,
                         bands: tuple = Q19_BANDS,
-                        num_partitions: int = 16,
                         broadcast_threshold: int = BROADCAST_ROW_LIMIT
                         ) -> ray.data.Dataset:
     """TPC-H Q19-flavor disjunctive filter-aggregate: total revenue
@@ -1925,7 +1861,7 @@ def banded_part_revenue(sf_dir: str,
     one int64 per part whose bit b says 'this part satisfies band b's
     part-attribute half'. Under ``broadcast_threshold`` part rows the
     mask lookup broadcasts (zero exchanges); above, ONE co-partitioned
-    union-tag exchange on hash(partkey) %% P meets the narrow
+    union-tag exchange keyed on partkey meets the narrow
     (partkey, qty, rev) line triples. Either way the quantity half
     tests vectorized against the bitmask and each partition emits one
     two-int partial."""
@@ -1982,9 +1918,7 @@ def banded_part_revenue(sf_dir: str,
                 t.column("p_size").to_numpy(zero_copy_only=False))
             keep = mask != 0
             t = t.filter(pa.array(keep))
-            keys = t.column("p_partkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "pkey": t.column("p_partkey"),
                 "mask": pa.array(mask[keep]),
                 "qty": pa.nulls(t.num_rows, pa.float64()),
@@ -1993,9 +1927,7 @@ def banded_part_revenue(sf_dir: str,
             })
 
         def line_side(t: pa.Table) -> pa.Table:
-            keys = t.column("l_partkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "pkey": t.column("l_partkey"),
                 "mask": pa.nulls(t.num_rows, pa.int64()),
                 "qty": t.column("l_quantity").cast(pa.float64()),
@@ -2024,8 +1956,8 @@ def banded_part_revenue(sf_dir: str,
         line_ds = (ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                          columns=line_cols)
                    .map_batches(line_side, batch_format="pyarrow"))
-        parts = (part_ds.union(line_ds)
-                 .fx_map_groups(band_fold))
+        parts = exchange.file_exchange_map_groups(
+            part_ds.union(line_ds), band_fold, keys=["pkey"])
     pt = _concat_nonempty(parts, pa.table({
         "revenue_c": pa.array([], pa.int64()),
         "n_lines": pa.array([], pa.int64())}))
@@ -2038,8 +1970,7 @@ def banded_part_revenue(sf_dir: str,
 
 
 def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
-                          max_orders: int = 3,
-                          num_partitions: int = 16) -> ray.data.Dataset:
+                          max_orders: int = 3) -> ray.data.Dataset:
     """TPC-H Q22-flavor global-sales-opportunity report: customers whose
     account balance (integer cents) exceeds the average POSITIVE
     balance yet placed at most ``max_orders`` orders since ``since``
@@ -2055,7 +1986,7 @@ def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
     no float average ever exists). Pass 2: per-block (custkey, n)
     order-count partials from the date-filtered orders read meet
     threshold-filtered customers in ONE co-partitioned union-tag
-    exchange on hash(custkey) %% P; each partition sums its key's
+    exchange keyed on custkey; each partition sums its key's
     partials with one sort+reduceat and collapses straight to
     (segment, n, sum) partials, so the driver folds
     O(segments x partitions) rows, never customers."""
@@ -2083,7 +2014,6 @@ def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
             zero_copy_only=False), return_counts=True)
         n = len(keys)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "c_custkey": pa.array(keys.astype(np.int64)),
             "n_orders": pa.array(cnt.astype(np.int64)),
             "c_mktsegment": pa.nulls(n, pa.string()),
@@ -2100,7 +2030,6 @@ def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
         t = t.filter(pa.array(b * n_pos > sum_c))
         keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "c_custkey": t.column("c_custkey"),
             "n_orders": pa.nulls(len(keys), pa.int64()),
             "c_mktsegment": t.column("c_mktsegment"),
@@ -2136,8 +2065,8 @@ def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
             "sum_acctbal_c": agg.column("acctbal_c_sum"),
         })
 
-    parts = (probe.union(cust)
-             .fx_map_groups(lapsed_rollup))
+    parts = exchange.file_exchange_map_groups(
+        probe.union(cust), lapsed_rollup, keys=["c_custkey"])
     return ray.data.from_arrow(_fold_partials(
         parts, ["c_mktsegment"], ["n_customers", "sum_acctbal_c"],
         pa.table({"c_mktsegment": pa.array([], pa.string()),
@@ -2145,8 +2074,7 @@ def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
                   "sum_acctbal_c": pa.array([], pa.int64())})))
 
 
-def important_parts(sf_dir: str, share_denom: int = 2000,
-                    num_partitions: int = 16) -> ray.data.Dataset:
+def important_parts(sf_dir: str, share_denom: int = 2000) -> ray.data.Dataset:
     """TPC-H Q11-flavor important-stock scan: parts whose total
     extended-price value (integer cents) exceeds ``1/share_denom`` of
     the corpus-wide total. Returns (l_partkey, value_c), one row per
@@ -2155,7 +2083,7 @@ def important_parts(sf_dir: str, share_denom: int = 2000,
 
     Scale shape: per-block (partkey, value_c) partials via one Arrow
     group_by, ONE co-partitioned union-free exchange on
-    hash(partkey) %% P finishes the per-part sums; that intermediate
+    keyed on partkey finishes the per-part sums; that intermediate
     (#parts rows, far smaller than lineitem) is MATERIALIZED in the
     object store because the global total — a driver scalar folded
     from it — must exist before the distributed filter can stream the
@@ -2166,9 +2094,7 @@ def important_parts(sf_dir: str, share_denom: int = 2000,
             "l_partkey": t.column("l_partkey"),
             "value_c": pa.array(_cents(t.column("l_extendedprice"))),
         }).group_by("l_partkey").aggregate([("value_c", "sum")])
-        keys = g.column("l_partkey").to_numpy(zero_copy_only=False)
-        return pa.table({"part": _hash_part(keys, num_partitions),
-                         "l_partkey": g.column("l_partkey"),
+        return pa.table({"l_partkey": g.column("l_partkey"),
                          "value_c": g.column("value_c_sum")})
 
     def finish(g: pa.Table) -> pa.Table:
@@ -2179,12 +2105,11 @@ def important_parts(sf_dir: str, share_denom: int = 2000,
         return pa.table({"l_partkey": pa.array(gi),
                          "value_c": pa.array(sums)})
 
-    sums = (ray.data.read_parquet(
-                f"{sf_dir}/lineitem.parquet",
-                columns=["l_partkey", "l_extendedprice"])
-            .map_batches(partial, batch_format="pyarrow")
-            .fx_map_groups(finish)
-            .materialize())
+    sums = exchange.file_exchange_map_groups(
+        ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
+                              columns=["l_partkey", "l_extendedprice"])
+        .map_batches(partial, batch_format="pyarrow"),
+        finish, keys=["l_partkey"]).materialize()
     total_c = int(sums.sum("value_c") or 0)
 
     def keep(t: pa.Table) -> pa.Table:
@@ -2194,8 +2119,8 @@ def important_parts(sf_dir: str, share_denom: int = 2000,
     return sums.map_batches(keep, batch_format="pyarrow")
 
 
-def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1",
-                           num_partitions: int = 16) -> ray.data.Dataset:
+def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1"
+                           ) -> ray.data.Dataset:
     """TPC-H Q16-flavor supplier availability: the number of DISTINCT
     suppliers that ship each (p_brand, p_size) combination, excluding
     ``exclude_brand``. Returns (p_brand, p_size, supplier_cnt).
@@ -2203,10 +2128,10 @@ def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1",
     Scale shape: lineitem shrinks to per-block DISTINCT (partkey,
     suppkey) pairs before anything moves (one Arrow group_by). The
     part attributes attach in ONE co-partitioned union-tag exchange on
-    hash(partkey) %% P — the excluded brand is filtered at the part
+    keyed on partkey — the excluded brand is filtered at the part
     read, so its pairs drop out as join misses. The per-partition
     output is the partition's DISTINCT (brand, size, suppkey) triples,
-    and the SECOND exchange on hash(brand, size) %% P counts each
+    and the SECOND exchange keyed on brand, size counts each
     group's distinct suppliers with one lexsort — the classic
     two-round distributed COUNT(DISTINCT) (pairs never fan out, no
     all-pairs stage, no driver fold)."""
@@ -2216,9 +2141,7 @@ def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1",
             "pkey": t.column("l_partkey"),
             "skey": t.column("l_suppkey"),
         }).group_by(["pkey", "skey"]).aggregate([])
-        keys = g.column("pkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "pkey": g.column("pkey"),
             "skey": g.column("skey"),
             "p_brand": pa.nulls(g.num_rows, pa.string()),
@@ -2228,9 +2151,7 @@ def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1",
 
     def part_side(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t.column("p_brand"), exclude_brand))
-        keys = t.column("p_partkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "pkey": t.column("p_partkey"),
             "skey": pa.nulls(t.num_rows, pa.int64()),
             "p_brand": t.column("p_brand"),
@@ -2252,17 +2173,11 @@ def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1",
             len(keys), bool)
         idx = order[pos_c[hit]]
         ln = ln.filter(pa.array(hit))
-        from ..functions.text import hash_str_array
-        out = pa.table({
+        return pa.table({
             "p_brand": pt.column("p_brand").take(pa.array(idx)),
             "p_size": pt.column("p_size").take(pa.array(idx)),
             "skey": ln.column("skey"),
         }).group_by(["p_brand", "p_size", "skey"]).aggregate([])
-        bs = (hash_str_array(out.column("p_brand")).astype(np.int64)
-              * np.int64(8191)
-              + out.column("p_size").to_numpy(zero_copy_only=False))
-        return out.append_column(
-            "g2", pa.array((bs % num_partitions).astype(np.int32)))
 
     def count_distinct(g: pa.Table) -> pa.Table:
         agg = (pa.table({"p_brand": g.column("p_brand"),
@@ -2285,12 +2200,13 @@ def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1",
                  f"{sf_dir}/part.parquet",
                  columns=["p_partkey", "p_brand", "p_size"])
              .map_batches(part_side, batch_format="pyarrow"))
-    return (pairs.union(parts)
-            .fx_map_groups(attach)
-            .fx_map_groups(count_distinct, part_col="g2"))
+    return exchange.file_exchange_map_groups(
+        exchange.file_exchange_map_groups(pairs.union(parts), attach,
+                                          keys=["pkey"]),
+        count_distinct, keys=["p_brand", "p_size"])
 
 
-def promo_revenue_share(sf_dir: str, num_partitions: int = 16,
+def promo_revenue_share(sf_dir: str,
                         promo_type: str = "PROMO",
                         broadcast_threshold: int = BROADCAST_ROW_LIMIT
                         ) -> ray.data.Dataset:
@@ -2307,7 +2223,7 @@ def promo_revenue_share(sf_dir: str, num_partitions: int = 16,
     ``broadcast_threshold`` rows the (partkey -> is_promo) bitmap
     broadcasts once (ZERO exchanges: per-block month partials + driver
     fold of O(months x blocks) rows); above, ONE co-partitioned
-    union-tag exchange on hash(partkey) % P attaches the flag to
+    union-tag exchange keyed on partkey attaches the flag to
     per-(partkey, month) revenue partials and only (month, promo_c,
     total_c) rows leave each partition."""
     import pyarrow.parquet as pq
@@ -2354,9 +2270,7 @@ def promo_revenue_share(sf_dir: str, num_partitions: int = 16,
                  .map_batches(partial, batch_format="pyarrow"))
     else:
         def part_side(t: pa.Table) -> pa.Table:
-            keys = t.column("p_partkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "pkey": t.column("p_partkey"),
                 "is_promo": pc.equal(t.column("p_type"),
                                      promo_type).cast(pa.int64()),
@@ -2377,7 +2291,6 @@ def promo_revenue_share(sf_dir: str, num_partitions: int = 16,
             gi, sums = _sorted_group_reduce(cell, _rev_cents(t))
             upk = gi >> 20
             return pa.table({
-                "part": _hash_part(upk, num_partitions),
                 "pkey": pa.array(upk),
                 "is_promo": pa.nulls(len(upk), pa.int64()),
                 "mcell": pa.array((gi & ((1 << 20) - 1)) - (1 << 19)),
@@ -2408,8 +2321,8 @@ def promo_revenue_share(sf_dir: str, num_partitions: int = 16,
                        columns=["l_partkey", "l_shipdate",
                                 "l_extendedprice", "l_discount"])
                    .map_batches(line_side, batch_format="pyarrow"))
-        parts = (part_ds.union(line_ds)
-                 .fx_map_groups(attach_flag))
+        parts = exchange.file_exchange_map_groups(
+            part_ds.union(line_ds), attach_flag, keys=["pkey"])
 
     folded = _fold_partials(
         parts, ["l_year", "l_month"],
@@ -2430,8 +2343,7 @@ def promo_revenue_share(sf_dir: str, num_partitions: int = 16,
                                    mask=tot == 0)))
 
 
-def sole_late_shipper(sf_dir: str,
-                      num_partitions: int = 16) -> ray.data.Dataset:
+def sole_late_shipper(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q21-flavor blame assignment: per supplier, the number of
     MULTI-supplier orders where that supplier was the UNIQUE latest
     shipper (every max-shipdate line in the order is theirs) — the
@@ -2449,10 +2361,6 @@ def sole_late_shipper(sf_dir: str,
     O(suppliers x partitions) rows (supplier is 1/10th of customer in
     TPC-H — the same documented driver bound as the supplier
     rollups)."""
-
-    def part_col(t: pa.Table) -> pa.Table:
-        ok = t.column("l_orderkey").to_numpy(zero_copy_only=False)
-        return t.append_column("part", _hash_part(ok, num_partitions))
 
     def per_part(t: pa.Table) -> pa.Table:
         ok = t.column("l_orderkey").to_numpy(zero_copy_only=False)
@@ -2483,19 +2391,18 @@ def sole_late_shipper(sf_dir: str,
         return pa.table({"l_suppkey": pa.array(usk.astype(np.int64)),
                          "n_orders": pa.array(cnt.astype(np.int64))})
 
-    parts = (ray.data.read_parquet(
-                 f"{sf_dir}/lineitem.parquet",
-                 columns=["l_orderkey", "l_suppkey", "l_shipdate"])
-             .map_batches(part_col, batch_format="pyarrow")
-             .fx_map_groups(per_part))
+    parts = exchange.file_exchange_map_groups(
+        ray.data.read_parquet(
+            f"{sf_dir}/lineitem.parquet",
+            columns=["l_orderkey", "l_suppkey", "l_shipdate"]),
+        per_part, keys=["l_orderkey"])
     return ray.data.from_arrow(_fold_partials(
         parts, ["l_suppkey"], ["n_orders"],
         pa.table({"l_suppkey": pa.array([], pa.int64()),
                   "n_orders": pa.array([], pa.int64())})))
 
 
-def dominant_supplier_parts(sf_dir: str,
-                            num_partitions: int = 16) -> ray.data.Dataset:
+def dominant_supplier_parts(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q20-flavor supply concentration: for EVERY part, the
     supplier that shipped the largest share of the part's total
     quantity (ties break to the smallest suppkey) — the
@@ -2524,9 +2431,7 @@ def dominant_supplier_parts(sf_dir: str,
             "qty_c": pa.array(np.floor(qty * 100.0 + 0.5)
                               .astype(np.int64)),
         }).group_by(["pk", "sk"]).aggregate([("qty_c", "sum")])
-        keys = g.column("pk").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "pk": g.column("pk"),
             "sk": g.column("sk"),
             "qty_c": g.column("qty_c_sum"),
@@ -2575,15 +2480,15 @@ def dominant_supplier_parts(sf_dir: str,
             "is_majority": pa.array((2 * q4 > t4).astype(np.int8)),
         })
 
-    return (ray.data.read_parquet(
-                f"{sf_dir}/lineitem.parquet",
-                columns=["l_partkey", "l_suppkey", "l_quantity"])
-            .map_batches(pair_partial, batch_format="pyarrow")
-            .fx_map_groups(per_part))
+    return exchange.file_exchange_map_groups(
+        ray.data.read_parquet(
+            f"{sf_dir}/lineitem.parquet",
+            columns=["l_partkey", "l_suppkey", "l_quantity"])
+        .map_batches(pair_partial, batch_format="pyarrow"),
+        per_part, keys=["pk"])
 
 
-def parts_bought_together(sf_dir: str, k: int = 20,
-                          num_partitions: int = 16) -> pa.Table:
+def parts_bought_together(sf_dir: str, k: int = 20) -> pa.Table:
     """Market-basket co-occurrence: the ``k`` part pairs that appear
     together in the most orders (each order contributes each DISTINCT
     unordered pair once; ties break to the smaller (part_a, part_b)).
@@ -2594,12 +2499,12 @@ def parts_bought_together(sf_dir: str, k: int = 20,
     O(lines), never quadratic in the table):
 
     1. per-block distinct (orderkey, partkey) partials →
-       hash(orderkey) %% P exchange;
+       an exchange keyed on orderkey;
     2. per order-partition group: finish the distinct, expand each
        order's pairs VECTORIZED per segment-size class (one
        triu_indices gather per distinct order size — no per-order
        Python loop), fold pair counts locally, and re-key the partials
-       by hash(pair) %% P;
+       keying them on the pair;
     3. per pair-partition group: fold the global pair count and keep
        the partition-local top-k — ≤ k·P candidate rows to the driver,
        which finishes the strict total order (n desc, part_a, part_b).
@@ -2610,15 +2515,12 @@ def parts_bought_together(sf_dir: str, k: int = 20,
             "ok": t.column("l_orderkey"),
             "pk": t.column("l_partkey"),
         }).group_by(["ok", "pk"]).aggregate([])
-        keys = g.column("ok").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "ok": g.column("ok"), "pk": g.column("pk"),
         })
 
     def expand_pairs(t: pa.Table) -> pa.Table:
         empty = pa.table({
-            "part": pa.array([], pa.int32()),
             "pa_": pa.array([], pa.int64()),
             "pb": pa.array([], pa.int64()),
             "n": pa.array([], pa.int64()),
@@ -2657,8 +2559,6 @@ def parts_bought_together(sf_dir: str, k: int = 20,
         a2, b2 = a[first], b[first]
         n = np.diff(np.append(first, len(a))).astype(np.int64)
         return pa.table({
-            "part": _hash_part(a2 * np.int64(1_000_003) + b2,
-                               num_partitions),
             "pa_": pa.array(a2.astype(np.int64)),
             "pb": pa.array(b2.astype(np.int64)),
             "n": pa.array(n),
@@ -2688,12 +2588,13 @@ def parts_bought_together(sf_dir: str, k: int = 20,
             "n_orders": pa.array(n2[top]),
         })
 
-    cands = (ray.data.read_parquet(
-                 f"{sf_dir}/lineitem.parquet",
-                 columns=["l_orderkey", "l_partkey"])
-             .map_batches(order_part_partial, batch_format="pyarrow")
-             .fx_map_groups(expand_pairs)
-             .fx_map_groups(topk_per_partition))
+    cands = exchange.file_exchange_map_groups(
+        exchange.file_exchange_map_groups(
+            ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
+                                  columns=["l_orderkey", "l_partkey"])
+            .map_batches(order_part_partial, batch_format="pyarrow"),
+            expand_pairs, keys=["ok"]),
+        topk_per_partition, keys=["pa_", "pb"])
     # <= k*P candidate rows: finish the strict total order on the driver
     pt = _concat_nonempty(cands, pa.table({
         "part_a": pa.array([], pa.int64()),
@@ -2709,7 +2610,6 @@ def parts_bought_together(sf_dir: str, k: int = 20,
 
 def min_cost_supplier(sf_dir: str, min_size: int = 25,
                       ptype: str = "STANDARD",
-                      num_partitions: int = 16,
                       broadcast_threshold: int = BROADCAST_ROW_LIMIT
                       ) -> ray.data.Dataset:
     """TPC-H Q2-flavor minimum-cost supplier: for every part passing
@@ -2750,9 +2650,7 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
             "sk": t.column("l_suppkey"),
             "minp_c": pa.array(_cents(t.column("l_extendedprice"))),
         }).group_by(["pk", "sk"]).aggregate([("minp_c", "min")])
-        keys = g.column("pk").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": _hash_part(keys, num_partitions),
             "pk": g.column("pk"),
             "sk": g.column("sk"),
             "minp_c": g.column("minp_c_min"),
@@ -2810,20 +2708,19 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
                 hit = e[pos] == keys
             return pair_partial(t.filter(pa.array(hit)))
 
-        winners = (lines.map_batches(filt_bc, batch_format="pyarrow")
-                   .fx_map_groups(argmin_per_part))
+        winners = exchange.file_exchange_map_groups(
+            lines.map_batches(filt_bc, batch_format="pyarrow"),
+            argmin_per_part, keys=["pk"])
     else:
-        # union-tag exchange on hash(partkey) % P: eligible partkeys
+        # union-tag exchange keyed on partkey: eligible partkeys
         # meet per-(partkey, suppkey) min-price partials
         def part_side(t: pa.Table) -> pa.Table:
             keep = pc.and_(pc.greater_equal(t.column("p_size"),
                                             min_size),
                            pc.equal(t.column("p_type"), ptype))
             t = t.filter(keep)
-            keys = t.column("p_partkey").to_numpy(zero_copy_only=False)
             n = t.num_rows
             return pa.table({
-                "part": _hash_part(keys, num_partitions),
                 "pk": t.column("p_partkey"),
                 "sk": pa.nulls(n, pa.int64()),
                 "minp_c": pa.nulls(n, pa.int64()),
@@ -2854,10 +2751,10 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
                        f"{sf_dir}/part.parquet",
                        columns=["p_partkey", "p_size", "p_type"])
                    .map_batches(part_side, batch_format="pyarrow"))
-        winners = (part_ds.union(
-                       lines.map_batches(line_side,
-                                         batch_format="pyarrow"))
-                   .fx_map_groups(filt_argmin))
+        winners = exchange.file_exchange_map_groups(
+            part_ds.union(lines.map_batches(line_side,
+                                            batch_format="pyarrow")),
+            filt_argmin, keys=["pk"])
 
     def finish(t: pa.Table, sname: np.ndarray,
                snat: np.ndarray) -> pa.Table:
@@ -2894,13 +2791,11 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
 
         return winners.map_batches(attach_bc, batch_format="pyarrow")
 
-    # union-tag exchange on hash(suppkey) % P: winner rows meet the
+    # union-tag exchange keyed on suppkey: winner rows meet the
     # supplier attribute rows; supplier never leaves the cluster
     def supp_side(t: pa.Table) -> pa.Table:
-        keys = t.column("s_suppkey").to_numpy(zero_copy_only=False)
         n = t.num_rows
         return pa.table({
-            "spart": _hash_part(keys, num_partitions),
             "sk": t.column("s_suppkey"),
             "s_name": t.column("s_name"),
             "snat": pa.array(t.column("s_nationkey").to_numpy(
@@ -2911,10 +2806,8 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
         })
 
     def win_side(t: pa.Table) -> pa.Table:
-        keys = t.column("sk").to_numpy(zero_copy_only=False)
         n = t.num_rows
         return pa.table({
-            "spart": _hash_part(keys, num_partitions),
             "sk": t.column("sk"),
             "s_name": pa.nulls(n, pa.string()),
             "snat": pa.nulls(n, pa.int64()),
@@ -2945,9 +2838,10 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
                    f"{sf_dir}/supplier.parquet",
                    columns=["s_suppkey", "s_name", "s_nationkey"])
                .map_batches(supp_side, batch_format="pyarrow"))
-    return (supp_ds.union(
-                winners.map_batches(win_side, batch_format="pyarrow"))
-            .fx_map_groups(attach_ex, part_col="spart"))
+    return exchange.file_exchange_map_groups(
+        supp_ds.union(winners.map_batches(win_side,
+                                          batch_format="pyarrow")),
+        attach_ex, keys=["sk"])
 
 
 def orders_weekly_gapfill(sf_dir: str) -> ray.data.Dataset:
@@ -3005,8 +2899,7 @@ def orders_weekly_gapfill(sf_dir: str) -> ray.data.Dataset:
         "sum_total_c": pa.array(s)}))
 
 
-def order_lines_join(sf_dir: str,
-                     num_partitions: int = 16) -> ray.data.Dataset:
+def order_lines_join(sf_dir: str) -> ray.data.Dataset:
     """The GENERIC join primitive exercised end-to-end: inner-join
     lineitem to orders on the order key via ``stages.exchange.fx_join``
     (one co-partitioned file exchange, both fact tables move exactly
@@ -3030,11 +2923,10 @@ def order_lines_join(sf_dir: str,
                            ["o_orderkey", "o_orderpriority"])
     return ray.data.from_arrow_refs(exchange.fx_join(
         lines, orders, on="o_orderkey", how="inner",
-        num_partitions=num_partitions, pre=(conform, None)).refs)
+        pre=(conform, None)).refs)
 
 
-def parts_unsold_in_window(sf_dir: str,
-                           num_partitions: int = 16) -> ray.data.Dataset:
+def parts_unsold_in_window(sf_dir: str) -> ray.data.Dataset:
     """fx_join's ANTI mode on real fact tables: parts with NO lineitem
     shipped in 1997-H1 (the slow-mover report). The probe side is the
     filtered fact projection; part (the left/output side) moves once —
@@ -3053,12 +2945,10 @@ def parts_unsold_in_window(sf_dir: str,
                    < pa.scalar(np.datetime64("1997-07-01", "us")))))
     return ray.data.from_arrow_refs(exchange.fx_join(
         part, sold, on="p_partkey", how="anti",
-        num_partitions=num_partitions, pre=(None, conform)).refs)
+        pre=(None, conform)).refs)
 
 
-def active_customers_in_window(sf_dir: str,
-                               num_partitions: int = 16
-                               ) -> ray.data.Dataset:
+def active_customers_in_window(sf_dir: str) -> ray.data.Dataset:
     """fx_join's SEMI mode: customers with at least one 1997 order
     (IN-subquery semantics, each customer once) — the left table moves
     once, the probe side is the filtered orders key projection."""
@@ -3079,12 +2969,10 @@ def active_customers_in_window(sf_dir: str,
                 & (pads.field("o_orderdate")
                    < pa.scalar(np.datetime64("1998-01-01", "us"))))
     ).map_batches(conform, batch_format="pyarrow")
-    return fx_join(cust, active, on="c_custkey", how="semi",
-                   num_partitions=num_partitions)
+    return fx_join(cust, active, on="c_custkey", how="semi")
 
 
-def orders_region0_left(sf_dir: str,
-                        num_partitions: int = 16) -> ray.data.Dataset:
+def orders_region0_left(sf_dir: str) -> ray.data.Dataset:
     """fx_join's LEFT mode with real null rows: every order, annotated
     with its customer key ONLY when that customer sits in region 0
     (nation is a 25-row dimension — folded driver-side into the probe
@@ -3114,13 +3002,11 @@ def orders_region0_left(sf_dir: str,
     ).map_batches(conform, batch_format="pyarrow")
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-    return fx_join(orders, cust, on="o_custkey", how="left",
-                   num_partitions=num_partitions)
+    return fx_join(orders, cust, on="o_custkey", how="left")
 
 
 def customer_orders_outer(sf_dir: str,
-                          min_acctbal: float = 9000.0,
-                          num_partitions: int = 16) -> ray.data.Dataset:
+                          min_acctbal: float = 9000.0) -> ray.data.Dataset:
     """fx_join's FULL OUTER mode on real tables: high-balance
     customers FULL OUTER JOIN per-customer order counts — left-only
     rows are rich customers who never ordered (null n_orders),
@@ -3151,8 +3037,7 @@ def customer_orders_outer(sf_dir: str,
                               columns=["o_custkey"])
         .map_batches(ones, batch_format="pyarrow"),
         ["c_custkey"], [("n_orders", "sum")])
-    return fx_join(cust, counts, on="c_custkey", how="outer",
-                   num_partitions=num_partitions)
+    return fx_join(cust, counts, on="c_custkey", how="outer")
 
 
 # ------------------------------------------------------------------ #

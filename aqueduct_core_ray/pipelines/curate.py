@@ -15,9 +15,8 @@ Scale shape (every stage audited against the 100-TB lens):
 - exact dedup moves fingerprints, not text: survivors (min doc_id per
   fp) are computed from a (fp, doc_id)-only projection, and the
   surviving rows are recovered with a CO-PARTITIONED semi-join (docs
-  and survivor ids union-tagged on hash(doc_id) % P, one
-  ``groupby(part).map_groups`` pass) — no broadcast of an O(corpus)
-  survivor set, no driver materialization.
+  and survivor ids unioned into one exchange keyed on doc_id) — no
+  broadcast of an O(corpus) survivor set, no driver materialization.
 - output is the resumable sharded export (atomic ``_EXPORTED`` marker).
 
 No reference analog (aqueduct-core moves opaque payloads); this is the
@@ -27,7 +26,6 @@ No reference analog (aqueduct-core moves opaque payloads); this is the
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -36,9 +34,7 @@ import ray.data
 
 from ..functions.dedup import build_ngram_blocklist, count_blocklist_hits
 
-# registers ray.data.Dataset.fx_map_groups (file exchange — skips
-# Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
-from ..stages import exchange as _exchange  # noqa: F401
+from ..stages import exchange
 from ..functions.text import (
     LangId,
     fingerprint_batch,
@@ -79,8 +75,7 @@ def _flags_stage(block_ref, lang: str, shingle: int, min_hits: int):
 
 def _curated_docs(sf_dir: str, lang: str = "en", shingle: int = 8,
                   min_hits: int = 3,
-                  benchmark: "list[str] | None" = None,
-                  num_partitions: int = 16
+                  benchmark: "list[str] | None" = None
                   ) -> "tuple[ray.data.Dataset, dict]":
     """The curation core shared by ``curate_corpus`` and
     ``train_pipeline``: returns (deduped surviving-docs Dataset with
@@ -109,36 +104,26 @@ def _curated_docs(sf_dir: str, lang: str = "en", shingle: int = 8,
 
     # exact dedup among the kept docs: survivors = min doc_id per fp,
     # computed over an (fp, doc_id) projection — text never shuffles
-    P = num_partitions
-
-    def doc_part(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(ids + np.int64(11), categorize=False)
-        return t.append_column(
-            "part", pa.array((h % np.uint64(P)).astype(np.int32)))
-
-    from ..stages.exchange import fx_agg_by
-    survivors = (fx_agg_by(kept.select_columns(["fp", "doc_id"]),
+    survivors = (exchange.fx_agg_by(kept.select_columns(["fp", "doc_id"]),
                            ["fp"], [("doc_id", "min")])
                  .map_batches(lambda t: pa.table(
                      {"doc_id": t.column("doc_id")}),
                      batch_format="pyarrow"))
 
-    # co-partitioned semi-join: union-tag docs (is_doc=1) and survivor
-    # ids (is_doc=0) on hash(doc_id) % P, filter per group
+    # co-partitioned semi-join: union docs (is_doc=1) and survivor ids
+    # (is_doc=0) keyed on doc_id, filter per group
     docs_tagged = kept.drop_columns(
         ["lang_ok", "qual_ok", "clean", "keep"]).map_batches(
-        lambda t: doc_part(t).append_column(
+        lambda t: t.append_column(
             "is_doc", pa.array(np.ones(t.num_rows, np.int8))),
         batch_format="pyarrow")
     surv_tagged = survivors.map_batches(
-        lambda t: doc_part(pa.table({
+        lambda t: pa.table({
             "doc_id": t.column("doc_id"),
             "text": pa.nulls(t.num_rows, pa.string()),
             "source": pa.nulls(t.num_rows, pa.string()),
             "fp": pa.nulls(t.num_rows, pa.string()),
-        })).append_column(
-            "is_doc", pa.array(np.zeros(t.num_rows, np.int8))),
+            "is_doc": pa.array(np.zeros(t.num_rows, np.int8))}),
         batch_format="pyarrow")
 
     def filter_group(g: pa.Table) -> pa.Table:
@@ -152,22 +137,21 @@ def _curated_docs(sf_dir: str, lang: str = "en", shingle: int = 8,
         m = (want[pos] == rids) if len(want) else np.zeros(len(rids), bool)
         return rows.filter(pa.array(m)).drop_columns(["part", "is_doc"])
 
-    deduped = (docs_tagged.union(surv_tagged)
-               .fx_map_groups(filter_group))
+    deduped = exchange.file_exchange_map_groups(
+        docs_tagged.union(surv_tagged), filter_group, keys=["doc_id"])
     return deduped, agg
 
 
 def curate_corpus(sf_dir: str, out_dir: str | None = None,
                   lang: str = "en", shingle: int = 8, min_hits: int = 3,
                   benchmark: "list[str] | None" = None,
-                  num_partitions: int = 16,
                   n_shards: int = 8) -> pa.Table:
     """Run the full curation pipeline; returns the per-stage attrition
     table (stage, n_docs) — deterministic for a given corpus/config.
     When ``out_dir`` is given the surviving corpus is also written as
     resumable training shards."""
     deduped, agg = _curated_docs(sf_dir, lang, shingle, min_hits,
-                                 benchmark, num_partitions)
+                                 benchmark)
     if out_dir is not None:
         # export THROUGH the shared sharded-writer contract; the row
         # count comes from the written files' metadata, so the curated
@@ -274,7 +258,7 @@ def train_pipeline(sf_dir: str, out_dir: "str | None" = None,
                              for k, v in cached.items()})
 
     deduped, agg = _curated_docs(sf_dir, lang, shingle, min_hits,
-                                 benchmark, num_partitions)
+                                 benchmark)
     tokenized = deduped.map_batches(tokenize_batch,
                                     batch_format="pyarrow")
     packed = pack_tokenized(tokenized, context_len, num_partitions)

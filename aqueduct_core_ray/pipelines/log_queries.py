@@ -17,7 +17,7 @@ Mapping of the ``events`` table onto the reference's EVENTS log
 
 Scale notes: every operator here streams — `read_parquet` with
 column/row pushdown, vectorized Arrow kernels inside map_batches, and the
-only shuffles are the per-key groupbys that the semantics require (LWW
+only shuffles are the per-key exchanges that the semantics require (LWW
 needs co-location by key; the byte-cap prefix scan needs a range
 partition by offset). Nothing materializes the log on the driver.
 """
@@ -31,12 +31,8 @@ import pyarrow.dataset as pads
 
 import ray.data
 
-from ..partitioning import add_partition
+from ..stages import exchange
 from ..stages.compact import compact_lww
-
-# registers ray.data.Dataset.fx_map_groups (file exchange — skips
-# Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
-from ..stages import exchange as _exchange  # noqa: F401
 
 TOMBSTONE_TYPE = "error"
 
@@ -194,28 +190,28 @@ def byte_cap_prefix(sf_dir: str, cap: int | None = None,
         keep = (cum <= cap) | (ids == first_id)  # over-budget first row
         return t.filter(pa.array(keep))
 
-    edge = (read_events(sf_dir, filter=flt)
-            .map_batches(lambda t: t.append_column(
-                "g", pa.array(np.zeros(t.num_rows, np.int8))),
-                batch_format="pyarrow")
-            .fx_map_groups(
-                lambda t: prefix_rows(t.drop_columns(["g"])),
-                part_col="g"))
+    # one explicit part: the boundary range is sorted whole
+    edge = exchange.file_exchange_map_groups(
+        read_events(sf_dir, filter=flt).map_batches(
+            lambda t: t.append_column(
+                "part", pa.array(np.zeros(t.num_rows, np.int32))),
+            batch_format="pyarrow"),
+        lambda t: prefix_rows(t.drop_columns(["part"])))
     return out.union(edge)
 
 
 # --------------------------------------------------------------------- #
 # D1 — distributed LWW compaction of the whole log
 # --------------------------------------------------------------------- #
-def lww_latest(sf_dir: str, num_partitions: int = 16) -> ray.data.Dataset:
+def lww_latest(sf_dir: str) -> ray.data.Dataset:
     """Keep only the max-lsn event per key (SQLiteQueries.java:51-52):
-    per-batch partial compaction (combiner, defuses skew) -> hash shuffle
-    by doc_id -> final per-partition compaction. Tombstone-latest keys are
-    KEPT (compaction ≠ tombstone GC, which is the retention job)."""
+    per-batch partial compaction (combiner, defuses skew) -> exchange
+    keyed on doc_id -> final per-partition compaction. Tombstone-latest
+    keys are KEPT (compaction ≠ tombstone GC, which is the retention
+    job)."""
 
     def prep(t: pa.Table) -> pa.Table:
-        return compact_lww(add_partition(events_to_changelog(t),
-                                         num_partitions))
+        return compact_lww(events_to_changelog(t))
 
     def finish(t: pa.Table) -> pa.Table:
         out = compact_lww(t).drop_columns(["part", "ts"])
@@ -225,14 +221,14 @@ def lww_latest(sf_dir: str, num_partitions: int = 16) -> ray.data.Dataset:
                               "op", out.column("op").cast(pa.int64()))
 
     ds = read_events(sf_dir).map_batches(prep, batch_format="pyarrow")
-    return ds.fx_map_groups(finish)
+    return exchange.file_exchange_map_groups(ds, finish, keys=["doc_id"])
 
 
-def consistency_sum(sf_dir: str, num_partitions: int = 16) -> pa.Table:
+def consistency_sum(sf_dir: str) -> pa.Table:
     """A4 convergence checksum (SQLiteQueries.java:57-64): Σ over keys of
     max(lsn), excluding keys whose latest event is a tombstone. Reuses the
     LWW partitioning — no extra shuffle."""
-    latest = lww_latest(sf_dir, num_partitions)
+    latest = lww_latest(sf_dir)
     live = latest.map_batches(
         lambda t: t.filter(pc.equal(t.column("op"), 0)),
         batch_format="pyarrow")
@@ -285,11 +281,9 @@ def max_offset_before_hour(sf_dir: str) -> pa.Table:
 # --------------------------------------------------------------------- #
 def count_by_type(sf_dir: str) -> ray.data.Dataset:
     """PostgresqlStorage.java:507-509: SELECT type, COUNT(*) GROUP BY type."""
-    ds = read_events(sf_dir, columns=["event_type"])
-    out = ds.groupby("event_type").count()
-    return out.map_batches(
-        lambda t: t.rename_columns(["event_type", "n_rows"]),
-        batch_format="pyarrow")
+    return ray.data.from_arrow_refs(exchange.fx_count_by(
+        exchange.leaf(f"{sf_dir}/events.parquet", ["event_type"]),
+        ["event_type"], "n_rows").refs)
 
 
 # --------------------------------------------------------------------- #

@@ -27,8 +27,8 @@ import ray.data
 
 from .log_queries import read_events
 
-# registers ray.data.Dataset.fx_map_groups (file exchange — skips
-# Ray's ~3 s sort-shuffle floor per co-partitioned exchange)
+# every per-key exchange below is the keyed file exchange
+# (stages/exchange.py)
 from ..stages import exchange
 from ..stages.exchange import collect_tables
 
@@ -75,28 +75,22 @@ def tumbling_window_counts(sf_dir: str, unit: str = "hour"
 
 
 def asof_join_prior(sf_dir: str, probe_type: str = "purchase",
-                    build_type: str = "click",
-                    num_partitions: int = 16) -> ray.data.Dataset:
+                    build_type: str = "click") -> ray.data.Dataset:
     """As-of join: for every ``probe_type`` event, the most recent PRIOR
     ``build_type`` event of the same user (strictly earlier event_id),
     NULL when none exists. LEFT-join semantics.
 
-    Scale shape: ONE hash shuffle on the join key into ``num_partitions``
-    bounded groups (NOT one Python call per user — unbounded group count
+    Scale shape: ONE exchange keyed on the join key into bounded
+    groups (NOT one Python call per user — unbounded group count
     was the round-1 wall), then a per-partition sort + ONE segmented
     ``searchsorted`` over rank-composite keys covering every user in the
     partition at once. Composite = user_rank * (n_rows+1) + event_rank,
     overflow-free for any partition under ~3e9 rows."""
-    import pandas as pd
 
     def narrow(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t.column("event_type"),
                         value_set=pa.array([probe_type, build_type]))
-        t = t.filter(keep)
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
+        return t.filter(keep)
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -133,7 +127,7 @@ def asof_join_prior(sf_dir: str, probe_type: str = "purchase",
 
     ds = read_events(sf_dir, columns=["event_id", "user_id", "event_type"]
                      ).map_batches(narrow, batch_format="pyarrow")
-    return ds.fx_map_groups(per_part)
+    return exchange.file_exchange_map_groups(ds, per_part, keys=["user_id"])
 
 
 def hopping_window_counts(sf_dir: str, window_minutes: int = 60,
@@ -213,8 +207,7 @@ def range_join_value_bands(sf_dir: str) -> ray.data.Dataset:
     return fx_sum_by(partial, ["band"], ["n_rows"])
 
 
-def sessionize(sf_dir: str, gap_minutes: int = 30,
-               num_partitions: int = 16) -> ray.data.Dataset:
+def sessionize(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
     """Session windows per user: a new session starts when the gap to
     the user's previous event exceeds ``gap_minutes``. Returns
     (user_id, n_sessions, n_events) — the classic event-stream
@@ -225,15 +218,8 @@ def sessionize(sf_dir: str, gap_minutes: int = 30,
     into bounded partitions, then a single per-partition lexsort and a
     segmented np.diff — session boundaries for every user in the
     partition fall out of one vectorized pass."""
-    import pandas as pd
 
     gap_us = np.int64(gap_minutes) * 60_000_000
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -256,8 +242,8 @@ def sessionize(sf_dir: str, gap_minutes: int = 30,
         })
 
     ds = read_events(sf_dir, columns=["event_id", "user_id", "ts"])
-    return (ds.map_batches(part_col, batch_format="pyarrow")
-            .fx_map_groups(per_part))
+    return exchange.file_exchange_map_groups(ds, per_part,
+                                             keys=["user_id"])
 
 
 def value_histogram(sf_dir: str, bucket_width_cents: int = 2500
@@ -289,6 +275,17 @@ def value_histogram(sf_dir: str, bucket_width_cents: int = 2500
     return fx_sum_by(partial, ["event_type", "bucket"], ["n_rows"])
 
 
+def _per_type(sf_dir: str, columns: "list[str]", partial, merge
+              ) -> ray.data.Dataset:
+    """``partial`` over every events block, then ``merge`` once per
+    event type over the type's partial rows (one exchange keyed on
+    event_type; a part loops over its few types)."""
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        exchange.leaf(f"{sf_dir}/events.parquet", columns),
+        exchange.each_group(merge, ["event_type"]), keys=["event_type"],
+        pre=partial).refs)
+
+
 def distinct_users_by_type(sf_dir: str) -> ray.data.Dataset:
     """Exact distinct-count: users per event type. Per-block pair dedup
     (combiner) -> (type, user) groupby dedup is implicit in the final
@@ -307,11 +304,8 @@ def distinct_users_by_type(sf_dir: str) -> ray.data.Dataset:
             "n_users": pa.array([u], pa.int64()),
         })
 
-    ds = read_events(sf_dir, columns=["event_type", "user_id"])
-    partial = ds.map_batches(pairs, batch_format="pyarrow",
-                             batch_size=None)
-    return (partial.groupby("event_type")
-            .map_groups(count_unique, batch_format="pyarrow"))
+    return _per_type(sf_dir, ["event_type", "user_id"], pairs,
+                     count_unique)
 
 
 def approx_quantiles_by_type(sf_dir: str,
@@ -365,11 +359,8 @@ def approx_quantiles_by_type(sf_dir: str,
             "value": pa.array(qv, pa.float64()),
         })
 
-    ds = read_events(sf_dir, columns=["event_type", "value"])
-    partial = ds.map_batches(block_hist, batch_format="pyarrow",
-                             batch_size=None)
-    return (partial.groupby("event_type")
-            .map_groups(merge_quantiles, batch_format="pyarrow"))
+    return _per_type(sf_dir, ["event_type", "value"], block_hist,
+                     merge_quantiles)
 
 
 def approx_distinct_users_by_type(sf_dir: str, p_bits: int = 12
@@ -425,15 +416,11 @@ def approx_distinct_users_by_type(sf_dir: str, p_bits: int = 12
             "approx_users": pa.array([int(round(est))], pa.int64()),
         })
 
-    ds = read_events(sf_dir, columns=["event_type", "user_id"])
-    partial = ds.map_batches(block_sketch, batch_format="pyarrow",
-                             batch_size=None)
-    return (partial.groupby("event_type")
-            .map_groups(merge_estimate, batch_format="pyarrow"))
+    return _per_type(sf_dir, ["event_type", "user_id"], block_sketch,
+                     merge_estimate)
 
 
-def running_total(sf_dir: str, num_partitions: int = 16
-                  ) -> ray.data.Dataset:
+def running_total(sf_dir: str) -> ray.data.Dataset:
     """Ordered cumulative window: per-user running sum of ``value``
     (integer cents, floor(v*100+0.5) per row) over (ts, event_id)
     order — SQL's ``sum(...) OVER (PARTITION BY user_id ORDER BY ts,
@@ -444,13 +431,6 @@ def running_total(sf_dir: str, num_partitions: int = 16
     within a partition a single lexsort orders every user's stream and
     one global cumsum minus per-segment bases yields all running sums —
     no per-user Python loop, no global sort."""
-    import pandas as pd
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -478,12 +458,11 @@ def running_total(sf_dir: str, num_partitions: int = 16
 
     ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
                                       "value"])
-    return (ds.map_batches(part_col, batch_format="pyarrow")
-            .fx_map_groups(per_part))
+    return exchange.file_exchange_map_groups(ds, per_part,
+                                             keys=["user_id"])
 
 
-def inter_event_gaps(sf_dir: str, num_partitions: int = 16
-                     ) -> ray.data.Dataset:
+def inter_event_gaps(sf_dir: str) -> ray.data.Dataset:
     """LAG-window gap statistics: per user, the count of events and the
     sum / max of the microsecond gaps between CONSECUTIVE events in
     (ts, event_id) order — SQL's ``ts - lag(ts) OVER (PARTITION BY
@@ -498,13 +477,6 @@ def inter_event_gaps(sf_dir: str, num_partitions: int = 16
     contributes nothing), and per-user sum/max are one ``reduceat``
     each — no per-user Python loop, no global sort. Each user lives in
     exactly one partition, so the output needs no driver fold."""
-    import pandas as pd
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -527,8 +499,8 @@ def inter_event_gaps(sf_dir: str, num_partitions: int = 16
         })
 
     ds = read_events(sf_dir, columns=["event_id", "user_id", "ts"])
-    return (ds.map_batches(part_col, batch_format="pyarrow")
-            .fx_map_groups(per_part))
+    return exchange.file_exchange_map_groups(ds, per_part,
+                                             keys=["user_id"])
 
 
 def exact_quantiles_by_type(sf_dir: str,
@@ -592,8 +564,7 @@ def exact_quantiles_by_type(sf_dir: str,
 
 
 def user_type_sets(sf_dir: str, type_a: str = "click",
-                   type_b: str = "purchase",
-                   num_partitions: int = 16) -> ray.data.Dataset:
+                   type_b: str = "purchase") -> ray.data.Dataset:
     """Distributed SET OPERATIONS between two event populations: each
     user that emitted ``type_a`` or ``type_b`` is classified
     ``both`` (INTERSECT), ``click_only`` (A EXCEPT B) or
@@ -605,7 +576,6 @@ def user_type_sets(sf_dir: str, type_a: str = "click",
     bitwise-OR (sort + reduceat) and classifies every user in one
     vectorized pass. Neither side is broadcast; output stays
     distributed."""
-    import pandas as pd
 
     bit_of = {type_a: np.int64(1), type_b: np.int64(2)}
     # labels derive from the parameters (defaults keep the oracle's
@@ -619,10 +589,7 @@ def user_type_sets(sf_dir: str, type_a: str = "click",
         m = bits > 0
         uid, bits = uid[m], bits[m].astype(np.int64)
         pairs = np.unique(np.stack([uid, bits], axis=1), axis=0)
-        part = (pd.util.hash_array(pairs[:, 0].copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table({"part": pa.array(part),
-                         "user_id": pa.array(pairs[:, 0]),
+        return pa.table({"user_id": pa.array(pairs[:, 0]),
                          "bit": pa.array(pairs[:, 1])})
 
     def classify(g: pa.Table) -> pa.Table:
@@ -641,8 +608,9 @@ def user_type_sets(sf_dir: str, type_a: str = "click",
                          "status": pa.array(out_status, pa.string())})
 
     ds = read_events(sf_dir, columns=["user_id", "event_type"])
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .fx_map_groups(classify))
+    return exchange.file_exchange_map_groups(
+        ds.map_batches(partial, batch_format="pyarrow"), classify,
+        keys=["user_id"])
 
 
 def percentile_rank(sf_dir: str) -> ray.data.Dataset:
@@ -716,8 +684,7 @@ def percentile_rank(sf_dir: str) -> ray.data.Dataset:
             .map_batches(rank_rows, batch_format="pyarrow"))
 
 
-def event_transitions(sf_dir: str,
-                      num_partitions: int = 16) -> ray.data.Dataset:
+def event_transitions(sf_dir: str) -> ray.data.Dataset:
     """Per-user event-type TRANSITION MATRIX: counts of consecutive
     (previous type -> next type) pairs in each user's (ts, event_id)
     stream order, summed over all users — the Markov-chain /
@@ -730,15 +697,8 @@ def event_transitions(sf_dir: str,
     adjacent pair, and the pair counts collapse to <= #types^2 partial
     rows per partition before the tiny final fold (the driver never
     sees events)."""
-    import pandas as pd
 
     from .analytics import _int_sum_by
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -762,8 +722,8 @@ def event_transitions(sf_dir: str,
     from .analytics import _fold_partials
     ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
                                       "event_type"])
-    parts = (ds.map_batches(part_col, batch_format="pyarrow")
-             .fx_map_groups(per_part))
+    parts = exchange.file_exchange_map_groups(ds, per_part,
+                                              keys=["user_id"])
     return ray.data.from_arrow(_fold_partials(
         parts, ["from_type", "to_type"], ["n_transitions"],
         pa.table({"from_type": pa.array([], pa.string()),
@@ -771,8 +731,7 @@ def event_transitions(sf_dir: str,
                   "n_transitions": pa.array([], pa.int64())})))
 
 
-def retention_cohorts(sf_dir: str,
-                      num_partitions: int = 16) -> ray.data.Dataset:
+def retention_cohorts(sf_dir: str) -> ray.data.Dataset:
     """Cohort RETENTION table: users are cohorted by the calendar day
     of their FIRST event; for every (cohort day, day offset) the count
     of cohort users active that day — the standard retention triangle.
@@ -785,15 +744,8 @@ def retention_cohorts(sf_dir: str,
     partition's; a native groupby(...).sum finishes the counts with
     no distinct re-check. The driver never folds anything
     user-sized."""
-    import pandas as pd
 
     day_us = np.int64(86_400_000_000)
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -820,15 +772,13 @@ def retention_cohorts(sf_dir: str,
 
     ds = read_events(sf_dir, columns=["user_id", "ts"])
     return fx_sum_by(
-        ds.map_batches(part_col, batch_format="pyarrow")
-        .fx_map_groups(per_part),
+        exchange.file_exchange_map_groups(ds, per_part, keys=["user_id"]),
         ["cohort_day", "offset_days"], ["n_users"])
 
 
 def conversion_funnel(sf_dir: str, from_type: str = "click",
                       to_type: str = "purchase",
-                      window_minutes: int = 2880,
-                      num_partitions: int = 16) -> ray.data.Dataset:
+                      window_minutes: int = 2880) -> ray.data.Dataset:
     """Ordered two-stage FUNNEL: for every user with at least one
     ``from_type`` event, the first such event, the earliest ``to_type``
     event at-or-after it, the microsecond lag, and whether the
@@ -842,18 +792,13 @@ def conversion_funnel(sf_dir: str, from_type: str = "click",
     sentinel-masked int64 timestamps — every user in the partition is
     handled by the same vectorized pass, no per-user loop, and the
     output is one row per entrant (never events)."""
-    import pandas as pd
 
     window_us = np.int64(window_minutes) * 60_000_000
     BIG = np.int64(2**62)
 
-    def part_col(t: pa.Table) -> pa.Table:
+    def narrow(t: pa.Table) -> pa.Table:
         et = t.column("event_type").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array((et == from_type) | (et == to_type)))
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
+        return t.filter(pa.array((et == from_type) | (et == to_type)))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -894,12 +839,13 @@ def conversion_funnel(sf_dir: str, from_type: str = "click",
         })
 
     ds = read_events(sf_dir, columns=["user_id", "ts", "event_type"])
-    return (ds.map_batches(part_col, batch_format="pyarrow")
-            .fx_map_groups(per_part))
+    return exchange.file_exchange_map_groups(
+        ds.map_batches(narrow, batch_format="pyarrow"), per_part,
+        keys=["user_id"])
 
 
-def rolling_active_users(sf_dir: str, window_days: int = 7,
-                         num_partitions: int = 16) -> ray.data.Dataset:
+def rolling_active_users(sf_dir: str, window_days: int = 7
+                         ) -> ray.data.Dataset:
     """ROLLING window engagement: for every calendar day with at least
     one event, the count of distinct users active in the trailing
     ``window_days`` (day inclusive) — the standard WAU/MAU-style
@@ -916,7 +862,6 @@ def rolling_active_users(sf_dir: str, window_days: int = 7,
     per partition reach the driver, which sums counts and masks to
     globally observed days. Calendar days are inherently bounded, so
     every fold is tiny at any data scale."""
-    import pandas as pd
 
     day_us = np.int64(86_400_000_000)
     w = np.int64(window_days)
@@ -928,10 +873,7 @@ def rolling_active_users(sf_dir: str, window_days: int = 7,
         day = (t.column("ts").cast(pa.int64())
                .to_numpy(zero_copy_only=False) // day_us)
         pairs = np.unique(np.stack([uid, day], axis=1), axis=0)
-        part = (pd.util.hash_array(pairs[:, 0].copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table({"part": pa.array(part),
-                         "user_id": pa.array(pairs[:, 0]),
+        return pa.table({"user_id": pa.array(pairs[:, 0]),
                          "day": pa.array(pairs[:, 1])})
 
     def per_part(t: pa.Table) -> pa.Table:
@@ -968,8 +910,9 @@ def rolling_active_users(sf_dir: str, window_days: int = 7,
 
     from .analytics import _concat_nonempty
     ds = read_events(sf_dir, columns=["user_id", "ts"])
-    parts = (ds.map_batches(pair_partial, batch_format="pyarrow")
-             .fx_map_groups(per_part))
+    parts = exchange.file_exchange_map_groups(
+        ds.map_batches(pair_partial, batch_format="pyarrow"), per_part,
+        keys=["user_id"])
     pt = _concat_nonempty(parts, pa.table({
         "day": pa.array([], pa.int64()),
         "n_users": pa.array([], pa.int64()),
@@ -1050,8 +993,7 @@ def value_stats_by_type(sf_dir: str) -> ray.data.Dataset:
         "max_c": agg.column("max_c_max")}))
 
 
-def rolling_window_sum(sf_dir: str, window: int = 7,
-                       num_partitions: int = 16) -> ray.data.Dataset:
+def rolling_window_sum(sf_dir: str, window: int = 7) -> ray.data.Dataset:
     """Bounded sliding window: per-user trailing ``window``-row sum of
     ``value`` (integer cents) in (ts, event_id) order — SQL's
     ``sum(v_c) OVER (PARTITION BY user_id ORDER BY ts, event_id ROWS
@@ -1064,13 +1006,6 @@ def rolling_window_sum(sf_dir: str, window: int = 7,
     bases, and the trailing window is ``running[i] - running[i-window]``
     wherever the row is ≥ window deep into its segment (vectorized mask;
     shallow rows keep the full running prefix) — no per-user loop."""
-    import pandas as pd
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -1104,8 +1039,8 @@ def rolling_window_sum(sf_dir: str, window: int = 7,
 
     ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
                                       "value"])
-    return (ds.map_batches(part_col, batch_format="pyarrow")
-            .fx_map_groups(per_part))
+    return exchange.file_exchange_map_groups(ds, per_part,
+                                             keys=["user_id"])
 
 
 def event_type_pivot(sf_dir: str, bucket_width: int = 10,
@@ -1161,8 +1096,7 @@ def event_type_pivot(sf_dir: str, bucket_width: int = 10,
     return ray.data.from_arrow(pa.table(cols))
 
 
-def lead_lag_values(sf_dir: str, num_partitions: int = 16
-                    ) -> ray.data.Dataset:
+def lead_lag_values(sf_dir: str) -> ray.data.Dataset:
     """LAG/LEAD projection: per event, the previous and next ``value``
     (integer cents) of the SAME user in (ts, event_id) order — nulls at
     each user's stream boundaries. Returns (event_id, user_id, value_c,
@@ -1171,13 +1105,6 @@ def lead_lag_values(sf_dir: str, num_partitions: int = 16
     Scale shape (running_total's): ONE user-hash exchange, one lexsort
     per partition, both neighbors from shifted views with segment-start
     /-end masks — no per-user loop; nulls are real Arrow nulls."""
-    import pandas as pd
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -1206,8 +1133,8 @@ def lead_lag_values(sf_dir: str, num_partitions: int = 16
 
     ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
                                       "value"])
-    return (ds.map_batches(part_col, batch_format="pyarrow")
-            .fx_map_groups(per_part))
+    return exchange.file_exchange_map_groups(ds, per_part,
+                                             keys=["user_id"])
 
 
 def mode_value_by_type(sf_dir: str) -> ray.data.Dataset:
@@ -1352,8 +1279,7 @@ def props_key_stats(sf_dir: str) -> ray.data.Dataset:
 
 def interval_join_pairs(sf_dir: str, left_type: str = "click",
                         right_type: str = "purchase",
-                        window_minutes: int = 60,
-                        num_partitions: int = 16) -> ray.data.Dataset:
+                        window_minutes: int = 60) -> ray.data.Dataset:
     """INTERVAL JOIN (stream-stream windowed join, Flink semantics):
     every (left, right) event pair of the same user where the right
     event lands in ``[left.ts, left.ts + window)`` — ALL pairs, not
@@ -1367,18 +1293,13 @@ def interval_join_pairs(sf_dir: str, left_type: str = "click",
     window widths, so cost is O(n log n + output), no per-user loop.
     Output size is bounded by the window (pairs-per-left ≤ right events
     in one hour), the inherent interval-join blowup knob."""
-    import pandas as pd
 
     win_us = np.int64(window_minutes) * 60_000_000
 
     def narrow(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t.column("event_type"),
                         value_set=pa.array([left_type, right_type]))
-        t = t.filter(keep)
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
+        return t.filter(keep)
 
     def per_part(t: pa.Table) -> pa.Table:
         empty = pa.table({"user_id": pa.array([], pa.int64()),
@@ -1439,12 +1360,13 @@ def interval_join_pairs(sf_dir: str, left_type: str = "click",
 
     ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
                                       "event_type"])
-    return (ds.map_batches(narrow, batch_format="pyarrow")
-            .fx_map_groups(per_part, empty_result=pa.table({
+    return exchange.file_exchange_map_groups(
+        ds.map_batches(narrow, batch_format="pyarrow"), per_part,
+        keys=["user_id"], empty_result=pa.table({
                 "user_id": pa.array([], pa.int64()),
                 "left_id": pa.array([], pa.int64()),
                 "right_id": pa.array([], pa.int64()),
-                "gap_us": pa.array([], pa.int64())})))
+                "gap_us": pa.array([], pa.int64())}))
 
 
 def _median_mad_table(sf_dir: str) -> pa.Table:
@@ -1698,8 +1620,7 @@ def late_events(sf_dir: str, lateness_minutes: int = 10,
 
 
 def session_paths(sf_dir: str, gap_minutes: int = 30, k: int = 10,
-                  max_len: int = 5,
-                  num_partitions: int = 16) -> ray.data.Dataset:
+                  max_len: int = 5) -> ray.data.Dataset:
     """Top-``k`` most common session JOURNEYS: each session's first
     ``max_len`` event types joined with '>' (the funnel/path-mining
     staple — "what do users actually do in a visit"). Sessions follow
@@ -1713,15 +1634,8 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, k: int = 10,
     scatter — no per-session join loop). Path counts fold over one
     hash(path) exchange; each path's final count lives in one block,
     so a per-block local top-k bounds the driver fold at k x blocks."""
-    import pandas as pd
 
     gap_us = np.int64(gap_minutes) * 60_000_000
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
@@ -1765,8 +1679,7 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, k: int = 10,
     ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
                                       "event_type"])
     counted = fx_sum_by(
-        ds.map_batches(part_col, batch_format="pyarrow")
-        .fx_map_groups(per_part),
+        exchange.file_exchange_map_groups(ds, per_part, keys=["user_id"]),
         ["path"], ["cnt"]).map_batches(local_topk,
                                        batch_format="pyarrow")
     tabs = [t for t in collect_tables(counted) if t.num_rows]
@@ -1787,9 +1700,7 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, k: int = 10,
     }))
 
 
-def cumulative_users_by_day(sf_dir: str,
-                            num_partitions: int = 16
-                            ) -> ray.data.Dataset:
+def cumulative_users_by_day(sf_dir: str) -> ray.data.Dataset:
     """GROWTH ACCOUNTING: for each calendar day, how many DISTINCT
     users have been seen up to and including that day (the cumulative-
     adoption curve). Exact. Returns (day, new_users, cum_users) for
@@ -1801,13 +1712,6 @@ def cumulative_users_by_day(sf_dir: str,
     first day, per-partition (day, new_users) histogram partials are
     BOUNDED (#days), and the driver folds + cumsums <= days rows. No
     global sort, no set state."""
-    import pandas as pd
-
-    def part_col(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(uid.copy(), categorize=False)
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("part", pa.array(part))
 
     def per_part(g: pa.Table) -> pa.Table:
         uid = g.column("user_id").to_numpy(zero_copy_only=False)
@@ -1823,9 +1727,8 @@ def cumulative_users_by_day(sf_dir: str,
                          "new_users": pa.array(counts.astype(np.int64))})
 
     ds = read_events(sf_dir, columns=["user_id", "ts"])
-    parts = [t for t in collect_tables(
-        ds.map_batches(part_col, batch_format="pyarrow")
-        .fx_map_groups(per_part)) if t.num_rows]
+    parts = [t for t in collect_tables(exchange.file_exchange_map_groups(
+        ds, per_part, keys=["user_id"])) if t.num_rows]
     acc: dict = {}
     for t in parts:
         for d, n in zip(t.column("day_us").to_pylist(),

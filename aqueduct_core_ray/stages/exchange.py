@@ -1,16 +1,26 @@
-"""Generic file-based hash exchange for library pipelines.
+"""The library's keyed exchange: the one way a library operator
+key-partitions its rows.
 
-``ds.groupby("part").map_groups(fn)`` is the module-wide co-partition
-idiom, but Ray Data's groupby is a SORT-based shuffle with a ~3 s fixed
-floor per exchange at any data size (measured on this box; the CDC
-engine's wave path hit the same wall and replaced it with an Arrow-IPC
-file exchange — stages/merge_apply.py). This is that exchange as a
-reusable primitive, on the same file format (stages/exchange_files.py:
-one writer, one manifest, one reader): writer tasks slice each block by
-an existing int ``part`` column into one IPC file per block (record
-batch per part), the manifests of slice sizes return to the driver,
-which cuts the parts into byte-budgeted runs, and one raw Ray task per
-run applies ``fn`` to each of its parts.
+``file_exchange_map_groups(src, fn, keys=[...])`` sends every row with
+equal key values to one part and runs ``fn`` once per part. Routing is
+one rule, ``key_parts(t, keys, P)``, applied inside the writer tasks
+with ``P = _auto_virtual_parts()`` fixed on the driver: a key's part
+depends only on its logical value (every integer width and temporal
+type by its int64 image, plain/large/dictionary strings by
+``hash_str_array``, any other type by its string cast, nulls to one
+fixed part). ``fx_agg_by``/``fx_sum_by`` and ``fx_join`` route by the
+same rule. Owners whose part count defines a persisted layout (the
+engine's doc_id partitions, index shards, pack partitions) pass an
+explicit int ``part`` column instead of ``keys``.
+
+It runs on the same file format as the engine's waves
+(stages/exchange_files.py: one writer, one manifest, one reader):
+writer tasks slice each block by part into one IPC file per block
+(record batch per part), the manifests of slice sizes return to the
+driver, which cuts the parts into byte-budgeted runs, and one raw Ray
+task per run applies ``fn`` to each of its parts. Ray Data's
+sort-based ``groupby`` (a ~3 s fixed floor per shuffle at any data
+size) is not used anywhere in the package.
 
 Inputs. An exchange reads any of:
 - a leaf read (``leaf(paths, columns=, filter=)``): parquet row groups
@@ -22,13 +32,13 @@ Inputs. An exchange reads any of:
   blocks stream into the same raw writers (the adapter for Dataset
   callers);
 - a tuple of the above: their union, written in one exchange.
-An optional per-block ``pre`` function (conform, tag, partial fold)
-runs inside the writer task before the slicing. Writers are raw Ray
-tasks under a ``ray.wait`` window of 2x the cluster's CPUs. Leaf and
-refs inputs return ``Exchanged(refs, schema)``: the partition tasks'
-output refs, chainable straight into the next exchange with no Ray
-Data execution in between, and the unified schema the writers
-reported; a Dataset input returns a Dataset.
+An optional per-block ``pre`` function (conform, partial fold) runs
+inside the writer task before the key route and the slicing. Writers
+are raw Ray tasks under a ``ray.wait`` window of 2x the cluster's
+CPUs. Leaf and refs inputs return ``Exchanged(refs, schema)``: the
+partition tasks' output refs, chainable straight into the next
+exchange with no Ray Data execution in between, and the unified
+schema the writers reported; a Dataset input returns a Dataset.
 
 Schemas come from the writers: each manifest carries the schema of the
 table it wrote, the exchange unifies them, and every part reaches
@@ -47,13 +57,13 @@ empty result is ``pa.table({})`` unless the caller passes
 Placement contract (same as the engine's lake root): ``root`` must be
 on storage every worker can reach — node-local /tmp is correct in this
 repo's single-node harness, a shared filesystem/object store on a real
-cluster (``AQR_EXCHANGE_ROOT``). The exchange is a barrier, exactly
-like the groupby it replaces; spill pressure goes to the filesystem
-instead of the object store.
+cluster (``AQR_EXCHANGE_ROOT``). The exchange is a barrier; spill
+pressure goes to the filesystem instead of the object store.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 import tempfile
@@ -109,6 +119,69 @@ def hash_str_array(arr: "pa.Array | pa.ChunkedArray | np.ndarray"
                               )[d.indices.to_numpy()]
     return pd.util.hash_array(np.asarray(arr, dtype=object),
                               categorize=False)
+
+
+# a null key's digest: every null routes to one fixed part
+_NULL_HASH = np.uint64(0x6E756C6C6B657921)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def key_family(typ: pa.DataType) -> "str | None":
+    """A key type's routing family: int (every integer width and the
+    temporal types), float, string (plain, large, dictionary) or other;
+    None for the all-null type, which routes with any family."""
+    if pa.types.is_dictionary(typ):
+        typ = typ.value_type
+    if pa.types.is_null(typ):
+        return None
+    if pa.types.is_integer(typ) or pa.types.is_temporal(typ):
+        return "int"
+    if pa.types.is_floating(typ):
+        return "float"
+    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        return "string"
+    return "other"
+
+
+def _column_hash(col: "pa.Array | pa.ChunkedArray") -> np.ndarray:
+    """uint64 digest per row of one key column, a function of the
+    logical value only: integers and temporals by their int64 image,
+    strings by ``hash_str_array``, any other type by the string cast
+    of its values, nulls by one constant."""
+    typ = col.type
+    if pa.types.is_dictionary(typ):
+        col, typ = pc.cast(col, typ.value_type), typ.value_type
+    fam = key_family(typ)
+    if fam == "int":
+        if pa.types.is_temporal(typ):
+            col = pc.cast(col, pa.int32() if typ.bit_width == 32
+                          else pa.int64())
+        # a copy: pandas mixes an int64 input in place
+        h = pd.util.hash_array(np.array(
+            pc.cast(col, pa.int64(), safe=False).fill_null(0),
+            dtype=np.int64), categorize=False)
+    else:
+        h = hash_str_array(col if fam == "string"
+                           else pc.cast(col, pa.string()))
+    if col.null_count:
+        h[~pc.is_valid(col).to_numpy(zero_copy_only=False)] = _NULL_HASH
+    return h
+
+
+def key_hash(t: pa.Table, keys: "list[str]") -> np.ndarray:
+    """uint64 routing digest per row of ``t`` over the ``keys`` columns
+    (combined in order, so distinct tuples get distinct digests)."""
+    h = None
+    for k in keys:
+        hk = _column_hash(t.column(k))
+        h = hk if h is None else (h * _MIX) ^ hk
+    return h
+
+
+def key_parts(t: pa.Table, keys: "list[str]", P: int) -> np.ndarray:
+    """THE routing rule of every keyed exchange: int32 part in [0, P)
+    per row, ``key_hash % P``."""
+    return (key_hash(t, keys) % np.uint64(P)).astype(np.int32)
 
 
 def collect_tables(ds: ray.data.Dataset) -> "list[pa.Table]":
@@ -173,14 +246,33 @@ def _load(item: "pa.Table | tuple | Any") -> pa.Table:
     return BlockAccessor.for_block(item).to_arrow()
 
 
+def _route(t: pa.Table, keys: "list[str]", P: int, salt: int
+           ) -> pa.Table:
+    """``t`` with its ``part`` column set to ``key_parts`` (an inbound
+    ``part`` is replaced); an empty block gets an empty one. With
+    ``salt`` > 1, row ``i`` of the block goes to sub-bucket ``i %
+    salt`` of its key's part: a hot key's rows spread over ``salt``
+    parts (fx_join repeats each build-side row ``salt`` times in a row,
+    so its copies land in every sub-bucket)."""
+    if "part" in t.column_names:
+        t = t.drop_columns(["part"])
+    parts = key_parts(t, keys, P) if t.num_rows else np.empty(0, np.int32)
+    if salt > 1:
+        parts = parts * salt + np.arange(len(parts), dtype=np.int32) % salt
+    return t.append_column("part", pa.array(parts, pa.int32()))
+
+
 @ray.remote(num_cpus=1)
-def _write_task(item, xdir: str, part_col: str, pre) -> pa.Table:
-    """``pre`` over the block (skipped on a column-less one), then the
-    shared slice writer, uncompressed."""
+def _write_task(item, xdir: str, pre, keys: "list[str] | None",
+                P: int, salt: int) -> pa.Table:
+    """``pre`` and the key route over the block (both skipped on a
+    column-less one), then the shared slice writer, uncompressed."""
     t = _load(item)
     if pre is not None and t.num_columns:
         t = pre(t)
-    return write_slices(t, xdir, part_col)
+    if keys and t.num_columns:
+        t = _route(t, keys, P, salt)
+    return write_slices(t, xdir)
 
 
 @ray.remote(num_cpus=1)
@@ -245,38 +337,40 @@ class Exchanged(NamedTuple):
     schema: "pa.Schema | None"
 
 
-def _inputs(src, pre) -> "list[tuple[str, Any, Any]]":
-    """(kind, input, pre) per input; a tuple ``src`` is a union and
-    takes a callable ``pre`` for all members or a tuple of them."""
+def _inputs(src, pre, keys) -> "list[tuple[str, Any, Any, Any]]":
+    """(kind, input, pre, keys) per input; a tuple ``src`` is a union
+    and takes one ``pre`` and one ``keys`` list for all members, or a
+    tuple of them."""
     members = list(src) if isinstance(src, tuple) else [src]
-    pres = (list(pre) if isinstance(pre, tuple)
-            else [pre] * len(members))
-    if len(pres) != len(members):
-        raise ValueError(f"{len(pres)} pre functions for "
-                         f"{len(members)} inputs")
+    pres, keyss = ((list(x) if isinstance(x, tuple) else [x] * len(members))
+                   for x in (pre, keys))
+    if len(pres) != len(members) or len(keyss) != len(members):
+        raise ValueError(f"{len(pres)} pre functions and {len(keyss)} "
+                         f"key lists for {len(members)} inputs")
     out = []
-    for m, p in zip(members, pres):
+    for m, p, k in zip(members, pres, keyss):
         if isinstance(m, ray.data.Dataset):
-            out.append(("dataset", m, p))
+            out.append(("dataset", m, p, k))
         elif isinstance(m, Leaf):
-            out.append(("leaf", m, p))
+            out.append(("leaf", m, p, k))
         elif isinstance(m, list) and all(
                 isinstance(r, ray.ObjectRef) for r in m):
-            out.append(("refs", m, p))
+            out.append(("refs", m, p, k))
         else:
             raise TypeError(f"exchange input {type(m).__name__}: expected "
                             f"a Dataset, a Leaf or a list of block refs")
     return out
 
 
-def _write_inputs(inputs: list, xdir: str, part_col: str
-                  ) -> "list[pa.Table]":
+def _write_inputs(inputs: list, xdir: str, salt: int) -> "list[pa.Table]":
     """Every input's writer manifests: one raw writer task per leaf
     unit or block, in input order under the window (a Dataset input is
-    one Ray Data execution, streamed into the writers)."""
+    one Ray Data execution, streamed into the writers). ``P`` is fixed
+    here, on the driver, so every writer routes alike."""
+    P = _auto_virtual_parts()
     return ray.get(_windowed(
-        ((it, xdir, part_col, p)
-         for _, obj, p in inputs for it in _raw_items(obj)),
+        ((it, xdir, p, k, P, salt)
+         for _, obj, p, k in inputs for it in _raw_items(obj)),
         _write_task.remote))
 
 
@@ -291,12 +385,14 @@ def _concat(tabs: "list[pa.Table]") -> pa.Table:
 
 
 def _conform(t: pa.Table, schema: "pa.Schema | None") -> pa.Table:
-    """``t`` with the exchange schema's columns in its order; a column
-    no slice of this part carried comes as typed nulls."""
-    if schema is None or t.column_names == schema.names:
+    """``t`` with the exchange schema's columns in its order and types
+    (an int32 slice of an int64 column is cast); a column the slice
+    does not carry comes as typed nulls."""
+    if schema is None or (t.column_names == schema.names
+                          and t.schema.types == schema.types):
         return t
     have = set(t.column_names)
-    cols = {f.name: (t.column(f.name) if f.name in have
+    cols = {f.name: (t.column(f.name).cast(f.type) if f.name in have
                      else pa.nulls(t.num_rows, f.type)) for f in schema}
     cols.update({c: t.column(c) for c in t.column_names if c not in cols})
     return pa.table(cols)
@@ -305,13 +401,16 @@ def _conform(t: pa.Table, schema: "pa.Schema | None") -> pa.Table:
 @ray.remote(num_cpus=1)
 def _run_partition(fn: Callable[[pa.Table], pa.Table],
                    run: "list[list[tuple[str, int]]]",
-                   schema: "pa.Schema | None" = None) -> pa.Table:
-    """One task per run: ``fn`` once per part, in the run's (ascending)
-    part order, over the part's (path, batch) slices conformed to
-    ``schema``; empty outputs are dropped unless all are empty."""
+                   schema: "pa.Schema | None", whole: bool) -> pa.Table:
+    """One task per run over its parts' (path, batch) slices, each slice
+    conformed to ``schema``, in the run's (ascending) part order:
+    ``fn`` once per part, or once over the whole run when ``whole`` (a
+    keyed exchange: a run holds whole keys, like a part); empty outputs
+    are dropped unless all are empty."""
     tabs = iter(read_slices([e for es in run for e in es]))
-    outs = [fn(_conform(_concat([next(tabs) for _ in es]), schema))
-            for es in run]
+    parts = [_concat([_conform(next(tabs), schema) for _ in es])
+             for es in run]
+    outs = [fn(_concat(parts))] if whole else [fn(g) for g in parts]
     return _concat([t for t in outs if t.num_rows] or outs[:1])
 
 
@@ -359,20 +458,17 @@ def _cluster_cpus() -> int:
     return 8
 
 
-def _default_target_bytes() -> int:
-    return int(os.environ.get("AQR_FX_TARGET_PART_BYTES",
-                              256 * 1024 * 1024))
+# byte budget of one partition task (a bigger part is chunk-folded
+# when the caller gives a refold, else it runs alone)
+TARGET_PART_BYTES = 256 * 1024 * 1024
+# floor of a run's byte cap: smaller exchanges pack into one task
+MIN_RUN_BYTES = 1 << 20
 
 
 def _auto_virtual_parts() -> int:
-    """Virtual bucket count for stat-derived exchanges: enough buckets
-    that byte-budget packing (not the modulus) decides task count, and
-    that one bucket is a small fraction of the data. Raise
-    ``AQR_FX_VIRTUAL_PARTS`` on very large clusters (task parallelism
-    is capped by the bucket count)."""
-    env = os.environ.get("AQR_FX_VIRTUAL_PARTS")
-    if env:
-        return max(1, int(env))
+    """The keyed exchanges' part count P: enough parts that byte-budget
+    packing (not the modulus) decides task count, and that one part is
+    a small fraction of the data."""
     return min(4096, max(64, 4 * _cluster_cpus()))
 
 
@@ -423,23 +519,30 @@ def _empty_exchange(schema: "pa.Schema | None", fn,
 def file_exchange_map_groups(
     src: "ray.data.Dataset | Leaf | list | tuple",
     fn: Callable[[pa.Table], pa.Table],
+    keys: "list[str] | tuple | None" = None,
     root: "str | None" = None,
-    part_col: str = "part",
     empty_result: "pa.Table | None" = None,
     salt: int = 1,
     refold_fn: "Callable[[pa.Table], pa.Table] | None" = None,
     target_bytes: "int | None" = None,
     pre: "Callable[[pa.Table], pa.Table] | tuple | None" = None,
+    _check: "Callable[[pa.Schema], None] | None" = None,
     _plan_out: "dict | None" = None,
 ) -> "ray.data.Dataset | Exchanged":
-    """Drop-in replacement for ``ds.groupby("part").map_groups(fn,
-    batch_format="pyarrow")`` when ``part`` is already a bounded int
-    partition id (hash %% P — the module-wide idiom): ``fn`` runs once
-    per NON-EMPTY part over the concatenation of that part's rows
-    (part column included, exactly like map_groups), and output blocks
-    come out in ascending part order. Skips Ray's sort-shuffle fixed
-    floor; the exchange itself is still a barrier. Exchange files are
-    deleted before returning — the result rows ride the object store.
+    """The library's keyed exchange: every row with equal ``keys``
+    values reaches one part and ``fn`` runs over whole parts (with the
+    int32 ``part`` column); output blocks come out in ascending part
+    order. The writer tasks route each row by ``key_parts(t, keys, P)``
+    after ``pre``, with ``P = _auto_virtual_parts()`` fixed on the
+    driver; a key's part depends only on its logical value (see
+    ``key_parts``), so a query's output must not depend on P, and
+    ``fn`` runs once per task over the concatenation of the task's
+    parts (a task holds whole keys, like a part). Without ``keys``,
+    the rows carry an explicit int ``part`` column (the owners whose
+    part count defines a layout: the engine's partitions, index
+    shards, pack partitions) and ``fn`` runs once per NON-EMPTY part.
+    The exchange is a barrier. Exchange files are deleted before
+    returning — the result rows ride the object store.
 
     - ``src``: a Dataset (returns a Dataset; one Ray Data execution,
       its blocks streamed to the writers), a ``Leaf`` (``leaf(paths,
@@ -449,9 +552,9 @@ def file_exchange_map_groups(
       tasks, one per leaf unit or block, at most 2x the cluster's CPUs
       in flight (``ray.wait`` window).
     - ``pre``: per-block function run inside the writer task before the
-      slicing (conform, tag, partial fold); for a tuple ``src``, one
+      key route (conform, partial fold); for a tuple ``src``, one
       callable for all members or a tuple with one per member (None
-      for none).
+      for none). ``keys`` likewise: one list, or one per member.
     - schema: each writer's manifest carries the schema of the table it
       wrote, empty blocks included; their union (``Exchanged.schema``)
       types the empty result (``fn`` on an empty table of it, unless
@@ -459,13 +562,16 @@ def file_exchange_map_groups(
 
     Task layout is STAT-DRIVEN from the manifest's slice sizes (no
     second pass over the data): the parts, ascending, are cut into
-    contiguous runs of up to ``max(1 MiB, min(target_bytes, total //
-    (2 * cluster CPUs)))`` bytes, and each run is one task that calls
-    ``fn`` per part and concatenates the outputs — the number of parts
-    (the caller's hash modulus) does not set the task count.
+    contiguous runs of up to ``max(MIN_RUN_BYTES, min(target_bytes,
+    total // (2 * cluster CPUs)))`` bytes, and each run is one task — the
+    number of parts does not set the task count.
 
-    - ``salt``: parts are ``bucket * salt + sub`` sub-buckets of salted
-      keys (fx_join); no run holds two sub-buckets of one bucket.
+    - ``_check``: called on the driver with the writers' unified schema
+      before any partition task starts (``fx_join``'s key check).
+    - ``salt``: a keyed route spreads each part over ``salt``
+      sub-buckets (``part * salt + row % salt``, see ``_route``; the
+      join's hot-key defuser); no run holds two sub-buckets of one
+      part.
     - ``refold_fn``: a partition over ``target_bytes`` (hot or
       unbounded key) runs alone, split into byte-budgeted chunks; ``fn``
       folds each chunk and ``refold_fn`` folds the concatenated
@@ -476,8 +582,8 @@ def file_exchange_map_groups(
       ``parts`` and ``bytes``. The same counts, with the input kind
       ``src`` (leaf / refs / dataset) and the writer and task seconds,
       go to one ``op="exchange"`` row of ``metrics``."""
-    inputs = _inputs(src, pre)
-    kinds = {k for k, _, _ in inputs}
+    inputs = _inputs(src, pre, keys)
+    kinds = {k for k, *_ in inputs}
     kind = next(k for k in ("dataset", "leaf", "refs") if k in kinds)
     base = (root or os.environ.get("AQR_EXCHANGE_ROOT")
             or tempfile.gettempdir())
@@ -486,17 +592,20 @@ def file_exchange_map_groups(
         kind="exchange root", env="AQR_EXCHANGE_ROOT")
     xdir = os.path.join(base, f"aqr_xchg_{uuid.uuid4().hex}")
     os.makedirs(xdir, exist_ok=True)
-    budget = target_bytes or _default_target_bytes()
+    budget = target_bytes or TARGET_PART_BYTES
     t0 = time.perf_counter()
     try:
-        plan, schemas = plan_slices(_write_inputs(inputs, xdir, part_col))
+        plan, schemas = plan_slices(_write_inputs(inputs, xdir, salt))
         # fields in order of first appearance, types promoted
         schema = (pa.unify_schemas(schemas, promote_options="permissive")
                   if schemas else None)
+        if _check is not None and schema is not None:
+            _check(schema)
         t1 = time.perf_counter()
         sizes = {p: sum(b for _, _, b in es) for p, es in plan.items()}
         total = sum(sizes.values())
-        cap = max(1 << 20, min(budget, total // (2 * _cluster_cpus())))
+        cap = max(MIN_RUN_BYTES,
+                  min(budget, total // (2 * _cluster_cpus())))
         runs = _cut_runs(sizes, cap, budget, salt)
         refs, n_split = [], 0
         for run in runs:
@@ -510,12 +619,13 @@ def file_exchange_map_groups(
                                    budget, budget, 1)
                 refs.append(_refold_partials.remote(refold_fn, *[
                     _run_partition.remote(
-                        fn, [[es[i][:2] for i in ch]], schema)
+                        fn, [[es[i][:2] for i in ch]], schema, False)
                     for ch in chunks]))
                 n_split += 1
             else:
                 refs.append(_run_partition.remote(
-                    fn, [[e[:2] for e in plan[q]] for q in run], schema))
+                    fn, [[e[:2] for e in plan[q]] for q in run], schema,
+                    keys is not None))
         stats = dict(tasks=len(runs), split=n_split,
                      packed=sum(len(r) > 1 for r in runs),
                      parts=len(plan), bytes=total)
@@ -540,28 +650,14 @@ def file_exchange_map_groups(
     return out
 
 
-def _ds_fx_map_groups(self: ray.data.Dataset, fn, part_col: str = "part",
-                      empty_result: "pa.Table | None" = None
-                      ) -> ray.data.Dataset:
-    """``ds.fx_map_groups(fn)`` == ``ds.groupby(part).map_groups(fn,
-    batch_format="pyarrow")`` over the file exchange — an EXTENSION
-    method (new attribute, nothing overridden) so the module-wide
-    groupby chain shape survives the swap verbatim."""
-    return file_exchange_map_groups(self, fn, part_col=part_col,
-                                    empty_result=empty_result)
-
-
-ray.data.Dataset.fx_map_groups = _ds_fx_map_groups
-
-
 def fx_agg_by(src: "ray.data.Dataset | Leaf | list | tuple",
               keys: "list[str]",
               aggs: "list[tuple[str, str]]",
-              num_partitions: "int | None" = None,
               target_bytes: "int | None" = None,
+              pre: "Callable[[pa.Table], pa.Table] | tuple | None" = None,
               _plan_out: "dict | None" = None
               ) -> "ray.data.Dataset | Exchanged":
-    """``ds.groupby(keys).aggregate(...)`` over the file exchange —
+    """``GROUP BY keys`` with Arrow aggregates over the keyed exchange —
     for UNBOUNDED-cardinality grouped aggregates where a driver fold
     (analytics._fold_partials) would not be scale-safe and the native
     Aggregate pays the sort-shuffle floor. ``aggs`` are Arrow group_by
@@ -569,35 +665,14 @@ def fx_agg_by(src: "ray.data.Dataset | Leaf | list | tuple",
     must be re-foldable over partials (they are — callers feed
     per-block partials of the same kind). Output columns keep the
     input names (no "sum(x)" renames). ``src`` is any exchange input
-    (see ``file_exchange_map_groups``); the key tag runs as the
-    writer's ``pre``.
+    and ``pre`` its per-block function (see
+    ``file_exchange_map_groups``).
 
-    ``num_partitions`` is only the hash modulus (default
-    ``_auto_virtual_parts()`` virtual buckets): the exchange packs
-    whole buckets into byte-budgeted tasks from the manifest's measured
-    slice sizes, so task count scales with data volume, and a single
-    oversized bucket (hot/low-cardinality key) is chunk-folded then
-    re-folded so no task's working set exceeds ``target_bytes``."""
-    P = num_partitions or _auto_virtual_parts()
-
-    def tag(t: pa.Table) -> pa.Table:
-        # a stray inbound "part" (e.g. the empty-input schema of an
-        # upstream exchange) would collide with the tag column below.
-        # Keys are hashed at their numpy dtype: callers feed NON-NULL
-        # engine-generated keys (tokens/fps/types), so the nullable-int
-        # float64 degradation fx_join guards against cannot arise here.
-        if "part" in t.column_names and "part" not in keys:
-            t = t.drop_columns(["part"])
-        h = None
-        for k in keys:
-            hk = pd.util.hash_array(
-                t.column(k).to_numpy(zero_copy_only=False).copy(),
-                categorize=False)
-            h = hk if h is None else (
-                (h * np.uint64(0x9E3779B97F4A7C15)) ^ hk)
-        return t.append_column(
-            "part", pa.array((h % np.uint64(P)).astype(np.int32)))
-
+    The exchange packs whole parts into byte-budgeted tasks from the
+    manifest's measured slice sizes, so task count scales with data
+    volume, and a single oversized part (hot/low-cardinality key) is
+    chunk-folded then re-folded so no task's working set exceeds
+    ``target_bytes``."""
     def fold(g: pa.Table) -> pa.Table:
         agg = (g.drop_columns(["part"]).group_by(keys)
                .aggregate(aggs))
@@ -616,17 +691,49 @@ def fx_agg_by(src: "ray.data.Dataset | Leaf | list | tuple",
                             for (c, _), (_, k2) in zip(aggs, aggs2)}})
 
     return file_exchange_map_groups(
-        src, fold, refold_fn=refold, target_bytes=target_bytes, pre=tag,
-        _plan_out=_plan_out)
+        src, fold, keys=keys, refold_fn=refold, target_bytes=target_bytes,
+        pre=pre, _plan_out=_plan_out)
 
 
 def fx_sum_by(src: "ray.data.Dataset | Leaf | list | tuple",
               keys: "list[str]", sums: "list[str]",
-              num_partitions: "int | None" = None
+              pre: "Callable[[pa.Table], pa.Table] | tuple | None" = None
               ) -> "ray.data.Dataset | Exchanged":
-    """``ds.groupby(keys).sum(sums)`` over the file exchange."""
-    return fx_agg_by(src, keys, [(c, "sum") for c in sums],
-                     num_partitions)
+    """``GROUP BY keys`` summing ``sums`` over the keyed exchange."""
+    return fx_agg_by(src, keys, [(c, "sum") for c in sums], pre=pre)
+
+
+def _key_ones(t: pa.Table, keys: "list[str]", name: str) -> pa.Table:
+    return t.select(keys).append_column(
+        name, pa.array(np.ones(t.num_rows, np.int64)))
+
+
+def fx_count_by(src: "ray.data.Dataset | Leaf | list | tuple",
+                keys: "list[str]", name: str
+                ) -> "ray.data.Dataset | Exchanged":
+    """``GROUP BY keys`` with ``COUNT(*)`` as the int64 column ``name``
+    (a null key is a group) over the keyed exchange."""
+    return fx_sum_by(src, keys, [name], pre=functools.partial(
+        _key_ones, keys=keys, name=name))
+
+
+def _each_group(g: pa.Table, fn: Callable[[pa.Table], pa.Table],
+                keys: "list[str]") -> pa.Table:
+    g = g.sort_by([(k, "ascending") for k in keys])
+    n = (g.select(keys).group_by(keys, use_threads=False)
+         .aggregate([([], "count_all")]).column("count_all").to_numpy())
+    starts = np.concatenate([[0], np.cumsum(n)[:-1]]).astype(np.int64)
+    outs = [fn(g.slice(s, c)) for s, c in zip(starts, n)]
+    return _concat(outs) if outs else fn(g)
+
+
+def each_group(fn: Callable[[pa.Table], pa.Table], keys: "list[str]"
+               ) -> Callable[[pa.Table], pa.Table]:
+    """A part function calling ``fn`` once per distinct ``keys`` value
+    of the part, in ascending key order: the ``groupby(keys)
+    .map_groups(fn)`` shape for a bounded group count (types, sources,
+    columns), on a ``keys=`` exchange over the same keys."""
+    return functools.partial(_each_group, fn=fn, keys=keys)
 
 
 # fx_join's right-side column prefix inside the exchange: the sides
@@ -637,7 +744,6 @@ _R = "__r:"
 def fx_join(left: "ray.data.Dataset | Leaf | list",
             right: "ray.data.Dataset | Leaf | list",
             on: "list[str] | str", how: str = "inner",
-            num_partitions: "int | None" = None,
             suffix: str = "_r", salt: int = 1,
             target_bytes: "int | None" = None,
             pre: "tuple | None" = None,
@@ -645,13 +751,14 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
             ) -> "ray.data.Dataset | Exchanged":
     """Generic co-partitioned hash EQUI-JOIN over the file exchange —
     the reusable primitive behind the module's hand-built join
-    pipelines. Both sides are tagged ``hash(key) % num_partitions``
-    and flow through ONE exchange; each partition task splits its rows
-    by side and merges vectorized (arrow-backed frames, so int64 keys
-    and values survive null-introduction without a float64 upcast).
-    ``num_partitions`` is only the hash modulus (default
-    ``_auto_virtual_parts()``); whole buckets are packed into
-    byte-budgeted tasks from measured slice sizes (see fx_agg_by).
+    pipelines. Both sides are routed by ``key_parts`` (the keyed
+    exchange's rule) and flow through ONE exchange; each partition task
+    splits its rows by side and merges vectorized (arrow-backed frames,
+    so int64 keys and values survive null-introduction without a
+    float64 upcast). Key columns of the two sides must share a routing
+    family (``key_family``: int/temporal, float, string, other), else
+    equal values would route apart: a ``ValueError`` naming the key is
+    raised before any partition task runs.
 
     Either side is any exchange input (Dataset, ``Leaf``, block refs);
     ``pre=(left_fn, right_fn)`` conforms a side's blocks inside its
@@ -691,9 +798,8 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
     if how == "outer" and salt > 1:
         # replicating the right side into sub-buckets would emit its
         # unmatched rows once per sub-bucket, so outer joins run
-        # unsalted (num_partitions spreads keys, not one hot key)
+        # unsalted
         raise ValueError("salt > 1 is not supported with how='outer'")
-    num_partitions = num_partitions or _auto_virtual_parts()
     out_left_only = how in ("semi", "anti")
 
     def tag(side: int, conform):
@@ -705,43 +811,17 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
                     raise ValueError(f"join key {k!r} missing from a side")
             t = t.drop_columns([c for c in ("part", "__side")
                                 if c in t.column_names])
-            h = None
-            for k in keys:
-                # hash the CANONICAL STRING of each key, not its numpy
-                # dtype image: a block whose int64 key column carries
-                # one null degrades to float64 under to_numpy, and
-                # pandas hashes int64(1) and float64(1.0) differently —
-                # dtype-dependent hashing would route the same key to
-                # different partitions per block/side and silently drop
-                # matches (found in review)
-                hk = hash_str_array(pc.cast(t.column(k), pa.string()))
-                h = hk if h is None else (
-                    (h * np.uint64(0x9E3779B97F4A7C15)) ^ hk)
-            base = (h % np.uint64(num_partitions)).astype(np.int64)
-            if salt > 1 and side == 0:
-                # ROW-VARYING sub-bucket (a key-derived sub-bucket
-                # would send every row of the hot key to one task —
-                # found in review): cycle within the batch; ANY
-                # assignment is correct (each left row joins in
-                # exactly one sub-bucket, the right side is in all)
-                sub = np.arange(t.num_rows, dtype=np.int64) % salt
-                part = pa.array((base * salt + sub).astype(np.int32))
-            elif salt > 1:
-                # right side: replicate into every sub-bucket
-                n = t.num_rows
-                rep = pa.array(np.repeat(np.arange(n, dtype=np.int64),
-                                         salt))
-                t = t.take(rep)
-                base = np.repeat(base, salt)
-                sub = np.tile(np.arange(salt, dtype=np.int64), n)
-                part = pa.array((base * salt + sub).astype(np.int32))
-            else:
-                part = pa.array(base.astype(np.int32))
+            if side == 1 and salt > 1:
+                # the salted route sends a block's row i to sub-bucket
+                # i % salt (ANY assignment is correct for the left
+                # side: each left row joins in exactly one sub-bucket);
+                # salt copies in a row put the right side in all
+                t = t.take(pa.array(np.repeat(
+                    np.arange(t.num_rows, dtype=np.int64), salt)))
             if side == 1:
                 t = t.rename_columns([_R + c for c in t.column_names])
-            return (t.append_column("__side", pa.array(
-                        np.full(t.num_rows, side, np.int8)))
-                     .append_column("part", part))
+            return t.append_column("__side", pa.array(
+                np.full(t.num_rows, side, np.int8)))
         return _tag
 
     def join_part(g: pa.Table) -> pa.Table:
@@ -810,9 +890,21 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
         want = l_cols if out_left_only else l_cols + r_cols
         return pa.Table.from_pandas(out[want], preserve_index=False)
 
+    def check(schema: pa.Schema) -> None:
+        for k in keys:
+            if k not in schema.names or _R + k not in schema.names:
+                continue                # an untyped side joins as empty
+            lf, rf = (key_family(schema.field(c).type) for c in (k, _R + k))
+            if lf and rf and lf != rf:
+                raise ValueError(
+                    f"join key {k!r}: left {schema.field(k).type} and "
+                    f"right {schema.field(_R + k).type} route apart "
+                    f"({lf} vs {rf} keys); cast one side")
+
     lpre, rpre = pre or (None, None)
     # joins can't refold (splitting a partition would separate build
     # and probe rows of a key) — hot keys are the salt's job
     return file_exchange_map_groups(
-        (left, right), join_part, pre=(tag(0, lpre), tag(1, rpre)),
-        salt=salt, target_bytes=target_bytes, _plan_out=_plan_out)
+        (left, right), join_part, keys=(keys, [_R + k for k in keys]),
+        pre=(tag(0, lpre), tag(1, rpre)), salt=salt,
+        target_bytes=target_bytes, _check=check, _plan_out=_plan_out)

@@ -31,17 +31,18 @@ MANIFEST = pa.schema([("part", pa.int32()), ("path", pa.string()),
 Slice = "tuple[str, int, int]"
 
 
-def write_slices(t: pa.Table, xdir: str, part_col: str = "part",
+def write_slices(t: pa.Table, xdir: str,
                  compression: "str | None" = None) -> pa.Table:
     """Write ``t`` as one exchange block under ``xdir``: EXACTLY one
-    record batch per part (the manifest addresses slices by batch
-    index). A block not already grouped by part is reordered by one
-    stable argsort; a grouped one (``compact_lww`` on (part, doc_id))
-    skips that gather of its token lists. The per-slice byte count is
-    what lets a planner pack parts to a byte budget. A typed empty
-    block writes no file and returns only its schema row; a column-less
-    empty block (Ray Data's stand-in for a pruned read or a skipped
-    map) has no schema to report, so its manifest is empty."""
+    record batch per value of its int ``part`` column (the manifest
+    addresses slices by batch index). A block not already grouped by
+    part is reordered by one stable argsort; a grouped one
+    (``compact_lww`` on (part, doc_id)) skips that gather of its token
+    lists. The per-slice byte count is what lets a planner pack parts
+    to a byte budget. A typed empty block writes no file and returns
+    only its schema row; a column-less empty block (Ray Data's
+    stand-in for a pruned read or a skipped map) has no schema to
+    report, so its manifest is empty."""
     if t.num_columns == 0:
         return MANIFEST.empty_table()
     head = pa.table({"part": [-1], "path": [None], "batch": [-1],
@@ -50,7 +51,7 @@ def write_slices(t: pa.Table, xdir: str, part_col: str = "part",
                     schema=MANIFEST)
     if t.num_rows == 0:
         return head
-    part = t.column(part_col).to_numpy(zero_copy_only=False)
+    part = t.column("part").to_numpy(zero_copy_only=False)
     if (np.diff(part) < 0).any():
         order = np.argsort(part, kind="stable")
         t, part = t.take(pa.array(order)), part[order]

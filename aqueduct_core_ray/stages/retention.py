@@ -33,9 +33,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..partitioning import add_partition
 from ..schema import OP_DELETE
-from . import exchange  # noqa: F401  (Dataset.fx_map_groups)
+from . import exchange
 from .compact import compact_lww
 
 KEYS = ("doc_id", "source")
@@ -105,17 +104,15 @@ def compact_log(
     compact_ts,
     deletion_ts=None,
     compact_deletions: bool = True,
-    num_partitions: int = 64,
     min_consumer_hwm_ts=None,
     keys: tuple[str, ...] = KEYS,
 ) -> ray.data.Dataset:
-    """Distributed retention: read immutable log -> hash-partition by
-    doc_id -> compact each partition key-locally -> write the compacted
-    log. Returns the written dataset handle (already consumed)."""
+    """Distributed retention: read immutable log -> exchange keyed on
+    the compaction ``keys`` -> compact each partition key-locally ->
+    write the compacted log. Returns the written dataset handle
+    (already consumed)."""
     guard_hwm_ts(deletion_ts, min_consumer_hwm_ts)
     ds = ray.data.read_parquet(log_path)
-    ds = ds.map_batches(add_partition, batch_format="pyarrow",
-                        fn_kwargs={"num_partitions": num_partitions})
 
     def per_part(g: pa.Table) -> pa.Table:
         out = compact_log_table(g.drop_columns(["part"]), compact_ts,
@@ -125,6 +122,6 @@ def compact_log(
     # a materialized exchange: reading the returned Dataset after the
     # write does not run the shuffle again. per_part handles an empty
     # part, so the empty result is typed by the writers' schema.
-    out = ds.fx_map_groups(per_part)
+    out = exchange.file_exchange_map_groups(ds, per_part, keys=list(keys))
     out.write_parquet(out_dir)
     return out

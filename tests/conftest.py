@@ -59,3 +59,20 @@ def executions(monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     return calls
+
+
+@pytest.fixture()
+def parts(monkeypatch):
+    """``parts(P)`` sets the keyed exchanges' part count to ``P`` for
+    the rest of the test (``exchange._auto_virtual_parts`` runs on the
+    driver, and the writers get its value): a query's output must not
+    depend on it. It also sets the run byte caps to one byte, so each
+    part runs in its own task and a key split across parts shows up as
+    two groups, as it would in a large exchange."""
+    from aqueduct_core_ray.stages import exchange
+
+    def set_parts(P: int) -> None:
+        monkeypatch.setattr(exchange, "_auto_virtual_parts", lambda: P)
+        monkeypatch.setattr(exchange, "MIN_RUN_BYTES", 1)
+        monkeypatch.setattr(exchange, "TARGET_PART_BYTES", 1)
+    return set_parts

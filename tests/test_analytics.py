@@ -69,10 +69,12 @@ def test_top_orders_by_revenue_matches_duckdb():
     assert (byrk["revenue_c"].diff().dropna() <= 0).all()
 
 
-def test_top_orders_partition_invariance():
-    a = _canon(analytics.top_orders_by_revenue(SF, num_partitions=4)
+def test_top_orders_partition_invariance(parts):
+    parts(4)
+    a = _canon(analytics.top_orders_by_revenue(SF)
                .to_pandas())
-    b = _canon(analytics.top_orders_by_revenue(SF, num_partitions=32)
+    parts(32)
+    b = _canon(analytics.top_orders_by_revenue(SF)
                .to_pandas())
     assert a.equals(b)
 
@@ -82,7 +84,7 @@ def test_top_orders_unknown_segment_is_empty():
     assert out == []
 
 
-def test_revenue_by_nation_matches_duckdb():
+def test_revenue_by_nation_matches_duckdb(parts):
     con = duckdb.connect()
     for tb in ("lineitem", "orders", "customer", "nation", "region"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -102,7 +104,8 @@ def test_revenue_by_nation_matches_duckdb():
     ry = _canon(analytics.revenue_by_nation(SF).to_pandas())
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
     # partition invariance of the co-partitioned join
-    ry2 = _canon(analytics.revenue_by_nation(SF, num_partitions=5)
+    parts(5)
+    ry2 = _canon(analytics.revenue_by_nation(SF)
                  .to_pandas())
     assert ry.equals(ry2)
 
@@ -123,7 +126,7 @@ def test_supplier_balance_by_nation_totals():
     assert int(ry["n_suppliers"].sum()) == exp_n
 
 
-def test_top_customers_by_return_revenue_matches_duckdb():
+def test_top_customers_by_return_revenue_matches_duckdb(parts):
     con = duckdb.connect()
     for tb in ("lineitem", "orders", "customer", "nation"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -150,12 +153,13 @@ def test_top_customers_by_return_revenue_matches_duckdb():
     # the custkey->customer rollup must be partition-invariant (the
     # second exchange re-keys; a custkey split across partitions would
     # double-count)
+    parts(3)
     ry2 = _canon(analytics.top_customers_by_return_revenue(
-        SF, num_partitions=3).to_pandas())
+        SF).to_pandas())
     assert ry.equals(ry2)
 
 
-def test_customers_without_orders_anti_join():
+def test_customers_without_orders_anti_join(parts):
     con = duckdb.connect()
     for tb in ("orders", "customer"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -170,8 +174,9 @@ def test_customers_without_orders_anti_join():
     ry = _canon(analytics.customers_without_orders(SF).to_pandas())
     assert len(ry) > 0                       # non-trivial on testdata
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
+    parts(5)
     ry2 = _canon(analytics.customers_without_orders(
-        SF, num_partitions=5).to_pandas())
+        SF).to_pandas())
     assert ry.equals(ry2)
 
 
@@ -183,7 +188,7 @@ def test_customers_without_orders_all_buyers_is_empty():
     assert out == []
 
 
-def test_small_quantity_revenue_matches_duckdb():
+def test_small_quantity_revenue_matches_duckdb(parts):
     sq = _duck("""
         WITH a AS (
           SELECT l_partkey, CAST(count(*) AS BIGINT) AS n,
@@ -203,7 +208,8 @@ def test_small_quantity_revenue_matches_duckdb():
     assert int(ry["n_lines"][0]) > 0           # non-trivial on testdata
     # partition invariance: a partkey split across partitions would see
     # a partial average and mis-filter
-    ry2 = analytics.small_quantity_revenue(SF, num_partitions=3).to_pandas()
+    parts(3)
+    ry2 = analytics.small_quantity_revenue(SF).to_pandas()
     assert ry.equals(ry2)
 
 
@@ -258,7 +264,7 @@ def test_cents_convention_matches_duckdb_property():
     check()
 
 
-def test_small_quantity_revenue_random_property(tmp_path):
+def test_small_quantity_revenue_random_property(tmp_path, parts):
     """Randomized e2e: tiny random lineitem tables (duplicate parts,
     single-line parts, rounding-edge quantities) through the real Ray
     pipeline vs DuckDB, at a partition count that forces co-location."""
@@ -294,8 +300,9 @@ def test_small_quantity_revenue_random_property(tmp_path):
             FROM lineitem l JOIN a ON l.l_partkey = a.l_partkey
             WHERE 5 * CAST(floor(l.l_quantity*100+0.5) AS BIGINT) * a.n
                   < a.sum_qty_c""").df()
+        parts(3)
         ry = analytics.small_quantity_revenue(
-            str(d), num_partitions=3).to_pandas()
+            str(d)).to_pandas()
         assert int(ry["revenue_c"][0]) == int(sq["revenue_c"][0]), trial
         assert int(ry["n_lines"][0]) == int(sq["n_lines"][0]), trial
 
@@ -349,7 +356,7 @@ def test_broadcast_gate_path_equivalence():
         assert bc.equals(ex), fn.__name__
 
 
-def test_priority_wait_orders_matches_duckdb():
+def test_priority_wait_orders_matches_duckdb(parts):
     sq = _canon(_duck("""
         SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS order_count
         FROM orders o
@@ -363,12 +370,13 @@ def test_priority_wait_orders_matches_duckdb():
     ry = _canon(analytics.priority_wait_orders(SF).to_pandas())
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
     # partition invariance of the union-tag exchange
-    ry2 = _canon(analytics.priority_wait_orders(SF, num_partitions=3)
+    parts(3)
+    ry2 = _canon(analytics.priority_wait_orders(SF)
                  .to_pandas())
     assert ry.equals(ry2)
 
 
-def test_ship_delay_priority_matches_duckdb():
+def test_ship_delay_priority_matches_duckdb(parts):
     sq = _canon(_duck("""
         SELECT CASE WHEN d < 30 THEN 'FAST'
                     WHEN d < 60 THEN 'NORMAL'
@@ -393,12 +401,13 @@ def test_ship_delay_priority_matches_duckdb():
                  WHERE l_shipdate >= TIMESTAMP '1996-01-01'
                    AND l_shipdate <  TIMESTAMP '1997-01-01'""")["n"][0]
     assert int((ry["high_line_count"] + ry["low_line_count"]).sum()) == n
-    ry2 = _canon(analytics.ship_delay_priority(SF, num_partitions=3)
+    parts(3)
+    ry2 = _canon(analytics.ship_delay_priority(SF)
                  .to_pandas())
     assert ry.equals(ry2)
 
 
-def test_volume_shipping_matches_duckdb_both_paths():
+def test_volume_shipping_matches_duckdb_both_paths(parts):
     con = duckdb.connect()
     for tb in ("lineitem", "orders", "customer", "supplier", "nation"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -425,7 +434,8 @@ def test_volume_shipping_matches_duckdb_both_paths():
     assert sq.equals(bc.astype(sq.dtypes.to_dict()))
     assert bc.equals(ex)
     # partition invariance
-    p5 = _canon(analytics.volume_shipping(SF, num_partitions=5)
+    parts(5)
+    p5 = _canon(analytics.volume_shipping(SF)
                 .to_pandas())
     assert bc.equals(p5)
 
@@ -513,7 +523,7 @@ def test_top_supplier_returns_all_ties(tmp_path):
     assert (ry["total_revenue_c"] == 2000).all()
 
 
-def test_large_orders_matches_duckdb():
+def test_large_orders_matches_duckdb(parts):
     sq = _canon(_duck("""
         SELECT o_orderkey, o_orderdate, o_orderpriority,
                CAST(q AS BIGINT) AS sum_qty_c
@@ -523,7 +533,8 @@ def test_large_orders_matches_duckdb():
         WHERE q > 25000"""))
     ry = _canon(analytics.large_orders(SF).to_pandas())
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
-    ry2 = _canon(analytics.large_orders(SF, num_partitions=3).to_pandas())
+    parts(3)
+    ry2 = _canon(analytics.large_orders(SF).to_pandas())
     assert ry.equals(ry2)
 
 
@@ -620,7 +631,7 @@ def test_nation_market_share_keeps_zero_total_years(tmp_path):
     assert list(out["total_revenue_c"]) == [1000, 0]
 
 
-def test_customer_order_distribution_matches_duckdb():
+def test_customer_order_distribution_matches_duckdb(parts):
     sq = _canon(_duck("""
         SELECT n_orders, CAST(count(*) AS BIGINT) AS n_customers
         FROM (SELECT c_custkey,
@@ -630,8 +641,9 @@ def test_customer_order_distribution_matches_duckdb():
         GROUP BY 1"""))
     ry = _canon(analytics.customer_order_distribution(SF).to_pandas())
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
+    parts(3)
     ry2 = _canon(analytics.customer_order_distribution(
-        SF, num_partitions=3).to_pandas())
+        SF).to_pandas())
     assert ry.equals(ry2)
 
 
@@ -681,7 +693,7 @@ def test_banded_part_revenue_matches_duckdb_both_paths():
     assert int(sq["n_lines"][0]) > 0      # bands actually select lines
 
 
-def test_lapsed_rich_customers_matches_duckdb():
+def test_lapsed_rich_customers_matches_duckdb(parts):
     ry = _canon(analytics.lapsed_rich_customers(SF).to_pandas())
     sq = _canon(_duck("""
         WITH pos AS (
@@ -702,8 +714,9 @@ def test_lapsed_rich_customers_matches_duckdb():
     assert int(ry["n_customers"].sum()) > 0   # threshold actually selects
     # partition invariance: a customer split from its order partials
     # would dodge the activity test
+    parts(3)
     ry2 = _canon(analytics.lapsed_rich_customers(
-        SF, num_partitions=3).to_pandas())
+        SF).to_pandas())
     assert ry.equals(ry2)
 
 
@@ -724,7 +737,7 @@ def test_important_parts_matches_duckdb():
     assert 0 < len(heavy) < len(ry)
 
 
-def test_supplier_count_by_part_matches_duckdb():
+def test_supplier_count_by_part_matches_duckdb(parts):
     con = duckdb.connect()
     for tb in ("lineitem", "part"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -740,8 +753,9 @@ def test_supplier_count_by_part_matches_duckdb():
     assert "Brand#1" not in set(ry["p_brand"])
     # the two-exchange distinct count must be partition-invariant (a
     # supplier counted in two partkey partitions would double)
+    parts(3)
     ry2 = _canon(analytics.supplier_count_by_part(
-        SF, num_partitions=3).to_pandas())
+        SF).to_pandas())
     assert ry.equals(ry2)
 
 
@@ -776,7 +790,7 @@ def test_promo_revenue_share_matches_duckdb_both_paths():
     assert (bc["promo_revenue_c"] <= bc["total_revenue_c"]).all()
 
 
-def test_sole_late_shipper_matches_duckdb():
+def test_sole_late_shipper_matches_duckdb(parts):
     sq = _canon(_duck("""
         WITH mx AS (
           SELECT l_orderkey, max(l_shipdate) AS mx_date,
@@ -802,8 +816,9 @@ def test_sole_late_shipper_matches_duckdb():
           HAVING count(DISTINCT l_suppkey) >= 2)""")["n"][0]
     assert int(ry["n_orders"].sum()) <= int(n_multi)
     # partition invariance: split orders across fewer partitions
+    parts(3)
     ry3 = _canon(analytics.sole_late_shipper(
-        SF, num_partitions=3).to_pandas())
+        SF).to_pandas())
     assert ry.equals(ry3)
 
 
@@ -864,7 +879,7 @@ def test_promo_revenue_share_extreme_dates_and_zero_months(tmp_path):
     assert 1969 in set(bc["l_year"]) and 2400 in set(bc["l_year"])
 
 
-def test_dominant_supplier_parts_matches_duckdb():
+def test_dominant_supplier_parts_matches_duckdb(parts):
     sq = _canon(_duck("""
         WITH p AS (
           SELECT l_partkey, l_suppkey,
@@ -894,8 +909,9 @@ def test_dominant_supplier_parts_matches_duckdb():
     # exactly one row per part
     assert ry["l_partkey"].is_unique
     # partition invariance
+    parts(3)
     ry3 = _canon(analytics.dominant_supplier_parts(
-        SF, num_partitions=3).to_pandas())
+        SF).to_pandas())
     assert ry.equals(ry3)
 
 
@@ -925,7 +941,7 @@ def test_dominant_supplier_parts_ties_and_majority(tmp_path):
     assert out["is_majority"].tolist() == [1, 0, 1]
 
 
-def test_parts_bought_together_matches_duckdb():
+def test_parts_bought_together_matches_duckdb(parts):
     sq = _canon(_duck("""
         WITH d AS (
           SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
@@ -942,8 +958,9 @@ def test_parts_bought_together_matches_duckdb():
     ry = _canon(analytics.parts_bought_together(SF).to_pandas())
     assert ry.equals(sq.astype(ry.dtypes.to_dict()))
     # partition invariance
+    parts(3)
     ry3 = _canon(analytics.parts_bought_together(
-        SF, num_partitions=3).to_pandas())
+        SF).to_pandas())
     assert ry.equals(ry3)
 
 

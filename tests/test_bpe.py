@@ -72,15 +72,18 @@ def test_train_bpe_matches_naive_reference():
     assert t.column("rank").to_pylist() == list(range(len(got)))
 
 
-def test_train_bpe_partition_invariant():
-    a = train_bpe(SF, num_merges=40, num_partitions=4)
-    b = train_bpe(SF, num_merges=40, num_partitions=16)
+def test_train_bpe_partition_invariant(parts):
+    parts(4)
+    a = train_bpe(SF, num_merges=40)
+    parts(16)
+    b = train_bpe(SF, num_merges=40)
     assert a.equals(b)
 
 
-def test_max_words_truncation_still_deterministic():
+def test_max_words_truncation_still_deterministic(parts):
     a = train_bpe(SF, num_merges=30, max_words=500)
-    b = train_bpe(SF, num_merges=30, max_words=500, num_partitions=7)
+    parts(7)
+    b = train_bpe(SF, num_merges=30, max_words=500)
     assert a.equals(b)
     assert 0 < a.num_rows <= 30
 

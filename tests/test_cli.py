@@ -82,8 +82,8 @@ def test_retention_cli(inputs, tmp_path, capsys):
     log, _ = inputs
     out_dir = str(tmp_path / "compacted")
     rc, out = run(["retention", "--log", log, "--out", out_dir,
-                   "--compact-ts-us", str(7_000_000_000_000_000),
-                   "--partitions", "4"], capsys)
+                   "--compact-ts-us", str(7_000_000_000_000_000)],
+                  capsys)
     assert rc == 0
     import glob
     rows = sum(pq.read_metadata(f).num_rows

@@ -42,10 +42,11 @@ def corpus(tmp_path_factory):
     return str(d)
 
 
-def test_curate_stages_and_dedup(corpus):
+def test_curate_stages_and_dedup(corpus, parts):
+    parts(2)
     stats = {r["stage"]: r["n_docs"] for r in curate_corpus(
-        corpus, benchmark=["benchmark text sharing nothing here"],
-        num_partitions=2).to_pylist()}
+        corpus,
+        benchmark=["benchmark text sharing nothing here"]).to_pylist()}
     assert stats["input"] == 6
     assert stats["lang"] == 4            # docs 0,1,2,5 are en
     assert stats["quality"] == 5         # doc 4 fails (no alpha)
@@ -54,31 +55,33 @@ def test_curate_stages_and_dedup(corpus):
     assert stats["deduped"] == 3         # doc 1 is an exact dup of 0
 
 
-def test_curate_decontamination_removes_benchmark_family(corpus):
+def test_curate_decontamination_removes_benchmark_family(corpus, parts):
     base_text = " ".join(BASE)
+    parts(2)
     stats = {r["stage"]: r["n_docs"] for r in curate_corpus(
-        corpus, benchmark=[base_text], min_hits=3,
-        num_partitions=2).to_pylist()}
+        corpus, benchmark=[base_text], min_hits=3).to_pylist()}
     # docs 0,1 (exact) and 2 (near-dup) share >=3 shingles with the
     # benchmark -> only doc 5 survives of the en docs
     assert stats["kept"] == 1 and stats["deduped"] == 1
 
 
-def test_curate_export_is_resumable(corpus, tmp_path):
+def test_curate_export_is_resumable(corpus, tmp_path, parts):
     import pyarrow.dataset as pads
 
     out = str(tmp_path / "curated")
+    parts(2)
     curate_corpus(corpus, out_dir=out,
                   benchmark=["benchmark text sharing nothing here"],
-                  num_partitions=2, n_shards=2)
+                  n_shards=2)
     assert os.path.exists(os.path.join(out, "_EXPORTED"))
     t = pads.dataset(out, partitioning="hive").to_table()
     assert sorted(t.column("doc_id").to_pylist()) == [0, 2, 5]
     # rerun with the marker present: export untouched
     m = os.path.getmtime(os.path.join(out, "_EXPORTED"))
+    parts(2)
     curate_corpus(corpus, out_dir=out,
                   benchmark=["benchmark text sharing nothing here"],
-                  num_partitions=2, n_shards=2)
+                  n_shards=2)
     assert os.path.getmtime(os.path.join(out, "_EXPORTED")) == m
 
 

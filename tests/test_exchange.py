@@ -97,7 +97,7 @@ def test_fx_agg_by_ignores_stray_part_column():
     assert list(want["v"]) == [15, 8, 4]
 
 
-def test_fx_join_matches_pandas_all_hows(ray_session):
+def test_fx_join_matches_pandas_all_hows(ray_session, parts):
     """Randomized fx_join vs a pandas reference: inner/left/semi/anti,
     duplicate keys (multiplicity), null keys (SQL never-match), name
     collisions (right suffix), at two partition counts."""
@@ -151,8 +151,8 @@ def test_fx_join_matches_pandas_all_hows(ray_session):
         }
         for how, exp in want.items():
             for P in (3, 8):
-                got = (fx_join(lds, rds, on="k", how=how,
-                               num_partitions=P)
+                parts(P)
+                got = (fx_join(lds, rds, on="k", how=how)
                        .to_pandas())
                 cols = sorted(got.columns)
                 assert cols == sorted(exp.columns), (how, cols)
@@ -165,7 +165,7 @@ def test_fx_join_matches_pandas_all_hows(ray_session):
                     e.where(pd.notna(e), None)), (trial, how, P)
 
 
-def test_fx_join_nullable_int_keys_one_side(ray_session):
+def test_fx_join_nullable_int_keys_one_side(ray_session, parts):
     """Regression (review finding): a block whose int64 key column
     carries a null degrades to float64 under to_numpy; dtype-dependent
     hashing would route the same key differently per block/side and
@@ -185,16 +185,17 @@ def test_fx_join_nullable_int_keys_one_side(ray_session):
     lds = ray.data.from_arrow(pa.Table.from_pandas(ldf))
     rds = ray.data.from_arrow(pa.Table.from_pandas(rdf)).repartition(3)
 
-    inner = (fx_join(lds, rds, on="k", how="inner", num_partitions=5)
+    parts(5)
+    inner = (fx_join(lds, rds, on="k", how="inner")
              .to_pandas().sort_values("k").reset_index(drop=True))
     assert list(inner["k"]) == [1, 2, 3, 4]          # no dropped match
     assert list(inner["w"]) == [100, 200, 300, 400]
-    anti = fx_join(lds, rds, on="k", how="anti",
-                   num_partitions=5).to_pandas()
+    parts(5)
+    anti = fx_join(lds, rds, on="k", how="anti").to_pandas()
     assert len(anti) == 1 and pd.isna(anti["k"]).all()  # null never matches
 
 
-def test_fx_join_salted_output_invariant(ray_session):
+def test_fx_join_salted_output_invariant(ray_session, parts):
     """salt>1 (hot-key defusal: left sub-bucketed, right replicated)
     must produce EXACTLY the salt=1 output for every how — including a
     heavily skewed key."""
@@ -215,9 +216,11 @@ def test_fx_join_salted_output_invariant(ray_session):
     rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
 
     for how in ("inner", "left", "semi", "anti"):
-        base = (fx_join(lds, rds, on="k", how=how, num_partitions=4)
+        parts(4)
+        base = (fx_join(lds, rds, on="k", how=how)
                 .to_pandas())
-        salted = (fx_join(lds, rds, on="k", how=how, num_partitions=4,
+        parts(4)
+        salted = (fx_join(lds, rds, on="k", how=how,
                           salt=3).to_pandas())
         cols = sorted(base.columns)
         b = base[cols].sort_values(cols).reset_index(drop=True)
@@ -227,10 +230,11 @@ def test_fx_join_salted_output_invariant(ray_session):
     import pytest
     with pytest.raises(ValueError, match="outer"):
         # replicated right side would duplicate unmatched right rows
-        fx_join(lds, rds, on="k", how="outer", num_partitions=4, salt=3)
+        parts(4)
+        fx_join(lds, rds, on="k", how="outer", salt=3)
 
 
-def test_fx_join_composite_keys(ray_session):
+def test_fx_join_composite_keys(ray_session, parts):
     """Multi-column join keys: same pandas-equality law, plus the
     combined-key hash must not collapse distinct (k1,k2) pairs."""
     import numpy as np
@@ -252,8 +256,8 @@ def test_fx_join_composite_keys(ray_session):
     lds = ray.data.from_arrow(pa.Table.from_pandas(ldf)).repartition(3)
     rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
     for how in ("inner", "left", "semi", "anti"):
-        got = fx_join(lds, rds, on=["k1", "k2"], how=how,
-                      num_partitions=4).to_pandas()
+        parts(4)
+        got = fx_join(lds, rds, on=["k1", "k2"], how=how).to_pandas()
         if how == "inner":
             exp = ldf.merge(rdf, on=["k1", "k2"], how="inner")
         elif how == "left":
@@ -275,7 +279,7 @@ def test_fx_join_composite_keys(ray_session):
             e.where(pd.notna(e), None)), how
 
 
-def test_fx_join_salt_actually_spreads_hot_key(ray_session):
+def test_fx_join_salt_actually_spreads_hot_key(ray_session, parts):
     """The defusal property itself: with salt=4, one hot key's left
     rows must occupy MULTIPLE sub-buckets (a key-derived sub-bucket
     once routed them all to one task — review finding)."""
@@ -298,7 +302,8 @@ def test_fx_join_salt_actually_spreads_hot_key(ray_session):
                         "w": np.array([7], np.int64)})
     lds = ray.data.from_arrow(pa.Table.from_pandas(ldf)).repartition(2)
     rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
-    out = fx_join(lds, rds, on="k", how="inner", num_partitions=2,
+    parts(2)
+    out = fx_join(lds, rds, on="k", how="inner",
                   salt=4)
     blocks = [t for t in __import__("ray").get(out.to_arrow_refs())
               if t.num_rows]
@@ -356,9 +361,10 @@ def test_fx_agg_by_oversized_partition_splits_and_refolds(ray_session):
     assert int(got["k"].iloc[0]) == n
 
 
-def test_fx_join_auto_mode_matches_explicit(ray_session):
-    """Stat-driven fx_join (num_partitions=None) must equal the
-    explicit-P output for every how."""
+def test_fx_join_auto_mode_matches_explicit(ray_session, parts,
+                                           monkeypatch):
+    """fx_join at the default part count and packing must equal its
+    output at P=7 with one task per part, for every how."""
     import pandas as pd
     from aqueduct_core_ray.stages.exchange import fx_join
     rng = np.random.default_rng(29)
@@ -370,8 +376,10 @@ def test_fx_join_auto_mode_matches_explicit(ray_session):
     rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
     for how in ("inner", "left", "semi", "anti"):
         plan = {}
-        base = (fx_join(lds, rds, on="k", how=how, num_partitions=7)
+        parts(7)
+        base = (fx_join(lds, rds, on="k", how=how)
                 .to_pandas())
+        monkeypatch.undo()          # the auto side runs on the defaults
         auto = (fx_join(lds, rds, on="k", how=how, _plan_out=plan)
                 .to_pandas())
         assert plan["packed"]

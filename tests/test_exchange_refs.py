@@ -195,7 +195,7 @@ def test_all_empty_dataset_input_is_typed(table_file, monkeypatch):
 
 
 @pytest.mark.parametrize("how", ["inner", "left", "outer", "semi", "anti"])
-def test_fx_join_dataset_side_with_no_rows(tmp_path, monkeypatch, how):
+def test_fx_join_dataset_side_with_no_rows(tmp_path, monkeypatch, how, parts):
     """One Dataset side's filter matches nothing: the join equals the
     same join over leaves (whose empty units are typed), for the empty
     side on the left and on the right."""
@@ -210,13 +210,14 @@ def test_fx_join_dataset_side_with_no_rows(tmp_path, monkeypatch, how):
     pq.write_table(b, bp, row_group_size=30)
     none, all_ = pc.field("k") > 1000, pc.field("k") >= 0
     for lf, rf in ((none, all_), (all_, none)):
+        parts(5)
         got = ex.collect_tables(ex.fx_join(
             ray.data.read_parquet(ap, filter=lf),
-            ray.data.read_parquet(bp, filter=rf), on="k", how=how,
-            num_partitions=5))
+            ray.data.read_parquet(bp, filter=rf), on="k", how=how))
+        parts(5)
         want = ray.get(ex.fx_join(ex.leaf(ap, filter=lf),
                                   ex.leaf(bp, filter=rf), on="k",
-                                  how=how, num_partitions=5).refs)
+                                  how=how).refs)
         got, want = pa.concat_tables(got), pa.concat_tables(want)
         assert got.schema == want.schema, (how, lf)
         assert _canon(got).equals(_canon(want)), (how, lf)
@@ -244,7 +245,7 @@ def test_fx_join_untyped_side_joins_as_empty(tmp_path):
     assert sum(t.num_rows for t in inner) == 0
 
 
-def test_fx_join_leaf_inputs_match_datasets(tmp_path):
+def test_fx_join_leaf_inputs_match_datasets(tmp_path, parts):
     """Every ``how`` over two leaf inputs (one conformed by ``pre``)
     equals the same join over Datasets; salt>1 too."""
     rng = np.random.default_rng(7)
@@ -270,11 +271,12 @@ def test_fx_join_leaf_inputs_match_datasets(tmp_path):
     rds = ray.data.from_arrow(right)
     for how in ("inner", "left", "outer", "semi", "anti"):
         for salt in ((1, 3) if how != "outer" else (1,)):
+            parts(7)
             got = _rows(ex.fx_join(ex.leaf(lp), ex.leaf(rp), on="k",
-                                   how=how, num_partitions=7, salt=salt,
+                                   how=how, salt=salt,
                                    pre=(conform, None)))
-            want = _rows(ex.fx_join(lds, rds, on="k", how=how,
-                                    num_partitions=7, salt=salt))
+            parts(7)
+            want = _rows(ex.fx_join(lds, rds, on="k", how=how, salt=salt))
             assert got.schema.names == want.schema.names, how
             assert [f.type for f in got.schema] == \
                 [f.type for f in want.schema], how

@@ -729,7 +729,7 @@ def test_doc_frequency_counts_docs_not_occurrences(tmp_path):
     assert list(ry.sort_values("rk").index)[0] == "dog"
 
 
-def test_tfidf_top_terms_matches_reference(tmp_path):
+def test_tfidf_top_terms_matches_reference(tmp_path, parts):
     """Pin tf-idf against a pure-Python reference on a crafted corpus
     (shared token in all docs scores 0-ish; rare tokens win)."""
     import math
@@ -756,12 +756,13 @@ def test_tfidf_top_terms_matches_reference(tmp_path):
                .itertuples(index=False, name=None))
     assert sorted(got) == sorted(exp)
     # partition invariance of the two-exchange plan
-    out2 = (text.tfidf_top_terms(sf, k=2, num_partitions=3).to_pandas()
+    parts(3)
+    out2 = (text.tfidf_top_terms(sf, k=2).to_pandas()
             .sort_values(["doc_id", "rk"]).reset_index(drop=True))
     assert out.equals(out2)
 
 
-def test_doc_frequency_and_tfidf_random_corpora(tmp_path):
+def test_doc_frequency_and_tfidf_random_corpora(tmp_path, parts):
     """Seeded randomized cross-check of the distributed text statistics
     against brute-force Python on small corpora (duplicate-heavy vocab
     to exercise ties and the per-block distinct path)."""
@@ -785,7 +786,8 @@ def test_doc_frequency_and_tfidf_random_corpora(tmp_path):
         assert [(r.token, r.df) for r in ry.itertuples()] == exp
         assert list(ry["rk"]) == list(range(1, len(exp) + 1))
         # tfidf: every doc's top-2 matches brute force
-        out = text.tfidf_top_terms(sf, k=2, num_partitions=3).to_pandas()
+        parts(3)
+        out = text.tfidf_top_terms(sf, k=2).to_pandas()
         got = sorted(out[["doc_id", "token", "tf", "score_permille",
                           "rk"]].itertuples(index=False, name=None))
         exp2 = []
@@ -800,7 +802,7 @@ def test_doc_frequency_and_tfidf_random_corpora(tmp_path):
         assert got == sorted(exp2)
 
 
-def test_unigram_logprob_score_random_corpora(tmp_path):
+def test_unigram_logprob_score_random_corpora(tmp_path, parts):
     """Seeded randomized cross-check of the distributed unigram-LM doc
     scoring against brute-force Python (duplicate-heavy vocab so token
     counts and the permille rounding boundary both get exercised)."""
@@ -819,7 +821,8 @@ def test_unigram_logprob_score_random_corpora(tmp_path):
         total = sum(cnt.values())
         lp = {t: math.floor(math.log(c / total) * 1000 + 0.5)
               for t, c in cnt.items()}
-        out = (text.unigram_logprob_score(sf, num_partitions=3)
+        parts(3)
+        out = (text.unigram_logprob_score(sf)
                .to_pandas().sort_values("doc_id").reset_index(drop=True))
         assert list(out["doc_id"]) == list(range(len(docs)))
         assert list(out["n_tok"]) == [len(d) for d in docs]
@@ -1029,7 +1032,7 @@ def test_dup_gram_coverage_matches_duckdb():
     assert int(exp["dup_grams"].sum()) > 0         # corpus has real dups
 
 
-def test_semdedup_rule_and_invariance():
+def test_semdedup_rule_and_invariance(parts):
     """SemDeDup over sf0.001 embeddings: keep/dup_of must equal the
     brute-force per-cluster rule (drop when ANY smaller-vec_id cluster
     member reaches tau cosine; dup_of = the earliest such id), and the
@@ -1059,7 +1062,8 @@ def test_semdedup_rule_and_invariance():
     assert dict(zip(out["vec_id"], out["keep"].astype(bool))) == keep_ref
     assert {int(r.vec_id): int(r.dup_of) for r in out.itertuples()
             if not r.keep} == dup_ref
-    out3 = (dedup.semdedup(sf, num_partitions=3).to_pandas()
+    parts(3)
+    out3 = (dedup.semdedup(sf).to_pandas()
             .sort_values("vec_id").reset_index(drop=True))
     assert out.equals(out3)
 
@@ -1141,7 +1145,7 @@ def _remove_ref(texts, gram=32, stride=16):
     return out
 
 
-def test_remove_dup_spans_random_unicode_and_invariance(tmp_path):
+def test_remove_dup_spans_random_unicode_and_invariance(tmp_path, parts):
     """Randomized multibyte corpus with spliced shared runs: the cut
     text, removed-char and span counts must equal the pure-Python
     reference exactly, under two different exchange partitionings."""
@@ -1166,10 +1170,10 @@ def test_remove_dup_spans_random_unicode_and_invariance(tmp_path):
                                            ).take_all()}
     assert got == want
     assert sum(v[1] for v in want.values()) > 0
+    parts(3)
     got3 = {r["doc_id"]: (r["text"], r["n_chars_removed"],
                           r["n_spans_removed"])
-            for r in dedup.remove_dup_spans(sf, gram=16, stride=8,
-                                            num_partitions=3
+            for r in dedup.remove_dup_spans(sf, gram=16, stride=8
                                             ).take_all()}
     assert got3 == got
 
@@ -1637,7 +1641,7 @@ def test_type_token_ratio_crafted(tmp_path):
     assert out.ttr_micros.tolist() == [250000, 1000000, 500000]
 
 
-def test_bigram_logprob_score_random_corpora(tmp_path):
+def test_bigram_logprob_score_random_corpora(tmp_path, parts):
     """Seeded randomized cross-check of the distributed bigram-LM doc
     scoring (Laplace smoothing, start-of-doc distribution for the first
     token) against brute-force Python, at two partition counts."""
@@ -1670,7 +1674,8 @@ def test_bigram_logprob_score_random_corpora(tmp_path):
 
         want = [score(d) for d in docs]
         for P in (2, 7):
-            out = (text.bigram_logprob_score(sf, num_partitions=P)
+            parts(P)
+            out = (text.bigram_logprob_score(sf)
                    .to_pandas().sort_values("doc_id")
                    .reset_index(drop=True))
             assert list(out["doc_id"]) == list(range(len(docs)))

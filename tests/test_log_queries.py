@@ -232,7 +232,7 @@ def test_routing_override_remap_through_cache():
     assert uin not in set(remapped["user_id"])
 
 
-def test_running_total_matches_duckdb_window():
+def test_running_total_matches_duckdb_window(parts):
     from aqueduct_core_ray.pipelines.temporal import running_total
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM "
@@ -250,12 +250,13 @@ def test_running_total_matches_duckdb_window():
     ry = ry[cols].sort_values(cols).reset_index(drop=True)
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
     # partition invariance of the user_id hash shuffle
-    ry2 = running_total(SF, num_partitions=3).to_pandas()
+    parts(3)
+    ry2 = running_total(SF).to_pandas()
     ry2 = ry2[cols].sort_values(cols).reset_index(drop=True)
     assert ry.equals(ry2)
 
 
-def test_inter_event_gaps_matches_duckdb():
+def test_inter_event_gaps_matches_duckdb(parts):
     import duckdb
 
     from aqueduct_core_ray.pipelines.temporal import inter_event_gaps
@@ -280,7 +281,8 @@ def test_inter_event_gaps_matches_duckdb():
     b = ry.sort_values("user_id").reset_index(drop=True)[a.columns]
     assert a.equals(b.astype(a.dtypes.to_dict()))
     # partition invariance: each user's history must be co-located
-    ry2 = inter_event_gaps(SF, num_partitions=3).to_pandas()
+    parts(3)
+    ry2 = inter_event_gaps(SF).to_pandas()
     b2 = ry2.sort_values("user_id").reset_index(drop=True)[a.columns]
     assert b.equals(b2)
 
@@ -317,7 +319,7 @@ def test_exact_quantiles_matches_duckdb():
     assert (rel <= 0.05).all()
 
 
-def test_user_type_sets_matches_duckdb():
+def test_user_type_sets_matches_duckdb(parts):
     import duckdb
 
     from aqueduct_core_ray.pipelines.temporal import user_type_sets
@@ -345,7 +347,8 @@ def test_user_type_sets_matches_duckdb():
     assert set(b["status"]) <= {"both", "click_only", "purchase_only"}
     # partition invariance: a user split across partitions would see a
     # partial bitmask and misclassify
-    ry2 = user_type_sets(SF, num_partitions=3).to_pandas()
+    parts(3)
+    ry2 = user_type_sets(SF).to_pandas()
     b2 = ry2.sort_values("user_id").reset_index(drop=True)[a.columns]
     assert b.equals(b2)
 
@@ -378,7 +381,7 @@ def test_percentile_rank_matches_duckdb():
     assert b["pct_rank"].max() <= 1000
 
 
-def test_event_transitions_matches_duckdb():
+def test_event_transitions_matches_duckdb(parts):
     import duckdb
 
     from aqueduct_core_ray.pipelines.temporal import event_transitions
@@ -407,12 +410,13 @@ def test_event_transitions_matches_duckdb():
     assert int(b["n_transitions"].sum()) == n_events - n_users
     # partition invariance: a user split across partitions would lose
     # its cross-block adjacencies
-    b2 = (event_transitions(SF, num_partitions=3).to_pandas()
+    parts(3)
+    b2 = (event_transitions(SF).to_pandas()
           .sort_values(keys).reset_index(drop=True)[a.columns])
     assert b.equals(b2)
 
 
-def test_retention_cohorts_matches_duckdb():
+def test_retention_cohorts_matches_duckdb(parts):
     import duckdb
 
     from aqueduct_core_ray.pipelines.temporal import retention_cohorts
@@ -442,12 +446,13 @@ def test_retention_cohorts_matches_duckdb():
         "SELECT count(DISTINCT user_id) FROM events").fetchone()[0]
     assert int(b[b["offset_days"] == 0]["n_users"].sum()) == n_users
     assert (b["offset_days"] >= 0).all()
-    b2 = (retention_cohorts(SF, num_partitions=3).to_pandas()
+    parts(3)
+    b2 = (retention_cohorts(SF).to_pandas()
           .sort_values(keys).reset_index(drop=True)[a.columns])
     assert b.equals(b2)
 
 
-def test_conversion_funnel_matches_duckdb():
+def test_conversion_funnel_matches_duckdb(parts):
     import duckdb
 
     from aqueduct_core_ray.pipelines.temporal import conversion_funnel
@@ -489,12 +494,13 @@ def test_conversion_funnel_matches_duckdb():
     assert len(b) == n_click_users
     # partition invariance: a user split across partitions would break
     # the two-stage ordering
-    b2 = (conversion_funnel(SF, num_partitions=3).to_pandas()
+    parts(3)
+    b2 = (conversion_funnel(SF).to_pandas()
           .sort_values("user_id").reset_index(drop=True)[a.columns])
     assert b.equals(b2)
 
 
-def test_rolling_active_users_matches_duckdb():
+def test_rolling_active_users_matches_duckdb(parts):
     import duckdb
 
     from aqueduct_core_ray.pipelines.temporal import rolling_active_users
@@ -531,6 +537,7 @@ def test_rolling_active_users_matches_duckdb():
     assert list(w1["n_active_7d"]) == [
         int(daily[d]) for d in w1["day"]]
     # partition invariance
-    b2 = (rolling_active_users(SF, num_partitions=3).to_pandas()
+    parts(3)
+    b2 = (rolling_active_users(SF).to_pandas()
           .sort_values("day").reset_index(drop=True)[a.columns])
     assert b.equals(b2)

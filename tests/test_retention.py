@@ -110,7 +110,7 @@ def test_guard_refuses_unsafe_deletion_threshold():
     guard_hwm_ts(deletion_ts=5, min_consumer_hwm_ts=10)  # ok
 
 
-def test_distributed_compact_matches_kernel(tmp_path):
+def test_distributed_compact_matches_kernel(tmp_path, parts):
     """The Ray job (hash-partitioned) equals the single-table kernel."""
     import pyarrow.parquet as pq
 
@@ -126,8 +126,8 @@ def test_distributed_compact_matches_kernel(tmp_path):
     del_ts = t.column("ts")[spec.n_events // 4].as_py()
 
     out_dir = str(tmp_path / "compacted")
-    compact_log(str(src), out_dir, compact_ts=mid_ts, deletion_ts=del_ts,
-                num_partitions=7)
+    parts(7)
+    compact_log(str(src), out_dir, compact_ts=mid_ts, deletion_ts=del_ts)
     got = pq.read_table(out_dir).sort_by("lsn")
 
     want = compact_log_table(t, compact_ts=mid_ts, deletion_ts=del_ts)
@@ -136,7 +136,7 @@ def test_distributed_compact_matches_kernel(tmp_path):
     assert got2.equals(want.combine_chunks())
 
 
-def test_compacted_log_replay_equals_full_replay(tmp_path):
+def test_compacted_log_replay_equals_full_replay(tmp_path, parts):
     """Retention ∘ replay = replay: applying the compacted log must yield
     the same final lake as applying the full log (compaction only drops
     superseded versions, never a winner). Tombstone GC is withheld
@@ -155,8 +155,9 @@ def test_compacted_log_replay_equals_full_replay(tmp_path):
 
     far_future = pa.scalar(7_000_000_000_000_000, pa.timestamp("us"))  # ~2191
     compacted_dir = str(tmp_path / "log_compacted")
+    parts(4)
     compact_log(log, compacted_dir, compact_ts=far_future,
-                deletion_ts=None, num_partitions=4)
+                deletion_ts=None)
 
     lakes = []
     for name, src in (("full", log), ("compacted", compacted_dir)):

@@ -289,20 +289,23 @@ def test_hash_str_array_large_string_and_null_token():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("P", [1, 3, 16])
 def test_tfidf_and_unigram_kernels_match_oracle(seed, P):
+    # the kernels no longer tag parts (the exchange routes by key): the
+    # oracles' tags only cut the partitions here
     blocks = corpus_blocks(seed)
     n_docs = sum(b.num_rows for b in blocks)
-    tf_new = [text._tf_rows(b, P) for b in blocks]
-    for got, b in zip(tf_new, blocks):
-        assert_tables_equal(got, old_tf_rows(b, P))
-    rows = pa.concat_tables(tf_new)
+    tf_old = [old_tf_rows(b, P) for b in blocks]
+    for old, b in zip(tf_old, blocks):
+        assert_tables_equal(text._tf_rows(b), old.drop_columns(["tpart"]))
+    rows = pa.concat_tables(tf_old)
     total = float(pc.sum(rows.column("tf")).as_py())
     scored = []
     for g in partitions(rows, "tpart"):
-        got = text._tfidf_scores(g, n_docs=n_docs, num_partitions=P)
-        assert_tables_equal(got, old_tfidf_scores(g, n_docs, P))
+        want = old_tfidf_scores(g, n_docs, P)
+        assert_tables_equal(text._tfidf_scores(g, n_docs=n_docs),
+                            want.drop_columns(["dpart"]))
         assert_tables_equal(text._unigram_scores(g, total=total),
                             old_unigram_scores(g, total))
-        scored.append(got)
+        scored.append(want)
     for k in (1, 2, 5):
         for g in partitions(pa.concat_tables(scored), "dpart"):
             assert_tables_equal(text._tfidf_topk(g, k=k),
@@ -326,15 +329,13 @@ def test_tfidf_topk_breaks_score_ties_by_code_point_order():
 def test_bigram_kernels_match_oracle(seed, P):
     blocks = corpus_blocks(seed)
     n_docs = sum(b.num_rows for b in blocks)
-    grams = [text._bigram_grams(b, P) for b in blocks]
-    for got, b in zip(grams, blocks):
-        assert_tables_equal(got, old_bigram_grams(b, P))
-        h = text._vocab_hashes(b, P)
+    grams = [old_bigram_grams(b, P) for b in blocks]
+    for old, b in zip(grams, blocks):
+        assert_tables_equal(text._bigram_grams(b),
+                            old.drop_columns(["apart"]))
+        h = text._vocab_hashes(b)
         assert h.column("h").to_numpy().tolist() == \
             old_vocab_hashes(b).tolist()
-        assert (h.column("part").to_numpy().tolist()
-                == (h.column("h").to_numpy().view(np.uint64)
-                    % np.uint64(P)).astype(np.int32).tolist())
     vocab = float(len(np.unique(np.concatenate(
         [old_vocab_hashes(b) for b in blocks]))))
     for g in partitions(pa.concat_tables(grams), "apart"):
@@ -343,18 +344,20 @@ def test_bigram_kernels_match_oracle(seed, P):
             old_bigram_scores(g, vocab, n_docs))
 
 
-def test_vocab_distinct_count_over_the_exchange(tmp_path):
+def test_vocab_distinct_count_over_the_exchange(tmp_path, parts):
     """The bigram vocabulary is the number of distinct token digests,
-    counted per digest partition over the file exchange."""
+    counted per part of an exchange keyed on the digest."""
+    from aqueduct_core_ray.stages import exchange
     blocks = corpus_blocks(9, n_docs=300)
     want = len(np.unique(np.concatenate(
         [old_vocab_hashes(b) for b in blocks])))
     ds = ray.data.from_arrow(blocks)
     for P in (1, 5):
+        parts(P)
         n = sum(t.column("n").to_numpy().sum() for t in collect_tables(
-            ds.map_batches(text._vocab_hashes, batch_format="pyarrow",
-                           fn_kwargs={"num_partitions": P})
-            .fx_map_groups(text._n_distinct)))
+            exchange.file_exchange_map_groups(
+                ds, text._n_distinct, keys=["h"],
+                pre=text._vocab_hashes)))
         assert n == want
 
 

@@ -62,10 +62,12 @@ def test_rolling_window_sum_matches_duckdb():
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
 
 
-def test_rolling_window_partition_invariance():
-    a = _canon(temporal.rolling_window_sum(SF, num_partitions=3)
+def test_rolling_window_partition_invariance(parts):
+    parts(3)
+    a = _canon(temporal.rolling_window_sum(SF)
                .to_pandas())
-    b = _canon(temporal.rolling_window_sum(SF, num_partitions=16)
+    parts(16)
+    b = _canon(temporal.rolling_window_sum(SF)
                .to_pandas())
     assert a.equals(b)
 
@@ -147,9 +149,11 @@ def test_lead_lag_values_matches_duckdb():
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
 
 
-def test_lead_lag_partition_invariance():
-    a = _canon(temporal.lead_lag_values(SF, num_partitions=3).to_pandas())
-    b = _canon(temporal.lead_lag_values(SF, num_partitions=16).to_pandas())
+def test_lead_lag_partition_invariance(parts):
+    parts(3)
+    a = _canon(temporal.lead_lag_values(SF).to_pandas())
+    parts(16)
+    b = _canon(temporal.lead_lag_values(SF).to_pandas())
     assert a.equals(b)
 
 
@@ -231,11 +235,13 @@ def test_interval_join_matches_duckdb():
     assert sq.equals(ry.astype(sq.dtypes.to_dict()))
 
 
-def test_interval_join_wide_window_partition_invariance():
+def test_interval_join_wide_window_partition_invariance(parts):
+    parts(3)
     a = _canon(temporal.interval_join_pairs(
-        SF, window_minutes=24 * 60, num_partitions=3).to_pandas())
+        SF, window_minutes=24 * 60).to_pandas())
+    parts(16)
     b = _canon(temporal.interval_join_pairs(
-        SF, window_minutes=24 * 60, num_partitions=16).to_pandas())
+        SF, window_minutes=24 * 60).to_pandas())
     assert len(a) > 5 and a.equals(b)
 
 
