@@ -24,6 +24,7 @@ mixing — stable across processes/nodes/runs.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -371,46 +372,30 @@ def _exact_jaccard_pct(sh_a, sh_b) -> np.ndarray:
     return (100 * inter) // np.maximum(union, 1)
 
 
-def _attach_shingles(pairs: ray.data.Dataset, shingles: ray.data.Dataset,
+def _attach_shingles(pairs: ray.data.Dataset,
+                     shingles: "list[ray.ObjectRef]",
                      key_col: str, carry: list[str]) -> ray.data.Dataset:
     """One co-partitioned hash-join pass: attach the shingle list of
     ``key_col``'s doc to every pair row, as column ``sh``.
 
-    Both sides carry the join key as ``key`` and are unioned into one
-    exchange keyed on it; each bounded part then resolves pair→doc with
-    a vectorized searchsorted over the group's (unique) doc keys. The
+    Pairs and the (doc_id, sh) shingle blocks are a co-group keyed on
+    the doc id; each bounded part then resolves pair→doc with a
+    vectorized searchsorted over the group's (unique) doc keys. The
     shuffle moves candidate pairs + one shingle list per doc — never the
     corpus, never anything to the driver."""
-    null_sh = _SH_LIST
 
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        cols = {"role": pa.array(np.zeros(t.num_rows, np.int8)),
-                "key": t.column(key_col)}
-        for c in carry:
-            cols[c] = t.column(c)
-        cols["sh"] = pa.nulls(t.num_rows, null_sh)
-        return pa.table(cols)
+    def pair_side(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t.column(key_col),
+                         **{c: t.column(c) for c in carry}})
 
-    def tag_docs(t: pa.Table) -> pa.Table:
-        cols = {"role": pa.array(np.ones(t.num_rows, np.int8)),
-                "key": t.column("doc_id")}
-        for c in carry:
-            cols[c] = pa.nulls(
-                t.num_rows,
-                null_sh if c.startswith("sh") else pa.int64())
-        cols["sh"] = t.column("sh").cast(null_sh)
-        return pa.table(cols)
+    def doc_side(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t.column("doc_id"),
+                         "sh": t.column("sh").cast(_SH_LIST)})
 
-    both = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
-        shingles.map_batches(tag_docs, batch_format="pyarrow"))
-
-    def join(g: pa.Table) -> pa.Table:
-        role = g.column("role").to_numpy(zero_copy_only=False)
-        docs = g.filter(pa.array(role == 1))
-        prs = g.filter(pa.array(role == 0))
+    def join(prs: pa.Table, docs: pa.Table) -> pa.Table:
         out_cols = {c: prs.column(c) for c in ["key"] + carry}
         if prs.num_rows == 0:
-            out_cols["sh"] = pa.nulls(0, null_sh)
+            out_cols["sh"] = pa.nulls(0, _SH_LIST)
             return pa.table(out_cols)
         if docs.num_rows == 0:
             raise ValueError("candidate pairs hashed to a partition with "
@@ -431,7 +416,8 @@ def _attach_shingles(pairs: ray.data.Dataset, shingles: ray.data.Dataset,
         out_cols["sh"] = dsh.take(pa.array(pos))
         return pa.table(out_cols)
 
-    return exchange.file_exchange_map_groups(both, join, keys=["key"])
+    return exchange.file_exchange_map_groups(
+        (pairs, shingles), join, keys=["key"], pre=(pair_side, doc_side))
 
 
 def ngram_jaccard_dedup(sf_dir: str, shingle: int = 3,
@@ -452,15 +438,12 @@ def ngram_jaccard_dedup(sf_dir: str, shingle: int = 3,
         return t.drop_columns(["est_jaccard_pct"])
 
     cand = cand.map_batches(strip_est, batch_format="pyarrow")
-    docs = read_documents(sf_dir, columns=["doc_id", "text"])
-    # materialize: BOTH join passes consume this table, and Ray
-    # re-executes lazy lineage per consumer — without the pin the
-    # corpus would be read and re-shingled twice (object store holds
-    # hash lists, ~8 B/word, and spills if needed)
-    shingles = docs.map_batches(_shingle_list_batch,
-                                batch_format="pyarrow",
-                                fn_kwargs={"shingle": shingle}
-                                ).materialize()
+    # block refs: BOTH join passes consume this table, read and
+    # shingled once by raw tasks (object store holds hash lists,
+    # ~8 B/word, and spills if needed)
+    shingles = exchange.map_blocks(
+        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"]),
+        functools.partial(_shingle_list_batch, shingle=shingle))
 
     # pass A: key = doc_id_a → sh_a
     with_a = _attach_shingles(cand, shingles, "doc_id_a",
@@ -844,20 +827,23 @@ def _cc_min_label(edges: ray.data.Dataset,
     the label sum — labels are non-negative and only ever decrease, so
     an unchanged sum IS the fixpoint; the driver sees one scalar per
     round, never a row."""
-    def _min_by_node(ds: ray.data.Dataset) -> ray.data.Dataset:
+    def _min_by_node(src, pre=None) -> ray.data.Dataset:
         """min(lab) per node: ONE exchange keyed on node + a vectorized
-        lexsort fold."""
-        def fold(g: pa.Table) -> pa.Table:
-            node = g.column("node").to_numpy(zero_copy_only=False)
-            lab = g.column("lab").to_numpy(zero_copy_only=False)
+        lexsort fold over every member's (node, lab) rows."""
+        def fold(*gs: pa.Table) -> pa.Table:
+            node = np.concatenate([g.column("node").to_numpy(
+                zero_copy_only=False) for g in gs])
+            lab = np.concatenate([g.column("lab").to_numpy(
+                zero_copy_only=False) for g in gs])
             order = np.lexsort((lab, node))
             node, lab = node[order], lab[order]
             first = np.flatnonzero(np.concatenate(
                 [[True], node[1:] != node[:-1]]))
-            return pa.table({"node": pa.array(node[first]),
-                             "lab": pa.array(lab[first])})
+            return pa.table({"node": pa.array(node[first], pa.int64()),
+                             "lab": pa.array(lab[first], pa.int64())})
 
-        return exchange.file_exchange_map_groups(ds, fold, keys=["node"])
+        return exchange.file_exchange_map_groups(src, fold, keys=["node"],
+                                                 pre=pre)
 
     def init_labels(t: pa.Table) -> pa.Table:
         src = t.column("src").to_numpy(zero_copy_only=False)
@@ -865,41 +851,29 @@ def _cc_min_label(edges: ray.data.Dataset,
         return pa.table({"node": pa.array(src),
                          "lab": pa.array(np.minimum(src, dst))})
 
-    labels = _min_by_node(
-        edges.map_batches(init_labels,
-                          batch_format="pyarrow")).materialize()
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"role": pa.array(np.zeros(t.num_rows, np.int8)),
-                         "key": t.column("src"),
-                         "val": t.column("dst")})
+    # materialized once: every pointer-jumping round reads the edges
+    edges = edges.materialize()
+    labels = _min_by_node(edges, init_labels).materialize()
 
     def jump_edges(t: pa.Table) -> pa.Table:
         """label pointers as extra edges lab -> node (skip self-labels:
         they would only echo the node's own label back)."""
-        node = t.column("node").to_numpy(zero_copy_only=False)
         lab = t.column("lab").to_numpy(zero_copy_only=False)
-        m = lab != node
-        return pa.table({"role": pa.array(np.zeros(int(m.sum()), np.int8)),
-                         "key": pa.array(lab[m]),
-                         "val": pa.array(node[m])})
+        return t.filter(pa.array(lab != t.column("node").to_numpy(
+            zero_copy_only=False)))
 
-    def tag_labels(t: pa.Table) -> pa.Table:
-        return pa.table({"role": pa.array(np.ones(t.num_rows, np.int8)),
-                         "key": t.column("node"),
-                         "val": t.column("lab")})
-
-    def send(g: pa.Table) -> pa.Table:
+    def send(e: pa.Table, j: pa.Table, lb: pa.Table) -> pa.Table:
         """per hash partition: msg (node=dst, lab=label(src)) for every
-        edge whose src lives here."""
-        role = g.column("role").to_numpy(zero_copy_only=False)
-        key = g.column("key").to_numpy(zero_copy_only=False)
-        val = g.column("val").to_numpy(zero_copy_only=False)
-        is_lab = role == 1
-        lk, lv = key[is_lab], val[is_lab]
+        edge src -> dst and every jump edge lab -> node whose source
+        lives here."""
+        def col(t: pa.Table, c: str) -> np.ndarray:
+            return t.column(c).to_numpy(zero_copy_only=False)
+
+        ek = np.concatenate([col(e, "src"), col(j, "lab")])
+        ev = np.concatenate([col(e, "dst"), col(j, "node")])
+        lk, lv = col(lb, "node"), col(lb, "lab")
         order = np.argsort(lk, kind="stable")
         lk, lv = lk[order], lv[order]
-        ek, ev = key[~is_lab], val[~is_lab]
         if len(ek) == 0 or len(lk) == 0:
             return pa.table({"node": pa.array([], pa.int64()),
                              "lab": pa.array([], pa.int64())})
@@ -910,21 +884,14 @@ def _cc_min_label(edges: ray.data.Dataset,
         return pa.table({"node": pa.array(ev),
                          "lab": pa.array(lv[pos])})
 
-    # the edge→(role, key, val) tagging is invariant across
-    # rounds — materialize it once instead of re-running the O(E) map
-    # inside every pointer-jumping iteration
-    tagged_edges = (edges.map_batches(tag_edges, batch_format="pyarrow")
-                    .materialize())
     prev_sum = None
     for _ in range(max_iters):
-        tagged = (tagged_edges
-                  .union(labels.map_batches(jump_edges,
-                                            batch_format="pyarrow"))
-                  .union(labels.map_batches(tag_labels,
-                                            batch_format="pyarrow")))
+        # a co-group: edges routed by src, jump edges by lab, labels by
+        # node — each member on its own key column
         msgs = exchange.file_exchange_map_groups(  # emits (node, lab)
-            tagged, send, keys=["key"])
-        labels = _min_by_node(msgs.union(labels)).materialize()
+            (edges, labels, labels), send,
+            keys=(["src"], ["lab"], ["node"]), pre=(None, jump_edges, None))
+        labels = _min_by_node((msgs, labels)).materialize()
         # convergence scalar: bounded per-block partials, no aggregate
         # exchange
         s = sum(r["s"] for r in labels.map_batches(
@@ -977,8 +944,8 @@ def near_dedup_keep(sf_dir: str, shingle: int = 3,
 
     The removal set (non-representative members) is cluster-graph-sized
     but unbounded in theory, so it is anti-joined against the corpus via
-    the same co-partitioned union-tag exchange as
-    pipelines/curate.py — never broadcast, never on the driver."""
+    an ``fx_join`` anti-join, as pipelines/curate.py semi-joins its
+    survivors — never broadcast, never on the driver."""
     clusters = duplicate_clusters(sf_dir, shingle=shingle,
                                   min_jaccard_pct=min_jaccard_pct)
 
@@ -987,31 +954,9 @@ def near_dedup_keep(sf_dir: str, shingle: int = 3,
         cl = t.column("cluster_id").to_numpy(zero_copy_only=False)
         return pa.table({"doc_id": pa.array(doc[doc != cl])})
 
-    drops = clusters.map_batches(drops_only, batch_format="pyarrow")
-    docs = read_documents(sf_dir, columns=["doc_id"])
-
-    def tag(role: int):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "role": pa.array(np.full(t.num_rows, role, np.int8)),
-                "doc_id": t.column("doc_id")})
-        return f
-
-    def anti(g: pa.Table) -> pa.Table:
-        role = g.column("role").to_numpy(zero_copy_only=False)
-        ids = g.column("doc_id").to_numpy(zero_copy_only=False)
-        gone = np.unique(ids[role == 1])
-        keep_ids = ids[role == 0]
-        if len(gone):
-            pos = np.clip(np.searchsorted(gone, keep_ids), 0,
-                          len(gone) - 1)
-            keep_ids = keep_ids[gone[pos] != keep_ids]
-        return pa.table({"doc_id": pa.array(keep_ids)})
-
-    return exchange.file_exchange_map_groups(
-        docs.map_batches(tag(0), batch_format="pyarrow")
-        .union(drops.map_batches(tag(1), batch_format="pyarrow")), anti,
-        keys=["doc_id"])
+    return exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id"]),
+        clusters, on="doc_id", how="anti", pre=(None, drops_only))
 
 
 # --------------------------------------------------------------------- #
@@ -1288,7 +1233,6 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16
     moves once, spans are tiny. The cut itself is one flat-buffer pass
     (``_cut_spans_flat``): char-start mask, difference-array span
     marks, reduceat re-offsets — no per-row loop anywhere."""
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
 
     def grams_pos(t: pa.Table) -> pa.Table:
         """(doc_id, pos, g) for every sampled occurrence — no
@@ -1321,9 +1265,7 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16
         """Per gram: if >= 2 distinct docs hold it, every occurrence
         except the (doc_id, pos)-minimum becomes a removal row."""
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "pos": pa.array([], pa.int64()),
-                          "text": pa.array([], pa.string()),
-                          "side": pa.array([], pa.int8())})
+                          "pos": pa.array([], pa.int64())})
         if gp.num_rows == 0:
             return empty
         enc = gp.column("g").combine_chunks().dictionary_encode()
@@ -1338,26 +1280,10 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16
         newdoc = first | np.concatenate([[True], ids[1:] != ids[:-1]])
         ndocs = np.add.reduceat(newdoc.astype(np.int64), starts)
         out = np.repeat(ndocs >= 2, sizes) & ~first
-        k = int(out.sum())
-        return pa.table({
-            "doc_id": pa.array(ids[out]),
-            "pos": pa.array(pos[out]),
-            "text": pa.nulls(k, pa.string()),
-            "side": pa.array(np.ones(k, np.int8)),
-        })
+        return pa.table({"doc_id": pa.array(ids[out]),
+                         "pos": pa.array(pos[out])})
 
-    def doc_side(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": t.column("doc_id"),
-            "pos": pa.nulls(t.num_rows, pa.int64()),
-            "text": t.column("text"),
-            "side": pa.array(np.zeros(t.num_rows, np.int8)),
-        })
-
-    def cut(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        docs = g.filter(pa.array(side == 0))
-        rem = g.filter(pa.array(side == 1))
+    def cut(docs: pa.Table, rem: pa.Table) -> pa.Table:
         n = docs.num_rows
         if n == 0:
             return pa.table({
@@ -1399,12 +1325,11 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16
             "n_spans_removed": pa.array(nspans),
         })
 
+    docs = exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     removals = exchange.file_exchange_map_groups(
-        ds.map_batches(grams_pos, batch_format="pyarrow"), elect,
-        keys=["g"])
-    return exchange.file_exchange_map_groups(
-        ds.map_batches(doc_side, batch_format="pyarrow").union(removals),
-        cut, keys=["doc_id"])
+        docs, elect, keys=["g"], pre=grams_pos)
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        (docs, removals.refs), cut, keys=["doc_id"]).refs)
 
 
 # --------------------------------------------------------------------- #

@@ -18,16 +18,21 @@ Scale shapes:
 - ``top_orders_by_revenue`` (Q3 flavor) / ``revenue_by_nation`` (Q5):
   dimension sides are read driver-side (plain pyarrow, no Ray job) and
   broadcast once via ``ray.put``; lineitem revenue is pre-aggregated
-  per (block, orderkey) so the ONE co-partitioned union-tag exchange
-  keyed on orderkey finishes the per-order sum AND the equi-join;
+  per (block, orderkey) so the ONE co-partitioned co-group keyed on
+  orderkey finishes the per-order sum AND the equi-join;
   per-partition heads / rollups leave at most k·P (Q3) or 25·P (Q5)
   rows for a driver fold.
 
 Every co-partitioned exchange here is ``exchange.
 file_exchange_map_groups(src, fn, keys=[...])``: the sides of a join
-carry the key under one column name and the exchange routes each row
-by it (P is the exchange's, never the query's), so no query tags rows
-itself.
+are the members of a tuple ``src`` (a co-group), carry the key under
+one column name, and reach ``fn`` as one table each; the exchange
+routes each row by the key (P is the exchange's, never the query's),
+so no query tags or pads rows itself. A part function that is a plain
+join is ``exchange.fx_join``. Sides read parquet as
+``exchange.leaf(path, columns, filter=)`` and take an earlier
+exchange's output as its ``refs``, so neither costs a Ray Data
+execution.
 """
 
 from __future__ import annotations
@@ -62,16 +67,27 @@ def _rev_cents(t: pa.Table) -> np.ndarray:
     return np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
 
 
-def _concat_nonempty(ds: ray.data.Dataset,
+def _tables(out: "ray.data.Dataset | exchange.Exchanged | list"
+            ) -> "list[pa.Table]":
+    """The blocks of a Dataset (one execution), an exchange result or a
+    list of block refs, as Arrow tables."""
+    if isinstance(out, ray.data.Dataset):
+        return collect_tables(out)
+    return ray.get(out.refs if isinstance(out, exchange.Exchanged)
+                   else out)
+
+
+def _concat_nonempty(ds: "ray.data.Dataset | exchange.Exchanged | list",
                      fallback: pa.Table) -> pa.Table:
-    """Collect a Dataset's blocks, dropping the zero-column empty blocks
+    """Collect a result's blocks, dropping the zero-column empty blocks
     Ray emits for groupless partitions (they break concat_tables)."""
-    tables = [t for t in collect_tables(ds) if t.num_rows > 0]
+    tables = [t for t in _tables(ds) if t.num_rows > 0]
     return pa.concat_tables(tables) if tables else fallback
 
 
-def _fold_partials(ds: ray.data.Dataset, keys: list[str],
-                   sums: list[str], fallback: pa.Table) -> pa.Table:
+def _fold_partials(ds: "ray.data.Dataset | exchange.Exchanged | list",
+                   keys: list[str], sums: list[str],
+                   fallback: pa.Table) -> pa.Table:
     """Driver-side fold of BOUNDED-cardinality partial aggregates:
     collects O(groups x blocks) tiny rows and finishes with one local
     Arrow group_by. For single-digit group counts this replaces Ray's
@@ -84,24 +100,20 @@ def _fold_partials(ds: ray.data.Dataset, keys: list[str],
                      **{c: agg.column(f"{c}_sum") for c in sums}})
 
 
-def _per_order_revenue_parts(sf_dir: str) -> ray.data.Dataset:
-    """(o_orderkey, rev_c) PARTIAL per-order revenue, one row per
-    (block, orderkey): per-block Arrow group_by combines line items, and
-    the downstream exchange keyed on o_orderkey finishes the per-order
-    sum itself — ONE all-to-all for aggregate+join instead of a global
+_REV_COLS = ["l_orderkey", "l_extendedprice", "l_discount"]
+
+
+def _per_order_revenue(t: pa.Table) -> pa.Table:
+    """(o_orderkey, rev_c) PARTIAL per-order revenue of one lineitem
+    block (``_REV_COLS``), one row per (block, orderkey): the exchange
+    keyed on o_orderkey that consumes it finishes the per-order sum
+    itself — ONE all-to-all for aggregate+join instead of a global
     orderkey groupby followed by a second shuffle."""
-
-    def rev_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"o_orderkey": t.column("l_orderkey"),
-                      "rev_c": pa.array(_rev_cents(t))})
-        agg = g.group_by("o_orderkey").aggregate([("rev_c", "sum")])
-        return pa.table({"o_orderkey": agg.column("o_orderkey"),
-                         "rev_c": agg.column("rev_c_sum")})
-
-    return (ray.data.read_parquet(
-                f"{sf_dir}/lineitem.parquet",
-                columns=["l_orderkey", "l_extendedprice", "l_discount"])
-            .map_batches(rev_partial, batch_format="pyarrow"))
+    g = pa.table({"o_orderkey": t.column("l_orderkey"),
+                  "rev_c": pa.array(_rev_cents(t))})
+    agg = g.group_by("o_orderkey").aggregate([("rev_c", "sum")])
+    return pa.table({"o_orderkey": agg.column("o_orderkey"),
+                     "rev_c": agg.column("rev_c_sum")})
 
 
 def _combine_per_order(rv: pa.Table) -> tuple[np.ndarray, np.ndarray]:
@@ -211,25 +223,15 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
 
     The customer side is SIZE-GATED: under ``broadcast_threshold`` rows
     it is read driver-side and broadcast once (one exchange total);
-    above, it is never materialized anywhere — a co-partitioned
-    union-tag semi-join keyed on custkey filters orders in a
-    second bounded exchange (same machinery as
-    ``top_customers_by_return_revenue``). Both paths are value-
-    identical (pinned by tests/test_analytics.py)."""
-    def tag_rev(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": t.column("o_orderkey"),
-            "rev_c": t.column("rev_c"),
-            "o_orderdate": pa.nulls(t.num_rows, pa.timestamp("us")),
-            "o_orderpriority": pa.nulls(t.num_rows, pa.string()),
-            "side": pa.array(np.zeros(t.num_rows, np.int8)),
-        })
-
-    rev = _per_order_revenue_parts(sf_dir) \
-        .map_batches(tag_rev, batch_format="pyarrow")
+    above, it is never materialized anywhere — an ``fx_join`` semi-join
+    keyed on custkey filters orders in a second bounded exchange
+    (same machinery as ``top_customers_by_return_revenue``). Both
+    paths are value-identical (pinned by tests/test_analytics.py)."""
+    import pyarrow.dataset as pads
 
     ord_cols = ["o_orderkey", "o_custkey", "o_orderdate",
                 "o_orderpriority"]
+    orders_leaf = exchange.leaf(f"{sf_dir}/orders.parquet", ord_cols)
     if _table_rows(f"{sf_dir}/customer.parquet") <= broadcast_threshold:
         # broadcast path: filtered custkeys collected once on the driver
         import pyarrow.parquet as pq
@@ -240,79 +242,28 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
                                       "c_custkey"].to_numpy())
         ref = ray.put(seg_keys)
 
-        def tag_orders(t: pa.Table) -> pa.Table:
+        def seg_orders(t: pa.Table) -> pa.Table:
             cust = t.column("o_custkey").to_numpy(zero_copy_only=False)
             want = ray.get(ref)
             _, hit = _map_keys(want, want, cust)
-            t = t.filter(pa.array(hit))
-            return pa.table({
-                "o_orderkey": t.column("o_orderkey"),
-                "rev_c": pa.nulls(t.num_rows, pa.int64()),
-                "o_orderdate": t.column("o_orderdate"),
-                "o_orderpriority": t.column("o_orderpriority"),
-                "side": pa.array(np.ones(t.num_rows, np.int8)),
-            })
+            return t.filter(pa.array(hit))
 
-        orders = (ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                        columns=ord_cols)
-                  .map_batches(tag_orders, batch_format="pyarrow"))
+        orders, ord_pre = orders_leaf, seg_orders
     else:
-        # exchange path: a union-tag semi-join keyed on custkey — the
-        # unbounded-build-side shape; customer rows shrink to filtered
-        # distinct keys per block before the shuffle
-        def cust_side(t: pa.Table) -> pa.Table:
-            seg = t.column("c_mktsegment").to_numpy(zero_copy_only=False)
-            t = t.filter(pa.array(seg == segment))
-            keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
-            n = len(keys)
-            return pa.table({
-                "o_orderkey": pa.nulls(n, pa.int64()),
-                "o_custkey": t.column("c_custkey"),
-                "o_orderdate": pa.nulls(n, pa.timestamp("us")),
-                "o_orderpriority": pa.nulls(n, pa.string()),
-                "side": pa.array(np.zeros(n, np.int8)),
-            })
+        # exchange path: a semi-join keyed on custkey — the
+        # unbounded-build-side shape; customer rows shrink to the
+        # segment's keys at the read
+        def cust_keys(t: pa.Table) -> pa.Table:
+            return pa.table({"o_custkey": t.column("c_custkey")})
 
-        def ord_side(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "o_orderkey": t.column("o_orderkey"),
-                "o_custkey": t.column("o_custkey"),
-                "o_orderdate": t.column("o_orderdate"),
-                "o_orderpriority": t.column("o_orderpriority"),
-                "side": pa.array(np.ones(t.num_rows, np.int8)),
-            })
+        orders = exchange.fx_join(
+            orders_leaf,
+            exchange.leaf(f"{sf_dir}/customer.parquet", ["c_custkey"],
+                          filter=pads.field("c_mktsegment") == segment),
+            on="o_custkey", how="semi", pre=(None, cust_keys)).refs
+        ord_pre = None
 
-        def semi(g: pa.Table) -> pa.Table:
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            want = np.unique(
-                g.filter(pa.array(side == 0)).column("o_custkey")
-                .to_numpy(zero_copy_only=False))
-            od = g.filter(pa.array(side == 1))
-            ck = od.column("o_custkey").to_numpy(zero_copy_only=False)
-            _, hit = _map_keys(want, want, ck)
-            od = od.filter(pa.array(hit))
-            return pa.table({
-                "o_orderkey": od.column("o_orderkey"),
-                "rev_c": pa.nulls(od.num_rows, pa.int64()),
-                "o_orderdate": od.column("o_orderdate"),
-                "o_orderpriority": od.column("o_orderpriority"),
-                "side": pa.array(np.ones(od.num_rows, np.int8)),
-            })
-
-        cust_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/customer.parquet",
-                       columns=["c_custkey", "c_mktsegment"])
-                   .map_batches(cust_side, batch_format="pyarrow"))
-        ord_ds = (ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                        columns=ord_cols)
-                  .map_batches(ord_side, batch_format="pyarrow"))
-        orders = exchange.file_exchange_map_groups(
-            cust_ds.union(ord_ds), semi, keys=["o_custkey"])
-
-    def join_topk(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        rv = g.filter(pa.array(side == 0))
-        od = g.filter(pa.array(side == 1))
+    def join_topk(rv: pa.Table, od: pa.Table) -> pa.Table:
         rk_, rc = _combine_per_order(rv)   # fold partials, sorted keys
         ok = od.column("o_orderkey").to_numpy(zero_copy_only=False)
         if len(rk_) == 0 or len(ok) == 0:
@@ -345,7 +296,8 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
         })
 
     joined = exchange.file_exchange_map_groups(
-        rev.union(orders), join_topk, keys=["o_orderkey"])
+        (exchange.leaf(f"{sf_dir}/lineitem.parquet", _REV_COLS), orders),
+        join_topk, keys=["o_orderkey"], pre=(_per_order_revenue, ord_pre))
     # k·P candidate rows: fold the final rank driver-side (a second
     # exchange would cost seconds to sort a few dozen rows)
     return ray.data.from_arrow(final_topk(
@@ -419,12 +371,12 @@ def revenue_by_nation(sf_dir: str,
     map. The customer side is SIZE-GATED: under ``broadcast_threshold``
     rows it joins driver-side into one broadcast custkey -> nidx
     lookup (one fact exchange total); above, customers never leave the
-    cluster — a co-partitioned union-tag exchange keyed on custkey
-    attaches nidx to orders first (customer scales with the fact table
-    at warehouse scale, ~1:40 vs lineitem). Either way the final
-    exchange is the co-partitioned rev⋈orders equi-join on
-    keyed on orderkey followed by a ~25-row native sum. Both paths
-    are value-identical (pinned by tests/test_analytics.py)."""
+    cluster — an ``fx_join`` keyed on custkey attaches nidx to orders
+    first (customer scales with the fact table at warehouse scale,
+    ~1:40 vs lineitem). Either way the final exchange is the
+    co-partitioned rev⋈orders co-group keyed on orderkey followed by
+    a ~25-row native sum. Both paths are value-identical (pinned by
+    tests/test_analytics.py)."""
     import pyarrow.parquet as pq
     nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
     reg = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
@@ -436,28 +388,8 @@ def revenue_by_nation(sf_dir: str,
     name_ref = ray.put((names["n_name"].to_numpy(),
                         names["r_name"].to_numpy()))
 
-    def tag_rev(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": t.column("o_orderkey"),
-            "rev_c": t.column("rev_c"),
-            "nidx": pa.nulls(t.num_rows, pa.int64()),
-            "side": pa.array(np.zeros(t.num_rows, np.int8)),
-        })
-
-    rev = _per_order_revenue_parts(sf_dir) \
-        .map_batches(tag_rev, batch_format="pyarrow")
-
-    def _orders_out(t: pa.Table, nidx: np.ndarray) -> pa.Table:
-        """(part=hash(orderkey), o_orderkey, rev_c=null, nidx, side=1) —
-        the shape the rev⋈orders exchange consumes, shared by both
-        customer-side paths."""
-        return pa.table({
-            "o_orderkey": t.column("o_orderkey"),
-            "rev_c": pa.nulls(t.num_rows, pa.int64()),
-            "nidx": pa.array(nidx.astype(np.int64)),
-            "side": pa.array(np.ones(t.num_rows, np.int8)),
-        })
-
+    orders_leaf = exchange.leaf(f"{sf_dir}/orders.parquet",
+                                ["o_orderkey", "o_custkey"])
     if _table_rows(f"{sf_dir}/customer.parquet") <= broadcast_threshold:
         # broadcast path: custkey -> nidx joined once on the driver
         cust = pq.read_table(
@@ -469,18 +401,17 @@ def revenue_by_nation(sf_dir: str,
                                 dim["nidx"].to_numpy())
         lk_ref = ray.put((ck, nv))
 
-        def tag_orders(t: pa.Table) -> pa.Table:
+        def attach_nidx(t: pa.Table) -> pa.Table:
             ck_, nv_ = ray.get(lk_ref)
             cust_ = t.column("o_custkey").to_numpy(zero_copy_only=False)
             mapped, hit = _map_keys(ck_, nv_, cust_)
-            return _orders_out(t.filter(pa.array(hit)), mapped[hit])
+            return pa.table({
+                "o_orderkey": t.column("o_orderkey").filter(pa.array(hit)),
+                "nidx": pa.array(mapped[hit].astype(np.int64))})
 
-        orders = (ray.data.read_parquet(
-                      f"{sf_dir}/orders.parquet",
-                      columns=["o_orderkey", "o_custkey"])
-                  .map_batches(tag_orders, batch_format="pyarrow"))
+        orders, ord_pre = orders_leaf, attach_nidx
     else:
-        # exchange path: a union-tag join keyed on custkey attaches nidx
+        # exchange path: an inner join keyed on custkey attaches nidx
         # to orders without materializing customer anywhere — only the
         # tiny nationkey -> nidx map is broadcast
         nk, nval = _sorted_lookup(
@@ -488,53 +419,23 @@ def revenue_by_nation(sf_dir: str,
             ndim["nidx"].to_numpy())
         nk_ref = ray.put((nk, nval))
 
-        def cust_side(t: pa.Table) -> pa.Table:
+        def cust_nidx(t: pa.Table) -> pa.Table:
             nk_, nv_ = ray.get(nk_ref)
             nkey = t.column("c_nationkey").to_numpy(
                 zero_copy_only=False).astype(np.int64)
             mapped, hit = _map_keys(nk_, nv_, nkey)
-            t = t.filter(pa.array(hit))
-            keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
             return pa.table({
-                "o_orderkey": pa.nulls(len(keys), pa.int64()),
-                "o_custkey": t.column("c_custkey"),
-                "nidx": pa.array(mapped[hit].astype(np.int64)),
-                "side": pa.array(np.zeros(len(keys), np.int8)),
-            })
+                "o_custkey": t.column("c_custkey").filter(pa.array(hit)),
+                "nidx": pa.array(mapped[hit].astype(np.int64))})
 
-        def ord_side(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "o_orderkey": t.column("o_orderkey"),
-                "o_custkey": t.column("o_custkey"),
-                "nidx": pa.nulls(t.num_rows, pa.int64()),
-                "side": pa.array(np.ones(t.num_rows, np.int8)),
-            })
+        orders = exchange.fx_join(
+            orders_leaf,
+            exchange.leaf(f"{sf_dir}/customer.parquet",
+                          ["c_custkey", "c_nationkey"]),
+            on="o_custkey", how="inner", pre=(None, cust_nidx)).refs
+        ord_pre = None
 
-        def attach_nidx(g: pa.Table) -> pa.Table:
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            cu = g.filter(pa.array(side == 0))
-            ck_, nv_ = _sorted_lookup(
-                cu.column("o_custkey").to_numpy(zero_copy_only=False),
-                cu.column("nidx").to_numpy(zero_copy_only=False))
-            od = g.filter(pa.array(side == 1))
-            probe = od.column("o_custkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(ck_, nv_, probe)
-            return _orders_out(od.filter(pa.array(hit)), mapped[hit])
-
-        cust_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/customer.parquet",
-                       columns=["c_custkey", "c_nationkey"])
-                   .map_batches(cust_side, batch_format="pyarrow"))
-        ord_ds = (ray.data.read_parquet(
-                      f"{sf_dir}/orders.parquet",
-                      columns=["o_orderkey", "o_custkey"])
-                  .map_batches(ord_side, batch_format="pyarrow"))
-        orders = exchange.file_exchange_map_groups(
-            cust_ds.union(ord_ds), attach_nidx, keys=["o_custkey"])
-
-    def join_agg(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        rv, od = g.filter(pa.array(side == 0)), g.filter(pa.array(side == 1))
+    def join_agg(rv: pa.Table, od: pa.Table) -> pa.Table:
         rk, rc = _combine_per_order(rv)    # fold partials, sorted keys
         ok = od.column("o_orderkey").to_numpy(zero_copy_only=False)
         mapped, hit = _map_keys(rk, rc, ok)
@@ -553,7 +454,8 @@ def revenue_by_nation(sf_dir: str,
         })
 
     joined = exchange.file_exchange_map_groups(
-        rev.union(orders), join_agg, keys=["o_orderkey"])
+        (exchange.leaf(f"{sf_dir}/lineitem.parquet", _REV_COLS), orders),
+        join_agg, keys=["o_orderkey"], pre=(_per_order_revenue, ord_pre))
     # <=25 rows per partition: fold the nation rollup driver-side
     empty = pa.table({"nidx": pa.array([], pa.int64()),
                       "rev_c": pa.array([], pa.int64())})
@@ -608,50 +510,24 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20
     (custkey) differs from its join key (orderkey), so TWO bounded
     co-partitioned exchanges are inherent:
 
-    1. keyed on orderkey: per-(block, orderkey) returned-revenue
-       partials union-tagged with (o_orderkey, o_custkey) pairs; the
-       map_groups finishes the per-order sum AND the orders equi-join,
-       re-emitting (custkey, rev_c) partials already folded per
-       partition — at most one row per custkey per partition.
+    1. keyed on orderkey: a co-group of per-(block, orderkey)
+       returned-revenue partials and (o_orderkey, o_custkey) pairs;
+       the part function finishes the per-order sum AND the orders
+       equi-join, re-emitting (custkey, rev_c) partials already folded
+       per partition — at most one row per custkey per partition.
     2. keyed on custkey: fold per-customer totals and keep each
        partition's local top-k — k·P candidate rows to the driver.
 
     Customer/nation names are attached at the END, to the k winners
     only (dimension reads are driver-side pyarrow like the other
     star joins; only k rows ever need the name columns)."""
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-
-    def rev_partial(t: pa.Table) -> pa.Table:
-        flag = t.column("l_returnflag").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(flag == "R"))
-        g = pa.table({"o_orderkey": t.column("l_orderkey"),
-                      "rev_c": pa.array(_rev_cents(t))})
-        agg = g.group_by("o_orderkey").aggregate([("rev_c", "sum")])
-        keys = agg.column("o_orderkey").to_numpy(zero_copy_only=False)
-        n = len(keys)
-        return pa.table({
-            "o_orderkey": agg.column("o_orderkey"),
-            "rev_c": agg.column("rev_c_sum"),
-            "o_custkey": pa.nulls(n, pa.int64()),
-            "side": pa.array(np.zeros(n, np.int8)),
-        })
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        keys = t.column("o_orderkey").to_numpy(zero_copy_only=False)
-        n = len(keys)
-        return pa.table({
-            "o_orderkey": t.column("o_orderkey"),
-            "rev_c": pa.nulls(n, pa.int64()),
-            "o_custkey": t.column("o_custkey"),
-            "side": pa.array(np.ones(n, np.int8)),
-        })
 
     cust_empty = pa.table({"o_custkey": pa.array([], pa.int64()),
                            "rev_c": pa.array([], pa.int64())})
 
-    def join_to_cust(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        rv, od = g.filter(pa.array(side == 0)), g.filter(pa.array(side == 1))
+    def join_to_cust(rv: pa.Table, od: pa.Table) -> pa.Table:
         rk, rc = _combine_per_order(rv)    # per-order totals, sorted keys
         ok = od.column("o_orderkey").to_numpy(zero_copy_only=False)
         mapped, hit = _map_keys(rk, rc, ok)
@@ -671,12 +547,11 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20
         })
 
     per_cust = exchange.file_exchange_map_groups(
-        (exchange.leaf(f"{sf_dir}/lineitem.parquet",
-                       ["l_orderkey", "l_extendedprice", "l_discount",
-                        "l_returnflag"]),
+        (exchange.leaf(f"{sf_dir}/lineitem.parquet", _REV_COLS,
+                       filter=pads.field("l_returnflag") == "R"),
          exchange.leaf(f"{sf_dir}/orders.parquet",
                        ["o_orderkey", "o_custkey"])),
-        join_to_cust, keys=["o_orderkey"], pre=(rev_partial, tag_orders))
+        join_to_cust, keys=["o_orderkey"], pre=(_per_order_revenue, None))
 
     topk_empty = pa.table({"o_custkey": pa.array([], pa.int64()),
                            "rev_c": pa.array([], pa.int64())})
@@ -706,7 +581,6 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20
     # read (row-group statistics prune), never a full customer scan —
     # at warehouse scale customer is a fact-sized table and only k=20
     # rows need names
-    import pyarrow.dataset as pads
     cust = pads.dataset(f"{sf_dir}/customer.parquet").to_table(
         columns=["c_custkey", "c_name", "c_nationkey"],
         filter=pads.field("c_custkey").isin(win_keys.tolist())).to_pandas()
@@ -733,59 +607,31 @@ def customers_without_orders(sf_dir: str, since: str = "2000-01-01"
     Scale shape: neither side is broadcast (at warehouse scale BOTH key
     sets are large). The orders side is row-filtered at the read, then
     shrinks to per-block DISTINCT custkey partials before the exchange;
-    one co-partitioned union-tag exchange keyed on custkey lands
-    every customer row with every order-key partial that could match
-    it, and the per-partition anti is a single vectorized searchsorted
-    miss-test. Output stays distributed (a Dataset) — the result can be
-    a large fraction of customer."""
-    cutoff = np.datetime64(since, "us")
+    one ``fx_join`` anti-join keyed on custkey lands every customer row
+    with every order-key partial that could match it. Output stays
+    distributed (a Dataset) — the result can be a large fraction of
+    customer."""
+    import pyarrow.dataset as pads
 
     def order_keys(t: pa.Table) -> pa.Table:
-        od = t.column("o_orderdate").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(od >= cutoff))
         keys = np.unique(t.column("o_custkey").to_numpy(
             zero_copy_only=False))
-        n = len(keys)
-        return pa.table({
-            "c_custkey": pa.array(keys.astype(np.int64)),
-            "c_name": pa.nulls(n, pa.string()),
-            "acctbal_c": pa.nulls(n, pa.int64()),
-            "side": pa.array(np.zeros(n, np.int8)),
-        })
+        return pa.table({"c_custkey": pa.array(keys.astype(np.int64))})
 
-    probe = (ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey", "o_orderdate"])
-             .map_batches(order_keys, batch_format="pyarrow"))
-
-    def tag_cust(t: pa.Table) -> pa.Table:
-        keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
+    def cust_rows(t: pa.Table) -> pa.Table:
         return pa.table({
             "c_custkey": t.column("c_custkey"),
             "c_name": t.column("c_name"),
             "acctbal_c": pa.array(_cents(t.column("c_acctbal"))),
-            "side": pa.array(np.ones(len(keys), np.int8)),
         })
 
-    cust = (ray.data.read_parquet(
-                f"{sf_dir}/customer.parquet",
-                columns=["c_custkey", "c_name", "c_acctbal"])
-            .map_batches(tag_cust, batch_format="pyarrow"))
-
-    def anti(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        have = np.unique(g.filter(pa.array(side == 0))
-                         .column("c_custkey")
-                         .to_numpy(zero_copy_only=False))
-        c = g.filter(pa.array(side == 1))
-        keys = c.column("c_custkey").to_numpy(zero_copy_only=False)
-        _, hit = _map_keys(have, have, keys)
-        c = c.filter(pa.array(~hit))
-        return pa.table({"c_custkey": c.column("c_custkey"),
-                         "c_name": c.column("c_name"),
-                         "acctbal_c": c.column("acctbal_c")})
-
-    return exchange.file_exchange_map_groups(probe.union(cust), anti,
-                                             keys=["c_custkey"])
+    return ray.data.from_arrow_refs(exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/customer.parquet",
+                      ["c_custkey", "c_name", "c_acctbal"]),
+        exchange.leaf(f"{sf_dir}/orders.parquet", ["o_custkey"],
+                      filter=pads.field("o_orderdate")
+                      >= pa.scalar(np.datetime64(since, "us"))),
+        on="c_custkey", how="anti", pre=(cust_rows, order_keys)).refs)
 
 
 def supplier_balance_by_nation(sf_dir: str) -> ray.data.Dataset:
@@ -839,9 +685,10 @@ def small_quantity_revenue(sf_dir: str) -> ray.data.Dataset:
 
     Scale shape: the per-part average and the rows it filters live in
     the SAME table, so the fact data must meet its own aggregate — one
-    union-tag exchange keyed on partkey carrying (a) per-(block,
-    partkey) quantity partials (sum_qty_c, n) and (b) the narrow
-    (partkey, qty_c, price_c) line triples; each partition folds its
+    exchange keyed on partkey carrying (a) per-(block, partkey)
+    quantity partials (sum_qty_c, n) and (b) the narrow (partkey,
+    qty_c, price_c) line triples, both emitted by ONE producer per
+    block (a ``side`` column tells them apart); each partition folds its
     partials and filters its lines in one vectorized pass, emitting a
     single (revenue_c, n_lines) partial — the driver folds ≤P rows.
     The 20%%-of-average test is INTEGER-EXACT: qty < 0.2·(sum/n) ⇔
@@ -971,10 +818,11 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
     Scale shape: EXISTS(l_shipdate >= o_orderdate + D) ==
     max(l_shipdate) >= o_orderdate + D, so the fact side shrinks to
     per-block per-order max-shipdate partials BEFORE the exchange; the
-    orders side is date-filtered at the batch level. One co-partitioned
-    union-tag exchange keyed on orderkey finishes the max and tests
-    lateness per order; only (priority, count) partials leave each
-    partition and the driver folds O(5 x P) rows."""
+    orders side is date-filtered at the read. One co-partitioned
+    co-group keyed on orderkey finishes the max and tests lateness per
+    order; only (priority, count) partials leave each partition and
+    the driver folds O(5 x P) rows."""
+    import pyarrow.dataset as pads
     lo = np.datetime64(date_from, "us")
     hi = np.datetime64(date_to, "us")
     late = np.timedelta64(late_days, "D")
@@ -983,41 +831,10 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
         g = pa.table({"k": t.column("l_orderkey"),
                       "s": t.column("l_shipdate")})
         agg = g.group_by("k").aggregate([("s", "max")])
-        keys = agg.column("k").to_numpy(zero_copy_only=False)
-        n = len(keys)
-        return pa.table({
-            "okey": agg.column("k"),
-            "maxship": agg.column("s_max"),
-            "o_orderpriority": pa.nulls(n, pa.string()),
-            "odate": pa.nulls(n, pa.timestamp("us")),
-            "side": pa.array(np.zeros(n, np.int8)),
-        })
+        return pa.table({"okey": agg.column("k"),
+                         "maxship": agg.column("s_max")})
 
-    lines = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_shipdate"]
-    ).map_batches(line_partial, batch_format="pyarrow")
-
-    def order_rows(t: pa.Table) -> pa.Table:
-        od = t.column("o_orderdate").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array((od >= lo) & (od < hi)))
-        return pa.table({
-            "okey": t.column("o_orderkey"),
-            "maxship": pa.nulls(t.num_rows, pa.timestamp("us")),
-            "o_orderpriority": t.column("o_orderpriority"),
-            "odate": t.column("o_orderdate"),
-            "side": pa.array(np.ones(t.num_rows, np.int8)),
-        })
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
-    ).map_batches(order_rows, batch_format="pyarrow")
-
-    def late_partial(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        lp = g.filter(pa.array(side == 0))
-        o = g.filter(pa.array(side == 1))
+    def late_partial(lp: pa.Table, o: pa.Table) -> pa.Table:
         if o.num_rows == 0:
             return pa.table({"o_orderpriority": pa.array([], pa.string()),
                              "order_count": pa.array([], pa.int64())})
@@ -1026,8 +843,8 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
         # finish the per-order max over the block partials (empty-safe:
         # a partition may hold orders whose keys have no line items)
         uk, umax = _sorted_group_reduce(lk, ls, np.maximum)
-        ok = o.column("okey").to_numpy(zero_copy_only=False)
-        od = o.column("odate").to_numpy(zero_copy_only=False)
+        ok = o.column("o_orderkey").to_numpy(zero_copy_only=False)
+        od = o.column("o_orderdate").to_numpy(zero_copy_only=False)
         ms, hit = _map_keys(uk, umax, ok)
         is_late = hit & (ms >= od + late)
         prio = o.column("o_orderpriority").to_numpy(zero_copy_only=False)
@@ -1038,8 +855,16 @@ def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",
                 pi, minlength=len(up)).astype(np.int64)),
         })
 
+    odate = pads.field("o_orderdate")
     parts = exchange.file_exchange_map_groups(
-        lines.union(orders), late_partial, keys=["okey"])
+        (exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                       ["l_orderkey", "l_shipdate"]),
+         exchange.leaf(f"{sf_dir}/orders.parquet",
+                       ["o_orderkey", "o_orderdate", "o_orderpriority"],
+                       filter=(odate >= pa.scalar(lo))
+                       & (odate < pa.scalar(hi)))),
+        late_partial, keys=(["okey"], ["o_orderkey"]),
+        pre=(line_partial, None))
     return ray.data.from_arrow(_fold_partials(
         parts, ["o_orderpriority"], ["order_count"],
         pa.table({"o_orderpriority": pa.array([], pa.string()),
@@ -1055,62 +880,30 @@ def ship_delay_priority(sf_dir: str, date_from: str = "1996-01-01",
     per band. Returns (delay_band, high_line_count, low_line_count).
 
     Scale shape: the fact side is date-filtered and projected to
-    (orderkey, shipdate) at the read; ONE co-partitioned union-tag
-    exchange keyed on orderkey meets it with the orders dimension
-    rows; the per-partition finish is a vectorized searchsorted +
-    bincount over band x priority, and only (band, 2 counts) partials
-    reach the driver fold."""
+    (orderkey, shipdate) at the read; ONE co-partitioned co-group
+    keyed on orderkey meets it with the orders dimension rows; the
+    per-partition finish is a vectorized searchsorted + bincount over
+    band x priority, and only (band, 2 counts) partials reach the
+    driver fold."""
+    import pyarrow.dataset as pads
     lo = np.datetime64(date_from, "us")
     hi = np.datetime64(date_to, "us")
     bands = np.array(["FAST", "NORMAL", "SLOW"])
 
-    def line_rows(t: pa.Table) -> pa.Table:
-        sd = t.column("l_shipdate").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array((sd >= lo) & (sd < hi)))
-        return pa.table({
-            "okey": t.column("l_orderkey"),
-            "ship": t.column("l_shipdate"),
-            "o_orderpriority": pa.nulls(t.num_rows, pa.string()),
-            "odate": pa.nulls(t.num_rows, pa.timestamp("us")),
-            "side": pa.array(np.zeros(t.num_rows, np.int8)),
-        })
-
-    lines = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_shipdate"]
-    ).map_batches(line_rows, batch_format="pyarrow")
-
-    def order_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "okey": t.column("o_orderkey"),
-            "ship": pa.nulls(t.num_rows, pa.timestamp("us")),
-            "o_orderpriority": t.column("o_orderpriority"),
-            "odate": t.column("o_orderdate"),
-            "side": pa.array(np.ones(t.num_rows, np.int8)),
-        })
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
-    ).map_batches(order_rows, batch_format="pyarrow")
-
-    def band_partial(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        ln = g.filter(pa.array(side == 0))
-        o = g.filter(pa.array(side == 1))
+    def band_partial(ln: pa.Table, o: pa.Table) -> pa.Table:
         if ln.num_rows == 0:
             return pa.table({"delay_band": pa.array([], pa.string()),
                              "high_line_count": pa.array([], pa.int64()),
                              "low_line_count": pa.array([], pa.int64())})
-        ok = o.column("okey").to_numpy(zero_copy_only=False)
+        ok = o.column("o_orderkey").to_numpy(zero_copy_only=False)
         order = np.argsort(ok, kind="stable")
         ok = ok[order]
-        od = o.column("odate").to_numpy(zero_copy_only=False)[order]
+        od = o.column("o_orderdate").to_numpy(zero_copy_only=False)[order]
         prio = o.column("o_orderpriority").to_numpy(
             zero_copy_only=False)[order]
         is_high = (prio == "1-URGENT") | (prio == "2-HIGH")
-        lk = ln.column("okey").to_numpy(zero_copy_only=False)
-        ls = ln.column("ship").to_numpy(zero_copy_only=False)
+        lk = ln.column("l_orderkey").to_numpy(zero_copy_only=False)
+        ls = ln.column("l_shipdate").to_numpy(zero_copy_only=False)
         pos, hit = _map_keys(ok, np.arange(len(ok)), lk)
         if not hit.all():
             raise ValueError("lineitem orderkey absent from orders — "
@@ -1126,8 +919,15 @@ def ship_delay_priority(sf_dir: str, date_from: str = "1996-01-01",
             "low_line_count": pa.array(counts[0::2][present]),
         })
 
+    ship = pads.field("l_shipdate")
     parts = exchange.file_exchange_map_groups(
-        lines.union(orders), band_partial, keys=["okey"])
+        (exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                       ["l_orderkey", "l_shipdate"],
+                       filter=(ship >= pa.scalar(lo))
+                       & (ship < pa.scalar(hi))),
+         exchange.leaf(f"{sf_dir}/orders.parquet",
+                       ["o_orderkey", "o_orderdate", "o_orderpriority"])),
+        band_partial, keys=(["l_orderkey"], ["o_orderkey"]))
     return ray.data.from_arrow(_fold_partials(
         parts, ["delay_band"], ["high_line_count", "low_line_count"],
         pa.table({"delay_band": pa.array([], pa.string()),
@@ -1141,22 +941,22 @@ def _ship_years(t: pa.Table) -> np.ndarray:
     return sd.astype("datetime64[Y]").astype(np.int64) + 1970
 
 
-def _lines_with_supp_nation(sf_dir: str, lines_proj: ray.data.Dataset,
-                            proj_fields: "list[tuple[str, pa.DataType]]",
-                            line_partial, broadcast_threshold: int
-                            ) -> ray.data.Dataset:
-    """Run ``line_partial(batch, s_nationkey_per_row)`` over projected
-    lineitem batches with the supplier's nationkey attached — the
-    SIZE-GATED dimension attach shared by the Q7/Q8-flavor queries.
-    ``lines_proj`` batches must carry ``l_suppkey`` plus exactly
-    ``proj_fields``; rows without a supplier match are dropped.
+def _lines_with_supp_nation(sf_dir: str, lines: "exchange.Leaf",
+                            line_project, line_partial,
+                            broadcast_threshold: int
+                            ) -> "list[ray.ObjectRef]":
+    """Refs of ``line_partial(batch, s_nationkey_per_row)`` over the
+    ``line_project``-ed lineitem leaf with the supplier's nationkey
+    attached — the SIZE-GATED dimension attach shared by the Q7/Q8-
+    flavor queries. ``line_project`` must keep ``l_suppkey``; rows
+    without a supplier match are dropped.
 
     Under ``broadcast_threshold`` supplier rows, the sorted
     (suppkey -> nationkey) lookup is ONE ``ray.put`` broadcast and the
-    attach is a per-batch searchsorted (zero exchanges added). Above,
-    supplier never leaves the cluster: a co-partitioned union-tag
-    exchange keyed on suppkey meets the projected fact rows with
-    the (suppkey, nationkey) pairs — one exchange added, O(supplier +
+    attach is a per-block searchsorted (``map_blocks``, zero exchanges
+    added). Above, supplier never leaves the cluster: a co-group keyed
+    on suppkey meets the projected fact rows with the (suppkey,
+    nationkey) pairs — one exchange added, O(supplier +
     projected-fact) rows moved."""
     import pyarrow.parquet as pq
 
@@ -1170,41 +970,24 @@ def _lines_with_supp_nation(sf_dir: str, lines_proj: ray.data.Dataset,
         supp_ref = ray.put((sk, sv))
 
         def attach_snat_bc(t: pa.Table) -> pa.Table:
+            t = line_project(t)
             sk_, sv_ = ray.get(supp_ref)
             keys = t.column("l_suppkey").to_numpy(zero_copy_only=False)
             mapped, hit = _map_keys(sk_, sv_, keys)
             return line_partial(t.filter(pa.array(hit)), mapped[hit])
 
-        return lines_proj.map_batches(attach_snat_bc,
-                                      batch_format="pyarrow")
+        return exchange.map_blocks(lines, attach_snat_bc)
 
-    # union-tag exchange keyed on suppkey — supplier stays
-    # distributed; only its (suppkey, nationkey) pairs move
+    # co-group keyed on suppkey — supplier stays distributed; only its
+    # (suppkey, nationkey) pairs move
     def supp_side(t: pa.Table) -> pa.Table:
-        cols = {
+        return pa.table({
             "l_suppkey": t.column("s_suppkey"),
             "snat": pa.array(t.column("s_nationkey").to_numpy(
                 zero_copy_only=False).astype(np.int64)),
-        }
-        for name, typ in proj_fields:
-            cols[name] = pa.nulls(t.num_rows, typ)
-        cols["sside"] = pa.array(np.zeros(t.num_rows, np.int8))
-        return pa.table(cols)
+        })
 
-    def line_side(t: pa.Table) -> pa.Table:
-        cols = {
-            "l_suppkey": t.column("l_suppkey"),
-            "snat": pa.nulls(t.num_rows, pa.int64()),
-        }
-        for name, _ in proj_fields:
-            cols[name] = t.column(name)
-        cols["sside"] = pa.array(np.ones(t.num_rows, np.int8))
-        return pa.table(cols)
-
-    def attach_snat_ex(g: pa.Table) -> pa.Table:
-        sside = g.column("sside").to_numpy(zero_copy_only=False)
-        su = g.filter(pa.array(sside == 0))
-        ln = g.filter(pa.array(sside == 1))
+    def attach_snat_ex(su: pa.Table, ln: pa.Table) -> pa.Table:
         sk_, sv_ = _sorted_lookup(
             su.column("l_suppkey").to_numpy(zero_copy_only=False),
             su.column("snat").to_numpy(zero_copy_only=False))
@@ -1212,14 +995,11 @@ def _lines_with_supp_nation(sf_dir: str, lines_proj: ray.data.Dataset,
         mapped, hit = _map_keys(sk_, sv_, keys)
         return line_partial(ln.filter(pa.array(hit)), mapped[hit])
 
-    supp_ds = (ray.data.read_parquet(
-                   f"{sf_dir}/supplier.parquet",
-                   columns=["s_suppkey", "s_nationkey"])
-               .map_batches(supp_side, batch_format="pyarrow"))
     return exchange.file_exchange_map_groups(
-        supp_ds.union(lines_proj.map_batches(line_side,
-                                             batch_format="pyarrow")),
-        attach_snat_ex, keys=["l_suppkey"])
+        (exchange.leaf(f"{sf_dir}/supplier.parquet",
+                       ["s_suppkey", "s_nationkey"]), lines),
+        attach_snat_ex, keys=["l_suppkey"],
+        pre=(supp_side, line_project)).refs
 
 
 def volume_shipping(sf_dir: str, year_from: int = 1995,
@@ -1236,14 +1016,14 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
     attach is SIZE-GATED like revenue_by_nation's: under
     ``broadcast_threshold`` rows the (key -> nationkey) lookup is one
     ``ray.put`` broadcast; above it the dimension never leaves the
-    cluster — a co-partitioned union-tag exchange keyed on the key
-    (suppkey for lineitem, custkey for orders) attaches the nationkey.
-    Either way the FINAL exchange is one co-partitioned union-tag
-    exchange keyed on orderkey where per-order customer nation
-    meets the per-(order, supp-nation, year) revenue partials; only
-    encoded (cell, rev_c) partials — <=1250 rows per partition — reach
-    the driver fold. Both gate paths are value-identical (pinned by
-    tests/test_analytics.py)."""
+    cluster — a co-group keyed on suppkey (lineitem) or an ``fx_join``
+    keyed on custkey (orders) attaches the nationkey. Either way the
+    FINAL exchange is one co-partitioned co-group keyed on orderkey
+    where per-order customer nation meets the per-(order, supp-nation,
+    year) revenue partials; only encoded (cell, rev_c) partials —
+    <=1250 rows per partition — reach the driver fold. Both gate paths
+    are value-identical (pinned by tests/test_analytics.py)."""
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
     lo = np.datetime64(f"{year_from}-01-01", "us")
     hi = np.datetime64(f"{year_to}-01-01", "us")
@@ -1255,10 +1035,9 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
     names[nat["n_nationkey"].to_numpy()] = nat["n_name"].to_numpy()
 
     def line_project(t: pa.Table) -> pa.Table:
-        """Window-filter lineitem and project to the join-ready shape
-        (l_suppkey, l_orderkey, yidx, rev_c) shared by both gate paths."""
-        sd = t.column("l_shipdate").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array((sd >= lo) & (sd < hi)))
+        """Project window-filtered lineitem to the join-ready shape
+        (l_suppkey, l_orderkey, yidx, rev_c) shared by both gate
+        paths."""
         return pa.table({
             "l_suppkey": t.column("l_suppkey"),
             "l_orderkey": t.column("l_orderkey"),
@@ -1268,41 +1047,29 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
 
     def line_partial(t: pa.Table, snat: np.ndarray) -> pa.Table:
         """Per-block combine of (orderkey, supp-nation, year) revenue —
-        the partials the final orderkey exchange consumes (side=0)."""
+        the partials the final orderkey exchange consumes."""
         ok = t.column("l_orderkey").to_numpy(zero_copy_only=False)
         yi = t.column("yidx").to_numpy(zero_copy_only=False)
         rv = t.column("rev_c").to_numpy(zero_copy_only=False)
         cell = (ok * nn + snat) * n_years + yi
         ucell, sums = _sorted_group_reduce(cell, rv.astype(np.int64))
-        uok = ucell // (nn * n_years)
         return pa.table({
-            "o_orderkey": pa.array(uok),
+            "o_orderkey": pa.array(ucell // (nn * n_years)),
             "scell": pa.array(ucell % (nn * n_years)),
             "rev_c": pa.array(sums.astype(np.int64)),
-            "cnat": pa.nulls(len(uok), pa.int64()),
-            "side": pa.array(np.zeros(len(uok), np.int8)),
         })
 
-    lines_proj = (ray.data.read_parquet(
-                      f"{sf_dir}/lineitem.parquet",
-                      columns=["l_suppkey", "l_orderkey", "l_shipdate",
-                               "l_extendedprice", "l_discount"])
-                  .map_batches(line_project, batch_format="pyarrow"))
+    ship = pads.field("l_shipdate")
     lines = _lines_with_supp_nation(
-        sf_dir, lines_proj,
-        [("l_orderkey", pa.int64()), ("yidx", pa.int64()),
-         ("rev_c", pa.int64())],
-        line_partial, broadcast_threshold)
+        sf_dir, exchange.leaf(
+            f"{sf_dir}/lineitem.parquet",
+            ["l_suppkey", "l_orderkey", "l_shipdate", "l_extendedprice",
+             "l_discount"],
+            filter=(ship >= pa.scalar(lo)) & (ship < pa.scalar(hi))),
+        line_project, line_partial, broadcast_threshold)
 
-    def orders_out(t: pa.Table, cnat: np.ndarray) -> pa.Table:
-        return pa.table({
-            "o_orderkey": t.column("o_orderkey"),
-            "scell": pa.nulls(t.num_rows, pa.int64()),
-            "rev_c": pa.nulls(t.num_rows, pa.int64()),
-            "cnat": pa.array(cnat.astype(np.int64)),
-            "side": pa.array(np.ones(t.num_rows, np.int8)),
-        })
-
+    orders_leaf = exchange.leaf(f"{sf_dir}/orders.parquet",
+                                ["o_orderkey", "o_custkey"])
     if _table_rows(f"{sf_dir}/customer.parquet") <= broadcast_threshold:
         cust = pq.read_table(f"{sf_dir}/customer.parquet",
                              columns=["c_custkey", "c_nationkey"]
@@ -1312,62 +1079,33 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
             cust["c_nationkey"].to_numpy().astype(np.int64))
         cust_ref = ray.put((ck, cv))
 
-        def tag_orders(t: pa.Table) -> pa.Table:
+        def attach_cnat(t: pa.Table) -> pa.Table:
             ck_, cv_ = ray.get(cust_ref)
             keys = t.column("o_custkey").to_numpy(zero_copy_only=False)
             mapped, hit = _map_keys(ck_, cv_, keys)
-            return orders_out(t.filter(pa.array(hit)), mapped[hit])
+            return pa.table({
+                "o_orderkey": t.column("o_orderkey").filter(pa.array(hit)),
+                "cnat": pa.array(mapped[hit].astype(np.int64))})
 
-        orders = (ray.data.read_parquet(
-                      f"{sf_dir}/orders.parquet",
-                      columns=["o_orderkey", "o_custkey"])
-                  .map_batches(tag_orders, batch_format="pyarrow"))
+        orders, ord_pre = orders_leaf, attach_cnat
     else:
-        # union-tag exchange keyed on custkey, as in revenue_by_nation
+        # an inner join keyed on custkey, as in revenue_by_nation
         def cust_side(t: pa.Table) -> pa.Table:
             return pa.table({
                 "o_custkey": t.column("c_custkey"),
-                "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
                 "cnat": pa.array(
                     t.column("c_nationkey").to_numpy(
                         zero_copy_only=False).astype(np.int64)),
-                "cside": pa.array(np.zeros(t.num_rows, np.int8)),
             })
 
-        def ord_side(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "o_custkey": t.column("o_custkey"),
-                "o_orderkey": t.column("o_orderkey"),
-                "cnat": pa.nulls(t.num_rows, pa.int64()),
-                "cside": pa.array(np.ones(t.num_rows, np.int8)),
-            })
+        orders = exchange.fx_join(
+            orders_leaf,
+            exchange.leaf(f"{sf_dir}/customer.parquet",
+                          ["c_custkey", "c_nationkey"]),
+            on="o_custkey", how="inner", pre=(None, cust_side)).refs
+        ord_pre = None
 
-        def attach_cnat(g: pa.Table) -> pa.Table:
-            cside = g.column("cside").to_numpy(zero_copy_only=False)
-            cu = g.filter(pa.array(cside == 0))
-            od = g.filter(pa.array(cside == 1))
-            ck_, cv_ = _sorted_lookup(
-                cu.column("o_custkey").to_numpy(zero_copy_only=False),
-                cu.column("cnat").to_numpy(zero_copy_only=False))
-            keys = od.column("o_custkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(ck_, cv_, keys)
-            return orders_out(od.filter(pa.array(hit)), mapped[hit])
-
-        cust_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/customer.parquet",
-                       columns=["c_custkey", "c_nationkey"])
-                   .map_batches(cust_side, batch_format="pyarrow"))
-        ord_ds = (ray.data.read_parquet(
-                      f"{sf_dir}/orders.parquet",
-                      columns=["o_orderkey", "o_custkey"])
-                  .map_batches(ord_side, batch_format="pyarrow"))
-        orders = exchange.file_exchange_map_groups(
-            cust_ds.union(ord_ds), attach_cnat, keys=["o_custkey"])
-
-    def join_agg(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        ln = g.filter(pa.array(side == 0))
-        od = g.filter(pa.array(side == 1))
+    def join_agg(ln: pa.Table, od: pa.Table) -> pa.Table:
         ok, cn = _sorted_lookup(
             od.column("o_orderkey").to_numpy(zero_copy_only=False),
             od.column("cnat").to_numpy(zero_copy_only=False))
@@ -1382,7 +1120,8 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
         return pa.table({"cell": pa.array(gi), "rev_c": pa.array(sums)})
 
     joined = exchange.file_exchange_map_groups(
-        lines.union(orders), join_agg, keys=["o_orderkey"])
+        (lines, orders), join_agg, keys=["o_orderkey"],
+        pre=(None, ord_pre))
     empty = pa.table({"cell": pa.array([], pa.int64()),
                       "rev_c": pa.array([], pa.int64())})
     folded = _fold_partials(joined, ["cell"], ["rev_c"], empty)
@@ -1408,8 +1147,8 @@ def brand_revenue_by_year(sf_dir: str,
     attach is SIZE-GATED. Under ``broadcast_threshold`` rows the
     (partkey -> brand) lookup broadcasts once and the whole query is
     ZERO exchanges (per-block partials + driver fold of O(brands x
-    years x blocks) rows). Above, ONE co-partitioned union-tag
-    exchange keyed on partkey attaches the brand string to
+    years x blocks) rows). Above, ONE co-partitioned co-group keyed
+    on partkey attaches the brand string to
     per-(partkey, year) revenue partials; only (brand, year, rev_c)
     rows leave each partition. Both paths value-identical (pinned by
     tests/test_analytics.py)."""
@@ -1445,44 +1184,28 @@ def brand_revenue_by_year(sf_dir: str,
                                       _ship_years(t)[hit],
                                       _rev_cents(t)[hit])
 
-        parts = (ray.data.read_parquet(
-                     f"{sf_dir}/lineitem.parquet",
-                     columns=["l_partkey", "l_shipdate",
-                              "l_extendedprice", "l_discount"])
-                 .map_batches(partial, batch_format="pyarrow"))
+        parts = exchange.map_blocks(exchange.leaf(
+            f"{sf_dir}/lineitem.parquet",
+            ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"]),
+            partial)
     else:
-        def part_side(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "pkey": t.column("p_partkey"),
-                "p_brand": t.column("p_brand"),
-                "l_year": pa.nulls(t.num_rows, pa.int64()),
-                "revenue_c": pa.nulls(t.num_rows, pa.int64()),
-                "side": pa.array(np.zeros(t.num_rows, np.int8)),
-            })
-
         def line_side(t: pa.Table) -> pa.Table:
-            """Per-block (partkey, year) revenue partials, exchange-tagged.
-            Sort+reduceat, NOT _int_sum_by: the cell ids are sparse
-            (partkey-scaled), so a dense accumulator would allocate
-            max_partkey x 4096 int64s per block."""
+            """Per-block (partkey, year) revenue partials. Sort+reduceat,
+            NOT _int_sum_by: the cell ids are sparse (partkey-scaled),
+            so a dense accumulator would allocate max_partkey x 4096
+            int64s per block."""
             pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
             cell = pk * 4096 + (_ship_years(t) - 1970)
             gi, sums = _sorted_group_reduce(cell, _rev_cents(t))
-            upk = gi // 4096
             return pa.table({
-                "pkey": pa.array(upk),
-                "p_brand": pa.nulls(len(upk), pa.string()),
+                "pkey": pa.array(gi // 4096),
                 "l_year": pa.array((gi % 4096) + 1970),
                 "revenue_c": pa.array(sums),
-                "side": pa.array(np.ones(len(upk), np.int8)),
             })
 
-        def attach_brand(g: pa.Table) -> pa.Table:
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            pt = g.filter(pa.array(side == 0))
-            ln = g.filter(pa.array(side == 1))
+        def attach_brand(pt: pa.Table, ln: pa.Table) -> pa.Table:
             pk_, bv_ = _sorted_lookup(
-                pt.column("pkey").to_numpy(zero_copy_only=False),
+                pt.column("p_partkey").to_numpy(zero_copy_only=False),
                 pt.column("p_brand").to_numpy(zero_copy_only=False))
             keys = ln.column("pkey").to_numpy(zero_copy_only=False)
             mapped, hit = _map_keys(pk_, bv_, keys)
@@ -1491,17 +1214,14 @@ def brand_revenue_by_year(sf_dir: str,
                 ln.column("l_year").to_numpy(zero_copy_only=False)[hit],
                 ln.column("revenue_c").to_numpy(zero_copy_only=False)[hit])
 
-        part_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/part.parquet",
-                       columns=["p_partkey", "p_brand"])
-                   .map_batches(part_side, batch_format="pyarrow"))
-        line_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/lineitem.parquet",
-                       columns=["l_partkey", "l_shipdate",
-                                "l_extendedprice", "l_discount"])
-                   .map_batches(line_side, batch_format="pyarrow"))
         parts = exchange.file_exchange_map_groups(
-            part_ds.union(line_ds), attach_brand, keys=["pkey"])
+            (exchange.leaf(f"{sf_dir}/part.parquet",
+                           ["p_partkey", "p_brand"]),
+             exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                           ["l_partkey", "l_shipdate", "l_extendedprice",
+                            "l_discount"])),
+            attach_brand, keys=(["p_partkey"], ["pkey"]),
+            pre=(None, line_side))
 
     return ray.data.from_arrow(_fold_partials(
         parts, ["p_brand", "l_year"], ["revenue_c"],
@@ -1640,64 +1360,41 @@ def large_orders(sf_dir: str, min_qty_c: int = 25_000) -> ray.data.Dataset:
     o_orderpriority, sum_qty_c).
 
     Scale shape: per-block per-order quantity partials shrink the fact
-    side before the ONE co-partitioned union-tag exchange on
-    keyed on orderkey, where the order's attributes meet its finished
-    quantity sum; each partition emits only its over-threshold rows
-    (the HAVING filter runs distributed, the driver never folds)."""
+    side before the ONE co-partitioned co-group keyed on orderkey,
+    where the order's attributes meet its finished quantity sum; each
+    partition emits only its over-threshold rows (the HAVING filter
+    runs distributed, the driver never folds)."""
 
     def qty_partial(t: pa.Table) -> pa.Table:
         g = pa.table({"k": t.column("l_orderkey"),
                       "q": pa.array(_cents(t.column("l_quantity")))})
         agg = g.group_by("k").aggregate([("q", "sum")])
-        keys = agg.column("k").to_numpy(zero_copy_only=False)
-        n = len(keys)
-        return pa.table({
-            "okey": agg.column("k"),
-            "qty_c": agg.column("q_sum"),
-            "o_orderdate": pa.nulls(n, pa.timestamp("us")),
-            "o_orderpriority": pa.nulls(n, pa.string()),
-            "side": pa.array(np.zeros(n, np.int8)),
-        })
+        return pa.table({"okey": agg.column("k"),
+                         "qty_c": agg.column("q_sum")})
 
-    def order_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "okey": t.column("o_orderkey"),
-            "qty_c": pa.nulls(t.num_rows, pa.int64()),
-            "o_orderdate": t.column("o_orderdate"),
-            "o_orderpriority": t.column("o_orderpriority"),
-            "side": pa.array(np.ones(t.num_rows, np.int8)),
-        })
-
-    def finish(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        lp = g.filter(pa.array(side == 0))
-        od = g.filter(pa.array(side == 1))
+    def finish(lp: pa.Table, od: pa.Table) -> pa.Table:
         lk = lp.column("okey").to_numpy(zero_copy_only=False)
         lq = lp.column("qty_c").to_numpy(zero_copy_only=False)
         # empty-safe: an order without line items lands here alone
         uk, sums = _sorted_group_reduce(lk, lq.astype(np.int64))
         big = sums > min_qty_c
-        ok = od.column("okey").to_numpy(zero_copy_only=False)
+        ok = od.column("o_orderkey").to_numpy(zero_copy_only=False)
         mapped, hit = _map_keys(uk[big], sums[big], ok)
         sel = od.filter(pa.array(hit))
         return pa.table({
-            "o_orderkey": sel.column("okey"),
+            "o_orderkey": sel.column("o_orderkey"),
             "o_orderdate": sel.column("o_orderdate"),
             "o_orderpriority": sel.column("o_orderpriority"),
             "sum_qty_c": pa.array(mapped[hit]),
         })
 
-    lines = (ray.data.read_parquet(
-                 f"{sf_dir}/lineitem.parquet",
-                 columns=["l_orderkey", "l_quantity"])
-             .map_batches(qty_partial, batch_format="pyarrow"))
-    orders = (ray.data.read_parquet(
-                  f"{sf_dir}/orders.parquet",
-                  columns=["o_orderkey", "o_orderdate",
-                           "o_orderpriority"])
-              .map_batches(order_rows, batch_format="pyarrow"))
-    return exchange.file_exchange_map_groups(lines.union(orders), finish,
-                                             keys=["okey"])
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        (exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                       ["l_orderkey", "l_quantity"]),
+         exchange.leaf(f"{sf_dir}/orders.parquet",
+                       ["o_orderkey", "o_orderdate", "o_orderpriority"])),
+        finish, keys=(["okey"], ["o_orderkey"]),
+        pre=(qty_partial, None)).refs)
 
 
 def nation_market_share(sf_dir: str, nation: str = "NATION_0",
@@ -1716,6 +1413,7 @@ def nation_market_share(sf_dir: str, nation: str = "NATION_0",
     which each block collapses to <= 2 x years partial rows
     ((year, is_target) revenue sums) — the driver folds O(years x
     blocks) four-int rows, no further exchange."""
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_name"]).to_pandas()
@@ -1728,8 +1426,6 @@ def nation_market_share(sf_dir: str, nation: str = "NATION_0",
     n_years = year_to - year_from
 
     def line_project(t: pa.Table) -> pa.Table:
-        sd = t.column("l_shipdate").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array((sd >= lo) & (sd < hi)))
         return pa.table({
             "l_suppkey": t.column("l_suppkey"),
             "yidx": pa.array(_ship_years(t) - year_from),
@@ -1743,15 +1439,13 @@ def nation_market_share(sf_dir: str, nation: str = "NATION_0",
         gi, sums, _ = _int_sum_by(cell, rv)
         return pa.table({"cell": pa.array(gi), "rev_c": pa.array(sums)})
 
-    lines_proj = (ray.data.read_parquet(
-                      f"{sf_dir}/lineitem.parquet",
-                      columns=["l_suppkey", "l_shipdate",
-                               "l_extendedprice", "l_discount"])
-                  .map_batches(line_project, batch_format="pyarrow"))
+    ship = pads.field("l_shipdate")
     parts = _lines_with_supp_nation(
-        sf_dir, lines_proj,
-        [("yidx", pa.int64()), ("rev_c", pa.int64())],
-        line_partial, broadcast_threshold)
+        sf_dir, exchange.leaf(
+            f"{sf_dir}/lineitem.parquet",
+            ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
+            filter=(ship >= pa.scalar(lo)) & (ship < pa.scalar(hi))),
+        line_project, line_partial, broadcast_threshold)
     folded = _fold_partials(parts, ["cell"], ["rev_c"], pa.table({
         "cell": pa.array([], pa.int64()),
         "rev_c": pa.array([], pa.int64())}))
@@ -1781,34 +1475,20 @@ def customer_order_distribution(sf_dir: str) -> ray.data.Dataset:
     Returns (n_orders, n_customers).
 
     Scale shape: orders shrink to per-block per-custkey count partials
-    before the ONE co-partitioned union-tag exchange on
-    keyed on custkey; each partition finishes its customers' counts
-    (searchsorted against the folded partials, misses = 0) and
-    collapses to an (n_orders, n_customers) histogram partial — the
-    driver folds O(max_orders_per_customer x P) two-int rows. Neither
-    table is broadcast or materialized anywhere."""
+    before the ONE co-partitioned co-group keyed on custkey; each
+    partition finishes its customers' counts (searchsorted against the
+    folded partials, misses = 0) and collapses to an (n_orders,
+    n_customers) histogram partial — the driver folds
+    O(max_orders_per_customer x P) two-int rows. Neither table is
+    broadcast or materialized anywhere."""
 
     def order_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"k": t.column("o_custkey")})
-        agg = g.group_by("k").aggregate([("k", "count")])
-        keys = agg.column("k").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ckey": agg.column("k"),
-            "n": agg.column("k_count").cast(pa.int64()),
-            "side": pa.array(np.zeros(len(keys), np.int8)),
-        })
+        agg = pa.table({"k": t.column("o_custkey")}).group_by("k") \
+            .aggregate([("k", "count")])
+        return pa.table({"ckey": agg.column("k"),
+                         "n": agg.column("k_count").cast(pa.int64())})
 
-    def cust_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "ckey": t.column("c_custkey"),
-            "n": pa.nulls(t.num_rows, pa.int64()),
-            "side": pa.array(np.ones(t.num_rows, np.int8)),
-        })
-
-    def hist_partial(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        op = g.filter(pa.array(side == 0))
-        cu = g.filter(pa.array(side == 1))
+    def hist_partial(op: pa.Table, cu: pa.Table) -> pa.Table:
         if cu.num_rows == 0:
             return pa.table({"n_orders": pa.array([], pa.int64()),
                              "n_customers": pa.array([], pa.int64())})
@@ -1816,7 +1496,7 @@ def customer_order_distribution(sf_dir: str) -> ray.data.Dataset:
             op.column("ckey").to_numpy(zero_copy_only=False),
             op.column("n").to_numpy(zero_copy_only=False)
             .astype(np.int64))
-        probe = cu.column("ckey").to_numpy(zero_copy_only=False)
+        probe = cu.column("c_custkey").to_numpy(zero_copy_only=False)
         mapped, hit = _map_keys(uk, sums, probe)
         counts = np.where(hit, mapped, 0)      # LEFT JOIN: miss -> 0
         un, idx = np.unique(counts, return_inverse=True)
@@ -1826,14 +1506,11 @@ def customer_order_distribution(sf_dir: str) -> ray.data.Dataset:
                 idx, minlength=len(un)).astype(np.int64)),
         })
 
-    orders = (ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                    columns=["o_custkey"])
-              .map_batches(order_partial, batch_format="pyarrow"))
-    cust = (ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                  columns=["c_custkey"])
-            .map_batches(cust_rows, batch_format="pyarrow"))
     parts = exchange.file_exchange_map_groups(
-        orders.union(cust), hist_partial, keys=["ckey"])
+        (exchange.leaf(f"{sf_dir}/orders.parquet", ["o_custkey"]),
+         exchange.leaf(f"{sf_dir}/customer.parquet", ["c_custkey"])),
+        hist_partial, keys=(["ckey"], ["c_custkey"]),
+        pre=(order_partial, None))
     return ray.data.from_arrow(_fold_partials(
         parts, ["n_orders"], ["n_customers"],
         pa.table({"n_orders": pa.array([], pa.int64()),
@@ -1861,7 +1538,7 @@ def banded_part_revenue(sf_dir: str,
     one int64 per part whose bit b says 'this part satisfies band b's
     part-attribute half'. Under ``broadcast_threshold`` part rows the
     mask lookup broadcasts (zero exchanges); above, ONE co-partitioned
-    union-tag exchange keyed on partkey meets the narrow
+    co-group keyed on partkey meets the narrow
     (partkey, qty, rev) line triples. Either way the quantity half
     tests vectorized against the bitmask and each partition emits one
     two-int partial."""
@@ -1908,37 +1585,27 @@ def banded_part_revenue(sf_dir: str,
             sel = hit & line_hits(qty, np.where(hit, mapped, 0))
             return fold(_rev_cents(t), sel)
 
-        parts = (ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                                       columns=line_cols)
-                 .map_batches(partial, batch_format="pyarrow"))
+        parts = exchange.map_blocks(exchange.leaf(
+            f"{sf_dir}/lineitem.parquet", line_cols), partial)
     else:
         def part_side(t: pa.Table) -> pa.Table:
             mask = part_mask(
                 t.column("p_brand").to_numpy(zero_copy_only=False),
                 t.column("p_size").to_numpy(zero_copy_only=False))
             keep = mask != 0
-            t = t.filter(pa.array(keep))
             return pa.table({
-                "pkey": t.column("p_partkey"),
+                "pkey": t.column("p_partkey").filter(pa.array(keep)),
                 "mask": pa.array(mask[keep]),
-                "qty": pa.nulls(t.num_rows, pa.float64()),
-                "rev_c": pa.nulls(t.num_rows, pa.int64()),
-                "side": pa.array(np.zeros(t.num_rows, np.int8)),
             })
 
         def line_side(t: pa.Table) -> pa.Table:
             return pa.table({
                 "pkey": t.column("l_partkey"),
-                "mask": pa.nulls(t.num_rows, pa.int64()),
                 "qty": t.column("l_quantity").cast(pa.float64()),
                 "rev_c": pa.array(_rev_cents(t)),
-                "side": pa.array(np.ones(t.num_rows, np.int8)),
             })
 
-        def band_fold(g: pa.Table) -> pa.Table:
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            pt = g.filter(pa.array(side == 0))
-            ln = g.filter(pa.array(side == 1))
+        def band_fold(pt: pa.Table, ln: pa.Table) -> pa.Table:
             pk_, mv_ = _sorted_lookup(
                 pt.column("pkey").to_numpy(zero_copy_only=False),
                 pt.column("mask").to_numpy(zero_copy_only=False))
@@ -1949,15 +1616,11 @@ def banded_part_revenue(sf_dir: str,
             rev = ln.column("rev_c").to_numpy(zero_copy_only=False)
             return fold(rev, sel)
 
-        part_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/part.parquet",
-                       columns=["p_partkey", "p_brand", "p_size"])
-                   .map_batches(part_side, batch_format="pyarrow"))
-        line_ds = (ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                                         columns=line_cols)
-                   .map_batches(line_side, batch_format="pyarrow"))
         parts = exchange.file_exchange_map_groups(
-            part_ds.union(line_ds), band_fold, keys=["pkey"])
+            (exchange.leaf(f"{sf_dir}/part.parquet",
+                           ["p_partkey", "p_brand", "p_size"]),
+             exchange.leaf(f"{sf_dir}/lineitem.parquet", line_cols)),
+            band_fold, keys=["pkey"], pre=(part_side, line_side))
     pt = _concat_nonempty(parts, pa.table({
         "revenue_c": pa.array([], pa.int64()),
         "n_lines": pa.array([], pa.int64())}))
@@ -1985,12 +1648,12 @@ def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
     the INTEGER-EXACT cross-multiplication ``acctbal_c * n > sum_c`` so
     no float average ever exists). Pass 2: per-block (custkey, n)
     order-count partials from the date-filtered orders read meet
-    threshold-filtered customers in ONE co-partitioned union-tag
-    exchange keyed on custkey; each partition sums its key's
-    partials with one sort+reduceat and collapses straight to
-    (segment, n, sum) partials, so the driver folds
-    O(segments x partitions) rows, never customers."""
-    cutoff = np.datetime64(since, "us")
+    threshold-filtered customers in ONE co-partitioned co-group keyed
+    on custkey; each partition sums its key's partials with one
+    sort+reduceat and collapses straight to (segment, n, sum)
+    partials, so the driver folds O(segments x partitions) rows, never
+    customers."""
+    import pyarrow.dataset as pads
 
     def bal_partial(t: pa.Table) -> pa.Table:
         b = _cents(t.column("c_acctbal"))
@@ -1999,58 +1662,35 @@ def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
                          "n": pa.array([len(pos)])})
 
     stats = _concat_nonempty(
-        ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                              columns=["c_acctbal"])
-        .map_batches(bal_partial, batch_format="pyarrow"),
+        exchange.map_blocks(exchange.leaf(f"{sf_dir}/customer.parquet",
+                                          ["c_acctbal"]), bal_partial),
         pa.table({"s": pa.array([], pa.int64()),
                   "n": pa.array([], pa.int64())}))
     sum_c = int(stats.column("s").to_numpy().sum())
     n_pos = int(stats.column("n").to_numpy().sum())
 
     def order_counts(t: pa.Table) -> pa.Table:
-        od = t.column("o_orderdate").to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(od >= cutoff))
         keys, cnt = np.unique(t.column("o_custkey").to_numpy(
             zero_copy_only=False), return_counts=True)
-        n = len(keys)
-        return pa.table({
-            "c_custkey": pa.array(keys.astype(np.int64)),
-            "n_orders": pa.array(cnt.astype(np.int64)),
-            "c_mktsegment": pa.nulls(n, pa.string()),
-            "acctbal_c": pa.nulls(n, pa.int64()),
-            "side": pa.array(np.zeros(n, np.int8)),
-        })
+        return pa.table({"c_custkey": pa.array(keys.astype(np.int64)),
+                         "n_orders": pa.array(cnt.astype(np.int64))})
 
-    probe = (ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey", "o_orderdate"])
-             .map_batches(order_counts, batch_format="pyarrow"))
-
-    def tag_cust(t: pa.Table) -> pa.Table:
+    def rich_cust(t: pa.Table) -> pa.Table:
         b = _cents(t.column("c_acctbal"))
-        t = t.filter(pa.array(b * n_pos > sum_c))
-        keys = t.column("c_custkey").to_numpy(zero_copy_only=False)
+        keep = b * n_pos > sum_c
         return pa.table({
-            "c_custkey": t.column("c_custkey"),
-            "n_orders": pa.nulls(len(keys), pa.int64()),
-            "c_mktsegment": t.column("c_mktsegment"),
-            "acctbal_c": pa.array(_cents(t.column("c_acctbal"))),
-            "side": pa.array(np.ones(len(keys), np.int8)),
+            "c_custkey": t.column("c_custkey").filter(pa.array(keep)),
+            "c_mktsegment": t.column("c_mktsegment").filter(
+                pa.array(keep)),
+            "acctbal_c": pa.array(b[keep]),
         })
 
-    cust = (ray.data.read_parquet(
-                f"{sf_dir}/customer.parquet",
-                columns=["c_custkey", "c_mktsegment", "c_acctbal"])
-            .map_batches(tag_cust, batch_format="pyarrow"))
-
-    def lapsed_rollup(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        ob = g.filter(pa.array(side == 0))
+    def lapsed_rollup(ob: pa.Table, c: pa.Table) -> pa.Table:
         okeys, osums = _sorted_group_reduce(
             ob.column("c_custkey").to_numpy(zero_copy_only=False),
             ob.column("n_orders").to_numpy(
                 zero_copy_only=False).astype(np.int64))
         busy = okeys[osums > max_orders]
-        c = g.filter(pa.array(side == 1))
         keys = c.column("c_custkey").to_numpy(zero_copy_only=False)
         _, hit = _map_keys(busy, busy, keys)
         c = c.filter(pa.array(~hit))
@@ -2066,7 +1706,12 @@ def lapsed_rich_customers(sf_dir: str, since: str = "1998-01-01",
         })
 
     parts = exchange.file_exchange_map_groups(
-        probe.union(cust), lapsed_rollup, keys=["c_custkey"])
+        (exchange.leaf(f"{sf_dir}/orders.parquet", ["o_custkey"],
+                       filter=pads.field("o_orderdate")
+                       >= pa.scalar(np.datetime64(since, "us"))),
+         exchange.leaf(f"{sf_dir}/customer.parquet",
+                       ["c_custkey", "c_mktsegment", "c_acctbal"])),
+        lapsed_rollup, keys=["c_custkey"], pre=(order_counts, rich_cust))
     return ray.data.from_arrow(_fold_partials(
         parts, ["c_mktsegment"], ["n_customers", "sum_acctbal_c"],
         pa.table({"c_mktsegment": pa.array([], pa.string()),
@@ -2082,8 +1727,8 @@ def important_parts(sf_dir: str, share_denom: int = 2000) -> ray.data.Dataset:
     cross-multiplication ``value_c * share_denom > total_c``.
 
     Scale shape: per-block (partkey, value_c) partials via one Arrow
-    group_by, ONE co-partitioned union-free exchange on
-    keyed on partkey finishes the per-part sums; that intermediate
+    group_by, ONE exchange keyed on partkey finishes the per-part
+    sums; that intermediate
     (#parts rows, far smaller than lineitem) is MATERIALIZED in the
     object store because the global total — a driver scalar folded
     from it — must exist before the distributed filter can stream the
@@ -2127,42 +1772,30 @@ def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1"
 
     Scale shape: lineitem shrinks to per-block DISTINCT (partkey,
     suppkey) pairs before anything moves (one Arrow group_by). The
-    part attributes attach in ONE co-partitioned union-tag exchange on
-    keyed on partkey — the excluded brand is filtered at the part
-    read, so its pairs drop out as join misses. The per-partition
-    output is the partition's DISTINCT (brand, size, suppkey) triples,
-    and the SECOND exchange keyed on brand, size counts each
-    group's distinct suppliers with one lexsort — the classic
-    two-round distributed COUNT(DISTINCT) (pairs never fan out, no
-    all-pairs stage, no driver fold)."""
+    part attributes attach in ONE co-partitioned co-group keyed on
+    partkey — the excluded brand is filtered at the part read, so its
+    pairs drop out as join misses. The per-partition output is the
+    partition's DISTINCT (brand, size, suppkey) triples, and the
+    SECOND exchange keyed on brand, size counts each group's distinct
+    suppliers with one lexsort — the classic two-round distributed
+    COUNT(DISTINCT) (pairs never fan out, no all-pairs stage, no
+    driver fold)."""
+    import pyarrow.dataset as pads
 
     def pair_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
+        return pa.table({
             "pkey": t.column("l_partkey"),
             "skey": t.column("l_suppkey"),
         }).group_by(["pkey", "skey"]).aggregate([])
-        return pa.table({
-            "pkey": g.column("pkey"),
-            "skey": g.column("skey"),
-            "p_brand": pa.nulls(g.num_rows, pa.string()),
-            "p_size": pa.nulls(g.num_rows, pa.int64()),
-            "side": pa.array(np.ones(g.num_rows, np.int8)),
-        })
 
     def part_side(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.not_equal(t.column("p_brand"), exclude_brand))
         return pa.table({
             "pkey": t.column("p_partkey"),
-            "skey": pa.nulls(t.num_rows, pa.int64()),
             "p_brand": t.column("p_brand"),
             "p_size": t.column("p_size").cast(pa.int64()),
-            "side": pa.array(np.zeros(t.num_rows, np.int8)),
         })
 
-    def attach(g: pa.Table) -> pa.Table:
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        pt = g.filter(pa.array(side == 0))
-        ln = g.filter(pa.array(side == 1))
+    def attach(pt: pa.Table, ln: pa.Table) -> pa.Table:
         pk = pt.column("pkey").to_numpy(zero_copy_only=False)
         order = np.argsort(pk, kind="stable")
         pk_s = pk[order]
@@ -2192,18 +1825,15 @@ def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1"
             "supplier_cnt": agg.column("skey_count").cast(pa.int64()),
         })
 
-    pairs = (ray.data.read_parquet(
-                 f"{sf_dir}/lineitem.parquet",
-                 columns=["l_partkey", "l_suppkey"])
-             .map_batches(pair_partial, batch_format="pyarrow"))
-    parts = (ray.data.read_parquet(
-                 f"{sf_dir}/part.parquet",
-                 columns=["p_partkey", "p_brand", "p_size"])
-             .map_batches(part_side, batch_format="pyarrow"))
-    return exchange.file_exchange_map_groups(
-        exchange.file_exchange_map_groups(pairs.union(parts), attach,
-                                          keys=["pkey"]),
-        count_distinct, keys=["p_brand", "p_size"])
+    triples = exchange.file_exchange_map_groups(
+        (exchange.leaf(f"{sf_dir}/part.parquet",
+                       ["p_partkey", "p_brand", "p_size"],
+                       filter=pads.field("p_brand") != exclude_brand),
+         exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                       ["l_partkey", "l_suppkey"])),
+        attach, keys=["pkey"], pre=(part_side, pair_partial))
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        triples.refs, count_distinct, keys=["p_brand", "p_size"]).refs)
 
 
 def promo_revenue_share(sf_dir: str,
@@ -2223,7 +1853,7 @@ def promo_revenue_share(sf_dir: str,
     ``broadcast_threshold`` rows the (partkey -> is_promo) bitmap
     broadcasts once (ZERO exchanges: per-block month partials + driver
     fold of O(months x blocks) rows); above, ONE co-partitioned
-    union-tag exchange keyed on partkey attaches the flag to
+    co-group keyed on partkey attaches the flag to
     per-(partkey, month) revenue partials and only (month, promo_c,
     total_c) rows leave each partition."""
     import pyarrow.parquet as pq
@@ -2263,20 +1893,16 @@ def promo_revenue_share(sf_dir: str,
             return month_partial(ship_mcell(t)[hit], mapped[hit],
                                  _rev_cents(t)[hit])
 
-        parts = (ray.data.read_parquet(
-                     f"{sf_dir}/lineitem.parquet",
-                     columns=["l_partkey", "l_shipdate",
-                              "l_extendedprice", "l_discount"])
-                 .map_batches(partial, batch_format="pyarrow"))
+        parts = exchange.map_blocks(exchange.leaf(
+            f"{sf_dir}/lineitem.parquet",
+            ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"]),
+            partial)
     else:
         def part_side(t: pa.Table) -> pa.Table:
             return pa.table({
                 "pkey": t.column("p_partkey"),
                 "is_promo": pc.equal(t.column("p_type"),
                                      promo_type).cast(pa.int64()),
-                "mcell": pa.nulls(t.num_rows, pa.int64()),
-                "rev_c": pa.nulls(t.num_rows, pa.int64()),
-                "side": pa.array(np.zeros(t.num_rows, np.int8)),
             })
 
         def line_side(t: pa.Table) -> pa.Table:
@@ -2289,19 +1915,13 @@ def promo_revenue_share(sf_dir: str,
             pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
             cell = pk * (1 << 20) + (ship_mcell(t) + (1 << 19))
             gi, sums = _sorted_group_reduce(cell, _rev_cents(t))
-            upk = gi >> 20
             return pa.table({
-                "pkey": pa.array(upk),
-                "is_promo": pa.nulls(len(upk), pa.int64()),
+                "pkey": pa.array(gi >> 20),
                 "mcell": pa.array((gi & ((1 << 20) - 1)) - (1 << 19)),
                 "rev_c": pa.array(sums),
-                "side": pa.array(np.ones(len(upk), np.int8)),
             })
 
-        def attach_flag(g: pa.Table) -> pa.Table:
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            pt = g.filter(pa.array(side == 0))
-            ln = g.filter(pa.array(side == 1))
+        def attach_flag(pt: pa.Table, ln: pa.Table) -> pa.Table:
             pk_, fv_ = _sorted_lookup(
                 pt.column("pkey").to_numpy(zero_copy_only=False),
                 pt.column("is_promo").to_numpy(zero_copy_only=False))
@@ -2312,17 +1932,13 @@ def promo_revenue_share(sf_dir: str,
                 mapped[hit],
                 ln.column("rev_c").to_numpy(zero_copy_only=False)[hit])
 
-        part_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/part.parquet",
-                       columns=["p_partkey", "p_type"])
-                   .map_batches(part_side, batch_format="pyarrow"))
-        line_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/lineitem.parquet",
-                       columns=["l_partkey", "l_shipdate",
-                                "l_extendedprice", "l_discount"])
-                   .map_batches(line_side, batch_format="pyarrow"))
         parts = exchange.file_exchange_map_groups(
-            part_ds.union(line_ds), attach_flag, keys=["pkey"])
+            (exchange.leaf(f"{sf_dir}/part.parquet",
+                           ["p_partkey", "p_type"]),
+             exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                           ["l_partkey", "l_shipdate", "l_extendedprice",
+                            "l_discount"])),
+            attach_flag, keys=["pkey"], pre=(part_side, line_side))
 
     folded = _fold_partials(
         parts, ["l_year", "l_month"],
@@ -2629,12 +2245,13 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
     SIZE-GATED. Under ``broadcast_threshold`` rows the eligible-partkey
     set / the (suppkey -> name, nationkey) lookup broadcast once via
     ``ray.put`` (sorted-array membership / searchsorted map per batch);
-    above, each becomes ONE co-partitioned union-tag exchange —
+    above, each becomes ONE co-partitioned co-group —
     hash(partkey) to filter + finish the per-part argmin, hash(suppkey)
     to attach the winner's attributes — so neither table ever lands on
     the driver. Per-block native Arrow group_by collapses lines to
     (partkey, suppkey) min-price partials before anything moves;
     nation (<=25 rows) is always a driver-side name map."""
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
@@ -2683,9 +2300,8 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
             "minp_c": pa.array(p[first].astype(np.int64)),
         })
 
-    lines = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice"])
+    lines = exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                          ["l_partkey", "l_suppkey", "l_extendedprice"])
 
     if _table_rows(f"{sf_dir}/part.parquet") <= broadcast_threshold:
         part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -2709,34 +2325,13 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
             return pair_partial(t.filter(pa.array(hit)))
 
         winners = exchange.file_exchange_map_groups(
-            lines.map_batches(filt_bc, batch_format="pyarrow"),
-            argmin_per_part, keys=["pk"])
+            lines, argmin_per_part, keys=["pk"], pre=filt_bc)
     else:
-        # union-tag exchange keyed on partkey: eligible partkeys
-        # meet per-(partkey, suppkey) min-price partials
-        def part_side(t: pa.Table) -> pa.Table:
-            keep = pc.and_(pc.greater_equal(t.column("p_size"),
-                                            min_size),
-                           pc.equal(t.column("p_type"), ptype))
-            t = t.filter(keep)
-            n = t.num_rows
-            return pa.table({
-                "pk": t.column("p_partkey"),
-                "sk": pa.nulls(n, pa.int64()),
-                "minp_c": pa.nulls(n, pa.int64()),
-                "side": pa.array(np.zeros(n, np.int8)),
-            })
-
-        def line_side(t: pa.Table) -> pa.Table:
-            g = pair_partial(t)
-            return g.append_column(
-                "side", pa.array(np.ones(g.num_rows, np.int8)))
-
-        def filt_argmin(g: pa.Table) -> pa.Table:
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            pt_ = g.filter(pa.array(side == 0))
-            ln = g.filter(pa.array(side == 1))
-            e = np.sort(pt_.column("pk").to_numpy(zero_copy_only=False))
+        # co-group keyed on partkey: eligible partkeys meet
+        # per-(partkey, suppkey) min-price partials
+        def filt_argmin(pt_: pa.Table, ln: pa.Table) -> pa.Table:
+            e = np.sort(pt_.column("p_partkey").to_numpy(
+                zero_copy_only=False))
             keys = ln.column("pk").to_numpy(zero_copy_only=False)
             if len(e) == 0:
                 hit = np.zeros(len(keys), bool)
@@ -2744,17 +2339,14 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
                 pos = np.searchsorted(e, keys)
                 pos[pos == len(e)] = 0
                 hit = e[pos] == keys
-            return argmin_per_part(
-                ln.filter(pa.array(hit)).drop_columns(["side"]))
+            return argmin_per_part(ln.filter(pa.array(hit)))
 
-        part_ds = (ray.data.read_parquet(
-                       f"{sf_dir}/part.parquet",
-                       columns=["p_partkey", "p_size", "p_type"])
-                   .map_batches(part_side, batch_format="pyarrow"))
         winners = exchange.file_exchange_map_groups(
-            part_ds.union(lines.map_batches(line_side,
-                                            batch_format="pyarrow")),
-            filt_argmin, keys=["pk"])
+            (exchange.leaf(f"{sf_dir}/part.parquet", ["p_partkey"],
+                           filter=(pads.field("p_size") >= min_size)
+                           & (pads.field("p_type") == ptype)), lines),
+            filt_argmin, keys=(["p_partkey"], ["pk"]),
+            pre=(None, pair_partial))
 
     def finish(t: pa.Table, sname: np.ndarray,
                snat: np.ndarray) -> pa.Table:
@@ -2789,44 +2381,26 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
             # every winner's suppkey exists in supplier by construction
             return finish(t, nm_[pos], nt_[pos])
 
-        return winners.map_batches(attach_bc, batch_format="pyarrow")
+        return ray.data.from_arrow_refs(
+            exchange.map_blocks(winners.refs, attach_bc))
 
-    # union-tag exchange keyed on suppkey: winner rows meet the
-    # supplier attribute rows; supplier never leaves the cluster
+    # co-group keyed on suppkey: winner rows meet the supplier
+    # attribute rows; supplier never leaves the cluster
     def supp_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
         return pa.table({
             "sk": t.column("s_suppkey"),
             "s_name": t.column("s_name"),
             "snat": pa.array(t.column("s_nationkey").to_numpy(
                 zero_copy_only=False).astype(np.int64)),
-            "pk": pa.nulls(n, pa.int64()),
-            "minp_c": pa.nulls(n, pa.int64()),
-            "wside": pa.array(np.zeros(n, np.int8)),
         })
 
-    def win_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "sk": t.column("sk"),
-            "s_name": pa.nulls(n, pa.string()),
-            "snat": pa.nulls(n, pa.int64()),
-            "pk": t.column("pk"),
-            "minp_c": t.column("minp_c"),
-            "wside": pa.array(np.ones(n, np.int8)),
-        })
-
-    def attach_ex(g: pa.Table) -> pa.Table:
-        wside = g.column("wside").to_numpy(zero_copy_only=False)
-        su = g.filter(pa.array(wside == 0))
-        wn = g.filter(pa.array(wside == 1))
+    def attach_ex(su: pa.Table, wn: pa.Table) -> pa.Table:
         sk_ = su.column("sk").to_numpy(zero_copy_only=False)
         order = np.argsort(sk_, kind="stable")
         sk_s_ = sk_[order]
         nm_ = su.column("s_name").to_numpy(zero_copy_only=False)[order]
         nt_ = su.column("snat").to_numpy(zero_copy_only=False)[order]
-        t = pa.table({"pk": wn.column("pk"), "sk": wn.column("sk"),
-                      "minp_c": wn.column("minp_c")})
+        t = wn.select(["pk", "sk", "minp_c"])
         if t.num_rows == 0:
             return finish(t, np.array([], object),
                           np.array([], np.int64))
@@ -2834,14 +2408,11 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
         pos = np.searchsorted(sk_s_, keys)
         return finish(t, nm_[pos], nt_[pos])
 
-    supp_ds = (ray.data.read_parquet(
-                   f"{sf_dir}/supplier.parquet",
-                   columns=["s_suppkey", "s_name", "s_nationkey"])
-               .map_batches(supp_side, batch_format="pyarrow"))
-    return exchange.file_exchange_map_groups(
-        supp_ds.union(winners.map_batches(win_side,
-                                          batch_format="pyarrow")),
-        attach_ex, keys=["sk"])
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        (exchange.leaf(f"{sf_dir}/supplier.parquet",
+                       ["s_suppkey", "s_name", "s_nationkey"]),
+         winners.refs),
+        attach_ex, keys=["sk"], pre=(supp_side, None)).refs)
 
 
 def orders_weekly_gapfill(sf_dir: str) -> ray.data.Dataset:
@@ -2952,24 +2523,21 @@ def active_customers_in_window(sf_dir: str) -> ray.data.Dataset:
     """fx_join's SEMI mode: customers with at least one 1997 order
     (IN-subquery semantics, each customer once) — the left table moves
     once, the probe side is the filtered orders key projection."""
-    from ..stages.exchange import fx_join
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"])
+    import pyarrow.dataset as pads
 
     def conform(t: pa.Table) -> pa.Table:
         return pa.table({"c_custkey": t.column("o_custkey")})
 
-    import pyarrow.dataset as pads
-    active = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"],
-        filter=((pads.field("o_orderdate")
-                 >= pa.scalar(np.datetime64("1997-01-01", "us")))
-                & (pads.field("o_orderdate")
-                   < pa.scalar(np.datetime64("1998-01-01", "us"))))
-    ).map_batches(conform, batch_format="pyarrow")
-    return fx_join(cust, active, on="c_custkey", how="semi")
+    odate = pads.field("o_orderdate")
+    return ray.data.from_arrow_refs(exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/customer.parquet",
+                      ["c_custkey", "c_mktsegment"]),
+        exchange.leaf(f"{sf_dir}/orders.parquet", ["o_custkey"],
+                      filter=(odate >= pa.scalar(
+                          np.datetime64("1997-01-01", "us")))
+                      & (odate < pa.scalar(
+                          np.datetime64("1998-01-01", "us")))),
+        on="c_custkey", how="semi", pre=(None, conform)).refs)
 
 
 def orders_region0_left(sf_dir: str) -> ray.data.Dataset:
@@ -2979,30 +2547,25 @@ def orders_region0_left(sf_dir: str) -> ray.data.Dataset:
     filter; the probe ships bare customer keys). Orders outside the
     region carry a null — the outer-join shape the driver's
     order-insensitive hash compare must reproduce."""
+    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
-
-    from ..stages.exchange import fx_join
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_regionkey"])
-    keys = set(nat.filter(
-        pc.equal(nat.column("n_regionkey"), 0))
-        .column("n_nationkey").to_pylist())
+    keys = nat.filter(pc.equal(nat.column("n_regionkey"), 0)) \
+        .column("n_nationkey")
 
     def conform(t: pa.Table) -> pa.Table:
-        m = pc.is_in(t.column("c_nationkey"),
-                     value_set=pa.array(sorted(keys), pa.int64()))
-        f = t.filter(m)
-        return pa.table({"o_custkey": f.column("c_custkey"),
-                         "r0_custkey": f.column("c_custkey")})
+        return pa.table({"o_custkey": t.column("c_custkey"),
+                         "r0_custkey": t.column("c_custkey")})
 
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey"]
-    ).map_batches(conform, batch_format="pyarrow")
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
-    return fx_join(orders, cust, on="o_custkey", how="left")
+    return ray.data.from_arrow_refs(exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/orders.parquet",
+                      ["o_orderkey", "o_custkey"]),
+        exchange.leaf(f"{sf_dir}/customer.parquet", ["c_custkey"],
+                      filter=pads.field("c_nationkey").isin(
+                          keys.to_pylist())),
+        on="o_custkey", how="left", pre=(None, conform)).refs)
 
 
 def customer_orders_outer(sf_dir: str,
@@ -3014,30 +2577,25 @@ def customer_orders_outer(sf_dir: str,
     c_acctbal), key coalesced exactly like SQL FULL OUTER JOIN USING.
     Returns (c_custkey, c_acctbal, n_orders).
 
-    Scale shape: the count side folds per-block partials through one
-    stat-driven fx_agg_by exchange (unbounded custkey domain — never
-    broadcast); the join is one more co-partitioned exchange in which
-    both sides move exactly once."""
+    Scale shape: the count side is one stat-driven ``fx_count_by``
+    exchange (unbounded custkey domain — never broadcast); the join is
+    one more co-partitioned exchange in which both sides move exactly
+    once."""
     import pyarrow.dataset as pads
 
-    from ..stages.exchange import fx_agg_by, fx_join
+    def rename(t: pa.Table) -> pa.Table:
+        return pa.table({"c_custkey": t.column("o_custkey"),
+                         "n_orders": t.column("n_orders")})
 
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_acctbal"],
-        filter=pads.field("c_acctbal") > float(min_acctbal))
-
-    def ones(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_custkey": t.column("o_custkey"),
-            "n_orders": pa.array(np.ones(t.num_rows, np.int64))})
-
-    counts = fx_agg_by(
-        ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                              columns=["o_custkey"])
-        .map_batches(ones, batch_format="pyarrow"),
-        ["c_custkey"], [("n_orders", "sum")])
-    return fx_join(cust, counts, on="c_custkey", how="outer")
+    counts = exchange.fx_count_by(
+        exchange.leaf(f"{sf_dir}/orders.parquet", ["o_custkey"]),
+        ["o_custkey"], "n_orders")
+    return ray.data.from_arrow_refs(exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/customer.parquet",
+                      ["c_custkey", "c_acctbal"],
+                      filter=pads.field("c_acctbal") > float(min_acctbal)),
+        counts.refs, on="c_custkey", how="outer",
+        pre=(None, rename)).refs)
 
 
 # ------------------------------------------------------------------ #

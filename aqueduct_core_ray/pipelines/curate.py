@@ -85,60 +85,40 @@ def _curated_docs(sf_dir: str, lang: str = "en", shingle: int = 8,
     block_ref = ray.put(build_ngram_blocklist(sf_dir, benchmark,
                                               shingle))
 
-    ds = read_documents(sf_dir, columns=["doc_id", "text", "source"])
-    flagged = ds.map_batches(_flags_stage(block_ref, lang, shingle,
-                                          min_hits),
-                             batch_format="pyarrow")
+    flags = _flags_stage(block_ref, lang, shingle, min_hits)
+    flagged = read_documents(
+        sf_dir, columns=["doc_id", "text", "source"]).map_batches(
+        flags, batch_format="pyarrow")
 
-    # one aggregate pass gives every stage's attrition; the same flagged
-    # dataset feeds the dedup below (Ray Data re-executes the lazy chain
-    # — acceptable: both consumers stream, nothing materializes)
+    # one aggregate pass gives every stage's attrition; the dedup below
+    # re-runs the flags inside its exchange writers (both consumers
+    # stream, nothing materializes)
     agg = flagged.aggregate(Count(), Sum("lang_ok"), Sum("qual_ok"),
                             Sum("clean"), Sum("keep"))
 
-    def only_kept(t: pa.Table) -> pa.Table:
+    def kept(t: pa.Table) -> pa.Table:
+        t = flags(t)
         return t.filter(pc.equal(t.column("keep"),
-                                 pa.scalar(1, pa.int8())))
+                                 pa.scalar(1, pa.int8()))).drop_columns(
+            ["lang_ok", "qual_ok", "clean", "keep"])
 
-    kept = flagged.map_batches(only_kept, batch_format="pyarrow")
+    def kept_fp(t: pa.Table) -> pa.Table:
+        return kept(t).select(["fp", "doc_id"])
+
+    def survivor_ids(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": t.column("doc_id")})
 
     # exact dedup among the kept docs: survivors = min doc_id per fp,
-    # computed over an (fp, doc_id) projection — text never shuffles
-    survivors = (exchange.fx_agg_by(kept.select_columns(["fp", "doc_id"]),
-                           ["fp"], [("doc_id", "min")])
-                 .map_batches(lambda t: pa.table(
-                     {"doc_id": t.column("doc_id")}),
-                     batch_format="pyarrow"))
-
-    # co-partitioned semi-join: union docs (is_doc=1) and survivor ids
-    # (is_doc=0) keyed on doc_id, filter per group
-    docs_tagged = kept.drop_columns(
-        ["lang_ok", "qual_ok", "clean", "keep"]).map_batches(
-        lambda t: t.append_column(
-            "is_doc", pa.array(np.ones(t.num_rows, np.int8))),
-        batch_format="pyarrow")
-    surv_tagged = survivors.map_batches(
-        lambda t: pa.table({
-            "doc_id": t.column("doc_id"),
-            "text": pa.nulls(t.num_rows, pa.string()),
-            "source": pa.nulls(t.num_rows, pa.string()),
-            "fp": pa.nulls(t.num_rows, pa.string()),
-            "is_doc": pa.array(np.zeros(t.num_rows, np.int8))}),
-        batch_format="pyarrow")
-
-    def filter_group(g: pa.Table) -> pa.Table:
-        is_doc = g.column("is_doc").to_numpy(zero_copy_only=False) == 1
-        ids = g.column("doc_id").to_numpy(zero_copy_only=False)
-        want = np.unique(ids[~is_doc])
-        rows = g.filter(pa.array(is_doc))
-        rids = rows.column("doc_id").to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(want, rids), 0,
-                      max(0, len(want) - 1))
-        m = (want[pos] == rids) if len(want) else np.zeros(len(rids), bool)
-        return rows.filter(pa.array(m)).drop_columns(["part", "is_doc"])
-
-    deduped = exchange.file_exchange_map_groups(
-        docs_tagged.union(surv_tagged), filter_group, keys=["doc_id"])
+    # computed over an (fp, doc_id) projection — text never shuffles;
+    # then a co-partitioned semi-join keyed on doc_id keeps the docs
+    # with a survivor id
+    docs = exchange.leaf(f"{sf_dir}/documents.parquet",
+                         ["doc_id", "text", "source"])
+    survivors = exchange.fx_agg_by(docs, ["fp"], [("doc_id", "min")],
+                                   pre=kept_fp)
+    deduped = ray.data.from_arrow_refs(exchange.fx_join(
+        docs, survivors.refs, on="doc_id", how="semi",
+        pre=(kept, survivor_ids)).refs)
     return deduped, agg
 
 

@@ -31,28 +31,33 @@ Inputs. An exchange reads any of:
 - a ``ray.data.Dataset``: one Ray Data execution of its plan, whose
   blocks stream into the same raw writers (the adapter for Dataset
   callers);
-- a tuple of the above: their union, written in one exchange.
+- a tuple of the above: a CO-GROUP. ``fn(t0, t1, ...)`` gets one table
+  per member with that member's rows of the part, so the sides of a
+  join never share a schema, a tag column or null padding: the one
+  join shape of the library. ``fx_join`` is the co-group whose part
+  function is Arrow's hash join.
 An optional per-block ``pre`` function (conform, partial fold) runs
 inside the writer task before the key route and the slicing. Writers
 are raw Ray tasks under a ``ray.wait`` window of 2x the cluster's
 CPUs. Leaf and refs inputs return ``Exchanged(refs, schema)``: the
 partition tasks' output refs, chainable straight into the next
-exchange with no Ray Data execution in between, and the unified
-schema the writers reported; a Dataset input returns a Dataset.
+exchange with no Ray Data execution in between, and the input schema
+the writers reported; a Dataset input returns a Dataset.
 
 Schemas come from the writers: each manifest carries the schema of the
-table it wrote, the exchange unifies them, and every part reaches
-``fn`` conformed to that schema (missing columns as typed nulls). The
-empty-exchange probe and ``fx_join``'s column split read it; no
-Dataset schema is probed (a probe runs a cut-short execution of the
-plan, a Ray 2.49.2 abort trigger). Writers report typed empty blocks
-too. A Dataset whose blocks all lack columns (a parquet read pruned
-to nothing) falls back to the schema its plan knows from metadata
+table it wrote, the exchange unifies each member's schemas (never
+across members), and every member's slices reach ``fn`` conformed to
+its schema (missing columns as typed nulls). The empty-exchange probe
+and ``fx_join``'s key check read them; no Dataset schema is probed (a
+probe runs a cut-short execution of the plan, a Ray 2.49.2 abort
+trigger). Writers report typed empty blocks too. A Dataset whose
+blocks all lack columns (a parquet read pruned to nothing) falls back
+to the schema its plan knows from metadata
 (``schema(fetch_if_missing=False)``, which never executes); a plan
-that knows none (a map over only empty blocks) leaves its side
-untyped: ``fx_join`` joins it as an empty side, and the exchange's
-empty result is ``pa.table({})`` unless the caller passes
-``empty_result``.
+that knows none (a map over only empty blocks) leaves its member
+untyped: it reaches ``fn`` as a column-less empty table, ``fx_join``
+joins it as an empty side, and an exchange with no typed member
+returns ``pa.table({})`` unless the caller passes ``empty_result``.
 
 Placement contract (same as the engine's lake root): ``root`` must be
 on storage every worker can reach — node-local /tmp is correct in this
@@ -332,15 +337,16 @@ def map_blocks(src: "Leaf | list", fn: Callable[[pa.Table], pa.Table]
 class Exchanged(NamedTuple):
     """A leaf/refs exchange's result: the partition tasks' output refs
     (ascending part order; one typed empty table when no part had
-    rows) and the unified schema the writers reported."""
+    rows) and the unified input schema the writers reported (a tuple
+    of one per member for a co-group)."""
     refs: "list[ray.ObjectRef]"
-    schema: "pa.Schema | None"
+    schema: "pa.Schema | tuple | None"
 
 
 def _inputs(src, pre, keys) -> "list[tuple[str, Any, Any, Any]]":
-    """(kind, input, pre, keys) per input; a tuple ``src`` is a union
-    and takes one ``pre`` and one ``keys`` list for all members, or a
-    tuple of them."""
+    """(kind, input, pre, keys) per member; a tuple ``src`` is a
+    co-group and takes one ``pre`` and one ``keys`` list for all
+    members, or a tuple of them."""
     members = list(src) if isinstance(src, tuple) else [src]
     pres, keyss = ((list(x) if isinstance(x, tuple) else [x] * len(members))
                    for x in (pre, keys))
@@ -362,21 +368,31 @@ def _inputs(src, pre, keys) -> "list[tuple[str, Any, Any, Any]]":
     return out
 
 
-def _write_inputs(inputs: list, xdir: str, salt: int) -> "list[pa.Table]":
-    """Every input's writer manifests: one raw writer task per leaf
+def _write_inputs(inputs: list, xdir: str, salt: int
+                  ) -> "list[list[pa.Table]]":
+    """Every member's writer manifests: one raw writer task per leaf
     unit or block, in input order under the window (a Dataset input is
     one Ray Data execution, streamed into the writers). ``P`` is fixed
     here, on the driver, so every writer routes alike."""
     P = _auto_virtual_parts()
-    return ray.get(_windowed(
-        ((it, xdir, p, k, P, salt)
-         for _, obj, p, k in inputs for it in _raw_items(obj)),
-        _write_task.remote))
+    member: "list[int]" = []
+
+    def jobs():
+        for m, (_, obj, p, k) in enumerate(inputs):
+            for it in _raw_items(obj):
+                member.append(m)
+                yield it, xdir, p, k, P, salt
+
+    manifests = ray.get(_windowed(jobs(), _write_task.remote))
+    out: "list[list[pa.Table]]" = [[] for _ in inputs]
+    for m, man in zip(member, manifests):
+        out[m].append(man)
+    return out
 
 
 def _concat(tabs: "list[pa.Table]") -> pa.Table:
-    # align by NAME order when tables disagree (e.g. tagged-union
-    # streams of different vintages); a Schema carrying parquet/pandas
+    # align by NAME order when tables disagree (e.g. one producer's
+    # blocks of different vintages); a Schema carrying parquet/pandas
     # metadata is unhashable, so only column names are compared
     names0 = tabs[0].column_names
     if any(t.column_names != names0 for t in tabs[1:]):
@@ -398,19 +414,40 @@ def _conform(t: pa.Table, schema: "pa.Schema | None") -> pa.Table:
     return pa.table(cols)
 
 
+def _empty(schema: "pa.Schema | None") -> pa.Table:
+    """A member's typed empty table (column-less when no writer typed
+    it)."""
+    return schema.empty_table() if schema is not None else pa.table({})
+
+
+def _member(tabs: "list[pa.Table]", schema: "pa.Schema | None"
+            ) -> pa.Table:
+    return _concat(tabs) if tabs else _empty(schema)
+
+
 @ray.remote(num_cpus=1)
-def _run_partition(fn: Callable[[pa.Table], pa.Table],
-                   run: "list[list[tuple[str, int]]]",
-                   schema: "pa.Schema | None", whole: bool) -> pa.Table:
-    """One task per run over its parts' (path, batch) slices, each slice
-    conformed to ``schema``, in the run's (ascending) part order:
-    ``fn`` once per part, or once over the whole run when ``whole`` (a
-    keyed exchange: a run holds whole keys, like a part); empty outputs
-    are dropped unless all are empty."""
-    tabs = iter(read_slices([e for es in run for e in es]))
-    parts = [_concat([_conform(next(tabs), schema) for _ in es])
-             for es in run]
-    outs = [fn(_concat(parts))] if whole else [fn(g) for g in parts]
+def _run_partition(fn: Callable[..., pa.Table],
+                   run: "list[list[list[tuple[str, int]]]]",
+                   schemas: "list[pa.Schema | None]", whole: bool
+                   ) -> pa.Table:
+    """One task per run over its parts' (path, batch) slices, per part
+    one slice list per member, each slice conformed to its member's
+    schema, in the run's (ascending) part order: ``fn`` once per part,
+    or once over the whole run when ``whole`` (a keyed exchange: a run
+    holds whole keys, like a part), with one table per member (a member
+    with no rows there as a typed empty table); empty outputs are
+    dropped unless all are empty."""
+    tabs = iter(read_slices([e for part in run for es in part
+                             for e in es]))
+    parts = [[[_conform(next(tabs), s) for _ in es]
+              for es, s in zip(part, schemas)] for part in run]
+    if whole:
+        parts = [[t for part in parts for t in part[m]]
+                 for m in range(len(schemas))]
+        outs = [fn(*[_member(ts, s) for ts, s in zip(parts, schemas)])]
+    else:
+        outs = [fn(*[_member(ts, s) for ts, s in zip(part, schemas)])
+                for part in parts]
     return _concat([t for t in outs if t.num_rows] or outs[:1])
 
 
@@ -490,18 +527,18 @@ def _cut_runs(sizes: "dict[int, int]", cap: int, budget: int,
     return runs
 
 
-def _empty_exchange(schema: "pa.Schema | None", fn,
+def _empty_exchange(schemas: "list[pa.Schema | None]", fn,
                     empty_result: "pa.Table | None") -> pa.Table:
-    """The caller's typed empty wins; else fn's output on an empty table
-    of the writers' schema, falling back to that input schema for fns
-    that assume non-empty groups."""
+    """The caller's typed empty wins; else fn's output on one empty
+    table per member of the writers' schemas, falling back to the
+    (first) input schema for fns that assume non-empty groups."""
     if empty_result is not None:
         return empty_result
-    if schema is None:                      # no writer ran: no blocks
+    if all(s is None for s in schemas):     # no writer ran: no blocks
         return pa.table({})
-    empty_in = schema.empty_table()
+    empty_in = [_empty(s) for s in schemas]
     try:
-        return fn(empty_in)
+        return fn(*empty_in)
     except IndexError:
         # the one legitimate empty-probe failure: a group fn indexing
         # its (never empty on the real path) group, e.g.
@@ -513,12 +550,12 @@ def _empty_exchange(schema: "pa.Schema | None", fn,
             f"{getattr(fn, '__name__', fn)!r} raised IndexError on the "
             f"empty probe; returning an INPUT-schema empty (pass "
             f"empty_result= for a typed output schema)", RuntimeWarning)
-        return empty_in
+        return empty_in[0]
 
 
 def file_exchange_map_groups(
     src: "ray.data.Dataset | Leaf | list | tuple",
-    fn: Callable[[pa.Table], pa.Table],
+    fn: Callable[..., pa.Table],
     keys: "list[str] | tuple | None" = None,
     root: "str | None" = None,
     empty_result: "pa.Table | None" = None,
@@ -526,7 +563,7 @@ def file_exchange_map_groups(
     refold_fn: "Callable[[pa.Table], pa.Table] | None" = None,
     target_bytes: "int | None" = None,
     pre: "Callable[[pa.Table], pa.Table] | tuple | None" = None,
-    _check: "Callable[[pa.Schema], None] | None" = None,
+    _check: "Callable[[list], None] | None" = None,
     _plan_out: "dict | None" = None,
 ) -> "ray.data.Dataset | Exchanged":
     """The library's keyed exchange: every row with equal ``keys``
@@ -546,19 +583,24 @@ def file_exchange_map_groups(
 
     - ``src``: a Dataset (returns a Dataset; one Ray Data execution,
       its blocks streamed to the writers), a ``Leaf`` (``leaf(paths,
-      columns=, filter=)``), a list of block refs, or a tuple of these
-      (their union). Leaf and refs inputs return ``Exchanged(refs,
-      schema)`` and start no Ray Data execution. Writers are raw
-      tasks, one per leaf unit or block, at most 2x the cluster's CPUs
-      in flight (``ray.wait`` window).
+      columns=, filter=)``), a list of block refs, or a tuple of these:
+      a CO-GROUP, where ``fn(t0, t1, ...)`` receives one table per
+      member, each in its own schema (a member with no rows in the
+      part as a typed empty table). Leaf and refs inputs return
+      ``Exchanged(refs, schema)`` and start no Ray Data execution.
+      Writers are raw tasks, one per leaf unit or block, at most 2x the
+      cluster's CPUs in flight (``ray.wait`` window).
     - ``pre``: per-block function run inside the writer task before the
       key route (conform, partial fold); for a tuple ``src``, one
       callable for all members or a tuple with one per member (None
       for none). ``keys`` likewise: one list, or one per member.
     - schema: each writer's manifest carries the schema of the table it
-      wrote, empty blocks included; their union (``Exchanged.schema``)
-      types the empty result (``fn`` on an empty table of it, unless
-      ``empty_result``) and every part reaches ``fn`` conformed to it.
+      wrote, empty blocks included; a member's schemas unify on their
+      own (never across members, so two members may carry one column
+      name at different types) into ``Exchanged.schema`` (a tuple, one
+      per member, for a co-group). They type the empty result (``fn``
+      on one empty table per member, unless ``empty_result``) and every
+      member's slices reach ``fn`` conformed to its schema.
 
     Task layout is STAT-DRIVEN from the manifest's slice sizes (no
     second pass over the data): the parts, ascending, are cut into
@@ -566,17 +608,18 @@ def file_exchange_map_groups(
     total // (2 * cluster CPUs)))`` bytes, and each run is one task — the
     number of parts does not set the task count.
 
-    - ``_check``: called on the driver with the writers' unified schema
-      before any partition task starts (``fx_join``'s key check).
+    - ``_check``: called on the driver with the list of member schemas
+      (None for a member no writer typed) before any partition task
+      starts (``fx_join``'s key check).
     - ``salt``: a keyed route spreads each part over ``salt``
       sub-buckets (``part * salt + row % salt``, see ``_route``; the
       join's hot-key defuser); no run holds two sub-buckets of one
       part.
-    - ``refold_fn``: a partition over ``target_bytes`` (hot or
-      unbounded key) runs alone, split into byte-budgeted chunks; ``fn``
-      folds each chunk and ``refold_fn`` folds the concatenated
-      partials, so ``refold_fn(concat(fn(c1), fn(c2), ...))`` must
-      equal ``fn(c1 + c2 + ...)``.
+    - ``refold_fn`` (one input): a partition over ``target_bytes``
+      (hot or unbounded key) runs alone, split into byte-budgeted
+      chunks; ``fn`` folds each chunk and ``refold_fn`` folds the
+      concatenated partials, so ``refold_fn(concat(fn(c1), fn(c2),
+      ...))`` must equal ``fn(c1 + c2 + ...)``.
     - ``_plan_out``: test hook, filled with the planned ``tasks``,
       ``split`` (chunk-folded parts), ``packed`` (runs of >1 part),
       ``parts`` and ``bytes``. The same counts, with the input kind
@@ -595,21 +638,27 @@ def file_exchange_map_groups(
     budget = target_bytes or TARGET_PART_BYTES
     t0 = time.perf_counter()
     try:
-        plan, schemas = plan_slices(_write_inputs(inputs, xdir, salt))
-        # fields in order of first appearance, types promoted
-        schema = (pa.unify_schemas(schemas, promote_options="permissive")
-                  if schemas else None)
-        if _check is not None and schema is not None:
-            _check(schema)
+        plans, schemas = [], []
+        for mans in _write_inputs(inputs, xdir, salt):
+            plan, sch = plan_slices(mans)
+            plans.append(plan)
+            # fields in order of first appearance, types promoted
+            schemas.append(pa.unify_schemas(
+                sch, promote_options="permissive") if sch else None)
+        if _check is not None:
+            _check(schemas)
         t1 = time.perf_counter()
-        sizes = {p: sum(b for _, _, b in es) for p, es in plan.items()}
+        sizes: "dict[int, int]" = {}
+        for plan in plans:
+            for p, es in plan.items():
+                sizes[p] = sizes.get(p, 0) + sum(b for _, _, b in es)
         total = sum(sizes.values())
         cap = max(MIN_RUN_BYTES,
                   min(budget, total // (2 * _cluster_cpus())))
         runs = _cut_runs(sizes, cap, budget, salt)
         refs, n_split = [], 0
         for run in runs:
-            es = plan[run[0]]
+            es = plans[0].get(run[0], [])
             if refold_fn is not None and sizes[run[0]] > budget \
                     and len(es) > 1:
                 # oversized partition (alone in its run): chunk-fold +
@@ -619,27 +668,29 @@ def file_exchange_map_groups(
                                    budget, budget, 1)
                 refs.append(_refold_partials.remote(refold_fn, *[
                     _run_partition.remote(
-                        fn, [[es[i][:2] for i in ch]], schema, False)
+                        fn, [[[es[i][:2] for i in ch]]], schemas, False)
                     for ch in chunks]))
                 n_split += 1
             else:
                 refs.append(_run_partition.remote(
-                    fn, [[e[:2] for e in plan[q]] for q in run], schema,
+                    fn, [[[e[:2] for e in plan.get(q, [])]
+                          for plan in plans] for q in run], schemas,
                     keys is not None))
         stats = dict(tasks=len(runs), split=n_split,
                      packed=sum(len(r) > 1 for r in runs),
-                     parts=len(plan), bytes=total)
+                     parts=len(sizes), bytes=total)
         if _plan_out is not None:
             _plan_out.update(stats)
         ray.wait(refs, num_returns=len(refs))  # files consumed: safe to rm
         t2 = time.perf_counter()
         if kind == "dataset":
             out = (ray.data.from_arrow_refs(refs) if refs else
-                   ray.data.from_arrow(_empty_exchange(schema, fn,
+                   ray.data.from_arrow(_empty_exchange(schemas, fn,
                                                        empty_result)))
         else:
             out = Exchanged(refs or [ray.put(
-                _empty_exchange(schema, fn, empty_result))], schema)
+                _empty_exchange(schemas, fn, empty_result))],
+                schemas[0] if len(schemas) == 1 else tuple(schemas))
     finally:
         shutil.rmtree(xdir, ignore_errors=True)
     name = getattr(getattr(fn, "func", fn), "__name__", str(fn))  # partial
@@ -650,7 +701,7 @@ def file_exchange_map_groups(
     return out
 
 
-def fx_agg_by(src: "ray.data.Dataset | Leaf | list | tuple",
+def fx_agg_by(src: "ray.data.Dataset | Leaf | list",
               keys: "list[str]",
               aggs: "list[tuple[str, str]]",
               target_bytes: "int | None" = None,
@@ -673,6 +724,10 @@ def fx_agg_by(src: "ray.data.Dataset | Leaf | list | tuple",
     volume, and a single oversized part (hot/low-cardinality key) is
     chunk-folded then re-folded so no task's working set exceeds
     ``target_bytes``."""
+    if isinstance(src, tuple):
+        raise TypeError("fx_agg_by folds one input; join a co-group with "
+                        "fx_join or file_exchange_map_groups")
+
     def fold(g: pa.Table) -> pa.Table:
         agg = (g.drop_columns(["part"]).group_by(keys)
                .aggregate(aggs))
@@ -695,7 +750,7 @@ def fx_agg_by(src: "ray.data.Dataset | Leaf | list | tuple",
         pre=pre, _plan_out=_plan_out)
 
 
-def fx_sum_by(src: "ray.data.Dataset | Leaf | list | tuple",
+def fx_sum_by(src: "ray.data.Dataset | Leaf | list",
               keys: "list[str]", sums: "list[str]",
               pre: "Callable[[pa.Table], pa.Table] | tuple | None" = None
               ) -> "ray.data.Dataset | Exchanged":
@@ -708,7 +763,7 @@ def _key_ones(t: pa.Table, keys: "list[str]", name: str) -> pa.Table:
         name, pa.array(np.ones(t.num_rows, np.int64)))
 
 
-def fx_count_by(src: "ray.data.Dataset | Leaf | list | tuple",
+def fx_count_by(src: "ray.data.Dataset | Leaf | list",
                 keys: "list[str]", name: str
                 ) -> "ray.data.Dataset | Exchanged":
     """``GROUP BY keys`` with ``COUNT(*)`` as the int64 column ``name``
@@ -736,9 +791,51 @@ def each_group(fn: Callable[[pa.Table], pa.Table], keys: "list[str]"
     return functools.partial(_each_group, fn=fn, keys=keys)
 
 
-# fx_join's right-side column prefix inside the exchange: the sides
-# write their own columns, so a part's table carries both schemas
-_R = "__r:"
+_JOIN_TYPES = {"inner": "inner", "left": "left outer",
+               "outer": "full outer", "semi": "left semi",
+               "anti": "left anti"}
+
+
+def _row_index(t: pa.Table, keys: "list[str]", name: str,
+               types: "list[pa.DataType]") -> pa.Table:
+    """``t``'s key columns (cast to ``types``) and an int64 row index."""
+    return pa.table([t.column(k).cast(ty) for k, ty in zip(keys, types)]
+                    + [pa.array(np.arange(t.num_rows, dtype=np.int64))],
+                    names=keys + [name])
+
+
+def _join_part(lt: pa.Table, rt: pa.Table, keys: "list[str]", how: str,
+               suffix: str) -> pa.Table:
+    """One part of ``fx_join``: Acero joins the two sides' key columns
+    plus a row index each, then each side's payload is ``take``-n by
+    its index (payloads never enter Acero, which refuses some payload
+    types such as lists). Null keys never match; outer keys come out
+    coalesced."""
+    lt, rt = (t.drop_columns(["part"]) if "part" in t.column_names else t
+              for t in (lt, rt))
+    # a side no writer typed joins as an empty side of the other's keys
+    if lt.num_columns == 0:
+        lt = rt.select(keys).slice(0, 0)
+    if rt.num_columns == 0:
+        rt = lt.select(keys).slice(0, 0)
+    types = [lt.schema.field(k).type for k in keys]
+    # row-index names longer than any key name, so never one of them
+    li, ri = ("_".join(["__row", side] + keys) for side in ("l", "r"))
+    j = _row_index(lt, keys, li, types).join(
+        _row_index(rt, keys, ri, types), keys=keys,
+        join_type=_JOIN_TYPES[how], use_threads=False, coalesce_keys=True)
+    lrows = j.column(li)
+    if how in ("semi", "anti"):
+        # in left row order
+        return lt.take(pa.array(np.sort(lrows.to_numpy())))
+    left = lt.take(lrows)
+    right = rt.take(j.column(ri))
+    cols = {c: (j.column(c) if c in keys else left.column(c))
+            for c in lt.column_names}
+    for c in rt.column_names:
+        if c not in keys:
+            cols[c + suffix if c in cols else c] = right.column(c)
+    return pa.table(cols)
 
 
 def fx_join(left: "ray.data.Dataset | Leaf | list",
@@ -749,38 +846,33 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
             pre: "tuple | None" = None,
             _plan_out: "dict | None" = None
             ) -> "ray.data.Dataset | Exchanged":
-    """Generic co-partitioned hash EQUI-JOIN over the file exchange —
-    the reusable primitive behind the module's hand-built join
-    pipelines. Both sides are routed by ``key_parts`` (the keyed
-    exchange's rule) and flow through ONE exchange; each partition task
-    splits its rows by side and merges vectorized (arrow-backed frames,
-    so int64 keys and values survive null-introduction without a
-    float64 upcast). Key columns of the two sides must share a routing
-    family (``key_family``: int/temporal, float, string, other), else
-    equal values would route apart: a ``ValueError`` naming the key is
-    raised before any partition task runs.
+    """Generic co-partitioned hash EQUI-JOIN over the file exchange:
+    the two sides are a two-member co-group routed by ``key_parts``
+    (the keyed exchange's rule), and each partition task joins its
+    part with Arrow's hash join (``_join_part``). Key columns of the
+    two sides must share a routing family (``key_family``: int/temporal,
+    float, string, other), else equal values would route apart: a
+    ``ValueError`` naming the key is raised before any partition task
+    runs. Right key columns compare at the left key types.
 
     Either side is any exchange input (Dataset, ``Leaf``, block refs);
     ``pre=(left_fn, right_fn)`` conforms a side's blocks inside its
-    writer, before the tag. The sides' schemas come from the writers'
-    manifests: each side writes its own columns (the right side's under
-    a reserved ``__r:`` prefix), so no schema is probed up front.
+    writer. Each side's schema comes from its own writers' manifests,
+    so no schema is probed up front.
 
-    ``how``: inner | left | outer | semi | anti. SQL null-key
-    semantics on the MATCH (a null key never matches — including in
-    ``outer``, where a null-key row from EITHER side survives as an
-    unmatched row, exactly like SQL FULL OUTER JOIN; pandas' own merge
-    would wrongly pair NaN keys, so null-key rows are split out and
-    appended unmatched). ``outer`` key columns are coalesced
-    (right-only rows carry the right side's key values). ``anti`` is
-    NOT EXISTS, not NOT IN: a left row whose key is null or matches
-    nothing is KEPT (SQL NOT IN returns zero rows when the probe list
-    contains a null — use an explicit null filter on both sides if NOT
-    IN semantics are wanted). Non-key right columns that collide with a
-    left name get ``suffix``; semi/anti return the left columns only,
-    each left row at most once per its own multiplicity. ``part`` and
-    ``__side`` are the exchange's reserved column names (the
-    module-wide contract) — inbound columns so named are dropped.
+    ``how``: inner | left | outer | semi | anti. SQL null-key semantics
+    on the MATCH: a null key never matches, and in ``outer`` a null-key
+    row from EITHER side survives as an unmatched row, exactly like SQL
+    FULL OUTER JOIN. ``outer`` key columns are coalesced (right-only
+    rows carry the right side's key values). ``anti`` is NOT EXISTS,
+    not NOT IN: a left row whose key is null or matches nothing is KEPT
+    (SQL NOT IN returns zero rows when the probe list contains a null —
+    use an explicit null filter on both sides if NOT IN semantics are
+    wanted). Non-key right columns that collide with a left name get
+    ``suffix``; semi/anti return the left columns only, each left row
+    at most once per its own multiplicity. Output columns keep their
+    input Arrow types. ``part`` is the exchange's reserved column name
+    — an inbound column so named is dropped.
 
     Scale shape: one exchange, both sides move exactly once, join
     state is per-partition. ``salt`` > 1 is the HOT-KEY defuser (the
@@ -793,118 +885,51 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
     pair still meets exactly once, so the OUTPUT is identical for any
     salt (pinned in tests)."""
     keys = [on] if isinstance(on, str) else list(on)
-    if how not in ("inner", "left", "outer", "semi", "anti"):
+    if how not in _JOIN_TYPES:
         raise ValueError(f"unsupported how={how!r}")
     if how == "outer" and salt > 1:
         # replicating the right side into sub-buckets would emit its
         # unmatched rows once per sub-bucket, so outer joins run
         # unsalted
         raise ValueError("salt > 1 is not supported with how='outer'")
-    out_left_only = how in ("semi", "anti")
 
-    def tag(side: int, conform):
-        def _tag(t: pa.Table) -> pa.Table:
+    def side_pre(conform, repeat: int):
+        def _pre(t: pa.Table) -> pa.Table:
             if conform is not None:
                 t = conform(t)
             for k in keys:
                 if k not in t.column_names:
                     raise ValueError(f"join key {k!r} missing from a side")
-            t = t.drop_columns([c for c in ("part", "__side")
-                                if c in t.column_names])
-            if side == 1 and salt > 1:
+            if repeat > 1:
                 # the salted route sends a block's row i to sub-bucket
                 # i % salt (ANY assignment is correct for the left
                 # side: each left row joins in exactly one sub-bucket);
                 # salt copies in a row put the right side in all
                 t = t.take(pa.array(np.repeat(
-                    np.arange(t.num_rows, dtype=np.int64), salt)))
-            if side == 1:
-                t = t.rename_columns([_R + c for c in t.column_names])
-            return t.append_column("__side", pa.array(
-                np.full(t.num_rows, side, np.int8)))
-        return _tag
+                    np.arange(t.num_rows, dtype=np.int64), repeat)))
+            return t
+        return _pre
 
-    def join_part(g: pa.Table) -> pa.Table:
-        # the part arrives conformed to both sides' written schemas
-        names = [c for c in g.column_names if c not in ("part", "__side")]
-        side = g.column("__side").to_numpy(zero_copy_only=False)
-        lt = g.filter(pa.array(side == 0)).select(
-            [c for c in names if not c.startswith(_R)])
-        rt = g.filter(pa.array(side == 1)).select(
-            [c for c in names if c.startswith(_R)])
-        rt = rt.rename_columns([c[len(_R):] for c in rt.column_names])
-        # a side no writer typed (every block of it column-less) joins
-        # as an empty side of the other side's key columns
-        if lt.num_columns == 0:
-            lt = rt.select(keys).slice(0, 0)
-        if rt.num_columns == 0:
-            rt = lt.select(keys).slice(0, 0)
-        l_cols = lt.column_names
-        r_src = [c for c in rt.column_names if c not in keys]
-        r_cols = [c + suffix if c in l_cols else c for c in r_src]
-        # right keys compare at the left key types
-        rt = pa.table(
-            [rt.column(k).cast(lt.schema.field(k).type) for k in keys]
-            + [rt.column(c) for c in r_src], names=keys + r_cols)
-        out_schema = pa.schema(
-            [lt.schema.field(c) for c in l_cols]
-            + ([] if out_left_only
-               else [rt.schema.field(c) for c in r_cols]))
-        ldf = lt.to_pandas(types_mapper=pd.ArrowDtype)
-        rdf = rt.to_pandas(types_mapper=pd.ArrowDtype)
-        if how == "outer":
-            # SQL FULL OUTER: null-key rows from EITHER side survive
-            # unmatched. pandas merge would pair NA keys with each
-            # other, so they are carved out and re-appended after the
-            # non-null merge (concat re-nulls the absent side).
-            lnull = ldf[keys].isna().any(axis=1).to_numpy()
-            rnull = rdf[keys].isna().any(axis=1).to_numpy()
-            out = ldf[~lnull].merge(rdf[~rnull], on=keys, how="outer")
-            parts = [out]
-            if lnull.any():
-                parts.append(ldf[lnull])
-            if rnull.any():
-                parts.append(rdf[rnull])
-            if len(parts) > 1:
-                out = pd.concat(parts, ignore_index=True)
-            want = l_cols + r_cols
-            return pa.Table.from_pandas(
-                out[want], preserve_index=False).cast(out_schema)
-        rdf = rdf.dropna(subset=keys)          # null keys never match
-        if how in ("inner", "semi", "anti"):
-            lnn = ldf.dropna(subset=keys) if how != "anti" else ldf
-        else:
-            lnn = ldf
-        if how == "inner":
-            out = lnn.merge(rdf, on=keys, how="inner")
-        elif how == "left":
-            out = lnn.merge(rdf, on=keys, how="left")
-        else:
-            rk = rdf[keys].drop_duplicates()
-            m = lnn.merge(rk, on=keys, how="left", indicator=True)
-            keep = (m["_merge"] == "both") if how == "semi" else \
-                   (m["_merge"] == "left_only")
-            out = lnn[keep.to_numpy()]
-        if len(out) == 0:
-            return out_schema.empty_table()
-        want = l_cols if out_left_only else l_cols + r_cols
-        return pa.Table.from_pandas(out[want], preserve_index=False)
-
-    def check(schema: pa.Schema) -> None:
+    def check(schemas: list) -> None:
+        ls, rs = schemas
+        if ls is None or rs is None:
+            return                      # an untyped side joins as empty
         for k in keys:
-            if k not in schema.names or _R + k not in schema.names:
-                continue                # an untyped side joins as empty
-            lf, rf = (key_family(schema.field(c).type) for c in (k, _R + k))
+            if k not in ls.names or k not in rs.names:
+                continue
+            lf, rf = (key_family(s.field(k).type) for s in (ls, rs))
             if lf and rf and lf != rf:
                 raise ValueError(
-                    f"join key {k!r}: left {schema.field(k).type} and "
-                    f"right {schema.field(_R + k).type} route apart "
+                    f"join key {k!r}: left {ls.field(k).type} and "
+                    f"right {rs.field(k).type} route apart "
                     f"({lf} vs {rf} keys); cast one side")
 
     lpre, rpre = pre or (None, None)
     # joins can't refold (splitting a partition would separate build
     # and probe rows of a key) — hot keys are the salt's job
     return file_exchange_map_groups(
-        (left, right), join_part, keys=(keys, [_R + k for k in keys]),
-        pre=(tag(0, lpre), tag(1, rpre)), salt=salt,
-        target_bytes=target_bytes, _check=check, _plan_out=_plan_out)
+        (left, right), functools.partial(_join_part, keys=keys, how=how,
+                                         suffix=suffix),
+        keys=keys, pre=(side_pre(lpre, 1), side_pre(rpre, salt)),
+        salt=salt, target_bytes=target_bytes, _check=check,
+        _plan_out=_plan_out)

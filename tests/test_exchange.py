@@ -1,15 +1,19 @@
 """file_exchange_map_groups must be a drop-in for
 groupby('part').map_groups(fn): identical results on random data,
-multi-block inputs, and unioned tagged streams (the _attach_shingles
-shape)."""
+multi-block inputs and a Dataset union as one input; a tuple input is
+a co-group (one table per member, each in its own schema)."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 import ray.data
 
-from aqueduct_core_ray.stages.exchange import file_exchange_map_groups
+from aqueduct_core_ray.stages.exchange import (
+    file_exchange_map_groups,
+    fx_agg_by,
+)
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -100,13 +104,46 @@ def test_fx_agg_by_ignores_stray_part_column():
 def test_fx_join_matches_pandas_all_hows(ray_session, parts):
     """Randomized fx_join vs a pandas reference: inner/left/semi/anti,
     duplicate keys (multiplicity), null keys (SQL never-match), name
-    collisions (right suffix), at two partition counts."""
+    collisions (right suffix), at two partition counts. Both sides also
+    carry list<int32>, dictionary<string> and timestamp[us] payloads
+    (two of them colliding by name): the output keeps each payload's
+    Arrow type, and every payload value stays on its own row."""
+    import datetime as dt
+
     import numpy as np
     import pandas as pd
     import pyarrow as pa
 
     import ray.data
-    from aqueduct_core_ray.stages.exchange import fx_join
+    from aqueduct_core_ray.stages.exchange import collect_tables, fx_join
+
+    def payloads(t: pa.Table, v: str, ls: str) -> pa.Table:
+        # every payload is a function of the side's row id column ``v``
+        ids = t.column(v).to_pylist()
+        return (t.append_column(ls, pa.array(
+                    [[i, i + 1] for i in ids], pa.list_(pa.int32())))
+                .append_column("d", pa.array(
+                    [f"d{i % 4}" for i in ids]).dictionary_encode())
+                .append_column("ts", pa.array(
+                    np.asarray(ids, np.int64) * 1_000_000).cast(
+                        pa.timestamp("us"))))
+
+    def payload_ok(row: dict, v: str, ls: str, sfx: str) -> bool:
+        i = row[v]
+        if i is None:
+            return (row[ls] is None and row["d" + sfx] is None
+                    and row["ts" + sfx] is None)
+        return (row[ls] == [i, i + 1] and row["d" + sfx] == f"d{i % 4}"
+                and row["ts" + sfx] == dt.datetime(1970, 1, 1)
+                + dt.timedelta(seconds=i))
+
+    dict_t = pa.dictionary(pa.int32(), pa.string())
+    left_types = {"k": pa.int64(), "v": pa.int64(), "tag": pa.string(),
+                  "ls": pa.list_(pa.int32()), "d": dict_t,
+                  "ts": pa.timestamp("us")}
+    right_types = {"w": pa.int64(), "tag_r": pa.string(),
+                   "rs": pa.list_(pa.int32()), "d_r": dict_t,
+                   "ts_r": pa.timestamp("us")}
 
     rng = np.random.default_rng(47)
     for trial in range(3):
@@ -125,8 +162,10 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts):
                           dtype="Int64"),
             "w": np.arange(nr, dtype=np.int64) * 10,
             "tag": rng.choice(["x", "y"], nr)})   # collides with left
-        lds = ray.data.from_arrow(pa.Table.from_pandas(ldf))
-        rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
+        lds = ray.data.from_arrow(payloads(
+            pa.Table.from_pandas(ldf), "v", "ls"))
+        rds = ray.data.from_arrow(payloads(
+            pa.Table.from_pandas(rdf), "w", "rs"))
 
         rnn = rdf.dropna(subset=["k"])
         want = {
@@ -152,8 +191,18 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts):
         for how, exp in want.items():
             for P in (3, 8):
                 parts(P)
-                got = (fx_join(lds, rds, on="k", how=how)
-                       .to_pandas())
+                got_t = pa.concat_tables(collect_tables(
+                    fx_join(lds, rds, on="k", how=how)))
+                types = dict(left_types, **(
+                    {} if how in ("semi", "anti") else right_types))
+                assert {f.name: f.type for f in got_t.schema} == types, \
+                    (how, got_t.schema)
+                for row in got_t.to_pylist():
+                    assert payload_ok(row, "v", "ls", ""), (how, row)
+                    if how not in ("semi", "anti"):
+                        assert payload_ok(row, "w", "rs", "_r"), (how, row)
+                got = got_t.drop_columns([c for c in types if c not in (
+                    "k", "v", "tag", "w", "tag_r")]).to_pandas()
                 cols = sorted(got.columns)
                 assert cols == sorted(exp.columns), (how, cols)
                 g = (got[cols].astype("object")
@@ -163,6 +212,55 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts):
                 assert len(g) == len(e), (trial, how, P, len(g), len(e))
                 assert g.where(pd.notna(g), None).equals(
                     e.where(pd.notna(e), None)), (trial, how, P)
+
+
+def test_co_group_calls_fn_with_one_table_per_member(ray_session, parts):
+    """A tuple input is a co-group: ``fn`` gets one table per member,
+    each in its own schema (two members share the column name ``x`` at
+    int64 and string), a member without rows arrives as a typed empty
+    table, and the result does not depend on the part count."""
+    rng = np.random.default_rng(5)
+    a = pa.table({"k": pa.array(rng.integers(0, 40, 300), pa.int64()),
+                  "x": pa.array(rng.integers(0, 100, 300), pa.int64())})
+    b = pa.table({"k": pa.array(rng.integers(0, 40, 200), pa.int64()),
+                  "x": pa.array([f"s{i}" for i in range(200)])})
+    c = pa.table({"k": pa.array([], pa.int64()),
+                  "y": pa.array([], pa.float64())})
+
+    def fn(ta: pa.Table, tb: pa.Table, tc: pa.Table) -> pa.Table:
+        assert ta.schema.field("x").type == pa.int64()
+        assert tb.schema.field("x").type == pa.string()
+        assert tc.num_rows == 0
+        assert tc.schema.names == ["k", "y", "part"]
+        ka = ta.column("k").to_numpy(zero_copy_only=False)
+        kb = tb.column("k").to_numpy(zero_copy_only=False)
+        keys = np.union1d(ka, kb)
+        xa = ta.column("x").to_numpy(zero_copy_only=False)
+        return pa.table({
+            "k": pa.array(keys, pa.int64()),
+            "sum_a": pa.array([int(xa[ka == k].sum()) for k in keys],
+                              pa.int64()),
+            "n_b": pa.array([int((kb == k).sum()) for k in keys],
+                            pa.int64())})
+
+    src = ([ray.put(a.slice(0, 150)), ray.put(a.slice(150))],
+           [ray.put(b.slice(0, 80)), ray.put(b.slice(80))], [ray.put(c)])
+    got = []
+    for P in (3, 8):
+        parts(P)
+        out = file_exchange_map_groups(src, fn, keys=["k"])
+        assert [s.names for s in out.schema] == [
+            ["k", "x", "part"], ["k", "x", "part"], ["k", "y", "part"]]
+        got.append(pa.concat_tables(ray.get(out.refs)).sort_by("k"))
+    assert got[0].equals(got[1])
+    da, db = a.to_pandas(), b.to_pandas()
+    want = pd.DataFrame({"k": np.union1d(da.k, db.k)})
+    want["sum_a"] = [int(da.x[da.k == k].sum()) for k in want.k]
+    want["n_b"] = [int((db.k == k).sum()) for k in want.k]
+    assert got[0].to_pandas().equals(want)
+    # the folds take one input
+    with pytest.raises(TypeError):
+        fx_agg_by(src[:2], ["k"], [("x", "sum")])
 
 
 def test_fx_join_nullable_int_keys_one_side(ray_session, parts):

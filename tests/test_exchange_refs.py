@@ -287,7 +287,16 @@ def test_fx_join_leaf_inputs_match_datasets(tmp_path, parts):
 
 MOVED = ["bigram_logprob_score", "tfidf_top_terms", "order_lines_join",
          "parts_unsold_in_window", "top_customers_by_return_revenue",
-         "late_events", "bpe_vocab"]
+         "late_events", "bpe_vocab",
+         # the co-group and fx_join sides of the analytics joins
+         "top_orders_by_revenue", "revenue_by_nation",
+         "customers_without_orders", "priority_wait_orders",
+         "ship_delay_priority", "volume_shipping", "brand_revenue_by_year",
+         "large_orders", "nation_market_share",
+         "customer_order_distribution", "banded_part_revenue",
+         "lapsed_rich_customers", "supplier_count_by_part",
+         "promo_revenue_share", "min_cost_supplier", "orders_region0_left",
+         "active_customers_in_window", "customer_orders_outer"]
 
 
 @pytest.fixture(scope="module")
