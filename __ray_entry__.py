@@ -39,26 +39,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from aqueduct_core_ray.pipelines import temporal as tp
 
     def source_stats(sf_dir: str):
+        import numpy as np
         import pyarrow as pa
 
-        import ray.data
+        from aqueduct_core_ray.pipelines.analytics import _concat_nonempty
+        from aqueduct_core_ray.stages import exchange
 
-        ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                   columns=["source", "n_chars"])
-        out = ds.groupby("source").sum("n_chars")
-        cnt = ds.groupby("source").count()
+        def ones(t: pa.Table) -> pa.Table:
+            return pa.table({"source": t.column("source"),
+                             "n_rows": pa.array(np.ones(t.num_rows,
+                                                        np.int64)),
+                             "sum_n_chars": t.column("n_chars")})
 
-        def renamed(t: pa.Table, names) -> pa.Table:
-            return t.rename_columns(names)
-
-        out = out.map_batches(partial(renamed, names=["source", "sum_n_chars"]),
-                              batch_format="pyarrow")
-        cnt = cnt.map_batches(partial(renamed, names=["source", "n_rows"]),
-                              batch_format="pyarrow")
-        # both sides are ≤ #sources rows; fold driver-side
-        a = out.to_pandas().set_index("source")
-        b = cnt.to_pandas().set_index("source")
-        return a.join(b).reset_index()[["source", "n_rows", "sum_n_chars"]]
+        # both columns sum over one keyed exchange (≤ #sources rows)
+        out = exchange.fx_agg_by(
+            exchange.leaf(f"{sf_dir}/documents.parquet",
+                          ["source", "n_chars"]), ["source"],
+            [("n_rows", "sum"), ("sum_n_chars", "sum")], pre=ones)
+        return _concat_nonempty(out, pa.table({
+            "source": pa.array([], pa.string()),
+            "n_rows": pa.array([], pa.int64()),
+            "sum_n_chars": pa.array([], pa.int64())})).to_pandas()
 
     # ORDERING CONTRACT: the driver's correctness harness checks the
     # FIRST 50 entries only (CORRECTNESS_r0{1,2,3,4}.json cap). Entries
@@ -2231,6 +2232,15 @@ def _split_leakage(sf_dir: str):
 
 
 def _train_pipeline(sf_dir: str):
+    import shutil
+    import tempfile
+
     from aqueduct_core_ray.pipelines.curate import train_pipeline
 
-    return train_pipeline(sf_dir)
+    # a fresh export dir: the default one is keyed on the source and the
+    # parameters, not the code, so it could return an older run's result
+    out_dir = tempfile.mkdtemp(prefix="aqr_trainpipe_")
+    try:
+        return train_pipeline(sf_dir, out_dir=out_dir)
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)

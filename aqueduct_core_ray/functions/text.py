@@ -210,12 +210,15 @@ def actor_pool_size(reserve: int = 2, cap: int | None = None
     `concurrency=2` flooded 2 actors at num_cpus=32; a FIXED cluster-
     sized pool overpaid ~2 s of actor startup on small inputs — the
     autoscaler spawns actors only while batches queue). Leaves
-    ``reserve`` CPUs for the driver/IO stages."""
+    ``reserve`` CPUs for the driver/IO stages. Both bounds are capped at
+    the cluster's CPUs (floor 1): a pool that waits for more one-CPU
+    actors than the cluster can place never starts."""
     import ray
     cpus = int(ray.cluster_resources().get("CPU", 4)) \
         if ray.is_initialized() else 4
     n = max(2, cpus - reserve)
-    return (2, min(n, cap) if cap else n)
+    hi = max(1, min(min(n, cap) if cap else n, cpus))
+    return (min(2, hi), hi)
 
 
 def lang_id(sf_dir: str,

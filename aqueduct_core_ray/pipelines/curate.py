@@ -7,15 +7,16 @@ this repo's operators —
 
 Scale shape (every stage audited against the 100-TB lens):
 
-- ONE flag pass: a single ``map_batches`` stage computes lang_pred,
-  integer quality metrics, the md5 fingerprint, and blocklist n-gram
-  hits (broadcast once) — per-stage keep flags ride along as int8
-  columns, so stage attrition counts come from native Sum aggregates
-  over the SAME pass, not one scan per stage.
+- ONE flag pass: a single ``map_blocks`` pass over the documents leaf
+  computes lang_pred, integer quality metrics, the md5 fingerprint, and
+  blocklist n-gram hits (broadcast once) — per-stage keep flags ride
+  along as int8 columns; the flagged block refs feed the stage
+  attrition fold and both dedup exchanges, so no document is flagged
+  twice.
 - exact dedup moves fingerprints, not text: survivors (min doc_id per
   fp) are computed from a (fp, doc_id)-only projection, and the
   surviving rows are recovered with a CO-PARTITIONED semi-join (docs
-  and survivor ids unioned into one exchange keyed on doc_id) — no
+  and survivor ids co-grouped in one exchange keyed on doc_id) — no
   broadcast of an O(corpus) survivor set, no driver materialization.
 - output is the resumable sharded export (atomic ``_EXPORTED`` marker).
 
@@ -39,7 +40,6 @@ from ..functions.text import (
     LangId,
     fingerprint_batch,
     quality_batch,
-    read_documents,
 )
 
 
@@ -73,34 +73,40 @@ def _flags_stage(block_ref, lang: str, shingle: int, min_hits: int):
     return flags
 
 
+_FLAGS = ["lang_ok", "qual_ok", "clean", "keep"]
+
+
+def _attrition(t: pa.Table) -> pa.Table:
+    """One row: the block's row count and the sum of each keep flag."""
+    return pa.table({"input": [t.num_rows], **{
+        c: [pc.sum(t.column(c)).as_py() or 0] for c in _FLAGS}})
+
+
 def _curated_docs(sf_dir: str, lang: str = "en", shingle: int = 8,
                   min_hits: int = 3,
                   benchmark: "list[str] | None" = None
                   ) -> "tuple[ray.data.Dataset, dict]":
     """The curation core shared by ``curate_corpus`` and
     ``train_pipeline``: returns (deduped surviving-docs Dataset with
-    columns doc_id/text/source/fp, per-stage attrition aggregate)."""
-    from ray.data.aggregate import Count, Sum
-
+    columns doc_id/text/source/fp, per-stage attrition counts keyed
+    ``input`` and the ``_FLAGS``)."""
     block_ref = ray.put(build_ngram_blocklist(sf_dir, benchmark,
                                               shingle))
 
-    flags = _flags_stage(block_ref, lang, shingle, min_hits)
-    flagged = read_documents(
-        sf_dir, columns=["doc_id", "text", "source"]).map_batches(
-        flags, batch_format="pyarrow")
-
-    # one aggregate pass gives every stage's attrition; the dedup below
-    # re-runs the flags inside its exchange writers (both consumers
-    # stream, nothing materializes)
-    agg = flagged.aggregate(Count(), Sum("lang_ok"), Sum("qual_ok"),
-                            Sum("clean"), Sum("keep"))
+    # ONE flag pass over the documents; its block refs feed the
+    # attrition fold and both exchanges, whose ``pre`` only filters and
+    # projects
+    flagged = exchange.map_blocks(
+        exchange.leaf(f"{sf_dir}/documents.parquet",
+                      ["doc_id", "text", "source"]),
+        _flags_stage(block_ref, lang, shingle, min_hits))
+    tot = pa.concat_tables(ray.get(exchange.map_blocks(flagged,
+                                                       _attrition)))
+    agg = {c: pc.sum(tot.column(c)).as_py() for c in tot.column_names}
 
     def kept(t: pa.Table) -> pa.Table:
-        t = flags(t)
-        return t.filter(pc.equal(t.column("keep"),
-                                 pa.scalar(1, pa.int8()))).drop_columns(
-            ["lang_ok", "qual_ok", "clean", "keep"])
+        return t.filter(pc.equal(t.column("keep"), pa.scalar(
+            1, pa.int8()))).select(["doc_id", "text", "source", "fp"])
 
     def kept_fp(t: pa.Table) -> pa.Table:
         return kept(t).select(["fp", "doc_id"])
@@ -112,12 +118,10 @@ def _curated_docs(sf_dir: str, lang: str = "en", shingle: int = 8,
     # computed over an (fp, doc_id) projection — text never shuffles;
     # then a co-partitioned semi-join keyed on doc_id keeps the docs
     # with a survivor id
-    docs = exchange.leaf(f"{sf_dir}/documents.parquet",
-                         ["doc_id", "text", "source"])
-    survivors = exchange.fx_agg_by(docs, ["fp"], [("doc_id", "min")],
+    survivors = exchange.fx_agg_by(flagged, ["fp"], [("doc_id", "min")],
                                    pre=kept_fp)
     deduped = ray.data.from_arrow_refs(exchange.fx_join(
-        docs, survivors.refs, on="doc_id", how="semi",
+        flagged, survivors.refs, on="doc_id", how="semi",
         pre=(kept, survivor_ids)).refs)
     return deduped, agg
 
@@ -159,12 +163,8 @@ def curate_corpus(sf_dir: str, out_dir: str | None = None,
     return pa.table({
         "stage": pa.array(["input", "lang", "quality", "decontaminated",
                            "kept", "deduped"]),
-        "n_docs": pa.array([int(agg["count()"]),
-                            int(agg["sum(lang_ok)"]),
-                            int(agg["sum(qual_ok)"]),
-                            int(agg["sum(clean)"]),
-                            int(agg["sum(keep)"]),
-                            int(n_dedup)], pa.int64()),
+        "n_docs": pa.array([agg[c] for c in ["input", *_FLAGS]]
+                           + [int(n_dedup)], pa.int64()),
     })
 
 
@@ -247,8 +247,8 @@ def train_pipeline(sf_dir: str, out_dir: "str | None" = None,
     meta = pads.dataset(out_dir, partitioning="hive").to_table(
         columns=["n_tok", "n_docs"])
     out = pa.table({
-        "docs_in": pa.array([int(agg["count()"])], pa.int64()),
-        "docs_kept": pa.array([int(agg["sum(keep)"])], pa.int64()),
+        "docs_in": pa.array([agg["input"]], pa.int64()),
+        "docs_kept": pa.array([agg["keep"]], pa.int64()),
         "docs_packed": pa.array(
             [int(pc.sum(meta.column("n_docs")).as_py() or 0)],
             pa.int64()),

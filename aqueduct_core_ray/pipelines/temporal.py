@@ -1,57 +1,102 @@
-"""Temporal operators Ray Data lacks natively (task mandate: windowed
-aggregate, as-of join), composed from map_batches + multi-key groupby —
-no raw Ray tasks needed.
+"""Temporal and windowed operators over the events table (task mandate:
+windowed aggregate, as-of join).
 
-Partitioning assumptions (documented per the task's custom-operator
-rule):
+Every operator reads ``events.parquet`` through ``exchange.leaf(path,
+columns, filter=)`` (type filters push down into the read), so no Ray
+Data plan runs before the public ``from_arrow_refs`` boundary. Three
+shapes cover the file:
 
-- ``tumbling_window``: windows are computed row-locally (a timestamp
-  truncation), so the only exchange is the final (window, type) groupby
-  — pre-aggregated per block first (combiner), so the shuffle moves at
-  most #blocks × #distinct-(window,type) tiny rows, never events.
-- ``asof_join_prior``: correctness requires co-locating each key's full
-  history — one hash shuffle on the join key into a BOUNDED number of
-  partitions, then one per-partition sort + segmented ``searchsorted``
-  covering all of the partition's users in a single vectorized kernel
-  (never one Python call per user). Skewed keys are bounded by per-user
-  history length, not stream length.
+- ordered per-user operators (running and rolling sums, lag / lead,
+  gaps, sessions, paths, transitions, as-of and interval joins, the
+  funnel, cohorts, rolling and cumulative users) are one
+  ``exchange.window(leaf, ["user_id"], order_by, fn)``: a keyed
+  exchange on user_id whose task sorts its rows ONCE and hands ``fn``
+  the segment starts, so ``fn`` computes every user of the task in one
+  vectorized pass (``seg_ids`` / ``seg_cumsum`` / ``seg_shift``) — no
+  per-user Python call, no global sort. Skew is bounded by per-user
+  history length, not stream length;
+- bounded rollups (window counts, histograms, quantiles) fold a
+  per-block partial, passed as ``pre=``, over ``fx_sum_by``: the
+  exchange moves partial rows, never events;
+- map-only and driver-fold operators run their per-block function as
+  ``exchange.map_blocks`` raw tasks.
+
+``late_events`` keeps its own arrival-order range exchange: a range is
+seeded with a driver-side prefix, not routed by a key hash.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 
+import ray
 import ray.data
 
-from .log_queries import read_events
-
-# every per-key exchange below is the keyed file exchange
-# (stages/exchange.py)
 from ..stages import exchange
-from ..stages.exchange import collect_tables
+from ..stages.exchange import seg_cumsum, seg_ids, seg_shift
+from .analytics import _cents, _concat_nonempty, _fold_partials
+
+_DAY_US = 86_400_000_000
+# the ordered operators' ORDER BY: event time, ties by arrival
+_BY_TIME = ["ts", "event_id"]
+
+
+def _events(sf_dir: str, columns: "list[str]", filter=None
+            ) -> exchange.Leaf:
+    return exchange.leaf(f"{sf_dir}/events.parquet", columns, filter=filter)
+
+
+def _of_types(*types: str) -> pads.Expression:
+    return pads.field("event_type").isin(list(types))
+
+
+def _ds(out: "exchange.Exchanged | list") -> ray.data.Dataset:
+    """The public boundary: an exchange's (or map's) refs as a Dataset."""
+    return ray.data.from_arrow_refs(
+        out.refs if isinstance(out, exchange.Exchanged) else out)
+
+
+def _np(t: pa.Table, c: str) -> np.ndarray:
+    """Column ``c`` as numpy (a timestamp as its int64 microseconds)."""
+    col = t.column(c)
+    if pa.types.is_timestamp(col.type):
+        col = col.cast(pa.int64())
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _count_rows(t: pa.Table, keys: "list[str]", name: str) -> pa.Table:
+    """``COUNT(*)`` per distinct ``keys`` of ``t`` as the int64 ``name``."""
+    agg = t.group_by(keys, use_threads=False).aggregate([([], "count_all")])
+    return pa.table({**{k: agg.column(k) for k in keys},
+                     name: agg.column("count_all")})
+
+
+def _user_days(t: pa.Table) -> pa.Table:
+    """Block-distinct (user_id, day) pairs, ``day`` = ts // 1 day."""
+    return pa.table({"user_id": t.column("user_id"),
+                     "day": pa.array(_np(t, "ts") // _DAY_US)}).group_by(
+        ["user_id", "day"], use_threads=False).aggregate([])
 
 
 def tumbling_window_counts(sf_dir: str, unit: str = "hour"
                            ) -> ray.data.Dataset:
     """Tumbling-window aggregate: events per (window, type) with the sum
     of `value` — the streaming-window staple. Window = date_trunc(unit).
-    """
+    Per-block (window, type) partials fold over one keyed exchange: the
+    group count grows with the time range, so no driver fold."""
 
     def prebucket(t: pa.Table) -> pa.Table:
-        w = pc.floor_temporal(t.column("ts"), unit=unit)
         # integer cents: float sums are association-dependent and would
-        # hash-mismatch a SQL oracle; floor(v*100 + 0.5) is deterministic
-        # and identical in numpy and DuckDB
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100 + 0.5).astype(np.int64)
+        # hash-mismatch a SQL oracle
         g = pa.table({
-            "window_start": w,
+            "window_start": pc.floor_temporal(t.column("ts"), unit=unit),
             "event_type": t.column("event_type"),
-            "cents": pa.array(cents),
+            "cents": pa.array(_cents(t.column("value"))),
         })
-        # per-block combiner: partial counts/sums before the shuffle
         agg = g.group_by(["window_start", "event_type"]).aggregate(
             [("cents", "count"), ("cents", "sum")])
         return pa.table({          # by-name: aggregate column order is
@@ -61,17 +106,10 @@ def tumbling_window_counts(sf_dir: str, unit: str = "hour"
             "sum_cents": agg.column("cents_sum"),
         })
 
-    from ..stages.exchange import fx_sum_by
-
-    ds = read_events(sf_dir, columns=["ts", "event_type", "value"])
-    partial = ds.map_batches(prebucket, batch_format="pyarrow",
-                             batch_size=None)
-    # file-exchange multi-agg fold: the (window, type) group count
-    # grows with the time range — a per-group Python call would be a
-    # wall at years of hourly windows, and the native Aggregate pays
-    # the sort-shuffle floor
-    return fx_sum_by(partial, ["window_start", "event_type"],
-                     ["n_rows", "sum_cents"])
+    return _ds(exchange.fx_sum_by(
+        _events(sf_dir, ["ts", "event_type", "value"]),
+        ["window_start", "event_type"], ["n_rows", "sum_cents"],
+        pre=prebucket))
 
 
 def asof_join_prior(sf_dir: str, probe_type: str = "purchase",
@@ -80,54 +118,26 @@ def asof_join_prior(sf_dir: str, probe_type: str = "purchase",
     ``build_type`` event of the same user (strictly earlier event_id),
     NULL when none exists. LEFT-join semantics.
 
-    Scale shape: ONE exchange keyed on the join key into bounded
-    groups (NOT one Python call per user — unbounded group count
-    was the round-1 wall), then a per-partition sort + ONE segmented
-    ``searchsorted`` over rank-composite keys covering every user in the
-    partition at once. Composite = user_rank * (n_rows+1) + event_rank,
-    overflow-free for any partition under ~3e9 rows."""
+    A window over the two types' rows ordered by event_id: a running
+    max of build-row positions gives every probe its last build, valid
+    when that build lies in the probe's own segment."""
 
-    def narrow(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array([probe_type, build_type]))
-        return t.filter(keep)
-
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        typ = t.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, uid))
-        uid, eid, typ = uid[order], eid[order], typ[order]
-        is_probe = typ == probe_type
-        # rank-composite keys: factorized user x event ranks keep the
-        # int64 product bounded by n^2 regardless of raw id magnitudes
-        u_uniq, u_code = np.unique(uid, return_inverse=True)
-        e_rank = np.searchsorted(np.unique(eid), eid)
-        comp = u_code.astype(np.int64) * np.int64(len(eid) + 1) + e_rank
-        builds_comp = comp[~is_probe]
-        builds_eid = eid[~is_probe]
-        builds_uid = uid[~is_probe]
-        probes_comp = comp[is_probe]
-        n_probe = int(is_probe.sum())
-        if builds_comp.size == 0:
-            last = np.full(n_probe, -1, np.int64)
-        else:
-            pos = np.searchsorted(builds_comp, probes_comp,
-                                  side="left") - 1
-            safe = np.clip(pos, 0, None)
-            # same-user guard: a probe whose pos lands in the previous
-            # user's build run has no prior build of its own
-            valid = (pos >= 0) & (builds_uid[safe] == uid[is_probe])
-            last = np.where(valid, builds_eid[safe], -1)
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        eid = _np(t, "event_id")
+        probe = _np(t, "event_type") == probe_type
+        last = np.maximum.accumulate(
+            np.where(probe, -1, np.arange(len(eid))))
+        ok = last >= starts[seg_ids(starts, len(eid))]
         return pa.table({
-            "event_id": pa.array(eid[is_probe]),
-            "user_id": pa.array(uid[is_probe]),
-            "last_prior": pa.array(last, pa.int64(), mask=last < 0),
+            "event_id": eid[probe],
+            "user_id": _np(t, "user_id")[probe],
+            "last_prior": pa.array(eid[last][probe], mask=~ok[probe]),
         })
 
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "event_type"]
-                     ).map_batches(narrow, batch_format="pyarrow")
-    return exchange.file_exchange_map_groups(ds, per_part, keys=["user_id"])
+    return _ds(exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "event_type"],
+                _of_types(probe_type, build_type)),
+        ["user_id"], ["event_id"], fn))
 
 
 def hopping_window_counts(sf_dir: str, window_minutes: int = 60,
@@ -137,15 +147,13 @@ def hopping_window_counts(sf_dir: str, window_minutes: int = 60,
     (the other half of the streaming-window pair next to
     ``tumbling_window_counts``). Row-local window assignment via a
     vectorized repeat (duplication factor W/S), per-block combiner,
-    then the same native (window, type) fold — the shuffle moves
-    partial counts, never the W/S-amplified events."""
-    from ray.data.aggregate import Sum
-
+    then the same (window, type) fold — the exchange moves partial
+    counts, never the W/S-amplified events."""
     k = window_minutes // hop_minutes
     hop_us = np.int64(hop_minutes) * 60_000_000
 
     def prebucket(t: pa.Table) -> pa.Table:
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
+        ts = _np(t, "ts")
         base = (ts // hop_us) * hop_us           # newest window's start
         n = len(ts)
         ws = (np.repeat(base, k)
@@ -164,13 +172,9 @@ def hopping_window_counts(sf_dir: str, window_minutes: int = 60,
             "n_rows": agg.column("event_type_count"),
         })
 
-    from ..stages.exchange import fx_sum_by
-
-    ds = read_events(sf_dir, columns=["ts", "event_type"])
-    partial = ds.map_batches(prebucket, batch_format="pyarrow",
-                             batch_size=None)
-    return fx_sum_by(partial, ["window_start", "event_type"],
-                     ["n_rows"])
+    return _ds(exchange.fx_sum_by(
+        _events(sf_dir, ["ts", "event_type"]),
+        ["window_start", "event_type"], ["n_rows"], pre=prebucket))
 
 
 # deterministic value bands for the broadcast range join (mirrored
@@ -183,7 +187,7 @@ VALUE_BANDS = [("micro", 0.0, 1.0), ("small", 1.0, 10.0),
 def range_join_value_bands(sf_dir: str) -> ray.data.Dataset:
     """Broadcast RANGE join: events matched to a small interval table
     (``value ∈ [lo, hi)``) — the canonical small-side non-equi join. The
-    band table is a closure broadcast; each batch resolves membership
+    band table is a closure broadcast; each block resolves membership
     with ONE vectorized searchsorted over the band edges — never a
     shuffle join, never a per-row loop."""
     edges = np.array([b[1] for b in VALUE_BANDS] + [VALUE_BANDS[-1][2]])
@@ -199,12 +203,8 @@ def range_join_value_bands(sf_dir: str) -> ray.data.Dataset:
         return pa.table({"band": agg.column("band"),
                          "n_rows": agg.column("band_count")})
 
-    from ..stages.exchange import fx_sum_by
-
-    ds = read_events(sf_dir, columns=["value"])
-    partial = ds.map_batches(bandify, batch_format="pyarrow",
-                             batch_size=None)
-    return fx_sum_by(partial, ["band"], ["n_rows"])
+    return _ds(exchange.fx_sum_by(_events(sf_dir, ["value"]), ["band"],
+                                  ["n_rows"], pre=bandify))
 
 
 def sessionize(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
@@ -212,67 +212,40 @@ def sessionize(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
     the user's previous event exceeds ``gap_minutes``. Returns
     (user_id, n_sessions, n_events) — the classic event-stream
     sessionization a training-data pipeline needs for behavioral
-    filtering.
-
-    Scale shape mirrors asof_join_prior: ONE hash shuffle on user_id
-    into bounded partitions, then a single per-partition lexsort and a
-    segmented np.diff — session boundaries for every user in the
-    partition fall out of one vectorized pass."""
-
+    filtering. One window ordered by (ts, event_id): a row opens a
+    session when its LAG gap is over the limit or it has none."""
     gap_us = np.int64(gap_minutes) * 60_000_000
 
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts = uid[order], ts[order]
-        new_user = np.ones(len(uid), bool)
-        new_user[1:] = uid[1:] != uid[:-1]
-        gap = np.ones(len(uid), bool)
-        gap[1:] = (ts[1:] - ts[:-1]) > gap_us
-        starts = new_user | gap
-        u_uniq, u_inv = np.unique(uid, return_inverse=True)
-        n_sessions = np.bincount(u_inv, weights=starts).astype(np.int64)
-        n_events = np.bincount(u_inv).astype(np.int64)
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = _np(t, "ts")
+        new = ((ts - seg_shift(ts, starts)) > gap_us).filled(True)
         return pa.table({
-            "user_id": pa.array(u_uniq),
-            "n_sessions": pa.array(n_sessions),
-            "n_events": pa.array(n_events),
+            "user_id": _np(t, "user_id")[starts],
+            "n_sessions": np.add.reduceat(new.astype(np.int64), starts),
+            "n_events": np.diff(np.append(starts, len(ts))),
         })
 
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "ts"])
-    return exchange.file_exchange_map_groups(ds, per_part,
-                                             keys=["user_id"])
+    return _ds(exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "ts"]), ["user_id"],
+        _BY_TIME, fn))
 
 
 def value_histogram(sf_dir: str, bucket_width_cents: int = 2500
                     ) -> ray.data.Dataset:
     """Equi-width histogram of `value` per event type (integer-cent
     buckets so the SQL oracle hashes identically): per-block partial
-    counts (combiner), then a tiny (type, bucket) groupby — the shuffle
+    counts (combiner), then a tiny (type, bucket) fold — the exchange
     moves histogram rows, never events."""
 
     def prebucket(t: pa.Table) -> pa.Table:
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        cents = np.floor(v * 100 + 0.5).astype(np.int64)
-        b = cents // bucket_width_cents
         g = pa.table({"event_type": t.column("event_type"),
-                      "bucket": pa.array(b)})
-        agg = g.group_by(["event_type", "bucket"]).aggregate(
-            [("bucket", "count")])
-        return pa.table({
-            "event_type": agg.column("event_type"),
-            "bucket": agg.column("bucket"),
-            "n_rows": agg.column("bucket_count"),
-        })
+                      "bucket": pa.array(_cents(t.column("value"))
+                                         // bucket_width_cents)})
+        return _count_rows(g, ["event_type", "bucket"], "n_rows")
 
-    from ..stages.exchange import fx_sum_by
-
-    ds = read_events(sf_dir, columns=["event_type", "value"])
-    partial = ds.map_batches(prebucket, batch_format="pyarrow",
-                             batch_size=None)
-    return fx_sum_by(partial, ["event_type", "bucket"], ["n_rows"])
+    return _ds(exchange.fx_sum_by(
+        _events(sf_dir, ["event_type", "value"]),
+        ["event_type", "bucket"], ["n_rows"], pre=prebucket))
 
 
 def _per_type(sf_dir: str, columns: "list[str]", partial, merge
@@ -280,10 +253,10 @@ def _per_type(sf_dir: str, columns: "list[str]", partial, merge
     """``partial`` over every events block, then ``merge`` once per
     event type over the type's partial rows (one exchange keyed on
     event_type; a part loops over its few types)."""
-    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
-        exchange.leaf(f"{sf_dir}/events.parquet", columns),
+    return _ds(exchange.file_exchange_map_groups(
+        _events(sf_dir, columns),
         exchange.each_group(merge, ["event_type"]), keys=["event_type"],
-        pre=partial).refs)
+        pre=partial))
 
 
 def distinct_users_by_type(sf_dir: str) -> ray.data.Dataset:
@@ -324,8 +297,7 @@ def approx_quantiles_by_type(sf_dir: str,
     log_lo, log_hi = np.log(lo_c), np.log(hi_c)
 
     def block_hist(t: pa.Table) -> pa.Table:
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        cents = np.maximum(np.floor(v * 100 + 0.5), 1.0)
+        cents = np.maximum(_cents(t.column("value")), 1)
         b = ((np.log(cents) - log_lo) / (log_hi - log_lo)
              * (n_bins - 1)).astype(np.int64).clip(0, n_bins - 1)
         types = t.column("event_type").to_numpy(zero_copy_only=False)
@@ -372,8 +344,6 @@ def approx_distinct_users_by_type(sf_dir: str, p_bits: int = 12
     events the shuffle moves #blocks × #types × 4 KB of registers, an
     unconditionally bounded exchange. Approximate (±~1.6% at p=12):
     rows-only check."""
-    import pandas as pd
-
     m = 1 << p_bits
 
     def block_sketch(t: pa.Table) -> pa.Table:
@@ -425,41 +395,17 @@ def running_total(sf_dir: str) -> ray.data.Dataset:
     (integer cents, floor(v*100+0.5) per row) over (ts, event_id)
     order — SQL's ``sum(...) OVER (PARTITION BY user_id ORDER BY ts,
     event_id ROWS UNBOUNDED PRECEDING)``. Returns (event_id, user_id,
-    ts, value_c, running_c).
+    ts, value_c, running_c): one window, one ``seg_cumsum``."""
 
-    Scale shape: ONE hash shuffle on user_id into bounded partitions;
-    within a partition a single lexsort orders every user's stream and
-    one global cumsum minus per-segment bases yields all running sums —
-    no per-user Python loop, no global sort."""
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        v_c = _cents(t.column("value"))
+        return t.select(["event_id", "user_id", "ts"]).append_column(
+            "value_c", pa.array(v_c)).append_column(
+            "running_c", pa.array(seg_cumsum(v_c, starts)))
 
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        val = t.column("value").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid, eid = uid[order], eid[order]
-        v_c = np.floor(val[order] * 100.0 + 0.5).astype(np.int64)
-        cs = np.cumsum(v_c)
-        new_user = np.ones(len(uid), bool)
-        new_user[1:] = uid[1:] != uid[:-1]
-        seg_id = np.cumsum(new_user) - 1
-        starts = np.flatnonzero(new_user)
-        base = cs[starts] - v_c[starts]        # prefix before each segment
-        running = cs - base[seg_id]
-        sel = pa.array(order)
-        return pa.table({
-            "event_id": pa.array(eid),
-            "user_id": pa.array(uid),
-            "ts": t.column("ts").take(sel),
-            "value_c": pa.array(v_c),
-            "running_c": pa.array(running),
-        })
-
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
-                                      "value"])
-    return exchange.file_exchange_map_groups(ds, per_part,
-                                             keys=["user_id"])
+    return _ds(exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+        ["user_id"], _BY_TIME, fn))
 
 
 def inter_event_gaps(sf_dir: str) -> ray.data.Dataset:
@@ -468,39 +414,42 @@ def inter_event_gaps(sf_dir: str) -> ray.data.Dataset:
     (ts, event_id) order — SQL's ``ts - lag(ts) OVER (PARTITION BY
     user_id ORDER BY ts, event_id)`` aggregated per user. Returns
     (user_id, n_events, sum_gap_us, max_gap_us); single-event users get
-    zero gaps.
+    zero gaps. One window: the LAG gap (0 on a user's first row), then
+    one ``reduceat`` per statistic."""
 
-    Scale shape (same as running_total): ONE hash shuffle on user_id
-    into bounded partitions; within a partition one lexsort orders every
-    user's stream, per-position gaps come from a single shifted
-    difference (zeroed at segment starts, so a segment's first row
-    contributes nothing), and per-user sum/max are one ``reduceat``
-    each — no per-user Python loop, no global sort. Each user lives in
-    exactly one partition, so the output needs no driver fold."""
-
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts = uid[order], ts[order]
-        new_user = np.ones(len(uid), bool)
-        new_user[1:] = uid[1:] != uid[:-1]
-        gap = np.zeros(len(uid), np.int64)
-        gap[1:] = ts[1:] - ts[:-1]
-        gap[new_user] = 0                  # first row of a user: no gap
-        starts = np.flatnonzero(new_user)
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = _np(t, "ts")
+        gap = (ts - seg_shift(ts, starts)).filled(0)
         return pa.table({
-            "user_id": pa.array(uid[starts]),
-            "n_events": pa.array(np.diff(np.append(starts, len(uid)))
-                                 .astype(np.int64)),
-            "sum_gap_us": pa.array(np.add.reduceat(gap, starts)),
-            "max_gap_us": pa.array(np.maximum.reduceat(gap, starts)),
+            "user_id": _np(t, "user_id")[starts],
+            "n_events": np.diff(np.append(starts, len(ts))),
+            "sum_gap_us": np.add.reduceat(gap, starts),
+            "max_gap_us": np.maximum.reduceat(gap, starts),
         })
 
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "ts"])
-    return exchange.file_exchange_map_groups(ds, per_part,
-                                             keys=["user_id"])
+    return _ds(exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "ts"]), ["user_id"],
+        _BY_TIME, fn))
+
+
+def _value_hist(sf_dir: str) -> pd.DataFrame:
+    """The (event_type, value_c) -> n histogram of integer-cent values,
+    on the driver: per-block partials fold over one exchange, bounded
+    by the cents domain × types (measured: 100k event rows -> 18k
+    distinct cents, sublinear), so events never sort and never leave
+    their blocks. Shared by the exact quantile family and the mode."""
+
+    def partial(t: pa.Table) -> pa.Table:
+        g = pa.table({"event_type": t.column("event_type"),
+                      "value_c": pa.array(_cents(t.column("value")))})
+        return _count_rows(g, ["event_type", "value_c"], "n")
+
+    return _concat_nonempty(exchange.fx_sum_by(
+        _events(sf_dir, ["event_type", "value"]), ["event_type", "value_c"],
+        ["n"], pre=partial), pa.table({
+            "event_type": pa.array([], pa.string()),
+            "value_c": pa.array([], pa.int64()),
+            "n": pa.array([], pa.int64())})).to_pandas()
 
 
 def exact_quantiles_by_type(sf_dir: str,
@@ -511,40 +460,10 @@ def exact_quantiles_by_type(sf_dir: str,
     (event_type, q, value_c) with SQL ``quantile_disc`` semantics:
     the element at rank ``ceil(q·n)`` (1-based; verified against
     DuckDB's convention — both sides compute the same double product,
-    so the rank can never disagree by an ulp).
-
-    Scale shape: exact quantiles normally need a sort, but a MONEY
-    column's domain is bounded (integer cents), so the full
-    distribution compresses into a (type, value_c) histogram: per-block
-    Arrow partials -> ONE native Sum exchange bounded by
-    domain × types (measured: 100k event rows -> 18k distinct cents,
-    sublinear; a 10^10-row lake saturates at the domain size) -> a
-    driver-side cumsum readout over the bounded histogram. Events are
-    never sorted and never leave their blocks."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "value_c": pa.array(np.floor(v * 100.0 + 0.5)
-                                .astype(np.int64)),
-            "n": pa.array(np.ones(t.num_rows, np.int64)),
-        })
-        agg = g.group_by(["event_type", "value_c"]).aggregate(
-            [("n", "sum")])
-        return pa.table({           # by-name: order is version-dependent
-            "event_type": agg.column("event_type"),
-            "value_c": agg.column("value_c"),
-            "n": agg.column("n_sum"),
-        })
-
-    from ..stages.exchange import fx_sum_by
-    hist = fx_sum_by(
-        read_events(sf_dir, columns=["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "value_c"], ["n"]
-    ).to_pandas()                    # bounded: domain x types rows
+    so the rank can never disagree by an ulp). A MONEY column's domain
+    is bounded, so the distribution is ``_value_hist`` and the
+    quantiles a driver cumsum readout over it."""
+    hist = _value_hist(sf_dir)
     out_t, out_q, out_v = [], [], []
     for et, g in hist.groupby("event_type", sort=True):
         g = g.sort_values("value_c")
@@ -571,46 +490,33 @@ def user_type_sets(sf_dir: str, type_a: str = "click",
     ``purchase_only`` (B EXCEPT A) — returns (user_id, status).
 
     Scale shape: per-block DISTINCT (user, membership-bit) partials
-    shrink the stream to ≤ 2·users-per-block rows before the ONE
-    hash(user) exchange; each partition folds bits with a segmented
-    bitwise-OR (sort + reduceat) and classifies every user in one
-    vectorized pass. Neither side is broadcast; output stays
-    distributed."""
-
-    bit_of = {type_a: np.int64(1), type_b: np.int64(2)}
+    shrink the stream to ≤ 2·users-per-block rows before ONE window on
+    user_id, which folds each user's bits with a segmented bitwise-OR
+    and classifies every user in one vectorized pass. Neither side is
+    broadcast; output stays distributed."""
     # labels derive from the parameters (defaults keep the oracle's
     # click_only / purchase_only names)
     status_of = {3: "both", 1: f"{type_a}_only", 2: f"{type_b}_only"}
 
     def partial(t: pa.Table) -> pa.Table:
         typ = t.column("event_type").to_numpy(zero_copy_only=False)
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        bits = np.where(typ == type_a, 1, np.where(typ == type_b, 2, 0))
-        m = bits > 0
-        uid, bits = uid[m], bits[m].astype(np.int64)
-        pairs = np.unique(np.stack([uid, bits], axis=1), axis=0)
-        return pa.table({"user_id": pa.array(pairs[:, 0]),
-                         "bit": pa.array(pairs[:, 1])})
+        bits = np.where(typ == type_a, 1, 2).astype(np.int64)
+        return pa.table({"user_id": t.column("user_id"),
+                         "bit": pa.array(bits)}).group_by(
+            ["user_id", "bit"], use_threads=False).aggregate([])
 
-    def classify(g: pa.Table) -> pa.Table:
-        uid = g.column("user_id").to_numpy(zero_copy_only=False)
-        bit = g.column("bit").to_numpy(zero_copy_only=False)
-        order = np.argsort(uid, kind="stable")
-        uid, bit = uid[order], bit[order]
-        starts = np.flatnonzero(np.concatenate([[True],
-                                                uid[1:] != uid[:-1]]))
-        masks = np.bitwise_or.reduceat(bit, starts)
-        users = uid[starts]
-        out_status = np.empty(len(users), object)
+    def classify(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        masks = np.bitwise_or.reduceat(_np(t, "bit"), starts)
+        status = np.empty(len(masks), object)
         for m, s in status_of.items():
-            out_status[masks == m] = s
-        return pa.table({"user_id": pa.array(users),
-                         "status": pa.array(out_status, pa.string())})
+            status[masks == m] = s
+        return pa.table({"user_id": _np(t, "user_id")[starts],
+                         "status": pa.array(status, pa.string())})
 
-    ds = read_events(sf_dir, columns=["user_id", "event_type"])
-    return exchange.file_exchange_map_groups(
-        ds.map_batches(partial, batch_format="pyarrow"), classify,
-        keys=["user_id"])
+    return _ds(exchange.window(
+        _events(sf_dir, ["user_id", "event_type"],
+                _of_types(type_a, type_b)),
+        ["user_id"], [], classify, pre=partial))
 
 
 def percentile_rank(sf_dir: str) -> ray.data.Dataset:
@@ -620,57 +526,29 @@ def percentile_rank(sf_dir: str) -> ray.data.Dataset:
     integer arithmetic, so the oracle reproduces it bit-exactly.
     Returns (event_id, event_type, value_c, pct_rank).
 
-    Scale shape: the same bounded-domain trick as
-    ``exact_quantiles_by_type`` — ONE native Sum exchange folds the
-    (type, value_c) histogram (bounded by domain × types), the driver
-    turns it into per-type cumulative-count lookup tables broadcast via
-    ``ray.put``, and a second streaming pass ranks every event with one
-    vectorized searchsorted per (block, type). Events are never
-    sorted globally and never leave their blocks."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "value_c": pa.array(np.floor(v * 100.0 + 0.5)
-                                .astype(np.int64)),
-            "n": pa.array(np.ones(t.num_rows, np.int64)),
-        })
-        agg = g.group_by(["event_type", "value_c"]).aggregate(
-            [("n", "sum")])
-        return pa.table({
-            "event_type": agg.column("event_type"),
-            "value_c": agg.column("value_c"),
-            "n": agg.column("n_sum"),
-        })
-
-    from ..stages.exchange import fx_sum_by
-    hist = fx_sum_by(
-        read_events(sf_dir, columns=["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "value_c"], ["n"]).to_pandas()
+    Scale shape: ``_value_hist`` gives per-type cumulative-count lookup
+    tables, broadcast via ``ray.put``, and one ``map_blocks`` pass
+    ranks every event with one vectorized searchsorted per (block,
+    type). Events are never sorted globally and never leave their
+    blocks."""
     lut: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
-    for et, g in hist.groupby("event_type"):
+    for et, g in _value_hist(sf_dir).groupby("event_type"):
         g = g.sort_values("value_c")
-        vals = g["value_c"].to_numpy()
         cnt = g["n"].to_numpy()
         below = np.concatenate([[0], cnt.cumsum()[:-1]])  # rows < v
-        lut[et] = (vals, below.astype(np.int64), int(cnt.sum()))
+        lut[et] = (g["value_c"].to_numpy(), below.astype(np.int64),
+                   int(cnt.sum()))
     ref = ray.put(lut)
 
     def rank_rows(t: pa.Table) -> pa.Table:
         tables = ray.get(ref)
         et = t.column("event_type").to_numpy(zero_copy_only=False)
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        v_c = np.floor(v * 100.0 + 0.5).astype(np.int64)
+        v_c = _cents(t.column("value"))
         pct = np.zeros(t.num_rows, np.int64)
         for typ in np.unique(et):
             m = et == typ
             vals, below, n = tables[typ]
-            pos = np.searchsorted(vals, v_c[m])
-            r = below[pos] + 1                   # SQL rank(): ties -> min
+            r = below[np.searchsorted(vals, v_c[m])] + 1  # rank(): ties min
             pct[m] = (1000 * (r - 1)) // max(n - 1, 1)
         return pa.table({
             "event_id": t.column("event_id"),
@@ -679,9 +557,8 @@ def percentile_rank(sf_dir: str) -> ray.data.Dataset:
             "pct_rank": pa.array(pct),
         })
 
-    return (read_events(sf_dir, columns=["event_id", "event_type",
-                                         "value"])
-            .map_batches(rank_rows, batch_format="pyarrow"))
+    return _ds(exchange.map_blocks(
+        _events(sf_dir, ["event_id", "event_type", "value"]), rank_rows))
 
 
 def event_transitions(sf_dir: str) -> ray.data.Dataset:
@@ -691,41 +568,23 @@ def event_transitions(sf_dir: str) -> ray.data.Dataset:
     behavioral-model input an event pipeline derives. Returns
     (from_type, to_type, n_transitions), bounded at #types^2 rows.
 
-    Scale shape mirrors sessionize: ONE hash shuffle on user_id into
-    bounded partitions co-locates each user's history; a single
-    per-partition lexsort plus one shifted comparison yields every
-    adjacent pair, and the pair counts collapse to <= #types^2 partial
-    rows per partition before the tiny final fold (the driver never
-    sees events)."""
+    One window pairs every row with its LAG row; the pair counts
+    collapse to <= #types^2 partial rows per task before the tiny
+    driver fold (the driver never sees events)."""
 
-    from .analytics import _int_sum_by
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        et = t.column("event_type")
+        prev = seg_shift(np.arange(t.num_rows), starts)
+        return _count_rows(pa.table({
+            "from_type": et.take(prev.compressed()),
+            "to_type": et.filter(~np.ma.getmaskarray(prev))}),
+            ["from_type", "to_type"], "n_transitions")
 
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        types, codes = np.unique(et, return_inverse=True)
-        order = np.lexsort((eid, ts, uid))
-        uid_s, code_s = uid[order], codes[order]
-        same_user = uid_s[1:] == uid_s[:-1]
-        frm = code_s[:-1][same_user]
-        to = code_s[1:][same_user]
-        cell = frm.astype(np.int64) * len(types) + to
-        gi, _, cnt = _int_sum_by(cell, np.ones(len(cell), np.int64))
-        return pa.table({
-            "from_type": pa.array(types[gi // len(types)].astype(str)),
-            "to_type": pa.array(types[gi % len(types)].astype(str)),
-            "n_transitions": pa.array(cnt.astype(np.int64)),
-        })
-
-    from .analytics import _fold_partials
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
-                                      "event_type"])
-    parts = exchange.file_exchange_map_groups(ds, per_part,
-                                              keys=["user_id"])
+    out = exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
+        ["user_id"], _BY_TIME, fn)
     return ray.data.from_arrow(_fold_partials(
-        parts, ["from_type", "to_type"], ["n_transitions"],
+        out, ["from_type", "to_type"], ["n_transitions"],
         pa.table({"from_type": pa.array([], pa.string()),
                   "to_type": pa.array([], pa.string()),
                   "n_transitions": pa.array([], pa.int64())})))
@@ -737,43 +596,26 @@ def retention_cohorts(sf_dir: str) -> ray.data.Dataset:
     of cohort users active that day — the standard retention triangle.
     Returns (cohort_day, offset_days, n_users).
 
-    Scale shape: ONE hash shuffle on user_id — each user's whole
-    history lands in one partition, so the partition derives first-day
-    and distinct (user, day) pairs locally (lexsort + np.unique) and
-    its (cohort, offset) user counts are DISJOINT from every other
-    partition's; a native groupby(...).sum finishes the counts with
-    no distinct re-check. The driver never folds anything
-    user-sized."""
+    One window over block-distinct (user, day) pairs ordered by day: a
+    user's first row is its cohort, its distinct days are the rows
+    whose LAG day differs, and the (cohort, offset) counts of one task
+    are DISJOINT from every other task's; one more keyed sum finishes
+    them with no distinct re-check."""
 
-    day_us = np.int64(86_400_000_000)
-
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = ts // day_us
-        pairs = np.unique(np.stack([uid, day], axis=1), axis=0)
-        pu, pd_ = pairs[:, 0], pairs[:, 1]
-        # first (= min) day per user: pairs are sorted by (user, day)
-        starts = np.flatnonzero(np.concatenate([[True],
-                                                pu[1:] != pu[:-1]]))
-        sizes = np.diff(np.append(starts, len(pu)))
-        cohort = np.repeat(pd_[starts], sizes)
-        offset = pd_ - cohort
-        cell = cohort * 100_000 + offset
-        ucell, cnt = np.unique(cell, return_counts=True)
-        return pa.table({
-            "cohort_day": pa.array((ucell // 100_000) * day_us).cast(
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        day = _np(t, "day")
+        cohort = day[starts][seg_ids(starts, len(day))]
+        new = (seg_shift(day, starts) != day).filled(True)
+        return _count_rows(pa.table({
+            "cohort_day": pa.array(cohort[new] * _DAY_US).cast(
                 pa.timestamp("us")),
-            "offset_days": pa.array(ucell % 100_000),
-            "n_users": pa.array(cnt.astype(np.int64)),
-        })
+            "offset_days": pa.array(day[new] - cohort[new])}),
+            ["cohort_day", "offset_days"], "n_users")
 
-    from ..stages.exchange import fx_sum_by
-
-    ds = read_events(sf_dir, columns=["user_id", "ts"])
-    return fx_sum_by(
-        exchange.file_exchange_map_groups(ds, per_part, keys=["user_id"]),
-        ["cohort_day", "offset_days"], ["n_users"])
+    out = exchange.window(_events(sf_dir, ["user_id", "ts"]), ["user_id"],
+                          ["day"], fn, pre=_user_days)
+    return _ds(exchange.fx_sum_by(out.refs, ["cohort_day", "offset_days"],
+                                  ["n_users"]))
 
 
 def conversion_funnel(sf_dir: str, from_type: str = "click",
@@ -787,61 +629,34 @@ def conversion_funnel(sf_dir: str, from_type: str = "click",
     first_click_us, conv_lag_us nullable, converted), one row per
     funnel entrant.
 
-    Scale shape: ONE hash shuffle on user_id; each partition lexsorts
-    once and derives both stages with two segmented min-reduceats over
-    sentinel-masked int64 timestamps — every user in the partition is
-    handled by the same vectorized pass, no per-user loop, and the
-    output is one row per entrant (never events)."""
-
+    One window over the two types' rows: both stages are segmented
+    min-reduceats over sentinel-masked int64 timestamps."""
     window_us = np.int64(window_minutes) * 60_000_000
     BIG = np.int64(2**62)
 
-    def narrow(t: pa.Table) -> pa.Table:
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array((et == from_type) | (et == to_type)))
-
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        et = t.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ts, uid))
-        uid, ts, et = uid[order], ts[order], et[order]
-        starts = np.flatnonzero(np.concatenate([[True],
-                                                uid[1:] != uid[:-1]]))
-        if len(uid) == 0:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "first_click_us": pa.array([], pa.int64()),
-                "conv_lag_us": pa.array([], pa.int64()),
-                "converted": pa.array([], pa.int8()),
-            })
-        # stage 1: first from_type ts per user (sentinel-masked min)
-        c_ts = np.where(et == from_type, ts, BIG)
-        first_click = np.minimum.reduceat(c_ts, starts)
-        entered = first_click < BIG
-        # stage 2: earliest to_type at-or-after the user's first click
-        sizes = np.diff(np.append(starts, len(uid)))
-        fc_rows = np.repeat(first_click, sizes)
-        p_ts = np.where((et == to_type) & (ts >= fc_rows), ts, BIG)
-        conv = np.minimum.reduceat(p_ts, starts)
-        users = uid[starts][entered]
-        fc = first_click[entered]
-        cv = conv[entered]
-        lag = cv - fc
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts, et = _np(t, "ts"), _np(t, "event_type")
+        # stage 1: first from_type ts per user; stage 2: earliest
+        # to_type at-or-after it
+        first = np.minimum.reduceat(np.where(et == from_type, ts, BIG),
+                                    starts)
+        after = (et == to_type) & (ts >= first[seg_ids(starts, len(ts))])
+        conv = np.minimum.reduceat(np.where(after, ts, BIG), starts)
+        entered = first < BIG
+        fc, cv = first[entered], conv[entered]
         has = cv < BIG
         return pa.table({
-            "user_id": pa.array(users),
-            "first_click_us": pa.array(fc),
-            "conv_lag_us": pa.array(np.where(has, lag, 0), pa.int64(),
+            "user_id": _np(t, "user_id")[starts][entered],
+            "first_click_us": fc,
+            "conv_lag_us": pa.array(np.where(has, cv - fc, 0), pa.int64(),
                                     mask=~has),
-            "converted": pa.array(
-                (has & (lag <= window_us)).astype(np.int8)),
+            "converted": (has & (cv - fc <= window_us)).astype(np.int8),
         })
 
-    ds = read_events(sf_dir, columns=["user_id", "ts", "event_type"])
-    return exchange.file_exchange_map_groups(
-        ds.map_batches(narrow, batch_format="pyarrow"), per_part,
-        keys=["user_id"])
+    return _ds(exchange.window(
+        _events(sf_dir, ["user_id", "ts", "event_type"],
+                _of_types(from_type, to_type)),
+        ["user_id"], ["ts"], fn))
 
 
 def rolling_active_users(sf_dir: str, window_days: int = 7
@@ -853,85 +668,43 @@ def rolling_active_users(sf_dir: str, window_days: int = 7
     (distinct is not decomposable across window positions). Returns
     (day, n_active_7d), one row per observed day.
 
-    Scale shape: ONE hash shuffle on user_id over block-level DISTINCT
-    (user, day) partials — each user's active-day set lands whole in
-    one partition, so the partition merges each user's [d, d+w-1]
-    coverage intervals and scatters them into a difference array over
-    the partition's day span (one cumsum -> per-day user counts,
-    disjoint across partitions by construction); only O(day-span) rows
-    per partition reach the driver, which sums counts and masks to
-    globally observed days. Calendar days are inherently bounded, so
-    every fold is tiny at any data scale."""
-
-    day_us = np.int64(86_400_000_000)
+    One window over block-distinct (user, day) pairs ordered by day:
+    each row covers [d, d+w-1] from where its LAG day's coverage ends,
+    and the coverages scatter into a difference array over the task's
+    day span (one cumsum -> per-day user counts, disjoint across tasks
+    by construction); only O(day-span) rows per task reach the driver,
+    which sums counts and keeps the globally observed days."""
     w = np.int64(window_days)
+    empty = pa.table({"day": pa.array([], pa.int64()),
+                      "n_users": pa.array([], pa.int64()),
+                      "observed": pa.array([], pa.int8())})
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        """Block-level distinct (user, day) — shrinks the exchange to
-        at most users x days rows per block."""
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        day = (t.column("ts").cast(pa.int64())
-               .to_numpy(zero_copy_only=False) // day_us)
-        pairs = np.unique(np.stack([uid, day], axis=1), axis=0)
-        return pa.table({"user_id": pa.array(pairs[:, 0]),
-                         "day": pa.array(pairs[:, 1])})
-
-    def per_part(t: pa.Table) -> pa.Table:
-        empty = pa.table({"day": pa.array([], pa.int64()),
-                          "n_users": pa.array([], pa.int64()),
-                          "observed": pa.array([], pa.int8())})
-        if t.num_rows == 0:
-            return empty
-        pairs = np.unique(np.stack(
-            [t.column("user_id").to_numpy(zero_copy_only=False),
-             t.column("day").to_numpy(zero_copy_only=False)], axis=1),
-            axis=0)
-        pu, pd_ = pairs[:, 0], pairs[:, 1]
-        # merge each user's [d, d+w-1] intervals: a day's NEW coverage
-        # starts after the previous active day's window ends
-        prev_end = np.concatenate([[np.int64(-2**62)], pd_[:-1] + w - 1])
-        same = np.concatenate([[False], pu[1:] == pu[:-1]])
-        cov_lo = np.where(same, np.maximum(pd_, prev_end + 1), pd_)
-        cov_hi = pd_ + w - 1
-        base = pd_.min()
-        span = int(pd_.max() + w - base)
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        day = _np(t, "day")
+        # a repeated (user, day) row starts past its own coverage: it
+        # adds and removes one at the same index
+        lo = np.maximum(day, (seg_shift(day, starts) + w).filled(
+            np.iinfo(np.int64).min))
+        base, span = day.min(), int(day.max() + w - day.min())
         diff = np.zeros(span + 1, np.int64)
-        np.add.at(diff, (cov_lo - base).astype(np.intp), 1)
-        np.add.at(diff, (cov_hi + 1 - base).astype(np.intp), -1)
+        np.add.at(diff, lo - base, 1)
+        np.add.at(diff, day + w - base, -1)
         counts = np.cumsum(diff[:-1])
-        days = base + np.arange(span, dtype=np.int64)
-        nz = counts > 0
-        obs_days = np.unique(pd_)
         observed = np.zeros(span, np.int8)
-        observed[(obs_days - base).astype(np.intp)] = 1
-        return pa.table({"day": pa.array(days[nz]),
-                         "n_users": pa.array(counts[nz]),
-                         "observed": pa.array(observed[nz])})
+        observed[day - base] = 1
+        nz = np.flatnonzero(counts)
+        return pa.table({"day": base + nz, "n_users": counts[nz],
+                         "observed": observed[nz]})
 
-    from .analytics import _concat_nonempty
-    ds = read_events(sf_dir, columns=["user_id", "ts"])
-    parts = exchange.file_exchange_map_groups(
-        ds.map_batches(pair_partial, batch_format="pyarrow"), per_part,
-        keys=["user_id"])
-    pt = _concat_nonempty(parts, pa.table({
-        "day": pa.array([], pa.int64()),
-        "n_users": pa.array([], pa.int64()),
-        "observed": pa.array([], pa.int8())}))
-    day = pt.column("day").to_numpy(zero_copy_only=False)
-    order = np.argsort(day, kind="stable")
-    day = day[order]
-    n = pt.column("n_users").to_numpy(zero_copy_only=False)[order]
-    ob = pt.column("observed").to_numpy(zero_copy_only=False)[order]
-    starts = np.flatnonzero(np.concatenate([[True], day[1:] != day[:-1]])) \
-        if len(day) else np.empty(0, np.intp)
-    udays = day[starts] if len(day) else day
-    sums = np.add.reduceat(n, starts) if len(day) else n
-    seen = (np.maximum.reduceat(ob, starts) > 0) if len(day) \
-        else np.zeros(0, bool)
+    out = exchange.window(_events(sf_dir, ["user_id", "ts"]), ["user_id"],
+                          ["day"], fn, pre=_user_days, empty_result=empty)
+    agg = _concat_nonempty(out, empty).group_by("day").aggregate(
+        [("n_users", "sum"), ("observed", "max")])
+    agg = agg.filter(pc.greater(agg.column("observed_max"), 0)).sort_by("day")
     return ray.data.from_arrow(pa.table({
-        "day": pa.array(udays[seen] * day_us).cast(pa.timestamp("us")),
-        "n_active_7d": pa.array(sums[seen]),
-    }))
+        "day": pc.multiply(agg.column("day"), _DAY_US).cast(
+            pa.timestamp("us")),
+        "n_active_7d": agg.column("n_users_sum")}))
 
 
 def value_stats_by_type(sf_dir: str) -> ray.data.Dataset:
@@ -942,55 +715,34 @@ def value_stats_by_type(sf_dir: str) -> ray.data.Dataset:
     sum_c, sumsq_c, min_c, max_c).
 
     Scale shape: per-block Arrow group_by partials (≤ #types rows per
-    block), driver fold of O(types × blocks) tiny rows with a second
-    group_by carrying the min/max merges — zero exchanges (the
-    bounded-rollup economics measured in BASELINE.md). sumsq is
+    block, ``map_blocks``), driver fold of O(types × blocks) tiny rows
+    with a second group_by carrying the min/max merges — zero exchanges
+    (the bounded-rollup economics measured in BASELINE.md). sumsq is
     int64-exact up to ~3.7·10^9 rows per type (cents ≤ ~5·10^4 ⇒
     squares ≤ 2.5·10^9; int64 max / 2.5·10^9 ≈ 3.7·10^9) — beyond
     that a deployment must shard the fold by (type, row-range) and
     carry the partials as decimal128, which Arrow sums exactly; this
     single-fold path does not, by design, so the bound is the
     contract, not a latent surprise."""
+    aggs = [("n", "sum"), ("sum_c", "sum"), ("sumsq_c", "sum"),
+            ("min_c", "min"), ("max_c", "max")]
+
+    def fold(g: pa.Table) -> pa.Table:
+        agg = g.group_by("event_type").aggregate(aggs)
+        return pa.table({"event_type": agg.column("event_type"),
+                         **{c: agg.column(f"{c}_{k}") for c, k in aggs}})
 
     def partial(t: pa.Table) -> pa.Table:
-        v_c = np.floor(t.column("value").to_numpy(zero_copy_only=False)
-                       * 100.0 + 0.5).astype(np.int64)
-        g = pa.table({"event_type": t.column("event_type"),
-                      "n": pa.array(np.ones(t.num_rows, np.int64)),
-                      "sum_c": pa.array(v_c),
-                      "sumsq_c": pa.array(v_c * v_c),
-                      "min_c": pa.array(v_c),
-                      "max_c": pa.array(v_c)})
-        agg = g.group_by("event_type").aggregate(
-            [("n", "sum"), ("sum_c", "sum"), ("sumsq_c", "sum"),
-             ("min_c", "min"), ("max_c", "max")])
-        return pa.table({"event_type": agg.column("event_type"),
-                         "n": agg.column("n_sum"),
-                         "sum_c": agg.column("sum_c_sum"),
-                         "sumsq_c": agg.column("sumsq_c_sum"),
-                         "min_c": agg.column("min_c_min"),
-                         "max_c": agg.column("max_c_max")})
+        v_c = _cents(t.column("value"))
+        return fold(pa.table({"event_type": t.column("event_type"),
+                              "n": pa.array(np.ones(t.num_rows, np.int64)),
+                              "sum_c": v_c, "sumsq_c": v_c * v_c,
+                              "min_c": v_c, "max_c": v_c}))
 
-    from .analytics import _concat_nonempty
-    ds = read_events(sf_dir, columns=["event_type", "value"])
     empty = pa.table({"event_type": pa.array([], pa.string()),
-                      "n": pa.array([], pa.int64()),
-                      "sum_c": pa.array([], pa.int64()),
-                      "sumsq_c": pa.array([], pa.int64()),
-                      "min_c": pa.array([], pa.int64()),
-                      "max_c": pa.array([], pa.int64())})
-    pt = _concat_nonempty(ds.map_batches(partial, batch_format="pyarrow"),
-                          empty)
-    agg = pt.group_by("event_type").aggregate(
-        [("n", "sum"), ("sum_c", "sum"), ("sumsq_c", "sum"),
-         ("min_c", "min"), ("max_c", "max")])
-    return ray.data.from_arrow(pa.table({
-        "event_type": agg.column("event_type"),
-        "n": agg.column("n_sum"),
-        "sum_c": agg.column("sum_c_sum"),
-        "sumsq_c": agg.column("sumsq_c_sum"),
-        "min_c": agg.column("min_c_min"),
-        "max_c": agg.column("max_c_max")}))
+                      **{c: pa.array([], pa.int64()) for c, _ in aggs}})
+    return ray.data.from_arrow(fold(_concat_nonempty(exchange.map_blocks(
+        _events(sf_dir, ["event_type", "value"]), partial), empty)))
 
 
 def rolling_window_sum(sf_dir: str, window: int = 7) -> ray.data.Dataset:
@@ -998,49 +750,19 @@ def rolling_window_sum(sf_dir: str, window: int = 7) -> ray.data.Dataset:
     ``value`` (integer cents) in (ts, event_id) order — SQL's
     ``sum(v_c) OVER (PARTITION BY user_id ORDER BY ts, event_id ROWS
     BETWEEN window-1 PRECEDING AND CURRENT ROW)``. Returns (event_id,
-    user_id, ts, value_c, rolling_c).
+    user_id, ts, value_c, rolling_c): the running sum minus its value
+    ``window`` rows back in the same user (none: the full prefix)."""
 
-    Scale shape (same as running_total): ONE hash shuffle on user_id;
-    within a partition one lexsort orders every user's stream, the
-    within-user running sum comes from one global cumsum minus segment
-    bases, and the trailing window is ``running[i] - running[i-window]``
-    wherever the row is ≥ window deep into its segment (vectorized mask;
-    shallow rows keep the full running prefix) — no per-user loop."""
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        v_c = _cents(t.column("value"))
+        run = seg_cumsum(v_c, starts)
+        return t.select(["event_id", "user_id", "ts"]).append_column(
+            "value_c", pa.array(v_c)).append_column("rolling_c", pa.array(
+                run - seg_shift(run, starts, window).filled(0)))
 
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        val = t.column("value").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid, eid = uid[order], eid[order]
-        v_c = np.floor(val[order] * 100.0 + 0.5).astype(np.int64)
-        cs = np.cumsum(v_c)
-        n = len(uid)
-        new_user = np.ones(n, bool)
-        new_user[1:] = uid[1:] != uid[:-1]
-        seg_id = np.cumsum(new_user) - 1
-        starts = np.flatnonzero(new_user)
-        base = cs[starts] - v_c[starts]
-        running = cs - base[seg_id]
-        pos = np.arange(n) - starts[seg_id]
-        rolling = running.copy()
-        deep = pos >= window
-        idx = np.flatnonzero(deep)
-        rolling[idx] -= running[idx - window]
-        sel = pa.array(order)
-        return pa.table({
-            "event_id": pa.array(eid),
-            "user_id": pa.array(uid),
-            "ts": t.column("ts").take(sel),
-            "value_c": pa.array(v_c),
-            "rolling_c": pa.array(rolling),
-        })
-
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
-                                      "value"])
-    return exchange.file_exchange_map_groups(ds, per_part,
-                                             keys=["user_id"])
+    return _ds(exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+        ["user_id"], _BY_TIME, fn))
 
 
 def event_type_pivot(sf_dir: str, bucket_width: int = 10,
@@ -1055,31 +777,27 @@ def event_type_pivot(sf_dir: str, bucket_width: int = 10,
     Returns (user_bucket, n_<type>...).
 
     Scale shape: per-block (bucket, type) count partials — the narrow
-    tall form — fold driver-side (O(buckets × types × blocks) tiny
-    rows) and pivot wide ONCE at the end via a searchsorted scatter into
-    a dense (buckets × types) matrix. At 100 TB the bucket width is the
-    knob: the driver fold holds (distinct buckets × 5) rows, so size
-    bucket_width to keep that in the usual bounded-rollup regime; the
-    events table itself is never exchanged."""
+    tall form, ``map_blocks`` — fold driver-side (O(buckets × types ×
+    blocks) tiny rows) and pivot wide ONCE at the end via a
+    searchsorted scatter into a dense (buckets × types) matrix. At 100
+    TB the bucket width is the knob: the driver fold holds (distinct
+    buckets × 5) rows, so size bucket_width to keep that in the usual
+    bounded-rollup regime; the events table itself is never
+    exchanged."""
 
     def partial(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        g = pa.table({"user_bucket": pa.array(uid // bucket_width),
-                      "event_type": t.column("event_type"),
-                      "n": pa.array(np.ones(t.num_rows, np.int64))})
-        agg = g.group_by(["user_bucket", "event_type"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"user_bucket": agg.column("user_bucket"),
-                         "event_type": agg.column("event_type"),
-                         "n": agg.column("n_sum")})
+        return _count_rows(pa.table({
+            "user_bucket": pa.array(uid // bucket_width),
+            "event_type": t.column("event_type")}),
+            ["user_bucket", "event_type"], "n")
 
-    from .analytics import _concat_nonempty
-    ds = read_events(sf_dir, columns=["user_id", "event_type"])
-    empty = pa.table({"user_bucket": pa.array([], pa.int64()),
-                      "event_type": pa.array([], pa.string()),
-                      "n": pa.array([], pa.int64())})
-    pt = _concat_nonempty(ds.map_batches(partial, batch_format="pyarrow"),
-                          empty)
+    pt = _fold_partials(exchange.map_blocks(
+        _events(sf_dir, ["user_id", "event_type"]), partial),
+        ["user_bucket", "event_type"], ["n"],
+        pa.table({"user_bucket": pa.array([], pa.int64()),
+                  "event_type": pa.array([], pa.string()),
+                  "n": pa.array([], pa.int64())}))
     bk = pt.column("user_bucket").to_numpy(zero_copy_only=False)
     tp = pt.column("event_type").to_numpy(zero_copy_only=False)
     nn = pt.column("n").to_numpy(zero_copy_only=False)
@@ -1100,104 +818,35 @@ def lead_lag_values(sf_dir: str) -> ray.data.Dataset:
     """LAG/LEAD projection: per event, the previous and next ``value``
     (integer cents) of the SAME user in (ts, event_id) order — nulls at
     each user's stream boundaries. Returns (event_id, user_id, value_c,
-    prev_value_c, next_value_c).
+    prev_value_c, next_value_c): one window, ``seg_shift`` by ±1."""
 
-    Scale shape (running_total's): ONE user-hash exchange, one lexsort
-    per partition, both neighbors from shifted views with segment-start
-    /-end masks — no per-user loop; nulls are real Arrow nulls."""
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        v_c = _cents(t.column("value"))
+        return t.select(["event_id", "user_id"]).append_column(
+            "value_c", pa.array(v_c)).append_column(
+            "prev_value_c", pa.array(seg_shift(v_c, starts, 1))
+        ).append_column("next_value_c", pa.array(seg_shift(v_c, starts, -1)))
 
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        val = t.column("value").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid, eid = uid[order], eid[order]
-        v_c = np.floor(val[order] * 100.0 + 0.5).astype(np.int64)
-        n = len(uid)
-        first = np.ones(n, bool)
-        first[1:] = uid[1:] != uid[:-1]
-        last = np.ones(n, bool)
-        last[:-1] = first[1:]
-        prev = np.roll(v_c, 1)
-        nxt = np.roll(v_c, -1)
-        return pa.table({
-            "event_id": pa.array(eid),
-            "user_id": pa.array(uid),
-            "value_c": pa.array(v_c),
-            "prev_value_c": pa.array(
-                np.ma.masked_array(prev, mask=first)),
-            "next_value_c": pa.array(
-                np.ma.masked_array(nxt, mask=last)),
-        })
-
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
-                                      "value"])
-    return exchange.file_exchange_map_groups(ds, per_part,
-                                             keys=["user_id"])
+    return _ds(exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "ts", "value"]),
+        ["user_id"], _BY_TIME, fn))
 
 
 def mode_value_by_type(sf_dir: str) -> ray.data.Dataset:
     """Grouped MODE: per event_type the most frequent ``value`` in
     integer cents (ties to the smallest value) and its count. Returns
-    (event_type, mode_c, n).
-
-    Scale shape: per-block (type, v_c) count partials, ONE
-    co-partitioned sum keyed by (type, v_c) — the count domain is
-    bounded by distinct cent values × types, measured sublinear (the
-    exact_quantiles economics) — then each output block's local argmax
-    (≤ types rows) folds driver-side; the events table itself never
+    (event_type, mode_c, n): a driver readout of ``_value_hist``, whose
+    count domain is bounded by distinct cent values × types (the
+    exact_quantiles economics); the events table itself never
     shuffles."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        v_c = np.floor(t.column("value").to_numpy(zero_copy_only=False)
-                       * 100.0 + 0.5).astype(np.int64)
-        g = pa.table({"event_type": t.column("event_type"),
-                      "v_c": pa.array(v_c),
-                      "n": pa.array(np.ones(t.num_rows, np.int64))})
-        agg = g.group_by(["event_type", "v_c"]).aggregate([("n", "sum")])
-        return pa.table({"event_type": agg.column("event_type"),
-                         "v_c": agg.column("v_c"),
-                         "n": agg.column("n_sum")})
-
-    def local_argmax(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "v_c": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        ty = t.column("event_type").to_numpy(zero_copy_only=False)
-        v = t.column("v_c").to_numpy(zero_copy_only=False)
-        n = t.column("n").to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, -n, ty))
-        ty, v, n = ty[order], v[order], n[order]
-        first = np.ones(len(ty), bool)
-        first[1:] = ty[1:] != ty[:-1]
-        return pa.table({"event_type": pa.array(ty[first]),
-                         "v_c": pa.array(v[first]),
-                         "n": pa.array(n[first])})
-
-    from ..stages.exchange import fx_sum_by
-    from .analytics import _concat_nonempty
-    ds = read_events(sf_dir, columns=["event_type", "value"])
-    counts = fx_sum_by(ds.map_batches(partial, batch_format="pyarrow"),
-                       ["event_type", "v_c"], ["n"])
-    cand = _concat_nonempty(
-        counts.map_batches(local_argmax, batch_format="pyarrow"),
-        pa.table({"event_type": pa.array([], pa.string()),
-                  "v_c": pa.array([], pa.int64()),
-                  "n": pa.array([], pa.int64())}))
-    ty = cand.column("event_type").to_numpy(zero_copy_only=False)
-    v = cand.column("v_c").to_numpy(zero_copy_only=False)
-    n = cand.column("n").to_numpy(zero_copy_only=False)
-    order = np.lexsort((v, -n, ty))
-    ty, v, n = ty[order], v[order], n[order]
-    first = np.ones(len(ty), bool)
-    if len(ty):
-        first[1:] = ty[1:] != ty[:-1]
+    h = (_value_hist(sf_dir)
+         .sort_values(["event_type", "n", "value_c"],
+                      ascending=[True, False, True])
+         .drop_duplicates("event_type"))
     return ray.data.from_arrow(pa.table({
-        "event_type": pa.array(ty[first]),
-        "mode_c": pa.array(v[first]),
-        "n": pa.array(n[first])}))
+        "event_type": pa.array(h["event_type"], pa.string()),
+        "mode_c": pa.array(h["value_c"], pa.int64()),
+        "n": pa.array(h["n"], pa.int64())}))
 
 
 def props_key_stats(sf_dir: str) -> ray.data.Dataset:
@@ -1209,18 +858,23 @@ def props_key_stats(sf_dir: str) -> ray.data.Dataset:
     Scale shape: parsing is VECTORIZED — the batch's props strings are
     joined into one newline-delimited buffer with a single Arrow
     binary_join kernel and handed to pyarrow.json's C++ reader (no
-    per-row Python json.loads); per-block per-type partials fold
-    driver-side (bounded rollup), the events table never shuffles.
-    Rows with null/malformed-for-k props contribute to no aggregate
-    (SQL count(k) semantics)."""
+    per-row Python json.loads); per-block per-type partials
+    (``map_blocks``) fold driver-side (bounded rollup), the events
+    table never shuffles. Rows with null/malformed-for-k props
+    contribute to no aggregate (SQL count(k) semantics)."""
     import pyarrow.json as pajson
 
+    aggs = [("n", "sum"), ("sum_k", "sum"), ("min_k", "min"),
+            ("max_k", "max")]
+    empty = pa.table({"event_type": pa.array([], pa.string()),
+                      **{c: pa.array([], pa.int64()) for c, _ in aggs}})
+
+    def fold(g: pa.Table) -> pa.Table:
+        agg = g.group_by("event_type").aggregate(aggs)
+        return pa.table({"event_type": agg.column("event_type"),
+                         **{c: agg.column(f"{c}_{k}") for c, k in aggs}})
+
     def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table({"event_type": pa.array([], pa.string()),
-                          "n": pa.array([], pa.int64()),
-                          "sum_k": pa.array([], pa.int64()),
-                          "min_k": pa.array([], pa.int64()),
-                          "max_k": pa.array([], pa.int64())})
         if t.num_rows == 0:
             return empty
         col = pc.fill_null(t.column("props"), "{}").combine_chunks()
@@ -1244,37 +898,13 @@ def props_key_stats(sf_dir: str) -> ray.data.Dataset:
         if not pa.types.is_integer(k.type):
             k = k.cast(pa.int64())
         valid = pc.is_valid(k)
-        g = pa.table({"event_type": t.column("event_type"),
-                      "k": k,
-                      "one": valid.cast(pa.int64())}).filter(valid)
-        if g.num_rows == 0:
-            return empty
-        agg = g.group_by("event_type").aggregate(
-            [("one", "sum"), ("k", "sum"), ("k", "min"), ("k", "max")])
-        return pa.table({"event_type": agg.column("event_type"),
-                         "n": agg.column("one_sum"),
-                         "sum_k": agg.column("k_sum"),
-                         "min_k": agg.column("k_min"),
-                         "max_k": agg.column("k_max")})
+        g = pa.table({"event_type": t.column("event_type"), "n":
+                      valid.cast(pa.int64()), "sum_k": k, "min_k": k,
+                      "max_k": k}).filter(valid)
+        return fold(g) if g.num_rows else empty
 
-    from .analytics import _concat_nonempty
-    ds = read_events(sf_dir, columns=["event_type", "props"])
-    pt = _concat_nonempty(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        pa.table({"event_type": pa.array([], pa.string()),
-                  "n": pa.array([], pa.int64()),
-                  "sum_k": pa.array([], pa.int64()),
-                  "min_k": pa.array([], pa.int64()),
-                  "max_k": pa.array([], pa.int64())}))
-    agg = pt.group_by("event_type").aggregate(
-        [("n", "sum"), ("sum_k", "sum"), ("min_k", "min"),
-         ("max_k", "max")])
-    return ray.data.from_arrow(pa.table({
-        "event_type": agg.column("event_type"),
-        "n": agg.column("n_sum"),
-        "sum_k": agg.column("sum_k_sum"),
-        "min_k": agg.column("min_k_min"),
-        "max_k": agg.column("max_k_max")}))
+    return ray.data.from_arrow(fold(_concat_nonempty(exchange.map_blocks(
+        _events(sf_dir, ["event_type", "props"]), partial), empty)))
 
 
 def interval_join_pairs(sf_dir: str, left_type: str = "click",
@@ -1282,91 +912,45 @@ def interval_join_pairs(sf_dir: str, left_type: str = "click",
                         window_minutes: int = 60) -> ray.data.Dataset:
     """INTERVAL JOIN (stream-stream windowed join, Flink semantics):
     every (left, right) event pair of the same user where the right
-    event lands in ``[left.ts, left.ts + window)`` — ALL pairs, not
+    event lands in ``[left.ts, left.ts + window]`` — ALL pairs, not
     just the nearest (that one is ``asof_join_prior``). Returns
     (user_id, left_id, right_id, gap_us).
 
-    Scale shape: ONE user-hash exchange co-locates each user's full
-    stream; per partition both sides sort once by composite (user rank,
-    ts, event_id) and each left row finds its right-window via TWO
-    segmented searchsorteds — emission is the vectorized repeat of
-    window widths, so cost is O(n log n + output), no per-user loop.
-    Output size is bounded by the window (pairs-per-left ≤ right events
-    in one hour), the inherent interval-join blowup knob."""
-
+    One window over the two types' rows ordered by (ts, event_id): each
+    left row finds its rights with TWO searchsorteds over a (segment,
+    ts rank) composite that is sorted like the rows and bounded by n^2
+    (never user id x time span, which overflows int64 at scale);
+    emission is the vectorized repeat of window widths, so cost is
+    O(n log n + output). Output size is bounded by the window, the
+    inherent interval-join blowup knob."""
     win_us = np.int64(window_minutes) * 60_000_000
 
-    def narrow(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t.column("event_type"),
-                        value_set=pa.array([left_type, right_type]))
-        return t.filter(keep)
-
-    def per_part(t: pa.Table) -> pa.Table:
-        empty = pa.table({"user_id": pa.array([], pa.int64()),
-                          "left_id": pa.array([], pa.int64()),
-                          "right_id": pa.array([], pa.int64()),
-                          "gap_us": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        typ = t.column("event_type").to_numpy(zero_copy_only=False)
-        is_l = typ == left_type
-        is_r = typ == right_type
-        le, lt, lu = eid[is_l], ts[is_l], uid[is_l]
-        re_, rt, ru = eid[is_r], ts[is_r], uid[is_r]
-        if len(lt) == 0 or len(rt) == 0:
-            return empty
-        ro = np.lexsort((re_, rt, ru))
-        re_, rt, ru = re_[ro], rt[ro], ru[ro]
-
-        # merge-rank segmented searchsorted: position of each (user,
-        # value) query among the (user, ts)-sorted rights via ONE
-        # lexsort over the union — no user_rank*span composite key,
-        # which overflows int64 when users-per-partition x time-span
-        # is large (the 100-TB regime)
-        def seg_pos(qv: np.ndarray, queries_first: bool) -> np.ndarray:
-            m, q = len(ru), len(qv)
-            u_all = np.concatenate([ru, lu])
-            v_all = np.concatenate([rt, qv])
-            # tie tag: queries sort before equal rights for side=left
-            # (queries_first), after them for side=right
-            tag = np.empty(m + q, dtype=np.int8)
-            tag[:m] = 1 if queries_first else 0
-            tag[m:] = 0 if queries_first else 1
-            order = np.lexsort((tag, v_all, u_all))
-            is_q = order >= m
-            n_rights_before = np.cumsum(~is_q)
-            out = np.empty(q, dtype=np.int64)
-            out[order[is_q] - m] = n_rights_before[is_q]
-            return out
-
-        lo = seg_pos(lt, queries_first=True)           # side="left"
-        hi = seg_pos(lt + win_us, queries_first=False)  # side="right"
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts, eid, et = _np(t, "ts"), _np(t, "event_id"), _np(t, "event_type")
+        uniq = np.unique(ts)
+        m = len(uniq) + 1
+        seg = seg_ids(starts, len(ts))
+        key = seg * m + np.searchsorted(uniq, ts)
+        lefts, rights = np.flatnonzero(et == left_type), \
+            np.flatnonzero(et == right_type)
+        # rights before row position p: r_before[p]
+        r_before = np.concatenate([[0], np.cumsum(et == right_type)])
+        lk, lt = seg[lefts] * m, ts[lefts]
+        lo = r_before[np.searchsorted(key, lk + np.searchsorted(uniq, lt))]
+        hi = r_before[np.searchsorted(
+            key, lk + np.searchsorted(uniq, lt + win_us, side="right"))]
         cnt = hi - lo
-        if cnt.sum() == 0:
-            return empty
-        li = np.repeat(np.arange(len(lt)), cnt)
-        csum = np.concatenate([[0], np.cumsum(cnt)])
-        ri = np.repeat(lo, cnt) + (np.arange(len(li))
-                                   - np.repeat(csum[:-1], cnt))
-        return pa.table({
-            "user_id": pa.array(lu[li]),
-            "left_id": pa.array(le[li]),
-            "right_id": pa.array(re_[ri]),
-            "gap_us": pa.array(rt[ri] - lt[li]),
-        })
+        li = np.repeat(lefts, cnt)
+        ri = rights[np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+                    + np.arange(cnt.sum())]
+        return pa.table({"user_id": _np(t, "user_id")[li],
+                         "left_id": eid[li], "right_id": eid[ri],
+                         "gap_us": ts[ri] - ts[li]})
 
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
-                                      "event_type"])
-    return exchange.file_exchange_map_groups(
-        ds.map_batches(narrow, batch_format="pyarrow"), per_part,
-        keys=["user_id"], empty_result=pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-                "gap_us": pa.array([], pa.int64())}))
+    return _ds(exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "ts", "event_type"],
+                _of_types(left_type, right_type)),
+        ["user_id"], _BY_TIME, fn))
 
 
 def _median_mad_table(sf_dir: str) -> pa.Table:
@@ -1375,35 +959,11 @@ def _median_mad_table(sf_dir: str) -> pa.Table:
     |v − m|. Shared by ``mad_by_type`` and ``value_outliers``.
 
     Scale shape: a DEPENDENT two-pass statistic computed from ONE
-    exchange — the same bounded (type, value_c) histogram as
-    exact_quantiles_by_type; the second "pass" (|v−m| distribution) is
-    pure driver arithmetic over the histogram rows (mirror-fold around
-    m + reduceat), so the events never move twice."""
-    from ..stages.exchange import fx_sum_by
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "value_c": pa.array(np.floor(v * 100.0 + 0.5)
-                                .astype(np.int64)),
-            "n": pa.array(np.ones(t.num_rows, np.int64)),
-        })
-        agg = g.group_by(["event_type", "value_c"]).aggregate(
-            [("n", "sum")])
-        return pa.table({
-            "event_type": agg.column("event_type"),
-            "value_c": agg.column("value_c"),
-            "n": agg.column("n_sum"),
-        })
-
-    hist = fx_sum_by(
-        read_events(sf_dir, columns=["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "value_c"], ["n"]
-    ).to_pandas()                    # bounded: domain x types rows
+    exchange — ``_value_hist``; the second "pass" (|v−m| distribution)
+    is pure driver arithmetic over the histogram rows (mirror-fold
+    around m + reduceat), so the events never move twice."""
     out_t, out_m, out_d = [], [], []
-    for et, g in hist.groupby("event_type", sort=True):
+    for et, g in _value_hist(sf_dir).groupby("event_type", sort=True):
         g = g.sort_values("value_c")
         vals = g["value_c"].to_numpy()
         cnt = g["n"].to_numpy()
@@ -1447,8 +1007,8 @@ def value_outliers(sf_dir: str, k: int = 5) -> ray.data.Dataset:
 
     Scale shape: the bounded-histogram exchange yields the per-type
     (median, mad) constants (#types rows — driver-held by nature);
-    they ride the flag closure into ONE streaming filter pass over the
-    column-pruned events read. No second exchange, no driver rows
+    they ride the flag closure into ONE ``map_blocks`` filter pass over
+    the column-pruned events read. No second exchange, no driver rows
     beyond the constants."""
     stats = _median_mad_table(sf_dir)
     types = np.array(stats.column("event_type").to_pylist())
@@ -1458,8 +1018,7 @@ def value_outliers(sf_dir: str, k: int = 5) -> ray.data.Dataset:
     mads = stats.column("mad_c").to_numpy()[order]
 
     def flag(t: pa.Table) -> pa.Table:
-        v = np.floor(t.column("value").to_numpy(zero_copy_only=False)
-                     * 100.0 + 0.5).astype(np.int64)
+        v = _cents(t.column("value"))
         et = t.column("event_type").to_numpy(zero_copy_only=False)
         pos = np.searchsorted(types, et)
         dev = np.abs(v - meds[pos])
@@ -1471,9 +1030,8 @@ def value_outliers(sf_dir: str, k: int = 5) -> ray.data.Dataset:
             "dev_c": pa.array(dev[keep]),
         })
 
-    return (read_events(sf_dir, columns=["event_id", "event_type",
-                                         "value"])
-            .map_batches(flag, batch_format="pyarrow"))
+    return _ds(exchange.map_blocks(
+        _events(sf_dir, ["event_id", "event_type", "value"]), flag))
 
 
 def late_events(sf_dir: str, lateness_minutes: int = 10,
@@ -1627,77 +1185,37 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, k: int = 10,
     the same gap rule as ``sessionize``; ties break by path asc.
     Returns (path, cnt, rk).
 
-    Scale shape: one hash shuffle on user_id co-locates each user's
-    stream; a single per-partition lexsort + shifted-gap pass assigns
-    session ids, and the path strings build in ``max_len`` VECTORIZED
-    object-array concatenations (a (sessions x max_len) position
-    scatter — no per-session join loop). Path counts fold over one
-    hash(path) exchange; each path's final count lives in one block,
-    so a per-block local top-k bounds the driver fold at k x blocks."""
-
+    One window assigns sessions by the LAG gap; the paths are one
+    ``binary_join`` over list offsets at the session starts (no
+    per-session loop). Path counts fold over one keyed exchange; each
+    path's final count lives in one block, so a per-block local top-k
+    bounds the driver fold at k x blocks."""
     gap_us = np.int64(gap_minutes) * 60_000_000
 
-    def per_part(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
-        ts = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = t.column("event_id").to_numpy(zero_copy_only=False)
-        ety = t.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, ety = uid[order], ts[order], ety[order]
-        new_user = np.ones(len(uid), bool)
-        new_user[1:] = uid[1:] != uid[:-1]
-        gap = np.ones(len(uid), bool)
-        gap[1:] = (ts[1:] - ts[:-1]) > gap_us
-        starts = new_user | gap
-        sid = np.cumsum(starts) - 1            # dense session index
-        # position within session: 0..len-1 via global arange minus
-        # each session's start offset
-        pos = np.arange(len(uid)) - np.flatnonzero(starts)[sid]
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = _np(t, "ts")
+        sess = np.flatnonzero(((ts - seg_shift(ts, starts)) > gap_us)
+                              .filled(True))
+        pos = np.arange(len(ts)) - sess[seg_ids(sess, len(ts))]
         keep = pos < max_len
-        n_sess = int(sid[-1]) + 1 if len(sid) else 0
-        mat = np.full((n_sess, max_len), "", object)
-        mat[sid[keep], pos[keep]] = ety[keep]
-        path = mat[:, 0].copy()
-        for j in range(1, max_len):
-            has = mat[:, j] != ""
-            if has.any():
-                path[has] = path[has] + ">" + mat[has, j]
-        agg = (pa.table({"path": pa.array(path, pa.string())})
-               .group_by("path").aggregate([("path", "count")]))
-        return pa.table({"path": agg.column("path"),
-                         "cnt": agg.column("path_count").cast(pa.int64())})
+        offs = np.append(np.flatnonzero(pos[keep] == 0), keep.sum())
+        paths = pc.binary_join(pa.ListArray.from_arrays(
+            pa.array(offs, pa.int32()),
+            t.column("event_type").filter(keep).combine_chunks()), ">")
+        return _count_rows(pa.table({"path": paths}), ["path"], "cnt")
 
-    def local_topk(t: pa.Table) -> pa.Table:
-        cnt = t.column("cnt").to_numpy(zero_copy_only=False)
-        pth = t.column("path").to_numpy(zero_copy_only=False)
-        order = np.lexsort((pth, -cnt))[:k]
-        sel = pa.array(order)
-        return pa.table({"path": t.column("path").take(sel),
-                         "cnt": t.column("cnt").take(sel)})
+    def top(t: pa.Table) -> pa.Table:
+        return t.sort_by([("cnt", "descending"),
+                          ("path", "ascending")]).slice(0, k)
 
-    from ..stages.exchange import fx_sum_by
-    ds = read_events(sf_dir, columns=["event_id", "user_id", "ts",
-                                      "event_type"])
-    counted = fx_sum_by(
-        exchange.file_exchange_map_groups(ds, per_part, keys=["user_id"]),
-        ["path"], ["cnt"]).map_batches(local_topk,
-                                       batch_format="pyarrow")
-    tabs = [t for t in collect_tables(counted) if t.num_rows]
-    if not tabs:
-        return ray.data.from_arrow(pa.table({
-            "path": pa.array([], pa.string()),
-            "cnt": pa.array([], pa.int64()),
-            "rk": pa.array([], pa.int64())}))
-    cand = pa.concat_tables(tabs, promote_options="default")
-    cnt = cand.column("cnt").to_numpy(zero_copy_only=False)
-    pth = cand.column("path").to_numpy(zero_copy_only=False)
-    order = np.lexsort((pth, -cnt))[:k]
-    sel = pa.array(order)
-    return ray.data.from_arrow(pa.table({
-        "path": cand.column("path").take(sel),
-        "cnt": cand.column("cnt").take(sel),
-        "rk": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
-    }))
+    counted = exchange.fx_sum_by(exchange.window(
+        _events(sf_dir, ["event_id", "user_id", "ts", "event_type"]),
+        ["user_id"], _BY_TIME, fn).refs, ["path"], ["cnt"])
+    best = top(_concat_nonempty(exchange.map_blocks(counted.refs, top),
+                                pa.table({"path": pa.array([], pa.string()),
+                                          "cnt": pa.array([], pa.int64())})))
+    return ray.data.from_arrow(best.append_column("rk", pa.array(
+        np.arange(1, best.num_rows + 1, dtype=np.int64))))
 
 
 def cumulative_users_by_day(sf_dir: str) -> ray.data.Dataset:
@@ -1706,42 +1224,26 @@ def cumulative_users_by_day(sf_dir: str) -> ray.data.Dataset:
     adoption curve). Exact. Returns (day, new_users, cum_users) for
     every day with at least one first-seen user.
 
-    Scale shape: "running distinct" collapses to "first-seen day per
-    user" (distinct-ness is a per-user property): one hash exchange on
-    user_id, per-partition vectorized min-reduce gives each user's
-    first day, per-partition (day, new_users) histogram partials are
+    "Running distinct" collapses to "first-seen day per user": one
+    window over block-distinct (user, day) pairs ordered by day takes
+    each user's first row, per-task (day, new_users) partials are
     BOUNDED (#days), and the driver folds + cumsums <= days rows. No
     global sort, no set state."""
 
-    def per_part(g: pa.Table) -> pa.Table:
-        uid = g.column("user_id").to_numpy(zero_copy_only=False)
-        day = pc.floor_temporal(g.column("ts"), unit="day") \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        order = np.lexsort((day, uid))
-        u_s, d_s = uid[order], day[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], u_s[1:] != u_s[:-1]]))
-        first_day = d_s[starts]                 # min day per user
-        days, counts = np.unique(first_day, return_counts=True)
-        return pa.table({"day_us": pa.array(days),
-                         "new_users": pa.array(counts.astype(np.int64))})
+    def fn(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        return _count_rows(pa.table({"day": _np(t, "day")[starts]}),
+                           ["day"], "new_users")
 
-    ds = read_events(sf_dir, columns=["user_id", "ts"])
-    parts = [t for t in collect_tables(exchange.file_exchange_map_groups(
-        ds, per_part, keys=["user_id"])) if t.num_rows]
-    acc: dict = {}
-    for t in parts:
-        for d, n in zip(t.column("day_us").to_pylist(),
-                        t.column("new_users").to_pylist()):
-            acc[d] = acc.get(d, 0) + int(n)
-    days = sorted(acc)
-    new = np.array([acc[d] for d in days], np.int64)
-    cum = np.cumsum(new)
+    out = exchange.window(_events(sf_dir, ["user_id", "ts"]), ["user_id"],
+                          ["day"], fn, pre=_user_days)
+    agg = _fold_partials(out, ["day"], ["new_users"], pa.table({
+        "day": pa.array([], pa.int64()),
+        "new_users": pa.array([], pa.int64())})).sort_by("day")
     return ray.data.from_arrow(pa.table({
-        "day": pa.array(days, pa.int64()).cast(pa.timestamp("us")),
-        "new_users": pa.array(new),
-        "cum_users": pa.array(cum),
-    }))
+        "day": pc.multiply(agg.column("day"), _DAY_US).cast(
+            pa.timestamp("us")),
+        "new_users": agg.column("new_users"),
+        "cum_users": pc.cumulative_sum(agg.column("new_users"))}))
 
 
 def interp_quantiles_by_type(sf_dir: str,
@@ -1751,35 +1253,12 @@ def interp_quantiles_by_type(sf_dir: str,
     """INTERPOLATED grouped quantiles (SQL ``quantile_cont`` semantics:
     linear interpolation at 0-based position ``q*(n-1)``) — the
     continuous companion to ``exact_quantiles_by_type``, sharing its
-    bounded (type, value_c) histogram exchange (no sort, events never
-    leave their blocks). Returns (event_type, q, value_mc) with the
-    interpolated cents value quantized to MILLI-CENTS
-    (floor(v * 1000 + 0.5)) so the SQL oracle matches."""
-    from ..stages.exchange import fx_sum_by
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = t.column("value").to_numpy(zero_copy_only=False)
-        g = pa.table({
-            "event_type": t.column("event_type"),
-            "value_c": pa.array(np.floor(v * 100.0 + 0.5)
-                                .astype(np.int64)),
-            "n": pa.array(np.ones(t.num_rows, np.int64)),
-        })
-        agg = g.group_by(["event_type", "value_c"]).aggregate(
-            [("n", "sum")])
-        return pa.table({
-            "event_type": agg.column("event_type"),
-            "value_c": agg.column("value_c"),
-            "n": agg.column("n_sum"),
-        })
-
-    hist = fx_sum_by(
-        read_events(sf_dir, columns=["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "value_c"], ["n"]
-    ).to_pandas()                    # bounded: domain x types rows
+    ``_value_hist`` (no sort, events never leave their blocks). Returns
+    (event_type, q, value_mc) with the interpolated cents value
+    quantized to MILLI-CENTS (floor(v * 1000 + 0.5)) so the SQL oracle
+    matches."""
     out_t, out_q, out_v = [], [], []
-    for et, g in hist.groupby("event_type", sort=True):
+    for et, g in _value_hist(sf_dir).groupby("event_type", sort=True):
         g = g.sort_values("value_c")
         cum = g["n"].to_numpy().cumsum()
         vals = g["value_c"].to_numpy().astype(np.float64)

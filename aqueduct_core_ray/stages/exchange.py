@@ -44,6 +44,14 @@ partition tasks' output refs, chainable straight into the next
 exchange with no Ray Data execution in between, and the input schema
 the writers reported; a Dataset input returns a Dataset.
 
+Ordered shapes. ``window(src, partition_by, order_by, fn)`` is SQL's
+``OVER (PARTITION BY ... ORDER BY ...)``: the keyed exchange whose task
+sorts its rows once and calls ``fn(sorted, starts)`` with every
+partition's first row, for ``fn`` to compute all of them in one
+vectorized pass (``seg_ids``, ``seg_cumsum``, ``seg_shift``).
+``segments`` is the one sort-and-segment rule; ``each_group`` takes its
+sort and starts from it too.
+
 Schemas come from the writers: each manifest carries the schema of the
 table it wrote, the exchange unifies each member's schemas (never
 across members), and every member's slices reach ``fn`` conformed to
@@ -772,13 +780,77 @@ def fx_count_by(src: "ray.data.Dataset | Leaf | list",
         _key_ones, keys=keys, name=name))
 
 
+def segments(t: pa.Table, keys: "list[str]", order_by: "list[str]" = ()
+             ) -> "tuple[pa.Table, np.ndarray]":
+    """THE sort-and-segment rule: ``t`` sorted by ``keys`` then
+    ``order_by`` (ascending, stable, nulls last) and the int64 row
+    offsets where the ``keys`` values change (one per segment; equal
+    values by their dictionary codes, so nulls are one value)."""
+    t = t.sort_by([(c, "ascending") for c in [*keys, *order_by]])
+    change = np.zeros(max(t.num_rows - 1, 0), bool)
+    for k in keys:
+        codes = dict_encode(t.column(k)).indices.to_numpy()
+        change |= codes[1:] != codes[:-1]
+    head = np.ones(min(t.num_rows, 1), bool)
+    return t, np.flatnonzero(np.concatenate([head, change]))
+
+
+def seg_ids(starts: np.ndarray, n: int) -> np.ndarray:
+    """Each of ``n`` rows' segment index."""
+    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+
+
+def seg_cumsum(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running sum of ``v`` within each segment (the current row
+    included)."""
+    cs = np.cumsum(v)
+    return cs - (cs - v)[starts][seg_ids(starts, len(v))]
+
+
+def seg_shift(v: np.ndarray, starts: np.ndarray, k: int = 1
+              ) -> np.ma.MaskedArray:
+    """``v`` of the row ``k`` rows earlier (LAG; ``k`` < 0 is LEAD) in
+    the same segment, masked where that row is outside the segment."""
+    n = len(v)
+    seg = seg_ids(starts, n)
+    src = np.arange(n) - k
+    ok = (src >= 0) & (src < n)
+    ok[ok] = seg[src[ok]] == seg[ok]
+    return np.ma.masked_array(v[np.clip(src, 0, max(n - 1, 0))], mask=~ok)
+
+
+def _window_part(t: pa.Table, partition_by: "list[str]",
+                 order_by: "list[str]", fn: Callable) -> pa.Table:
+    if "part" in t.column_names:
+        t = t.drop_columns(["part"])
+    return fn(*segments(t, partition_by, order_by))
+
+
+def window(src: "ray.data.Dataset | Leaf | list",
+           partition_by: "list[str]", order_by: "list[str]",
+           fn: Callable[[pa.Table, np.ndarray], pa.Table],
+           pre: "Callable[[pa.Table], pa.Table] | None" = None,
+           empty_result: "pa.Table | None" = None
+           ) -> "ray.data.Dataset | Exchanged":
+    """SQL's ``OVER (PARTITION BY partition_by ORDER BY order_by)``: a
+    keyed exchange on ``partition_by`` whose task sorts its rows once by
+    ``(partition_by, order_by)`` (``segments``) and calls ``fn(sorted,
+    starts)`` with the row offset of every partition's first row — one
+    vectorized pass over all of the task's partitions, never a call per
+    partition. ``seg_ids``/``seg_cumsum``/``seg_shift`` are the
+    per-segment kernels. ``src``, ``pre`` and ``empty_result`` are the
+    exchange's (``fn`` on a typed empty table types an empty result)."""
+    return file_exchange_map_groups(
+        src, functools.partial(_window_part, partition_by=partition_by,
+                               order_by=order_by, fn=fn),
+        keys=partition_by, pre=pre, empty_result=empty_result)
+
+
 def _each_group(g: pa.Table, fn: Callable[[pa.Table], pa.Table],
                 keys: "list[str]") -> pa.Table:
-    g = g.sort_by([(k, "ascending") for k in keys])
-    n = (g.select(keys).group_by(keys, use_threads=False)
-         .aggregate([([], "count_all")]).column("count_all").to_numpy())
-    starts = np.concatenate([[0], np.cumsum(n)[:-1]]).astype(np.int64)
-    outs = [fn(g.slice(s, c)) for s, c in zip(starts, n)]
+    g, starts = segments(g, keys)
+    outs = [fn(g.slice(s, e - s))
+            for s, e in zip(starts, np.append(starts[1:], g.num_rows))]
     return _concat(outs) if outs else fn(g)
 
 

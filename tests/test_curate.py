@@ -126,3 +126,29 @@ def test_train_pipeline_repartition_invalidates_export(tmp_path):
     b = train_pipeline(sf, out_dir=out, num_partitions=4).to_pylist()[0]
     assert b["reused_export"] == 0
     assert a["total_tokens"] == b["total_tokens"]   # content conserved
+
+
+def test_curate_flags_each_document_once(tmp_path, monkeypatch):
+    """The flag stage runs once per document: its block refs feed the
+    attrition fold and both dedup exchanges."""
+    from aqueduct_core_ray.pipelines import curate
+
+    from test_analytics import SF       # the sf0.001 testdata tables
+
+    log = tmp_path / "flagged.txt"
+    real = curate._flags_stage
+
+    def counting(*a, **k):
+        flags = real(*a, **k)
+
+        def counted(t: pa.Table) -> pa.Table:
+            with open(log, "a") as f:
+                f.write(f"{t.num_rows}\n")
+            return flags(t)
+        return counted
+
+    monkeypatch.setattr(curate, "_flags_stage", counting)
+    out = curate.curate_corpus(SF).to_pydict()
+    n_docs = pq.read_metadata(os.path.join(SF, "documents.parquet")).num_rows
+    assert sum(int(x) for x in log.read_text().split()) == n_docs
+    assert out["n_docs"][0] == n_docs

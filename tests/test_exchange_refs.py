@@ -296,7 +296,13 @@ MOVED = ["bigram_logprob_score", "tfidf_top_terms", "order_lines_join",
          "customer_order_distribution", "banded_part_revenue",
          "lapsed_rich_customers", "supplier_count_by_part",
          "promo_revenue_share", "min_cost_supplier", "orders_region0_left",
-         "active_customers_in_window", "customer_orders_outer"]
+         "active_customers_in_window", "customer_orders_outer",
+         # temporal's ordered operators on exchange.window
+         "running_total", "rolling_window_sum", "lead_lag_values",
+         "inter_event_gaps", "sessionize", "session_paths",
+         "event_transitions", "asof_join_prior", "interval_join_pairs",
+         "conversion_funnel", "cumulative_users_by_day",
+         "retention_cohorts", "rolling_active_users"]
 
 
 @pytest.fixture(scope="module")

@@ -1712,3 +1712,17 @@ def test_quality_classifier_spills_features_not_object_store(tmp_path):
     exp_logit, exp_y = _lr_reference(t, "src0", 1 << 16, 5, 2.0)
     assert np.array_equal(out["logit_micro"].to_numpy(), exp_logit)
     assert np.array_equal(out["label"].to_numpy(), exp_y.astype(np.int64))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_actor_pool_fits_the_cluster(cpus, monkeypatch):
+    """An autoscaling pool's min and max never exceed the cluster's
+    CPUs (floor 1): at one CPU a two-actor minimum would never start."""
+    import ray
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
+    for cap in (None, 1, 4):
+        lo, hi = text.actor_pool_size(cap=cap)
+        assert 1 <= lo <= hi <= cpus, (cap, lo, hi)
+        if cap:
+            assert hi <= cap

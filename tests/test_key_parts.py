@@ -162,6 +162,7 @@ MOVED_FROM_GROUPBY = [
     "mixture_resample", "stratified_topk_sample", "distinct_users",
     "approx_quantiles", "approx_distinct_users", "count_by_type",
     "dup_cluster_sizes", "chunk_dedup", "top_supplier_by_revenue",
+    "source_stats",
 ]
 
 
