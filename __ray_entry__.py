@@ -907,7 +907,7 @@ def oracle_sql() -> dict[str, str]:
             SELECT token, df, CAST(rk AS BIGINT) AS rk
             FROM r WHERE rk <= 20""",
         # TPC-H Q7 flavor: revenue between supplier/customer nation
-        # pairs per ship year (both dimension attaches size-gated)
+        # pairs per ship year (each dimension attach one fx_join)
         "volume_shipping": """
             SELECT ns.n_name AS supp_nation, nc.n_name AS cust_nation,
                    CAST(year(l_shipdate) AS BIGINT) AS l_year,
@@ -923,7 +923,7 @@ def oracle_sql() -> dict[str, str]:
               AND l_shipdate <  TIMESTAMP '1997-01-01'
             GROUP BY 1, 2, 3""",
         # TPC-H Q9 flavor: revenue per (brand, ship year); the part
-        # dimension attach is size-gated (broadcast map vs exchange)
+        # attach is one fx_join (broadcast or routed by part's size)
         "brand_revenue_by_year": """
             SELECT p_brand, CAST(year(l_shipdate) AS BIGINT) AS l_year,
                    CAST(sum(floor(l_extendedprice*(1-l_discount)*100+0.5))
@@ -960,7 +960,7 @@ SELECT coalesce(l_returnflag, 'ALL') AS l_returnflag,
        CAST(count(*) AS BIGINT) AS n_lines
 FROM lineitem WHERE l_shipdate <= TIMESTAMP '1998-09-02'
 GROUP BY ROLLUP(l_returnflag, l_linestatus)""",
-        # TPC-H Q3 flavor: broadcast segment dimension + co-partitioned
+        # TPC-H Q3 flavor: segment semi-join (fx_join) + co-partitioned
         # orders join over pre-aggregated per-order revenue
         "top_orders_by_revenue": r"""
 WITH rev AS (
@@ -1001,7 +1001,7 @@ JOIN customer c ON o.o_custkey = c.c_custkey
 JOIN nation n ON c.c_nationkey = n.n_nationkey
 JOIN region r ON n.n_regionkey = r.r_regionkey
 GROUP BY r.r_name, n.n_name""",
-        # TPC-H Q14 flavor: part dimension broadcast
+        # TPC-H Q14 flavor: part attach via fx_join
         "revenue_by_part_type": r"""
 SELECT p.p_type,
        CAST(sum(floor(l.l_extendedprice * (1 - l.l_discount) * 100

@@ -945,7 +945,8 @@ def near_dedup_keep(sf_dir: str, shingle: int = 3,
     The removal set (non-representative members) is cluster-graph-sized
     but unbounded in theory, so it is anti-joined against the corpus via
     an ``fx_join`` anti-join, as pipelines/curate.py semi-joins its
-    survivors — never broadcast, never on the driver."""
+    survivors — never broadcast (a Dataset right side always routes),
+    never on the driver."""
     clusters = duplicate_clusters(sf_dir, shingle=shingle,
                                   min_jaccard_pct=min_jaccard_pct)
 

@@ -16,12 +16,17 @@ Scale shapes:
   scale, dwarfing a six-group fold). Same shape for the part-type and
   supplier rollups.
 - ``top_orders_by_revenue`` (Q3 flavor) / ``revenue_by_nation`` (Q5):
-  dimension sides are read driver-side (plain pyarrow, no Ray job) and
-  broadcast once via ``ray.put``; lineitem revenue is pre-aggregated
-  per (block, orderkey) so the ONE co-partitioned co-group keyed on
-  orderkey finishes the per-order sum AND the equi-join;
-  per-partition heads / rollups leave at most k·P (Q3) or 25·P (Q5)
-  rows for a driver fold.
+  the customer attach is one ``exchange.fx_join`` with the customer
+  leaf on the right; lineitem revenue is pre-aggregated per (block,
+  orderkey) so the ONE co-partitioned co-group keyed on orderkey
+  finishes the per-order sum AND the equi-join; per-partition heads /
+  rollups leave at most k·P (Q3) or 25·P (Q5) rows for a driver fold.
+- Every customer, supplier or part attach is one ``fx_join`` with the
+  dimension leaf on the right, and the exchange decides from that
+  leaf's size whether to broadcast it to every task over the fact side
+  or to route both sides; no query carries a size gate of its own.
+  The driver reads only nation and region (<=25 rows) and the k
+  winners' names.
 
 Every co-partitioned exchange here is ``exchange.
 file_exchange_map_groups(src, fn, keys=[...])``: the sides of a join
@@ -36,6 +41,8 @@ execution.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -94,10 +101,25 @@ def _fold_partials(ds: "ray.data.Dataset | exchange.Exchanged | list",
     sort-based Aggregate exchange, whose fixed cost (~3 s at any scale)
     dwarfs the fold itself; apply only when groups x blocks stays
     driver-sized (six-ish groups x even 10^6 blocks is fine)."""
-    pt = _concat_nonempty(ds, fallback)
-    agg = pt.group_by(keys).aggregate([(c, "sum") for c in sums])
+    return _group_sums(_concat_nonempty(ds, fallback), keys, sums)
+
+
+def _group_sums(t: pa.Table, keys: list[str], sums: list[str]
+                ) -> pa.Table:
+    """``GROUP BY keys`` summing ``sums``, columns keeping their names:
+    the per-block partial fold and its driver refold."""
+    agg = t.group_by(keys).aggregate([(c, "sum") for c in sums])
     return pa.table({**{k: agg.column(k) for k in keys},
                      **{c: agg.column(f"{c}_sum") for c in sums}})
+
+
+def _fold_joined(joined: "exchange.Exchanged", keys: list[str],
+                 sums: list[str], fallback: pa.Table) -> pa.Table:
+    """``_fold_partials`` over a join's output, each block folded in
+    its own task first, so only O(groups x blocks) rows reach the
+    driver."""
+    return _fold_partials(exchange.map_blocks(joined.refs, functools.partial(
+        _group_sums, keys=keys, sums=sums)), keys, sums, fallback)
 
 
 _REV_COLS = ["l_orderkey", "l_extendedprice", "l_discount"]
@@ -197,71 +219,29 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
          "n_lines"], empty))
 
 
-# rows above which a "dimension" table stops being broadcastable and
-# the star joins below fall back to their co-partitioned exchange path:
-# 4M (custkey, payload) int64 pairs ≈ 64 MB in the object store — a
-# comfortable one-time ray.put; past that, a driver-side read of the
-# build side is the 100-TB scale killer (customer scales WITH the fact
-# table at ~1:40 vs lineitem, it is not a true dimension)
-BROADCAST_ROW_LIMIT = 4_000_000
-
-
-def _table_rows(path: str) -> int:
-    """Row count from the parquet footer — the broadcast gate's probe
-    (metadata only, no column read)."""
-    import pyarrow.parquet as pq
-    return pq.read_metadata(path).num_rows
-
-
 def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
-                          k: int = 10,
-                          broadcast_threshold: int = BROADCAST_ROW_LIMIT
-                          ) -> ray.data.Dataset:
+                          k: int = 10) -> ray.data.Dataset:
     """TPC-H Q3-style: the ``k`` highest-revenue orders from customers
     in ``segment`` (revenue in integer cents; ties rank by orderkey).
     Returns (o_orderkey, o_orderdate, o_orderpriority, revenue_c, rk).
 
-    The customer side is SIZE-GATED: under ``broadcast_threshold`` rows
-    it is read driver-side and broadcast once (one exchange total);
-    above, it is never materialized anywhere — an ``fx_join`` semi-join
-    keyed on custkey filters orders in a second bounded exchange
-    (same machinery as ``top_customers_by_return_revenue``). Both
-    paths are value-identical (pinned by tests/test_analytics.py)."""
+    Scale shape: an ``fx_join`` semi-join keyed on custkey keeps the
+    segment's orders (customer rows shrink to the segment's keys at the
+    read; the exchange broadcasts them or routes both sides by their
+    size), then ONE co-group keyed on orderkey finishes the per-order
+    revenue sum and the join, and keeps each partition's top k."""
     import pyarrow.dataset as pads
 
-    ord_cols = ["o_orderkey", "o_custkey", "o_orderdate",
-                "o_orderpriority"]
-    orders_leaf = exchange.leaf(f"{sf_dir}/orders.parquet", ord_cols)
-    if _table_rows(f"{sf_dir}/customer.parquet") <= broadcast_threshold:
-        # broadcast path: filtered custkeys collected once on the driver
-        import pyarrow.parquet as pq
-        seg_df = pq.read_table(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_mktsegment"]).to_pandas()
-        seg_keys = np.sort(seg_df.loc[seg_df["c_mktsegment"] == segment,
-                                      "c_custkey"].to_numpy())
-        ref = ray.put(seg_keys)
+    def cust_keys(t: pa.Table) -> pa.Table:
+        return pa.table({"o_custkey": t.column("c_custkey")})
 
-        def seg_orders(t: pa.Table) -> pa.Table:
-            cust = t.column("o_custkey").to_numpy(zero_copy_only=False)
-            want = ray.get(ref)
-            _, hit = _map_keys(want, want, cust)
-            return t.filter(pa.array(hit))
-
-        orders, ord_pre = orders_leaf, seg_orders
-    else:
-        # exchange path: a semi-join keyed on custkey — the
-        # unbounded-build-side shape; customer rows shrink to the
-        # segment's keys at the read
-        def cust_keys(t: pa.Table) -> pa.Table:
-            return pa.table({"o_custkey": t.column("c_custkey")})
-
-        orders = exchange.fx_join(
-            orders_leaf,
-            exchange.leaf(f"{sf_dir}/customer.parquet", ["c_custkey"],
-                          filter=pads.field("c_mktsegment") == segment),
-            on="o_custkey", how="semi", pre=(None, cust_keys)).refs
-        ord_pre = None
+    orders = exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/orders.parquet",
+                      ["o_orderkey", "o_custkey", "o_orderdate",
+                       "o_orderpriority"]),
+        exchange.leaf(f"{sf_dir}/customer.parquet", ["c_custkey"],
+                      filter=pads.field("c_mktsegment") == segment),
+        on="o_custkey", how="semi", pre=(None, cust_keys)).refs
 
     def join_topk(rv: pa.Table, od: pa.Table) -> pa.Table:
         rk_, rc = _combine_per_order(rv)   # fold partials, sorted keys
@@ -297,7 +277,7 @@ def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
 
     joined = exchange.file_exchange_map_groups(
         (exchange.leaf(f"{sf_dir}/lineitem.parquet", _REV_COLS), orders),
-        join_topk, keys=["o_orderkey"], pre=(_per_order_revenue, ord_pre))
+        join_topk, keys=["o_orderkey"], pre=(_per_order_revenue, None))
     # k·P candidate rows: fold the final rank driver-side (a second
     # exchange would cost seconds to sort a few dozen rows)
     return ray.data.from_arrow(final_topk(
@@ -362,142 +342,96 @@ def _int_sum_by(idx: np.ndarray, vals: np.ndarray
     return nz.astype(np.int64), acc[nz], cnt[nz].astype(np.int64)
 
 
-def revenue_by_nation(sf_dir: str,
-                      broadcast_threshold: int = BROADCAST_ROW_LIMIT
-                      ) -> ray.data.Dataset:
+def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q5-flavor star join: revenue (integer cents) rolled up to
     (r_name, n_name). nation/region are TRUE dimensions (bounded: ≤25
-    rows) and always live driver-side as a nationkey -> nation-index
-    map. The customer side is SIZE-GATED: under ``broadcast_threshold``
-    rows it joins driver-side into one broadcast custkey -> nidx
-    lookup (one fact exchange total); above, customers never leave the
-    cluster — an ``fx_join`` keyed on custkey attaches nidx to orders
-    first (customer scales with the fact table at warehouse scale,
-    ~1:40 vs lineitem). Either way the final exchange is the
-    co-partitioned rev⋈orders co-group keyed on orderkey followed by
-    a ~25-row native sum. Both paths are value-identical (pinned by
-    tests/test_analytics.py)."""
+    rows) and live driver-side as a nationkey -> nation-index map,
+    shipped inside the customer side's ``pre``. customer scales with
+    the fact table (~1:40 vs lineitem), so an ``fx_join`` keyed on
+    custkey with the customer leaf on the right attaches the nation
+    index to orders (broadcast or routed by its size); the final
+    exchange is the co-partitioned rev⋈orders co-group keyed on
+    orderkey followed by a ~25-row native sum."""
     import pyarrow.parquet as pq
-    nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    reg = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    ndim = nat.merge(reg, left_on="n_regionkey", right_on="r_regionkey")
-    names = (ndim[["n_name", "r_name"]].drop_duplicates()
-             .sort_values(["r_name", "n_name"]).reset_index(drop=True))
-    ndim = ndim.merge(names.assign(nidx=names.index.to_numpy(np.int64)),
-                      on=["n_name", "r_name"])   # vectorized index attach
-    name_ref = ray.put((names["n_name"].to_numpy(),
-                        names["r_name"].to_numpy()))
+    nat = pq.read_table(f"{sf_dir}/nation.parquet",
+                        columns=["n_nationkey", "n_name", "n_regionkey"])
+    reg = pq.read_table(f"{sf_dir}/region.parquet",
+                        columns=["r_regionkey", "r_name"])
+    # nation ⋈ region, then one index per distinct (r_name, n_name)
+    # in name order: the rollup's group id
+    r_name, hit = _map_keys(*_sorted_lookup(
+        reg.column("r_regionkey").to_numpy(),
+        reg.column("r_name").to_numpy(zero_copy_only=False)),
+        nat.column("n_regionkey").to_numpy())
+    named = list(zip(r_name[hit],
+                     nat.column("n_name").to_numpy(zero_copy_only=False)[hit]))
+    groups = sorted(set(named))
+    gidx = {g: i for i, g in enumerate(groups)}
+    nk, nv = _sorted_lookup(
+        nat.column("n_nationkey").to_numpy()[hit].astype(np.int64),
+        np.array([gidx[g] for g in named], np.int64))
 
-    orders_leaf = exchange.leaf(f"{sf_dir}/orders.parquet",
-                                ["o_orderkey", "o_custkey"])
-    if _table_rows(f"{sf_dir}/customer.parquet") <= broadcast_threshold:
-        # broadcast path: custkey -> nidx joined once on the driver
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_nationkey"]).to_pandas()
-        dim = cust.merge(ndim[["n_nationkey", "nidx"]],
-                         left_on="c_nationkey", right_on="n_nationkey")
-        ck, nv = _sorted_lookup(dim["c_custkey"].to_numpy(),
-                                dim["nidx"].to_numpy())
-        lk_ref = ray.put((ck, nv))
+    def cust_nidx(t: pa.Table) -> pa.Table:
+        nkey = t.column("c_nationkey").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        mapped, hit_ = _map_keys(nk, nv, nkey)
+        return pa.table({
+            "o_custkey": t.column("c_custkey").filter(pa.array(hit_)),
+            "nidx": pa.array(mapped[hit_].astype(np.int64))})
 
-        def attach_nidx(t: pa.Table) -> pa.Table:
-            ck_, nv_ = ray.get(lk_ref)
-            cust_ = t.column("o_custkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(ck_, nv_, cust_)
-            return pa.table({
-                "o_orderkey": t.column("o_orderkey").filter(pa.array(hit)),
-                "nidx": pa.array(mapped[hit].astype(np.int64))})
-
-        orders, ord_pre = orders_leaf, attach_nidx
-    else:
-        # exchange path: an inner join keyed on custkey attaches nidx
-        # to orders without materializing customer anywhere — only the
-        # tiny nationkey -> nidx map is broadcast
-        nk, nval = _sorted_lookup(
-            ndim["n_nationkey"].to_numpy().astype(np.int64),
-            ndim["nidx"].to_numpy())
-        nk_ref = ray.put((nk, nval))
-
-        def cust_nidx(t: pa.Table) -> pa.Table:
-            nk_, nv_ = ray.get(nk_ref)
-            nkey = t.column("c_nationkey").to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            mapped, hit = _map_keys(nk_, nv_, nkey)
-            return pa.table({
-                "o_custkey": t.column("c_custkey").filter(pa.array(hit)),
-                "nidx": pa.array(mapped[hit].astype(np.int64))})
-
-        orders = exchange.fx_join(
-            orders_leaf,
-            exchange.leaf(f"{sf_dir}/customer.parquet",
-                          ["c_custkey", "c_nationkey"]),
-            on="o_custkey", how="inner", pre=(None, cust_nidx)).refs
-        ord_pre = None
+    orders = exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/orders.parquet",
+                      ["o_orderkey", "o_custkey"]),
+        exchange.leaf(f"{sf_dir}/customer.parquet",
+                      ["c_custkey", "c_nationkey"]),
+        on="o_custkey", how="inner", pre=(None, cust_nidx)).refs
 
     def join_agg(rv: pa.Table, od: pa.Table) -> pa.Table:
         rk, rc = _combine_per_order(rv)    # fold partials, sorted keys
         ok = od.column("o_orderkey").to_numpy(zero_copy_only=False)
-        mapped, hit = _map_keys(rk, rc, ok)
-        nidx = od.column("nidx").to_numpy(zero_copy_only=False)[hit]
-        gi, sums, _ = _int_sum_by(nidx, mapped[hit])
+        mapped, hit_ = _map_keys(rk, rc, ok)
+        nidx = od.column("nidx").to_numpy(zero_copy_only=False)[hit_]
+        gi, sums, _ = _int_sum_by(nidx, mapped[hit_])
         return pa.table({"nidx": pa.array(gi),
                          "rev_c": pa.array(sums)})
 
-    def finish(t: pa.Table) -> pa.Table:
-        n_names, r_names = ray.get(name_ref)
-        ni = t.column("nidx").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "r_name": pa.array(r_names[ni]),
-            "n_name": pa.array(n_names[ni]),
-            "revenue_c": t.column("rev_c"),
-        })
-
     joined = exchange.file_exchange_map_groups(
         (exchange.leaf(f"{sf_dir}/lineitem.parquet", _REV_COLS), orders),
-        join_agg, keys=["o_orderkey"], pre=(_per_order_revenue, ord_pre))
+        join_agg, keys=["o_orderkey"], pre=(_per_order_revenue, None))
     # <=25 rows per partition: fold the nation rollup driver-side
     empty = pa.table({"nidx": pa.array([], pa.int64()),
                       "rev_c": pa.array([], pa.int64())})
     folded = _fold_partials(joined, ["nidx"], ["rev_c"], empty)
-    return ray.data.from_arrow(finish(folded))
+    ni = folded.column("nidx").to_numpy(zero_copy_only=False)
+    return ray.data.from_arrow(pa.table({
+        "r_name": pa.array([groups[i][0] for i in ni], pa.string()),
+        "n_name": pa.array([groups[i][1] for i in ni], pa.string()),
+        "revenue_c": folded.column("rev_c"),
+    }))
 
 
 def revenue_by_part_type(sf_dir: str) -> ray.data.Dataset:
-    """TPC-H Q14-flavor: revenue (integer cents) per part type — the
-    ``part`` dimension broadcast as a sorted partkey -> type-index map;
-    no shuffle beyond the 6-row per-block partials."""
-    import pyarrow.parquet as pq
-    part_df = pq.read_table(f"{sf_dir}/part.parquet",
-                            columns=["p_partkey", "p_type"]).to_pandas()
-    types = np.sort(part_df["p_type"].unique())
-    tmap = {t: i for i, t in enumerate(types)}
-    pk, tv = _sorted_lookup(
-        part_df["p_partkey"].to_numpy(),
-        part_df["p_type"].map(tmap).to_numpy().astype(np.int64))
-    ref = ray.put((pk, tv, types))
+    """TPC-H Q14-flavor: revenue (integer cents) per part type — per-
+    block (partkey, revenue) partials ``fx_join`` the (partkey, type)
+    part leaf (broadcast or routed by its size), each joined block folds
+    to one row per type and the driver folds those."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        pk_, tv_, _ = ray.get(ref)
-        keys = t.column("l_partkey").to_numpy(zero_copy_only=False)
-        mapped, hit = _map_keys(pk_, tv_, keys)
-        gi, sums, _ = _int_sum_by(mapped[hit], _rev_cents(t)[hit])
-        return pa.table({"tidx": pa.array(gi), "rev_c": pa.array(sums)})
+    def line_side(t: pa.Table) -> pa.Table:
+        pk, rev = _sorted_group_reduce(
+            t.column("l_partkey").to_numpy(zero_copy_only=False),
+            _rev_cents(t))
+        return pa.table({"p_partkey": pa.array(pk),
+                         "revenue_c": pa.array(rev)})
 
-    def finish(t: pa.Table) -> pa.Table:
-        _, _, types_ = ray.get(ref)
-        ti = t.column("tidx").to_numpy(zero_copy_only=False)
-        return pa.table({"p_type": pa.array(types_[ti]),
-                         "revenue_c": t.column("rev_c")})
-
-    parts = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount"]
-    ).map_batches(partial, batch_format="pyarrow")
-    return ray.data.from_arrow(finish(
-        _fold_partials(parts, ["tidx"], ["rev_c"],
-                       pa.table({"tidx": pa.array([], pa.int64()),
-                                 "rev_c": pa.array([], pa.int64())}))))
+    joined = exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_partkey", "l_extendedprice", "l_discount"]),
+        exchange.leaf(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"]),
+        on="p_partkey", how="inner", pre=(line_side, None))
+    return ray.data.from_arrow(_fold_joined(
+        joined, ["p_type"], ["revenue_c"],
+        pa.table({"p_type": pa.array([], pa.string()),
+                  "revenue_c": pa.array([], pa.int64())})))
 
 
 def top_customers_by_return_revenue(sf_dir: str, k: int = 20
@@ -519,8 +453,8 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20
        partition's local top-k — k·P candidate rows to the driver.
 
     Customer/nation names are attached at the END, to the k winners
-    only (dimension reads are driver-side pyarrow like the other
-    star joins; only k rows ever need the name columns)."""
+    only: a driver-side point read of their customer rows and the
+    <=25-row nation table, joined by index maps."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
@@ -583,16 +517,23 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20
     # rows need names
     cust = pads.dataset(f"{sf_dir}/customer.parquet").to_table(
         columns=["c_custkey", "c_name", "c_nationkey"],
-        filter=pads.field("c_custkey").isin(win_keys.tolist())).to_pandas()
+        filter=pads.field("c_custkey").isin(win_keys.tolist()))
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_name"]).to_pandas()
-    dim = cust.merge(nat, left_on="c_nationkey",
-                     right_on="n_nationkey").set_index("c_custkey")
-    names = dim.loc[win_keys]
+                        columns=["n_nationkey", "n_name"])
+
+    def rows_of(keys: pa.ChunkedArray, probe: np.ndarray) -> pa.Array:
+        """Row index of each ``probe`` value in the ``keys`` column."""
+        row, _ = _map_keys(*_sorted_lookup(
+            keys.to_numpy().astype(np.int64), np.arange(len(keys))), probe)
+        return pa.array(row)
+
+    crow = rows_of(cust.column("c_custkey"), win_keys)
+    nrow = rows_of(nat.column("n_nationkey"), cust.column(
+        "c_nationkey").take(crow).to_numpy().astype(np.int64))
     return ray.data.from_arrow(pa.table({
         "c_custkey": pa.array(win_keys.astype(np.int64)),
-        "c_name": pa.array(names["c_name"].to_numpy()),
-        "n_name": pa.array(names["n_name"].to_numpy()),
+        "c_name": cust.column("c_name").take(crow),
+        "n_name": nat.column("n_name").take(nrow),
         "revenue_c": pa.array(win_rev),
         "rk": pa.array(np.arange(1, len(win_keys) + 1, dtype=np.int64)),
     }))
@@ -604,11 +545,12 @@ def customers_without_orders(sf_dir: str, since: str = "2000-01-01"
     ``since`` (lapsed customers). Returns (c_custkey, c_name,
     acctbal_c) — one row per lapsed customer.
 
-    Scale shape: neither side is broadcast (at warehouse scale BOTH key
-    sets are large). The orders side is row-filtered at the read, then
-    shrinks to per-block DISTINCT custkey partials before the exchange;
-    one ``fx_join`` anti-join keyed on custkey lands every customer row
-    with every order-key partial that could match it. Output stays
+    Scale shape: the orders side is row-filtered at the read, then
+    shrinks to per-block DISTINCT custkey partials; one ``fx_join``
+    anti-join keyed on custkey meets every customer row with every
+    order-key partial that could match it (at warehouse scale BOTH key
+    sets are large and the exchange routes them; a small orders leaf
+    is broadcast). Output stays
     distributed (a Dataset) — the result can be a large fraction of
     customer."""
     import pyarrow.dataset as pads
@@ -942,87 +884,38 @@ def _ship_years(t: pa.Table) -> np.ndarray:
 
 
 def _lines_with_supp_nation(sf_dir: str, lines: "exchange.Leaf",
-                            line_project, line_partial,
-                            broadcast_threshold: int
-                            ) -> "list[ray.ObjectRef]":
-    """Refs of ``line_partial(batch, s_nationkey_per_row)`` over the
-    ``line_project``-ed lineitem leaf with the supplier's nationkey
-    attached — the SIZE-GATED dimension attach shared by the Q7/Q8-
-    flavor queries. ``line_project`` must keep ``l_suppkey``; rows
-    without a supplier match are dropped.
-
-    Under ``broadcast_threshold`` supplier rows, the sorted
-    (suppkey -> nationkey) lookup is ONE ``ray.put`` broadcast and the
-    attach is a per-block searchsorted (``map_blocks``, zero exchanges
-    added). Above, supplier never leaves the cluster: a co-group keyed
-    on suppkey meets the projected fact rows with the (suppkey,
-    nationkey) pairs — one exchange added, O(supplier +
-    projected-fact) rows moved."""
-    import pyarrow.parquet as pq
-
-    if _table_rows(f"{sf_dir}/supplier.parquet") <= broadcast_threshold:
-        supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                             columns=["s_suppkey", "s_nationkey"]
-                             ).to_pandas()
-        sk, sv = _sorted_lookup(
-            supp["s_suppkey"].to_numpy(),
-            supp["s_nationkey"].to_numpy().astype(np.int64))
-        supp_ref = ray.put((sk, sv))
-
-        def attach_snat_bc(t: pa.Table) -> pa.Table:
-            t = line_project(t)
-            sk_, sv_ = ray.get(supp_ref)
-            keys = t.column("l_suppkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(sk_, sv_, keys)
-            return line_partial(t.filter(pa.array(hit)), mapped[hit])
-
-        return exchange.map_blocks(lines, attach_snat_bc)
-
-    # co-group keyed on suppkey — supplier stays distributed; only its
-    # (suppkey, nationkey) pairs move
+                            line_project) -> "list[ray.ObjectRef]":
+    """Refs of the ``line_project``-ed lineitem leaf with the supplier's
+    nationkey attached as the int64 column ``snat`` — the supplier
+    attach shared by the Q7/Q8-flavor queries: one ``fx_join`` keyed on
+    suppkey with the supplier leaf on the right (broadcast or routed by
+    its size). ``line_project`` must keep ``l_suppkey``; rows without a
+    supplier match are dropped."""
     def supp_side(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_suppkey": t.column("s_suppkey"),
-            "snat": pa.array(t.column("s_nationkey").to_numpy(
-                zero_copy_only=False).astype(np.int64)),
-        })
+        return pa.table({"l_suppkey": t.column("s_suppkey"),
+                         "snat": t.column("s_nationkey").cast(pa.int64())})
 
-    def attach_snat_ex(su: pa.Table, ln: pa.Table) -> pa.Table:
-        sk_, sv_ = _sorted_lookup(
-            su.column("l_suppkey").to_numpy(zero_copy_only=False),
-            su.column("snat").to_numpy(zero_copy_only=False))
-        keys = ln.column("l_suppkey").to_numpy(zero_copy_only=False)
-        mapped, hit = _map_keys(sk_, sv_, keys)
-        return line_partial(ln.filter(pa.array(hit)), mapped[hit])
-
-    return exchange.file_exchange_map_groups(
-        (exchange.leaf(f"{sf_dir}/supplier.parquet",
-                       ["s_suppkey", "s_nationkey"]), lines),
-        attach_snat_ex, keys=["l_suppkey"],
-        pre=(supp_side, line_project)).refs
+    return exchange.fx_join(
+        lines, exchange.leaf(f"{sf_dir}/supplier.parquet",
+                             ["s_suppkey", "s_nationkey"]),
+        on="l_suppkey", how="inner", pre=(line_project, supp_side)).refs
 
 
 def volume_shipping(sf_dir: str, year_from: int = 1995,
-                    year_to: int = 1997,
-                    broadcast_threshold: int = BROADCAST_ROW_LIMIT
-                    ) -> ray.data.Dataset:
+                    year_to: int = 1997) -> ray.data.Dataset:
     """TPC-H Q7-flavor volume shipping: revenue (integer cents) between
     every (supplier nation, customer nation) pair per ship year in
     [year_from, year_to). Returns (supp_nation, cust_nation, l_year,
     revenue_c) — bounded at 25 x 25 x years rows.
 
-    Scale shape: nation (<=25 rows) is always a driver-side broadcast
-    map. supplier and customer both scale with the fact table, so each
-    attach is SIZE-GATED like revenue_by_nation's: under
-    ``broadcast_threshold`` rows the (key -> nationkey) lookup is one
-    ``ray.put`` broadcast; above it the dimension never leaves the
-    cluster — a co-group keyed on suppkey (lineitem) or an ``fx_join``
-    keyed on custkey (orders) attaches the nationkey. Either way the
-    FINAL exchange is one co-partitioned co-group keyed on orderkey
-    where per-order customer nation meets the per-(order, supp-nation,
-    year) revenue partials; only encoded (cell, rev_c) partials —
-    <=1250 rows per partition — reach the driver fold. Both gate paths
-    are value-identical (pinned by tests/test_analytics.py)."""
+    Scale shape: nation (<=25 rows) is a driver-side name map. supplier
+    and customer both scale with the fact table, so each attach is one
+    ``fx_join`` with the dimension leaf on the right (broadcast or
+    routed by its size): keyed on suppkey for lineitem, on custkey for
+    orders. The FINAL exchange is one co-partitioned co-group keyed on
+    orderkey where per-order customer nation meets the per-(order,
+    supp-nation, year) revenue partials; only encoded (cell, rev_c)
+    partials — <=1250 rows per partition — reach the driver fold."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
     lo = np.datetime64(f"{year_from}-01-01", "us")
@@ -1036,8 +929,7 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
 
     def line_project(t: pa.Table) -> pa.Table:
         """Project window-filtered lineitem to the join-ready shape
-        (l_suppkey, l_orderkey, yidx, rev_c) shared by both gate
-        paths."""
+        (l_suppkey, l_orderkey, yidx, rev_c)."""
         return pa.table({
             "l_suppkey": t.column("l_suppkey"),
             "l_orderkey": t.column("l_orderkey"),
@@ -1045,12 +937,13 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
             "rev_c": pa.array(_rev_cents(t)),
         })
 
-    def line_partial(t: pa.Table, snat: np.ndarray) -> pa.Table:
+    def line_partial(t: pa.Table) -> pa.Table:
         """Per-block combine of (orderkey, supp-nation, year) revenue —
         the partials the final orderkey exchange consumes."""
         ok = t.column("l_orderkey").to_numpy(zero_copy_only=False)
         yi = t.column("yidx").to_numpy(zero_copy_only=False)
         rv = t.column("rev_c").to_numpy(zero_copy_only=False)
+        snat = t.column("snat").to_numpy(zero_copy_only=False)
         cell = (ok * nn + snat) * n_years + yi
         ucell, sums = _sorted_group_reduce(cell, rv.astype(np.int64))
         return pa.table({
@@ -1066,44 +959,18 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
             ["l_suppkey", "l_orderkey", "l_shipdate", "l_extendedprice",
              "l_discount"],
             filter=(ship >= pa.scalar(lo)) & (ship < pa.scalar(hi))),
-        line_project, line_partial, broadcast_threshold)
+        line_project)
 
-    orders_leaf = exchange.leaf(f"{sf_dir}/orders.parquet",
-                                ["o_orderkey", "o_custkey"])
-    if _table_rows(f"{sf_dir}/customer.parquet") <= broadcast_threshold:
-        cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                             columns=["c_custkey", "c_nationkey"]
-                             ).to_pandas()
-        ck, cv = _sorted_lookup(
-            cust["c_custkey"].to_numpy(),
-            cust["c_nationkey"].to_numpy().astype(np.int64))
-        cust_ref = ray.put((ck, cv))
+    def cust_side(t: pa.Table) -> pa.Table:
+        return pa.table({"o_custkey": t.column("c_custkey"),
+                         "cnat": t.column("c_nationkey").cast(pa.int64())})
 
-        def attach_cnat(t: pa.Table) -> pa.Table:
-            ck_, cv_ = ray.get(cust_ref)
-            keys = t.column("o_custkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(ck_, cv_, keys)
-            return pa.table({
-                "o_orderkey": t.column("o_orderkey").filter(pa.array(hit)),
-                "cnat": pa.array(mapped[hit].astype(np.int64))})
-
-        orders, ord_pre = orders_leaf, attach_cnat
-    else:
-        # an inner join keyed on custkey, as in revenue_by_nation
-        def cust_side(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "o_custkey": t.column("c_custkey"),
-                "cnat": pa.array(
-                    t.column("c_nationkey").to_numpy(
-                        zero_copy_only=False).astype(np.int64)),
-            })
-
-        orders = exchange.fx_join(
-            orders_leaf,
-            exchange.leaf(f"{sf_dir}/customer.parquet",
-                          ["c_custkey", "c_nationkey"]),
-            on="o_custkey", how="inner", pre=(None, cust_side)).refs
-        ord_pre = None
+    orders = exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/orders.parquet",
+                      ["o_orderkey", "o_custkey"]),
+        exchange.leaf(f"{sf_dir}/customer.parquet",
+                      ["c_custkey", "c_nationkey"]),
+        on="o_custkey", how="inner", pre=(None, cust_side)).refs
 
     def join_agg(ln: pa.Table, od: pa.Table) -> pa.Table:
         ok, cn = _sorted_lookup(
@@ -1121,7 +988,7 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
 
     joined = exchange.file_exchange_map_groups(
         (lines, orders), join_agg, keys=["o_orderkey"],
-        pre=(None, ord_pre))
+        pre=(line_partial, None))
     empty = pa.table({"cell": pa.array([], pa.int64()),
                       "rev_c": pa.array([], pa.int64())})
     folded = _fold_partials(joined, ["cell"], ["rev_c"], empty)
@@ -1136,95 +1003,39 @@ def volume_shipping(sf_dir: str, year_from: int = 1995,
     }))
 
 
-def brand_revenue_by_year(sf_dir: str,
-                          broadcast_threshold: int = BROADCAST_ROW_LIMIT
-                          ) -> ray.data.Dataset:
+def brand_revenue_by_year(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q9-flavor product profit rollup: revenue (integer cents)
     per (p_brand, ship year). Returns (p_brand, l_year, revenue_c) —
     bounded at brands x years rows.
 
-    Scale shape: ``part`` scales with the fact table, so the brand
-    attach is SIZE-GATED. Under ``broadcast_threshold`` rows the
-    (partkey -> brand) lookup broadcasts once and the whole query is
-    ZERO exchanges (per-block partials + driver fold of O(brands x
-    years x blocks) rows). Above, ONE co-partitioned co-group keyed
-    on partkey attaches the brand string to
-    per-(partkey, year) revenue partials; only (brand, year, rev_c)
-    rows leave each partition. Both paths value-identical (pinned by
-    tests/test_analytics.py)."""
-    import pyarrow.parquet as pq
+    Scale shape: per-block (partkey, year) revenue partials ``fx_join``
+    the (partkey, brand) part leaf (``part`` scales with the fact table;
+    the exchange broadcasts it or routes both sides by its size); each
+    joined block folds to (brand, year) sums and the driver folds
+    O(brands x years x blocks) rows."""
 
-    def brand_year_partial(brands: np.ndarray, years: np.ndarray,
-                           rev: np.ndarray) -> pa.Table:
-        """Combine (brand, year, rev) rows into one partial table."""
-        ub, bi = np.unique(brands, return_inverse=True)
-        cell = bi.astype(np.int64) * 4096 + (years - 1970)
-        gi, sums, _ = _int_sum_by(cell, rev)
+    def line_side(t: pa.Table) -> pa.Table:
+        """Per-block (partkey, year) revenue partials. Sort+reduceat,
+        NOT _int_sum_by: the cell ids are sparse (partkey-scaled), so a
+        dense accumulator would allocate max_partkey x 4096 int64s per
+        block."""
+        pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
+        cell = pk * 4096 + (_ship_years(t) - 1970)
+        gi, sums = _sorted_group_reduce(cell, _rev_cents(t))
         return pa.table({
-            "p_brand": pa.array(ub[gi // 4096].astype(str)),
+            "p_partkey": pa.array(gi // 4096),
             "l_year": pa.array((gi % 4096) + 1970),
             "revenue_c": pa.array(sums),
         })
 
-    if _table_rows(f"{sf_dir}/part.parquet") <= broadcast_threshold:
-        part = pq.read_table(f"{sf_dir}/part.parquet",
-                             columns=["p_partkey", "p_brand"]).to_pandas()
-        brands = np.sort(part["p_brand"].unique())
-        bmap = {b: i for i, b in enumerate(brands)}
-        pk, bv = _sorted_lookup(
-            part["p_partkey"].to_numpy(),
-            part["p_brand"].map(bmap).to_numpy().astype(np.int64))
-        ref = ray.put((pk, bv, brands))
-
-        def partial(t: pa.Table) -> pa.Table:
-            pk_, bv_, brands_ = ray.get(ref)
-            keys = t.column("l_partkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(pk_, bv_, keys)
-            return brand_year_partial(brands_[mapped[hit]],
-                                      _ship_years(t)[hit],
-                                      _rev_cents(t)[hit])
-
-        parts = exchange.map_blocks(exchange.leaf(
-            f"{sf_dir}/lineitem.parquet",
-            ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"]),
-            partial)
-    else:
-        def line_side(t: pa.Table) -> pa.Table:
-            """Per-block (partkey, year) revenue partials. Sort+reduceat,
-            NOT _int_sum_by: the cell ids are sparse (partkey-scaled),
-            so a dense accumulator would allocate max_partkey x 4096
-            int64s per block."""
-            pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
-            cell = pk * 4096 + (_ship_years(t) - 1970)
-            gi, sums = _sorted_group_reduce(cell, _rev_cents(t))
-            return pa.table({
-                "pkey": pa.array(gi // 4096),
-                "l_year": pa.array((gi % 4096) + 1970),
-                "revenue_c": pa.array(sums),
-            })
-
-        def attach_brand(pt: pa.Table, ln: pa.Table) -> pa.Table:
-            pk_, bv_ = _sorted_lookup(
-                pt.column("p_partkey").to_numpy(zero_copy_only=False),
-                pt.column("p_brand").to_numpy(zero_copy_only=False))
-            keys = ln.column("pkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(pk_, bv_, keys)
-            return brand_year_partial(
-                mapped[hit],
-                ln.column("l_year").to_numpy(zero_copy_only=False)[hit],
-                ln.column("revenue_c").to_numpy(zero_copy_only=False)[hit])
-
-        parts = exchange.file_exchange_map_groups(
-            (exchange.leaf(f"{sf_dir}/part.parquet",
-                           ["p_partkey", "p_brand"]),
-             exchange.leaf(f"{sf_dir}/lineitem.parquet",
-                           ["l_partkey", "l_shipdate", "l_extendedprice",
-                            "l_discount"])),
-            attach_brand, keys=(["p_partkey"], ["pkey"]),
-            pre=(None, line_side))
-
-    return ray.data.from_arrow(_fold_partials(
-        parts, ["p_brand", "l_year"], ["revenue_c"],
+    joined = exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_partkey", "l_shipdate", "l_extendedprice",
+                       "l_discount"]),
+        exchange.leaf(f"{sf_dir}/part.parquet", ["p_partkey", "p_brand"]),
+        on="p_partkey", how="inner", pre=(line_side, None))
+    return ray.data.from_arrow(_fold_joined(
+        joined, ["p_brand", "l_year"], ["revenue_c"],
         pa.table({"p_brand": pa.array([], pa.string()),
                   "l_year": pa.array([], pa.int64()),
                   "revenue_c": pa.array([], pa.int64())})))
@@ -1398,8 +1209,7 @@ def large_orders(sf_dir: str, min_qty_c: int = 25_000) -> ray.data.Dataset:
 
 
 def nation_market_share(sf_dir: str, nation: str = "NATION_0",
-                        year_from: int = 1995, year_to: int = 1997,
-                        broadcast_threshold: int = BROADCAST_ROW_LIMIT
+                        year_from: int = 1995, year_to: int = 1997
                         ) -> ray.data.Dataset:
     """TPC-H Q8-flavor market share: per ship year in [year_from,
     year_to), the revenue (integer cents) supplied by ``nation`` next
@@ -1408,9 +1218,9 @@ def nation_market_share(sf_dir: str, nation: str = "NATION_0",
     Returns (l_year, nation_revenue_c, total_revenue_c).
 
     Scale shape: nation (<=25 rows) resolves to a nationkey driver-side;
-    the supplier attach reuses the shared SIZE-GATED
-    broadcast-vs-exchange helper (``_lines_with_supp_nation``), after
-    which each block collapses to <= 2 x years partial rows
+    the supplier attach is the shared ``fx_join`` helper
+    (``_lines_with_supp_nation``), after which each joined block
+    collapses to <= 2 x years partial rows
     ((year, is_target) revenue sums) — the driver folds O(years x
     blocks) four-int rows, no further exchange."""
     import pyarrow.dataset as pads
@@ -1432,20 +1242,21 @@ def nation_market_share(sf_dir: str, nation: str = "NATION_0",
             "rev_c": pa.array(_rev_cents(t)),
         })
 
-    def line_partial(t: pa.Table, snat: np.ndarray) -> pa.Table:
+    def line_partial(t: pa.Table) -> pa.Table:
         yi = t.column("yidx").to_numpy(zero_copy_only=False)
         rv = t.column("rev_c").to_numpy(zero_copy_only=False)
+        snat = t.column("snat").to_numpy(zero_copy_only=False)
         cell = yi * 2 + (snat == target)
         gi, sums, _ = _int_sum_by(cell, rv)
         return pa.table({"cell": pa.array(gi), "rev_c": pa.array(sums)})
 
     ship = pads.field("l_shipdate")
-    parts = _lines_with_supp_nation(
+    parts = exchange.map_blocks(_lines_with_supp_nation(
         sf_dir, exchange.leaf(
             f"{sf_dir}/lineitem.parquet",
             ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
             filter=(ship >= pa.scalar(lo)) & (ship < pa.scalar(hi))),
-        line_project, line_partial, broadcast_threshold)
+        line_project), line_partial)
     folded = _fold_partials(parts, ["cell"], ["rev_c"], pa.table({
         "cell": pa.array([], pa.int64()),
         "rev_c": pa.array([], pa.int64())}))
@@ -1525,9 +1336,7 @@ Q19_BANDS = (("Brand#1", 1.0, 11.0, 5),
 
 
 def banded_part_revenue(sf_dir: str,
-                        bands: tuple = Q19_BANDS,
-                        broadcast_threshold: int = BROADCAST_ROW_LIMIT
-                        ) -> ray.data.Dataset:
+                        bands: tuple = Q19_BANDS) -> ray.data.Dataset:
     """TPC-H Q19-flavor disjunctive filter-aggregate: total revenue
     (integer cents) plus line count from lineitems matching ANY of the
     ``bands`` — each band a (p_brand, qty_lo, qty_hi inclusive,
@@ -1535,92 +1344,52 @@ def banded_part_revenue(sf_dir: str,
     Returns ONE row (revenue_c, n_lines).
 
     Scale shape: the part side reduces to (partkey, band-bitmask) —
-    one int64 per part whose bit b says 'this part satisfies band b's
-    part-attribute half'. Under ``broadcast_threshold`` part rows the
-    mask lookup broadcasts (zero exchanges); above, ONE co-partitioned
-    co-group keyed on partkey meets the narrow
-    (partkey, qty, rev) line triples. Either way the quantity half
-    tests vectorized against the bitmask and each partition emits one
-    two-int partial."""
-    import pyarrow.parquet as pq
+    one int64 per qualifying part whose bit b says 'this part satisfies
+    band b's part-attribute half' — and ``fx_join``s the narrow
+    (partkey, qty, rev) line triples (broadcast or routed by the part
+    leaf's size). The quantity half tests vectorized against the
+    bitmask and each joined block emits one two-int partial."""
 
-    def part_mask(brand: np.ndarray, size: np.ndarray) -> np.ndarray:
+    def part_side(t: pa.Table) -> pa.Table:
+        brand = t.column("p_brand").to_numpy(zero_copy_only=False)
+        size = t.column("p_size").to_numpy(zero_copy_only=False)
         mask = np.zeros(len(brand), np.int64)
         for b, (bname, _, _, max_size) in enumerate(bands):
             mask |= ((brand == bname) & (size <= max_size)) << b
-        return mask
+        keep = mask != 0             # only qualifying parts join at all
+        return pa.table({
+            "pkey": t.column("p_partkey").filter(pa.array(keep)),
+            "mask": pa.array(mask[keep]),
+        })
 
-    def line_hits(qty: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def line_side(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "pkey": t.column("l_partkey"),
+            "qty": t.column("l_quantity").cast(pa.float64()),
+            "rev_c": pa.array(_rev_cents(t)),
+        })
+
+    def band_fold(t: pa.Table) -> pa.Table:
+        qty = t.column("qty").to_numpy(zero_copy_only=False)
+        mask = t.column("mask").to_numpy(zero_copy_only=False)
         hit = np.zeros(len(qty), bool)
         for b, (_, q_lo, q_hi, _) in enumerate(bands):
             hit |= ((mask >> b) & 1).astype(bool) \
                 & (qty >= q_lo) & (qty <= q_hi)
-        return hit
-
-    def fold(rev: np.ndarray, hit: np.ndarray) -> pa.Table:
+        rev = t.column("rev_c").to_numpy(zero_copy_only=False)
         return pa.table({
             "revenue_c": pa.array([int(rev[hit].sum())], pa.int64()),
             "n_lines": pa.array([int(hit.sum())], pa.int64()),
         })
 
-    line_cols = ["l_partkey", "l_quantity", "l_extendedprice",
-                 "l_discount"]
-    if _table_rows(f"{sf_dir}/part.parquet") <= broadcast_threshold:
-        part = pq.read_table(f"{sf_dir}/part.parquet",
-                             columns=["p_partkey", "p_brand", "p_size"])
-        mask = part_mask(
-            part.column("p_brand").to_numpy(zero_copy_only=False),
-            part.column("p_size").to_numpy(zero_copy_only=False))
-        keep = mask != 0             # only qualifying parts ship at all
-        pk, mv = _sorted_lookup(
-            part.column("p_partkey").to_numpy(
-                zero_copy_only=False)[keep], mask[keep])
-        ref = ray.put((pk, mv))
-
-        def partial(t: pa.Table) -> pa.Table:
-            pk_, mv_ = ray.get(ref)
-            keys = t.column("l_partkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(pk_, mv_, keys)
-            qty = t.column("l_quantity").to_numpy(zero_copy_only=False)
-            sel = hit & line_hits(qty, np.where(hit, mapped, 0))
-            return fold(_rev_cents(t), sel)
-
-        parts = exchange.map_blocks(exchange.leaf(
-            f"{sf_dir}/lineitem.parquet", line_cols), partial)
-    else:
-        def part_side(t: pa.Table) -> pa.Table:
-            mask = part_mask(
-                t.column("p_brand").to_numpy(zero_copy_only=False),
-                t.column("p_size").to_numpy(zero_copy_only=False))
-            keep = mask != 0
-            return pa.table({
-                "pkey": t.column("p_partkey").filter(pa.array(keep)),
-                "mask": pa.array(mask[keep]),
-            })
-
-        def line_side(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "pkey": t.column("l_partkey"),
-                "qty": t.column("l_quantity").cast(pa.float64()),
-                "rev_c": pa.array(_rev_cents(t)),
-            })
-
-        def band_fold(pt: pa.Table, ln: pa.Table) -> pa.Table:
-            pk_, mv_ = _sorted_lookup(
-                pt.column("pkey").to_numpy(zero_copy_only=False),
-                pt.column("mask").to_numpy(zero_copy_only=False))
-            keys = ln.column("pkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(pk_, mv_, keys)
-            qty = ln.column("qty").to_numpy(zero_copy_only=False)
-            sel = hit & line_hits(qty, np.where(hit, mapped, 0))
-            rev = ln.column("rev_c").to_numpy(zero_copy_only=False)
-            return fold(rev, sel)
-
-        parts = exchange.file_exchange_map_groups(
-            (exchange.leaf(f"{sf_dir}/part.parquet",
-                           ["p_partkey", "p_brand", "p_size"]),
-             exchange.leaf(f"{sf_dir}/lineitem.parquet", line_cols)),
-            band_fold, keys=["pkey"], pre=(part_side, line_side))
+    parts = exchange.map_blocks(exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_partkey", "l_quantity", "l_extendedprice",
+                       "l_discount"]),
+        exchange.leaf(f"{sf_dir}/part.parquet",
+                      ["p_partkey", "p_brand", "p_size"]),
+        on="pkey", how="inner", pre=(line_side, part_side)).refs,
+        band_fold)
     pt = _concat_nonempty(parts, pa.table({
         "revenue_c": pa.array([], pa.int64()),
         "n_lines": pa.array([], pa.int64())}))
@@ -1837,9 +1606,7 @@ def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1"
 
 
 def promo_revenue_share(sf_dir: str,
-                        promo_type: str = "PROMO",
-                        broadcast_threshold: int = BROADCAST_ROW_LIMIT
-                        ) -> ray.data.Dataset:
+                        promo_type: str = "PROMO") -> ray.data.Dataset:
     """TPC-H Q14-flavor promotion effect: per ship (year, month) the
     promo-part revenue, total revenue (both integer cents) and the
     promo share in EXACT integer permille — round-half-up computed as
@@ -1848,21 +1615,44 @@ def promo_revenue_share(sf_dir: str,
     l_month, promo_revenue_c, total_revenue_c, promo_permille) —
     bounded at months-in-range rows (TPC-H ships span ~84 months).
 
-    Scale shape: same gated attach as ``brand_revenue_by_year`` —
-    ``part`` scales with the fact table, so under
-    ``broadcast_threshold`` rows the (partkey -> is_promo) bitmap
-    broadcasts once (ZERO exchanges: per-block month partials + driver
-    fold of O(months x blocks) rows); above, ONE co-partitioned
-    co-group keyed on partkey attaches the flag to
-    per-(partkey, month) revenue partials and only (month, promo_c,
-    total_c) rows leave each partition."""
-    import pyarrow.parquet as pq
+    Scale shape: same attach as ``brand_revenue_by_year`` — per-block
+    (partkey, month) revenue partials ``fx_join`` the (partkey,
+    is_promo) part leaf (broadcast or routed by its size), each joined
+    block folds to (month, promo_c, total_c) rows and the driver folds
+    O(months x blocks) of them."""
 
-    def month_partial(mcell: np.ndarray, promo: np.ndarray,
-                      rev: np.ndarray) -> pa.Table:
+    def part_side(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "pkey": t.column("p_partkey"),
+            "is_promo": pc.equal(t.column("p_type"),
+                                 promo_type).cast(pa.int64()),
+        })
+
+    def line_side(t: pa.Table) -> pa.Table:
+        # sparse (partkey x month) cells: sort+reduceat, not the
+        # dense accumulator (see brand_revenue_by_year's note).
+        # The month lane is 2^20 wide with a 2^19 offset so the
+        # packing survives ship dates in years ~-41700..45641
+        # (a 4096 lane would bleed months into the partkey past
+        # 2311, silently corrupting the promo flag)
+        pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
+        sd = t.column("l_shipdate").to_numpy(zero_copy_only=False)
+        mcell = sd.astype("datetime64[M]").astype(np.int64)  # since 1970
+        cell = pk * (1 << 20) + (mcell + (1 << 19))
+        gi, sums = _sorted_group_reduce(cell, _rev_cents(t))
+        return pa.table({
+            "pkey": pa.array(gi >> 20),
+            "mcell": pa.array((gi & ((1 << 20) - 1)) - (1 << 19)),
+            "rev_c": pa.array(sums),
+        })
+
+    def month_partial(t: pa.Table) -> pa.Table:
         """Fold (month cell, is_promo, rev) rows into one partial —
         sort+reduceat, NOT the dense accumulator: pre-1970 ship dates
         make mcell negative, which a dense np.add.at would wrap."""
+        mcell = t.column("mcell").to_numpy(zero_copy_only=False)
+        rev = t.column("rev_c").to_numpy(zero_copy_only=False)
+        promo = t.column("is_promo").to_numpy(zero_copy_only=False)
         gi, tot = _sorted_group_reduce(mcell, rev)
         _, pro = _sorted_group_reduce(mcell, rev * promo)
         return pa.table({
@@ -1872,74 +1662,13 @@ def promo_revenue_share(sf_dir: str,
             "total_revenue_c": pa.array(tot),
         })
 
-    def ship_mcell(t: pa.Table) -> np.ndarray:
-        sd = t.column("l_shipdate").to_numpy(zero_copy_only=False)
-        m = sd.astype("datetime64[M]").astype(np.int64)  # months since 1970
-        return m
-
-    if _table_rows(f"{sf_dir}/part.parquet") <= broadcast_threshold:
-        part = pq.read_table(f"{sf_dir}/part.parquet",
-                             columns=["p_partkey", "p_type"])
-        flag = pc.equal(part.column("p_type"), promo_type)
-        pk, fv = _sorted_lookup(
-            part.column("p_partkey").to_numpy(zero_copy_only=False),
-            flag.to_numpy(zero_copy_only=False).astype(np.int64))
-        ref = ray.put((pk, fv))
-
-        def partial(t: pa.Table) -> pa.Table:
-            pk_, fv_ = ray.get(ref)
-            keys = t.column("l_partkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(pk_, fv_, keys)
-            return month_partial(ship_mcell(t)[hit], mapped[hit],
-                                 _rev_cents(t)[hit])
-
-        parts = exchange.map_blocks(exchange.leaf(
-            f"{sf_dir}/lineitem.parquet",
-            ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"]),
-            partial)
-    else:
-        def part_side(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "pkey": t.column("p_partkey"),
-                "is_promo": pc.equal(t.column("p_type"),
-                                     promo_type).cast(pa.int64()),
-            })
-
-        def line_side(t: pa.Table) -> pa.Table:
-            # sparse (partkey x month) cells: sort+reduceat, not the
-            # dense accumulator (see brand_revenue_by_year's note).
-            # The month lane is 2^20 wide with a 2^19 offset so the
-            # packing survives ship dates in years ~-41700..45641
-            # (a 4096 lane would bleed months into the partkey past
-            # 2311, silently corrupting the promo flag)
-            pk = t.column("l_partkey").to_numpy(zero_copy_only=False)
-            cell = pk * (1 << 20) + (ship_mcell(t) + (1 << 19))
-            gi, sums = _sorted_group_reduce(cell, _rev_cents(t))
-            return pa.table({
-                "pkey": pa.array(gi >> 20),
-                "mcell": pa.array((gi & ((1 << 20) - 1)) - (1 << 19)),
-                "rev_c": pa.array(sums),
-            })
-
-        def attach_flag(pt: pa.Table, ln: pa.Table) -> pa.Table:
-            pk_, fv_ = _sorted_lookup(
-                pt.column("pkey").to_numpy(zero_copy_only=False),
-                pt.column("is_promo").to_numpy(zero_copy_only=False))
-            keys = ln.column("pkey").to_numpy(zero_copy_only=False)
-            mapped, hit = _map_keys(pk_, fv_, keys)
-            return month_partial(
-                ln.column("mcell").to_numpy(zero_copy_only=False)[hit],
-                mapped[hit],
-                ln.column("rev_c").to_numpy(zero_copy_only=False)[hit])
-
-        parts = exchange.file_exchange_map_groups(
-            (exchange.leaf(f"{sf_dir}/part.parquet",
-                           ["p_partkey", "p_type"]),
-             exchange.leaf(f"{sf_dir}/lineitem.parquet",
-                           ["l_partkey", "l_shipdate", "l_extendedprice",
-                            "l_discount"])),
-            attach_flag, keys=["pkey"], pre=(part_side, line_side))
-
+    parts = exchange.map_blocks(exchange.fx_join(
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_partkey", "l_shipdate", "l_extendedprice",
+                       "l_discount"]),
+        exchange.leaf(f"{sf_dir}/part.parquet", ["p_partkey", "p_type"]),
+        on="pkey", how="inner", pre=(line_side, part_side)).refs,
+        month_partial)
     folded = _fold_partials(
         parts, ["l_year", "l_month"],
         ["promo_revenue_c", "total_revenue_c"],
@@ -2225,9 +1954,7 @@ def parts_bought_together(sf_dir: str, k: int = 20) -> pa.Table:
 
 
 def min_cost_supplier(sf_dir: str, min_size: int = 25,
-                      ptype: str = "STANDARD",
-                      broadcast_threshold: int = BROADCAST_ROW_LIMIT
-                      ) -> ray.data.Dataset:
+                      ptype: str = "STANDARD") -> ray.data.Dataset:
     """TPC-H Q2-flavor minimum-cost supplier: for every part passing
     the (p_size >= min_size, p_type == ptype) filter, the supplier
     offering the LOWEST single-line price (integer cents of
@@ -2241,16 +1968,14 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
     with at least one line, as a DISTRIBUTED dataset (output scales
     with parts — never driver-folded).
 
-    Scale shape: part eligibility and the supplier attach are both
-    SIZE-GATED. Under ``broadcast_threshold`` rows the eligible-partkey
-    set / the (suppkey -> name, nationkey) lookup broadcast once via
-    ``ray.put`` (sorted-array membership / searchsorted map per batch);
-    above, each becomes ONE co-partitioned co-group —
-    hash(partkey) to filter + finish the per-part argmin, hash(suppkey)
-    to attach the winner's attributes — so neither table ever lands on
-    the driver. Per-block native Arrow group_by collapses lines to
-    (partkey, suppkey) min-price partials before anything moves;
-    nation (<=25 rows) is always a driver-side name map."""
+    Scale shape: per-block native Arrow group_by collapses lines to
+    (partkey, suppkey) min-price partials before anything moves. Part
+    eligibility stays ONE co-group keyed on partkey, because its part
+    function, the per-part argmin, needs whole part keys. The winners
+    then ``fx_join`` the (suppkey, name, nation name) supplier leaf
+    (broadcast or routed by its size), so neither table lands on the
+    driver; nation (<=25 rows) is a driver-side name map shipped inside
+    the supplier side's ``pre``."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
@@ -2300,119 +2025,46 @@ def min_cost_supplier(sf_dir: str, min_size: int = 25,
             "minp_c": pa.array(p[first].astype(np.int64)),
         })
 
-    lines = exchange.leaf(f"{sf_dir}/lineitem.parquet",
-                          ["l_partkey", "l_suppkey", "l_extendedprice"])
+    # co-group keyed on partkey: eligible partkeys meet
+    # per-(partkey, suppkey) min-price partials
+    def filt_argmin(pt_: pa.Table, ln: pa.Table) -> pa.Table:
+        e = np.sort(pt_.column("p_partkey").to_numpy(
+            zero_copy_only=False))
+        _, hit = _map_keys(e, e, ln.column("pk").to_numpy(
+            zero_copy_only=False))
+        return argmin_per_part(ln.filter(pa.array(hit)))
 
-    if _table_rows(f"{sf_dir}/part.parquet") <= broadcast_threshold:
-        part = pq.read_table(f"{sf_dir}/part.parquet",
-                             columns=["p_partkey", "p_size", "p_type"])
-        keep = pc.and_(pc.greater_equal(part.column("p_size"),
-                                        min_size),
-                       pc.equal(part.column("p_type"), ptype))
-        elig = np.sort(part.filter(keep).column("p_partkey")
-                       .to_numpy(zero_copy_only=False))
-        elig_ref = ray.put(elig)
+    winners = exchange.file_exchange_map_groups(
+        (exchange.leaf(f"{sf_dir}/part.parquet", ["p_partkey"],
+                       filter=(pads.field("p_size") >= min_size)
+                       & (pads.field("p_type") == ptype)),
+         exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                       ["l_partkey", "l_suppkey", "l_extendedprice"])),
+        filt_argmin, keys=(["p_partkey"], ["pk"]),
+        pre=(None, pair_partial))
 
-        def filt_bc(t: pa.Table) -> pa.Table:
-            e = ray.get(elig_ref)
-            keys = t.column("l_partkey").to_numpy(zero_copy_only=False)
-            if len(e) == 0:
-                hit = np.zeros(len(keys), bool)
-            else:
-                pos = np.searchsorted(e, keys)
-                pos[pos == len(e)] = 0
-                hit = e[pos] == keys
-            return pair_partial(t.filter(pa.array(hit)))
+    def supp_side(t: pa.Table) -> pa.Table:
+        snat = t.column("s_nationkey").to_numpy(zero_copy_only=False)
+        return pa.table({
+            "sk": t.column("s_suppkey"),
+            "s_name": t.column("s_name").cast(pa.string()),
+            "n_name": pa.array(nat_names[snat], pa.string()),
+        })
 
-        winners = exchange.file_exchange_map_groups(
-            lines, argmin_per_part, keys=["pk"], pre=filt_bc)
-    else:
-        # co-group keyed on partkey: eligible partkeys meet
-        # per-(partkey, suppkey) min-price partials
-        def filt_argmin(pt_: pa.Table, ln: pa.Table) -> pa.Table:
-            e = np.sort(pt_.column("p_partkey").to_numpy(
-                zero_copy_only=False))
-            keys = ln.column("pk").to_numpy(zero_copy_only=False)
-            if len(e) == 0:
-                hit = np.zeros(len(keys), bool)
-            else:
-                pos = np.searchsorted(e, keys)
-                pos[pos == len(e)] = 0
-                hit = e[pos] == keys
-            return argmin_per_part(ln.filter(pa.array(hit)))
-
-        winners = exchange.file_exchange_map_groups(
-            (exchange.leaf(f"{sf_dir}/part.parquet", ["p_partkey"],
-                           filter=(pads.field("p_size") >= min_size)
-                           & (pads.field("p_type") == ptype)), lines),
-            filt_argmin, keys=(["p_partkey"], ["pk"]),
-            pre=(None, pair_partial))
-
-    def finish(t: pa.Table, sname: np.ndarray,
-               snat: np.ndarray) -> pa.Table:
+    def finish(t: pa.Table) -> pa.Table:
         return pa.table({
             "p_partkey": t.column("pk"),
             "s_suppkey": t.column("sk"),
-            "s_name": pa.array(sname, pa.string()),
-            "n_name": pa.array(nat_names[snat], pa.string()),
+            "s_name": t.column("s_name"),
+            "n_name": t.column("n_name"),
             "min_price_c": t.column("minp_c"),
         })
 
-    if _table_rows(f"{sf_dir}/supplier.parquet") <= broadcast_threshold:
-        supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                             columns=["s_suppkey", "s_name",
-                                      "s_nationkey"])
-        sk_arr = supp.column("s_suppkey").to_numpy(zero_copy_only=False)
-        order = np.argsort(sk_arr, kind="stable")
-        sk_s = sk_arr[order]
-        names_s = supp.column("s_name").to_numpy(
-            zero_copy_only=False)[order]
-        nats_s = supp.column("s_nationkey").to_numpy(
-            zero_copy_only=False).astype(np.int64)[order]
-        supp_ref = ray.put((sk_s, names_s, nats_s))
-
-        def attach_bc(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return finish(t, np.array([], object),
-                              np.array([], np.int64))
-            sk_, nm_, nt_ = ray.get(supp_ref)
-            keys = t.column("sk").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(sk_, keys)
-            # every winner's suppkey exists in supplier by construction
-            return finish(t, nm_[pos], nt_[pos])
-
-        return ray.data.from_arrow_refs(
-            exchange.map_blocks(winners.refs, attach_bc))
-
-    # co-group keyed on suppkey: winner rows meet the supplier
-    # attribute rows; supplier never leaves the cluster
-    def supp_side(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "sk": t.column("s_suppkey"),
-            "s_name": t.column("s_name"),
-            "snat": pa.array(t.column("s_nationkey").to_numpy(
-                zero_copy_only=False).astype(np.int64)),
-        })
-
-    def attach_ex(su: pa.Table, wn: pa.Table) -> pa.Table:
-        sk_ = su.column("sk").to_numpy(zero_copy_only=False)
-        order = np.argsort(sk_, kind="stable")
-        sk_s_ = sk_[order]
-        nm_ = su.column("s_name").to_numpy(zero_copy_only=False)[order]
-        nt_ = su.column("snat").to_numpy(zero_copy_only=False)[order]
-        t = wn.select(["pk", "sk", "minp_c"])
-        if t.num_rows == 0:
-            return finish(t, np.array([], object),
-                          np.array([], np.int64))
-        keys = t.column("sk").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(sk_s_, keys)
-        return finish(t, nm_[pos], nt_[pos])
-
-    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
-        (exchange.leaf(f"{sf_dir}/supplier.parquet",
-                       ["s_suppkey", "s_name", "s_nationkey"]),
-         winners.refs),
-        attach_ex, keys=["sk"], pre=(supp_side, None)).refs)
+    # every winner's suppkey exists in supplier by construction
+    return ray.data.from_arrow_refs(exchange.map_blocks(exchange.fx_join(
+        winners.refs, exchange.leaf(f"{sf_dir}/supplier.parquet",
+                                    ["s_suppkey", "s_name", "s_nationkey"]),
+        on="sk", how="inner", pre=(None, supp_side)).refs, finish))
 
 
 def orders_weekly_gapfill(sf_dir: str) -> ray.data.Dataset:
@@ -2473,8 +2125,9 @@ def orders_weekly_gapfill(sf_dir: str) -> ray.data.Dataset:
 def order_lines_join(sf_dir: str) -> ray.data.Dataset:
     """The GENERIC join primitive exercised end-to-end: inner-join
     lineitem to orders on the order key via ``stages.exchange.fx_join``
-    (one co-partitioned file exchange, both fact tables move exactly
-    once) and return the joined line grain — proof the reusable join
+    (orders broadcast to the lineitem tasks while small, else one
+    co-partitioned file exchange in which both move exactly once) and
+    return the joined line grain — proof the reusable join
     reproduces SQL join semantics on real tables, not just the
     hand-fused pipelines elsewhere in this module. Money in integer
     cents as everywhere."""

@@ -17,7 +17,8 @@ Scale shape (every stage audited against the 100-TB lens):
   fp) are computed from a (fp, doc_id)-only projection, and the
   surviving rows are recovered with a CO-PARTITIONED semi-join (docs
   and survivor ids co-grouped in one exchange keyed on doc_id) — no
-  broadcast of an O(corpus) survivor set, no driver materialization.
+  broadcast of an O(corpus) survivor set (a refs right side, so
+  ``fx_join`` always routes it), no driver materialization.
 - output is the resumable sharded export (atomic ``_EXPORTED`` marker).
 
 No reference analog (aqueduct-core moves opaque payloads); this is the

@@ -36,6 +36,12 @@ Inputs. An exchange reads any of:
   join never share a schema, a tag column or null padding: the one
   join shape of the library. ``fx_join`` is the co-group whose part
   function is Arrow's hash join.
+``fx_join`` picks its strategy from the build side's size: a right
+side that is a leaf of at most ``BROADCAST_BYTES`` parquet footer bytes
+(known before any task runs) is read once and joined whole by one task
+per left unit or block, with no exchange; ``outer`` and refs or Dataset
+right sides (whose size is known only after their tasks ran) route.
+A query writes one join; the engine, not the query, chooses.
 An optional per-block ``pre`` function (conform, partial fold) runs
 inside the writer task before the key route and the slicing. Writers
 are raw Ray tasks under a ``ray.wait`` window of 2x the cluster's
@@ -213,10 +219,15 @@ class Leaf:
     columns: "tuple[str, ...] | None" = None
     filter: Any = None
 
+    def pieces(self) -> list:
+        """(file, row_group, est. compressed bytes) per row group, read
+        from the footers."""
+        return [p for f in self.files for p in file_pieces(f)]
+
     def units(self) -> list:
         """Row-group units packed like the engine's scan units: about
         two per CPU, each within scan_units' MIN/MAX_UNIT_BYTES."""
-        pieces = [p for f in self.files for p in file_pieces(f)]
+        pieces = self.pieces()
         return pack_units(pieces, unit_budget(
             sum(b for *_, b in pieces), _cluster_cpus()))
 
@@ -275,14 +286,18 @@ def _route(t: pa.Table, keys: "list[str]", P: int, salt: int
     return t.append_column("part", pa.array(parts, pa.int32()))
 
 
+def _pre(t: pa.Table, pre: "Callable[[pa.Table], pa.Table] | None"
+         ) -> pa.Table:
+    """``pre`` over a block, skipped on a column-less one."""
+    return pre(t) if pre is not None and t.num_columns else t
+
+
 @ray.remote(num_cpus=1)
 def _write_task(item, xdir: str, pre, keys: "list[str] | None",
                 P: int, salt: int) -> pa.Table:
     """``pre`` and the key route over the block (both skipped on a
     column-less one), then the shared slice writer, uncompressed."""
-    t = _load(item)
-    if pre is not None and t.num_columns:
-        t = pre(t)
+    t = _pre(_load(item), pre)
     if keys and t.num_columns:
         t = _route(t, keys, P, salt)
     return write_slices(t, xdir)
@@ -303,7 +318,9 @@ def _windowed(jobs: Iterable, submit: Callable) -> list:
         if len(pending) >= window:
             _, pending = ray.wait(pending, num_returns=1)
         refs.append(submit(*job))
-        pending.append(refs[-1])
+        # a multi-return task is waited on by its first return
+        pending.append(refs[-1][0] if isinstance(refs[-1], list)
+                       else refs[-1])
     return refs
 
 
@@ -630,9 +647,10 @@ def file_exchange_map_groups(
       ...))`` must equal ``fn(c1 + c2 + ...)``.
     - ``_plan_out``: test hook, filled with the planned ``tasks``,
       ``split`` (chunk-folded parts), ``packed`` (runs of >1 part),
-      ``parts`` and ``bytes``. The same counts, with the input kind
-      ``src`` (leaf / refs / dataset) and the writer and task seconds,
-      go to one ``op="exchange"`` row of ``metrics``."""
+      ``parts``, ``bytes`` and ``strategy`` (``"route"``; ``fx_join``'s
+      broadcast says ``"broadcast"``). The same counts, with the input
+      kind ``src`` (leaf / refs / dataset) and the writer and task
+      seconds, go to one ``op="exchange"`` row of ``metrics``."""
     inputs = _inputs(src, pre, keys)
     kinds = {k for k, *_ in inputs}
     kind = next(k for k in ("dataset", "leaf", "refs") if k in kinds)
@@ -684,7 +702,7 @@ def file_exchange_map_groups(
                     fn, [[[e[:2] for e in plan.get(q, [])]
                           for plan in plans] for q in run], schemas,
                     keys is not None))
-        stats = dict(tasks=len(runs), split=n_split,
+        stats = dict(strategy="route", tasks=len(runs), split=n_split,
                      packed=sum(len(r) > 1 for r in runs),
                      parts=len(sizes), bytes=total)
         if _plan_out is not None:
@@ -701,12 +719,20 @@ def file_exchange_map_groups(
                 schemas[0] if len(schemas) == 1 else tuple(schemas))
     finally:
         shutil.rmtree(xdir, ignore_errors=True)
+    _record(fn, kind, t0, t1, t2, stats)
+    return out
+
+
+def _record(fn: Callable, kind: str, t0: float, t1: float, t2: float,
+            stats: dict) -> None:
+    """One ``op="exchange"`` metrics row: the writer (or broadcast
+    build) seconds ``t1 - t0``, the task seconds ``t2 - t1`` and the
+    plan's ``stats``."""
     name = getattr(getattr(fn, "func", fn), "__name__", str(fn))  # partial
     metrics.record({"op": "exchange", "fn": name, "src": kind,
                     "ok": True, "wall_s": round(time.perf_counter() - t0, 6),
                     "write_s": round(t1 - t0, 6),
                     "run_s": round(t2 - t1, 6), **stats})
-    return out
 
 
 def fx_agg_by(src: "ray.data.Dataset | Leaf | list",
@@ -910,6 +936,74 @@ def _join_part(lt: pa.Table, rt: pa.Table, keys: "list[str]", how: str,
     return pa.table(cols)
 
 
+# the largest right side, in parquet footer bytes (compressed, as
+# ``Leaf.pieces`` estimates them), that fx_join ships whole to every
+# left task instead of routing both sides. Every left task decodes and
+# hashes all of it, so it stays a small multiple of one scan unit
+# (scan_units.MIN_UNIT_BYTES = 4 MiB), not of the left side
+BROADCAST_BYTES = 16 << 20
+
+
+def _whole(tabs: "tuple[pa.Table, ...]") -> pa.Table:
+    """A broadcast side's blocks as one table, each conformed to their
+    unified schema (column-less blocks dropped; none typed: column-less)."""
+    typed = [t for t in tabs if t.num_columns]
+    if not typed:
+        return pa.table({})
+    schema = pa.unify_schemas([t.schema for t in typed],
+                              promote_options="permissive")
+    return _concat([_conform(t, schema) for t in typed])
+
+
+@ray.remote(num_cpus=1, num_returns=2)
+def _broadcast_task(item, pre, join: Callable, check: Callable,
+                    *right: pa.Table):
+    """One left block (``pre`` applied) joined against the whole right
+    side; the second return is (left schema, right schema, output rows)
+    for the driver (a schema is None when its side is column-less)."""
+    lt, rt = _pre(_load(item), pre), _whole(right)
+    schemas = [t.schema if t.num_columns else None for t in (lt, rt)]
+    check(schemas)
+    out = join(lt, rt)
+    return out, (*schemas, out.num_rows)
+
+
+def _broadcast_join(left: "ray.data.Dataset | Leaf | list", right: Leaf,
+                    nbytes: int, join: Callable, pre: tuple,
+                    check: Callable, plan_out: "dict | None"
+                    ) -> "ray.data.Dataset | Exchanged":
+    """``join`` with the right side read once (``map_blocks`` with its
+    ``pre``) and handed whole to one raw task per left unit or block: no
+    exchange files, the left side moves once. Refs come back in left
+    block order, empty outputs dropped unless all are."""
+    ((kind, *_),) = _inputs(left, None, None)
+    lpre, rpre = pre
+    t0 = time.perf_counter()
+    rrefs = map_blocks(right, functools.partial(_pre, pre=rpre))
+    ray.wait(rrefs, num_returns=len(rrefs))
+    t1 = time.perf_counter()
+
+    def jobs():
+        for it in _raw_items(left):
+            yield (it, lpre, join, check, *rrefs)
+    pairs = (_windowed(jobs(), _broadcast_task.remote)
+             or [_broadcast_task.remote(pa.table({}), lpre, join, check,
+                                        *rrefs)])
+    metas = ray.get([m for _, m in pairs])
+    t2 = time.perf_counter()
+    refs = [o for (o, _), (*_, n) in zip(pairs, metas) if n] or [pairs[0][0]]
+    lsch = [m[0] for m in metas if m[0] is not None]
+    schema = (pa.unify_schemas(lsch, promote_options="permissive")
+              if lsch else None, metas[0][1])
+    stats = dict(strategy="broadcast", tasks=len(pairs), split=0, packed=0,
+                 parts=0, bytes=nbytes)
+    if plan_out is not None:
+        plan_out.update(stats)
+    _record(join, kind, t0, t1, t2, stats)
+    return (ray.data.from_arrow_refs(refs) if kind == "dataset"
+            else Exchanged(refs, schema))
+
+
 def fx_join(left: "ray.data.Dataset | Leaf | list",
             right: "ray.data.Dataset | Leaf | list",
             on: "list[str] | str", how: str = "inner",
@@ -918,19 +1012,18 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
             pre: "tuple | None" = None,
             _plan_out: "dict | None" = None
             ) -> "ray.data.Dataset | Exchanged":
-    """Generic co-partitioned hash EQUI-JOIN over the file exchange:
-    the two sides are a two-member co-group routed by ``key_parts``
-    (the keyed exchange's rule), and each partition task joins its
-    part with Arrow's hash join (``_join_part``). Key columns of the
-    two sides must share a routing family (``key_family``: int/temporal,
-    float, string, other), else equal values would route apart: a
-    ``ValueError`` naming the key is raised before any partition task
-    runs. Right key columns compare at the left key types.
+    """Generic hash EQUI-JOIN: each part of the output is Arrow's hash
+    join of matching left and right rows (``_join_part``). Key columns
+    of the two sides must share a routing family (``key_family``:
+    int/temporal, float, string, other), else a ``ValueError`` naming
+    the key is raised (routed: before any partition task runs;
+    broadcast: by the first left task). Right key columns compare at
+    the left key types.
 
     Either side is any exchange input (Dataset, ``Leaf``, block refs);
-    ``pre=(left_fn, right_fn)`` conforms a side's blocks inside its
-    writer. Each side's schema comes from its own writers' manifests,
-    so no schema is probed up front.
+    ``pre=(left_fn, right_fn)`` conforms a side's blocks inside the
+    task that reads them. Each side's schema comes from those tasks, so
+    no schema is probed up front.
 
     ``how``: inner | left | outer | semi | anti. SQL null-key semantics
     on the MATCH: a null key never matches, and in ``outer`` a null-key
@@ -946,16 +1039,33 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
     input Arrow types. ``part`` is the exchange's reserved column name
     — an inbound column so named is dropped.
 
-    Scale shape: one exchange, both sides move exactly once, join
-    state is per-partition. ``salt`` > 1 is the HOT-KEY defuser (the
-    north rule's salted repartitioning applied to the join): each
-    LEFT row lands in one of ``salt`` sub-buckets of its key's
-    partition while every RIGHT row is replicated into all ``salt``
-    sub-buckets, and no exchange task holds two sub-buckets of one
-    bucket — a hot key's probe side fans across ``salt`` tasks at
-    the cost of ``salt``x the (small) build side, and every (l, r)
-    pair still meets exactly once, so the OUTPUT is identical for any
-    salt (pinned in tests)."""
+    Scale shape: the join picks its strategy from the build side's
+    size, and either way the output rows and types are the same.
+    - BROADCAST when ``how`` is not ``outer``, the right side is a
+      ``Leaf`` and its footer bytes (``Leaf.pieces``, the bytes its
+      units are cut from, so deciding runs no task) are at most
+      ``BROADCAST_BYTES``: the right side is read once through
+      ``map_blocks`` with its ``pre``, and one raw task per left unit
+      or block joins its rows against the whole right side. No
+      exchange files; the left side moves once. ``outer`` routes:
+      each task would emit the unmatched right rows again. A refs or
+      Dataset right side routes: its size is unknown before its tasks
+      run.
+    - ROUTED otherwise: the two sides are a two-member co-group keyed
+      by ``key_parts`` (the keyed exchange's rule), both sides move
+      exactly once, join state is per-partition. ``salt`` > 1 is the
+      HOT-KEY defuser (the north rule's salted repartitioning applied
+      to the join): each LEFT row lands in one of ``salt`` sub-buckets
+      of its key's partition while every RIGHT row is replicated into
+      all ``salt`` sub-buckets, and no exchange task holds two
+      sub-buckets of one bucket — a hot key's probe side fans across
+      ``salt`` tasks at the cost of ``salt``x the (small) build side,
+      and every (l, r) pair still meets exactly once, so the OUTPUT is
+      identical for any salt (pinned in tests). A broadcast has no
+      hot bucket and ignores ``salt``.
+    ``_plan_out`` and the ``op="exchange"`` metrics row carry
+    ``strategy`` (``route`` or ``broadcast``); a broadcast's ``tasks``
+    counts left tasks and its ``bytes`` are the right footer bytes."""
     keys = [on] if isinstance(on, str) else list(on)
     if how not in _JOIN_TYPES:
         raise ValueError(f"unsupported how={how!r}")
@@ -997,11 +1107,17 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
                     f"({lf} vs {rf} keys); cast one side")
 
     lpre, rpre = pre or (None, None)
+    join = functools.partial(_join_part, keys=keys, how=how, suffix=suffix)
+    if how != "outer" and isinstance(right, Leaf):
+        nbytes = sum(b for *_, b in right.pieces())
+        if nbytes <= BROADCAST_BYTES:
+            return _broadcast_join(
+                left, right, nbytes, join,
+                (side_pre(lpre, 1), side_pre(rpre, 1)), check, _plan_out)
     # joins can't refold (splitting a partition would separate build
     # and probe rows of a key) — hot keys are the salt's job
     return file_exchange_map_groups(
-        (left, right), functools.partial(_join_part, keys=keys, how=how,
-                                         suffix=suffix),
-        keys=keys, pre=(side_pre(lpre, 1), side_pre(rpre, salt)),
+        (left, right), join, keys=keys,
+        pre=(side_pre(lpre, 1), side_pre(rpre, salt)),
         salt=salt, target_bytes=target_bytes, _check=check,
         _plan_out=_plan_out)

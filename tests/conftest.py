@@ -68,11 +68,14 @@ def parts(monkeypatch):
     driver, and the writers get its value): a query's output must not
     depend on it. It also sets the run byte caps to one byte, so each
     part runs in its own task and a key split across parts shows up as
-    two groups, as it would in a large exchange."""
+    two groups, as it would in a large exchange, and
+    ``exchange.BROADCAST_BYTES`` to 0, so every ``fx_join`` routes
+    and the part count stays under test."""
     from aqueduct_core_ray.stages import exchange
 
     def set_parts(P: int) -> None:
         monkeypatch.setattr(exchange, "_auto_virtual_parts", lambda: P)
         monkeypatch.setattr(exchange, "MIN_RUN_BYTES", 1)
         monkeypatch.setattr(exchange, "TARGET_PART_BYTES", 1)
+        monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
     return set_parts

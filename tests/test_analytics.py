@@ -8,8 +8,19 @@ import duckdb
 import pytest
 
 from aqueduct_core_ray.pipelines import analytics
+from aqueduct_core_ray.stages import exchange
 
 SF = "/root/testdata/sf0.001"
+# exchange.BROADCAST_BYTES values that make every non-outer fx_join
+# with a leaf right side broadcast, and every one route
+BROADCAST, ROUTE = 1 << 62, 0
+
+
+def _under(monkeypatch, nbytes: int, fn, *args, **kw):
+    """``fn(*args, **kw)`` as pandas with ``exchange.BROADCAST_BYTES``
+    set to ``nbytes``."""
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", nbytes)
+    return fn(*args, **kw).to_pandas()
 
 
 def _duck(sql: str):
@@ -344,15 +355,15 @@ def test_pricing_rollup_empty_input_matches_rollup_semantics(tmp_path):
     assert pd.isna(ry["sum_qty_c"][0]) and pd.isna(sq["sum_qty_c"][0])
 
 
-def test_broadcast_gate_path_equivalence():
-    """The size gate's two customer-side plans (driver broadcast vs
-    co-partitioned exchange) must produce identical tables: force the
-    gate both ways on the same input by setting the threshold to 'always
-    broadcast' (huge) and 'never broadcast' (0)."""
+def test_broadcast_gate_path_equivalence(monkeypatch):
+    """fx_join's two strategies for the customer attach (broadcast vs
+    co-partitioned exchange) must produce identical tables: force both
+    on the same input by setting ``exchange.BROADCAST_BYTES`` to
+    'always broadcast' (huge) and 'never broadcast' (0)."""
     for fn in (analytics.top_orders_by_revenue,
                analytics.revenue_by_nation):
-        bc = _canon(fn(SF, broadcast_threshold=1 << 60).to_pandas())
-        ex = _canon(fn(SF, broadcast_threshold=0).to_pandas())
+        bc = _canon(_under(monkeypatch, BROADCAST, fn, SF))
+        ex = _canon(_under(monkeypatch, ROUTE, fn, SF))
         assert bc.equals(ex), fn.__name__
 
 
@@ -407,7 +418,7 @@ def test_ship_delay_priority_matches_duckdb(parts):
     assert ry.equals(ry2)
 
 
-def test_volume_shipping_matches_duckdb_both_paths(parts):
+def test_volume_shipping_matches_duckdb_both_paths(parts, monkeypatch):
     con = duckdb.connect()
     for tb in ("lineitem", "orders", "customer", "supplier", "nation"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -426,11 +437,9 @@ def test_volume_shipping_matches_duckdb_both_paths(parts):
         WHERE l_shipdate >= TIMESTAMP '1995-01-01'
           AND l_shipdate <  TIMESTAMP '1997-01-01'
         GROUP BY 1, 2, 3""").df())
-    # both gate paths (driver broadcast vs co-partitioned exchange)
-    bc = _canon(analytics.volume_shipping(
-        SF, broadcast_threshold=1 << 60).to_pandas())
-    ex = _canon(analytics.volume_shipping(
-        SF, broadcast_threshold=0).to_pandas())
+    # both fx_join strategies (broadcast vs co-partitioned exchange)
+    bc = _canon(_under(monkeypatch, BROADCAST, analytics.volume_shipping, SF))
+    ex = _canon(_under(monkeypatch, ROUTE, analytics.volume_shipping, SF))
     assert sq.equals(bc.astype(sq.dtypes.to_dict()))
     assert bc.equals(ex)
     # partition invariance
@@ -440,7 +449,7 @@ def test_volume_shipping_matches_duckdb_both_paths(parts):
     assert bc.equals(p5)
 
 
-def test_brand_revenue_by_year_matches_duckdb_both_paths():
+def test_brand_revenue_by_year_matches_duckdb_both_paths(monkeypatch):
     con = duckdb.connect()
     for tb in ("lineitem", "part"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -451,10 +460,10 @@ def test_brand_revenue_by_year_matches_duckdb_both_paths():
                     AS BIGINT) AS revenue_c
         FROM lineitem JOIN part ON l_partkey = p_partkey
         GROUP BY 1, 2""").df())
-    bc = _canon(analytics.brand_revenue_by_year(
-        SF, broadcast_threshold=1 << 60).to_pandas())
-    ex = _canon(analytics.brand_revenue_by_year(
-        SF, broadcast_threshold=0).to_pandas())
+    bc = _canon(_under(monkeypatch, BROADCAST,
+                       analytics.brand_revenue_by_year, SF))
+    ex = _canon(_under(monkeypatch, ROUTE,
+                       analytics.brand_revenue_by_year, SF))
     assert sq.equals(bc.astype(sq.dtypes.to_dict()))
     assert bc.equals(ex)
 
@@ -538,7 +547,7 @@ def test_large_orders_matches_duckdb(parts):
     assert ry.equals(ry2)
 
 
-def test_nation_market_share_matches_duckdb_both_paths():
+def test_nation_market_share_matches_duckdb_both_paths(monkeypatch):
     con = duckdb.connect()
     for tb in ("lineitem", "supplier", "nation"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -556,24 +565,22 @@ def test_nation_market_share_matches_duckdb_both_paths():
         WHERE l_shipdate >= TIMESTAMP '1995-01-01'
           AND l_shipdate <  TIMESTAMP '1997-01-01'
         GROUP BY 1""").df())
-    bc = _canon(analytics.nation_market_share(
-        SF, broadcast_threshold=1 << 60).to_pandas())
-    ex = _canon(analytics.nation_market_share(
-        SF, broadcast_threshold=0).to_pandas())
+    bc = _canon(_under(monkeypatch, BROADCAST,
+                       analytics.nation_market_share, SF))
+    ex = _canon(_under(monkeypatch, ROUTE, analytics.nation_market_share, SF))
     assert sq.equals(bc.astype(sq.dtypes.to_dict()))
     assert bc.equals(ex)
     with pytest.raises(ValueError):
         analytics.nation_market_share(SF, nation="NOPE")
 
 
-def test_empty_exchange_groups_do_not_crash(tmp_path):
+def test_empty_exchange_groups_do_not_crash(tmp_path, monkeypatch):
     """Regression: the sort+reduceat group kernel must be empty-safe —
     a window filtering out every line (exchange path), and orders whose
     keys have no line items, previously raised IndexError."""
-    # empty ship window, forced exchange path
-    out = analytics.volume_shipping(
-        SF, year_from=2050, year_to=2051,
-        broadcast_threshold=0).to_pandas()
+    # empty ship window, every join routed
+    out = _under(monkeypatch, ROUTE,
+                 analytics.volume_shipping, SF, year_from=2050, year_to=2051)
     assert len(out) == 0
     # order without line items: engine matches the oracle's inner join
     import pyarrow as pa
@@ -665,7 +672,7 @@ def test_customer_order_distribution_counts_zero_order_customers(
     assert list(ry["n_customers"]) == [2, 1]
 
 
-def test_banded_part_revenue_matches_duckdb_both_paths():
+def test_banded_part_revenue_matches_duckdb_both_paths(monkeypatch):
     import pandas as pd
     con = duckdb.connect()
     for tb in ("lineitem", "part"):
@@ -682,9 +689,8 @@ def test_banded_part_revenue_matches_duckdb_both_paths():
                AND l_quantity BETWEEN 10 AND 20)
            OR (p_brand = 'Brand#3' AND p_size <= 15
                AND l_quantity BETWEEN 20 AND 30)""").df()
-    for thresh in (1 << 60, 0):
-        ry = analytics.banded_part_revenue(
-            SF, broadcast_threshold=thresh).to_pandas()
+    for thresh in (BROADCAST, ROUTE):
+        ry = _under(monkeypatch, thresh, analytics.banded_part_revenue, SF)
         assert int(ry["n_lines"][0]) == int(sq["n_lines"][0])
         if int(sq["n_lines"][0]):
             assert int(ry["revenue_c"][0]) == int(sq["revenue_c"][0])
@@ -759,7 +765,7 @@ def test_supplier_count_by_part_matches_duckdb(parts):
     assert ry.equals(ry2)
 
 
-def test_promo_revenue_share_matches_duckdb_both_paths():
+def test_promo_revenue_share_matches_duckdb_both_paths(monkeypatch):
     con = duckdb.connect()
     for tb in ("lineitem", "part"):
         con.execute(f"CREATE VIEW {tb} AS SELECT * FROM "
@@ -778,10 +784,9 @@ def test_promo_revenue_share_matches_duckdb_both_paths():
                CAST((2000 * sum(rev_c * promo) + sum(rev_c))
                     // (2 * sum(rev_c)) AS BIGINT) AS promo_permille
         FROM l GROUP BY 1, 2""").df())
-    bc = _canon(analytics.promo_revenue_share(
-        SF, broadcast_threshold=1 << 60).to_pandas())
-    ex = _canon(analytics.promo_revenue_share(
-        SF, broadcast_threshold=0).to_pandas())
+    bc = _canon(_under(monkeypatch, BROADCAST,
+                       analytics.promo_revenue_share, SF))
+    ex = _canon(_under(monkeypatch, ROUTE, analytics.promo_revenue_share, SF))
     assert bc.equals(sq.astype(bc.dtypes.to_dict()))
     assert bc.equals(ex)
     # shares are permille by construction
@@ -822,8 +827,9 @@ def test_sole_late_shipper_matches_duckdb(parts):
     assert ry.equals(ry3)
 
 
-def test_promo_revenue_share_extreme_dates_and_zero_months(tmp_path):
-    """Adversarial inputs for the gate paths: pre-1970 and far-future
+def test_promo_revenue_share_extreme_dates_and_zero_months(tmp_path,
+                                                           monkeypatch):
+    """Adversarial inputs for both join strategies: pre-1970 and far-future
     ship dates (the exchange path's packed cell must not bleed months
     into the partkey; the partial fold must not wrap negative cells)
     and a month whose every revenue rounds to 0 cents (share is NULL,
@@ -867,10 +873,10 @@ def test_promo_revenue_share_extreme_dates_and_zero_months(tmp_path):
                CAST((2000 * sum(rev_c * promo) + sum(rev_c))
                     // (2 * sum(rev_c)) AS BIGINT) AS promo_permille
         FROM l GROUP BY 1, 2""").df())
-    bc = _canon(analytics.promo_revenue_share(
-        str(d), broadcast_threshold=1 << 60).to_pandas())
-    ex = _canon(analytics.promo_revenue_share(
-        str(d), broadcast_threshold=0).to_pandas())
+    bc = _canon(_under(monkeypatch, BROADCAST,
+                       analytics.promo_revenue_share, str(d)))
+    ex = _canon(_under(monkeypatch, ROUTE,
+                       analytics.promo_revenue_share, str(d)))
     assert bc.equals(sq.astype(bc.dtypes.to_dict()))
     assert bc.equals(ex)
     # the zero-cent month exists with a NULL share
@@ -986,10 +992,10 @@ def test_parts_bought_together_dedupes_within_order(tmp_path):
     assert got == {(1, 2): 2, (1, 3): 1, (2, 3): 1}
 
 
-def test_min_cost_supplier_matches_duckdb_and_gates():
+def test_min_cost_supplier_matches_duckdb_and_gates(monkeypatch):
     """Q2-flavor argmin with tiebreak + dimension attach: oracle match
-    at sf0.001 AND both size-gate plans (part/supplier broadcast vs
-    union-tag exchanges) produce identical tables."""
+    at sf0.001 AND both supplier-attach strategies (broadcast vs
+    co-partitioned exchange) produce identical tables."""
     con = duckdb.connect()
     sq = _canon(con.execute(f"""
         WITH elig AS (
@@ -1012,10 +1018,9 @@ def test_min_cost_supplier_matches_duckdb_and_gates():
         JOIN read_parquet('{SF}/nation.parquet') n
           ON n.n_nationkey = s.s_nationkey
         WHERE rn = 1""").df())
-    bc = _canon(analytics.min_cost_supplier(
-        SF, broadcast_threshold=1 << 60).to_pandas())
-    ex = _canon(analytics.min_cost_supplier(
-        SF, broadcast_threshold=0).to_pandas())
+    bc = _canon(_under(monkeypatch, BROADCAST,
+                       analytics.min_cost_supplier, SF))
+    ex = _canon(_under(monkeypatch, ROUTE, analytics.min_cost_supplier, SF))
     assert len(bc) == len(sq) > 0
     for col in sq.columns:
         assert list(bc[col]) == list(sq[col]), col

@@ -101,21 +101,55 @@ def test_fx_agg_by_ignores_stray_part_column():
     assert list(want["v"]) == [15, 8, 4]
 
 
-def test_fx_join_matches_pandas_all_hows(ray_session, parts):
+def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
+                                        monkeypatch):
     """Randomized fx_join vs a pandas reference: inner/left/semi/anti,
     duplicate keys (multiplicity), null keys (SQL never-match), name
     collisions (right suffix), at two partition counts. Both sides also
     carry list<int32>, dictionary<string> and timestamp[us] payloads
     (two of them colliding by name): the output keeps each payload's
-    Arrow type, and every payload value stays on its own row."""
+    Arrow type, and every payload value stays on its own row.
+
+    The right side is also a parquet leaf (one unit per row group),
+    whole and behind a filter that keeps no row: every non-outer how
+    gives the same rows and Arrow types when it broadcasts that leaf
+    (``BROADCAST_BYTES`` huge) as when it routes (0), and outer routes
+    even under the huge value."""
     import datetime as dt
 
     import numpy as np
     import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
 
     import ray.data
-    from aqueduct_core_ray.stages.exchange import collect_tables, fx_join
+    from aqueduct_core_ray.stages import exchange, scan_units
+    from aqueduct_core_ray.stages.exchange import (collect_tables, fx_join,
+                                                   leaf)
+
+    def rows(t: pa.Table) -> list:
+        return sorted(t.to_pylist(), key=repr)
+
+    def typed(t: pa.Table) -> list:
+        return [(f.name, f.type) for f in t.schema]
+
+    def leaf_runs(lds, right, how: str) -> "list[pa.Table]":
+        """The join over a leaf right side with ``BROADCAST_BYTES`` 0
+        (routes) and huge (broadcasts, except outer), unsalted first,
+        then salted (not outer)."""
+        out = []
+        for salt in ((1, 3) if how != "outer" else (1,)):
+            for nbytes in (0, 1 << 62):
+                monkeypatch.setattr(exchange, "BROADCAST_BYTES", nbytes)
+                plan = {}
+                out.append(pa.concat_tables(collect_tables(fx_join(
+                    lds, right, on="k", how=how, salt=salt,
+                    _plan_out=plan))))
+                want = ("broadcast" if nbytes and how != "outer"
+                        else "route")
+                assert plan["strategy"] == want, (how, nbytes)
+        return out
 
     def payloads(t: pa.Table, v: str, ls: str) -> pa.Table:
         # every payload is a function of the side's row id column ``v``
@@ -164,8 +198,12 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts):
             "tag": rng.choice(["x", "y"], nr)})   # collides with left
         lds = ray.data.from_arrow(payloads(
             pa.Table.from_pandas(ldf), "v", "ls"))
-        rds = ray.data.from_arrow(payloads(
-            pa.Table.from_pandas(rdf), "w", "rs"))
+        rt = payloads(pa.Table.from_pandas(rdf), "w", "rs")
+        rds = ray.data.from_arrow(rt)
+        rp = str(tmp_path / f"right{trial}.parquet")
+        pq.write_table(rt, rp, row_group_size=25)
+        monkeypatch.setattr(scan_units, "MIN_UNIT_BYTES", 1)
+        monkeypatch.setattr(scan_units, "MAX_UNIT_BYTES", 1)
 
         rnn = rdf.dropna(subset=["k"])
         want = {
@@ -212,6 +250,14 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts):
                 assert len(g) == len(e), (trial, how, P, len(g), len(e))
                 assert g.where(pd.notna(g), None).equals(
                     e.where(pd.notna(e), None)), (trial, how, P)
+            for t in leaf_runs(lds, leaf(rp), how):
+                assert typed(t) == typed(got_t), (how, t.schema)
+                assert rows(t) == rows(got_t), (trial, how)
+            routed, *others = leaf_runs(
+                lds, leaf(rp, filter=pc.field("w") < 0), how)
+            for t in others:
+                assert typed(t) == typed(routed), (how, t.schema)
+                assert rows(t) == rows(routed), (trial, how)
 
 
 def test_co_group_calls_fn_with_one_table_per_member(ray_session, parts):
@@ -659,6 +705,39 @@ def test_exchange_writes_one_metrics_row_per_call(ray_session, tmp_path,
         assert r["split"] == 0 and r["bytes"] == plan["bytes"] > 0
         assert 0 <= r["write_s"] + r["run_s"] <= r["wall_s"] + 1e-5
     assert len(metrics.recent("exchange")) == 2
+
+
+def test_fx_join_records_its_strategy(ray_session, tmp_path, monkeypatch):
+    """fx_join's ``_plan_out`` and its op="exchange" metrics row name the
+    strategy: a leaf right side of at most ``BROADCAST_BYTES`` footer
+    bytes broadcasts (``tasks`` = left tasks, ``bytes`` = the right
+    footer bytes, no exchange files), one byte more routes."""
+    import pyarrow.parquet as pq
+
+    from aqueduct_core_ray import metrics
+    from aqueduct_core_ray.stages import exchange as ex
+    rp = str(tmp_path / "r.parquet")
+    pq.write_table(pa.table({"k": pa.array(np.arange(40), pa.int64()),
+                             "w": pa.array(np.arange(40) * 2)}), rp)
+    nbytes = sum(b for *_, b in ex.leaf(rp).pieces())
+    left = [ray.put(pa.table({"k": pa.array(np.arange(i, 60, 3), pa.int64())}))
+            for i in range(3)]
+    outs = {}
+    for limit, strategy in ((nbytes, "broadcast"), (nbytes - 1, "route")):
+        monkeypatch.setattr(ex, "BROADCAST_BYTES", limit)
+        metrics.drain()
+        plan = {}
+        out = ex.fx_join(left, ex.leaf(rp), on="k", _plan_out=plan)
+        (row,) = metrics.recent("exchange")
+        assert plan["strategy"] == row["strategy"] == strategy
+        assert row["fn"] == "_join_part"
+        assert row["tasks"] == plan["tasks"]
+        if strategy == "broadcast":
+            assert row["tasks"] == 3 and row["bytes"] == nbytes
+        outs[strategy] = pa.concat_tables(ray.get(out.refs)).sort_by("k")
+    assert outs["broadcast"].equals(outs["route"])
+    assert outs["route"].column("w").to_pylist() == [
+        2 * k for k in range(40)]
 
 
 def test_alive_node_count_propagates_non_ray_errors(ray_session,

@@ -141,13 +141,24 @@ def test_fx_agg_by_mixed_int_widths_keeps_one_row_per_key(parts):
             {"k": 4, "v": 10}], P
 
 
-def test_fx_join_refuses_keys_of_different_families():
+def test_fx_join_refuses_keys_of_different_families(tmp_path,
+                                                   monkeypatch):
+    import pyarrow.parquet as pq
+
+    from aqueduct_core_ray.stages import exchange
     left = ray.data.from_arrow(pa.table({"k": pa.array([1, 2]),
                                          "v": pa.array([1, 2])}))
-    right = ray.data.from_arrow(pa.table({"k": pa.array(["1", "2"]),
-                                          "w": pa.array([3, 4])}))
+    strs = pa.table({"k": pa.array(["1", "2"]), "w": pa.array([3, 4])})
+    right = ray.data.from_arrow(strs)
     with pytest.raises(ValueError, match="'k'"):
         fx_join(left, right, on="k")
+    # a leaf right side refuses them too, routed or broadcast
+    rp = str(tmp_path / "strs.parquet")
+    pq.write_table(strs, rp)
+    for nbytes in (0, 1 << 62):
+        monkeypatch.setattr(exchange, "BROADCAST_BYTES", nbytes)
+        with pytest.raises(ValueError, match="'k'.*route apart"):
+            fx_join(left, exchange.leaf(rp), on="k")
     # int widths and timestamps share the int family: they still join
     r32 = ray.data.from_arrow(pa.table({"k": pa.array([2, 3], pa.int32()),
                                         "w": pa.array([3, 4])}))
