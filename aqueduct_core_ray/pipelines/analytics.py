@@ -521,21 +521,26 @@ def top_customers_by_return_revenue(sf_dir: str, k: int = 20
     nat = pq.read_table(f"{sf_dir}/nation.parquet",
                         columns=["n_nationkey", "n_name"])
 
-    def rows_of(keys: pa.ChunkedArray, probe: np.ndarray) -> pa.Array:
-        """Row index of each ``probe`` value in the ``keys`` column."""
-        row, _ = _map_keys(*_sorted_lookup(
+    def rows_of(keys: pa.ChunkedArray, probe: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(row index, hit mask) of each ``probe`` value in the ``keys``
+        column."""
+        return _map_keys(*_sorted_lookup(
             keys.to_numpy().astype(np.int64), np.arange(len(keys))), probe)
-        return pa.array(row)
 
-    crow = rows_of(cust.column("c_custkey"), win_keys)
-    nrow = rows_of(nat.column("n_nationkey"), cust.column(
-        "c_nationkey").take(crow).to_numpy().astype(np.int64))
+    # ranks are taken before the name joins, and a winner without a
+    # customer or nation row drops out of them, as in SQL's inner joins
+    crow, chit = rows_of(cust.column("c_custkey"), win_keys)
+    win = np.flatnonzero(chit)
+    nrow, nhit = rows_of(nat.column("n_nationkey"), cust.column(
+        "c_nationkey").take(crow[win]).to_numpy().astype(np.int64))
+    win = win[nhit]
     return ray.data.from_arrow(pa.table({
-        "c_custkey": pa.array(win_keys.astype(np.int64)),
-        "c_name": cust.column("c_name").take(crow),
-        "n_name": nat.column("n_name").take(nrow),
-        "revenue_c": pa.array(win_rev),
-        "rk": pa.array(np.arange(1, len(win_keys) + 1, dtype=np.int64)),
+        "c_custkey": pa.array(win_keys[win].astype(np.int64)),
+        "c_name": cust.column("c_name").take(crow[win]),
+        "n_name": nat.column("n_name").take(nrow[nhit]),
+        "revenue_c": pa.array(win_rev[win]),
+        "rk": pa.array(win + 1, pa.int64()),
     }))
 
 

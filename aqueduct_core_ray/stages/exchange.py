@@ -38,9 +38,10 @@ Inputs. An exchange reads any of:
   function is Arrow's hash join.
 ``fx_join`` picks its strategy from the build side's size: a right
 side that is a leaf of at most ``BROADCAST_BYTES`` parquet footer bytes
-(known before any task runs) is read once and joined whole by one task
-per left unit or block, with no exchange; ``outer`` and refs or Dataset
-right sides (whose size is known only after their tasks ran) route.
+(known before any task runs; the constant is a measured crossover) is
+read once and joined whole by one task per left unit or block, with no
+exchange; ``outer`` and refs or Dataset right sides (whose size is
+known only after their tasks ran) route.
 A query writes one join; the engine, not the query, chooses.
 An optional per-block ``pre`` function (conform, partial fold) runs
 inside the writer task before the key route and the slicing. Writers
@@ -726,8 +727,8 @@ def file_exchange_map_groups(
 def _record(fn: Callable, kind: str, t0: float, t1: float, t2: float,
             stats: dict) -> None:
     """One ``op="exchange"`` metrics row: the writer (or broadcast
-    build) seconds ``t1 - t0``, the task seconds ``t2 - t1`` and the
-    plan's ``stats``."""
+    task submission) seconds ``t1 - t0``, the task seconds ``t2 - t1``
+    and the plan's ``stats``."""
     name = getattr(getattr(fn, "func", fn), "__name__", str(fn))  # partial
     metrics.record({"op": "exchange", "fn": name, "src": kind,
                     "ok": True, "wall_s": round(time.perf_counter() - t0, 6),
@@ -936,12 +937,16 @@ def _join_part(lt: pa.Table, rt: pa.Table, keys: "list[str]", how: str,
     return pa.table(cols)
 
 
-# the largest right side, in parquet footer bytes (compressed, as
-# ``Leaf.pieces`` estimates them), that fx_join ships whole to every
-# left task instead of routing both sides. Every left task decodes and
-# hashes all of it, so it stays a small multiple of one scan unit
-# (scan_units.MIN_UNIT_BYTES = 4 MiB), not of the left side
-BROADCAST_BYTES = 16 << 20
+# the largest right side, in parquet footer bytes (the files' whole
+# compressed size, as ``Leaf.pieces`` estimates it: a projection or a
+# filter is not counted, which errs toward routing), that fx_join ships
+# whole to every left task instead of routing both sides. Every left
+# task hashes all of it, and a left side has about two tasks per CPU,
+# so broadcast's cost grows with the cluster and routing's does not:
+# measured (BASELINE.md round 16), broadcast wins past 50 MiB on one
+# CPU but only up to about 7 MiB on 4 CPUs and 5 MiB on 8. One scan
+# unit (scan_units.MIN_UNIT_BYTES) stays under the 8-CPU crossover
+BROADCAST_BYTES = 4 << 20
 
 
 def _whole(tabs: "tuple[pa.Table, ...]") -> pa.Table:
@@ -959,13 +964,14 @@ def _whole(tabs: "tuple[pa.Table, ...]") -> pa.Table:
 def _broadcast_task(item, pre, join: Callable, check: Callable,
                     *right: pa.Table):
     """One left block (``pre`` applied) joined against the whole right
-    side; the second return is (left schema, right schema, output rows)
-    for the driver (a schema is None when its side is column-less)."""
+    side; the second return is (left schema, right schema, output rows,
+    output schema) for the driver (a side's schema is None when it is
+    column-less)."""
     lt, rt = _pre(_load(item), pre), _whole(right)
     schemas = [t.schema if t.num_columns else None for t in (lt, rt)]
     check(schemas)
     out = join(lt, rt)
-    return out, (*schemas, out.num_rows)
+    return out, (*schemas, out.num_rows, out.schema)
 
 
 def _broadcast_join(left: "ray.data.Dataset | Leaf | list", right: Leaf,
@@ -973,28 +979,35 @@ def _broadcast_join(left: "ray.data.Dataset | Leaf | list", right: Leaf,
                     check: Callable, plan_out: "dict | None"
                     ) -> "ray.data.Dataset | Exchanged":
     """``join`` with the right side read once (``map_blocks`` with its
-    ``pre``) and handed whole to one raw task per left unit or block: no
-    exchange files, the left side moves once. Refs come back in left
-    block order, empty outputs dropped unless all are."""
+    ``pre``) and handed whole to one raw task per left unit or block,
+    submitted at once (each waits on the right refs, not the driver):
+    no exchange files, the left side moves once. Refs come back in left
+    block order, empty outputs dropped unless all are; a left side whose
+    blocks differ in type gives outputs conformed to the routed path's
+    output schema (the join of the unified side schemas)."""
     ((kind, *_),) = _inputs(left, None, None)
     lpre, rpre = pre
     t0 = time.perf_counter()
     rrefs = map_blocks(right, functools.partial(_pre, pre=rpre))
-    ray.wait(rrefs, num_returns=len(rrefs))
-    t1 = time.perf_counter()
-
-    def jobs():
-        for it in _raw_items(left):
-            yield (it, lpre, join, check, *rrefs)
-    pairs = (_windowed(jobs(), _broadcast_task.remote)
+    pairs = (_windowed(((it, lpre, join, check, *rrefs)
+                        for it in _raw_items(left)), _broadcast_task.remote)
              or [_broadcast_task.remote(pa.table({}), lpre, join, check,
                                         *rrefs)])
+    t1 = time.perf_counter()
     metas = ray.get([m for _, m in pairs])
     t2 = time.perf_counter()
-    refs = [o for (o, _), (*_, n) in zip(pairs, metas) if n] or [pairs[0][0]]
     lsch = [m[0] for m in metas if m[0] is not None]
     schema = (pa.unify_schemas(lsch, promote_options="permissive")
               if lsch else None, metas[0][1])
+    keep = [i for i, m in enumerate(metas) if m[2]] or [0]
+    refs = [pairs[i][0] for i in keep]
+    if any(schema):
+        out = join(*(_empty(s) for s in schema)).schema
+        odd = [j for j, i in enumerate(keep) if not metas[i][3].equals(out)]
+        for j, r in zip(odd, map_blocks([refs[j] for j in odd],
+                                        functools.partial(_conform,
+                                                          schema=out))):
+            refs[j] = r
     stats = dict(strategy="broadcast", tasks=len(pairs), split=0, packed=0,
                  parts=0, bytes=nbytes)
     if plan_out is not None:
@@ -1044,10 +1057,13 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
     - BROADCAST when ``how`` is not ``outer``, the right side is a
       ``Leaf`` and its footer bytes (``Leaf.pieces``, the bytes its
       units are cut from, so deciding runs no task) are at most
-      ``BROADCAST_BYTES``: the right side is read once through
-      ``map_blocks`` with its ``pre``, and one raw task per left unit
-      or block joins its rows against the whole right side. No
-      exchange files; the left side moves once. ``outer`` routes:
+      ``BROADCAST_BYTES`` (a measured crossover; its comment says
+      where): the right side is read once through ``map_blocks`` with
+      its ``pre``, and one raw task per left unit or block, submitted
+      with the right refs as arguments (no driver barrier), joins its
+      rows against the whole right side. No exchange files; the left
+      side moves once. Outputs of left blocks that differ in type are
+      conformed to the routed output schema. ``outer`` routes:
       each task would emit the unmatched right rows again. A refs or
       Dataset right side routes: its size is unknown before its tasks
       run.

@@ -170,6 +170,43 @@ def test_top_customers_by_return_revenue_matches_duckdb(parts):
     assert ry.equals(ry2)
 
 
+def test_top_customers_drops_winners_without_names(tmp_path):
+    """A winning custkey with no customer row (or whose nation has no
+    row) drops out after ranking, as in the SQL's inner joins; a point
+    read that finds no customer at all gives an empty result."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    d = tmp_path / "sf"
+    d.mkdir()
+    # order -> customer: 99 has no customer row, 2's nation 7 has no
+    # nation row; revenue ranks 99 > 1 > 2 > 3
+    pq.write_table(pa.table({
+        "l_orderkey": pa.array([1, 2, 3, 4], pa.int64()),
+        "l_extendedprice": pa.array([30.0, 40.0, 20.0, 10.0]),
+        "l_discount": pa.array([0.0] * 4),
+        "l_returnflag": pa.array(["R"] * 4),
+    }), str(d / "lineitem.parquet"))
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array([1, 2, 3, 4], pa.int64()),
+        "o_custkey": pa.array([1, 99, 2, 3], pa.int64()),
+    }), str(d / "orders.parquet"))
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([1, 2, 3], pa.int64()),
+        "c_name": pa.array(["a", "b", "c"]),
+        "c_nationkey": pa.array([0, 7, 1], pa.int64()),
+    }), str(d / "customer.parquet"))
+    pq.write_table(pa.table({
+        "n_nationkey": pa.array([0, 1], pa.int64()),
+        "n_name": pa.array(["N0", "N1"]),
+    }), str(d / "nation.parquet"))
+    ry = analytics.top_customers_by_return_revenue(str(d)).to_pandas()
+    assert ry.to_dict("list") == {
+        "c_custkey": [1, 3], "c_name": ["a", "c"], "n_name": ["N0", "N1"],
+        "revenue_c": [3000, 1000], "rk": [2, 4]}
+    assert analytics.top_customers_by_return_revenue(
+        str(d), k=1).count() == 0
+
+
 def test_customers_without_orders_anti_join(parts):
     con = duckdb.connect()
     for tb in ("orders", "customer"):

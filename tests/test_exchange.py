@@ -114,7 +114,8 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
     whole and behind a filter that keeps no row: every non-outer how
     gives the same rows and Arrow types when it broadcasts that leaf
     (``BROADCAST_BYTES`` huge) as when it routes (0), and outer routes
-    even under the huge value."""
+    even under the huge value. So does a left side whose blocks differ
+    in integer width."""
     import datetime as dt
 
     import numpy as np
@@ -143,9 +144,11 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
             for nbytes in (0, 1 << 62):
                 monkeypatch.setattr(exchange, "BROADCAST_BYTES", nbytes)
                 plan = {}
-                out.append(pa.concat_tables(collect_tables(fx_join(
-                    lds, right, on="k", how=how, salt=salt,
-                    _plan_out=plan))))
+                res = fx_join(lds, right, on="k", how=how, salt=salt,
+                              _plan_out=plan)
+                out.append(pa.concat_tables(
+                    ray.get(res.refs) if isinstance(res, exchange.Exchanged)
+                    else collect_tables(res)))
                 want = ("broadcast" if nbytes and how != "outer"
                         else "route")
                 assert plan["strategy"] == want, (how, nbytes)
@@ -204,6 +207,16 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
         pq.write_table(rt, rp, row_group_size=25)
         monkeypatch.setattr(scan_units, "MIN_UNIT_BYTES", 1)
         monkeypatch.setattr(scan_units, "MAX_UNIT_BYTES", 1)
+        lt = payloads(pa.Table.from_pandas(ldf), "v", "ls")
+        narrow = lt.slice(0, nl // 2)
+        narrow = narrow.cast(pa.schema([
+            f.with_type(pa.int32()) if f.name in ("k", "v") else f
+            for f in narrow.schema]))
+        halves = [narrow, lt.slice(nl // 2)]
+        lps = [str(tmp_path / f"left{trial}_{i}.parquet") for i in (0, 1)]
+        for lp, t in zip(lps, halves):
+            pq.write_table(t, lp)
+        mixed_lefts = [ray.data.from_arrow(halves), leaf(lps)]
 
         rnn = rdf.dropna(subset=["k"])
         want = {
@@ -258,6 +271,15 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
             for t in others:
                 assert typed(t) == typed(routed), (how, t.schema)
                 assert rows(t) == rows(routed), (trial, how)
+            if trial == 0:
+                # a left side whose blocks differ in width (int32 k and
+                # v in the first, int64 in the second), as a two-block
+                # Dataset and a two-file leaf, joins at the unified
+                # types under either strategy
+                for mixed in mixed_lefts:
+                    for t in leaf_runs(mixed, leaf(rp), how):
+                        assert typed(t) == typed(got_t), (how, t.schema)
+                        assert rows(t) == rows(got_t), (how, mixed)
 
 
 def test_co_group_calls_fn_with_one_table_per_member(ray_session, parts):
