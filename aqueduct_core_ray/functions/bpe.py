@@ -23,10 +23,11 @@ Ray-Data-first:
    across runs, partition counts and cluster sizes.
 
 Token counting with the trained vocabulary (``trained_token_count``)
-runs as an ACTOR-POOL ``map_batches`` stage: the merge ranks load once
-per actor in ``__init__`` and a per-actor memo caches the encoding of
-every distinct pretoken (Zipf makes the hit rate ~1), so the per-batch
-work is a dict lookup per token, not a merge loop per occurrence.
+runs as raw ``exchange.map_blocks`` tasks over the documents leaf: the
+merge table ships once as an object-store ref, and each task loads the
+ranks and memoizes the encoding of every distinct pretoken (Zipf makes
+the hit rate ~1), so the per-block work is a dict lookup per token,
+not a merge loop per occurrence.
 
 No reference analog (aqueduct-core moves opaque payloads); this is the
 "beyond the reference" training-data mandate. Not SQL-expressible
@@ -49,7 +50,7 @@ import ray.data
 
 from ..stages import exchange
 from ..stages.exchange import dict_encode
-from .text import BPE_PATTERN, read_documents
+from .text import BPE_PATTERN, _docs, _per_doc
 
 _PRETOKEN_RE = re.compile(BPE_PATTERN)
 
@@ -97,7 +98,7 @@ def _word_count_table(sf_dir: str, max_words: int
         })
 
     tabs = [t for t in ray.get(exchange.file_exchange_map_groups(
-        exchange.leaf(f"{sf_dir}/documents.parquet", ["text"]),
+        _docs(sf_dir, ["text"]),
         functools.partial(_word_head, max_words=max_words),
         keys=["word"], pre=partial).refs) if t.num_rows > 0]
     if not tabs:
@@ -197,20 +198,21 @@ def encode_word(word: str, rank: dict[tuple[str, str], int]) -> int:
 
 
 class TrainedBpeCounter:
-    """Actor-pool stage: token counts under a TRAINED merge list. The
-    rank table ships once via the object store and loads in __init__;
-    a per-actor memo caches each distinct pretoken's encoded length
-    (Zipfian corpus -> ~1 memo hit per occurrence)."""
+    """Per-block stage: token counts under a TRAINED merge list. The
+    merge table ships once via the object store (``merges_ref``); each
+    call (one task) loads the ranks from it, and a per-task memo caches
+    each distinct pretoken's encoded length (Zipfian corpus -> ~1 memo
+    hit per occurrence)."""
 
     def __init__(self, merges_ref):
-        t = ray.get(merges_ref)
-        self._rank = {(l, r): i for i, (l, r) in enumerate(
-            zip(t.column("left").to_pylist(),
-                t.column("right").to_pylist()))}
-        self._memo: dict[str, int] = {}
+        self._merges = merges_ref
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        memo, rank = self._memo, self._rank
+        m = ray.get(self._merges)
+        rank = {(l, r): i for i, (l, r) in enumerate(
+            zip(m.column("left").to_pylist(),
+                m.column("right").to_pylist()))}
+        memo: dict[str, int] = {}
         out = np.empty(t.num_rows, np.int64)
         for i, s in enumerate(t.column("text").to_pylist()):
             n = 0
@@ -225,22 +227,13 @@ class TrainedBpeCounter:
 
 
 def trained_token_count(sf_dir: str, num_merges: int = 200,
-                        max_words: int = 100_000,
-                        concurrency: "int | tuple[int, int] | None" = None
-                        ) -> ray.data.Dataset:
+                        max_words: int = 100_000) -> ray.data.Dataset:
     """Per-doc token counts under a vocabulary TRAINED on the same
-    corpus (train_bpe + actor-pool encode) — the end-to-end
-    tokenizer-fitting pipeline a pretraining run executes. The pool is
-    AUTOSCALING by default (functions.text.actor_pool_size) — a fixed
-    pool equal to the CPU count starves the read stage and wedges the
-    pipeline on small clusters."""
-    from .text import actor_pool_size
-
+    corpus (train_bpe + a per-block encode) — the end-to-end
+    tokenizer-fitting pipeline a pretraining run executes."""
     merges_ref = ray.put(train_bpe(sf_dir, num_merges, max_words))
-    return read_documents(sf_dir, columns=["doc_id", "text"]).map_batches(
-        TrainedBpeCounter, fn_constructor_args=(merges_ref,),
-        concurrency=concurrency or actor_pool_size(),
-        batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"],
+                    TrainedBpeCounter(merges_ref))
 
 
 def bpe_vocab(sf_dir: str, num_merges: int = 120) -> pa.Table:

@@ -1,19 +1,23 @@
 """Multimodal (opaque-binary) column plumbing.
 
 Media payloads are opaque ``binary`` columns with typed metadata; decode /
-feature-extract runs as an actor-pool ``map_batches`` stage (model loaded
-once per actor in ``__init__``). ``real_decode=True`` genuinely decodes
-self-describing payloads — PIL-supported images when PIL is importable
-(probed once per actor), WAV audio and raw PGM/PPM via the stdlib — and
-raises ``NotImplementedError`` only for formats this environment cannot
-decode; the default path produces a deterministic fake feature vector so
-the Ray-side plumbing (schema, batch sizing, actor signature, output
-layout) is exercised everywhere.
+feature-extract runs as a plain callable stage (its model built once, on
+the driver, in ``__init__``) in raw ``exchange.map_blocks`` tasks over
+the documents leaf, one task per leaf unit (a unit's byte cap bounds a
+task's input). ``real_decode=True`` genuinely decodes self-describing
+payloads — PIL-supported images when PIL is importable (probed once per
+process), WAV audio and raw PGM/PPM via the stdlib — and raises
+``NotImplementedError`` only for formats this environment cannot
+decode; the default path produces a deterministic fake feature vector
+so the Ray-side plumbing (schema, stage signature, output layout) is
+exercised everywhere.
 
 Here the ``documents.text`` utf-8 bytes stand in for the media payload.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -22,6 +26,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .text import _per_doc
+
 FEAT_DIM = 8
 # what PIL raises on bytes it cannot identify or decode
 # (UnidentifiedImageError and truncated-file errors are OSErrors; some
@@ -29,28 +35,43 @@ FEAT_DIM = 8
 _PIL_DECODE_ERRORS = (OSError, SyntaxError, ValueError)
 
 
-class MediaFeatureExtractor:
-    """Actor-pool stage: binary payload -> (n_bytes, payload_hash, feat).
+@functools.lru_cache(maxsize=None)
+def _pil_image():
+    """PIL's ``Image`` module when the environment has it, else None
+    (probed once per process)."""
+    try:                                # pragma: no cover - env-dependent
+        from PIL import Image
+        return Image
+    except ImportError:
+        return None
 
-    ``__init__`` = model load (once per actor): a deterministic random
-    projection matrix seeded by ``model_seed``. ``__call__`` = per batch:
-    vectorized byte-length + keyed hash; the "decoded pixel" stand-in is
-    the payload hash expanded to FEAT_DIM floats through the projection.
+
+def _media(sf_dir: str, stage) -> ray.data.Dataset:
+    """``stage`` over every documents unit in raw tasks, the utf-8 bytes
+    of ``documents.text`` as its opaque ``payload`` column."""
+    return _per_doc(sf_dir, ["doc_id", "text"],
+                    functools.partial(_on_payload, stage=stage))
+
+
+def _on_payload(t: pa.Table, stage) -> pa.Table:
+    return stage(pa.table({"doc_id": t.column("doc_id"),
+                           "payload": t.column("text").cast(pa.binary())}))
+
+
+class MediaFeatureExtractor:
+    """Per-block stage: binary payload -> (n_bytes, payload_hash, feat).
+
+    ``__init__`` = model load (once per call of the operator): a
+    deterministic random projection matrix seeded by ``model_seed``.
+    ``__call__`` = per block: vectorized byte-length + keyed hash; the
+    "decoded pixel" stand-in is the payload hash expanded to FEAT_DIM
+    floats through the projection.
     """
 
     def __init__(self, model_seed: int = 11, real_decode: bool = False):
         rng = np.random.default_rng(np.random.PCG64(model_seed))
         self.proj = rng.standard_normal((FEAT_DIM, FEAT_DIM))
         self.real_decode = real_decode
-        # probe-import once per ACTOR (not per batch): PIL when the
-        # environment has it, else the stdlib decoders below
-        self._pil = None
-        if real_decode:
-            try:                        # pragma: no cover - env-dependent
-                from PIL import Image
-                self._pil = Image
-            except ImportError:
-                self._pil = None
 
     def decode_real(self, payload: bytes) -> np.ndarray:
         """REAL decode -> FEAT_DIM feature vector for self-describing
@@ -61,9 +82,10 @@ class MediaFeatureExtractor:
         this environment genuinely cannot decode."""
         import io
 
-        if self._pil is not None:       # pragma: no cover - env-dependent
+        pil = _pil_image()
+        if pil is not None:             # pragma: no cover - env-dependent
             try:
-                img = self._pil.open(io.BytesIO(payload)).convert("L")
+                img = pil.open(io.BytesIO(payload)).convert("L")
                 px = np.asarray(img, dtype=np.float64).ravel()
                 return _pooled(px / 255.0)
             except _PIL_DECODE_ERRORS:
@@ -146,10 +168,9 @@ def _pooled(x: np.ndarray) -> np.ndarray:
 
 
 class FrameSampler:
-    """Actor-pool 1→N stage: opaque "video" payload -> ``n_frames``
+    """Per-block 1→N stage: opaque "video" payload -> ``n_frames``
     sampled frame records — the row-explosion plumbing (schema, output
-    layout, batch sizing for the N× memory amplification) a real
-    frame-sampling stage needs. The decode itself is STUBBED like
+    layout) a real frame-sampling stage needs. The decode itself is STUBBED like
     MediaFeatureExtractor (no codec libs here): frames are deterministic
     keyed hashes of (payload, frame_idx), so identical payloads always
     produce identical frame sets."""
@@ -183,43 +204,22 @@ class FrameSampler:
         })
 
 
-def frame_sample(sf_dir: str, n_frames: int = 4,
-                 concurrency: "int | tuple[int, int] | None" = None,
-                 batch_size: int = 256) -> ray.data.Dataset:
+def frame_sample(sf_dir: str, n_frames: int = 4) -> ray.data.Dataset:
     """documents.text bytes as the opaque video payload -> ``n_frames``
-    frame records per doc. ``batch_size`` is sized for the N× output
-    amplification: output bytes ≈ batch_size × n_frames × frame size
-    must fit the actor heap (with real frames, far smaller batches)."""
-    from .text import actor_pool_size
-
-    def to_payload(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "payload": t.column("text").cast(pa.binary())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    # max_restarts=0: Ray Data ships fused-operator constructor state
-    # through the object store, and restartable actors then warn that a
-    # lost arg would break the restart (ray issue 53727); dead actors
-    # are replaced by the pool and the task retried either way
-    return (ds.map_batches(to_payload, batch_format="pyarrow")
-            .map_batches(FrameSampler, batch_format="pyarrow",
-                         batch_size=batch_size,
-                         fn_constructor_kwargs={"n_frames": n_frames},
-                         concurrency=concurrency or actor_pool_size(),
-                         max_restarts=0))
+    frame records per doc."""
+    return _media(sf_dir, FrameSampler(n_frames=n_frames))
 
 
 class ImageResizer:
-    """Actor-pool resize stage: binary image payload -> fixed
+    """Per-block resize stage: binary image payload -> fixed
     (out_h × out_w) grayscale thumbnail re-encoded as raw PGM — the
     decode→resize→re-encode shape of a real image-normalization stage.
 
     REAL path: raw PGM/PPM payloads (and PIL-decodable images when PIL
     is importable) are actually decoded and resampled. Opaque payloads
     fall back to the deterministic fake (bytes reshaped into the
-    largest square) so the plumbing — batch sizing for decoded-pixel
-    memory, 1:1 schema, per-actor setup — is exercised on any corpus.
+    largest square) so the plumbing — 1:1 schema, stage setup — is
+    exercised on any corpus.
 
     The resample is NEAREST-NEIGHBOR with the standard pixel-center
     convention src = floor((dst + 0.5) · in/out): one precomputed index
@@ -228,11 +228,6 @@ class ImageResizer:
 
     def __init__(self, out_w: int = 16, out_h: int = 16):
         self.out_w, self.out_h = int(out_w), int(out_h)
-        try:                            # pragma: no cover - env-dependent
-            from PIL import Image
-            self._pil = Image
-        except ImportError:
-            self._pil = None
 
     def _decode(self, payload: bytes) -> np.ndarray:
         """payload -> 2-D uint8 grayscale array (REAL for PGM/PPM/PIL,
@@ -240,9 +235,10 @@ class ImageResizer:
         import io
         import re
 
-        if self._pil is not None:       # pragma: no cover - env-dependent
+        pil = _pil_image()
+        if pil is not None:             # pragma: no cover - env-dependent
             try:
-                img = self._pil.open(io.BytesIO(payload)).convert("L")
+                img = pil.open(io.BytesIO(payload)).convert("L")
                 return np.asarray(img, dtype=np.uint8)
             except _PIL_DECODE_ERRORS:
                 pass                    # fall through to PGM/PPM or fake
@@ -253,7 +249,7 @@ class ImageResizer:
             px = np.frombuffer(payload[m.end():], np.uint8)
             # zero-dim headers (w or h = 0) fall through to the opaque
             # fake below — resampling an empty axis would IndexError
-            # and, with max_restarts=0, kill the pool on one bad doc
+            # and fail the whole task on one bad doc
             if w > 0 and h > 0 and len(px) >= w * h * ch:
                 px = px[:w * h * ch].reshape(h, w, ch)
                 return px.mean(axis=2).astype(np.uint8) if ch == 3 \
@@ -294,54 +290,19 @@ class ImageResizer:
         })
 
 
-def resize_media(sf_dir: str, out_w: int = 16, out_h: int = 16,
-                 concurrency: "int | tuple[int, int] | None" = None,
-                 batch_size: int = 512) -> ray.data.Dataset:
+def resize_media(sf_dir: str, out_w: int = 16, out_h: int = 16
+                 ) -> ray.data.Dataset:
     """documents.text bytes as the opaque image payload -> fixed-size
-    PGM thumbnails. ``batch_size`` is sized for DECODED-pixel memory
-    (batch_size × in_w × in_h bytes resident per batch), the binding
-    constraint with real images, not the payload bytes."""
-    from .text import actor_pool_size
-
-    def to_payload(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "payload": t.column("text").cast(pa.binary())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return (ds.map_batches(to_payload, batch_format="pyarrow")
-            .map_batches(ImageResizer, batch_format="pyarrow",
-                         batch_size=batch_size,
-                         fn_constructor_kwargs={"out_w": out_w,
-                                                "out_h": out_h},
-                         concurrency=concurrency or actor_pool_size(),
-                         max_restarts=0))   # see frame_sample note
+    PGM thumbnails."""
+    return _media(sf_dir, ImageResizer(out_w=out_w, out_h=out_h))
 
 
-def media_features(sf_dir: str,
-                   concurrency: "int | tuple[int, int] | None" = None,
-                   batch_size: int = 1024,
-                   real_decode: bool = False) -> ray.data.Dataset:
+def media_features(sf_dir: str, real_decode: bool = False
+                   ) -> ray.data.Dataset:
     """documents.text bytes as the opaque payload -> feature extraction.
-    Small ``batch_size`` on purpose: with real images, batch bytes =
-    batch_size × payload size must fit the actor heap. Pool size scales
-    with the cluster (see functions.text.actor_pool_size).
     ``real_decode=True`` routes payloads through the real decoders
     (PIL when importable, stdlib WAV/PGM/PPM otherwise)."""
-    from .text import actor_pool_size
-
-    def to_payload(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "payload": t.column("text").cast(pa.binary())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return (ds.map_batches(to_payload, batch_format="pyarrow")
-            .map_batches(MediaFeatureExtractor, batch_format="pyarrow",
-                         batch_size=batch_size,
-                         fn_constructor_kwargs={"real_decode": real_decode},
-                         concurrency=concurrency or actor_pool_size(),
-                         max_restarts=0))   # see frame_sample note
+    return _media(sf_dir, MediaFeatureExtractor(real_decode=real_decode))
 
 
 # ------------------------------------------------------------------ #

@@ -4,6 +4,13 @@ language ID. All per-batch functions are vectorized Arrow kernels except
 md5 (no Arrow kernel exists; it runs as a tight Python loop over one
 column — documented hot-spot, ~1 µs/row, dominated by hashing itself).
 
+Every operator reads the documents as an exchange leaf (``_docs``):
+a per-block pass is the ``pre`` of the exchange it feeds or an
+``exchange.map_blocks`` pass of raw tasks, a chained exchange takes
+the refs of the one before, a driver fold ``ray.get``s the partials,
+and a Dataset is built only at the return (``from_arrow_refs``). No
+operator starts a Ray Data execution before it returns.
+
 These have no reference analog (aqueduct-core moves opaque payloads); they
 are the §"beyond the reference" training-data operators.
 """
@@ -23,14 +30,32 @@ import ray.data
 # the keyed file exchange (stages/exchange.py) runs every per-key
 # exchange below; hash_str_array is re-exported for the dedup family
 from ..stages import exchange
-from ..stages.exchange import (collect_tables, dict_encode,  # noqa: F401
-                               hash_str_array)
+from ..stages.exchange import dict_encode, hash_str_array  # noqa: F401
 
 
 def read_documents(sf_dir: str, columns: list[str] | None = None
                    ) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=columns)
+
+
+def _docs(sf_dir: str, columns: list[str]) -> exchange.Leaf:
+    """The documents table as an exchange leaf of ``columns``."""
+    return exchange.leaf(f"{sf_dir}/documents.parquet", columns)
+
+
+def _per_doc(sf_dir: str, columns: list[str], fn) -> ray.data.Dataset:
+    """``fn`` over every documents unit as raw tasks, returned as the
+    Dataset of their output blocks (in document order)."""
+    return ray.data.from_arrow_refs(
+        exchange.map_blocks(_docs(sf_dir, columns), fn))
+
+
+def _blocks(sf_dir: str, columns: list[str], fn) -> list[pa.Table]:
+    """``fn``'s non-empty outputs over the documents units, on the
+    driver: one bounded partial per unit, for a driver fold."""
+    return [t for t in ray.get(exchange.map_blocks(
+        _docs(sf_dir, columns), fn)) if t.num_rows]
 
 
 # --------------------------------------------------------------------- #
@@ -41,8 +66,7 @@ def token_count_batch(t: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def token_count(sf_dir: str) -> ray.data.Dataset:
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(token_count_batch, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], token_count_batch)
 
 
 # GPT-2-flavor pretokenizer, RE2-compatible: contractions, letter runs,
@@ -72,8 +96,7 @@ def bpe_token_count_batch(t: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def bpe_token_count(sf_dir: str) -> ray.data.Dataset:
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(bpe_token_count_batch, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], bpe_token_count_batch)
 
 
 # --------------------------------------------------------------------- #
@@ -104,8 +127,7 @@ def quality_batch(t: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def quality_score(sf_dir: str) -> ray.data.Dataset:
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(quality_batch, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], quality_batch)
 
 
 # --------------------------------------------------------------------- #
@@ -117,8 +139,7 @@ def fingerprint_batch(t: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def fingerprint(sf_dir: str) -> ray.data.Dataset:
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(fingerprint_batch, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], fingerprint_batch)
 
 
 # --------------------------------------------------------------------- #
@@ -160,7 +181,7 @@ def top_tokens_by_source(sf_dir: str, k: int = 10) -> ray.data.Dataset:
         })
 
     total = exchange.fx_sum_by(
-        exchange.leaf(f"{sf_dir}/documents.parquet", ["source", "text"]),
+        _docs(sf_dir, ["source", "text"]),
         ["source", "token"], ["cnt"], pre=pair_counts)
     return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
         total.refs, exchange.each_group(topk, ["source"]),
@@ -169,8 +190,9 @@ def top_tokens_by_source(sf_dir: str, k: int = 10) -> ray.data.Dataset:
 
 # --------------------------------------------------------------------- #
 # Language ID — marker-stopword n-gram heuristic (rows-only check: the
-# heuristic is not SQL-expressible). Stateful marker compilation happens
-# once per actor in __init__ (actor-pool stage pattern).
+# heuristic is not SQL-expressible). ``LangId`` is a plain callable: one
+# instance runs in every map_blocks task (curate's flag stage runs it
+# the same way).
 # --------------------------------------------------------------------- #
 _MARKERS: dict[str, str] = {
     "en": r"\b(the|and|of|to|in|is|that|for|with|was|are)\b",
@@ -182,7 +204,7 @@ _MARKERS: dict[str, str] = {
 
 
 class LangId:
-    """Actor-pool stage: scores each marker set per batch (one vectorized
+    """Per-block stage: scores each marker set per block (one vectorized
     regex-count kernel per language), argmax wins, ties -> 'und'."""
 
     def __init__(self, markers: dict[str, str] | None = None):
@@ -203,32 +225,8 @@ class LangId:
                          "lang_pred": pa.array(pred.astype(object))})
 
 
-def actor_pool_size(reserve: int = 2, cap: int | None = None
-                    ) -> tuple[int, int]:
-    """Default actor-pool concurrency: an AUTOSCALING (min, max) pool
-    sized to the cluster instead of a hardcoded constant (round-1:
-    `concurrency=2` flooded 2 actors at num_cpus=32; a FIXED cluster-
-    sized pool overpaid ~2 s of actor startup on small inputs — the
-    autoscaler spawns actors only while batches queue). Leaves
-    ``reserve`` CPUs for the driver/IO stages. Both bounds are capped at
-    the cluster's CPUs (floor 1): a pool that waits for more one-CPU
-    actors than the cluster can place never starts."""
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 4)) \
-        if ray.is_initialized() else 4
-    n = max(2, cpus - reserve)
-    hi = max(1, min(min(n, cap) if cap else n, cpus))
-    return (min(2, hi), hi)
-
-
-def lang_id(sf_dir: str,
-            concurrency: "int | tuple[int, int] | None" = None
-            ) -> ray.data.Dataset:
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(LangId, batch_format="pyarrow",
-                          concurrency=concurrency or actor_pool_size(),
-                          max_restarts=0)   # ray#53727 warning (see
-                                            # multimodal.frame_sample)
+def lang_id(sf_dir: str) -> ray.data.Dataset:
+    return _per_doc(sf_dir, ["doc_id", "text"], LangId())
 
 
 # --------------------------------------------------------------------- #
@@ -265,8 +263,7 @@ def redact_pii_batch(t: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def redact_pii(sf_dir: str) -> ray.data.Dataset:
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(redact_pii_batch, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], redact_pii_batch)
 
 
 # --------------------------------------------------------------------- #
@@ -331,8 +328,7 @@ def repetition_batch(t: pa.Table, text_col: str = "text") -> pa.Table:
 
 def repetition_score(sf_dir: str) -> ray.data.Dataset:
     """Gopher-style repetition filter signals, one row per doc."""
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(repetition_batch, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], repetition_batch)
 
 
 # --------------------------------------------------------------------- #
@@ -378,8 +374,7 @@ def top_docs_per_source(sf_dir: str, k: int = 3) -> ray.data.Dataset:
         })
 
     return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
-        exchange.leaf(f"{sf_dir}/documents.parquet",
-                      ["doc_id", "source", "n_chars"]),
+        _docs(sf_dir, ["doc_id", "source", "n_chars"]),
         exchange.each_group(final_topk, ["source"]), keys=["source"],
         pre=local_topk).refs)
 
@@ -402,12 +397,8 @@ def approx_top_tokens(sf_dir: str, k: int = 20,
     every distinct (source, token) pair — unbounded vocabulary at
     corpus scale); the driver folds counts and adds Σε_b of the blocks
     that did NOT report a token to its upper bound."""
-    import ray
-    import ray.data
 
     def summary(t: pa.Table) -> pa.Table:
-        import uuid
-
         txt = pc.utf8_trim_whitespace(t.column("text"))
         words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
         flat = words.flatten()
@@ -418,24 +409,14 @@ def approx_top_tokens(sf_dir: str, k: int = 20,
         order = np.lexsort((tok.to_numpy(zero_copy_only=False), -cnt))
         kept = order[:capacity]
         eps = int(cnt[order[capacity]]) if len(order) > capacity else 0
-        n = len(kept)
-        # each summary() CALL is one sketch unit and must be accounted
-        # as such — map_batches fused onto a parquet read runs once per
-        # READ CHUNK, so one output block can hold several summaries
-        # concatenated; a unique sid keys the eps bookkeeping (relying
-        # on block identity undercounted total_eps and could push
-        # count_upper below the true count)
-        sid = uuid.uuid4().hex
         return pa.table({
             "token": tok.take(pa.array(kept)),
             "cnt": pa.array(cnt[kept].astype(np.int64)),
-            "eps": pa.array(np.full(n, eps, np.int64)),
-            "sid": pa.array(np.repeat(sid, n)),
+            "eps": pa.array(np.full(len(kept), eps, np.int64)),
         })
 
-    ds = read_documents(sf_dir, columns=["text"])
-    parts = ds.map_batches(summary, batch_format="pyarrow")
-    tables = [t for t in collect_tables(parts) if t.num_rows]
+    # one map_blocks task is one summary and one output block
+    tables = _blocks(sf_dir, ["text"], summary)
     if not tables:
         return ray.data.from_arrow(pa.table({
             "token": pa.array([], pa.string()),
@@ -443,10 +424,10 @@ def approx_top_tokens(sf_dir: str, k: int = 20,
             "count_upper": pa.array([], pa.int64()),
             "rk": pa.array([], pa.int64())}))
     # driver fold over ≤ capacity × summaries rows: per-token lower =
-    # Σ reported counts; upper adds ε_s for every SUMMARY (sid) that
+    # Σ reported counts; upper adds ε_s for every summary (block) that
     # truncated the token away
+    total_eps = sum(t.column("eps")[0].as_py() for t in tables)
     all_df = pa.concat_tables(tables).to_pandas()
-    total_eps = int(all_df.groupby("sid")["eps"].first().sum())
     agg = all_df.groupby("token").agg(
         count_lower=("cnt", "sum"), seen_eps=("eps", "sum"))
     agg["count_upper"] = agg["count_lower"] + (total_eps - agg["seen_eps"])
@@ -473,10 +454,10 @@ def doc_frequency(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     Scale shape: per-block the (doc, token) pairs are DISTINCT-ed with
     one Arrow group_by (no per-row loops) and collapsed to (token,
     partial df) — the shuffle moves distinct tokens per block, never
-    word instances. A native distributed ``groupby(token).sum``
-    finishes the counts; each token then lives in exactly ONE output
-    block, so a per-block local top-k bounds the driver fold at
-    k x blocks rows — exact, no second exchange."""
+    word instances. One exchange keyed on the token finishes the
+    counts; each token lives in exactly ONE task, so a per-task top-k
+    bounds the driver fold at k x tasks rows — exact, no second
+    exchange (``_token_head``)."""
 
     def df_partial(t: pa.Table) -> pa.Table:
         txt = pc.utf8_trim_whitespace(t.column("text"))
@@ -492,38 +473,38 @@ def doc_frequency(sf_dir: str, k: int = 20) -> ray.data.Dataset:
         return pa.table({"token": agg.column("token"),
                          "df": agg.column("d_count")})
 
-    def local_topk(t: pa.Table) -> pa.Table:
-        cnt = t.column("df").to_numpy(zero_copy_only=False)
-        tok = t.column("token").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tok, -cnt))[:k]
-        return pa.table({
-            "token": t.column("token").take(pa.array(order)),
-            "df": pa.array(cnt[order].astype(np.int64)),
-        })
+    top = _token_head(sf_dir, df_partial, "df", k)
+    return ray.data.from_arrow(top.append_column("rk", pa.array(
+        np.arange(1, top.num_rows + 1, dtype=np.int64))))
 
-    from ..stages.exchange import fx_sum_by
-    total = fx_sum_by(
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(df_partial, batch_format="pyarrow"),
-        ["token"], ["df"]
-    ).map_batches(local_topk, batch_format="pyarrow")
-    # driver fold of <= k x blocks candidate rows: exact global top-k
-    tables = [t for t in collect_tables(total) if t.num_rows]
-    cand = (pa.concat_tables(tables, promote_options="default")
-            if tables else None)
-    if cand is None or cand.num_rows == 0:
-        return ray.data.from_arrow(pa.table({
-            "token": pa.array([], pa.string()),
-            "df": pa.array([], pa.int64()),
-            "rk": pa.array([], pa.int64())}))
-    cnt = cand.column("df").to_numpy(zero_copy_only=False)
-    tok = cand.column("token").to_numpy(zero_copy_only=False)
+
+def _head(t: pa.Table, col: str, k: int) -> pa.Table:
+    """The ``k`` (token, ``col``) rows of ``t`` with the largest
+    ``col``, ties by token asc."""
+    cnt = t.column(col).to_numpy(zero_copy_only=False)
+    tok = t.column("token").to_numpy(zero_copy_only=False)
     order = np.lexsort((tok, -cnt))[:k]
-    return ray.data.from_arrow(pa.table({
-        "token": cand.column("token").take(pa.array(order)),
-        "df": pa.array(cnt[order].astype(np.int64)),
-        "rk": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
-    }))
+    return pa.table({"token": t.column("token").take(pa.array(order)),
+                     col: pa.array(cnt[order].astype(np.int64))})
+
+
+def _sum_head(g: pa.Table, col: str, k: int) -> pa.Table:
+    """Token-partition task of ``_token_head``: ``col`` summed per
+    token, then the task's head."""
+    agg = g.group_by("token").aggregate([(col, "sum")])
+    return _head(pa.table({"token": agg.column("token"),
+                           col: agg.column(f"{col}_sum")}), col, k)
+
+
+def _token_head(sf_dir: str, partial, col: str, k: int) -> pa.Table:
+    """The corpus's ``k`` tokens with the largest summed ``col``, from
+    per-block (token, ``col``) ``partial`` rows over ONE exchange keyed
+    on the token: a token lives in one task, so the head of the tasks'
+    heads (k x tasks rows, folded on the driver) is exact."""
+    heads = exchange.file_exchange_map_groups(
+        _docs(sf_dir, ["text"]), functools.partial(_sum_head, col=col, k=k),
+        keys=["token"], pre=partial)
+    return _head(pa.concat_tables(ray.get(heads.refs)), col, k)
 
 
 def _codes(arr: "pa.Array | pa.ChunkedArray") -> np.ndarray:
@@ -624,7 +605,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5) -> ray.data.Dataset:
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
 
     scored = exchange.file_exchange_map_groups(
-        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"]),
+        _docs(sf_dir, ["doc_id", "text"]),
         functools.partial(_tfidf_scores, n_docs=n_docs), keys=["token"],
         pre=_tf_rows)
     return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
@@ -660,21 +641,14 @@ def unigram_logprob_score(sf_dir: str) -> ray.data.Dataset:
         n = pc.sum(pc.list_value_length(words)).as_py() or 0
         return pa.table({"n": pa.array([int(n)], pa.int64())})
 
-    total = float(sum(
-        t.column("n").to_numpy().sum()
-        for t in collect_tables(
-            read_documents(sf_dir, columns=["text"])
-            .map_batches(n_tok_partial, batch_format="pyarrow"))
-        if t.num_rows))
-
-    from ..stages.exchange import fx_sum_by
-    return fx_sum_by(
-        exchange.file_exchange_map_groups(
-            read_documents(sf_dir, columns=["doc_id", "text"])
-            .map_batches(_tf_rows, batch_format="pyarrow"),
-            functools.partial(_unigram_scores, total=total),
-            keys=["token"]),
-        ["doc_id"], ["n_tok", "score_permille"])
+    total = float(sum(t.column("n").to_numpy().sum()
+                      for t in _blocks(sf_dir, ["text"], n_tok_partial)))
+    scored = exchange.file_exchange_map_groups(
+        _docs(sf_dir, ["doc_id", "text"]),
+        functools.partial(_unigram_scores, total=total), keys=["token"],
+        pre=_tf_rows)
+    return ray.data.from_arrow_refs(exchange.fx_sum_by(
+        scored.refs, ["doc_id"], ["n_tok", "score_permille"]).refs)
 
 
 def quantile_band_docs(sf_dir: str, lo: float = 0.05, hi: float = 0.95
@@ -693,9 +667,8 @@ def quantile_band_docs(sf_dir: str, lo: float = 0.05, hi: float = 0.95
     (source, n_chars) histogram (per-block Arrow partials -> one native
     Sum exchange bounded by domain x sources -> driver cumsum readout);
     the thresholds table (2 ints per source) then rides into a second
-    streaming pass as a broadcast, and the filter never shuffles the
-    documents themselves."""
-    from ray.data.aggregate import Sum
+    pass (raw tasks over the documents) inside the filter, and the
+    filter never shuffles the documents themselves."""
 
     def hist_partial(t: pa.Table) -> pa.Table:
         # null source/n_chars rows can neither anchor nor pass a band
@@ -714,12 +687,9 @@ def quantile_band_docs(sf_dir: str, lo: float = 0.05, hi: float = 0.95
             "n": g.column("n_sum"),
         })
 
-    from ..stages.exchange import fx_sum_by
-    hist = fx_sum_by(
-        read_documents(sf_dir, columns=["source", "n_chars"])
-        .map_batches(hist_partial, batch_format="pyarrow"),
-        ["source", "n_chars"], ["n"]
-    ).to_pandas()                     # bounded: domain x sources rows
+    hist = pa.concat_tables(ray.get(exchange.fx_sum_by(
+        _docs(sf_dir, ["source", "n_chars"]), ["source", "n_chars"], ["n"],
+        pre=hist_partial).refs)).to_pandas()  # bounded: domain x sources
     bands: dict[str, tuple[int, int]] = {}
     for src, g in hist.groupby("source", sort=False):
         g = g.sort_values("n_chars")
@@ -731,11 +701,7 @@ def quantile_band_docs(sf_dir: str, lo: float = 0.05, hi: float = 0.95
             return int(vals[np.searchsorted(cum, k, side="left")])
         bands[str(src)] = (rank_val(lo), rank_val(hi))
 
-    import ray
-    bands_ref = ray.put(bands)
-
-    def band_filter(t: pa.Table, *, ref=bands_ref) -> pa.Table:
-        b = ray.get(ref) if not isinstance(ref, dict) else ref
+    def band_filter(t: pa.Table) -> pa.Table:
         # dictionary-encode the source column once per batch, then one
         # dict lookup per DISTINCT source — no per-row Python work.
         # Null source -> null dictionary index; null n_chars -> NaN on
@@ -745,10 +711,10 @@ def quantile_band_docs(sf_dir: str, lo: float = 0.05, hi: float = 0.95
         uniq = src.dictionary.to_pylist()
         # a source may be absent from bands when every one of its rows
         # had null n_chars — same rejection as a null source
-        known = np.array([s in b for s in uniq] or [False])
-        lo_u = np.array([b[s][0] if s in b else 0 for s in uniq]
+        known = np.array([s in bands for s in uniq] or [False])
+        lo_u = np.array([bands[s][0] if s in bands else 0 for s in uniq]
                         or [0], np.int64)
-        hi_u = np.array([b[s][1] if s in b else -1 for s in uniq]
+        hi_u = np.array([bands[s][1] if s in bands else -1 for s in uniq]
                         or [-1], np.int64)
         valid = pc.is_valid(src.indices).to_numpy(zero_copy_only=False)
         codes = (src.indices.fill_null(0)
@@ -759,9 +725,7 @@ def quantile_band_docs(sf_dir: str, lo: float = 0.05, hi: float = 0.95
                     & (nc <= hi_u[codes]))
         return t.filter(pa.array(keep))
 
-    return (read_documents(sf_dir, columns=["doc_id", "source",
-                                            "n_chars"])
-            .map_batches(band_filter, batch_format="pyarrow"))
+    return _per_doc(sf_dir, ["doc_id", "source", "n_chars"], band_filter)
 
 
 # --------------------------------------------------------------------- #
@@ -835,13 +799,9 @@ def dsir_weights(sf_dir: str, target_lang: str = "en",
                          "n_raw": pa.array(raw[nz]),
                          "n_tgt": pa.array(tgt[nz])})
 
-    parts = (read_documents(sf_dir, columns=["text", "lang"])
-             .map_batches(dist_partial, batch_format="pyarrow"))
     raw = np.zeros(dim, np.int64)
     tgt = np.zeros(dim, np.int64)
-    for pt in collect_tables(parts):
-        if pt.num_rows == 0:
-            continue
+    for pt in _blocks(sf_dir, ["text", "lang"], dist_partial):
         f = pt.column("feat").to_numpy(zero_copy_only=False)
         np.add.at(raw, f, pt.column("n_raw").to_numpy(zero_copy_only=False))
         np.add.at(tgt, f, pt.column("n_tgt").to_numpy(zero_copy_only=False))
@@ -867,8 +827,7 @@ def dsir_weights(sf_dir: str, target_lang: str = "en",
                 np.floor(sums * 1e6 + 0.5).astype(np.int64)),
         })
 
-    return (read_documents(sf_dir, columns=["doc_id", "text", "lang"])
-            .map_batches(score, batch_format="pyarrow"))
+    return _per_doc(sf_dir, ["doc_id", "text", "lang"], score)
 
 
 # --------------------------------------------------------------------- #
@@ -923,9 +882,7 @@ def bm25_topk(sf_dir: str, query: tuple[str, ...] = ("hash", "merge",
                                       pa.int64())
         return pa.table(out)
 
-    gparts = [t for t in collect_tables(
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(globals_partial, batch_format="pyarrow")) if t.num_rows]
+    gparts = _blocks(sf_dir, ["text"], globals_partial)
     total_tok = sum(int(t.column("total_tok").to_numpy().sum())
                     for t in gparts)
     df = np.array([sum(int(t.column(f"df_{j}").to_numpy().sum())
@@ -961,9 +918,7 @@ def bm25_topk(sf_dir: str, query: tuple[str, ...] = ("hash", "merge",
         return pa.table({"doc_id": pa.array(did[order]),
                          "score_permille": pa.array(sc[order])})
 
-    cand = (read_documents(sf_dir, columns=["doc_id", "text"])
-            .map_batches(score_local_topk, batch_format="pyarrow"))
-    tables = [t for t in collect_tables(cand) if t.num_rows]
+    tables = _blocks(sf_dir, ["doc_id", "text"], score_local_topk)
     if not tables:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
@@ -1001,7 +956,6 @@ def rank_auc(sf_dir: str, label_lang: str = "en") -> ray.data.Dataset:
     block (score is a bounded integer metric — same bounded-histogram
     concession as value_histogram / mad_by_type) and one cumsum gives
     every tie-group's rank. No shuffle, no sort of the data itself."""
-    import ray
 
     def partial(t: pa.Table) -> pa.Table:
         y = pc.equal(t.column("lang"), label_lang).fill_null(False)
@@ -1013,12 +967,8 @@ def rank_auc(sf_dir: str, label_lang: str = "en") -> ray.data.Dataset:
         g = tb.group_by("s").aggregate([("one", "sum"), ("yp", "sum")])
         return g.rename_columns(["s", "n", "np"])
 
-    parts = (read_documents(sf_dir, columns=["lang", "n_chars"])
-             .map_batches(partial, batch_format="pyarrow"))
     hist: dict[int, list[int]] = {}
-    for t in collect_tables(parts):
-        if t.num_rows == 0:
-            continue
+    for t in _blocks(sf_dir, ["lang", "n_chars"], partial):
         ss = t.column("s").to_numpy(zero_copy_only=False)
         nn = t.column("n").to_numpy(zero_copy_only=False)
         pp = t.column("np").to_numpy(zero_copy_only=False)
@@ -1061,7 +1011,6 @@ def spearman_chars_tokens(sf_dir: str) -> ray.data.Dataset:
     same bounded-histogram concession as rank_auc / value_histogram),
     derives both marginal midrank maps with one cumsum each, and the
     moment sums are one vectorized pass over the folded support."""
-    import ray
 
     def partial(t: pa.Table) -> pa.Table:
         y = pc.count_substring_regex(t.column("text"), r"\S+") \
@@ -1074,12 +1023,8 @@ def spearman_chars_tokens(sf_dir: str) -> ray.data.Dataset:
         g = tb.group_by(["x", "y"]).aggregate([("one", "sum")])
         return g.rename_columns(["x", "y", "n"])
 
-    parts = (read_documents(sf_dir, columns=["text", "n_chars"])
-             .map_batches(partial, batch_format="pyarrow"))
     joint: dict[tuple[int, int], int] = {}
-    for t in collect_tables(parts):
-        if t.num_rows == 0:
-            continue
+    for t in _blocks(sf_dir, ["text", "n_chars"], partial):
         for x, y, n in zip(t.column("x").to_pylist(),
                            t.column("y").to_pylist(),
                            t.column("n").to_pylist()):
@@ -1151,7 +1096,6 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5
     the driver folds <= k x P candidate rows. The
     two corpus scalars (N_tok, N_big) fold from one narrow pre-pass
     (one int64 row per block)."""
-    from ..stages.exchange import file_exchange_map_groups
 
     def _tok_arrays(t: pa.Table):
         txt = pc.utf8_trim_whitespace(t.column("text"))
@@ -1167,9 +1111,7 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5
                               pa.int64()),
         })
 
-    parts = [t for t in collect_tables(
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(scalar_partial, batch_format="pyarrow")) if t.num_rows]
+    parts = _blocks(sf_dir, ["text"], scalar_partial)
     n_tok = float(sum(t.column("n_tok").to_numpy().sum() for t in parts))
     n_big = float(sum(t.column("n_big").to_numpy().sum() for t in parts))
 
@@ -1297,19 +1239,18 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5
             "pmi_permille": pa.array(pmi_pm[order]),
         })
 
-    ds = read_documents(sf_dir, columns=["text"]) \
-        .map_batches(union_partials, batch_format="pyarrow")
-    ds = file_exchange_map_groups(ds, attach_c1, keys=["w1"],
-                                  empty_result=empty)
-    ds = file_exchange_map_groups(ds, score_topk, keys=["key"],
-                                  empty_result=pa.table({
-        "w1": pa.array([], pa.string()),
-        "w2": pa.array([], pa.string()),
-        "cnt": pa.array([], pa.int64()),
-        "pmi_permille": pa.array([], pa.int64()),
-    }))
+    c1 = exchange.file_exchange_map_groups(
+        _docs(sf_dir, ["text"]), attach_c1, keys=["w1"],
+        pre=union_partials, empty_result=empty)
+    cands = exchange.file_exchange_map_groups(
+        c1.refs, score_topk, keys=["key"], empty_result=pa.table({
+            "w1": pa.array([], pa.string()),
+            "w2": pa.array([], pa.string()),
+            "cnt": pa.array([], pa.int64()),
+            "pmi_permille": pa.array([], pa.int64()),
+        }))
     # driver fold of <= k x P candidates: exact global top-k
-    tabs = [t for t in collect_tables(ds) if t.num_rows]
+    tabs = [t for t in ray.get(cands.refs) if t.num_rows]
     if not tabs:
         return ray.data.from_arrow(pa.table({
             "w1": pa.array([], pa.string()),
@@ -1350,12 +1291,12 @@ def source_divergence(sf_dir: str) -> ray.data.Dataset:
     exchange keyed on token; the owning partition folds each token's
     global per-source counts and emits ONE float64 JSD-contribution
     row per (pair, partition) — the driver folds <= pairs x P tiny
-    rows. Per-source token totals come from the same partials' bounded
-    (#sources) fx_sum_by pre-fold. The contribution term is computed
+    rows. Per-source token totals fold on the driver from the same
+    partials' bounded (#sources) per-block sums. The contribution term
+    is computed
     with numpy's ln on each token (p·ln(p/m) summed per partition):
     summation order differs from SQL's only across <= P + blocks
     groups, inside the micros tolerance."""
-    from ..stages.exchange import file_exchange_map_groups, fx_sum_by
 
     def pair_counts(t: pa.Table) -> pa.Table:
         txt = pc.utf8_trim_whitespace(t.column("text"))
@@ -1373,18 +1314,17 @@ def source_divergence(sf_dir: str) -> ray.data.Dataset:
             "cnt": agg.column("token_count").cast(pa.int64()),
         })
 
-    partials = (read_documents(sf_dir, columns=["source", "text"])
-                .map_batches(pair_counts, batch_format="pyarrow"))
+    def source_totals(t: pa.Table) -> pa.Table:
+        return t.group_by("source").aggregate([("cnt", "sum")])
+
+    partials = exchange.map_blocks(_docs(sf_dir, ["source", "text"]),
+                                   pair_counts)
     # per-source totals: bounded (#sources) — driver fold
-    totals_t = fx_sum_by(partials.drop_columns(["token"])
-                         .map_batches(lambda t: t, batch_format="pyarrow"),
-                         ["source"], ["cnt"])
-    tot_tabs = [t for t in collect_tables(totals_t) if t.num_rows]
     totals: dict = {}
-    for t in tot_tabs:
-        for r in range(t.num_rows):
-            s = t.column("source")[r].as_py()
-            totals[s] = totals.get(s, 0) + int(t.column("cnt")[r].as_py())
+    for t in ray.get(exchange.map_blocks(partials, source_totals)):
+        for s, n in zip(t.column("source").to_pylist(),
+                        t.column("cnt_sum").to_pylist()):
+            totals[s] = totals.get(s, 0) + n
     sources = sorted(totals)
     pairs = [(a, b) for i, a in enumerate(sources)
              for b in sources[i + 1:]]
@@ -1429,11 +1369,10 @@ def source_divergence(sf_dir: str) -> ray.data.Dataset:
             "contrib": pa.array(out_c, pa.float64()),
         })
 
-    contrib = file_exchange_map_groups(partials, per_token_part,
-                                       keys=["token"], empty_result=empty)
-    tabs = [t for t in collect_tables(contrib) if t.num_rows]
+    contrib = exchange.file_exchange_map_groups(
+        partials, per_token_part, keys=["token"], empty_result=empty)
     acc: dict = {pr: 0.0 for pr in pairs}
-    for t in tabs:
+    for t in ray.get(contrib.refs):
         for r in range(t.num_rows):
             key = (t.column("src_a")[r].as_py(),
                    t.column("src_b")[r].as_py())
@@ -1516,9 +1455,8 @@ def skyline_docs(sf_dir: str) -> ray.data.Dataset:
             "n_tok": pa.array(tk[keep]),
         })
 
-    cand_tabs = [t for t in collect_tables(
-        read_documents(sf_dir, columns=["doc_id", "text", "n_chars"])
-        .map_batches(local_skyline, batch_format="pyarrow")) if t.num_rows]
+    cand_tabs = _blocks(sf_dir, ["doc_id", "text", "n_chars"],
+                        local_skyline)
     if not cand_tabs:
         return ray.data.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
@@ -1574,8 +1512,7 @@ def type_token_ratio(sf_dir: str) -> ray.data.Dataset:
                 np.floor(ratio * 1e6 + 0.5).astype(np.int64)),
         })
 
-    return read_documents(sf_dir, columns=["doc_id", "text"]) \
-        .map_batches(per_block, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], per_block)
 
 
 # --------------------------------------------------------------------- #
@@ -1594,7 +1531,6 @@ def profile_documents(sf_dir: str) -> pa.Table:
     odds are ~n^2/2^64 (negligible; exact at
     testdata scale, where the DuckDB oracle compare is bit-for-bit)."""
     cols = ["doc_id", "n_chars", "source", "text"]
-    ds = read_documents(sf_dir, columns=cols)
 
     def scalar_partials(t: pa.Table) -> pa.Table:
         names, rows, nulls, mns, mxs, lens = [], [], [], [], [], []
@@ -1621,8 +1557,8 @@ def profile_documents(sf_dir: str) -> pa.Table:
             "sum_len": pa.array(lens, pa.int64()),
         })
 
-    sc = (ds.map_batches(scalar_partials, batch_format="pyarrow")
-          .to_pandas())                       # bounded: cols x blocks
+    sc = pa.concat_tables(ray.get(exchange.map_blocks(
+        _docs(sf_dir, cols), scalar_partials))).to_pandas()  # cols x blocks
     agg = sc.groupby("col_name").agg(
         n_rows=("n_rows", "sum"), n_nulls=("n_nulls", "sum"),
         min_int=("min_int", "min"), max_int=("max_int", "max"),
@@ -1649,8 +1585,8 @@ def profile_documents(sf_dir: str) -> pa.Table:
                          "n_distinct": agg.column("h_count_distinct")})
 
     nd = (pa.concat_tables(ray.get(exchange.file_exchange_map_groups(
-              exchange.leaf(f"{sf_dir}/documents.parquet", cols),
-              count_unique, keys=["col_name", "h"], pre=hash_pairs).refs))
+              _docs(sf_dir, cols), count_unique, keys=["col_name", "h"],
+              pre=hash_pairs).refs))
           .to_pandas().groupby("col_name")[["n_distinct"]].sum())
 
     agg = agg.join(nd).reset_index().sort_values("col_name")
@@ -1796,9 +1732,10 @@ def zipf_fit(sf_dir: str, k: int = 100) -> pa.Table:
     float64 summation-order noise, so the SQL oracle reproduces them.
 
     Scale shape: identical to doc_frequency — per-block (token, count)
-    partials, one native distributed sum keyed by token, per-block
-    local top-k bounding the driver fold at k x blocks rows; the
-    regression itself is O(k) driver arithmetic."""
+    partials, one exchange keyed by token whose tasks sum and keep
+    their top-k, bounding the driver fold at k x tasks rows
+    (``_token_head``); the regression itself is O(k) driver
+    arithmetic."""
 
     def tf_partial(t: pa.Table) -> pa.Table:
         txt = pc.utf8_trim_whitespace(t.column("text"))
@@ -1808,36 +1745,14 @@ def zipf_fit(sf_dir: str, k: int = 100) -> pa.Table:
         return pa.table({"token": agg.column("token"),
                          "cnt": agg.column("token_count")})
 
-    def local_topk(t: pa.Table) -> pa.Table:
-        cnt = t.column("cnt").to_numpy(zero_copy_only=False)
-        tok = t.column("token").to_numpy(zero_copy_only=False)
-        order = np.lexsort((tok, -cnt))[:k]
-        return pa.table({
-            "token": t.column("token").take(pa.array(order)),
-            "cnt": pa.array(cnt[order].astype(np.int64)),
-        })
-
-    from ..stages.exchange import fx_sum_by
-    cand_ds = fx_sum_by(
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(tf_partial, batch_format="pyarrow"),
-        ["token"], ["cnt"]
-    ).map_batches(local_topk, batch_format="pyarrow")
-    tables = [t for t in collect_tables(cand_ds) if t.num_rows]
-    empty = pa.table({"k_used": pa.array([], pa.int64()),
-                      "slope_micro": pa.array([], pa.int64()),
-                      "intercept_micro": pa.array([], pa.int64())})
-    if not tables:
-        return empty
-    cand = pa.concat_tables(tables, promote_options="default")
-    cnt = cand.column("cnt").to_numpy(zero_copy_only=False)
-    tok = cand.column("token").to_numpy(zero_copy_only=False)
-    order = np.lexsort((tok, -cnt))[:k]
-    n = len(order)
+    top = _token_head(sf_dir, tf_partial, "cnt", k)
+    n = top.num_rows
     if n < 2:
-        return empty
+        return pa.table({"k_used": pa.array([], pa.int64()),
+                         "slope_micro": pa.array([], pa.int64()),
+                         "intercept_micro": pa.array([], pa.int64())})
     x = np.log(np.arange(1, n + 1, dtype=np.float64))
-    y = np.log(cnt[order].astype(np.float64))
+    y = np.log(top.column("cnt").to_numpy().astype(np.float64))
     # plain-sum OLS in rank order — the exact float64 expression the
     # SQL oracle evaluates over the same rank-ordered k rows
     # closed-form OLS from rank-ordered sums; the 1e-6 quantization

@@ -46,7 +46,9 @@ A query writes one join; the engine, not the query, chooses.
 An optional per-block ``pre`` function (conform, partial fold) runs
 inside the writer task before the key route and the slicing. Writers
 are raw Ray tasks under a ``ray.wait`` window of 2x the cluster's
-CPUs. Leaf and refs inputs return ``Exchanged(refs, schema)``: the
+CPUs. A public call reads the cluster's CPUs once and puts each of its
+functions in the object store once, for all of its tasks. Leaf and
+refs inputs return ``Exchanged(refs, schema)``: the
 partition tasks' output refs, chainable straight into the next
 exchange with no Ray Data execution in between, and the input schema
 the writers reported; a Dataset input returns a Dataset.
@@ -83,6 +85,7 @@ pressure goes to the filesystem instead of the object store.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 import shutil
@@ -210,6 +213,34 @@ def collect_tables(ds: ray.data.Dataset) -> "list[pa.Table]":
     for its schema probe, and a cut-short re-run is what trips Ray
     2.49.2's cancel race (``task_manager.cc:930``)."""
     return ray.get(ds.materialize().to_arrow_refs())
+
+
+# the cluster's CPU count inside one public exchange call (``_per_call``)
+_CALL_CPUS: "contextvars.ContextVar[int | None]" = contextvars.ContextVar(
+    "aqr_exchange_cpus", default=None)
+
+
+def _per_call(f: Callable) -> Callable:
+    """A public exchange call asks Ray for the cluster's CPUs once: the
+    unit packing, the writer window, P and the run cap of the call (and
+    of the calls it makes) all read that one value."""
+    @functools.wraps(f)
+    def call(*args, **kwargs):
+        if _CALL_CPUS.get() is not None:
+            return f(*args, **kwargs)
+        token = _CALL_CPUS.set(_cluster_cpus())
+        try:
+            return f(*args, **kwargs)
+        finally:
+            _CALL_CPUS.reset(token)
+    return call
+
+
+def _put(obj: Any) -> Any:
+    """``obj`` in the object store, pickled once for all of a call's
+    tasks (a callable passed to ``.remote`` is pickled again per task);
+    None stays None."""
+    return None if obj is None else ray.put(obj)
 
 
 @dataclass(frozen=True)
@@ -352,12 +383,15 @@ def _raw_items(src: "Leaf | list | ray.data.Dataset") -> Iterable:
     return list(src)
 
 
+@_per_call
 def map_blocks(src: "Leaf | list", fn: Callable[[pa.Table], pa.Table]
                ) -> "list[ray.ObjectRef]":
     """``fn`` over every block of a leaf or refs input as raw tasks under
     the writer window — a narrow pass with no exchange and no Ray Data
     execution. Refs come back in input order."""
-    return _windowed([(i, fn) for i in _raw_items(src)], _map_task.remote)
+    fn_ref = _put(fn)
+    return _windowed([(i, fn_ref) for i in _raw_items(src)],
+                     _map_task.remote)
 
 
 class Exchanged(NamedTuple):
@@ -405,6 +439,7 @@ def _write_inputs(inputs: list, xdir: str, salt: int
 
     def jobs():
         for m, (_, obj, p, k) in enumerate(inputs):
+            p = _put(p)
             for it in _raw_items(obj):
                 member.append(m)
                 yield it, xdir, p, k, P, salt
@@ -513,6 +548,9 @@ def _guard_shared_root(base: str, *, explicit: bool, kind: str,
 
 
 def _cluster_cpus() -> int:
+    cpus = _CALL_CPUS.get()
+    if cpus is not None:
+        return cpus
     if ray.is_initialized():
         try:
             return max(1, int(ray.cluster_resources().get("CPU", 8)))
@@ -579,6 +617,7 @@ def _empty_exchange(schemas: "list[pa.Schema | None]", fn,
         return empty_in[0]
 
 
+@_per_call
 def file_exchange_map_groups(
     src: "ray.data.Dataset | Leaf | list | tuple",
     fn: Callable[..., pa.Table],
@@ -684,6 +723,7 @@ def file_exchange_map_groups(
                   min(budget, total // (2 * _cluster_cpus())))
         runs = _cut_runs(sizes, cap, budget, salt)
         refs, n_split = [], 0
+        fn_ref, refold_ref = (_put(fn) if runs else None), None
         for run in runs:
             es = plans[0].get(run[0], [])
             if refold_fn is not None and sizes[run[0]] > budget \
@@ -693,15 +733,17 @@ def file_exchange_map_groups(
                 # single hot key); chunks are cut like runs, by slice
                 chunks = _cut_runs(dict(enumerate(b for _, _, b in es)),
                                    budget, budget, 1)
-                refs.append(_refold_partials.remote(refold_fn, *[
+                if refold_ref is None:
+                    refold_ref = ray.put(refold_fn)
+                refs.append(_refold_partials.remote(refold_ref, *[
                     _run_partition.remote(
-                        fn, [[[es[i][:2] for i in ch]]], schemas, False)
+                        fn_ref, [[[es[i][:2] for i in ch]]], schemas, False)
                     for ch in chunks]))
                 n_split += 1
             else:
                 refs.append(_run_partition.remote(
-                    fn, [[[e[:2] for e in plan.get(q, [])]
-                          for plan in plans] for q in run], schemas,
+                    fn_ref, [[[e[:2] for e in plan.get(q, [])]
+                              for plan in plans] for q in run], schemas,
                     keys is not None))
         stats = dict(strategy="route", tasks=len(runs), split=n_split,
                      packed=sum(len(r) > 1 for r in runs),
@@ -989,10 +1031,10 @@ def _broadcast_join(left: "ray.data.Dataset | Leaf | list", right: Leaf,
     lpre, rpre = pre
     t0 = time.perf_counter()
     rrefs = map_blocks(right, functools.partial(_pre, pre=rpre))
-    pairs = (_windowed(((it, lpre, join, check, *rrefs)
-                        for it in _raw_items(left)), _broadcast_task.remote)
-             or [_broadcast_task.remote(pa.table({}), lpre, join, check,
-                                        *rrefs)])
+    args = (_put(lpre), _put(join), _put(check), *rrefs)
+    pairs = (_windowed(((it, *args) for it in _raw_items(left)),
+                       _broadcast_task.remote)
+             or [_broadcast_task.remote(pa.table({}), *args)])
     t1 = time.perf_counter()
     metas = ray.get([m for _, m in pairs])
     t2 = time.perf_counter()
@@ -1017,6 +1059,7 @@ def _broadcast_join(left: "ray.data.Dataset | Leaf | list", right: Leaf,
             else Exchanged(refs, schema))
 
 
+@_per_call
 def fx_join(left: "ray.data.Dataset | Leaf | list",
             right: "ray.data.Dataset | Leaf | list",
             on: "list[str] | str", how: str = "inner",

@@ -302,7 +302,17 @@ MOVED = ["bigram_logprob_score", "tfidf_top_terms", "order_lines_join",
          "inter_event_gaps", "sessionize", "session_paths",
          "event_transitions", "asof_join_prior", "interval_join_pairs",
          "conversion_funnel", "cumulative_users_by_day",
-         "retention_cohorts", "rolling_active_users"]
+         "retention_cohorts", "rolling_active_users",
+         # the documents operators (text, bpe, multimodal) on leaves
+         "top_tokens_by_source", "top_docs_per_source", "token_count",
+         "fingerprint", "quality_score", "redact_pii", "lang_id",
+         "repetition_score", "doc_frequency", "bpe_token_count",
+         "unigram_logprob_score", "zipf_fit", "quantile_band_docs",
+         "profile_documents", "bm25_topk", "rank_auc",
+         "spearman_chars_tokens", "pmi_bigrams", "source_divergence",
+         "skyline_docs", "type_token_ratio", "approx_top_tokens",
+         "dsir_weights", "bpe_trained_token_count", "media_features",
+         "frame_sample", "resize_media"]
 
 
 @pytest.fixture(scope="module")

@@ -333,17 +333,16 @@ def test_media_real_decode_wav_and_pgm():
     silent = ex.decode_real(buf.getvalue())
     assert np.all(silent < 0.01)
 
-    # through the ACTOR-POOL pipeline: real decode end to end
-    import ray.data
+    # through raw map_blocks tasks: real decode end to end, one
+    # extractor shipped to every task
+    import ray
+    from aqueduct_core_ray.stages import exchange
     t = pa.table({"doc_id": pa.array([0, 1, 2], pa.int64()),
                   "payload": pa.array([wav, wav, pgm], pa.binary())})
-    rows = sorted(
-        ray.data.from_arrow(t)
-        .map_batches(multimodal.MediaFeatureExtractor,
-                     batch_format="pyarrow", batch_size=2,
-                     fn_constructor_kwargs={"real_decode": True},
-                     concurrency=1, max_restarts=0)
-        .take_all(), key=lambda r: r["doc_id"])
+    rows = sorted(pa.concat_tables(ray.get(exchange.map_blocks(
+        [ray.put(t.slice(0, 2)), ray.put(t.slice(2))],
+        multimodal.MediaFeatureExtractor(real_decode=True)))).to_pylist(),
+        key=lambda r: r["doc_id"])
     assert list(rows[0]["feat"]) == list(rows[1]["feat"])   # same wav
     assert list(rows[0]["feat"]) != list(rows[2]["feat"])
     assert rows[2]["n_bytes"] == len(pgm)
@@ -630,19 +629,22 @@ def test_bpe_token_count_matches_python_re():
     assert one.column("n_tok_ws")[0].as_py() == 1
 
 
-def test_approx_top_tokens_bounds_and_recall(tmp_path):
+def test_approx_top_tokens_bounds_and_recall(tmp_path, monkeypatch):
     """Misra-Gries guarantees under REAL truncation: a crafted corpus
     with a 500-word vocabulary and injected heavy hitters, capacity 32
     per block — (a) count_lower <= true <= count_upper for every
     reported token; (b) the true heavy hitters lead the ranking with
     intervals containing the truth; (c) a generous capacity degrades
-    to exact counts."""
+    to exact counts. Checked with the corpus as one leaf unit and as
+    six (one per row group), so the driver's eps accounting sums the
+    truncation errors of several summaries."""
     import collections
 
     import pyarrow as pa
     import pyarrow.parquet as pq2
 
     from aqueduct_core_ray.functions.text import approx_top_tokens
+    from aqueduct_core_ray.stages import scan_units
 
     rng = np.random.default_rng(11)
     vocab = [f"w{i:03d}" for i in range(500)]
@@ -661,26 +663,34 @@ def test_approx_top_tokens_bounds_and_recall(tmp_path):
         "doc_id": pa.array(range(len(docs)), pa.int64()),
         "text": pa.array(docs),
         "source": pa.array(["s"] * len(docs)),
-    }), str(d / "documents.parquet"))
+    }), str(d / "documents.parquet"), row_group_size=50)
     true = collections.Counter()
     for s in docs:
         true.update(s.split())
 
-    got = approx_top_tokens(str(d), k=20, capacity=32).to_pandas()
-    assert len(got) == 20
-    assert (got["count_lower"] <= got["count_upper"]).all()
-    # truncation genuinely happened: some interval is non-degenerate
-    assert (got["count_upper"] > got["count_lower"]).any()
-    for _, r in got.iterrows():
-        assert r["count_lower"] <= true[r["token"]] <= r["count_upper"], \
-            (r["token"], true[r["token"]], r["count_lower"],
-             r["count_upper"])
-    assert list(got["token"][:2]) == ["HEAVY", "WARM"]
+    for units in (1, 6):
+        if units > 1:
+            monkeypatch.setattr(scan_units, "MIN_UNIT_BYTES", 1)
+            monkeypatch.setattr(scan_units, "MAX_UNIT_BYTES", 1)
+        assert len(text._docs(str(d), ["text"]).units()) == units
+        got = approx_top_tokens(str(d), k=20, capacity=32).to_pandas()
+        assert len(got) == 20
+        assert (got["count_lower"] <= got["count_upper"]).all()
+        # one summary reports exact counts; over several, truncation
+        # genuinely happened: some interval is non-degenerate
+        assert (got["count_upper"] > got["count_lower"]).any() == \
+            (units > 1)
+        for _, r in got.iterrows():
+            assert (r["count_lower"] <= true[r["token"]]
+                    <= r["count_upper"]), \
+                (units, r["token"], true[r["token"]], r["count_lower"],
+                 r["count_upper"])
+        assert list(got["token"][:2]) == ["HEAVY", "WARM"]
 
-    # generous capacity -> exact (interval collapses to the truth)
-    exact = approx_top_tokens(str(d), k=20, capacity=10_000).to_pandas()
-    for _, r in exact.iterrows():
-        assert r["count_lower"] == r["count_upper"] == true[r["token"]]
+        # generous capacity -> exact (interval collapses to the truth)
+        exact = approx_top_tokens(str(d), k=20, capacity=10_000).to_pandas()
+        for _, r in exact.iterrows():
+            assert r["count_lower"] == r["count_upper"] == true[r["token"]]
 
 
 def test_image_resizer_zero_dim_header_falls_back():
@@ -1713,16 +1723,3 @@ def test_quality_classifier_spills_features_not_object_store(tmp_path):
     assert np.array_equal(out["logit_micro"].to_numpy(), exp_logit)
     assert np.array_equal(out["label"].to_numpy(), exp_y.astype(np.int64))
 
-
-@pytest.mark.parametrize("cpus", [1, 2, 8])
-def test_actor_pool_fits_the_cluster(cpus, monkeypatch):
-    """An autoscaling pool's min and max never exceed the cluster's
-    CPUs (floor 1): at one CPU a two-actor minimum would never start."""
-    import ray
-
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
-    for cap in (None, 1, 4):
-        lo, hi = text.actor_pool_size(cap=cap)
-        assert 1 <= lo <= hi <= cpus, (cap, lo, hi)
-        if cap:
-            assert hi <= cap

@@ -376,7 +376,13 @@ def test_word_head_matches_oracle(max_words):
 
 # ---------------------------------------------------------------- collect
 @pytest.mark.parametrize("kind", ["arrow", "pandas", "empty"])
-def test_collect_tables_equals_to_arrow_refs(kind):
+def test_collect_tables_equals_to_arrow_refs(kind, monkeypatch):
+    # the two executions compared block by block must emit their blocks
+    # in one order: without preserve_order Ray Data emits them as tasks
+    # finish, and the pandas case then differs in order about half the
+    # time
+    monkeypatch.setattr(ray.data.DataContext.get_current()
+                        .execution_options, "preserve_order", True)
     ds = ray.data.range(40, override_num_blocks=4)
     if kind == "pandas":
         ds = ds.map_batches(lambda d: d.assign(y=d["id"] * 2),
