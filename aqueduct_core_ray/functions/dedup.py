@@ -2,20 +2,28 @@
 tables: exact (hash-partitioned), MinHash+LSH, SimHash, exact n-gram
 Jaccard verification, and embedding-cosine near-dup.
 
+Every operator reads its table as an exchange leaf (``text._docs``,
+``_embeddings``): a per-block pass is the ``pre`` of the exchange it
+feeds or an ``exchange.map_blocks`` pass of raw tasks, a chained
+exchange takes the refs of the one before, a driver fold ``ray.get``s
+the partials, and a Dataset is built only at the return
+(``from_arrow_refs``). No operator starts a Ray Data execution before
+it returns.
+
 Scale design (100 TB framing):
 
-- exact dedup: md5(text) computed per batch -> hash shuffle on the
+- exact dedup: md5(text) computed per block -> hash shuffle on the
   16-byte digest (never on the full text) -> per-group min(doc_id)
   over the file exchange (stages/exchange.py).
-- MinHash/SimHash: signatures are computed fully vectorized per batch
+- MinHash/SimHash: signatures are computed fully vectorized per block
   (numpy ``minimum.reduceat`` over flattened shingle hashes — no Python
   row loop); LSH banding emits (bucket, doc_id, sig) rows — the compact
   sketch travels WITH the banding row (duplication factor = #bands), so
-  bucket-local verification needs no second join; candidate pairs are
-  deduped by a tiny groupby on the pair key.
+  bucket-local verification needs no second join; a pair found in
+  several buckets collapses through ``fx_agg_by``'s min on the pair key.
 - embedding near-dup / brute-force search: the comparison side is
   broadcast once via ``ray.put`` and read zero-copy in every map task —
-  O(N·M) matmul per batch, never an N×N shuffle join. The IVF variant in
+  O(N·M) matmul per block, never an N×N shuffle join. The IVF variant in
   functions/ann.py is the scale path when M grows.
 
 Determinism: every hash is pandas' keyed siphash or fixed odd-multiplier
@@ -34,19 +42,28 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .text import fingerprint_batch, hash_str_array, read_documents
+from .text import _blocks, _docs, _per_doc, fingerprint_batch, hash_str_array
 
 from ..stages import exchange
-from ..stages.exchange import collect_tables
 
 # fixed odd 64-bit mixing constants (splitmix64-flavored)
 _P1, _P2, _P3 = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
+def _embeddings(sf_dir: str) -> exchange.Leaf:
+    """The embeddings table as an exchange leaf of (vec_id, embedding)."""
+    return exchange.leaf(f"{sf_dir}/embeddings.parquet",
+                         ["vec_id", "embedding"])
+
+
 # --------------------------------------------------------------------- #
 # exact dedup
 # --------------------------------------------------------------------- #
+def _doc_fp(t: pa.Table) -> pa.Table:
+    return t.select(["doc_id", "fp"])
+
+
 def exact_dedup(sf_dir: str) -> ray.data.Dataset:
     """First-writer-wins exact dedup: one surviving doc_id (the minimum)
     per distinct text, keyed by md5 so the shuffle moves digests, not
@@ -56,55 +73,52 @@ def exact_dedup(sf_dir: str) -> ray.data.Dataset:
     partitioned Arrow-native partial mins, no per-group Python call
     (the round-1 ``map_groups(keep_min)`` was one interpreter call per
     distinct text: a wall at 10^9 groups) and no sort-shuffle floor."""
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    fps = ds.map_batches(fingerprint_batch, batch_format="pyarrow")
-
-    def rename(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "fp": t.column("fp")})
-
-    from ..stages.exchange import fx_agg_by
-    return fx_agg_by(fps, ["fp"], [("doc_id", "min")]).map_batches(
-        rename, batch_format="pyarrow")
+    mins = exchange.fx_agg_by(_docs(sf_dir, ["doc_id", "text"]), ["fp"],
+                              [("doc_id", "min")], pre=fingerprint_batch)
+    return ray.data.from_arrow_refs(exchange.map_blocks(mins.refs, _doc_fp))
 
 
 # --------------------------------------------------------------------- #
 # shingling + MinHash signatures (vectorized)
 # --------------------------------------------------------------------- #
-_hash_str_array = hash_str_array     # canonical kernel lives in text.py
+def _windows(h: np.ndarray, docidx: np.ndarray, n_rows: int,
+             shingle: int, short) -> tuple[np.ndarray, np.ndarray]:
+    """(sh, sdoc): the mixed hash of every window of ``shingle``
+    consecutive tokens within one row of the flat token-hash stream
+    ``h`` (``docidx``: each token's row), and the row of each; a row
+    with no full window gets one shingle, ``short(missing_rows)``."""
+    n = len(h) - shingle + 1
+    if n > 0:
+        sh = h[:n] * np.uint64(_P1)
+        for j in range(1, shingle):
+            sh = sh ^ (h[j: n + j] * np.uint64(_P2 + 2 * j))
+        valid = docidx[:n] == docidx[shingle - 1:]
+        sh, sdoc = sh[valid], docidx[:n][valid]
+    else:
+        sh, sdoc = np.empty(0, np.uint64), np.empty(0, np.int64)
+    missing = np.flatnonzero(np.bincount(sdoc, minlength=n_rows) == 0)
+    if len(missing):
+        sh = np.concatenate([sh, short(missing)])
+        sdoc = np.concatenate([sdoc, missing])
+        order = np.argsort(sdoc, kind="stable")
+        sh, sdoc = sh[order], sdoc[order]
+    return sh, sdoc
 
 
 def _shingle_hashes(t: pa.Table, text_col: str, shingle: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Word-``shingle``-gram hashes for a batch.
+    """Word-``shingle``-gram hashes for a block.
 
     Returns (sh, sdoc): flat shingle-hash array and the row index of each
     shingle. Rows with fewer than ``shingle`` words contribute their
     whole-text hash as a single shingle. Fully vectorized."""
     txt = pc.utf8_trim_whitespace(t.column(text_col))
     words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    h = _hash_str_array(words.flatten())
     counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-    docidx = np.repeat(np.arange(len(counts)), counts)
-    if len(h) >= shingle:
-        sh = h[: len(h) - shingle + 1] * np.uint64(_P1)
-        for j in range(1, shingle):
-            sh = sh ^ (h[j: len(h) - shingle + 1 + j] * np.uint64(_P2 + 2 * j))
-        valid = docidx[: len(h) - shingle + 1] == docidx[shingle - 1:]
-        sh, sdoc = sh[valid], docidx[: len(h) - shingle + 1][valid]
-    else:
-        sh = np.empty(0, np.uint64)
-        sdoc = np.empty(0, np.int64)
-    # fallback: short docs get one whole-text shingle
-    have = np.bincount(sdoc, minlength=t.num_rows) > 0
-    if not have.all():
-        missing = np.flatnonzero(~have)
-        fh = _hash_str_array(txt.combine_chunks())[missing]
-        sh = np.concatenate([sh, fh])
-        sdoc = np.concatenate([sdoc, missing])
-        order = np.argsort(sdoc, kind="stable")
-        sh, sdoc = sh[order], sdoc[order]
-    return sh, sdoc
+    return _windows(
+        hash_str_array(words.flatten()),
+        np.repeat(np.arange(len(counts)), counts), t.num_rows, shingle,
+        lambda missing: hash_str_array(txt.combine_chunks())[missing])
 
 
 def _token_shingle_hashes(t: pa.Table, col: str, shingle: int
@@ -120,29 +134,14 @@ def _token_shingle_hashes(t: pa.Table, col: str, shingle: int
     counts = pc.list_value_length(lists).fill_null(0) \
         .to_numpy(zero_copy_only=False)
     docidx = np.repeat(np.arange(len(counts)), counts)
-    if len(h) >= shingle:
-        sh = h[: len(h) - shingle + 1] * np.uint64(_P1)
-        for j in range(1, shingle):
-            sh = sh ^ (h[j: len(h) - shingle + 1 + j]
-                       * np.uint64(_P2 + 2 * j))
-        valid = docidx[: len(h) - shingle + 1] == docidx[shingle - 1:]
-        sh, sdoc = sh[valid], docidx[: len(h) - shingle + 1][valid]
-    else:
-        sh = np.empty(0, np.uint64)
-        sdoc = np.empty(0, np.int64)
-    have = np.bincount(sdoc, minlength=t.num_rows) > 0
-    if not have.all():
-        # short rows: one fold shingle over the whole sequence
-        missing = np.flatnonzero(~have)
+
+    def fold(missing: np.ndarray) -> np.ndarray:
         folded = np.zeros(t.num_rows, np.uint64)
         np.add.at(folded, docidx, (h * np.uint64(_P1)) & _MASK)
-        fh = ((folded + counts.astype(np.uint64) * np.uint64(_P3))
-              * np.uint64(_P2)) & _MASK
-        sh = np.concatenate([sh, fh[missing]])
-        sdoc = np.concatenate([sdoc, missing])
-        order = np.argsort(sdoc, kind="stable")
-        sh, sdoc = sh[order], sdoc[order]
-    return sh, sdoc
+        return (((folded + counts.astype(np.uint64) * np.uint64(_P3))
+                 * np.uint64(_P2)) & _MASK)[missing]
+
+    return _windows(h, docidx, t.num_rows, shingle, fold)
 
 
 def _sigs_from_hashes(sh: np.ndarray, sdoc: np.ndarray, n_rows: int,
@@ -242,69 +241,62 @@ def _segmented_pairs(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, a + within
 
 
-def _bucket_pairs_fn(min_est_pct: int, max_bucket: int | None = None):
-    """Pair generation over ONE bucket-hash PARTITION: sort by (bucket,
-    doc_id), cap oversized buckets, then a single segmented pair
-    construction + signature comparison covering every bucket in the
-    partition — no per-bucket Python call."""
+def _bucket_pairs(sf_dir: str, to_bands, metric: str, score,
+                  max_bucket: int | None = None) -> exchange.Exchanged:
+    """(doc_id_a, doc_id_b, ``metric``) near-dup pairs, one row per pair.
+
+    The writers band the documents leaf into (bucket, doc_id, sketch)
+    rows (``to_bands``). Each part of the exchange keyed on the bucket
+    sorts by (bucket, doc_id), caps oversized buckets and builds every
+    within-bucket pair in ONE segmented construction — no per-bucket
+    Python call (the round-2 scale fix: bucket COUNT is unbounded at
+    corpus scale even though each bucket is small); ``score(t, rows,
+    ii, jj)`` gives each pair's int64 metric and keep mask from the
+    sketch column's ``rows``. A pair found in several buckets keeps one
+    row through ``fx_agg_by``'s min on the pair key (the metric is
+    sketch-derived, so min() returns the one value every bucket
+    computed)."""
 
     def pairs(t: pa.Table) -> pa.Table:
         empty = pa.table({"doc_id_a": pa.array([], pa.int64()),
                           "doc_id_b": pa.array([], pa.int64()),
-                          "est_jaccard_pct": pa.array([], pa.int64())})
+                          metric: pa.array([], pa.int64())})
         if t.num_rows < 2:
             return empty
         bucket = t.column("bucket").to_numpy(zero_copy_only=False)
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, bucket))
-        bucket, ids = bucket[order], ids[order]
-        keep = _cap_segments(bucket, max_bucket or MAX_BUCKET)
-        bucket, ids = bucket[keep], ids[keep]
-        if len(ids) < 2:
-            return empty
-        sig = np.stack(t.column("sig").to_numpy(
-            zero_copy_only=False))[order][keep]
-        ii, jj = _segmented_pairs(bucket)
-        if len(ii) == 0:
-            return empty
-        est = (sig[ii] == sig[jj]).mean(axis=1)
-        pct = np.floor(est * 100).astype(np.int64)
-        m = pct >= min_est_pct
+        rows = order[_cap_segments(bucket[order], max_bucket or MAX_BUCKET)]
+        ii, jj = _segmented_pairs(bucket[rows])
+        val, m = score(t, rows, ii, jj)
         if not m.any():
             return empty
-        a, b = ids[ii[m]], ids[jj[m]]
-        lo, hi_ = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"doc_id_a": pa.array(lo),
-                         "doc_id_b": pa.array(hi_),
-                         "est_jaccard_pct": pa.array(pct[m])})
-    return pairs
+        a, b = ids[rows[ii[m]]], ids[rows[jj[m]]]
+        return pa.table({"doc_id_a": pa.array(np.minimum(a, b)),
+                         "doc_id_b": pa.array(np.maximum(a, b)),
+                         metric: pa.array(val[m])})
+
+    cand = exchange.file_exchange_map_groups(
+        _docs(sf_dir, ["doc_id", "text"]), pairs, keys=["bucket"],
+        pre=to_bands)
+    return exchange.fx_agg_by(cand.refs, ["doc_id_a", "doc_id_b"],
+                              [(metric, "min")])
 
 
-def _dedupe_pairs(ds: ray.data.Dataset,
-                  metric_col: str = "est_jaccard_pct") -> ray.data.Dataset:
-    """Same pair can surface from several buckets — keep one (no packed
-    key: int packing collides once ids pass 2^31, silently dropping
-    candidate pairs). The metric is deterministic per pair
-    (signature-derived), so min() returns the one value every bucket
-    computed. One exchange keyed on the pair, then a vectorized
-    lexsort fold per partition."""
+def _lsh_pairs(sf_dir: str, k: int, bands: int, shingle: int,
+               min_est_pct: int, max_bucket: int | None
+               ) -> exchange.Exchanged:
+    """MinHash+LSH candidate pairs with their estimated Jaccard
+    (``est_jaccard_pct``, the signatures' agreement in percent)."""
 
-    def fold(g: pa.Table) -> pa.Table:
-        a = g.column("doc_id_a").to_numpy(zero_copy_only=False)
-        b = g.column("doc_id_b").to_numpy(zero_copy_only=False)
-        m = g.column(metric_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b, m = a[order], b[order], m[order]
-        first = np.flatnonzero(np.concatenate(
-            [[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])]))
-        return pa.table({
-            "doc_id_a": pa.array(a[first]),
-            "doc_id_b": pa.array(b[first]),
-            metric_col: pa.array(np.minimum.reduceat(m, first)),
-        })
+    def score(t: pa.Table, rows, ii, jj):
+        sig = np.stack(t.column("sig").to_numpy(zero_copy_only=False))[rows]
+        pct = np.floor((sig[ii] == sig[jj]).mean(axis=1) * 100
+                       ).astype(np.int64)
+        return pct, pct >= min_est_pct
 
-    return exchange.file_exchange_map_groups(
-        ds, fold, keys=["doc_id_a", "doc_id_b"])
+    return _bucket_pairs(sf_dir, _to_bands_fn(k, bands, shingle),
+                         "est_jaccard_pct", score, max_bucket)
 
 
 def minhash_lsh_dedup(sf_dir: str, k: int = 64, bands: int = 16,
@@ -312,20 +304,10 @@ def minhash_lsh_dedup(sf_dir: str, k: int = 64, bands: int = 16,
                       max_bucket: int | None = None) -> ray.data.Dataset:
     """MinHash+LSH near-dup candidate pairs: shingle -> minhash -> band ->
     exchange keyed on the bucket (bounded group count; every bucket in
-    a partition pairs in one vectorized segmented pass) -> global pair
-    dedupe."""
-
-    def to_bands(t: pa.Table) -> pa.Table:
-        sig = minhash_sigs(t, k=k, shingle=shingle)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return _band_rows(ids, sig, bands)
-
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    banded = ds.map_batches(to_bands, batch_format="pyarrow")
-    cand = exchange.file_exchange_map_groups(
-        banded, _bucket_pairs_fn(min_est_pct, max_bucket),
-        keys=["bucket"])
-    return _dedupe_pairs(cand)
+    a part pairs in one vectorized segmented pass) -> one row per pair
+    (``fx_agg_by`` on the pair key)."""
+    return ray.data.from_arrow_refs(_lsh_pairs(
+        sf_dir, k, bands, shingle, min_est_pct, max_bucket).refs)
 
 
 # --------------------------------------------------------------------- #
@@ -372,39 +354,32 @@ def _exact_jaccard_pct(sh_a, sh_b) -> np.ndarray:
     return (100 * inter) // np.maximum(union, 1)
 
 
-def _attach_shingles(pairs: ray.data.Dataset,
-                     shingles: "list[ray.ObjectRef]",
-                     key_col: str, carry: list[str]) -> ray.data.Dataset:
-    """One co-partitioned hash-join pass: attach the shingle list of
-    ``key_col``'s doc to every pair row, as column ``sh``.
+def _attach_shingles(pairs: "list[ray.ObjectRef]",
+                     shingles: "list[ray.ObjectRef]", key_col: str,
+                     carry: "list[str]", out_col: str
+                     ) -> exchange.Exchanged:
+    """One co-partitioned hash-join pass: the ``carry`` columns of every
+    pair row plus, as ``out_col``, the shingle list of ``key_col``'s doc.
 
-    Pairs and the (doc_id, sh) shingle blocks are a co-group keyed on
-    the doc id; each bounded part then resolves pair→doc with a
-    vectorized searchsorted over the group's (unique) doc keys. The
-    shuffle moves candidate pairs + one shingle list per doc — never the
-    corpus, never anything to the driver."""
-
-    def pair_side(t: pa.Table) -> pa.Table:
-        return pa.table({"key": t.column(key_col),
-                         **{c: t.column(c) for c in carry}})
-
-    def doc_side(t: pa.Table) -> pa.Table:
-        return pa.table({"key": t.column("doc_id"),
-                         "sh": t.column("sh").cast(_SH_LIST)})
+    Pairs (keyed on ``key_col``) and the (doc_id, sh) shingle blocks
+    (keyed on doc_id) are a co-group; each bounded part then resolves
+    pair→doc with a vectorized searchsorted over the group's (unique)
+    doc keys. The shuffle moves candidate pairs + one shingle list per
+    doc — never the corpus, never anything to the driver."""
 
     def join(prs: pa.Table, docs: pa.Table) -> pa.Table:
-        out_cols = {c: prs.column(c) for c in ["key"] + carry}
+        out_cols = {c: prs.column(c) for c in carry}
         if prs.num_rows == 0:
-            out_cols["sh"] = pa.nulls(0, _SH_LIST)
+            out_cols[out_col] = pa.nulls(0, _SH_LIST)
             return pa.table(out_cols)
         if docs.num_rows == 0:
             raise ValueError("candidate pairs hashed to a partition with "
                              "no shingle rows — mismatched inputs")
-        dk = docs.column("key").to_numpy(zero_copy_only=False)
+        dk = docs.column("doc_id").to_numpy(zero_copy_only=False)
         dorder = np.argsort(dk, kind="stable")
         dk = dk[dorder]
         dsh = docs.column("sh").take(pa.array(dorder)).combine_chunks()
-        pk = prs.column("key").to_numpy(zero_copy_only=False)
+        pk = prs.column(key_col).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(dk, pk)
         pos = np.clip(pos, 0, len(dk) - 1)
         if not (dk[pos] == pk).all():
@@ -413,11 +388,41 @@ def _attach_shingles(pairs: ray.data.Dataset,
             # missing key means mismatched inputs
             raise ValueError("candidate pair references a doc_id absent "
                              "from the shingle table")
-        out_cols["sh"] = dsh.take(pa.array(pos))
+        out_cols[out_col] = dsh.take(pa.array(pos))
         return pa.table(out_cols)
 
     return exchange.file_exchange_map_groups(
-        (pairs, shingles), join, keys=["key"], pre=(pair_side, doc_side))
+        (pairs, shingles), join, keys=([key_col], ["doc_id"]))
+
+
+def _verified_pairs(sf_dir: str, shingle: int, min_jaccard_pct: int,
+                    k: int, bands: int, finish=None
+                    ) -> "list[ray.ObjectRef]":
+    """``ngram_jaccard_dedup``'s (doc_id_a, doc_id_b, jaccard_pct) rows
+    as block refs, each block passed through ``finish`` in the verify
+    task when given."""
+    cand = _lsh_pairs(sf_dir, k, bands, shingle, 40, None)
+    # block refs: BOTH join passes consume this table, read and
+    # shingled once by raw tasks (object store holds hash lists,
+    # ~8 B/word, and spills if needed)
+    shingles = exchange.map_blocks(
+        _docs(sf_dir, ["doc_id", "text"]),
+        functools.partial(_shingle_list_batch, shingle=shingle))
+    pair = ["doc_id_a", "doc_id_b"]
+    with_a = _attach_shingles(cand.refs, shingles, "doc_id_a", pair, "sh_a")
+    with_b = _attach_shingles(with_a.refs, shingles, "doc_id_b",
+                              pair + ["sh_a"], "sh_b")
+
+    def verify(t: pa.Table) -> pa.Table:
+        pct = _exact_jaccard_pct(t.column("sh_a"), t.column("sh_b"))
+        out = pa.table({"doc_id_a": t.column("doc_id_a"),
+                        "doc_id_b": t.column("doc_id_b"),
+                        "jaccard_pct": pa.array(pct.astype(np.int64))})
+        out = out.filter(pc.greater_equal(out.column("jaccard_pct"),
+                                          min_jaccard_pct))
+        return out if finish is None else finish(out)
+
+    return exchange.map_blocks(with_b.refs, verify)
 
 
 def ngram_jaccard_dedup(sf_dir: str, shingle: int = 3,
@@ -426,53 +431,13 @@ def ngram_jaccard_dedup(sf_dir: str, shingle: int = 3,
     """LSH candidates re-verified with EXACT word-``shingle``-gram Jaccard.
 
     Scale shape (replaces round 1's driver-side whole-corpus shingle-set
-    broadcast): the per-doc shingle table is a distributed Dataset; two
-    co-partitioned hash-join passes attach side A's then side B's shingle
-    list to each candidate pair; the exact Jaccard is one vectorized
-    sort-and-count over the pair-tagged shingles. Driver traffic: zero
-    rows."""
-    cand = minhash_lsh_dedup(sf_dir, k=k, bands=bands, shingle=shingle,
-                             min_est_pct=40)
-
-    def strip_est(t: pa.Table) -> pa.Table:
-        return t.drop_columns(["est_jaccard_pct"])
-
-    cand = cand.map_batches(strip_est, batch_format="pyarrow")
-    # block refs: BOTH join passes consume this table, read and
-    # shingled once by raw tasks (object store holds hash lists,
-    # ~8 B/word, and spills if needed)
-    shingles = exchange.map_blocks(
-        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"]),
-        functools.partial(_shingle_list_batch, shingle=shingle))
-
-    # pass A: key = doc_id_a → sh_a
-    with_a = _attach_shingles(cand, shingles, "doc_id_a",
-                              ["doc_id_a", "doc_id_b"])
-
-    def rename_a(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id_a": t.column("doc_id_a"),
-                         "doc_id_b": t.column("doc_id_b"),
-                         "sh_a": t.column("sh")})
-
-    with_a = with_a.map_batches(rename_a, batch_format="pyarrow")
-
-    # pass B: key = doc_id_b → sh (B's list), sh_a carried through
-    with_b = _attach_shingles(with_a, shingles, "doc_id_b",
-                              ["doc_id_a", "doc_id_b", "sh_a"])
-
-    def verify(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"doc_id_a": pa.array([], pa.int64()),
-                             "doc_id_b": pa.array([], pa.int64()),
-                             "jaccard_pct": pa.array([], pa.int64())})
-        pct = _exact_jaccard_pct(t.column("sh_a"), t.column("sh"))
-        out = pa.table({"doc_id_a": t.column("doc_id_a"),
-                        "doc_id_b": t.column("doc_id_b"),
-                        "jaccard_pct": pa.array(pct.astype(np.int64))})
-        return out.filter(pc.greater_equal(out.column("jaccard_pct"),
-                                           min_jaccard_pct))
-
-    return with_b.map_batches(verify, batch_format="pyarrow")
+    broadcast): the per-doc shingle table is block refs written once by
+    raw tasks; two co-partitioned hash-join passes attach side A's then
+    side B's shingle list to each candidate pair; the exact Jaccard is
+    one vectorized sort-and-count over the pair-tagged shingles. Driver
+    traffic: zero rows."""
+    return ray.data.from_arrow_refs(_verified_pairs(
+        sf_dir, shingle, min_jaccard_pct, k, bands))
 
 
 # --------------------------------------------------------------------- #
@@ -483,7 +448,7 @@ def simhash_batch(t: pa.Table, text_col: str = "text") -> np.ndarray:
     (vectorized bit expansion + ``add.reduceat``)."""
     txt = pc.utf8_trim_whitespace(t.column(text_col))
     words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    h = _hash_str_array(words.flatten())
+    h = hash_str_array(words.flatten())
     counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
     starts = np.zeros(t.num_rows, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
@@ -509,7 +474,7 @@ def simhash_dedup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
     candidate generation by 16-bit band pigeonhole (4 bands: any pair
     within distance 3 shares at least one exact band). Pairing runs per
     part of an exchange keyed on the bucket, with one segmented
-    vectorized pass over all buckets (same scale shape as
+    vectorized pass over all buckets (``_bucket_pairs``, as
     minhash_lsh_dedup)."""
 
     def to_bands(t: pa.Table) -> pa.Table:
@@ -525,39 +490,14 @@ def simhash_dedup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
                          "doc_id": pa.array(np.tile(ids, 4)),
                          "simhash": pa.array(np.tile(sh, 4).view(np.int64))})
 
-    def pairs(t: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_id_a": pa.array([], pa.int64()),
-                          "doc_id_b": pa.array([], pa.int64()),
-                          "hamming": pa.array([], pa.int64())})
-        if t.num_rows < 2:
-            return empty
-        bucket = t.column("bucket").to_numpy(zero_copy_only=False)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, bucket))
-        bucket, ids = bucket[order], ids[order]
-        keep = _cap_segments(bucket, MAX_BUCKET)
-        bucket, ids = bucket[keep], ids[keep]
-        if len(ids) < 2:
-            return empty
+    def score(t: pa.Table, rows, ii, jj):
         sh = t.column("simhash").to_numpy(zero_copy_only=False).astype(
-            np.int64).view(np.uint64)[order][keep]
-        ii, jj = _segmented_pairs(bucket)
-        if len(ii) == 0:
-            return empty
+            np.int64).view(np.uint64)[rows]
         ham = _popcount64(sh[ii] ^ sh[jj]).astype(np.int64)
-        m = ham <= max_hamming
-        if not m.any():
-            return empty
-        a, b = ids[ii[m]], ids[jj[m]]
-        return pa.table({"doc_id_a": pa.array(np.minimum(a, b)),
-                         "doc_id_b": pa.array(np.maximum(a, b)),
-                         "hamming": pa.array(ham[m])})
+        return ham, ham <= max_hamming
 
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    cand = exchange.file_exchange_map_groups(
-        ds.map_batches(to_bands, batch_format="pyarrow"), pairs,
-        keys=["bucket"])
-    return _dedupe_pairs(cand, "hamming")
+    return ray.data.from_arrow_refs(
+        _bucket_pairs(sf_dir, to_bands, "hamming", score).refs)
 
 
 # --------------------------------------------------------------------- #
@@ -591,9 +531,8 @@ def embedding_cosine_dedup(sf_dir: str, threshold_pct: int = 35
         return pa.table({"vec_id_a": pa.array(bids[ii]),
                          "vec_id_b": pa.array(rids[jj])})
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    return ds.map_batches(nearpairs, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(
+        exchange.map_blocks(_embeddings(sf_dir), nearpairs))
 
 
 def embedding_ann_dedup(sf_dir: str, threshold_pct: int = 35,
@@ -648,15 +587,11 @@ def embedding_ann_dedup(sf_dir: str, threshold_pct: int = 35,
                 np.floor(S[ii, jj] * 100).astype(np.int64)),
         })
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
     # the IVF cell is the explicit route
     cand = exchange.file_exchange_map_groups(
-        ds.map_batches(to_cells, batch_format="pyarrow"), cell_pairs)
-
-    from ..stages.exchange import fx_agg_by
-    return fx_agg_by(cand, ["vec_id_a", "vec_id_b"],
-                     [("sim_pct", "min")])
+        _embeddings(sf_dir), cell_pairs, pre=to_cells)
+    return ray.data.from_arrow_refs(exchange.fx_agg_by(
+        cand.refs, ["vec_id_a", "vec_id_b"], [("sim_pct", "min")]).refs)
 
 
 # --------------------------------------------------------------------- #
@@ -715,9 +650,7 @@ def decontaminate(sf_dir: str, benchmark: "list[str] | None" = None,
                 (n_hits >= min_hits).astype(np.int8)),
         })
 
-    from .text import read_documents
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    return ds.map_batches(scan, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], scan)
 
 
 # --------------------------------------------------------------------- #
@@ -727,7 +660,7 @@ def _split_lines(t: pa.Table, text_col: str, sep: str
                  ) -> tuple[pa.ListArray, np.ndarray, np.ndarray]:
     """(line lists, flat line hashes, per-row line counts) for a batch."""
     lines = pc.split_pattern(t.column(text_col), sep).combine_chunks()
-    h = _hash_str_array(lines.flatten())
+    h = hash_str_array(lines.flatten())
     counts = pc.list_value_length(lines).to_numpy(zero_copy_only=False)
     return lines, h, counts
 
@@ -740,19 +673,19 @@ def remove_boilerplate_lines(sf_dir: str, min_docs: int = 2,
     Returns (doc_id, text, n_kept, n_removed); a fully-boilerplate doc
     keeps its row with empty text.
 
-    Scale shape: pass 1 pre-aggregates per batch — per-doc DISTINCT line
-    hashes, then a batch-local doc count per hash — so the only shuffle
-    is a native ``groupby(line_h).sum`` over already-combined partials
-    (the 64-bit hash travels, never the line text). The common-line set
-    is bounded by the frequency threshold (boilerplate is heavy-hitter
-    by definition), so it is collected once and broadcast via
+    Scale shape: pass 1 pre-aggregates per block (the exchange's
+    ``pre``) — per-doc DISTINCT line hashes, then a block-local doc
+    count per hash — so the only shuffle is ``fx_sum_by`` on line_h
+    over already-combined partials (the 64-bit hash travels, never the
+    line text). The common-line set is bounded by the frequency
+    threshold (boilerplate is heavy-hitter by definition), so it is
+    filtered in raw tasks, collected once and broadcast via
     ``ray.put``; pass 2 streams the corpus through one vectorized
-    searchsorted + Arrow list rebuild per batch. At 100 TB the collected
+    searchsorted + Arrow list rebuild per block. At 100 TB the collected
     set is the only driver traffic; if a corpus ever produced an
     unbounded common set, raise ``min_docs`` or shard the blocklist by
     hash range.
     """
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
 
     def line_freq(t: pa.Table) -> pa.Table:
         _, h, counts = _split_lines(t, "text", sep)
@@ -765,20 +698,17 @@ def remove_boilerplate_lines(sf_dir: str, min_docs: int = 2,
         return pa.table({"line_h": pa.array(uh.view(np.int64)),
                          "nd": pa.array(nd.astype(np.int64))})
 
-    from ..stages.exchange import fx_sum_by
-    freq = fx_sum_by(ds.map_batches(line_freq, batch_format="pyarrow"),
-                     ["line_h"], ["nd"])
+    freq = exchange.fx_sum_by(_docs(sf_dir, ["doc_id", "text"]),
+                              ["line_h"], ["nd"], pre=line_freq)
 
     def common_only(t: pa.Table) -> pa.Table:
         keep = pc.greater_equal(t.column("nd"), min_docs)
         return pa.table({"line_h": t.filter(keep).column("line_h")})
 
-    common_df = freq.map_batches(common_only,
-                                 batch_format="pyarrow").to_pandas()
-    if len(common_df):           # empty Dataset.to_pandas() drops columns
-        common = np.sort(common_df["line_h"].to_numpy().view(np.uint64))
-    else:
-        common = np.empty(0, np.uint64)
+    common = np.sort(np.concatenate([
+        t.column("line_h").to_numpy(zero_copy_only=False)
+        for t in ray.get(exchange.map_blocks(freq.refs, common_only))
+    ]).view(np.uint64))
     ref = ray.put(common)
 
     def strip(t: pa.Table) -> pa.Table:
@@ -804,106 +734,111 @@ def remove_boilerplate_lines(sf_dir: str, min_docs: int = 2,
             "n_removed": pa.array((counts - kept_counts).astype(np.int64)),
         })
 
-    return ds.map_batches(strip, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "text"], strip)
 
 
 # --------------------------------------------------------------------- #
 # duplicate clusters: distributed connected components over the
 # verified near-dup pair graph
 # --------------------------------------------------------------------- #
-def _cc_min_label(edges: ray.data.Dataset,
-                  max_iters: int = 16) -> ray.data.Dataset:
+def _init_labels(t: pa.Table) -> pa.Table:
+    """A node's first label: the smaller end of each of its edges."""
+    src = t.column("src").to_numpy(zero_copy_only=False)
+    dst = t.column("dst").to_numpy(zero_copy_only=False)
+    return pa.table({"node": pa.array(src),
+                     "lab": pa.array(np.minimum(src, dst))})
+
+
+def _jump_edges(t: pa.Table) -> pa.Table:
+    """Label pointers as extra edges lab -> node (skip self-labels: they
+    would only echo the node's own label back)."""
+    lab = t.column("lab").to_numpy(zero_copy_only=False)
+    return t.filter(pa.array(lab != t.column("node").to_numpy(
+        zero_copy_only=False)))
+
+
+def _send(e: pa.Table, j: pa.Table, lb: pa.Table) -> pa.Table:
+    """Per part: msg (node=dst, lab=label(src)) for every edge src -> dst
+    and every jump edge lab -> node whose source lives here."""
+    def col(t: pa.Table, c: str) -> np.ndarray:
+        return t.column(c).to_numpy(zero_copy_only=False)
+
+    ek = np.concatenate([col(e, "src"), col(j, "lab")])
+    ev = np.concatenate([col(e, "dst"), col(j, "node")])
+    lk, lv = col(lb, "node"), col(lb, "lab")
+    order = np.argsort(lk, kind="stable")
+    lk, lv = lk[order], lv[order]
+    if len(ek) == 0 or len(lk) == 0:
+        return pa.table({"node": pa.array([], pa.int64()),
+                         "lab": pa.array([], pa.int64())})
+    pos = np.clip(np.searchsorted(lk, ek), 0, len(lk) - 1)
+    if not (lk[pos] == ek).all():
+        raise ValueError("edge src absent from label table — "
+                         "labels must cover every edge endpoint")
+    return pa.table({"node": pa.array(ev), "lab": pa.array(lv[pos])})
+
+
+def _lab_sum(t: pa.Table) -> pa.Table:
+    return pa.table({"s": pa.array([int(t.column("lab").to_numpy(
+        zero_copy_only=False).sum())], pa.int64())})
+
+
+def _cc_min_label(edges: "list[ray.ObjectRef]", max_iters: int = 16
+                  ) -> "list[ray.ObjectRef]":
     """Connected components by min-label propagation WITH pointer
-    jumping: ``(node, cluster_id)`` where ``cluster_id`` is the minimum
+    jumping: block refs of ``(node, lab)`` where ``lab`` is the minimum
     node id in the component.
 
-    ``edges`` must be symmetric ``(src, dst)``. Each round augments the
-    edge set with the current label pointers ``(lab -> node)`` so a node
-    reads its label's label too (pointer doubling, Rastogi et al.,
-    "Finding Connected Components in MapReduce", ICDE 2013) — rounds are
-    O(log diameter), not O(diameter). Per round: one co-partitioned
-    join (edges keyed by src meet labels keyed by node) plus one
-    per-node min, each one keyed exchange. Convergence is detected by
-    the label sum — labels are non-negative and only ever decrease, so
-    an unchanged sum IS the fixpoint; the driver sees one scalar per
-    round, never a row."""
-    def _min_by_node(src, pre=None) -> ray.data.Dataset:
-        """min(lab) per node: ONE exchange keyed on node + a vectorized
-        lexsort fold over every member's (node, lab) rows."""
-        def fold(*gs: pa.Table) -> pa.Table:
-            node = np.concatenate([g.column("node").to_numpy(
-                zero_copy_only=False) for g in gs])
-            lab = np.concatenate([g.column("lab").to_numpy(
-                zero_copy_only=False) for g in gs])
-            order = np.lexsort((lab, node))
-            node, lab = node[order], lab[order]
-            first = np.flatnonzero(np.concatenate(
-                [[True], node[1:] != node[:-1]]))
-            return pa.table({"node": pa.array(node[first], pa.int64()),
-                             "lab": pa.array(lab[first], pa.int64())})
-
-        return exchange.file_exchange_map_groups(src, fold, keys=["node"],
-                                                 pre=pre)
-
-    def init_labels(t: pa.Table) -> pa.Table:
-        src = t.column("src").to_numpy(zero_copy_only=False)
-        dst = t.column("dst").to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(src),
-                         "lab": pa.array(np.minimum(src, dst))})
-
-    # materialized once: every pointer-jumping round reads the edges
-    edges = edges.materialize()
-    labels = _min_by_node(edges, init_labels).materialize()
-
-    def jump_edges(t: pa.Table) -> pa.Table:
-        """label pointers as extra edges lab -> node (skip self-labels:
-        they would only echo the node's own label back)."""
-        lab = t.column("lab").to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(lab != t.column("node").to_numpy(
-            zero_copy_only=False)))
-
-    def send(e: pa.Table, j: pa.Table, lb: pa.Table) -> pa.Table:
-        """per hash partition: msg (node=dst, lab=label(src)) for every
-        edge src -> dst and every jump edge lab -> node whose source
-        lives here."""
-        def col(t: pa.Table, c: str) -> np.ndarray:
-            return t.column(c).to_numpy(zero_copy_only=False)
-
-        ek = np.concatenate([col(e, "src"), col(j, "lab")])
-        ev = np.concatenate([col(e, "dst"), col(j, "node")])
-        lk, lv = col(lb, "node"), col(lb, "lab")
-        order = np.argsort(lk, kind="stable")
-        lk, lv = lk[order], lv[order]
-        if len(ek) == 0 or len(lk) == 0:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "lab": pa.array([], pa.int64())})
-        pos = np.clip(np.searchsorted(lk, ek), 0, len(lk) - 1)
-        if not (lk[pos] == ek).all():
-            raise ValueError("edge src absent from label table — "
-                             "labels must cover every edge endpoint")
-        return pa.table({"node": pa.array(ev),
-                         "lab": pa.array(lv[pos])})
-
+    ``edges`` are block refs of symmetric ``(src, dst)`` rows. Each
+    round augments the edge set with the current label pointers
+    ``(lab -> node)`` so a node reads its label's label too (pointer
+    doubling, Rastogi et al., "Finding Connected Components in
+    MapReduce", ICDE 2013) — rounds are O(log diameter), not
+    O(diameter). Per round: one co-partitioned join (edges keyed by src
+    meet labels keyed by node) plus one per-node min (``fx_agg_by``),
+    each one keyed exchange. Convergence is detected by the label sum —
+    labels are non-negative and only ever decrease, so an unchanged sum
+    IS the fixpoint; the driver sees one scalar per block per round,
+    never a row."""
+    labels = exchange.fx_agg_by(edges, ["node"], [("lab", "min")],
+                                pre=_init_labels).refs
     prev_sum = None
     for _ in range(max_iters):
         # a co-group: edges routed by src, jump edges by lab, labels by
         # node — each member on its own key column
         msgs = exchange.file_exchange_map_groups(  # emits (node, lab)
-            (edges, labels, labels), send,
-            keys=(["src"], ["lab"], ["node"]), pre=(None, jump_edges, None))
-        labels = _min_by_node((msgs, labels)).materialize()
-        # convergence scalar: bounded per-block partials, no aggregate
-        # exchange
-        s = sum(r["s"] for r in labels.map_batches(
-            lambda t: pa.table({"s": pa.array(
-                [int(t.column("lab").to_numpy(
-                    zero_copy_only=False).sum())], pa.int64())}),
-            batch_format="pyarrow").take_all())
+            (edges, labels, labels), _send,
+            keys=(["src"], ["lab"], ["node"]), pre=(None, _jump_edges, None))
+        labels = exchange.fx_agg_by(msgs.refs + labels, ["node"],
+                                    [("lab", "min")]).refs
+        s = sum(t.column("s")[0].as_py()
+                for t in ray.get(exchange.map_blocks(labels, _lab_sum)))
         if s == prev_sum:
             return labels
         prev_sum = s
     raise RuntimeError(f"connected components did not converge in "
                        f"{max_iters} pointer-jumping rounds")
+
+
+def _both_dirs(t: pa.Table) -> pa.Table:
+    a = t.column("doc_id_a").to_numpy(zero_copy_only=False)
+    b = t.column("doc_id_b").to_numpy(zero_copy_only=False)
+    return pa.table({"src": pa.array(np.concatenate([a, b])),
+                     "dst": pa.array(np.concatenate([b, a]))})
+
+
+def _cluster_labels(sf_dir: str, shingle: int, min_jaccard_pct: int
+                    ) -> "list[ray.ObjectRef]":
+    """(node, lab) block refs of every doc in a verified near-dup pair:
+    the verify tasks emit both edge directions, and connected components
+    run on them."""
+    return _cc_min_label(_verified_pairs(sf_dir, shingle, min_jaccard_pct,
+                                         64, 16, finish=_both_dirs))
+
+
+def _doc_cluster(t: pa.Table) -> pa.Table:
+    return pa.table({"doc_id": t.column("node"),
+                     "cluster_id": t.column("lab")})
 
 
 def duplicate_clusters(sf_dir: str, shingle: int = 3,
@@ -918,22 +853,15 @@ def duplicate_clusters(sf_dir: str, shingle: int = 3,
     Pair detection is LSH-candidate + exact verify (no all-pairs stage);
     the component computation touches only the pair graph, which is a
     small fraction of the corpus by construction."""
-    pairs = ngram_jaccard_dedup(sf_dir, shingle=shingle,
-                                min_jaccard_pct=min_jaccard_pct)
+    return ray.data.from_arrow_refs(exchange.map_blocks(
+        _cluster_labels(sf_dir, shingle, min_jaccard_pct), _doc_cluster))
 
-    def both_dirs(t: pa.Table) -> pa.Table:
-        a = t.column("doc_id_a").to_numpy(zero_copy_only=False)
-        b = t.column("doc_id_b").to_numpy(zero_copy_only=False)
-        return pa.table({"src": pa.array(np.concatenate([a, b])),
-                         "dst": pa.array(np.concatenate([b, a]))})
 
-    edges = pairs.map_batches(both_dirs,
-                              batch_format="pyarrow").materialize()
-    labels = _cc_min_label(edges)
-    return labels.map_batches(
-        lambda t: pa.table({"doc_id": t.column("node"),
-                            "cluster_id": t.column("lab")}),
-        batch_format="pyarrow")
+def _drops_only(t: pa.Table) -> pa.Table:
+    """The cluster members other than the representative, as doc_id."""
+    node = t.column("node").to_numpy(zero_copy_only=False)
+    lab = t.column("lab").to_numpy(zero_copy_only=False)
+    return pa.table({"doc_id": pa.array(node[node != lab])})
 
 
 def near_dedup_keep(sf_dir: str, shingle: int = 3,
@@ -945,24 +873,43 @@ def near_dedup_keep(sf_dir: str, shingle: int = 3,
     The removal set (non-representative members) is cluster-graph-sized
     but unbounded in theory, so it is anti-joined against the corpus via
     an ``fx_join`` anti-join, as pipelines/curate.py semi-joins its
-    survivors — never broadcast (a Dataset right side always routes),
+    survivors — never broadcast (a refs right side always routes),
     never on the driver."""
-    clusters = duplicate_clusters(sf_dir, shingle=shingle,
-                                  min_jaccard_pct=min_jaccard_pct)
-
-    def drops_only(t: pa.Table) -> pa.Table:
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        cl = t.column("cluster_id").to_numpy(zero_copy_only=False)
-        return pa.table({"doc_id": pa.array(doc[doc != cl])})
-
-    return exchange.fx_join(
-        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id"]),
-        clusters, on="doc_id", how="anti", pre=(None, drops_only))
+    return ray.data.from_arrow_refs(exchange.fx_join(
+        _docs(sf_dir, ["doc_id"]),
+        _cluster_labels(sf_dir, shingle, min_jaccard_pct), on="doc_id",
+        how="anti", pre=(None, _drops_only)).refs)
 
 
 # --------------------------------------------------------------------- #
 # exact duplicated-substring coverage (suffix-array dedup flavor)
 # --------------------------------------------------------------------- #
+def _gram_rows(t: pa.Table, gram: int, stride: int) -> pa.Table:
+    """(doc_id, pos, g) for every sampled ``gram``-char gram of a block,
+    at every ``stride``-th char offset: one Arrow
+    ``utf8_slice_codeunits`` kernel per offset, vectorized across the
+    block (offsets bound by its LONGEST doc / stride, not by rows)."""
+    empty = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "pos": pa.array([], pa.int64()),
+                      "g": pa.array([], pa.string())})
+    if t.num_rows == 0:
+        return empty
+    txt = t.column("text")
+    nch = pc.utf8_length(txt).to_numpy(zero_copy_only=False)
+    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+    parts = []
+    for k in range(0, max(int(nch.max()) - gram + 1, 0), stride):
+        sel = nch >= k + gram
+        if not sel.any():
+            break
+        parts.append(pa.table({
+            "doc_id": pa.array(ids[sel]),
+            "pos": pa.array(np.full(int(sel.sum()), k, np.int64)),
+            "g": pc.utf8_slice_codeunits(
+                txt.filter(pa.array(sel)), k, k + gram)}))
+    return pa.concat_tables(parts) if parts else empty
+
+
 def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16
                       ) -> ray.data.Dataset:
     """Exact duplicated-substring coverage, the distributed stand-in
@@ -976,10 +923,9 @@ def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16
     than ``gram`` chars contribute no row. No reference counterpart —
     training-data curation surface (same family as exact_dedup above).
 
-    Scale shape: gram extraction is one Arrow ``utf8_slice_codeunits``
-    kernel per offset (vectorized across the batch; offsets bound by
-    the LONGEST doc in the batch / stride, not by row count), deduped
-    per doc by one Arrow group_by before anything moves. ONE
+    Scale shape: gram extraction (``_gram_rows``) is one Arrow
+    ``utf8_slice_codeunits`` kernel per offset, deduped per doc by one
+    Arrow group_by in the writers before anything moves. ONE
     exchange keyed on the gram counts distinct docs per
     gram and collapses to per-(partition, doc) partial counts — a doc's
     distinct grams land in exactly one partition each, so the partial
@@ -989,30 +935,10 @@ def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16
     computes), never hash-collision-dependent; swap the payload for its
     128-bit hash when byte volume, not exactness, is the binding
     constraint at 100 TB."""
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-
     def grams(t: pa.Table) -> pa.Table:
-        """Distinct (doc_id, gram) pairs of a batch."""
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "g": pa.array([], pa.string())})
-        if t.num_rows == 0:
-            return empty
-        txt = t.column("text")
-        nch = pc.utf8_length(txt).to_numpy(zero_copy_only=False)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        parts = []
-        for k in range(0, max(int(nch.max()) - gram + 1, 0), stride):
-            sel = nch >= k + gram
-            if not sel.any():
-                break
-            sub = pc.utf8_slice_codeunits(
-                txt.filter(pa.array(sel)), k, k + gram)
-            parts.append(pa.table({"doc_id": pa.array(ids[sel]),
-                                   "g": sub}))
-        if not parts:
-            return empty
-        return (pa.concat_tables(parts)
-                .group_by(["doc_id", "g"]).aggregate([]))
+        """Distinct (doc_id, gram) pairs of a block."""
+        return _gram_rows(t, gram, stride).group_by(
+            ["doc_id", "g"]).aggregate([])
 
     def mark(gp: pa.Table) -> pa.Table:
         """One gram partition: distinct-doc counts per gram ->
@@ -1033,10 +959,10 @@ def dup_gram_coverage(sf_dir: str, gram: int = 32, stride: int = 16
                 inv, minlength=len(uids)).astype(np.int64)),
         })
 
-    from ..stages.exchange import fx_sum_by
     partials = exchange.file_exchange_map_groups(
-        ds.map_batches(grams, batch_format="pyarrow"), mark, keys=["g"])
-    return fx_sum_by(partials, ["doc_id"], ["dup_grams", "total_grams"])
+        _docs(sf_dir, ["doc_id", "text"]), mark, keys=["g"], pre=grams)
+    return ray.data.from_arrow_refs(exchange.fx_sum_by(
+        partials.refs, ["doc_id"], ["dup_grams", "total_grams"]).refs)
 
 
 # --------------------------------------------------------------------- #
@@ -1097,24 +1023,17 @@ def _semdedup_part(g: pa.Table, tau: float, chunk: int = 2048
     })
 
 
-def _semdedup_tag_block(t: pa.Table, C: np.ndarray) -> pa.Table:
+def _semdedup_tag(t: pa.Table, C: np.ndarray) -> pa.Table:
+    """(cluster, vec_id, embedding): each vector's nearest centroid."""
     from .ann import _kmeans_dist2, _micro_vectors
     ids, M = _micro_vectors(t)
-    if len(ids) == 0:
-        return pa.table({
-            "cluster": pa.array([], pa.int64()),
-            "vec_id": pa.array([], pa.int64()),
-            "embedding": t.column("embedding"),
-        })
-    assign = np.argmin(_kmeans_dist2(M, C), axis=1).astype(np.int64)
+    assign = (np.argmin(_kmeans_dist2(M, C), axis=1) if len(ids)
+              else np.empty(0))
     return pa.table({
-        "cluster": pa.array(assign),
+        "cluster": pa.array(assign.astype(np.int64)),
         "vec_id": pa.array(ids.astype(np.int64)),
         "embedding": t.column("embedding"),
     })
-
-
-_SEMDEDUP_TAG = ray.remote(num_cpus=1)(_semdedup_tag_block)
 
 
 def semdedup(sf_dir: str, k: int = 8, iters: int = 12,
@@ -1128,21 +1047,21 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 12,
     is the earliest too-similar vec_id, null for kept rows. No
     reference counterpart — training-data curation surface.
 
-    Scale shape: centroids come from the shared ``ann._kmeans_fit``
-    (blocks read once, one raw-task fan per Lloyd's iteration, no
-    shuffle); assignment + exchange tagging is one more raw-task fan
-    over the SAME pinned blocks. The only shuffle is ONE exchange keyed
-    on the cluster — a vector moves exactly once, to the
-    partition that owns its cluster. The per-cluster prune is
+    Scale shape: the embeddings leaf is read once into block refs by raw
+    tasks; centroids come from the shared ``ann._kmeans_fit`` (one
+    raw-task fan per Lloyd's iteration over those refs, no shuffle);
+    assignment is the ``pre`` of the only shuffle, ONE exchange keyed
+    on the cluster over the SAME refs — a vector moves exactly once, to
+    the partition that owns its cluster. The per-cluster prune is
     column-chunked (O(cluster x 2048) similarity buffer) and the
     pairwise cost is bounded by the largest CLUSTER, not the corpus:
     pick k ~ N/1000 as the paper does so clusters stay ~1e3 and the
     prune is ~1e6 flops per cluster. Result is partitioning-invariant:
     assignment is integer-exact and each cluster is pruned whole in
     ascending vec_id order (pinned by tests)."""
-    from .ann import _kmeans_fit, _read_embeddings
+    from .ann import _kmeans_fit
 
-    blocks = _read_embeddings(sf_dir).materialize().to_arrow_refs()
+    blocks = exchange.map_blocks(_embeddings(sf_dir), lambda t: t)
     C = _kmeans_fit(blocks, k, iters)
     if C is None:
         return ray.data.from_arrow(pa.table({
@@ -1150,14 +1069,10 @@ def semdedup(sf_dir: str, k: int = 8, iters: int = 12,
             "cluster": pa.array([], pa.int64()),
             "keep": pa.array([], pa.int8()),
             "dup_of": pa.array([], pa.int64())}))
-    ref = ray.put(C)
-    tagged = ray.data.from_arrow_refs(
-        [_SEMDEDUP_TAG.remote(b, ref) for b in blocks])
-    from functools import partial as _p
-    return exchange.file_exchange_map_groups(
-        tagged, _p(_semdedup_part, tau=threshold_pm / 1000.0),
-        keys=["cluster"])
-
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        blocks, functools.partial(_semdedup_part,
+                                  tau=threshold_pm / 1000.0),
+        keys=["cluster"], pre=functools.partial(_semdedup_tag, C=C)).refs)
 
 
 def _cut_spans_flat(txt: pa.Array, span_doc: np.ndarray,
@@ -1235,33 +1150,6 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16
     (``_cut_spans_flat``): char-start mask, difference-array span
     marks, reduceat re-offsets — no per-row loop anywhere."""
 
-    def grams_pos(t: pa.Table) -> pa.Table:
-        """(doc_id, pos, g) for every sampled occurrence — no
-        per-doc distinct here: a within-doc repeat is itself removable
-        (only the globally-first occurrence survives)."""
-        empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                          "pos": pa.array([], pa.int64()),
-                          "g": pa.array([], pa.string())})
-        if t.num_rows == 0:
-            return empty
-        txt = t.column("text")
-        nch = pc.utf8_length(txt).to_numpy(zero_copy_only=False)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        parts = []
-        for k in range(0, max(int(nch.max()) - gram + 1, 0), stride):
-            sel = nch >= k + gram
-            if not sel.any():
-                break
-            sub = pc.utf8_slice_codeunits(
-                txt.filter(pa.array(sel)), k, k + gram)
-            parts.append(pa.table({
-                "doc_id": pa.array(ids[sel]),
-                "pos": pa.array(np.full(int(sel.sum()), k, np.int64)),
-                "g": sub}))
-        if not parts:
-            return empty
-        return pa.concat_tables(parts)
-
     def elect(gp: pa.Table) -> pa.Table:
         """Per gram: if >= 2 distinct docs hold it, every occurrence
         except the (doc_id, pos)-minimum becomes a removal row."""
@@ -1328,7 +1216,8 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16
 
     docs = exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     removals = exchange.file_exchange_map_groups(
-        docs, elect, keys=["g"], pre=grams_pos)
+        docs, elect, keys=["g"],
+        pre=functools.partial(_gram_rows, gram=gram, stride=stride))
     return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
         (docs, removals.refs), cut, keys=["doc_id"]).refs)
 
@@ -1337,8 +1226,7 @@ def remove_dup_spans(sf_dir: str, gram: int = 32, stride: int = 16
 # incremental MinHash dedup: delta vs a persisted corpus band index
 # --------------------------------------------------------------------- #
 
-def _to_bands_fn(k: int, bands: int, shingle: int, num_partitions: int,
-                 column: str = "text"):
+def _to_bands_fn(k: int, bands: int, shingle: int, column: str = "text"):
     """Banding kernel shared by the one-shot LSH dedup, the index
     builder and the delta matcher — identical params MUST produce
     identical buckets or the index is useless. A LIST-typed ``column``
@@ -1346,17 +1234,38 @@ def _to_bands_fn(k: int, bands: int, shingle: int, num_partitions: int,
 
     def to_bands(t: pa.Table) -> pa.Table:
         sig = minhash_sigs(t, text_col=column, k=k, shingle=shingle)
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        out = _band_rows(ids, sig, bands)
-        bp = (out.column("bucket").to_numpy(zero_copy_only=False)
-              .view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return out.append_column("bpart", pa.array(bp))
+        return _band_rows(t.column("doc_id").to_numpy(zero_copy_only=False),
+                          sig, bands)
     return to_bands
 
 
-def build_minhash_index(docs: "str | ray.data.Dataset", index_root: str,
-                        *, k: int = 64, bands: int = 16, shingle: int = 3,
-                        num_partitions: int = 16,
+def _band_part(banded: pa.Table, num_partitions: int) -> np.ndarray:
+    """The index partition ``bpart = bucket % P`` of each band row."""
+    return (banded.column("bucket").to_numpy(zero_copy_only=False)
+            .view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
+
+
+def _write_band_parts(t: pa.Table, to_bands, num_partitions: int,
+                      index_root: str) -> pa.Table:
+    """One block's (bucket, doc_id, sig) band rows appended under
+    ``index_root`` as one new ``bpart=N/<uuid>.parquet`` file per band
+    partition it touches; returns its row count."""
+    import uuid
+
+    import pyarrow.parquet as pq
+    banded = to_bands(t)
+    bp = _band_part(banded, num_partitions)
+    for p in np.unique(bp):
+        pdir = os.path.join(index_root, f"bpart={p}")
+        os.makedirs(pdir, exist_ok=True)
+        pq.write_table(banded.filter(pa.array(bp == p)),
+                       os.path.join(pdir, f"{uuid.uuid4().hex}.parquet"))
+    return pa.table({"n": pa.array([banded.num_rows], pa.int64())})
+
+
+def build_minhash_index(docs: "str | exchange.Leaf | list | ray.data.Dataset",
+                        index_root: str, *, k: int = 64, bands: int = 16,
+                        shingle: int = 3, num_partitions: int = 16,
                         column: str = "text") -> int:
     """Build (or APPEND to) a persisted MinHash band index: (bucket,
     doc_id, sig) rows hive-partitioned by ``bpart = bucket % P`` under
@@ -1365,22 +1274,25 @@ def build_minhash_index(docs: "str | ray.data.Dataset", index_root: str,
     then appends each committed wave's docs; matching a delta then
     touches only the band partitions the delta's buckets hash to (the
     same partition-pruned-index pattern as functions/ann.py IVF).
-    Append-safe: files are uuid-named, re-appending the same docs is
-    idempotent for MATCHING (duplicate index rows produce the same
-    pairs). Returns the number of band rows written."""
-    ds = (read_documents(docs, columns=["doc_id", column])
-          if isinstance(docs, str) else docs)
-    banded = ds.map_batches(_to_bands_fn(k, bands, shingle,
-                                         num_partitions, column),
-                            batch_format="pyarrow")
-    banded.write_parquet(index_root, partition_cols=["bpart"])
-    # rows written THIS call = docs x bands (_band_rows emits exactly one
-    # row per (doc, band)) — never walk the index root: an online step's
-    # cost must track the delta, not the lifetime of the index
-    return int(ds.count()) * bands
+    ``docs`` is an sf dir or any exchange input; one raw task per block
+    bands it and writes its files. Append-safe: files are uuid-named,
+    re-appending the same docs is idempotent for MATCHING (duplicate
+    index rows produce the same pairs). Returns the number of band rows
+    written."""
+    src = _docs(docs, ["doc_id", column]) if isinstance(docs, str) else docs
+    os.makedirs(index_root, exist_ok=True)
+    # rows written THIS call = docs x bands, counted by the writing
+    # tasks — never walk the index root: an online step's cost must
+    # track the delta, not the lifetime of the index
+    return sum(t.column("n")[0].as_py() for t in ray.get(exchange.map_blocks(
+        src, functools.partial(
+            _write_band_parts, to_bands=_to_bands_fn(k, bands, shingle,
+                                                     column),
+            num_partitions=num_partitions, index_root=index_root))))
 
 
-def match_minhash_index(new_docs: "str | ray.data.Dataset",
+def match_minhash_index(new_docs: "str | exchange.Leaf | list | "
+                                  "ray.data.Dataset",
                         index_root: str, *, k: int = 64, bands: int = 16,
                         shingle: int = 3, num_partitions: int = 16,
                         min_est_pct: int = 50,
@@ -1392,18 +1304,32 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
     the best near-duplicate already in the corpus (max estimated
     Jaccard, ties to the smallest corpus doc_id). Returns (doc_id,
     dup_of, est_jaccard_pct) — one row per new doc that has a match
-    ≥ ``min_est_pct``; clean docs emit nothing.
+    ≥ ``min_est_pct``; clean docs emit nothing. ``new_docs`` is an sf
+    dir or any exchange input.
 
-    Scale shape: the delta is banded and exchanged ONCE on bpart; each
-    partition task reads ONLY its own ``bpart=N`` index directory
-    (partition-pruned: a small delta touches few partitions), pairs
+    Scale shape: the delta is banded by raw tasks and exchanged ONCE
+    on bpart; each partition task reads ONLY its own ``bpart=N`` index
+    directory (partition-pruned: a small delta touches few partitions),
+    pairs
     new-vs-index rows bucket-locally via two searchsorteds (never
     index-vs-index, never new-vs-new), caps per-row candidates at
     ``max_matches`` (deterministic smallest-doc_id prefix — the
     canonical keeper always survives), and folds the per-doc argmax
     with one lexsort. The index is never loaded whole anywhere.
-    ``root``: the exchange root (default: the system tempdir; an engine
-    passes a dir under its lake)."""
+    ``fold_best=False`` returns the raw candidate pairs (band-duplicates
+    included) for callers that filter pairs before folding (the online
+    keeper rule). ``root``: the exchange root (default: the system
+    tempdir; an engine passes a dir under its lake)."""
+    return ray.data.from_arrow_refs(_match_index(
+        new_docs, index_root, k, bands, shingle, num_partitions,
+        min_est_pct, max_matches, column, fold_best, root).refs)
+
+
+def _match_index(new_docs, index_root: str, k: int, bands: int,
+                 shingle: int, num_partitions: int, min_est_pct: int,
+                 max_matches: "int | None", column: str, fold_best: bool,
+                 root: "str | None") -> exchange.Exchanged:
+    """``match_minhash_index``'s exchanges, returned as block refs."""
     cap = max_matches or MAX_BUCKET
 
     def match(t: pa.Table) -> pa.Table:
@@ -1414,7 +1340,7 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
                           "est_jaccard_pct": pa.array([], pa.int64())})
         if t.num_rows == 0:
             return empty
-        bp = int(t.column("bpart")[0].as_py())
+        bp = int(t.column("part")[0].as_py())
         pdir = os.path.join(index_root, f"bpart={bp}")
         if not os.path.isdir(pdir):
             return empty
@@ -1469,28 +1395,24 @@ def match_minhash_index(new_docs: "str | ray.data.Dataset",
         return g.select(["doc_id", "dup_of", "est_jaccard_pct"]).take(
             pa.array(order[first], pa.int64()))
 
-    ds = (read_documents(new_docs, columns=["doc_id", column])
-          if isinstance(new_docs, str) else new_docs)
-    banded = ds.map_batches(_to_bands_fn(k, bands, shingle,
-                                         num_partitions, column),
-                            batch_format="pyarrow")
-    # a documents-table path types doc_id as int64 even for an empty
-    # delta; a Dataset's empties are typed by its writers' schemas
-    empty = (pa.table({"doc_id": pa.array([], pa.int64()),
-                       "dup_of": pa.array([], pa.int64()),
-                       "est_jaccard_pct": pa.array([], pa.int64())})
-             if isinstance(new_docs, str) else None)
-    # the index's band partition is the explicit route
+    to_bands = _to_bands_fn(k, bands, shingle, column)
+
+    def banded(t: pa.Table) -> pa.Table:
+        # the index's band partition is the explicit route
+        b = to_bands(t)
+        return b.append_column("part", pa.array(_band_part(
+            b, num_partitions)))
+
+    src = (_docs(new_docs, ["doc_id", column]) if isinstance(new_docs, str)
+           else new_docs)
+    # banded by raw tasks whatever the input kind, so the exchange takes
+    # refs; typed by the writers' banded schema, empty blocks included
     pairs = exchange.file_exchange_map_groups(
-        banded, match, root=root, empty_result=empty,
-        pre=lambda t: t.append_column("part", t.column("bpart")))
+        exchange.map_blocks(src, banded), match, root=root)
     if not fold_best:
-        # raw candidate pairs (band-duplicates included) — callers that
-        # filter pairs (e.g. the online keeper rule) fold afterwards
         return pairs
     return exchange.file_exchange_map_groups(
-        pairs, best_per_doc, keys=["doc_id"], root=root,
-        empty_result=empty)
+        pairs.refs, best_per_doc, keys=["doc_id"], root=root)
 
 
 def incremental_dedup(sf_dir: str, *, k: int = 64, bands: int = 16,
@@ -1530,21 +1452,20 @@ def incremental_dedup(sf_dir: str, *, k: int = 64, bands: int = 16,
         d = t.column("doc_id").to_numpy(zero_copy_only=False)
         return t.filter(pa.array(d % 5 == 0))
 
-    docs = read_documents(sf_dir, columns=["doc_id", "text"])
+    docs = _docs(sf_dir, ["doc_id", "text"])
     if not os.path.isdir(root):
         scratch = root + f".build-{os.getpid()}"
         build_minhash_index(
-            docs.map_batches(corpus_side, batch_format="pyarrow"),
-            scratch, k=k, bands=bands, shingle=shingle,
-            num_partitions=num_partitions)
+            exchange.map_blocks(docs, corpus_side), scratch, k=k,
+            bands=bands, shingle=shingle, num_partitions=num_partitions)
         try:
             os.replace(scratch, root)
         except OSError:
             import shutil
             shutil.rmtree(scratch, ignore_errors=True)
     return match_minhash_index(
-        docs.map_batches(delta_side, batch_format="pyarrow"), root,
-        k=k, bands=bands, shingle=shingle, min_est_pct=min_est_pct,
+        exchange.map_blocks(docs, delta_side), root, k=k, bands=bands,
+        shingle=shingle, min_est_pct=min_est_pct,
         num_partitions=num_partitions)
 
 
@@ -1557,9 +1478,8 @@ def dup_cluster_sizes(sf_dir: str, shingle: int = 3,
     over cluster labels only (bounded by the pair graph, a small
     fraction of the corpus by construction)."""
     sizes = exchange.fx_count_by(
-        duplicate_clusters(sf_dir, shingle, min_jaccard_pct),
-        ["cluster_id"], "size")
-    df = sizes.to_pandas()                 # bounded: #clusters rows
+        _cluster_labels(sf_dir, shingle, min_jaccard_pct), ["lab"], "size")
+    df = pa.concat_tables(ray.get(sizes.refs)).to_pandas()  # #clusters rows
     g = (df.groupby("size").size().reset_index(name="n_clusters")
          .sort_values("size"))
     return pa.table({
@@ -1583,7 +1503,6 @@ def split_leakage(sf_dir: str, shingle: int = 8,
     contract as decontaminate's benchmark list), broadcasts once, and
     scoring is one searchsorted pass per train block — no shuffle."""
     from .sampling import _md5_hex
-    from .text import read_documents
 
     lo = f"{(90 << 128) // 100:032x}"
     hi = f"{(95 << 128) // 100:032x}"
@@ -1595,15 +1514,12 @@ def split_leakage(sf_dir: str, shingle: int = 8,
              if sub.num_rows else np.array([], np.uint64))
         return pa.table({"h": pa.array(h.view(np.int64))})
 
-    parts = collect_tables(
-        read_documents(sf_dir, columns=["doc_id", "text"])
-        .map_batches(val_grams, batch_format="pyarrow"))
+    parts = _blocks(sf_dir, ["doc_id", "text"], val_grams)
     # sort in UNSIGNED space: int64 is only the Arrow transport type —
     # a signed-sorted array breaks count_blocklist_hits' searchsorted
     bl = np.unique(np.concatenate(
         [t.column("h").to_numpy(zero_copy_only=False).view(np.uint64)
-         for t in parts if t.num_rows]
-        or [np.array([], np.uint64)]))
+         for t in parts] or [np.array([], np.uint64)]))
 
     def score(t: pa.Table) -> pa.Table:
         fp = _md5_hex(f"{salt}|", t.column("doc_id"))
@@ -1615,8 +1531,7 @@ def split_leakage(sf_dir: str, shingle: int = 8,
             "n_hits": pa.array(hits[hits > 0]),
         })
 
-    return (read_documents(sf_dir, columns=["doc_id", "text"])
-            .map_batches(score, batch_format="pyarrow"))
+    return _per_doc(sf_dir, ["doc_id", "text"], score)
 
 
 # ------------------------------------------------------------------ #

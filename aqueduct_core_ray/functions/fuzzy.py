@@ -10,7 +10,8 @@ equality (SQLiteQueries.java:54-55); fuzzy matching is the
 approximate-key generalization every dedup/linkage pipeline needs when
 keys are dirty.
 
-Scale notes: one hash exchange on the blocking key; within a partition
+Scale notes: one hash exchange on the blocking key, read from the
+documents leaf with the key computed in the writers; within a partition
 all pairs are generated per block and verified by ONE vectorized
 multi-pair Levenshtein DP (numpy over the pair axis — L x L sequential
 steps of M-wide SIMD ops, no per-pair Python). Blocking-key skew is the
@@ -27,10 +28,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data
 
-from .text import read_documents
+from .text import _docs
 
 from ..stages import exchange
 
@@ -142,10 +142,9 @@ def fuzzy_match_pairs(sf_dir: str, block_chars: int = 12,
         return (pa.concat_tables(outs, promote_options="default")
                 if outs else empty)
 
-    return exchange.file_exchange_map_groups(
-        read_documents(sf_dir, columns=["doc_id", "text"])
-        .map_batches(keyed, batch_format="pyarrow"),
-        per_part, keys=["blk"], empty_result=empty)
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        _docs(sf_dir, ["doc_id", "text"]), per_part, keys=["blk"],
+        empty_result=empty, pre=keyed).refs)
 
 
 # ------------------------------------------------------------------ #

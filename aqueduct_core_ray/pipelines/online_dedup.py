@@ -33,10 +33,14 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.dedup import build_minhash_index, match_minhash_index
-from ..stages.exchange import collect_tables
+import ray
+
+from ..functions.dedup import _match_index, build_minhash_index
+from ..stages import exchange
 
 _GEN_FILE = "_GEN"
 _EMPTY_MATCHES = pa.table({
@@ -87,9 +91,11 @@ def online_dedup_step(engine, index_root: str, *, k: int = 64,
     (doc_id, dup_of, est_jaccard_pct), from_gen, to_gen).
 
     Scale shape: the changefeed fans out one diff task per TOUCHED
-    partition (O(delta)); the delta is materialized ONCE (wave-bounded
-    by construction) and both the match exchange and the index append
-    read it; the index itself is only ever touched partition-pruned."""
+    partition (O(delta)); the delta is read ONCE into block refs
+    (wave-bounded by construction) and both the match exchange and the
+    index append read them; only its doc ids reach the driver (the
+    intra-delta keeper rule); the index itself is only ever touched
+    partition-pruned."""
     g_from = _read_gen(index_root)
     if g_from is None:
         raise FileNotFoundError(
@@ -102,15 +108,15 @@ def online_dedup_step(engine, index_root: str, *, k: int = 64,
     feed = engine.diff_generations(g_from, payload_columns=["tokens"])
 
     def live_side(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = pc.invert(pc.equal(t.column("change"), "deleted"))
-        t = t.filter(keep)
+        t = t.filter(pc.invert(pc.equal(t.column("change"), "deleted")))
         return pa.table({"doc_id": t.column("doc_id"),
                          "tokens": t.column("tokens")})
 
-    delta = feed.map_batches(live_side,
-                             batch_format="pyarrow").materialize()
-    if delta.count() == 0:
+    delta = exchange.map_blocks(feed.to_arrow_refs(), live_side)
+    delta_ids = pa.concat_tables(ray.get(exchange.map_blocks(
+        delta, lambda t: t.select(["doc_id"])))).column(
+            "doc_id").combine_chunks()
+    if len(delta_ids) == 0:
         _write_gen(index_root, g_to)
         return _EMPTY_MATCHES, g_from, g_to
     # append FIRST (idempotent), then match: crash replays are exact,
@@ -118,28 +124,18 @@ def online_dedup_step(engine, index_root: str, *, k: int = 64,
     build_minhash_index(delta, index_root, k=k, bands=bands,
                         shingle=shingle, num_partitions=num_partitions,
                         column="tokens")
-    pairs = match_minhash_index(
-        delta, index_root, k=k, bands=bands, shingle=shingle,
-        min_est_pct=min_est_pct, num_partitions=num_partitions,
-        column="tokens", fold_best=False,
-        root=os.path.join(engine.store.root, "_exchange"))
-    tabs = [t for t in collect_tables(pairs) if t.num_rows]
-    out = (pa.concat_tables(tabs) if tabs else _EMPTY_MATCHES)
+    pairs = _match_index(
+        delta, index_root, k, bands, shingle, num_partitions, min_est_pct,
+        None, "tokens", False, os.path.join(engine.store.root, "_exchange"))
+    out = pa.concat_tables(ray.get(pairs.refs))
+    # intra-delta keeper rule BEFORE the best fold (else a doc whose
+    # best candidate is a larger intra-delta sibling would lose its
+    # legitimate cross-generation match): within the delta only the
+    # LARGER id reports the smaller as its dup
+    out = out.filter(pc.or_(
+        pc.invert(pc.is_in(out.column("dup_of"), value_set=delta_ids)),
+        pc.less(out.column("dup_of"), out.column("doc_id"))))
     if out.num_rows:
-        # intra-delta keeper rule BEFORE the best fold (else a doc
-        # whose best candidate is a larger intra-delta sibling would
-        # lose its legitimate cross-generation match): within the
-        # delta only the LARGER id reports the smaller as its dup
-        delta_ids = set()
-        for t in collect_tables(delta):
-            delta_ids.update(t.column("doc_id").to_pylist())
-        d = out.column("doc_id").to_pylist()
-        o = out.column("dup_of").to_pylist()
-        keep = [oo not in delta_ids or oo < dd
-                for dd, oo in zip(d, o)]
-        out = out.filter(pa.array(keep))
-    if out.num_rows:
-        import numpy as np
         d = out.column("doc_id").to_numpy(zero_copy_only=False)
         o = out.column("dup_of").to_numpy(zero_copy_only=False)
         e = out.column("est_jaccard_pct").to_numpy(zero_copy_only=False)

@@ -1,13 +1,19 @@
-"""Local stand-in for the driver's correctness gate: run every
-``queries()`` entry and its ``oracle_sql()`` twin at a given sf, compare
-row count, column names, and order-insensitive values.
+"""Correctness sweep: run every ``queries()`` entry of the checkout this
+script sits in and its ``oracle_sql()`` twin at a given sf, compare row
+count, column names, and order-insensitive values. The last line counts
+the sweep's ``op="exchange"`` metrics rows by input kind (``src``) and
+names the queries that wrote ``dataset`` rows; the rows are read from
+``$AQR_METRICS_PATH``, or from a temp file when it is unset.
 
 Usage: python scripts/check_correctness.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
+import json
+import os
 import sys
+import tempfile
 import time
 
 import duckdb
@@ -16,6 +22,7 @@ import pandas as pd
 
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -71,17 +78,38 @@ def compare(name: str, ours: pd.DataFrame, theirs: pd.DataFrame) -> list[str]:
     return problems
 
 
+def exchange_srcs(path: str, start: int) -> "list[str]":
+    """The ``src`` of every ``op="exchange"`` row written to the metrics
+    file at ``path`` from byte offset ``start`` on."""
+    with open(path) as f:
+        f.seek(start)
+        rows = [json.loads(x) for x in f if x.strip()]
+    return [r["src"] for r in rows if r.get("op") == "exchange"]
+
+
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
     import ray
     if not ray.is_initialized():
+        # Ray's workers import from the driver's working directory
+        sf_dir = os.path.abspath(sf_dir)
+        os.chdir(ROOT)
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  ignore_reinit_error=True)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as entry
+
+    mpath = os.environ.get("AQR_METRICS_PATH")
+    made = not mpath
+    if made:
+        fd, mpath = tempfile.mkstemp(prefix="aqr_metrics_", suffix=".jsonl")
+        os.close(fd)
+        os.environ["AQR_METRICS_PATH"] = mpath
+    by_src: "dict[str, int]" = {}
+    from_dataset: "list[str]" = []
 
     qs, oracles = entry.queries(), entry.oracle_sql()
     con = duckdb.connect()
@@ -93,6 +121,7 @@ def main() -> int:
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        start = os.path.getsize(mpath) if os.path.exists(mpath) else 0
         t0 = time.perf_counter()
         try:
             ours = to_pandas(fn(sf_dir))
@@ -101,6 +130,11 @@ def main() -> int:
             failures += 1
             continue
         dt = time.perf_counter() - t0
+        srcs = exchange_srcs(mpath, start) if os.path.exists(mpath) else []
+        for src in srcs:
+            by_src[src] = by_src.get(src, 0) + 1
+        if "dataset" in srcs:
+            from_dataset.append(f"{name} ({srcs.count('dataset')})")
         if name not in oracles:
             print(f"ok   {name}: rows-only, {len(ours)} rows ({dt:.1f}s)")
             continue
@@ -112,6 +146,11 @@ def main() -> int:
         else:
             print(f"PASS {name}: {len(ours)} rows ({dt:.1f}s)")
     print(f"\n{failures} failures")
+    print("exchange rows by src: " + ", ".join(
+        f"{k}={v}" for k, v in sorted(by_src.items()))
+        + "; dataset rows from: " + (", ".join(from_dataset) or "none"))
+    if made:
+        os.remove(mpath)
     return 1 if failures else 0
 
 

@@ -130,15 +130,14 @@ def test_cc_min_label_transitive():
     round would need 5 rounds; pointer jumping must label the whole
     path with 0 regardless, and never merge the two components."""
     import ray
-    import ray.data
 
     a = np.array([0, 1, 2, 3, 4, 10], np.int64)
     b = np.array([1, 2, 3, 4, 5, 11], np.int64)
     edges = pa.table({"src": pa.array(np.concatenate([a, b])),
                       "dst": pa.array(np.concatenate([b, a]))})
     lab = {r["node"]: r["lab"]
-           for r in dedup._cc_min_label(
-               ray.data.from_arrow(edges)).take_all()}
+           for t in ray.get(dedup._cc_min_label([ray.put(edges)]))
+           for r in t.to_pylist()}
     assert lab == {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 10: 10, 11: 10}
 
 
@@ -1076,6 +1075,32 @@ def test_semdedup_rule_and_invariance(parts):
     out3 = (dedup.semdedup(sf).to_pandas()
             .sort_values("vec_id").reset_index(drop=True))
     assert out.equals(out3)
+
+
+def test_dedup_rows_do_not_depend_on_part_count(parts):
+    """The dedup operators keyed on a pair, a node, a gram or a bucket
+    give the same rows and Arrow types over one part as over seven: a
+    pair or a node whose rows sit in several parts (or chunks of one
+    part) folds to one row through ``fx_agg_by``."""
+    import ray
+
+    def rows(op, P):
+        parts(P)
+        t = pa.concat_tables(ray.get(
+            getattr(dedup, op)(SF0001).to_arrow_refs()))
+        return t.sort_by([(c, "ascending") for c in t.column_names])
+
+    pair = ["doc_id_a", "doc_id_b"]
+    for op, key in (("minhash_lsh_dedup", pair), ("simhash_dedup", pair),
+                    ("duplicate_clusters", ["doc_id"]),
+                    ("near_dedup_keep", ["doc_id"]),
+                    ("dup_gram_coverage", ["doc_id"]),
+                    ("embedding_ann_dedup", ["vec_id_a", "vec_id_b"])):
+        one, seven = rows(op, 1), rows(op, 7)
+        assert one.num_rows > 0, op
+        assert one.group_by(key).aggregate([]).num_rows == one.num_rows, op
+        assert one.schema == seven.schema, op
+        assert one.equals(seven), op
 
 
 def test_semdedup_chunked_prune_matches_unchunked():
