@@ -25,7 +25,6 @@ import ray
 import ray.data
 
 from ..stages import exchange
-from ..stages.exchange import collect_tables
 
 
 def _load_queries(sf_dir: str, nq: int) -> tuple[np.ndarray, np.ndarray]:
@@ -42,6 +41,11 @@ def _load_queries(sf_dir: str, nq: int) -> tuple[np.ndarray, np.ndarray]:
 def _read_embeddings(sf_dir: str) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                  columns=["vec_id", "embedding"])
+
+
+def _embeddings(paths: "str | list[str]") -> exchange.Leaf:
+    """(vec_id, embedding) of embedding parquet file(s) as a leaf."""
+    return exchange.leaf(paths, ["vec_id", "embedding"])
 
 
 _EMPTY_TOPK = pa.schema([("query_id", pa.int64()), ("vec_id", pa.int64()),
@@ -93,15 +97,21 @@ def _final_topk_fn(k: int):
     return final_topk
 
 
+def _knn(src: exchange.Leaf, queries: tuple, k: int) -> list:
+    """The partial-top-k exchange of ``queries`` (qids, normalized Q)
+    over the ``src`` embeddings: block refs of (query_id, vec_id,
+    knn_rank)."""
+    return exchange.file_exchange_map_groups(
+        src, exchange.each_group(_final_topk_fn(k), ["query_id"]),
+        keys=["query_id"], pre=_batch_topk_fn(ray.put(queries), k)).refs
+
+
 def knn_bruteforce(sf_dir: str, nq: int = 3, k: int = 5) -> ray.data.Dataset:
     """Exact cosine top-k for the first ``nq`` vectors as queries.
     Returns (query_id, vec_id, rank) — ties broken by vec_id asc."""
-    ref = ray.put(_load_queries(sf_dir, nq))
-    partial = _read_embeddings(sf_dir).map_batches(
-        _batch_topk_fn(ref, k), batch_format="pyarrow")
-    return exchange.file_exchange_map_groups(
-        partial, exchange.each_group(_final_topk_fn(k), ["query_id"]),
-        keys=["query_id"])
+    return ray.data.from_arrow_refs(_knn(
+        _embeddings(f"{sf_dir}/embeddings.parquet"),
+        _load_queries(sf_dir, nq), k))
 
 
 # --------------------------------------------------------------------- #
@@ -115,8 +125,8 @@ def _distributed_sample(sf_dir: str, sample: int = 2048,
     makes the result deterministic and exactly bounded."""
     import pandas as pd
 
-    ds = _read_embeddings(sf_dir)
-    n = max(1, ds.count())                      # parquet metadata count
+    path = f"{sf_dir}/embeddings.parquet"
+    n = max(1, pq.read_metadata(path).num_rows)
     frac = min(1.0, 1.5 * sample / n)
     thresh = frac * float(2**64)            # float compare avoids uint64
                                             # construction overflow
@@ -131,9 +141,12 @@ def _distributed_sample(sf_dir: str, sample: int = 2048,
                 pa.array(np.flatnonzero(keep))),
         })
 
-    rows = ds.map_batches(pick, batch_format="pyarrow").take_all()
-    rows.sort(key=lambda r: np.uint64(np.int64(r["h"])))
-    X = np.stack([r["embedding"] for r in rows[:sample]]).astype(np.float64)
+    rows = pa.concat_tables(ray.get(exchange.map_blocks(
+        _embeddings(path), pick)))
+    first = np.argsort(rows.column("h").to_numpy().view(np.uint64),
+                       kind="stable")[:sample]
+    X = np.stack(rows.column("embedding").take(pa.array(first)).to_numpy(
+        zero_copy_only=False)).astype(np.float64)
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
@@ -231,16 +244,17 @@ def build_ivf_index(sf_dir: str, n_cells: int = 16, seed: int = 7,
     C = _train_centroids(sf_dir, n_cells, seed=seed)
     np.save(os.path.join(tmp, "centroids.npy"), C)
     ref = ray.put(C)
+    cells = os.path.join(tmp, "cells")
 
     def assign(t: pa.Table) -> pa.Table:
         Cm = ray.get(ref)
         _, Bn = _normalized(t)
         cell = np.argmax(Bn @ Cm.T, axis=1).astype(np.int32)
-        return t.append_column("cell", pa.array(cell))
+        return exchange.write_parts(t.append_column("cell", pa.array(cell)),
+                                    cells, "cell")
 
-    (_read_embeddings(sf_dir)
-     .map_batches(assign, batch_format="pyarrow")
-     .write_parquet(os.path.join(tmp, "cells"), partition_cols=["cell"]))
+    ray.get(exchange.map_blocks(
+        _embeddings(f"{sf_dir}/embeddings.parquet"), assign))
     with open(os.path.join(tmp, "_DONE"), "w") as f:
         f.write("ok")
     try:
@@ -261,6 +275,13 @@ def knn_ivf(sf_dir: str, nq: int = 3, k: int = 5, n_cells: int = 16,
     top-k pipeline as brute force. Approximate: recall vs the exact
     ``knn_bruteforce`` is pinned in pytest and exposed as the
     ``knn_ivf_recall`` query."""
+    return ray.data.from_arrow_refs(_knn_ivf(sf_dir, nq, k, n_cells, nprobe,
+                                             seed, index_root))
+
+
+def _knn_ivf(sf_dir: str, nq: int, k: int, n_cells: int, nprobe: int,
+             seed: int, index_root: "str | None") -> list:
+    """``knn_ivf``'s result as block refs."""
     idx = build_ivf_index(sf_dir, n_cells, seed,
                           index_root=index_root)
     C = np.load(os.path.join(idx, "centroids.npy"))
@@ -272,15 +293,8 @@ def knn_ivf(sf_dir: str, nq: int = 3, k: int = 5, n_cells: int = 16,
     cell_files = [f for c in probed for f in sorted(_glob.glob(
         os.path.join(idx, "cells", f"cell={c}", "*.parquet")))]
     if not cell_files:
-        return ray.data.from_arrow(_EMPTY_TOPK.empty_table())
-    ref = ray.put((qids, Qn))
-    pruned = ray.data.read_parquet(cell_files,
-                                   columns=["vec_id", "embedding"])
-    partial = pruned.map_batches(_batch_topk_fn(ref, k),
-                                 batch_format="pyarrow")
-    return exchange.file_exchange_map_groups(
-        partial, exchange.each_group(_final_topk_fn(k), ["query_id"]),
-        keys=["query_id"])
+        return [ray.put(_EMPTY_TOPK.empty_table())]
+    return _knn(_embeddings(cell_files), (qids, Qn), k)
 
 
 def knn_ivf_recall(sf_dir: str, nq: int = 3, k: int = 5, n_cells: int = 16,
@@ -288,11 +302,14 @@ def knn_ivf_recall(sf_dir: str, nq: int = 3, k: int = 5, n_cells: int = 16,
                    index_root: str | None = None) -> pa.Table:
     """Recall@k of the IVF path against exact brute force (both fixed
     seed): one tiny driver-side set comparison over nq·k rows."""
-    exact = {(r["query_id"], r["vec_id"])
-             for r in knn_bruteforce(sf_dir, nq, k).take_all()}
-    approx = {(r["query_id"], r["vec_id"])
-              for r in knn_ivf(sf_dir, nq, k, n_cells, nprobe,
-                               index_root=index_root).take_all()}
+    def pairs(refs: list) -> set:
+        t = pa.concat_tables(ray.get(refs))
+        return set(zip(t.column("query_id").to_pylist(),
+                       t.column("vec_id").to_pylist()))
+
+    exact = pairs(_knn(_embeddings(f"{sf_dir}/embeddings.parquet"),
+                       _load_queries(sf_dir, nq), k))
+    approx = pairs(_knn_ivf(sf_dir, nq, k, n_cells, nprobe, 7, index_root))
     hit = len(exact & approx)
     return pa.table({
         "n_exact": pa.array([len(exact)], pa.int64()),
@@ -365,9 +382,8 @@ def _centroid_stats(sf_dir: str) -> pa.Table:
             "n_vecs": pa.array(np.repeat(n, D)),
         })
 
-    parts = (ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                   columns=["label", "embedding"])
-             .map_batches(partial, batch_format="pyarrow"))
+    parts = exchange.map_blocks(exchange.leaf(
+        f"{sf_dir}/embeddings.parquet", ["label", "embedding"]), partial)
     return _fold_partials(parts, ["label", "dim"],
                           ["sum_micro", "n_vecs"], _CENTROID_EMPTY)
 
@@ -576,9 +592,8 @@ def _moment_fold(sf_dir: str) -> "tuple[int, np.ndarray, np.ndarray]":
             "xx": pa.array([(X.T @ X).ravel().tobytes()], pa.binary()),
         })
 
-    tabs = [t for t in collect_tables(
-        _read_embeddings(sf_dir)
-        .map_batches(partial, batch_format="pyarrow"))
+    tabs = [t for t in ray.get(exchange.map_blocks(
+        _embeddings(f"{sf_dir}/embeddings.parquet"), partial))
         if t.num_rows]
     n = 0
     s = xx = None

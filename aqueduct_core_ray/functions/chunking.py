@@ -30,7 +30,7 @@ import pyarrow as pa
 
 import ray.data
 
-from .text import read_documents
+from ..stages import exchange
 
 _B = np.uint64(1000003)            # odd ⇒ invertible mod 2^64
 _W = 16                            # rolling window bytes
@@ -252,8 +252,6 @@ def chunk_dedup(sf_dir: str, k_bits: int = 8, max_chunk: int = 4096,
     count here is unbounded at corpus scale)."""
     import pyarrow.compute as pc
 
-    from ..stages import exchange
-
     def pair_counts(t: pa.Table) -> pa.Table:
         agg = (chunk_batch(t, k_bits=k_bits, max_chunk=max_chunk)
                .group_by(["chunk_fp", "doc_id"])
@@ -428,8 +426,6 @@ def winnow_dedup(sf_dir: str, k: int = 16, w: int = 8,
     Only fingerprint partials reach the shuffle — never text."""
     import pyarrow.compute as pc
 
-    from ..stages.exchange import fx_sum_by
-
     def fp_partial(t: pa.Table) -> pa.Table:
         rows = winnow_batch(t, k=k, w=w)
         pair = rows.group_by(["fp", "doc_id"]).aggregate(
@@ -442,14 +438,14 @@ def winnow_dedup(sf_dir: str, k: int = 16, w: int = 8,
             "n_positions": g.column("pos_count_sum").cast(pa.int64()),
         })
 
-    ds = read_documents(sf_dir, columns=["doc_id", "text"])
-    parts = ds.map_batches(fp_partial, batch_format="pyarrow")
-    folded = fx_sum_by(parts, ["fp"], ["n_docs", "n_positions"])
+    folded = exchange.fx_sum_by(
+        exchange.leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"]),
+        ["fp"], ["n_docs", "n_positions"], pre=fp_partial)
 
     def gate(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater_equal(t.column("n_docs"), min_docs))
 
-    return folded.map_batches(gate, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(exchange.map_blocks(folded.refs, gate))
 
 
 # ------------------------------------------------------------------ #

@@ -1248,22 +1248,14 @@ def _band_part(banded: pa.Table, num_partitions: int) -> np.ndarray:
 def _write_band_parts(t: pa.Table, to_bands, num_partitions: int,
                       index_root: str) -> pa.Table:
     """One block's (bucket, doc_id, sig) band rows appended under
-    ``index_root`` as one new ``bpart=N/<uuid>.parquet`` file per band
-    partition it touches; returns its row count."""
-    import uuid
-
-    import pyarrow.parquet as pq
+    ``index_root`` as ``bpart=N/`` files (``exchange.write_parts``);
+    returns its row count."""
     banded = to_bands(t)
-    bp = _band_part(banded, num_partitions)
-    for p in np.unique(bp):
-        pdir = os.path.join(index_root, f"bpart={p}")
-        os.makedirs(pdir, exist_ok=True)
-        pq.write_table(banded.filter(pa.array(bp == p)),
-                       os.path.join(pdir, f"{uuid.uuid4().hex}.parquet"))
-    return pa.table({"n": pa.array([banded.num_rows], pa.int64())})
+    return exchange.write_parts(banded.append_column("bpart", pa.array(
+        _band_part(banded, num_partitions))), index_root, "bpart")
 
 
-def build_minhash_index(docs: "str | exchange.Leaf | list | ray.data.Dataset",
+def build_minhash_index(docs: "str | exchange.Leaf | list",
                         index_root: str, *, k: int = 64, bands: int = 16,
                         shingle: int = 3, num_partitions: int = 16,
                         column: str = "text") -> int:
@@ -1291,8 +1283,7 @@ def build_minhash_index(docs: "str | exchange.Leaf | list | ray.data.Dataset",
             num_partitions=num_partitions, index_root=index_root))))
 
 
-def match_minhash_index(new_docs: "str | exchange.Leaf | list | "
-                                  "ray.data.Dataset",
+def match_minhash_index(new_docs: "str | exchange.Leaf | list",
                         index_root: str, *, k: int = 64, bands: int = 16,
                         shingle: int = 3, num_partitions: int = 16,
                         min_est_pct: int = 50,

@@ -24,16 +24,18 @@ import pyarrow.dataset as pads
 
 import ray.data
 
-from ..pipelines.events_replay import tokenize_documents
+from ..pipelines.events_replay import _documents, tokenize_batch
 from ..stages import exchange
 
 
-def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
-                   num_partitions: int = 8) -> ray.data.Dataset:
-    """Concat-and-chunk packing of an ALREADY-TOKENIZED dataset in the
-    input_hint shape — the composable core behind ``pack_sequences``
-    (and the composed ``pipelines.curate.train_pipeline``). Returns
-    (pack_id, tokens, n_tok, n_docs) rows; all packs are exactly
+def pack_tokenized(src: "exchange.Leaf | list", context_len: int = 512,
+                   num_partitions: int = 8) -> exchange.Exchanged:
+    """Concat-and-chunk packing of ALREADY-TOKENIZED rows in the
+    input_hint shape, read from an exchange input (a leaf, or block
+    refs such as ``map_blocks`` of ``tokenize_batch``) — the composable
+    core behind ``pack_sequences`` (and the composed
+    ``pipelines.curate.train_pipeline``). Returns the exchange's
+    (pack_id, tokens, n_tok, n_docs) blocks; all packs are exactly
     ``context_len`` tokens except each partition's final partial."""
 
     def tag_part(t: pa.Table) -> pa.Table:
@@ -88,15 +90,16 @@ def pack_tokenized(ds: ray.data.Dataset, context_len: int = 512,
             "n_docs": pa.array(per_pack),
         })
 
-    ds = ds.map_batches(tag_part, batch_format="pyarrow")
-    return exchange.file_exchange_map_groups(ds, pack, empty_result=empty)
+    return exchange.file_exchange_map_groups(src, pack, empty_result=empty,
+                                             pre=tag_part)
 
 
 def pack_sequences(sf_dir: str, context_len: int = 512,
                    num_partitions: int = 8) -> ray.data.Dataset:
     """documents.parquet -> tokenize -> pack (see pack_tokenized)."""
-    return pack_tokenized(tokenize_documents(sf_dir), context_len,
-                          num_partitions)
+    return ray.data.from_arrow_refs(pack_tokenized(exchange.map_blocks(
+        _documents(sf_dir), tokenize_batch), context_len,
+        num_partitions).refs)
 
 
 def pack_documents(sf_dir: str, context_len: int = 512,
@@ -182,12 +185,15 @@ def pack_documents(sf_dir: str, context_len: int = 512,
             "oversize": pa.array(oversize),
         })
 
-    # drop the token payload before the exchange: the pack manifest
-    # only needs (doc_id, n_tok), so no token bytes move
-    ds = (tokenize_documents(sf_dir)
-          .drop_columns(["tokens"])
-          .map_batches(tag_part, batch_format="pyarrow"))
-    return exchange.file_exchange_map_groups(ds, pack, empty_result=empty)
+    # tokenize in the writer and drop the token payload before the
+    # exchange: the pack manifest only needs (doc_id, n_tok), so no
+    # token bytes move
+    def manifest_rows(t: pa.Table) -> pa.Table:
+        return tag_part(tokenize_batch(t).drop_columns(["tokens"]))
+
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        _documents(sf_dir), pack, empty_result=empty,
+        pre=manifest_rows).refs)
 
 
 # ------------------------------------------------------------------ #

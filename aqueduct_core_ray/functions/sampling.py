@@ -15,12 +15,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data
 
-from .text import read_documents
+from .text import _docs, read_documents
 
 from ..stages import exchange
-from ..stages.exchange import collect_tables
 
 
 def _accept(ids: np.ndarray, frac: float, seed: int) -> np.ndarray:
@@ -203,8 +203,6 @@ def weighted_sample(sf_dir: str, k: int = 20, seed: int = 7,
     (log(u)/w) for numerical stability at large weights."""
     import pandas as pd
 
-    import ray.data
-
     def keys_of(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         h = pd.util.hash_array(ids.copy(), categorize=False)
@@ -231,10 +229,9 @@ def weighted_sample(sf_dir: str, k: int = 20, seed: int = 7,
             "key": pa.array(key[kept]),
         })
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "source", weight_col])
-    cand = ds.map_batches(local_topk, batch_format="pyarrow")
-    tables = [t for t in collect_tables(cand) if t.num_rows]
+    tables = [t for t in ray.get(exchange.map_blocks(
+        _docs(sf_dir, ["doc_id", "source", weight_col]), local_topk))
+        if t.num_rows]
     empty = pa.table({"source": pa.array([], pa.string()),
                       "doc_id": pa.array([], pa.int64()),
                       "weight": pa.array([], pa.float64()),
@@ -295,9 +292,8 @@ def epoch_shuffle(sf_dir: str, seed: int = 0,
         order = np.lexsort((did, key))
         return g.take(pa.array(order)).drop_columns(["skey", "part"])
 
-    return exchange.file_exchange_map_groups(
-        read_documents(sf_dir).map_batches(tag, batch_format="pyarrow"),
-        order_partition)
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        _docs(sf_dir, None), order_partition, pre=tag).refs)
 
 
 # --------------------------------------------------------------------- #
@@ -408,10 +404,9 @@ def token_budget_sample(sf_dir: str, budget: int = 800,
                          "n_tok": pa.array(tok[keep]),
                          "cum_tok": pa.array(cum[keep])})
 
-    return exchange.file_exchange_map_groups(
-        read_documents(sf_dir, columns=["doc_id", "source", "text"])
-        .map_batches(prep, batch_format="pyarrow"),
-        take_prefix, keys=["source"], empty_result=empty)
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        _docs(sf_dir, ["doc_id", "source", "text"]), take_prefix,
+        keys=["source"], empty_result=empty, pre=prep).refs)
 
 
 def stratified_topk_sample(sf_dir: str, k: int = 5,

@@ -35,7 +35,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .text import read_documents
+from ..stages.exchange import (file_exchange_map_groups, fx_sum_by, leaf,
+                               map_blocks, write_parts)
+from .text import _docs
 
 __all__ = ["build_trigram_index", "substring_search"]
 
@@ -113,8 +115,9 @@ def build_trigram_index(sf_dir: str, force: bool = False,
         shutil.rmtree(idx, ignore_errors=True)
     tmp = f"{idx}.build-{uuid.uuid4().hex[:8]}"
     os.makedirs(tmp, exist_ok=True)
+    post = os.path.join(tmp, "post")
 
-    def postings(t: pa.Table) -> pa.Table:
+    def write_postings(t: pa.Table) -> pa.Table:
         texts = t.column("text").to_pylist()
         dids = t.column("doc_id").to_numpy(zero_copy_only=False)
         di, code = _trigram_codes(texts)
@@ -123,11 +126,10 @@ def build_trigram_index(sf_dir: str, force: bool = False,
         distinct = pairs.group_by(["tri", "doc_id"]).aggregate([])
         part = (distinct.column("tri").to_numpy(zero_copy_only=False)
                 .view(np.uint64) % np.uint64(_P)).astype(np.int32)
-        return distinct.append_column("part", pa.array(part))
+        return write_parts(distinct.append_column("part", pa.array(part)),
+                           post, "part")
 
-    (read_documents(sf_dir, columns=["doc_id", "text"])
-     .map_batches(postings, batch_format="pyarrow")
-     .write_parquet(os.path.join(tmp, "post"), partition_cols=["part"]))
+    ray.get(map_blocks(_docs(sf_dir, ["doc_id", "text"]), write_postings))
     with open(os.path.join(tmp, "_DONE"), "w") as f:
         f.write("ok")
     try:
@@ -156,8 +158,6 @@ def substring_search(sf_dir: str,
     trigrams present but not adjacent) die at (3); false negatives are
     impossible (every substring occurrence contributes all its
     trigrams)."""
-    from ..stages.exchange import fx_sum_by
-
     for n in needles:
         if len(n) < 3:
             raise ValueError(f"needle {n!r} shorter than 3 chars")
@@ -180,7 +180,6 @@ def substring_search(sf_dir: str,
                       if f.endswith(".parquet")]
     if not files:
         return ray.data.from_arrow(out_empty)
-    post = ray.data.read_parquet(files, columns=["tri", "doc_id"])
     want_per = [(n, pa.array(c)) for n, c in codes_per]
 
     def hits(t: pa.Table) -> pa.Table:
@@ -201,8 +200,8 @@ def substring_search(sf_dir: str,
 
     # distinct (tri, doc) rows by construction -> sum(m) == number of
     # DISTINCT needle trigrams the doc contains
-    counts = fx_sum_by(post.map_batches(hits, batch_format="pyarrow"),
-                       ["needle", "doc_id"], ["m"])
+    counts = fx_sum_by(leaf(files, ["tri", "doc_id"]),
+                       ["needle", "doc_id"], ["m"], pre=hits)
 
     def full_hits(t: pa.Table) -> pa.Table:
         nd = t.column("needle").to_numpy(zero_copy_only=False)
@@ -210,11 +209,11 @@ def substring_search(sf_dir: str,
         need = np.array([n_tri[x] for x in nd], np.int64)
         return t.filter(pa.array(m == need)).drop_columns(["m"])
 
-    cand_rows = counts.map_batches(full_hits,
-                                   batch_format="pyarrow").take_all()
+    cand = pa.concat_tables(ray.get(map_blocks(counts.refs, full_hits)))
     per_needle: "dict[str, list[int]]" = {}
-    for r in cand_rows:
-        per_needle.setdefault(r["needle"], []).append(int(r["doc_id"]))
+    for n, d in zip(cand.column("needle").to_pylist(),
+                    cand.column("doc_id").to_pylist()):
+        per_needle.setdefault(n, []).append(int(d))
     per_needle = {n: np.sort(np.array(v, np.int64))
                   for n, v in per_needle.items()}
     if not per_needle:
@@ -222,9 +221,8 @@ def substring_search(sf_dir: str,
     cand_ids = list(per_needle.values())
 
     allids = np.unique(np.concatenate(cand_ids))
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
-        filter=pc.field("doc_id").isin(pa.array(allids)))
+    docs = leaf(f"{sf_dir}/documents.parquet", ["doc_id", "text"],
+                filter=pc.field("doc_id").isin(pa.array(allids)))
 
     needle_list = sorted(per_needle)
     id_sets = ray.put(per_needle)
@@ -250,7 +248,7 @@ def substring_search(sf_dir: str,
         return (pa.concat_tables(outs, promote_options="default")
                 if outs else out_empty)
 
-    return docs.map_batches(verify, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(map_blocks(docs, verify))
 
 
 # --------------------------------------------------------------------- #
@@ -408,7 +406,6 @@ class LakeTrigramIndex:
     def search(self, needles: "tuple[str, ...]") -> pa.Table:
         """(needle, doc_id) over the CURRENT lake state. Exact: every
         candidate is verified against the live row."""
-        from ..stages.exchange import file_exchange_map_groups
         from .text import hash_str_array
 
         for n in needles:
@@ -433,7 +430,6 @@ class LakeTrigramIndex:
                               if f.endswith(".parquet")]
         if not files:
             return out_empty
-        post = ray.data.read_parquet(files, columns=["tri", "doc_id"])
         want_per = [(n, pa.array(c)) for n, c in codes_per]
         P = np.uint64(self.P)
 
@@ -474,14 +470,15 @@ class LakeTrigramIndex:
             return (cnt.filter(pa.array(m == need))
                     .drop_columns(["tri_count"]))
 
-        cand = file_exchange_map_groups(
-            post.map_batches(hits, batch_format="pyarrow"), full_hits,
+        cand = pa.concat_tables(ray.get(file_exchange_map_groups(
+            leaf(files, ["tri", "doc_id"]), full_hits,
             empty_result=pa.table({"needle": pa.array([], pa.string()),
-                                   "doc_id": pa.array([], pa.string())}))
-        rows = cand.take_all()
+                                   "doc_id": pa.array([], pa.string())}),
+            pre=hits).refs))
         per_needle: "dict[str, list]" = {}
-        for r in rows:
-            per_needle.setdefault(r["needle"], []).append(r["doc_id"])
+        for n, d in zip(cand.column("needle").to_pylist(),
+                        cand.column("doc_id").to_pylist()):
+            per_needle.setdefault(n, []).append(d)
         if not per_needle:
             return out_empty
         allids = sorted({d for v in per_needle.values() for d in v})

@@ -39,7 +39,7 @@ def read_documents(sf_dir: str, columns: list[str] | None = None
                                  columns=columns)
 
 
-def _docs(sf_dir: str, columns: list[str]) -> exchange.Leaf:
+def _docs(sf_dir: str, columns: "list[str] | None") -> exchange.Leaf:
     """The documents table as an exchange leaf of ``columns``."""
     return exchange.leaf(f"{sf_dir}/documents.parquet", columns)
 

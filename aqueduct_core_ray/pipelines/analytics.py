@@ -57,7 +57,6 @@ _Q1_CUTOFF = np.datetime64("1998-09-02T00:00:00", "us")
 # every co-partitioned exchange below is the keyed file exchange
 # (stages/exchange.py): ``keys=`` names the columns it routes on
 from ..stages import exchange
-from ..stages.exchange import collect_tables
 
 
 def _cents(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -74,25 +73,22 @@ def _rev_cents(t: pa.Table) -> np.ndarray:
     return np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
 
 
-def _tables(out: "ray.data.Dataset | exchange.Exchanged | list"
-            ) -> "list[pa.Table]":
-    """The blocks of a Dataset (one execution), an exchange result or a
-    list of block refs, as Arrow tables."""
-    if isinstance(out, ray.data.Dataset):
-        return collect_tables(out)
+def _tables(out: "exchange.Exchanged | list") -> "list[pa.Table]":
+    """The blocks of an exchange result or a list of block refs, as
+    Arrow tables."""
     return ray.get(out.refs if isinstance(out, exchange.Exchanged)
                    else out)
 
 
-def _concat_nonempty(ds: "ray.data.Dataset | exchange.Exchanged | list",
+def _concat_nonempty(ds: "exchange.Exchanged | list",
                      fallback: pa.Table) -> pa.Table:
-    """Collect a result's blocks, dropping the zero-column empty blocks
-    Ray emits for groupless partitions (they break concat_tables)."""
+    """Collect a result's blocks, dropping the empty ones (a column-less
+    empty block would break concat_tables)."""
     tables = [t for t in _tables(ds) if t.num_rows > 0]
     return pa.concat_tables(tables) if tables else fallback
 
 
-def _fold_partials(ds: "ray.data.Dataset | exchange.Exchanged | list",
+def _fold_partials(ds: "exchange.Exchanged | list",
                    keys: list[str], sums: list[str],
                    fallback: pa.Table) -> pa.Table:
     """Driver-side fold of BOUNDED-cardinality partial aggregates:
@@ -199,11 +195,10 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
             "n_lines": agg.column("one_sum"),
         })
 
-    ds = ray.data.read_parquet(
+    parts = exchange.map_blocks(exchange.leaf(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice", "l_discount", "l_tax", "l_shipdate"])
-    parts = ds.map_batches(partial, batch_format="pyarrow")
+        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
+         "l_discount", "l_tax", "l_shipdate"]), partial)
     empty = pa.table({
         "l_returnflag": pa.array([], pa.string()),
         "l_linestatus": pa.array([], pa.string()),
@@ -613,10 +608,8 @@ def supplier_balance_by_nation(sf_dir: str) -> ray.data.Dataset:
             "n_suppliers": t.column("n_suppliers"),
         })
 
-    parts = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet",
-        columns=["s_nationkey", "s_acctbal"]
-    ).map_batches(partial, batch_format="pyarrow")
+    parts = exchange.map_blocks(exchange.leaf(
+        f"{sf_dir}/supplier.parquet", ["s_nationkey", "s_acctbal"]), partial)
     return ray.data.from_arrow(finish(
         _fold_partials(parts, ["nidx"], ["bal_c", "n_suppliers"],
                        pa.table({"nidx": pa.array([], pa.int64()),
@@ -700,11 +693,9 @@ def small_quantity_revenue(sf_dir: str) -> ray.data.Dataset:
         })
 
     ds = exchange.file_exchange_map_groups(
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_partkey", "l_quantity", "l_extendedprice"])
-        .map_batches(tag_lines, batch_format="pyarrow"),
-        fold_filter, keys=["l_partkey"])
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_partkey", "l_quantity", "l_extendedprice"]),
+        fold_filter, keys=["l_partkey"], pre=tag_lines)
     empty = pa.table({"revenue_c": pa.array([], pa.int64()),
                       "n_lines": pa.array([], pa.int64())})
     t = _concat_nonempty(ds, empty)
@@ -1078,11 +1069,10 @@ def discount_revenue_delta(sf_dir: str, date_from: str = "1996-01-01",
             "n_lines": pa.array([int(keep.sum())], pa.int64()),
         })
 
-    parts = (ray.data.read_parquet(
-                 f"{sf_dir}/lineitem.parquet",
-                 columns=["l_shipdate", "l_discount", "l_quantity",
-                          "l_extendedprice"])
-             .map_batches(partial, batch_format="pyarrow"))
+    parts = exchange.map_blocks(exchange.leaf(
+        f"{sf_dir}/lineitem.parquet",
+        ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"]),
+        partial)
     pt = _concat_nonempty(parts, pa.table({
         "promo_revenue_c": pa.array([], pa.int64()),
         "n_lines": pa.array([], pa.int64())}))
@@ -1136,14 +1126,12 @@ def top_supplier_by_revenue(sf_dir: str, date_from: str = "1996-01-01",
         })
 
     total = exchange.fx_sum_by(
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_suppkey", "l_shipdate", "l_extendedprice",
-                     "l_discount"])
-        .map_batches(rev_partial, batch_format="pyarrow"),
-        ["s_suppkey"], ["rev_c"])
-    cand = pa.concat_tables([local_winners(t)
-                             for t in collect_tables(total)])
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_suppkey", "l_shipdate", "l_extendedprice",
+                       "l_discount"]),
+        ["s_suppkey"], ["rev_c"], pre=rev_partial)
+    cand = pa.concat_tables(_tables(exchange.map_blocks(total.refs,
+                                                        local_winners)))
     empty = pa.table({"s_suppkey": pa.array([], pa.int64()),
                       "s_name": pa.array([], pa.string()),
                       "total_revenue_c": pa.array([], pa.int64())})
@@ -1525,17 +1513,18 @@ def important_parts(sf_dir: str, share_denom: int = 2000) -> ray.data.Dataset:
                          "value_c": pa.array(sums)})
 
     sums = exchange.file_exchange_map_groups(
-        ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                              columns=["l_partkey", "l_extendedprice"])
-        .map_batches(partial, batch_format="pyarrow"),
-        finish, keys=["l_partkey"]).materialize()
-    total_c = int(sums.sum("value_c") or 0)
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_partkey", "l_extendedprice"]),
+        finish, keys=["l_partkey"], pre=partial).refs
+    total_c = sum(t.column("v")[0].as_py() or 0 for t in _tables(
+        exchange.map_blocks(sums, lambda t: pa.table(
+            {"v": [pc.sum(t.column("value_c")).as_py()]}))))
 
     def keep(t: pa.Table) -> pa.Table:
         v = t.column("value_c").to_numpy(zero_copy_only=False)
         return t.filter(pa.array(v * share_denom > total_c))
 
-    return sums.map_batches(keep, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(exchange.map_blocks(sums, keep))
 
 
 def supplier_count_by_part(sf_dir: str, exclude_brand: str = "Brand#1"
@@ -1742,9 +1731,8 @@ def sole_late_shipper(sf_dir: str) -> ray.data.Dataset:
                          "n_orders": pa.array(cnt.astype(np.int64))})
 
     parts = exchange.file_exchange_map_groups(
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_orderkey", "l_suppkey", "l_shipdate"]),
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_orderkey", "l_suppkey", "l_shipdate"]),
         per_part, keys=["l_orderkey"])
     return ray.data.from_arrow(_fold_partials(
         parts, ["l_suppkey"], ["n_orders"],
@@ -1830,12 +1818,10 @@ def dominant_supplier_parts(sf_dir: str) -> ray.data.Dataset:
             "is_majority": pa.array((2 * q4 > t4).astype(np.int8)),
         })
 
-    return exchange.file_exchange_map_groups(
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_partkey", "l_suppkey", "l_quantity"])
-        .map_batches(pair_partial, batch_format="pyarrow"),
-        per_part, keys=["pk"])
+    return ray.data.from_arrow_refs(exchange.file_exchange_map_groups(
+        exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                      ["l_partkey", "l_suppkey", "l_quantity"]),
+        per_part, keys=["pk"], pre=pair_partial).refs)
 
 
 def parts_bought_together(sf_dir: str, k: int = 20) -> pa.Table:
@@ -1940,10 +1926,9 @@ def parts_bought_together(sf_dir: str, k: int = 20) -> pa.Table:
 
     cands = exchange.file_exchange_map_groups(
         exchange.file_exchange_map_groups(
-            ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                                  columns=["l_orderkey", "l_partkey"])
-            .map_batches(order_part_partial, batch_format="pyarrow"),
-            expand_pairs, keys=["ok"]),
+            exchange.leaf(f"{sf_dir}/lineitem.parquet",
+                          ["l_orderkey", "l_partkey"]),
+            expand_pairs, keys=["ok"], pre=order_part_partial).refs,
         topk_per_partition, keys=["pa_", "pb"])
     # <= k*P candidate rows: finish the strict total order on the driver
     pt = _concat_nonempty(cands, pa.table({
@@ -2101,13 +2086,12 @@ def orders_weekly_gapfill(sf_dir: str) -> ray.data.Dataset:
                          "n": agg.column("n_sum"),
                          "sum_c": agg.column("sum_c_sum")})
 
-    ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                               columns=["o_orderdate", "o_totalprice"])
     empty = pa.table({"week": pa.array([], pa.int64()),
                       "n": pa.array([], pa.int64()),
                       "sum_c": pa.array([], pa.int64())})
-    pt = _fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
-                        ["week"], ["n", "sum_c"], empty)
+    pt = _fold_partials(exchange.map_blocks(exchange.leaf(
+        f"{sf_dir}/orders.parquet", ["o_orderdate", "o_totalprice"]),
+        partial), ["week"], ["n", "sum_c"], empty)
     wk = pt.column("week").to_numpy(zero_copy_only=False)
     if len(wk) == 0:
         return ray.data.from_arrow(pa.table({

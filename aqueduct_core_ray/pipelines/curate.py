@@ -86,11 +86,11 @@ def _attrition(t: pa.Table) -> pa.Table:
 def _curated_docs(sf_dir: str, lang: str = "en", shingle: int = 8,
                   min_hits: int = 3,
                   benchmark: "list[str] | None" = None
-                  ) -> "tuple[ray.data.Dataset, dict]":
+                  ) -> "tuple[list, dict]":
     """The curation core shared by ``curate_corpus`` and
-    ``train_pipeline``: returns (deduped surviving-docs Dataset with
-    columns doc_id/text/source/fp, per-stage attrition counts keyed
-    ``input`` and the ``_FLAGS``)."""
+    ``train_pipeline``: returns (block refs of the deduped surviving
+    docs with columns doc_id/text/source/fp, per-stage attrition counts
+    keyed ``input`` and the ``_FLAGS``)."""
     block_ref = ray.put(build_ngram_blocklist(sf_dir, benchmark,
                                               shingle))
 
@@ -121,9 +121,9 @@ def _curated_docs(sf_dir: str, lang: str = "en", shingle: int = 8,
     # with a survivor id
     survivors = exchange.fx_agg_by(flagged, ["fp"], [("doc_id", "min")],
                                    pre=kept_fp)
-    deduped = ray.data.from_arrow_refs(exchange.fx_join(
+    deduped = exchange.fx_join(
         flagged, survivors.refs, on="doc_id", how="semi",
-        pre=(kept, survivor_ids)).refs)
+        pre=(kept, survivor_ids)).refs
     return deduped, agg
 
 
@@ -135,8 +135,8 @@ def curate_corpus(sf_dir: str, out_dir: str | None = None,
     table (stage, n_docs) — deterministic for a given corpus/config.
     When ``out_dir`` is given the surviving corpus is also written as
     resumable training shards."""
-    deduped, agg = _curated_docs(sf_dir, lang, shingle, min_hits,
-                                 benchmark)
+    refs, agg = _curated_docs(sf_dir, lang, shingle, min_hits, benchmark)
+    deduped = ray.data.from_arrow_refs(refs)
     if out_dir is not None:
         # export THROUGH the shared sharded-writer contract; the row
         # count comes from the written files' metadata, so the curated
@@ -187,7 +187,7 @@ def train_pipeline(sf_dir: str, out_dir: "str | None" = None,
     export was reused (`skipped`).
 
     Scale shape: curation is `_curated_docs` (one flag pass + one
-    fp-only dedup exchange), tokenization is one map_batches, packing
+    fp-only dedup exchange), tokenization is one raw-task pass, packing
     is one hash exchange with vectorized in-partition chunking, export
     is the shared atomic-marker sharded writer keyed on pack_id; the
     summary re-reads ONLY the written shards' two int32 columns
@@ -240,11 +240,10 @@ def train_pipeline(sf_dir: str, out_dir: "str | None" = None,
 
     deduped, agg = _curated_docs(sf_dir, lang, shingle, min_hits,
                                  benchmark)
-    tokenized = deduped.map_batches(tokenize_batch,
-                                    batch_format="pyarrow")
-    packed = pack_tokenized(tokenized, context_len, num_partitions)
-    st = write_shards(packed, out_dir, n_shards, 23, payload,
-                      key_col="pack_id")
+    packed = pack_tokenized(exchange.map_blocks(deduped, tokenize_batch),
+                            context_len, num_partitions)
+    st = write_shards(ray.data.from_arrow_refs(packed.refs), out_dir,
+                      n_shards, 23, payload, key_col="pack_id")
     meta = pads.dataset(out_dir, partitioning="hive").to_table(
         columns=["n_tok", "n_docs"])
     out = pa.table({

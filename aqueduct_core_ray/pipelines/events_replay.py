@@ -24,15 +24,19 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import uuid
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+import ray
 import ray.data
 
 from ..sources.changelog import BASE_TS_US
+from ..stages import exchange
 from .log_queries import events_to_changelog, read_events
 from .replay import CDCEngine
 
@@ -210,38 +214,43 @@ def tokenize_batch(t: pa.Table, text_col: str = "text",
                      "source": t.column("source")})
 
 
+def _documents(sf_dir: str) -> exchange.Leaf:
+    """The (doc_id, text, source) documents leaf that is tokenized."""
+    return exchange.leaf(f"{sf_dir}/documents.parquet",
+                         ["doc_id", "text", "source"])
+
+
 def tokenize_documents(sf_dir: str) -> ray.data.Dataset:
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text", "source"])
-    return ds.map_batches(tokenize_batch, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(
+        exchange.map_blocks(_documents(sf_dir), tokenize_batch))
 
 
 def _documents_changelog(sf_dir: str, log_dir: str) -> int:
     """Write the documents table as a tokenized insert-only changelog
-    (lsn = doc_id + 1); returns the max lsn. Shared by the flagship
-    replay and the online-dedup feed."""
+    (lsn = doc_id + 1), one parquet file per documents unit written by
+    its raw task; returns the max lsn. Shared by the flagship replay
+    and the online-dedup feed."""
 
-    def to_events(t: pa.Table) -> pa.Table:
+    def write_events(t: pa.Table) -> pa.Table:
         n = t.num_rows
         lsn = pc.add(t.column("doc_id"), 1).cast(pa.int64())
         tok = tokenize_batch(t)
         ts = pc.add(pc.multiply(lsn, 1000), BASE_TS_US).cast(
             pa.timestamp("us"))
-        return pa.table({
-            "lsn": lsn,
-            "op": pa.array(np.zeros(n, np.int8)),
-            "doc_id": tok.column("doc_id"),
-            "tokens": tok.column("tokens"),
-            "n_tok": tok.column("n_tok"),
-            "source": tok.column("source"),
-            "ts": ts,
-        })
+        if n:
+            pq.write_table(pa.table({
+                "lsn": lsn,
+                "op": pa.array(np.zeros(n, np.int8)),
+                "doc_id": tok.column("doc_id"),
+                "tokens": tok.column("tokens"),
+                "n_tok": tok.column("n_tok"),
+                "source": tok.column("source"),
+                "ts": ts,
+            }), os.path.join(log_dir, f"{uuid.uuid4().hex}.parquet"))
+        return pa.table({"max_lsn": [pc.max(lsn).as_py()]})
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text", "source"])
-    ds.map_batches(to_events, batch_format="pyarrow").write_parquet(log_dir)
-    return int(ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]).max("doc_id")) + 1
+    return max(t.column("max_lsn")[0].as_py() or 0 for t in ray.get(
+        exchange.map_blocks(_documents(sf_dir), write_events)))
 
 
 def replay_documents_lake(sf_dir: str, n_waves: int = 2,

@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
+import ray
 import ray.data
 
 from ..stages import exchange
@@ -68,6 +69,20 @@ def read_events(sf_dir: str, columns: list[str] | None = None,
                 filter: pads.Expression | None = None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                  columns=columns, filter=filter)
+
+
+def _events(sf_dir: str, columns: list[str] | None = None,
+            filter: pads.Expression | None = None) -> exchange.Leaf:
+    """The events table as an exchange leaf."""
+    return exchange.leaf(f"{sf_dir}/events.parquet", columns, filter)
+
+
+def _id_range(t: pa.Table) -> pa.Table:
+    """The block's min and max ``event_id`` (no row for an empty one)."""
+    ids = t.column("event_id")
+    return pa.table({"event_id": pa.array(
+        [pc.min(ids).as_py(), pc.max(ids).as_py()] if len(ids) else [],
+        pa.int64())})
 
 
 # --------------------------------------------------------------------- #
@@ -112,13 +127,11 @@ def byte_cap_prefix(sf_dir: str, cap: int | None = None,
     Reference edge (PipeReadControllerBatchIntegrationSpec.groovy:49-91):
     a single over-budget first row still ships alone — the batch is
     never empty while the log isn't."""
-    from ray.data.aggregate import Max, Min
-
-    ds_ids = read_events(sf_dir, columns=["event_id"])
-    mm = ds_ids.aggregate(Min("event_id"), Max("event_id"))  # one pass
-    first_id = int(mm["min(event_id)"])
+    ids = pa.concat_tables(ray.get(exchange.map_blocks(
+        _events(sf_dir, ["event_id"]), _id_range))).column("event_id")
+    first_id = pc.min(ids).as_py()
     if range_size is None:
-        range_size = max(4096, -(-(int(mm["max(event_id)"]) + 1)
+        range_size = max(4096, -(-(pc.max(ids).as_py() + 1)
                                  // max_ranges))
 
     # pass 1 — per-range byte totals with a PER-BATCH combiner: only
@@ -137,9 +150,8 @@ def byte_cap_prefix(sf_dir: str, cap: int | None = None,
 
     # <= max_ranges partial rows per BLOCK: fold them on the driver
     # (bounded), skipping the native aggregate's sort-shuffle floor
-    part_rows = (read_events(sf_dir, columns=["event_id", "props"])
-                 .map_batches(rp_partials, batch_format="pyarrow")
-                 .take_all())
+    part_rows = pa.concat_tables(ray.get(exchange.map_blocks(
+        _events(sf_dir, ["event_id", "props"]), rp_partials))).to_pylist()
     totals_fold: dict[int, int] = {}
     for r in part_rows:
         rp_k = int(r["rp"])
@@ -172,10 +184,9 @@ def byte_cap_prefix(sf_dir: str, cap: int | None = None,
         rp = pc.divide(t.column("event_id"), range_size).cast(pa.int64())
         return t.filter(pc.is_in(rp, value_set=keep_arr))
 
-    out = read_events(sf_dir).map_batches(keep_full,
-                                          batch_format="pyarrow")
+    out = exchange.map_blocks(_events(sf_dir), keep_full)
     if not boundary:
-        return out
+        return ray.data.from_arrow_refs(out)
     b = boundary[0]             # prefix sums are monotone: at most one
     flt = ((pads.field("event_id") >= b * range_size)
            & (pads.field("event_id") < (b + 1) * range_size))
@@ -192,12 +203,11 @@ def byte_cap_prefix(sf_dir: str, cap: int | None = None,
 
     # one explicit part: the boundary range is sorted whole
     edge = exchange.file_exchange_map_groups(
-        read_events(sf_dir, filter=flt).map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(np.zeros(t.num_rows, np.int32))),
-            batch_format="pyarrow"),
-        lambda t: prefix_rows(t.drop_columns(["part"])))
-    return out.union(edge)
+        _events(sf_dir, filter=flt),
+        lambda t: prefix_rows(t.drop_columns(["part"])),
+        pre=lambda t: t.append_column(
+            "part", pa.array(np.zeros(t.num_rows, np.int32))))
+    return ray.data.from_arrow_refs(out + edge.refs)
 
 
 # --------------------------------------------------------------------- #
@@ -209,6 +219,11 @@ def lww_latest(sf_dir: str) -> ray.data.Dataset:
     keyed on doc_id -> final per-partition compaction. Tombstone-latest
     keys are KEPT (compaction ≠ tombstone GC, which is the retention
     job)."""
+    return ray.data.from_arrow_refs(_lww_latest(sf_dir).refs)
+
+
+def _lww_latest(sf_dir: str) -> exchange.Exchanged:
+    """``lww_latest``'s exchange over the events leaf."""
 
     def prep(t: pa.Table) -> pa.Table:
         return compact_lww(events_to_changelog(t))
@@ -220,20 +235,23 @@ def lww_latest(sf_dir: str) -> ray.data.Dataset:
                   .set_column(out.schema.get_field_index("op"),
                               "op", out.column("op").cast(pa.int64()))
 
-    ds = read_events(sf_dir).map_batches(prep, batch_format="pyarrow")
-    return exchange.file_exchange_map_groups(ds, finish, keys=["doc_id"])
+    return exchange.file_exchange_map_groups(
+        _events(sf_dir), finish, keys=["doc_id"], pre=prep)
 
 
 def consistency_sum(sf_dir: str) -> pa.Table:
     """A4 convergence checksum (SQLiteQueries.java:57-64): Σ over keys of
     max(lsn), excluding keys whose latest event is a tombstone. Reuses the
     LWW partitioning — no extra shuffle."""
-    latest = lww_latest(sf_dir)
-    live = latest.map_batches(
-        lambda t: t.filter(pc.equal(t.column("op"), 0)),
-        batch_format="pyarrow")
-    s = live.sum("last_lsn")
-    return pa.table({"consistency_sum": pa.array([int(s or 0)], pa.int64())})
+    s = sum(t.column("s")[0].as_py() or 0 for t in ray.get(
+        exchange.map_blocks(_lww_latest(sf_dir).refs, _live_lsn_sum)))
+    return pa.table({"consistency_sum": pa.array([int(s)], pa.int64())})
+
+
+def _live_lsn_sum(t: pa.Table) -> pa.Table:
+    """One row: the block's ``last_lsn`` sum over non-tombstone rows."""
+    live = t.filter(pc.equal(t.column("op"), 0))
+    return pa.table({"s": [pc.sum(live.column("last_lsn")).as_py()]})
 
 
 # --------------------------------------------------------------------- #

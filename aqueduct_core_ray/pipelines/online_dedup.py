@@ -73,7 +73,8 @@ def bootstrap_dedup_index(engine, index_root: str, *, k: int = 64,
     pass over (doc_id, tokens)) and stamp the generation watermark.
     Returns the band-row count written."""
     n = build_minhash_index(
-        engine.read_lake(columns=["doc_id", "tokens"]), index_root,
+        engine.read_lake(columns=["doc_id", "tokens"]).materialize()
+        .to_arrow_refs(), index_root,
         k=k, bands=bands, shingle=shingle,
         num_partitions=num_partitions, column="tokens")
     _write_gen(index_root, engine.manifest.generation)

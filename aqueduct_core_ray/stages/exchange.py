@@ -22,36 +22,36 @@ task per run applies ``fn`` to each of its parts. Ray Data's
 sort-based ``groupby`` (a ~3 s fixed floor per shuffle at any data
 size) is not used anywhere in the package.
 
-Inputs. An exchange reads any of:
+Inputs. An exchange reads one of two kinds:
 - a leaf read (``leaf(paths, columns=, filter=)``): parquet row groups
   cut into units by the engine's scan packing (stages/scan_units.py),
   one raw writer task per unit;
-- a list of block refs (``Exchanged.refs`` of an earlier exchange, or
-  any ``ObjectRef`` of a ``pa.Table``): one raw writer task per block;
-- a ``ray.data.Dataset``: one Ray Data execution of its plan, whose
-  blocks stream into the same raw writers (the adapter for Dataset
-  callers);
-- a tuple of the above: a CO-GROUP. ``fn(t0, t1, ...)`` gets one table
-  per member with that member's rows of the part, so the sides of a
-  join never share a schema, a tag column or null padding: the one
-  join shape of the library. ``fx_join`` is the co-group whose part
-  function is Arrow's hash join.
+- a list of block refs (``Exchanged.refs`` of an earlier exchange, the
+  refs of ``map_blocks``, or any ``ObjectRef`` of a ``pa.Table``): one
+  raw writer task per block;
+or a tuple of them: a CO-GROUP. ``fn(t0, t1, ...)`` gets one table per
+member with that member's rows of the part, so the sides of a join
+never share a schema, a tag column or null padding: the one join shape
+of the library. ``fx_join`` is the co-group whose part function is
+Arrow's hash join. A ``ray.data.Dataset`` is not an input: every entry
+point raises ``TypeError`` on one (Ray Data stays at the library's
+public boundary, where results become Datasets).
 ``fx_join`` picks its strategy from the build side's size: a right
 side that is a leaf of at most ``BROADCAST_BYTES`` parquet footer bytes
 (known before any task runs; the constant is a measured crossover) is
 read once and joined whole by one task per left unit or block, with no
-exchange; ``outer`` and refs or Dataset right sides (whose size is
-known only after their tasks ran) route.
+exchange; ``outer`` and refs right sides (whose size is known only
+after their tasks ran) route.
 A query writes one join; the engine, not the query, chooses.
 An optional per-block ``pre`` function (conform, partial fold) runs
 inside the writer task before the key route and the slicing. Writers
 are raw Ray tasks under a ``ray.wait`` window of 2x the cluster's
 CPUs. A public call reads the cluster's CPUs once and puts each of its
-functions in the object store once, for all of its tasks. Leaf and
-refs inputs return ``Exchanged(refs, schema)``: the
-partition tasks' output refs, chainable straight into the next
-exchange with no Ray Data execution in between, and the input schema
-the writers reported; a Dataset input returns a Dataset.
+functions in the object store once, for all of its tasks. Every entry
+point returns ``Exchanged(refs, schema)`` (``map_blocks`` returns the
+refs alone): the partition tasks' output refs, chainable straight into
+the next exchange with no Ray Data execution in between, and the input
+schema the writers reported.
 
 Ordered shapes. ``window(src, partition_by, order_by, fn)`` is SQL's
 ``OVER (PARTITION BY ... ORDER BY ...)``: the keyed exchange whose task
@@ -65,16 +65,13 @@ Schemas come from the writers: each manifest carries the schema of the
 table it wrote, the exchange unifies each member's schemas (never
 across members), and every member's slices reach ``fn`` conformed to
 its schema (missing columns as typed nulls). The empty-exchange probe
-and ``fx_join``'s key check read them; no Dataset schema is probed (a
-probe runs a cut-short execution of the plan, a Ray 2.49.2 abort
-trigger). Writers report typed empty blocks too. A Dataset whose
-blocks all lack columns (a parquet read pruned to nothing) falls back
-to the schema its plan knows from metadata
-(``schema(fetch_if_missing=False)``, which never executes); a plan
-that knows none (a map over only empty blocks) leaves its member
-untyped: it reaches ``fn`` as a column-less empty table, ``fx_join``
-joins it as an empty side, and an exchange with no typed member
-returns ``pa.table({})`` unless the caller passes ``empty_result``.
+and ``fx_join``'s key check read them. A leaf unit's read is typed
+even when its filter keeps no row, and writers report typed empty
+blocks too, so a member is untyped only when none of its blocks
+carries a column (refs of column-less tables, or no block at all): it
+reaches ``fn`` as a column-less empty table, ``fx_join`` joins it as an
+empty side, and an exchange with no typed member returns
+``pa.table({})`` unless the caller passes ``empty_result``.
 
 Placement contract (same as the engine's lake root): ``root`` must be
 on storage every worker can reach — node-local /tmp is correct in this
@@ -93,7 +90,7 @@ import tempfile
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -101,6 +98,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.fs as pafs
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
@@ -208,10 +206,10 @@ def key_parts(t: pa.Table, keys: "list[str]", P: int) -> np.ndarray:
 
 
 def collect_tables(ds: ray.data.Dataset) -> "list[pa.Table]":
-    """The Dataset's blocks as Arrow tables, from ONE execution of its
-    plan. ``ray.get(ds.to_arrow_refs())`` runs a lazy plan a second time
-    for its schema probe, and a cut-short re-run is what trips Ray
-    2.49.2's cancel race (``task_manager.cc:930``)."""
+    """A public-boundary Dataset's blocks as Arrow tables, from ONE
+    execution of its plan. ``ray.get(ds.to_arrow_refs())`` runs a lazy
+    plan a second time for its schema probe, and a cut-short re-run is
+    what trips Ray 2.49.2's cancel race (``task_manager.cc:930``)."""
     return ray.get(ds.materialize().to_arrow_refs())
 
 
@@ -290,16 +288,10 @@ def _read_unit(unit: list, columns: "tuple[str, ...] | None",
             else pa.concat_tables(tabs, promote_options="permissive"))
 
 
-def _load(item: "pa.Table | tuple | Any") -> pa.Table:
+def _load(item: "pa.Table | tuple") -> pa.Table:
     """A raw task's input block: a leaf unit's (unit, columns, filter)
-    read, or a resolved ref (an Arrow table, or a Ray Data block of
-    another format, converted)."""
-    if isinstance(item, tuple):
-        return _read_unit(*item)
-    if isinstance(item, pa.Table):
-        return item
-    from ray.data.block import BlockAccessor
-    return BlockAccessor.for_block(item).to_arrow()
+    read, or a resolved block ref's table."""
+    return _read_unit(*item) if isinstance(item, tuple) else item
 
 
 def _route(t: pa.Table, keys: "list[str]", P: int, salt: int
@@ -341,9 +333,9 @@ def _map_task(item, fn) -> pa.Table:
 
 
 def _windowed(jobs: Iterable, submit: Callable) -> list:
-    """Submit ``submit(*job)`` for every job (pulled lazily, so a
-    streamed input is consumed as the window frees), at most 2x the
-    cluster's CPUs in flight; the refs come back in job order."""
+    """Submit ``submit(*job)`` for every job (pulled lazily, as the
+    window frees), at most 2x the cluster's CPUs in flight; the refs
+    come back in job order."""
     window = 2 * _cluster_cpus()
     refs, pending = [], []
     for job in jobs:
@@ -356,30 +348,23 @@ def _windowed(jobs: Iterable, submit: Callable) -> list:
     return refs
 
 
-def _dataset_blocks(ds: ray.data.Dataset) -> Iterator:
-    """A Dataset's block refs, streamed from ONE execution of its plan.
-    Typed empty blocks come through as they are (a ``map_batches``
-    stage would skip them). When no block carries a column (a pruned
-    parquet read, a map over empty blocks), one empty table of the
-    plan's metadata schema follows, if the plan knows it without
-    executing (``fetch_if_missing=False`` never runs the plan)."""
-    typed = False
-    for bundle in ds.iter_internal_ref_bundles():
-        typed = typed or bool(getattr(bundle.schema, "names", None))
-        yield from bundle.block_refs
-    if not typed:
-        sch = ds.schema(fetch_if_missing=False)
-        if sch is not None and isinstance(sch.base_schema, pa.Schema):
-            yield sch.base_schema.empty_table()
-
-
-def _raw_items(src: "Leaf | list | ray.data.Dataset") -> Iterable:
-    """An input's task items: leaf units, block refs, or a Dataset's
-    streamed blocks."""
+def _kind(src: "Leaf | list") -> str:
+    """An exchange input's kind, ``leaf`` or ``refs``; anything else
+    (a ``ray.data.Dataset`` included) is a ``TypeError``."""
     if isinstance(src, Leaf):
+        return "leaf"
+    if isinstance(src, list) and all(isinstance(r, ray.ObjectRef)
+                                     for r in src):
+        return "refs"
+    raise TypeError(f"exchange input {type(src).__name__}: expected a "
+                    f"leaf (exchange.leaf(paths, columns=, filter=)) or "
+                    f"a list of block refs (Exchanged.refs, map_blocks)")
+
+
+def _raw_items(src: "Leaf | list") -> list:
+    """An input's task items: leaf units or block refs."""
+    if _kind(src) == "leaf":
         return [(u, src.columns, src.filter) for u in src.units()]
-    if isinstance(src, ray.data.Dataset):
-        return _dataset_blocks(src)
     return list(src)
 
 
@@ -392,6 +377,22 @@ def map_blocks(src: "Leaf | list", fn: Callable[[pa.Table], pa.Table]
     fn_ref = _put(fn)
     return _windowed([(i, fn_ref) for i in _raw_items(src)],
                      _map_task.remote)
+
+
+def write_parts(t: pa.Table, root: str, col: str) -> pa.Table:
+    """A ``map_blocks`` writer: one new ``<col>=N/<uuid>.parquet`` file
+    under ``root`` per value N of ``t``'s int ``col`` column (the files
+    leave ``col`` out, as a hive layout does); returns the one-row
+    table ``n`` of the rows written. Files are uuid-named, so writers
+    never collide and a later call appends."""
+    parts = t.column(col).to_numpy(zero_copy_only=False)
+    rest = t.drop_columns([col])
+    for p in np.unique(parts):
+        pdir = os.path.join(root, f"{col}={p}")
+        os.makedirs(pdir, exist_ok=True)
+        pq.write_table(rest.filter(pa.array(parts == p)),
+                       os.path.join(pdir, f"{uuid.uuid4().hex}.parquet"))
+    return pa.table({"n": pa.array([t.num_rows], pa.int64())})
 
 
 class Exchanged(NamedTuple):
@@ -413,26 +414,13 @@ def _inputs(src, pre, keys) -> "list[tuple[str, Any, Any, Any]]":
     if len(pres) != len(members) or len(keyss) != len(members):
         raise ValueError(f"{len(pres)} pre functions and {len(keyss)} "
                          f"key lists for {len(members)} inputs")
-    out = []
-    for m, p, k in zip(members, pres, keyss):
-        if isinstance(m, ray.data.Dataset):
-            out.append(("dataset", m, p, k))
-        elif isinstance(m, Leaf):
-            out.append(("leaf", m, p, k))
-        elif isinstance(m, list) and all(
-                isinstance(r, ray.ObjectRef) for r in m):
-            out.append(("refs", m, p, k))
-        else:
-            raise TypeError(f"exchange input {type(m).__name__}: expected "
-                            f"a Dataset, a Leaf or a list of block refs")
-    return out
+    return [(_kind(m), m, p, k) for m, p, k in zip(members, pres, keyss)]
 
 
 def _write_inputs(inputs: list, xdir: str, salt: int
                   ) -> "list[list[pa.Table]]":
     """Every member's writer manifests: one raw writer task per leaf
-    unit or block, in input order under the window (a Dataset input is
-    one Ray Data execution, streamed into the writers). ``P`` is fixed
+    unit or block, in input order under the window. ``P`` is fixed
     here, on the driver, so every writer routes alike."""
     P = _auto_virtual_parts()
     member: "list[int]" = []
@@ -619,7 +607,7 @@ def _empty_exchange(schemas: "list[pa.Schema | None]", fn,
 
 @_per_call
 def file_exchange_map_groups(
-    src: "ray.data.Dataset | Leaf | list | tuple",
+    src: "Leaf | list | tuple",
     fn: Callable[..., pa.Table],
     keys: "list[str] | tuple | None" = None,
     root: "str | None" = None,
@@ -630,7 +618,7 @@ def file_exchange_map_groups(
     pre: "Callable[[pa.Table], pa.Table] | tuple | None" = None,
     _check: "Callable[[list], None] | None" = None,
     _plan_out: "dict | None" = None,
-) -> "ray.data.Dataset | Exchanged":
+) -> Exchanged:
     """The library's keyed exchange: every row with equal ``keys``
     values reaches one part and ``fn`` runs over whole parts (with the
     int32 ``part`` column); output blocks come out in ascending part
@@ -646,15 +634,15 @@ def file_exchange_map_groups(
     The exchange is a barrier. Exchange files are deleted before
     returning — the result rows ride the object store.
 
-    - ``src``: a Dataset (returns a Dataset; one Ray Data execution,
-      its blocks streamed to the writers), a ``Leaf`` (``leaf(paths,
-      columns=, filter=)``), a list of block refs, or a tuple of these:
-      a CO-GROUP, where ``fn(t0, t1, ...)`` receives one table per
-      member, each in its own schema (a member with no rows in the
-      part as a typed empty table). Leaf and refs inputs return
-      ``Exchanged(refs, schema)`` and start no Ray Data execution.
-      Writers are raw tasks, one per leaf unit or block, at most 2x the
-      cluster's CPUs in flight (``ray.wait`` window).
+    - ``src``: a ``Leaf`` (``leaf(paths, columns=, filter=)``), a list
+      of block refs, or a tuple of these: a CO-GROUP, where ``fn(t0,
+      t1, ...)`` receives one table per member, each in its own schema
+      (a member with no rows in the part as a typed empty table). Any
+      other input (a ``ray.data.Dataset`` too) raises ``TypeError``.
+      The call returns ``Exchanged(refs, schema)`` and starts no Ray
+      Data execution. Writers are raw tasks, one per leaf unit or
+      block, at most 2x the cluster's CPUs in flight (``ray.wait``
+      window).
     - ``pre``: per-block function run inside the writer task before the
       key route (conform, partial fold); for a tuple ``src``, one
       callable for all members or a tuple with one per member (None
@@ -689,11 +677,10 @@ def file_exchange_map_groups(
       ``split`` (chunk-folded parts), ``packed`` (runs of >1 part),
       ``parts``, ``bytes`` and ``strategy`` (``"route"``; ``fx_join``'s
       broadcast says ``"broadcast"``). The same counts, with the input
-      kind ``src`` (leaf / refs / dataset) and the writer and task
+      kind ``src`` (leaf / refs) and the writer and task
       seconds, go to one ``op="exchange"`` row of ``metrics``."""
     inputs = _inputs(src, pre, keys)
-    kinds = {k for k, *_ in inputs}
-    kind = next(k for k in ("dataset", "leaf", "refs") if k in kinds)
+    kind = "leaf" if any(k == "leaf" for k, *_ in inputs) else "refs"
     base = (root or os.environ.get("AQR_EXCHANGE_ROOT")
             or tempfile.gettempdir())
     _guard_shared_root(base, explicit=bool(
@@ -752,14 +739,9 @@ def file_exchange_map_groups(
             _plan_out.update(stats)
         ray.wait(refs, num_returns=len(refs))  # files consumed: safe to rm
         t2 = time.perf_counter()
-        if kind == "dataset":
-            out = (ray.data.from_arrow_refs(refs) if refs else
-                   ray.data.from_arrow(_empty_exchange(schemas, fn,
-                                                       empty_result)))
-        else:
-            out = Exchanged(refs or [ray.put(
-                _empty_exchange(schemas, fn, empty_result))],
-                schemas[0] if len(schemas) == 1 else tuple(schemas))
+        out = Exchanged(refs or [ray.put(
+            _empty_exchange(schemas, fn, empty_result))],
+            schemas[0] if len(schemas) == 1 else tuple(schemas))
     finally:
         shutil.rmtree(xdir, ignore_errors=True)
     _record(fn, kind, t0, t1, t2, stats)
@@ -778,13 +760,13 @@ def _record(fn: Callable, kind: str, t0: float, t1: float, t2: float,
                     "run_s": round(t2 - t1, 6), **stats})
 
 
-def fx_agg_by(src: "ray.data.Dataset | Leaf | list",
+def fx_agg_by(src: "Leaf | list",
               keys: "list[str]",
               aggs: "list[tuple[str, str]]",
               target_bytes: "int | None" = None,
               pre: "Callable[[pa.Table], pa.Table] | tuple | None" = None,
               _plan_out: "dict | None" = None
-              ) -> "ray.data.Dataset | Exchanged":
+              ) -> Exchanged:
     """``GROUP BY keys`` with Arrow aggregates over the keyed exchange —
     for UNBOUNDED-cardinality grouped aggregates where a driver fold
     (analytics._fold_partials) would not be scale-safe and the native
@@ -827,10 +809,10 @@ def fx_agg_by(src: "ray.data.Dataset | Leaf | list",
         pre=pre, _plan_out=_plan_out)
 
 
-def fx_sum_by(src: "ray.data.Dataset | Leaf | list",
+def fx_sum_by(src: "Leaf | list",
               keys: "list[str]", sums: "list[str]",
               pre: "Callable[[pa.Table], pa.Table] | tuple | None" = None
-              ) -> "ray.data.Dataset | Exchanged":
+              ) -> Exchanged:
     """``GROUP BY keys`` summing ``sums`` over the keyed exchange."""
     return fx_agg_by(src, keys, [(c, "sum") for c in sums], pre=pre)
 
@@ -840,9 +822,9 @@ def _key_ones(t: pa.Table, keys: "list[str]", name: str) -> pa.Table:
         name, pa.array(np.ones(t.num_rows, np.int64)))
 
 
-def fx_count_by(src: "ray.data.Dataset | Leaf | list",
+def fx_count_by(src: "Leaf | list",
                 keys: "list[str]", name: str
-                ) -> "ray.data.Dataset | Exchanged":
+                ) -> Exchanged:
     """``GROUP BY keys`` with ``COUNT(*)`` as the int64 column ``name``
     (a null key is a group) over the keyed exchange."""
     return fx_sum_by(src, keys, [name], pre=functools.partial(
@@ -895,12 +877,12 @@ def _window_part(t: pa.Table, partition_by: "list[str]",
     return fn(*segments(t, partition_by, order_by))
 
 
-def window(src: "ray.data.Dataset | Leaf | list",
+def window(src: "Leaf | list",
            partition_by: "list[str]", order_by: "list[str]",
            fn: Callable[[pa.Table, np.ndarray], pa.Table],
            pre: "Callable[[pa.Table], pa.Table] | None" = None,
            empty_result: "pa.Table | None" = None
-           ) -> "ray.data.Dataset | Exchanged":
+           ) -> Exchanged:
     """SQL's ``OVER (PARTITION BY partition_by ORDER BY order_by)``: a
     keyed exchange on ``partition_by`` whose task sorts its rows once by
     ``(partition_by, order_by)`` (``segments``) and calls ``fn(sorted,
@@ -1016,10 +998,10 @@ def _broadcast_task(item, pre, join: Callable, check: Callable,
     return out, (*schemas, out.num_rows, out.schema)
 
 
-def _broadcast_join(left: "ray.data.Dataset | Leaf | list", right: Leaf,
+def _broadcast_join(left: "Leaf | list", right: Leaf,
                     nbytes: int, join: Callable, pre: tuple,
                     check: Callable, plan_out: "dict | None"
-                    ) -> "ray.data.Dataset | Exchanged":
+                    ) -> Exchanged:
     """``join`` with the right side read once (``map_blocks`` with its
     ``pre``) and handed whole to one raw task per left unit or block,
     submitted at once (each waits on the right refs, not the driver):
@@ -1027,7 +1009,7 @@ def _broadcast_join(left: "ray.data.Dataset | Leaf | list", right: Leaf,
     block order, empty outputs dropped unless all are; a left side whose
     blocks differ in type gives outputs conformed to the routed path's
     output schema (the join of the unified side schemas)."""
-    ((kind, *_),) = _inputs(left, None, None)
+    kind = _kind(left)
     lpre, rpre = pre
     t0 = time.perf_counter()
     rrefs = map_blocks(right, functools.partial(_pre, pre=rpre))
@@ -1055,19 +1037,18 @@ def _broadcast_join(left: "ray.data.Dataset | Leaf | list", right: Leaf,
     if plan_out is not None:
         plan_out.update(stats)
     _record(join, kind, t0, t1, t2, stats)
-    return (ray.data.from_arrow_refs(refs) if kind == "dataset"
-            else Exchanged(refs, schema))
+    return Exchanged(refs, schema)
 
 
 @_per_call
-def fx_join(left: "ray.data.Dataset | Leaf | list",
-            right: "ray.data.Dataset | Leaf | list",
+def fx_join(left: "Leaf | list",
+            right: "Leaf | list",
             on: "list[str] | str", how: str = "inner",
             suffix: str = "_r", salt: int = 1,
             target_bytes: "int | None" = None,
             pre: "tuple | None" = None,
             _plan_out: "dict | None" = None
-            ) -> "ray.data.Dataset | Exchanged":
+            ) -> Exchanged:
     """Generic hash EQUI-JOIN: each part of the output is Arrow's hash
     join of matching left and right rows (``_join_part``). Key columns
     of the two sides must share a routing family (``key_family``:
@@ -1076,7 +1057,7 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
     broadcast: by the first left task). Right key columns compare at
     the left key types.
 
-    Either side is any exchange input (Dataset, ``Leaf``, block refs);
+    Either side is an exchange input (``Leaf`` or block refs);
     ``pre=(left_fn, right_fn)`` conforms a side's blocks inside the
     task that reads them. Each side's schema comes from those tasks, so
     no schema is probed up front.
@@ -1107,9 +1088,8 @@ def fx_join(left: "ray.data.Dataset | Leaf | list",
       rows against the whole right side. No exchange files; the left
       side moves once. Outputs of left blocks that differ in type are
       conformed to the routed output schema. ``outer`` routes:
-      each task would emit the unmatched right rows again. A refs or
-      Dataset right side routes: its size is unknown before its tasks
-      run.
+      each task would emit the unmatched right rows again. A refs
+      right side routes: its size is unknown before its tasks run.
     - ROUTED otherwise: the two sides are a two-member co-group keyed
       by ``key_parts`` (the keyed exchange's rule), both sides move
       exactly once, join state is per-partition. ``salt`` > 1 is the

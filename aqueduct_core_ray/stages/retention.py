@@ -28,10 +28,14 @@ has not yet applied. `guard_hwm_ts` enforces that.
 
 from __future__ import annotations
 
+import os
+import uuid
+
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
 from ..schema import OP_DELETE
 from . import exchange
@@ -106,22 +110,22 @@ def compact_log(
     compact_deletions: bool = True,
     min_consumer_hwm_ts=None,
     keys: tuple[str, ...] = KEYS,
-) -> ray.data.Dataset:
+) -> int:
     """Distributed retention: read immutable log -> exchange keyed on
     the compaction ``keys`` -> compact each partition key-locally ->
-    write the compacted log. Returns the written dataset handle
-    (already consumed)."""
+    write the compacted log: each partition task writes its rows as
+    one parquet file. Returns the number of rows written."""
     guard_hwm_ts(deletion_ts, min_consumer_hwm_ts)
-    ds = ray.data.read_parquet(log_path)
+    os.makedirs(out_dir, exist_ok=True)
 
     def per_part(g: pa.Table) -> pa.Table:
         out = compact_log_table(g.drop_columns(["part"]), compact_ts,
                                 deletion_ts, compact_deletions, keys)
-        return out
+        if out.num_rows:
+            pq.write_table(out, os.path.join(out_dir,
+                                             f"{uuid.uuid4().hex}.parquet"))
+        return pa.table({"n": [out.num_rows]})
 
-    # a materialized exchange: reading the returned Dataset after the
-    # write does not run the shuffle again. per_part handles an empty
-    # part, so the empty result is typed by the writers' schema.
-    out = exchange.file_exchange_map_groups(ds, per_part, keys=list(keys))
-    out.write_parquet(out_dir)
-    return out
+    out = exchange.file_exchange_map_groups(
+        exchange.leaf(log_path), per_part, keys=list(keys))
+    return sum(t.column("n")[0].as_py() for t in ray.get(out.refs))

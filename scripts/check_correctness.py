@@ -1,9 +1,9 @@
 """Correctness sweep: run every ``queries()`` entry of the checkout this
 script sits in and its ``oracle_sql()`` twin at a given sf, compare row
 count, column names, and order-insensitive values. The last line counts
-the sweep's ``op="exchange"`` metrics rows by input kind (``src``) and
-names the queries that wrote ``dataset`` rows; the rows are read from
-``$AQR_METRICS_PATH``, or from a temp file when it is unset.
+the sweep's ``op="exchange"`` metrics rows by input kind (``src``); the
+rows are read from ``$AQR_METRICS_PATH``, or from a temp file when it
+is unset.
 
 Usage: python scripts/check_correctness.py [sf_dir] [query ...]
 """
@@ -109,7 +109,6 @@ def main() -> int:
         os.close(fd)
         os.environ["AQR_METRICS_PATH"] = mpath
     by_src: "dict[str, int]" = {}
-    from_dataset: "list[str]" = []
 
     qs, oracles = entry.queries(), entry.oracle_sql()
     con = duckdb.connect()
@@ -133,8 +132,6 @@ def main() -> int:
         srcs = exchange_srcs(mpath, start) if os.path.exists(mpath) else []
         for src in srcs:
             by_src[src] = by_src.get(src, 0) + 1
-        if "dataset" in srcs:
-            from_dataset.append(f"{name} ({srcs.count('dataset')})")
         if name not in oracles:
             print(f"ok   {name}: rows-only, {len(ours)} rows ({dt:.1f}s)")
             continue
@@ -147,8 +144,7 @@ def main() -> int:
             print(f"PASS {name}: {len(ours)} rows ({dt:.1f}s)")
     print(f"\n{failures} failures")
     print("exchange rows by src: " + ", ".join(
-        f"{k}={v}" for k, v in sorted(by_src.items()))
-        + "; dataset rows from: " + (", ".join(from_dataset) or "none"))
+        f"{k}={v}" for k, v in sorted(by_src.items())))
     if made:
         os.remove(mpath)
     return 1 if failures else 0

@@ -53,6 +53,9 @@ def write(sf_dir: str, out_dir: str, only: "set[str]") -> int:
 
     import ray
     if not ray.is_initialized():
+        # Ray's workers import from the driver's working directory
+        sf_dir, out_dir = os.path.abspath(sf_dir), os.path.abspath(out_dir)
+        os.chdir(ROOT)
         ray.init(address="local", num_cpus=4, include_dashboard=False,
                  logging_level="ERROR")
     logging.getLogger("ray.data").setLevel(logging.ERROR)

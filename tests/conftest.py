@@ -79,3 +79,18 @@ def parts(monkeypatch):
         monkeypatch.setattr(exchange, "TARGET_PART_BYTES", 1)
         monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
     return set_parts
+
+
+@pytest.fixture()
+def blocks():
+    """``blocks(t, n)`` puts the table ``t`` in the object store as
+    ``n`` block refs of near-equal row counts: an exchange input that
+    runs ``n`` writer tasks (a block is empty when ``t`` has fewer
+    than ``n`` rows)."""
+    import numpy as np
+
+    def split(t, n: int = 1) -> list:
+        edges = np.linspace(0, t.num_rows, n + 1).astype(int)
+        return [ray.put(t.slice(a, b - a))
+                for a, b in zip(edges[:-1], edges[1:])]
+    return split

@@ -96,12 +96,15 @@ def test_train_pipeline_conserves_tokens(tmp_path):
     )
     from aqueduct_core_ray.pipelines.events_replay import tokenize_batch
 
+    import ray.data
+
     sf = "/root/testdata/sf0.001"
     out = str(tmp_path / "tp")
     t = train_pipeline(sf, out_dir=out, context_len=256).to_pylist()[0]
     assert t["docs_in"] >= t["docs_kept"] >= t["docs_packed"] > 0
 
-    ded, _ = _curated_docs(sf)
+    refs, _ = _curated_docs(sf)
+    ded = ray.data.from_arrow_refs(refs)
     want = int(ded.map_batches(tokenize_batch, batch_format="pyarrow")
                .sum("n_tok"))
     assert t["total_tokens"] == want

@@ -1,19 +1,26 @@
 """file_exchange_map_groups must be a drop-in for
 groupby('part').map_groups(fn): identical results on random data,
-multi-block inputs and a Dataset union as one input; a tuple input is
-a co-group (one table per member, each in its own schema)."""
+multi-block inputs and the blocks of two producers as one input; a
+tuple input is a co-group (one table per member, each in its own
+schema)."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-import ray.data
+import ray
 
 from aqueduct_core_ray.stages.exchange import (
     file_exchange_map_groups,
     fx_agg_by,
 )
+
+
+def _pd(out) -> pd.DataFrame:
+    """An exchange result's rows as one pandas frame."""
+    return pa.concat_tables(ray.get(out.refs),
+                            promote_options="default").to_pandas()
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -42,19 +49,18 @@ def _ref(df: pd.DataFrame) -> pd.DataFrame:
     return _canon(out)
 
 
-def test_file_exchange_equals_groupby_reference():
+def test_file_exchange_equals_groupby_reference(blocks):
     rng = np.random.default_rng(7)
     n = 20_000
     t = pa.table({
         "part": pa.array(rng.integers(0, 13, n).astype(np.int32)),
         "v": pa.array(rng.integers(-1000, 1000, n).astype(np.int64)),
     })
-    ds = ray.data.from_arrow(t).repartition(8)
-    got = _canon(file_exchange_map_groups(ds, _make_fn()).to_pandas())
+    got = _canon(_pd(file_exchange_map_groups(blocks(t, 8), _make_fn())))
     assert got.equals(_ref(t.to_pandas()))
 
 
-def test_file_exchange_union_of_tagged_streams():
+def test_file_exchange_union_of_tagged_streams(blocks):
     a = pa.table({
         "part": pa.array((np.arange(6) % 3).astype(np.int32)),
         "v": pa.array(np.arange(6, dtype=np.int64)),
@@ -63,26 +69,25 @@ def test_file_exchange_union_of_tagged_streams():
         "part": pa.array(((np.arange(9) + 1) % 3).astype(np.int32)),
         "v": pa.array(10 * np.arange(9, dtype=np.int64)),
     })
-    ds = ray.data.from_arrow(a).union(ray.data.from_arrow(b))
-    got = _canon(file_exchange_map_groups(ds, _make_fn()).to_pandas())
+    got = _canon(_pd(file_exchange_map_groups(blocks(a) + blocks(b),
+                                              _make_fn())))
     want = _ref(pd.concat([a.to_pandas(), b.to_pandas()]))
     assert got.equals(want)
 
 
-def test_file_exchange_sparse_parts():
+def test_file_exchange_sparse_parts(blocks):
     """Only parts that exist get a group (same as groupby), and a part
     spread across many blocks folds into one group."""
     t = pa.table({
         "part": pa.array(np.array([5] * 40 + [9] * 2, np.int32)),
         "v": pa.array(np.arange(42, dtype=np.int64)),
     })
-    ds = ray.data.from_arrow(t).repartition(16)
-    got = file_exchange_map_groups(ds, _make_fn()).to_pandas()
+    got = _pd(file_exchange_map_groups(blocks(t, 16), _make_fn()))
     assert sorted(got["part"]) == [5, 9]
     assert int(got[got["part"] == 5]["n"].iloc[0]) == 40
 
 
-def test_fx_agg_by_ignores_stray_part_column():
+def test_fx_agg_by_ignores_stray_part_column(blocks):
     """An inbound non-key ``part`` column (e.g. the empty-input schema
     of an upstream exchange) must not collide with fx_agg_by's own tag
     column: result equals the same aggregate without the stray column."""
@@ -93,16 +98,16 @@ def test_fx_agg_by_ignores_stray_part_column():
     })
     stray = t.append_column("part",
                             pa.array(np.zeros(5, np.int32)))
-    want = (fx_agg_by(ray.data.from_arrow(t), ["k"], [("v", "sum")])
-            .to_pandas().sort_values("k").reset_index(drop=True))
-    got = (fx_agg_by(ray.data.from_arrow(stray), ["k"], [("v", "sum")])
-           .to_pandas().sort_values("k").reset_index(drop=True))
+    want = (_pd(fx_agg_by(blocks(t), ["k"], [("v", "sum")]))
+            .sort_values("k").reset_index(drop=True))
+    got = (_pd(fx_agg_by(blocks(stray), ["k"], [("v", "sum")]))
+           .sort_values("k").reset_index(drop=True))
     assert got.equals(want)
     assert list(want["v"]) == [15, 8, 4]
 
 
 def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
-                                        monkeypatch):
+                                        monkeypatch, blocks):
     """Randomized fx_join vs a pandas reference: inner/left/semi/anti,
     duplicate keys (multiplicity), null keys (SQL never-match), name
     collisions (right suffix), at two partition counts. Both sides also
@@ -124,10 +129,8 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    import ray.data
     from aqueduct_core_ray.stages import exchange, scan_units
-    from aqueduct_core_ray.stages.exchange import (collect_tables, fx_join,
-                                                   leaf)
+    from aqueduct_core_ray.stages.exchange import fx_join, leaf
 
     def rows(t: pa.Table) -> list:
         return sorted(t.to_pylist(), key=repr)
@@ -146,9 +149,7 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
                 plan = {}
                 res = fx_join(lds, right, on="k", how=how, salt=salt,
                               _plan_out=plan)
-                out.append(pa.concat_tables(
-                    ray.get(res.refs) if isinstance(res, exchange.Exchanged)
-                    else collect_tables(res)))
+                out.append(pa.concat_tables(ray.get(res.refs)))
                 want = ("broadcast" if nbytes and how != "outer"
                         else "route")
                 assert plan["strategy"] == want, (how, nbytes)
@@ -199,10 +200,9 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
                           dtype="Int64"),
             "w": np.arange(nr, dtype=np.int64) * 10,
             "tag": rng.choice(["x", "y"], nr)})   # collides with left
-        lds = ray.data.from_arrow(payloads(
-            pa.Table.from_pandas(ldf), "v", "ls"))
+        lds = blocks(payloads(pa.Table.from_pandas(ldf), "v", "ls"))
         rt = payloads(pa.Table.from_pandas(rdf), "w", "rs")
-        rds = ray.data.from_arrow(rt)
+        rds = blocks(rt)
         rp = str(tmp_path / f"right{trial}.parquet")
         pq.write_table(rt, rp, row_group_size=25)
         monkeypatch.setattr(scan_units, "MIN_UNIT_BYTES", 1)
@@ -216,7 +216,7 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
         lps = [str(tmp_path / f"left{trial}_{i}.parquet") for i in (0, 1)]
         for lp, t in zip(lps, halves):
             pq.write_table(t, lp)
-        mixed_lefts = [ray.data.from_arrow(halves), leaf(lps)]
+        mixed_lefts = [blocks(halves[0]) + blocks(halves[1]), leaf(lps)]
 
         rnn = rdf.dropna(subset=["k"])
         want = {
@@ -242,8 +242,8 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
         for how, exp in want.items():
             for P in (3, 8):
                 parts(P)
-                got_t = pa.concat_tables(collect_tables(
-                    fx_join(lds, rds, on="k", how=how)))
+                got_t = pa.concat_tables(ray.get(
+                    fx_join(lds, rds, on="k", how=how).refs))
                 types = dict(left_types, **(
                     {} if how in ("semi", "anti") else right_types))
                 assert {f.name: f.type for f in got_t.schema} == types, \
@@ -273,8 +273,8 @@ def test_fx_join_matches_pandas_all_hows(ray_session, parts, tmp_path,
                 assert rows(t) == rows(routed), (trial, how)
             if trial == 0:
                 # a left side whose blocks differ in width (int32 k and
-                # v in the first, int64 in the second), as a two-block
-                # Dataset and a two-file leaf, joins at the unified
+                # v in the first, int64 in the second), as two block
+                # refs and a two-file leaf, joins at the unified
                 # types under either strategy
                 for mixed in mixed_lefts:
                     for t in leaf_runs(mixed, leaf(rp), how):
@@ -331,7 +331,7 @@ def test_co_group_calls_fn_with_one_table_per_member(ray_session, parts):
         fx_agg_by(src[:2], ["k"], [("x", "sum")])
 
 
-def test_fx_join_nullable_int_keys_one_side(ray_session, parts):
+def test_fx_join_nullable_int_keys_one_side(ray_session, parts, blocks):
     """Regression (review finding): a block whose int64 key column
     carries a null degrades to float64 under to_numpy; dtype-dependent
     hashing would route the same key differently per block/side and
@@ -340,7 +340,6 @@ def test_fx_join_nullable_int_keys_one_side(ray_session, parts):
     import pandas as pd
     import pyarrow as pa
 
-    import ray.data
     from aqueduct_core_ray.stages.exchange import fx_join
 
     ldf = pd.DataFrame({
@@ -348,20 +347,20 @@ def test_fx_join_nullable_int_keys_one_side(ray_session, parts):
         "v": [10, 20, 30, 40, 50]})
     rdf = pd.DataFrame({"k": pd.array(range(1, 5), dtype="Int64"),
                         "w": [100, 200, 300, 400]})
-    lds = ray.data.from_arrow(pa.Table.from_pandas(ldf))
-    rds = ray.data.from_arrow(pa.Table.from_pandas(rdf)).repartition(3)
+    lds = blocks(pa.Table.from_pandas(ldf))
+    rds = blocks(pa.Table.from_pandas(rdf), 3)
 
     parts(5)
-    inner = (fx_join(lds, rds, on="k", how="inner")
-             .to_pandas().sort_values("k").reset_index(drop=True))
+    inner = (_pd(fx_join(lds, rds, on="k", how="inner"))
+             .sort_values("k").reset_index(drop=True))
     assert list(inner["k"]) == [1, 2, 3, 4]          # no dropped match
     assert list(inner["w"]) == [100, 200, 300, 400]
     parts(5)
-    anti = fx_join(lds, rds, on="k", how="anti").to_pandas()
+    anti = _pd(fx_join(lds, rds, on="k", how="anti"))
     assert len(anti) == 1 and pd.isna(anti["k"]).all()  # null never matches
 
 
-def test_fx_join_salted_output_invariant(ray_session, parts):
+def test_fx_join_salted_output_invariant(ray_session, parts, blocks):
     """salt>1 (hot-key defusal: left sub-bucketed, right replicated)
     must produce EXACTLY the salt=1 output for every how — including a
     heavily skewed key."""
@@ -369,7 +368,6 @@ def test_fx_join_salted_output_invariant(ray_session, parts):
     import pandas as pd
     import pyarrow as pa
 
-    import ray.data
     from aqueduct_core_ray.stages.exchange import fx_join
 
     rng = np.random.default_rng(53)
@@ -378,16 +376,14 @@ def test_fx_join_salted_output_invariant(ray_session, parts):
     ldf = pd.DataFrame({"k": keys, "v": np.arange(100, dtype=np.int64)})
     rdf = pd.DataFrame({"k": np.arange(0, 9, dtype=np.int64),
                         "w": np.arange(0, 90, 10, dtype=np.int64)})
-    lds = ray.data.from_arrow(pa.Table.from_pandas(ldf)).repartition(4)
-    rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
+    lds = blocks(pa.Table.from_pandas(ldf), 4)
+    rds = blocks(pa.Table.from_pandas(rdf))
 
     for how in ("inner", "left", "semi", "anti"):
         parts(4)
-        base = (fx_join(lds, rds, on="k", how=how)
-                .to_pandas())
+        base = _pd(fx_join(lds, rds, on="k", how=how))
         parts(4)
-        salted = (fx_join(lds, rds, on="k", how=how,
-                          salt=3).to_pandas())
+        salted = _pd(fx_join(lds, rds, on="k", how=how, salt=3))
         cols = sorted(base.columns)
         b = base[cols].sort_values(cols).reset_index(drop=True)
         s = salted[cols].sort_values(cols).reset_index(drop=True)
@@ -400,14 +396,13 @@ def test_fx_join_salted_output_invariant(ray_session, parts):
         fx_join(lds, rds, on="k", how="outer", salt=3)
 
 
-def test_fx_join_composite_keys(ray_session, parts):
+def test_fx_join_composite_keys(ray_session, parts, blocks):
     """Multi-column join keys: same pandas-equality law, plus the
     combined-key hash must not collapse distinct (k1,k2) pairs."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
 
-    import ray.data
     from aqueduct_core_ray.stages.exchange import fx_join
 
     rng = np.random.default_rng(61)
@@ -419,11 +414,11 @@ def test_fx_join_composite_keys(ray_session, parts):
         "k1": rng.integers(0, 5, 40),
         "k2": rng.choice(["a", "b", "c"], 40),
         "w": np.arange(40, dtype=np.int64)})
-    lds = ray.data.from_arrow(pa.Table.from_pandas(ldf)).repartition(3)
-    rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
+    lds = blocks(pa.Table.from_pandas(ldf), 3)
+    rds = blocks(pa.Table.from_pandas(rdf))
     for how in ("inner", "left", "semi", "anti"):
         parts(4)
-        got = fx_join(lds, rds, on=["k1", "k2"], how=how).to_pandas()
+        got = _pd(fx_join(lds, rds, on=["k1", "k2"], how=how))
         if how == "inner":
             exp = ldf.merge(rdf, on=["k1", "k2"], how="inner")
         elif how == "left":
@@ -445,7 +440,7 @@ def test_fx_join_composite_keys(ray_session, parts):
             e.where(pd.notna(e), None)), how
 
 
-def test_fx_join_salt_actually_spreads_hot_key(ray_session, parts):
+def test_fx_join_salt_actually_spreads_hot_key(ray_session, parts, blocks):
     """The defusal property itself: with salt=4, one hot key's left
     rows must occupy MULTIPLE sub-buckets (a key-derived sub-bucket
     once routed them all to one task — review finding)."""
@@ -461,23 +456,21 @@ def test_fx_join_salt_actually_spreads_hot_key(ray_session, parts):
     # internals is private — instead assert via task-level row counts:
     # a salted inner join of 1 hot key x 1 right row must run >1
     # partition task, observable as >1 output block.
-    import ray.data
     ldf = pd.DataFrame({"k": np.zeros(4000, np.int64),
                         "v": np.arange(4000, dtype=np.int64)})
     rdf = pd.DataFrame({"k": np.zeros(1, np.int64),
                         "w": np.array([7], np.int64)})
-    lds = ray.data.from_arrow(pa.Table.from_pandas(ldf)).repartition(2)
-    rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
+    lds = blocks(pa.Table.from_pandas(ldf), 2)
+    rds = blocks(pa.Table.from_pandas(rdf))
     parts(2)
     out = fx_join(lds, rds, on="k", how="inner",
                   salt=4)
-    blocks = [t for t in __import__("ray").get(out.to_arrow_refs())
-              if t.num_rows]
-    assert sum(t.num_rows for t in blocks) == 4000   # every pair met once
-    assert len(blocks) > 1      # the hot key fanned across >1 task
+    outs = [t for t in ray.get(out.refs) if t.num_rows]
+    assert sum(t.num_rows for t in outs) == 4000   # every pair met once
+    assert len(outs) > 1        # the hot key fanned across >1 task
 
 
-def test_fx_agg_by_auto_stat_driven_matches_reference(ray_session):
+def test_fx_agg_by_auto_stat_driven_matches_reference(ray_session, blocks):
     """num_partitions=None (stat-driven): virtual buckets packed into
     byte-budgeted tasks from the manifest's measured slice sizes.
     Result must equal the pandas reference exactly; the plan hook must
@@ -490,10 +483,10 @@ def test_fx_agg_by_auto_stat_driven_matches_reference(ray_session):
         "v": pa.array(rng.integers(-100, 100, n).astype(np.int64)),
     })
     plan = {}
-    got = (fx_agg_by(ray.data.from_arrow(t).repartition(6), ["k"],
-                     [("v", "sum"), ("v", "count")] and [("v", "sum")],
-                     _plan_out=plan)
-           .to_pandas().sort_values("k").reset_index(drop=True))
+    got = (_pd(fx_agg_by(blocks(t, 6), ["k"],
+                         [("v", "sum"), ("v", "count")] and [("v", "sum")],
+                         _plan_out=plan))
+           .sort_values("k").reset_index(drop=True))
     want = (t.to_pandas().groupby("k", as_index=False)["v"].sum()
             .sort_values("k").reset_index(drop=True))
     assert plan["packed"] and plan["tasks"] >= 1
@@ -501,7 +494,8 @@ def test_fx_agg_by_auto_stat_driven_matches_reference(ray_session):
     assert got["v"].tolist() == want["v"].tolist()
 
 
-def test_fx_agg_by_oversized_partition_splits_and_refolds(ray_session):
+def test_fx_agg_by_oversized_partition_splits_and_refolds(ray_session,
+                                                        blocks):
     """The memory guard: one deliberately hot key (every row hashes to
     ONE bucket) under a tiny per-task byte budget must chunk-fold +
     refold — >1 split task in the plan, per-chunk working set bounded
@@ -515,10 +509,9 @@ def test_fx_agg_by_oversized_partition_splits_and_refolds(ray_session):
         "w": pa.array(np.arange(n, dtype=np.int64) * 3),
     })
     plan = {}
-    got = (fx_agg_by(ray.data.from_arrow(t).repartition(8), ["k"],
-                     [("v", "sum"), ("w", "max"), ("k", "count")],
-                     target_bytes=64 * 1024, _plan_out=plan)
-           .to_pandas())
+    got = _pd(fx_agg_by(blocks(t, 8), ["k"],
+                        [("v", "sum"), ("w", "max"), ("k", "count")],
+                        target_bytes=64 * 1024, _plan_out=plan))
     assert plan["split"] >= 1, plan      # the guard actually engaged
     assert len(got) == 1
     assert int(got["v"].iloc[0]) == n * (n - 1) // 2
@@ -528,7 +521,7 @@ def test_fx_agg_by_oversized_partition_splits_and_refolds(ray_session):
 
 
 def test_fx_join_auto_mode_matches_explicit(ray_session, parts,
-                                           monkeypatch):
+                                           monkeypatch, blocks):
     """fx_join at the default part count and packing must equal its
     output at P=7 with one task per part, for every how."""
     import pandas as pd
@@ -538,16 +531,14 @@ def test_fx_join_auto_mode_matches_explicit(ray_session, parts,
                         "v": np.arange(200, dtype=np.int64)})
     rdf = pd.DataFrame({"k": rng.integers(0, 30, 50),
                         "w": np.arange(50, dtype=np.int64)})
-    lds = ray.data.from_arrow(pa.Table.from_pandas(ldf)).repartition(3)
-    rds = ray.data.from_arrow(pa.Table.from_pandas(rdf))
+    lds = blocks(pa.Table.from_pandas(ldf), 3)
+    rds = blocks(pa.Table.from_pandas(rdf))
     for how in ("inner", "left", "semi", "anti"):
         plan = {}
         parts(7)
-        base = (fx_join(lds, rds, on="k", how=how)
-                .to_pandas())
+        base = _pd(fx_join(lds, rds, on="k", how=how))
         monkeypatch.undo()          # the auto side runs on the defaults
-        auto = (fx_join(lds, rds, on="k", how=how, _plan_out=plan)
-                .to_pandas())
+        auto = _pd(fx_join(lds, rds, on="k", how=how, _plan_out=plan))
         assert plan["packed"]
         cols = sorted(base.columns)
         b = base[cols].sort_values(cols).reset_index(drop=True)
@@ -556,7 +547,7 @@ def test_fx_join_auto_mode_matches_explicit(ray_session, parts,
 
 
 def test_multinode_guard_refuses_node_local_default(ray_session,
-                                                    monkeypatch):
+                                                    monkeypatch, blocks):
     """On a >1-node cluster a node-local default exchange/index root
     must FAIL LOUDLY (files written under one node's /tmp are invisible
     elsewhere); an explicit root (arg or env) is the operator's
@@ -566,7 +557,7 @@ def test_multinode_guard_refuses_node_local_default(ray_session,
     monkeypatch.setattr(ex, "_alive_node_count", lambda: 3)
     t = pa.table({"part": pa.array([0, 1], pa.int32()),
                   "v": pa.array([1, 2], pa.int64())})
-    ds = ray.data.from_arrow(t)
+    ds = blocks(t)
     try:
         ex.file_exchange_map_groups(ds, _make_fn())
         assert False, "expected RuntimeError on multi-node default root"
@@ -576,7 +567,7 @@ def test_multinode_guard_refuses_node_local_default(ray_session,
     # only the guard is under test here)
     got = ex.file_exchange_map_groups(ds, _make_fn(),
                                       root="/tmp/aqr_guard_ok")
-    assert got.count() == 2
+    assert len(_pd(got)) == 2
     # IVF root guard: default refuses, env passes
     from aqueduct_core_ray.functions.ann import _default_index_root
     try:
@@ -598,8 +589,8 @@ def _part_stats_fn():
     return fn
 
 
-def _blocks(ds) -> "list[pa.Table]":
-    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+def _nonempty(out) -> "list[pa.Table]":
+    return [t for t in ray.get(out.refs) if t.num_rows]
 
 
 def test_cut_runs_contiguous_budgeted_and_salted():
@@ -614,7 +605,7 @@ def test_cut_runs_contiguous_budgeted_and_salted():
         [0], [1], [2, 3], [4], [5]]
 
 
-def test_packed_exchange_calls_fn_once_per_part_alone(ray_session):
+def test_packed_exchange_calls_fn_once_per_part_alone(ray_session, blocks):
     """Many parts, fewer tasks: fn still sees every non-empty part
     exactly once, alone, with its part column — the map_groups
     contract survives packing."""
@@ -624,9 +615,8 @@ def test_packed_exchange_calls_fn_once_per_part_alone(ray_session):
     t = pa.table({"part": pa.array(part),
                   "v": pa.array(rng.integers(0, 9, n).astype(np.int64))})
     plan = {}
-    got = file_exchange_map_groups(ray.data.from_arrow(t).repartition(5),
-                                   _part_stats_fn(), _plan_out=plan
-                                   ).to_pandas()
+    got = _pd(file_exchange_map_groups(blocks(t, 5), _part_stats_fn(),
+                                       _plan_out=plan))
     assert plan["parts"] == 40 and plan["tasks"] < plan["parts"]
     assert plan["packed"] >= 1
     assert sorted(got["part"]) == sorted(set(part.tolist()))   # once each
@@ -635,7 +625,8 @@ def test_packed_exchange_calls_fn_once_per_part_alone(ray_session):
     assert all(int(r.n) == int(want[r.part]) for r in got.itertuples())
 
 
-def test_packed_exchange_output_in_ascending_part_order(ray_session):
+def test_packed_exchange_output_in_ascending_part_order(ray_session,
+                                                        blocks):
     """Concatenated output blocks come out in ascending part order,
     whether the parts fit one run or several."""
     rng = np.random.default_rng(5)
@@ -645,14 +636,14 @@ def test_packed_exchange_output_in_ascending_part_order(ray_session):
             "v": pa.array(np.arange(n, dtype=np.int64))})
         plan = {}
         out = file_exchange_map_groups(
-            ray.data.from_arrow(t).repartition(4), _part_stats_fn(),
-            target_bytes=1 << 20, _plan_out=plan)
-        parts = pa.concat_tables(_blocks(out)).column("part").to_pylist()
+            blocks(t, 4), _part_stats_fn(), target_bytes=1 << 20,
+            _plan_out=plan)
+        parts = pa.concat_tables(_nonempty(out)).column("part").to_pylist()
         assert parts == sorted(set(t.column("part").to_pylist())), n
         assert plan["tasks"] >= tasks, (n, plan)
 
 
-def test_exchange_tasks_grow_with_input_bytes(ray_session):
+def test_exchange_tasks_grow_with_input_bytes(ray_session, blocks):
     """At a fixed target_bytes the task count follows the data volume,
     not the number of parts (the hash modulus)."""
     tasks = []
@@ -661,15 +652,15 @@ def test_exchange_tasks_grow_with_input_bytes(ray_session):
             "part": pa.array((np.arange(n) % 16).astype(np.int32)),
             "v": pa.array(np.arange(n, dtype=np.int64))})
         plan = {}
-        file_exchange_map_groups(ray.data.from_arrow(t).repartition(4),
-                                 _part_stats_fn(), target_bytes=1 << 20,
-                                 _plan_out=plan).materialize()
+        file_exchange_map_groups(blocks(t, 4), _part_stats_fn(),
+                                 target_bytes=1 << 20, _plan_out=plan)
         assert plan["parts"] == 16
         tasks.append(plan["tasks"])
     assert tasks[0] < tasks[1] < tasks[2], tasks
 
 
-def test_packed_run_concatenates_reordered_and_empty_outputs(ray_session):
+def test_packed_run_concatenates_reordered_and_empty_outputs(ray_session,
+                                                             blocks):
     """Within one run, parts whose fn outputs list columns in different
     orders, or are empty with other column types, concatenate into one
     clean block."""
@@ -687,22 +678,20 @@ def test_packed_run_concatenates_reordered_and_empty_outputs(ray_session):
     t = pa.table({"part": pa.array((np.arange(300) % 12).astype(np.int32)),
                   "v": pa.array(np.arange(300, dtype=np.int64))})
     plan = {}
-    out = file_exchange_map_groups(ray.data.from_arrow(t).repartition(3),
-                                   fn, _plan_out=plan)
-    blocks = _blocks(out)
-    assert plan["tasks"] == 1 and len(blocks) == 1
-    assert sorted(blocks[0].column_names) == ["n", "part"]
-    assert blocks[0].column("part").to_pylist() == [
+    out = file_exchange_map_groups(blocks(t, 3), fn, _plan_out=plan)
+    outs = _nonempty(out)
+    assert plan["tasks"] == 1 and len(outs) == 1
+    assert sorted(outs[0].column_names) == ["n", "part"]
+    assert outs[0].column("part").to_pylist() == [
         p for p in range(12) if p % 3]
-    assert set(blocks[0].column("n").to_pylist()) == {25}
+    assert set(outs[0].column("n").to_pylist()) == {25}
     # a run whose parts ALL return empty yields no rows, not an error
-    none = file_exchange_map_groups(ray.data.from_arrow(t),
-                                    lambda g: g.slice(0, 0))
-    assert none.count() == 0
+    none = file_exchange_map_groups(blocks(t), lambda g: g.slice(0, 0))
+    assert _nonempty(none) == []
 
 
 def test_exchange_writes_one_metrics_row_per_call(ray_session, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch, blocks):
     """Every exchange call appends one op="exchange" row (writer and
     task seconds, parts, tasks, split, bytes) to $AQR_METRICS_PATH; its
     task count is the planned one."""
@@ -717,8 +706,8 @@ def test_exchange_writes_one_metrics_row_per_call(ray_session, tmp_path,
     plans = []
     for _ in range(2):
         plans.append({})
-        file_exchange_map_groups(ray.data.from_arrow(t).repartition(2),
-                                 _make_fn(), _plan_out=plans[-1])
+        file_exchange_map_groups(blocks(t, 2), _make_fn(),
+                                 _plan_out=plans[-1])
     rows = [json.loads(x) for x in path.read_text().splitlines()]
     assert [r["op"] for r in rows] == ["exchange", "exchange"]
     for r, plan in zip(rows, plans):

@@ -1,8 +1,8 @@
-"""The exchange's ref-level core: leaf reads, block refs and Datasets
-are three inputs to ONE writer/planner/run core, so the same rows give
-the same output whichever way they come in; leaf and refs inputs start
-no Ray Data execution, and the moved library queries make at most one
-(their public boundary)."""
+"""The exchange's ref-level core: leaf reads and block refs are the two
+inputs to ONE writer/planner/run core, so the same rows give the same
+output whichever way they come in; neither starts a Ray Data
+execution, a Dataset input is refused, and the moved library queries
+make at most one (their public boundary)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import pytest
 import ray
 import ray.data
 
-from aqueduct_core_ray import metrics
 from aqueduct_core_ray.stages import exchange as ex
 from aqueduct_core_ray.stages import scan_units
 
@@ -33,8 +32,7 @@ def _canon(t: "pa.Table | pd.DataFrame") -> pd.DataFrame:
 
 
 def _rows(out) -> pa.Table:
-    refs = out.refs if isinstance(out, ex.Exchanged) else out.to_arrow_refs()
-    tabs = [t for t in ray.get(refs) if t.num_rows]
+    tabs = [t for t in ray.get(out.refs) if t.num_rows]
     return pa.concat_tables(tabs) if tabs else None
 
 
@@ -75,7 +73,8 @@ def table_file(tmp_path):
 
 def test_three_inputs_give_identical_output(table_file, monkeypatch):
     """A multi-unit leaf with ``filter=`` and ``pre``, the same rows as
-    block refs, and the same rows as a Dataset: one output."""
+    hand-cut block refs, and as the refs of a ``map_blocks`` pass over
+    the leaf: one output."""
     t, path = table_file
     monkeypatch.setattr(scan_units, "MIN_UNIT_BYTES", 1)
     monkeypatch.setattr(scan_units, "MAX_UNIT_BYTES", 1)
@@ -84,15 +83,13 @@ def test_three_inputs_give_identical_output(table_file, monkeypatch):
     assert len(lf.units()) == 12                # one unit per row group
     kept = t.filter(pc.less(t.column("x"), 0.6)).select(["k", "v", "w"])
     refs = [ray.put(kept.slice(i, 700)) for i in range(0, len(kept), 700)]
-    ds = ray.data.read_parquet(path, columns=["k", "v", "w"], filter=flt)
+    mapped = ex.map_blocks(lf, lambda t: t)
 
     plans = [{}, {}, {}]
     outs = [ex.file_exchange_map_groups(src, _stats(), pre=_tag(37),
                                         _plan_out=plan)
-            for src, plan in zip((lf, refs, ds), plans)]
-    assert isinstance(outs[0], ex.Exchanged)
-    assert isinstance(outs[1], ex.Exchanged)
-    assert isinstance(outs[2], ray.data.Dataset)
+            for src, plan in zip((lf, refs, mapped), plans)]
+    assert all(isinstance(o, ex.Exchanged) for o in outs)
     assert outs[0].schema.names == ["k", "v", "w", "part"]
     got = [_rows(o) for o in outs]
     # output blocks in ascending part order, whatever the input
@@ -105,9 +102,10 @@ def test_three_inputs_give_identical_output(table_file, monkeypatch):
 
 
 def test_oversized_part_refolds_the_same_from_refs_and_leaf(table_file,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           blocks):
     """One hot key under a tiny byte budget: chunk-fold + refold over
-    leaf and refs inputs equals the Dataset result."""
+    a leaf and two cuts of block refs give one result."""
     t, path = table_file
     monkeypatch.setattr(scan_units, "MIN_UNIT_BYTES", 1)
     monkeypatch.setattr(scan_units, "MAX_UNIT_BYTES", 1)
@@ -116,7 +114,7 @@ def test_oversized_part_refolds_the_same_from_refs_and_leaf(table_file,
     refs = [ray.put(t.slice(i, 1000)) for i in range(0, len(t), 1000)]
     res = []
     for src in (ex.leaf(path, ["k", "v"]), refs,
-                ray.data.from_arrow(t.select(["k", "v"])).repartition(6)):
+                blocks(t.select(["k", "v"]), 6)):
         plan = {}
         # ("k", "count") lands in the key's column: the row count
         res.append(_rows(ex.fx_agg_by(
@@ -130,12 +128,8 @@ def test_oversized_part_refolds_the_same_from_refs_and_leaf(table_file,
 def test_all_empty_input_typed_from_writer_schema(table_file,
                                                   monkeypatch):
     """No rows reach any part: the empty result is fn on an empty table
-    of the writers' schema (``pre`` applied) — no Dataset schema probe."""
+    of the writers' schema (``pre`` applied)."""
     _, path = table_file
-
-    def refuse(*a, **k):
-        raise AssertionError("Dataset.schema() called")
-    monkeypatch.setattr(ray.data.Dataset, "schema", refuse)
 
     def fn(g: pa.Table) -> pa.Table:
         return g.select(["w", "part"]).slice(0, 0)
@@ -160,46 +154,12 @@ def test_all_empty_input_typed_from_writer_schema(table_file,
                                       ("w", pa.string())])
 
 
-def _no_fetching_schema(monkeypatch):
-    """Dataset.schema raises where it would run the plan to find the
-    schema; a schema known from metadata is returned."""
-    real = ray.data.Dataset.schema
-
-    def guarded(self, fetch_if_missing=True):
-        s = real(self, fetch_if_missing=False)
-        if s is None and fetch_if_missing:
-            raise AssertionError("Dataset.schema() would run the plan")
-        return s
-    monkeypatch.setattr(ray.data.Dataset, "schema", guarded)
-
-
-def test_all_empty_dataset_input_is_typed(table_file, monkeypatch):
-    """A Dataset whose blocks are all empty still types the result: its
-    typed empty blocks reach the raw writers, and a pruned read (whose
-    blocks carry no columns) falls back to its plan-metadata schema."""
-    _, path = table_file
-    _no_fetching_schema(monkeypatch)
-
-    def fn(g: pa.Table) -> pa.Table:
-        return g.select(["w", "part"]).slice(0, 0)
-
-    e = pq.read_table(path, columns=["k", "w"]).slice(0, 0)
-    for ds in (ray.data.from_arrow_refs([ray.put(e), ray.put(e)]),
-               ray.data.read_parquet(path, columns=["k", "w"],
-                                     filter=pads.field("x") > 2.0)):
-        (empty,) = ex.collect_tables(
-            ex.file_exchange_map_groups(ds, fn, pre=_tag(5)))
-        assert empty.num_rows == 0
-        assert empty.schema == pa.schema([("w", pa.string()),
-                                          ("part", pa.int32())])
-
-
 @pytest.mark.parametrize("how", ["inner", "left", "outer", "semi", "anti"])
-def test_fx_join_dataset_side_with_no_rows(tmp_path, monkeypatch, how, parts):
-    """One Dataset side's filter matches nothing: the join equals the
-    same join over leaves (whose empty units are typed), for the empty
-    side on the left and on the right."""
-    _no_fetching_schema(monkeypatch)
+def test_fx_join_side_with_no_rows(tmp_path, how, parts):
+    """One side has no rows: as typed empty block refs (what an
+    exchange with no rows returns) the join equals the same join over
+    leaves whose filter matches nothing, for the empty side on the left
+    and on the right."""
     rng = np.random.default_rng(11)
     a = pa.table({"k": pa.array(rng.integers(0, 40, 300), pa.int64()),
                   "v": pa.array(rng.random(300))})
@@ -211,9 +171,9 @@ def test_fx_join_dataset_side_with_no_rows(tmp_path, monkeypatch, how, parts):
     none, all_ = pc.field("k") > 1000, pc.field("k") >= 0
     for lf, rf in ((none, all_), (all_, none)):
         parts(5)
-        got = ex.collect_tables(ex.fx_join(
-            ray.data.read_parquet(ap, filter=lf),
-            ray.data.read_parquet(bp, filter=rf), on="k", how=how))
+        got = ray.get(ex.fx_join(
+            *[[ray.put(t.filter(f))] for t, f in ((a, lf), (b, rf))],
+            on="k", how=how).refs)
         parts(5)
         want = ray.get(ex.fx_join(ex.leaf(ap, filter=lf),
                                   ex.leaf(bp, filter=rf), on="k",
@@ -224,30 +184,29 @@ def test_fx_join_dataset_side_with_no_rows(tmp_path, monkeypatch, how, parts):
 
 
 def test_fx_join_untyped_side_joins_as_empty(tmp_path):
-    """A side with no schema anywhere (a map over only empty blocks)
-    joins as an empty side of the other side's keys, not a crash."""
+    """A side with no schema anywhere (refs of column-less tables, as
+    an exchange with no typed member returns) joins as an empty side of
+    the other side's keys, not a crash."""
     a = pa.table({"k": pa.array([1, 2, 2], pa.int64()),
                   "v": pa.array([0.5, 1.5, 2.5])})
     ap = str(tmp_path / "a.parquet")
     pq.write_table(a, ap)
-    untyped = ray.data.read_parquet(
-        ap, filter=pc.field("k") > 9).map_batches(
-            lambda t: t, batch_format="pyarrow")
-    typed = ray.data.read_parquet(ap)
-    left = pa.concat_tables(ex.collect_tables(
-        ex.fx_join(typed, untyped, on="k", how="left")))
+    untyped = [ray.put(pa.table({})), ray.put(pa.table({}))]
+    typed = ex.leaf(ap)
+    left = pa.concat_tables(ray.get(
+        ex.fx_join(typed, untyped, on="k", how="left").refs))
     assert _canon(left).equals(_canon(a))
-    outer = pa.concat_tables(ex.collect_tables(
-        ex.fx_join(untyped, typed, on="k", how="outer")))
+    outer = pa.concat_tables(ray.get(
+        ex.fx_join(untyped, typed, on="k", how="outer").refs))
     assert _canon(outer).equals(_canon(a))
-    inner = ex.collect_tables(
-        ex.fx_join(untyped, typed, on="k", how="inner"))
+    inner = ray.get(ex.fx_join(untyped, typed, on="k", how="inner").refs)
     assert sum(t.num_rows for t in inner) == 0
 
 
 def test_fx_join_leaf_inputs_match_datasets(tmp_path, parts):
     """Every ``how`` over two leaf inputs (one conformed by ``pre``)
-    equals the same join over Datasets; salt>1 too."""
+    equals the same join over the block refs of Datasets (how a
+    Dataset caller feeds the exchange); salt>1 too."""
     rng = np.random.default_rng(7)
     nl, nr = 900, 300
     left = pa.table({
@@ -267,8 +226,9 @@ def test_fx_join_leaf_inputs_match_datasets(tmp_path, parts):
     def conform(t: pa.Table) -> pa.Table:
         return t.rename_columns(["k", "v", "tag"])
 
-    lds = ray.data.from_arrow(conform(left)).repartition(3)
-    rds = ray.data.from_arrow(right)
+    lds = ray.data.from_arrow(conform(left)).repartition(3) \
+        .materialize().to_arrow_refs()
+    rds = ray.data.from_arrow(right).materialize().to_arrow_refs()
     for how in ("inner", "left", "outer", "semi", "anti"):
         for salt in ((1, 3) if how != "outer" else (1,)):
             parts(7)
@@ -320,7 +280,17 @@ MOVED = ["bigram_logprob_score", "tfidf_top_terms", "order_lines_join",
          "dup_cluster_sizes", "dup_gram_coverage", "semdedup",
          "remove_dup_spans", "minhash_lsh_dedup", "incremental_dedup",
          "simhash_dedup", "embedding_ann_dedup", "split_leakage",
-         "fuzzy_match_pairs"]
+         "fuzzy_match_pairs",
+         # the last Dataset-fed exchanges, and the driver folds over
+         # Datasets, on leaves and refs
+         "small_quantity_revenue", "top_supplier_by_revenue",
+         "important_parts", "sole_late_shipper", "dominant_supplier_parts",
+         "parts_bought_together", "lww_compaction", "byte_cap_prefix",
+         "consistency_sum", "knn_bruteforce", "knn_ivf", "knn_ivf_recall",
+         "epoch_shuffle", "token_budget_sample", "pack_sequences",
+         "pack_documents", "train_pipeline", "substring_search",
+         "winnow_dedup", "pricing_summary", "supplier_balance_by_nation",
+         "discount_revenue_delta", "orders_weekly_gapfill"]
 
 
 @pytest.fixture(scope="module")
@@ -330,8 +300,12 @@ def queries():
 
 
 @pytest.mark.parametrize("name", MOVED)
-def test_moved_query_runs_at_most_one_execution(name, queries,
-                                                executions):
+def test_moved_query_runs_at_most_one_execution(name, queries, executions,
+                                                tmp_path, monkeypatch):
+    # fresh index roots: a first call builds its index (knn_ivf's IVF
+    # cells, substring_search's trigram postings) inside the count
+    monkeypatch.setenv("AQR_IVF_ROOT", str(tmp_path / "ivf"))
+    monkeypatch.setenv("AQR_TRIGRAM_ROOT", str(tmp_path / "trigram"))
     res = queries[name](SF)
     if isinstance(res, ray.data.Dataset):
         tabs = ray.get(res.to_arrow_refs())     # the public boundary
@@ -354,12 +328,6 @@ def test_moved_query_record_times_its_exchanges(queries, tmp_path,
     (op,) = [r for r in rows if r["op"] == "tfidf_top_terms"]
     assert [r["src"] for r in fx] == ["leaf", "refs"]
     assert op["wall_s"] >= sum(r["wall_s"] for r in fx) > 0
-    # a Dataset call still says so
-    metrics.drain()
-    t = pa.table({"part": pa.array([0, 1], pa.int32()),
-                  "v": pa.array([1, 2], pa.int64())})
-    ex.file_exchange_map_groups(ray.data.from_arrow(t), lambda g: g)
-    assert metrics.recent("exchange")[-1]["src"] == "dataset"
 
 
 def test_map_blocks_runs_fn_per_unit_in_order(table_file, monkeypatch,
@@ -383,3 +351,26 @@ def test_map_blocks_runs_fn_per_unit_in_order(table_file, monkeypatch,
 def test_unknown_input_kind_is_refused():
     with pytest.raises(TypeError):
         ex.file_exchange_map_groups(pa.table({"part": [0]}), lambda g: g)
+
+
+def test_every_entry_point_refuses_a_dataset(table_file):
+    """A ``ray.data.Dataset`` is no exchange input: each entry point
+    raises ``TypeError`` naming the two inputs, alone or as one side."""
+    _, path = table_file
+    ds = ray.data.read_parquet(path)
+    lf = ex.leaf(path)
+    calls = [
+        lambda: ex.file_exchange_map_groups(ds, lambda g: g),
+        lambda: ex.file_exchange_map_groups((lf, ds), lambda a, b: a,
+                                            keys=["k"]),
+        lambda: ex.fx_agg_by(ds, ["k"], [("v", "sum")]),
+        lambda: ex.fx_sum_by(ds, ["k"], ["v"]),
+        lambda: ex.fx_count_by(ds, ["k"], "n"),
+        lambda: ex.window(ds, ["k"], ["v"], lambda t, s: t),
+        lambda: ex.fx_join(ds, lf, on="k"),         # broadcast-sized right
+        lambda: ex.fx_join(lf, ds, on="k"),
+        lambda: ex.map_blocks(ds, lambda t: t),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="leaf.*block refs"):
+            call()

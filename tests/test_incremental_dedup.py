@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from aqueduct_core_ray.functions import dedup, text
+from aqueduct_core_ray.stages.exchange import leaf
 
 SF = "/root/testdata/sf0.001"
 
@@ -55,12 +56,11 @@ def test_planted_duplicate_is_flagged(tmp_path):
     delta = [(100, corpus[3][1]),          # exact copy of doc 4
              (101, "completely different fresh content here")]
     _write_docs(str(tmp_path / "delta.parquet"), delta)
-    import ray.data
     root = str(tmp_path / "idx")
     dedup.build_minhash_index(
-        ray.data.read_parquet(str(tmp_path / "corpus.parquet")), root)
+        leaf(str(tmp_path / "corpus.parquet")), root)
     got = dedup.match_minhash_index(
-        ray.data.read_parquet(str(tmp_path / "delta.parquet")), root
+        leaf(str(tmp_path / "delta.parquet")), root
     ).to_pandas()
     assert got.doc_id.tolist() == [100]
     assert got.dup_of.tolist() == [4]
@@ -68,36 +68,34 @@ def test_planted_duplicate_is_flagged(tmp_path):
 
 
 def test_index_append_sees_both_generations(tmp_path):
-    import ray.data
     root = str(tmp_path / "idx")
     _write_docs(str(tmp_path / "a.parquet"),
                 [(1, "alpha beta gamma delta epsilon zeta " * 4)])
     _write_docs(str(tmp_path / "b.parquet"),
                 [(2, "one two three four five six seven " * 4)])
     dedup.build_minhash_index(
-        ray.data.read_parquet(str(tmp_path / "a.parquet")), root)
+        leaf(str(tmp_path / "a.parquet")), root)
     dedup.build_minhash_index(          # append second generation
-        ray.data.read_parquet(str(tmp_path / "b.parquet")), root)
+        leaf(str(tmp_path / "b.parquet")), root)
     _write_docs(str(tmp_path / "c.parquet"),
                 [(10, "alpha beta gamma delta epsilon zeta " * 4),
                  (11, "one two three four five six seven " * 4)])
     got = dedup.match_minhash_index(
-        ray.data.read_parquet(str(tmp_path / "c.parquet")), root
+        leaf(str(tmp_path / "c.parquet")), root
     ).to_pandas().sort_values("doc_id")
     assert got.doc_id.tolist() == [10, 11]
     assert got.dup_of.tolist() == [1, 2]
 
 
 def test_matching_corpus_against_itself_excludes_self(tmp_path):
-    import ray.data
     root = str(tmp_path / "idx")
     rows = [(i, f"totally distinct document body {i} " * 5)
             for i in range(4)]
     _write_docs(str(tmp_path / "d.parquet"), rows)
-    ds = ray.data.read_parquet(str(tmp_path / "d.parquet"))
+    ds = leaf(str(tmp_path / "d.parquet"))
     dedup.build_minhash_index(ds, root)
     got = dedup.match_minhash_index(
-        ray.data.read_parquet(str(tmp_path / "d.parquet")), root
+        leaf(str(tmp_path / "d.parquet")), root
     ).to_pandas()
     # near-identical bodies may legitimately cross-match, but a doc
     # must never be reported as its own duplicate (an empty frame —

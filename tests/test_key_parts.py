@@ -142,14 +142,13 @@ def test_fx_agg_by_mixed_int_widths_keeps_one_row_per_key(parts):
 
 
 def test_fx_join_refuses_keys_of_different_families(tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, blocks):
     import pyarrow.parquet as pq
 
     from aqueduct_core_ray.stages import exchange
-    left = ray.data.from_arrow(pa.table({"k": pa.array([1, 2]),
-                                         "v": pa.array([1, 2])}))
+    left = blocks(pa.table({"k": pa.array([1, 2]), "v": pa.array([1, 2])}))
     strs = pa.table({"k": pa.array(["1", "2"]), "w": pa.array([3, 4])})
-    right = ray.data.from_arrow(strs)
+    right = blocks(strs)
     with pytest.raises(ValueError, match="'k'"):
         fx_join(left, right, on="k")
     # a leaf right side refuses them too, routed or broadcast
@@ -160,9 +159,10 @@ def test_fx_join_refuses_keys_of_different_families(tmp_path,
         with pytest.raises(ValueError, match="'k'.*route apart"):
             fx_join(left, exchange.leaf(rp), on="k")
     # int widths and timestamps share the int family: they still join
-    r32 = ray.data.from_arrow(pa.table({"k": pa.array([2, 3], pa.int32()),
-                                        "w": pa.array([3, 4])}))
-    out = fx_join(left, r32, on="k").to_pandas()
+    r32 = blocks(pa.table({"k": pa.array([2, 3], pa.int32()),
+                           "w": pa.array([3, 4])}))
+    out = pa.concat_tables(ray.get(
+        fx_join(left, r32, on="k").refs)).to_pandas()
     assert out["k"].tolist() == [2] and out["w"].tolist() == [3]
 
 

@@ -351,13 +351,13 @@ def test_vocab_distinct_count_over_the_exchange(tmp_path, parts):
     blocks = corpus_blocks(9, n_docs=300)
     want = len(np.unique(np.concatenate(
         [old_vocab_hashes(b) for b in blocks])))
-    ds = ray.data.from_arrow(blocks)
+    refs = [ray.put(b) for b in blocks]
     for P in (1, 5):
         parts(P)
-        n = sum(t.column("n").to_numpy().sum() for t in collect_tables(
+        n = sum(t.column("n").to_numpy().sum() for t in ray.get(
             exchange.file_exchange_map_groups(
-                ds, text._n_distinct, keys=["h"],
-                pre=text._vocab_hashes)))
+                refs, text._n_distinct, keys=["h"],
+                pre=text._vocab_hashes).refs))
         assert n == want
 
 
