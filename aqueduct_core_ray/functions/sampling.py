@@ -80,14 +80,16 @@ def mixture_resample(sf_dir: str,
 # --------------------------------------------------------------------- #
 # sharded training export
 # --------------------------------------------------------------------- #
-def write_shards(ds: "ray.data.Dataset", out_dir: str,
+def write_shards(src: "exchange.Leaf | list", out_dir: str,
                  n_shards: int, seed: int,
                  marker_payload: dict, key_col: str = "doc_id") -> dict:
-    """Shared sharded-writer contract: keyed-hash shard tags in one
-    streaming pass, hive-partitioned parquet, atomic ``_EXPORTED``
-    marker written only after every file lands. A present marker whose
-    payload matches short-circuits; a half-written attempt (no marker)
-    is cleared and rewritten idempotently. Used by
+    """Shared sharded-writer contract: one ``map_blocks`` pass over a
+    leaf or block refs whose tasks tag each row's keyed-hash shard and
+    write ``shard=<k>/`` parquet files (``exchange.write_parts``); the
+    atomic ``_EXPORTED`` marker, carrying the writers' row count, is
+    written only after every file lands. A present marker whose payload
+    matches short-circuits; a half-written attempt (no marker) is
+    cleared and rewritten idempotently. Used by
     ``export_training_shards`` and the curation pipeline."""
     import json
     import os
@@ -102,7 +104,7 @@ def write_shards(ds: "ray.data.Dataset", out_dir: str,
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir, exist_ok=True)
 
-    def tag(t: pa.Table) -> pa.Table:
+    def write(t: pa.Table) -> pa.Table:
         ids = t.column(key_col).to_numpy(zero_copy_only=False)
         if np.issubdtype(ids.dtype, np.integer):
             h = pd.util.hash_array(ids + np.int64(seed),
@@ -110,19 +112,12 @@ def write_shards(ds: "ray.data.Dataset", out_dir: str,
         else:                       # string keys (e.g. pack_id)
             h = pd.util.hash_array(np.asarray(ids, dtype=object),
                                    categorize=False) ^ np.uint64(seed)
-        return t.append_column(
-            "shard", pa.array((h % np.uint64(n_shards)).astype(np.int32)))
+        return exchange.write_parts(t.append_column(
+            "shard", pa.array((h % np.uint64(n_shards)).astype(np.int32))),
+            out_dir, "shard")
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    tagged.write_parquet(out_dir, partition_cols=["shard"])
-    # count from the WRITTEN files (metadata only) — no second pass
-    # over the input chain
-    import pyarrow.parquet as pq
-    n = 0
-    for dirpath, _, files in os.walk(out_dir):
-        for fn in files:
-            if fn.endswith(".parquet"):
-                n += pq.read_metadata(os.path.join(dirpath, fn)).num_rows
+    n = sum(t.column("n")[0].as_py()
+            for t in ray.get(exchange.map_blocks(src, write)))
     st = {"docs": int(n), "shards": int(n_shards), "src": marker_payload}
     tmp = marker + ".tmp"
     with open(tmp, "w") as f:
@@ -142,8 +137,8 @@ def export_training_shards(sf_dir: str, out_dir: str, n_shards: int = 16,
     randomization; trainers shuffle within a shard via their own buffer)
     while remaining DETERMINISTIC across runs, nodes and cluster sizes.
 
-    One streaming pass: a map_batches tags shards, ``write_parquet``
-    partitions on the column — no driver materialization, no all-to-all
+    One raw-task pass over the documents leaf: each task tags its rows'
+    shards and writes them — no driver materialization, no all-to-all
     (hive partitioning splits at the writer). RESUMABLE contract: the
     export publishes an ``_EXPORTED`` marker (write-then-rename) only
     after every file lands; a rerun with the marker present is a no-op,
@@ -151,7 +146,7 @@ def export_training_shards(sf_dir: str, out_dir: str, n_shards: int = 16,
     directory idempotently (deterministic content). Returns
     {"docs": N, "shards": n_shards, "skipped": 0|1}.
 
-    Scale note: the hive writer emits one file per (input block, shard),
+    Scale note: the hive writer emits one file per (input unit, shard),
     so keep ``n_shards`` modest (≤ ~1k) or repartition first — B×S tiny
     files is the failure mode at extreme shard counts."""
     import os
@@ -165,8 +160,7 @@ def export_training_shards(sf_dir: str, out_dir: str, n_shards: int = 16,
     fp = {"size": stat.st_size, "mtime_ns": stat.st_mtime_ns,
           "n_shards": int(n_shards), "seed": int(seed),
           "columns": sorted(cols)}
-    return write_shards(read_documents(sf_dir, columns=cols), out_dir,
-                        n_shards, seed, fp)
+    return write_shards(_docs(sf_dir, cols), out_dir, n_shards, seed, fp)
 
 
 def _grouped_topk_idx(src: np.ndarray, key: np.ndarray, ids: np.ndarray,

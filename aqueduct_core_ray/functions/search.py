@@ -11,7 +11,7 @@ filter CSV -> SQL ANY) are the subscription special case of "find the
 rows containing X without scanning everything"; this is the content
 generalization a 100-TB corpus needs.
 
-Scale notes: the index build is one streaming pass (per-block DISTINCT
+Scale notes: the index build is one raw-task pass (per-block DISTINCT
 (doc, trigram) via Arrow group_by — the shuffle-free write partitions
 by trigram hash, so a query prunes to |trigrams(needle)| partitions of
 P). Posting intersection never materializes a posting list on the
@@ -24,6 +24,7 @@ selectivity contract of substring search itself.
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 import uuid
@@ -98,6 +99,23 @@ def _trigram_index_dir(sf_dir: str, index_root: "str | None") -> str:
     return os.path.join(root, f"{tag}-{h}-p{_P}")
 
 
+def _write_postings(t: pa.Table, column: str, P: int, root: str
+                    ) -> pa.Table:
+    """An index writer task: the DISTINCT (tri, doc_id) postings of
+    ``t``'s (doc_id, ``column``) rows as ``part=<tri hash % P>/`` files
+    under ``root``; returns ``write_parts``' row count."""
+    texts = ["" if x is None else x for x in t.column(column).to_pylist()]
+    dids = t.column("doc_id").to_numpy(zero_copy_only=False)
+    di, code = _trigram_codes(texts)
+    pairs = pa.table({"tri": pa.array(code),
+                      "doc_id": pa.array(dids[di])})
+    distinct = pairs.group_by(["tri", "doc_id"]).aggregate([])
+    part = (distinct.column("tri").to_numpy(zero_copy_only=False)
+            .view(np.uint64) % np.uint64(P)).astype(np.int32)
+    return write_parts(distinct.append_column("part", pa.array(part)),
+                       root, "part")
+
+
 def build_trigram_index(sf_dir: str, force: bool = False,
                         index_root: "str | None" = None) -> str:
     """Materialize the posting index: hive layout ``part=<h%P>/`` of
@@ -117,19 +135,8 @@ def build_trigram_index(sf_dir: str, force: bool = False,
     os.makedirs(tmp, exist_ok=True)
     post = os.path.join(tmp, "post")
 
-    def write_postings(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        dids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        di, code = _trigram_codes(texts)
-        pairs = pa.table({"tri": pa.array(code),
-                          "doc_id": pa.array(dids[di])})
-        distinct = pairs.group_by(["tri", "doc_id"]).aggregate([])
-        part = (distinct.column("tri").to_numpy(zero_copy_only=False)
-                .view(np.uint64) % np.uint64(_P)).astype(np.int32)
-        return write_parts(distinct.append_column("part", pa.array(part)),
-                           post, "part")
-
-    ray.get(map_blocks(_docs(sf_dir, ["doc_id", "text"]), write_postings))
+    ray.get(map_blocks(_docs(sf_dir, ["doc_id", "text"]), functools.partial(
+        _write_postings, column="text", P=_P, root=post)))
     with open(os.path.join(tmp, "_DONE"), "w") as f:
         f.write("ok")
     try:
@@ -254,7 +261,7 @@ def substring_search(sf_dir: str,
 # --------------------------------------------------------------------- #
 # CDC-maintained search index — the trigram index kept fresh against a
 # LIVE lake in O(delta) per generation, fed by the engine's own
-# changefeed (diff_generations payload read). The classic search-on-CDC
+# changefeed (diff_refs payload read). The classic search-on-CDC
 # segment design: each refresh appends ONE posting segment for the docs
 # that changed; stale postings (old versions, deleted docs) are never
 # eagerly purged — they surface only as candidates and die at the
@@ -309,21 +316,11 @@ class LakeTrigramIndex:
         os.replace(tmp, self._state_path)
 
     # -- posting build ---------------------------------------------------
-    def _postings(self, t: pa.Table) -> pa.Table:
-        texts = t.column(self.column).to_pylist()
-        dids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        texts = ["" if x is None else x for x in texts]
-        di, code = _trigram_codes(texts)
-        pairs = pa.table({"tri": pa.array(code),
-                          "doc_id": pa.array(dids[di])})
-        distinct = pairs.group_by(["tri", "doc_id"]).aggregate([])
-        part = (distinct.column("tri").to_numpy(zero_copy_only=False)
-                .view(np.uint64) % np.uint64(self.P)).astype(np.int32)
-        return distinct.append_column("part", pa.array(part))
-
-    def _write_segment(self, ds: "ray.data.Dataset", name: str) -> int:
-        """Build under a temp name, atomic-rename into place; returns
-        posting row count (0 = no segment written)."""
+    def _write_segment(self, name: str, run) -> int:
+        """Build segment ``name`` under a temp name, atomic-rename into
+        place; ``run(write)`` submits the writer tasks (``write`` over
+        each block of (doc_id, column) rows) and returns their refs.
+        Returns the posting row count (0 = no segment written)."""
         import shutil
         import uuid
 
@@ -331,22 +328,21 @@ class LakeTrigramIndex:
         if os.path.isdir(seg):
             shutil.rmtree(seg)              # crashed predecessor rerun
         tmp = f"{seg}.build-{uuid.uuid4().hex[:8]}"
-        post = ds.map_batches(self._postings, batch_format="pyarrow")
-        n = 0
+        write = functools.partial(_write_postings, column=self.column,
+                                  P=self.P, root=tmp)
         try:
-            post.write_parquet(tmp, partition_cols=["part"])
-            import glob
-            import pyarrow.parquet as pq
-            n = sum(pq.read_metadata(f).num_rows for f in
-                    glob.glob(os.path.join(tmp, "**", "*.parquet"),
-                              recursive=True))
-            if n == 0:
-                shutil.rmtree(tmp, ignore_errors=True)
-                return 0
-            os.rename(tmp, seg)
+            n = sum(t.column("n")[0].as_py() for t in ray.get(run(write)))
+            if n:
+                os.rename(tmp, seg)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
         return n
+
+    def _full_segment(self, gen: int) -> int:
+        """Segment ``seg-full-g<gen>`` over the CURRENT lake."""
+        return self._write_segment(
+            f"seg-full-g{gen:06d}", lambda write: self.engine.map_lake(
+                write, columns=["doc_id", self.column]))
 
     # -- maintenance -----------------------------------------------------
     def refresh(self) -> dict:
@@ -356,26 +352,26 @@ class LakeTrigramIndex:
         gen = m.generation
         state = self._load_state()
         if state is None:
-            rows = self.engine.read_lake(columns=["doc_id", self.column])
-            n = self._write_segment(rows, f"seg-full-g{gen:06d}")
+            n = self._full_segment(gen)
             segs = [f"seg-full-g{gen:06d}"] if n else []
             self._save_state({"generation": gen, "segments": segs})
             return {"mode": "full", "generation": gen, "postings": n}
         if state["generation"] >= gen:
             return {"mode": "noop", "generation": gen}
-        diff = self.engine.diff_generations(
-            state["generation"], gen, payload_columns=[self.column])
+        col = self.column
+        feed = self.engine.diff_refs(state["generation"], gen,
+                                     payload_columns=[col])
 
         def changed_rows(t: pa.Table) -> pa.Table:
             keep = pc.is_in(t.column("change"),
                             value_set=pa.array(["added", "updated"]))
             f = t.filter(keep)
             return pa.table({"doc_id": f.column("doc_id"),
-                             self.column: f.column(self.column)})
+                             col: f.column(col)})
 
         name = f"seg-g{state['generation']:06d}-g{gen:06d}"
-        n = self._write_segment(
-            diff.map_batches(changed_rows, batch_format="pyarrow"), name)
+        n = self._write_segment(name, lambda write: map_blocks(
+            feed, lambda t: write(changed_rows(t))))
         segs = list(state["segments"]) + ([name] if n else [])
         self._save_state({"generation": gen, "segments": segs})
         return {"mode": "delta", "generation": gen, "postings": n,
@@ -390,8 +386,7 @@ class LakeTrigramIndex:
         if state is None:
             return {"mode": "noop"}
         gen = int(state["generation"])
-        rows = self.engine.read_lake(columns=["doc_id", self.column])
-        n = self._write_segment(rows, f"seg-full-g{gen:06d}")
+        n = self._full_segment(gen)
         old = [s for s in state["segments"] if s != f"seg-full-g{gen:06d}"]
         self._save_state({"generation": gen,
                           "segments": [f"seg-full-g{gen:06d}"] if n

@@ -136,12 +136,10 @@ def curate_corpus(sf_dir: str, out_dir: str | None = None,
     When ``out_dir`` is given the surviving corpus is also written as
     resumable training shards."""
     refs, agg = _curated_docs(sf_dir, lang, shingle, min_hits, benchmark)
-    deduped = ray.data.from_arrow_refs(refs)
     if out_dir is not None:
         # export THROUGH the shared sharded-writer contract; the row
-        # count comes from the written files' metadata, so the curated
-        # chain executes exactly once for the write (not again for a
-        # count) — and a matching _EXPORTED marker skips it entirely
+        # count comes from the writer tasks — and a matching _EXPORTED
+        # marker skips the write entirely
         from ..functions.sampling import write_shards
 
         # fingerprint the SOURCE alongside the params (mirrors
@@ -156,10 +154,10 @@ def curate_corpus(sf_dir: str, out_dir: str | None = None,
                    "n_shards": int(n_shards),
                    "size": stat.st_size, "mtime_ns": stat.st_mtime_ns,
                    "benchmark": sorted(benchmark) if benchmark else None}
-        st = write_shards(deduped, out_dir, n_shards, 17, payload)
+        st = write_shards(refs, out_dir, n_shards, 17, payload)
         n_dedup = int(st["docs"])
     else:
-        n_dedup = deduped.count()
+        n_dedup = ray.data.from_arrow_refs(refs).count()
 
     return pa.table({
         "stage": pa.array(["input", "lang", "quality", "decontaminated",
@@ -242,8 +240,8 @@ def train_pipeline(sf_dir: str, out_dir: "str | None" = None,
                                  benchmark)
     packed = pack_tokenized(exchange.map_blocks(deduped, tokenize_batch),
                             context_len, num_partitions)
-    st = write_shards(ray.data.from_arrow_refs(packed.refs), out_dir,
-                      n_shards, 23, payload, key_col="pack_id")
+    st = write_shards(packed.refs, out_dir, n_shards, 23, payload,
+                      key_col="pack_id")
     meta = pads.dataset(out_dir, partitioning="hive").to_table(
         columns=["n_tok", "n_docs"])
     out = pa.table({

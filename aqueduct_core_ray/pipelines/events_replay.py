@@ -180,10 +180,6 @@ def schema_evolution_lake(sf_dir: str, num_partitions: int = 8
     if eng.manifest.schema.field("vlen").type != pa.int64():
         raise RuntimeError("vlen was not widened to int64 by the wave-2 "
                            "schema reconciliation")
-    # project INSIDE read_lake (columns=), not via a chained
-    # select_columns: Ray Data passes zero-row blocks through map
-    # transforms unprojected, so an untouched (empty) partition would
-    # leak its on-disk bootstrap schema into the result block set
     return eng.read_lake(
         columns=["doc_id", "value", "vlen", "props", "source", "last_lsn"])
 
@@ -260,11 +256,10 @@ def replay_documents_lake(sf_dir: str, n_waves: int = 2,
     """Tokenized documents ingested as an insert-only change stream through
     the engine — the flagship `entry()` pipeline.
 
-    Returns the STREAMING lake Dataset (`read_lake()`), not a driver
-    materialization: the lake lives in a deterministic per-(sf,params)
-    scratch root that is wiped and rebuilt per call, and left on disk for
-    the returned Dataset to stream from — the consumer sees partitioned
-    parquet exactly as a 100-TB deployment would."""
+    Returns the lake as `read_lake()`'s Dataset over the per-partition
+    read tasks' blocks, not a driver materialization: the lake lives in
+    a deterministic per-(sf,params) scratch root that is wiped and
+    rebuilt per call and left on disk."""
     tag = os.path.basename(os.path.normpath(sf_dir))
     work = f"/tmp/aqr-docs-{tag}-w{n_waves}-p{num_partitions}"
     shutil.rmtree(work, ignore_errors=True)
@@ -273,15 +268,7 @@ def replay_documents_lake(sf_dir: str, n_waves: int = 2,
     max_lsn = _documents_changelog(sf_dir, log_dir)
     eng = CDCEngine(lake_dir, num_partitions=num_partitions)
     eng.replay(log_dir, _wave_bounds(max_lsn, n_waves))
-    # columns= projects inside read_lake (uniform across empty blocks)
-    return eng.read_lake(columns=columns)    # streaming, no driver gather
-
-
-def cleanup_scratch() -> None:
-    """Remove this process's scratch replay dirs (best-effort)."""
-    import glob
-    for d in glob.glob("/tmp/aqr-*"):
-        shutil.rmtree(d, ignore_errors=True)
+    return eng.read_lake(columns=columns)
 
 
 def generation_diff_events(sf_dir: str, num_partitions: int = 16):

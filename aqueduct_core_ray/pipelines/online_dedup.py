@@ -10,7 +10,7 @@ DELTA, never the lake (reference analog: the till applies only its
 parent's change batches, SQLiteStorage.java:133-171 — same O(delta)
 contract, lifted to dedup).
 
-Built entirely from public surface: ``CDCEngine.diff_generations``'s
+Built entirely from public surface: ``CDCEngine.diff_refs``'
 changefeed (payload_columns=["tokens"]) feeds the token-shingle path of
 ``functions.dedup.build_minhash_index`` / ``match_minhash_index``. The
 index is append-only — an UPDATED doc's old band rows stay behind and
@@ -69,12 +69,11 @@ def _write_gen(index_root: str, generation: int) -> None:
 def bootstrap_dedup_index(engine, index_root: str, *, k: int = 64,
                           bands: int = 16, shingle: int = 3,
                           num_partitions: int = 16) -> int:
-    """Seed the band index from the CURRENT lake state (one streaming
-    pass over (doc_id, tokens)) and stamp the generation watermark.
-    Returns the band-row count written."""
+    """Seed the band index from the CURRENT lake state (one pass over
+    the (doc_id, tokens) ``map_lake`` blocks) and stamp the generation
+    watermark. Returns the band-row count written."""
     n = build_minhash_index(
-        engine.read_lake(columns=["doc_id", "tokens"]).materialize()
-        .to_arrow_refs(), index_root,
+        engine.map_lake(columns=["doc_id", "tokens"]), index_root,
         k=k, bands=bands, shingle=shingle,
         num_partitions=num_partitions, column="tokens")
     _write_gen(index_root, engine.manifest.generation)
@@ -106,14 +105,14 @@ def online_dedup_step(engine, index_root: str, *, k: int = 64,
     g_to = m.generation if m else 0
     if g_to == g_from:
         return _EMPTY_MATCHES, g_from, g_to
-    feed = engine.diff_generations(g_from, payload_columns=["tokens"])
+    feed = engine.diff_refs(g_from, payload_columns=["tokens"])
 
     def live_side(t: pa.Table) -> pa.Table:
         t = t.filter(pc.invert(pc.equal(t.column("change"), "deleted")))
         return pa.table({"doc_id": t.column("doc_id"),
                          "tokens": t.column("tokens")})
 
-    delta = exchange.map_blocks(feed.to_arrow_refs(), live_side)
+    delta = exchange.map_blocks(feed, live_side)
     delta_ids = pa.concat_tables(ray.get(exchange.map_blocks(
         delta, lambda t: t.select(["doc_id"])))).column(
             "doc_id").combine_chunks()

@@ -2,7 +2,7 @@
 
 Mirrors the reference's till sync loop (SURVEY.md §3.2):
 
-  poll parent for (hwm, watermark] batch     -> read_parquet(log, lsn-filter)
+  poll parent for (hwm, watermark] batch     -> raw scan tasks (lsn-filtered)
   single-transaction write of data+offsets   -> staged files + manifest commit
   named offsets (PIPE_OFFSET, ...)           -> manifest watermark + per-part HWM
   per-type till subscriptions / tree fanout  -> Derivation DAG refresh per wave
@@ -41,6 +41,7 @@ from ray.exceptions import RayError
 from ..schema import CHANGE_EVENT, evolve_schema
 from ..stages.compact import LWW, ConflictPolicy
 from ..stages.exchange_files import plan_slices
+from ..stages import merge_apply
 from ..stages.merge_apply import (
     FileCache,
     absorb_partition,
@@ -79,6 +80,30 @@ _DIFF_TASK = ray.remote(num_cpus=1)(diff_partition)
 _RESHARD_TASK = ray.remote(num_cpus=1)(reshard_partition)
 _ABSORB_TASK = ray.remote(num_cpus=1)(absorb_partition)
 _FOLD_TASK = ray.remote(num_cpus=1)(fold_chain_partition)
+
+
+def _lake_rows(root: str, entry: "dict[str, Any]", schema: pa.Schema,
+               policy: ConflictPolicy,
+               columns: "list[str] | None" = None, filter: Any = None,
+               fn: "Any | None" = None, **load: Any) -> pa.Table:
+    """THE per-partition lake read: ``load_partition_table`` (base +
+    sidecars merged, every column cast to ``schema``'s type) ->
+    ``live_rows`` -> ``filter`` -> ``columns`` -> ``fn``. ``map_lake``
+    runs it as one raw task per partition; ``lake_table`` and
+    ``get_docs`` call it on the driver (``load`` carries get_docs'
+    ``keys``/``read``)."""
+    # looked up on the module per call: a wrapper installed there (a
+    # span tracer) sees the driver-side reads
+    t = merge_apply.live_rows(merge_apply.load_partition_table(
+        root, entry, schema, policy, columns, **load))
+    if filter is not None:
+        t = t.filter(filter)
+    if columns is not None:
+        t = t.select(columns)
+    return t if fn is None else fn(t)
+
+
+_LAKE_TASK = ray.remote(num_cpus=1)(_lake_rows)
 
 
 def _cluster_cpus(default: int = 32) -> int:
@@ -1413,86 +1438,47 @@ class CDCEngine:
             raise ValueError(f"no manifest for generation {generation}")
         return m
 
+    def map_lake(self, fn: "Any | None" = None,
+                 columns: "list[str] | None" = None,
+                 generation: "int | None" = None,
+                 filter: "pc.Expression | None" = None
+                 ) -> "list[ray.ObjectRef]":
+        """``fn`` over the live lake, one raw task per manifest
+        partition (ascending pid): each task reads its partition's base
+        and sidecars (``_lake_rows``: merged, tombstone fences dropped,
+        every column in the manifest's type), applies ``filter`` and
+        projects ``columns``, then returns ``fn`` of that table (the
+        table itself when ``fn`` is None). Returns the tasks' block
+        refs, none for a lake without partitions. The manifest is the
+        file list, so no discovery pass and no Ray Data execution runs.
+
+        ``generation`` reads the lake AS OF a past commit (time
+        travel): manifests are immutable, so the view is byte-stable as
+        long as its files survive vacuum's keep window. ``filter`` is a
+        pyarrow compute Expression over lake columns, applied after the
+        partition-local merge (versions are LWW-resolved before a value
+        predicate may drop rows); with ``columns``, every column it
+        references must be among them."""
+        m = (self.manifest if generation is None
+             else self.manifest_at(generation))
+        if m is None:
+            return []
+        cols = None if columns is None else list(columns)
+        return [_LAKE_TASK.remote(self.store.root, e, m.schema,
+                                  self.conflict, cols, filter, fn)
+                for e in self._sorted_entries(m)]
+
     def read_lake(self, columns: list[str] | None = None,
                   generation: int | None = None,
                   filter: "pc.Expression | None" = None
                   ) -> ray.data.Dataset:
-        """The materialized table as a streaming Dataset (schema reconciled
-        to the current manifest — untouched partitions may lag on disk).
-        ``generation`` reads the lake AS OF a past commit (time travel):
-        manifests are immutable, so the historical view is byte-stable
-        as long as its part files survive vacuum's keep window.
-
-        ``filter`` is a pyarrow compute Expression over LAKE columns,
-        pushed into the parquet scan on the delta-free path (row groups
-        whose statistics exclude the predicate are never read) and
-        applied AFTER the partition-local merge on the sidecar path
-        (versions must be LWW-resolved before a value predicate may
-        drop rows). With an explicit ``columns`` list on a sidecar-
-        carrying lake, every column the filter references must be in
-        ``columns``.
-
-        Partitions carrying delta sidecars are merged PARTITION-LOCALLY
-        inside the read tasks (one task per such partition, same unified
-        compaction kernel as the write side); delta-free lakes keep the
-        plain multi-file parquet scan."""
-        m = (self.manifest if generation is None
-             else self.manifest_at(generation))
-        entries = self._sorted_entries(m) if m is not None else []
-        if not entries:
-            return ray.data.from_arrow(default_lake_schema().empty_table())
-        fenced = "last_op" in m.schema.names
-        if not any(p.get("deltas") for p in entries):
-            read_cols = columns
-            if fenced and columns is not None and "last_op" not in columns:
-                read_cols = list(columns) + ["last_op"]
-            files = [self.store.abs(p["path"]) for p in entries]
-            ds = ray.data.read_parquet(files, columns=read_cols,
-                                       filter=filter)
-            if columns is None:
-                from ..schema import reconcile_batch
-                schema = m.schema
-
-                def conform(t: pa.Table) -> pa.Table:
-                    from ..stages.merge_apply import live_rows
-                    return live_rows(reconcile_batch(t, schema))
-
-                ds = ds.map_batches(conform, batch_format="pyarrow")
-            elif fenced:
-                keep = list(columns)
-
-                def strip(t: pa.Table) -> pa.Table:
-                    from ..stages.merge_apply import live_rows
-                    return live_rows(t).select(keep)
-
-                ds = ds.map_batches(strip, batch_format="pyarrow")
-            return ds
-        import json as _json
-        root, b64, pol = self.store.root, m.schema_b64, self.conflict
-        cols = list(columns) if columns is not None else None
-        flt = filter
-
-        def load(t: pa.Table) -> pa.Table:
-            from ..stages.merge_apply import (
-                live_rows as _live,
-                load_partition_table,
-            )
-            from ..state.manifest import schema_from_b64
-            schema = schema_from_b64(b64)
-            outs = []
-            for ej in t.column("entry_json").to_pylist():
-                tab = _live(load_partition_table(root, _json.loads(ej),
-                                                 schema, pol, cols))
-                if flt is not None:
-                    tab = tab.filter(flt)
-                if cols is not None:
-                    tab = tab.select(cols)
-                outs.append(tab)
-            return pa.concat_tables(outs)
-
-        descs = [{"entry_json": _json.dumps(p)} for p in entries]
-        return ray.data.from_items(descs).map_batches(
-            load, batch_format="pyarrow", batch_size=1)
+        """The live lake as a Dataset over ``map_lake``'s finished
+        blocks (one per partition, each in the manifest's schema, so
+        they concatenate); the arguments are ``map_lake``'s."""
+        refs = self.map_lake(columns=columns, generation=generation,
+                             filter=filter)
+        return (ray.data.from_arrow_refs(refs) if refs else
+                ray.data.from_arrow(default_lake_schema().empty_table()))
 
     def live_files(self) -> set[str]:
         """Absolute paths of every base and sidecar file CURRENT names."""
@@ -1515,7 +1501,6 @@ class CDCEngine:
         one parquet decode. A projected read (``columns=``) bypasses
         the cache and decodes only its columns of each touched file."""
         from ..partitioning import partition_ids
-        from ..stages import merge_apply
         import numpy as np
 
         m = self.manifest
@@ -1534,10 +1519,9 @@ class CDCEngine:
             entry = m.partitions.get(str(pid))
             if entry is None:
                 continue
-            t = merge_apply.live_rows(merge_apply.load_partition_table(
-                self.store.root, entry, schema, self.conflict, columns,
-                keys=want, read=read))
-            tabs.append(t if columns is None else t.select(columns))
+            tabs.append(_lake_rows(self.store.root, entry, schema,
+                                   self.conflict, columns, keys=want,
+                                   read=read))
         if not tabs:
             sch = schema if columns is None else pa.schema(
                 [f for f in schema if f.name in columns])
@@ -1550,6 +1534,13 @@ class CDCEngine:
                          payload_columns: list[str] | None = None,
                          before_image: bool = False
                          ) -> ray.data.Dataset:
+        """``diff_refs``' blocks as a Dataset."""
+        return ray.data.from_arrow_refs(self.diff_refs(
+            g_old, g_new, payload_columns, before_image))
+
+    def diff_refs(self, g_old: int, g_new: int | None = None,
+                  payload_columns: list[str] | None = None,
+                  before_image: bool = False) -> "list[ray.ObjectRef]":
         """TIME-TRAVEL DIFF: which docs changed between two committed
         generations — (doc_id, change ∈ added|updated|deleted, lsn_old,
         lsn_new), ``g_new`` defaulting to CURRENT. The CDC consumer's
@@ -1569,8 +1560,9 @@ class CDCEngine:
         CHANGED partition only — after a small wave the diff costs
         O(touched partitions), not O(lake). Each task reads the narrow
         (doc_id, last_lsn [+ payload]) projection of both versions ONCE
-        and outer-joins them vectorized; results stay in the object
-        store (``from_arrow_refs``), never gathered on the driver."""
+        and outer-joins them vectorized; returns the tasks' block refs
+        (one typed empty block when no partition changed), never
+        gathered on the driver."""
         m_old = self.manifest_at(g_old)
         m_new = (self.manifest if g_new is None
                  else self.manifest_at(g_new))
@@ -1609,8 +1601,8 @@ class CDCEngine:
                 for c in pay:
                     empty = empty.append_column(
                         f"{c}_old", pa.nulls(0, m_new.schema.field(c).type))
-            return ray.data.from_arrow(empty)
-        return ray.data.from_arrow_refs(refs)
+            return [ray.put(empty)]
+        return refs
 
     def clone_lake(self, dst_root: str,
                    generation: int | None = None) -> "CDCEngine":
@@ -2180,15 +2172,13 @@ class CDCEngine:
     def lake_table(self) -> pa.Table:
         """Whole lake as one Arrow table (live rows — tombstone fences
         excluded) — small/test scale only."""
-        from ..stages.merge_apply import live_rows, load_partition_table
         m = self.manifest
         entries = self._sorted_entries()
         if not entries:
             return default_lake_schema().empty_table()
-        tabs = [live_rows(load_partition_table(self.store.root, p,
-                                               m.schema, self.conflict))
-                for p in entries]
-        return pa.concat_tables(tabs).sort_by("doc_id")
+        return pa.concat_tables([
+            _lake_rows(self.store.root, p, m.schema, self.conflict)
+            for p in entries]).sort_by("doc_id")
 
     def dirty_pids(self) -> list[int]:
         """Partitions whose manifest stats are stale: a non-empty delta
@@ -2355,16 +2345,13 @@ class CDCEngine:
         return self.consistency_stats()[0]
 
     def consistency_stats(self) -> tuple[int, int]:
-        """(consistency checksum, exact live rows) in ONE distributed
-        lake read — verify's combined pass, so exact row counting costs
-        no extra I/O over the checksum it already needs."""
-        from ray.data.aggregate import Count, Sum
-        ds = self.read_lake(columns=["last_lsn"])
-        res = ds.aggregate(Sum("last_lsn"), Count())
-        if res is None:
-            return 0, 0
-        return (int(res.get("sum(last_lsn)") or 0),
-                int(res.get("count()") or 0))
+        """(consistency checksum, exact live rows) in ONE lake read —
+        verify's combined pass, so exact row counting costs no extra
+        I/O over the checksum it already needs: each partition's
+        (Σ last_lsn, rows), folded on the driver."""
+        parts = ray.get(self.map_lake(_lsn_sum_rows, columns=["last_lsn"]))
+        return (sum(t.column("s")[0].as_py() for t in parts),
+                sum(t.column("n")[0].as_py() for t in parts))
 
     # ------------------------------------------------------------------ #
     def checksum(self, columns: "list[str] | None" = None,
@@ -2389,11 +2376,11 @@ class CDCEngine:
         the bucket aggregate — order- and partitioning-insensitive, no
         overflow at any scale.
 
-        Scale shape: one streaming lake read, per-block (bucket, count,
-        xor) partials inside ``map_batches``, then a driver fold over
-        the BOUNDED n_buckets x blocks partial rows — zero exchanges.
-        The per-row md5 loop is inherent to a cryptographic checksum
-        (this is the audit path, not the ingest hot path)."""
+        Scale shape: one ``map_lake`` pass whose tasks return their
+        partition's (bucket, count, xor) partials, then a driver fold
+        over the BOUNDED n_buckets x partitions partial rows — zero
+        exchanges. The per-row md5 loop is inherent to a cryptographic
+        checksum (this is the audit path, not the ingest hot path)."""
         m = self.manifest
         cols = list(columns) if columns is not None else [
             c for c in (m.schema.names if m else []) if c != "last_op"]
@@ -2401,14 +2388,11 @@ class CDCEngine:
             return pa.table({"bucket": pa.array([], pa.int64()),
                              "n_rows": pa.array([], pa.int64()),
                              "xor_sig": pa.array([], pa.int64())})
-        read_cols = list(dict.fromkeys(cols + ["doc_id"]))
-        ds = self.read_lake(columns=read_cols)
         from functools import partial as _partial
-        partials = ds.map_batches(
-            _partial(_checksum_partials, columns=cols,
-                     n_buckets=n_buckets),
-            batch_format="pyarrow")
-        rows = partials.take_all()              # bounded: n_buckets x blocks
+        rows = [r for t in ray.get(self.map_lake(
+            _partial(_checksum_partials, columns=cols, n_buckets=n_buckets),
+            columns=list(dict.fromkeys(cols + ["doc_id"]))))
+            for r in t.to_pylist()]     # bounded: n_buckets x partitions
         agg: dict[int, list[int]] = {}
         for r in rows:
             b = int(r["bucket"])
@@ -2536,6 +2520,12 @@ class CDCEngine:
 
 
 # Signature kernels live in state/checksums.py (single source of truth
-# shared with the O(delta)-maintained LakeChecksumIndex); re-exported
-# here for the engine's map_batches closure.
+# shared with the O(delta)-maintained LakeChecksumIndex); imported here
+# as the engine's checksum ``map_lake`` function.
 from ..state.checksums import checksum_partials as _checksum_partials  # noqa: E402
+
+
+def _lsn_sum_rows(t: pa.Table) -> pa.Table:
+    """``consistency_stats``' partition partial: (Σ last_lsn, rows)."""
+    return pa.table({"s": [int(pc.sum(t.column("last_lsn")).as_py() or 0)],
+                     "n": [t.num_rows]})

@@ -8,7 +8,7 @@
 - ``LakeChecksumIndex``: the MAINTAINED twin of ``CDCEngine.checksum``.
   Bootstrap pays one full lake scan; every later ``refresh()`` reads
   ONLY the changefeed since the indexed generation
-  (``diff_generations(..., before_image=True)`` — the Debezium
+  (``diff_refs(..., before_image=True)`` — the Debezium
   before/after envelope) and applies XOR deltas: added docs XOR in,
   deleted docs XOR out their before-image, updated docs XOR out the
   before-image and XOR in the after-image. XOR is self-inverse and
@@ -34,6 +34,10 @@ import os
 
 import numpy as np
 import pyarrow as pa
+
+import ray
+
+from ..stages import exchange
 
 
 def cell_strings(col: "pa.ChunkedArray | pa.Array") -> list:
@@ -77,8 +81,8 @@ def row_signatures(t: pa.Table, columns: "list[str]",
 
 def checksum_partials(t: pa.Table, columns: "list[str]",
                       n_buckets: int) -> pa.Table:
-    """Per-block full-scan partials: (bucket, n_rows, xor_sig) — the
-    map_batches kernel behind CDCEngine.checksum."""
+    """Per-partition full-scan partials: (bucket, n_rows, xor_sig) —
+    the ``map_lake`` function behind CDCEngine.checksum."""
     if t.num_rows == 0:
         return pa.table({"bucket": pa.array([], pa.int64()),
                          "n_rows": pa.array([], pa.int64()),
@@ -174,7 +178,7 @@ class LakeChecksumIndex:
                     "reason": "indexed generation vacuumed",
                     "buckets": len(buckets)}
         pay = [c for c in cols if c != "doc_id"]
-        diff = self.engine.diff_generations(
+        diff = self.engine.diff_refs(
             st["generation"], gen, payload_columns=pay,
             before_image=True)
 
@@ -219,8 +223,8 @@ class LakeChecksumIndex:
                              "dn": pa.array(out_n, pa.int64()),
                              "dxor": pa.array(out_x, pa.int64())})
 
-        partials = diff.map_batches(
-            deltas, batch_format="pyarrow").take_all()
+        partials = [r for t in ray.get(exchange.map_blocks(diff, deltas))
+                    for r in t.to_pylist()]
         buckets = {k: list(v) for k, v in st["buckets"].items()}
         changed = 0
         for r in partials:

@@ -344,10 +344,9 @@ def test_reshard_lake_preserves_state_and_continues(tmp_path):
 
 
 def test_read_lake_filter_pushdown(tmp_path):
-    """read_lake(filter=...) returns exactly the predicate's rows on
-    BOTH read paths: with pending sidecars (filter after the
-    partition-local merge) and after absorbs (pushdown into the
-    parquet scan), with and without a column projection."""
+    """read_lake(filter=...) returns exactly the predicate's rows,
+    applied after each partition-local merge: with pending sidecars and
+    after absorbs, with and without a column projection."""
     spec = ChangelogSpec(n_docs=300, n_events=2_000, seed=9,
                          chunk_size=500, n_waves=4)
     log = write_changelog(spec, str(tmp_path / "log"))

@@ -102,6 +102,31 @@ def test_export_training_shards(tmp_path):
     assert key(t3) == key(t2)
 
 
+def test_shard_writers_run_raw_tasks(tmp_path, executions):
+    """export_training_shards and train_pipeline write their shards
+    from raw tasks, with no Ray Data execution; a doc's shard is the
+    keyed hash of (doc_id, seed), and the marker counts the writers'
+    rows."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow.dataset as pads
+
+    from aqueduct_core_ray.functions.sampling import export_training_shards
+    from aqueduct_core_ray.pipelines.curate import train_pipeline
+
+    out = str(tmp_path / "shards")
+    st = export_training_shards(SF, out, n_shards=4, seed=9)
+    t = pads.dataset(out, partitioning="hive").to_table()
+    ids = t.column("doc_id").to_numpy()
+    want = pd.util.hash_array(ids + np.int64(9), categorize=False) % 4
+    assert (t.column("shard").to_numpy() == want).all()
+    assert st["docs"] == t.num_rows
+    man = train_pipeline(SF, out_dir=str(tmp_path / "train"))
+    assert man.column("reused_export")[0].as_py() == 0
+    assert man.column("n_packs")[0].as_py() > 0
+    assert executions == []
+
+
 def _aes_reference(sf_dir, k, seed, weight_col="n_chars"):
     """Whole-corpus A-ES reference: identical formula, no blocking."""
     import pandas as pd

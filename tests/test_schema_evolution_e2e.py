@@ -141,3 +141,28 @@ def test_binary_media_payload_through_engine(tmp_path):
     cols = ["doc_id", "tokens", "n_tok", "source", "last_lsn", "media"]
     assert engines[0].checksum(columns=cols).equals(
         engines[1].checksum(columns=cols))
+
+
+def test_read_blocks_carry_the_manifest_types(tmp_path):
+    """After a widening wave and ``compact_partitions``, untouched
+    partitions still hold their bootstrap files (n_tok int32 on disk):
+    every block of a full and of a projected ``read_lake`` has the
+    manifest's field types, so the blocks concatenate."""
+    import ray
+
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=3)
+    eng.bootstrap(seed_lake(10, seed=1))
+    w = write_wave(tmp_path, "w", wave_table(
+        [{"lsn": 1, "op": 0, "doc_id": "newC", "tokens": [4, 5, 6],
+          "n_tok": 3, "source": "code", "ts": 0}], WIDE_NTOK))
+    eng.apply_wave(w, hi=1)
+    eng.compact_partitions()
+    schema = eng.manifest.schema
+    assert schema.field("n_tok").type == pa.int64()
+    for cols in (None, ["doc_id", "n_tok"]):
+        want = [(f.name, f.type) for f in schema
+                if cols is None or f.name in cols]
+        tabs = ray.get(eng.read_lake(columns=cols).to_arrow_refs())
+        for t in tabs:
+            assert [(f.name, f.type) for f in t.schema] == want, cols
+        assert pa.concat_tables(tabs).num_rows == 11
