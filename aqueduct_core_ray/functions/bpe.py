@@ -5,10 +5,12 @@ Ray-Data-first:
 
 1. DISTRIBUTED WORD COUNT (the only corpus-scale work): the
    exchange's writer tasks read the corpus as a parquet leaf and
-   pretokenize every document with the shared
-   GPT-2-flavor ``BPE_PATTERN`` (functions/text.py — leading spaces
-   stay attached, acting as the word-boundary marker) and emits
-   per-block (word, count) partials; ONE hash exchange on the word
+   pretokenize each block with the shared GPT-2-flavor
+   ``BPE_PATTERN`` (functions/text.py — leading spaces stay attached,
+   acting as the word-boundary marker) with one ``findall`` per ~1 MB
+   slice of the block's "\\n"-joined texts, then count the pretokens
+   with Arrow group_bys into per-block (word, count) partials (no
+   per-document Python loop); ONE hash exchange on the word
    lands exact counts per partition; each partition keeps only its
    local top-``max_words`` and the driver folds P small heads. The
    merge loop's input is therefore corpus-size-INDEPENDENT
@@ -79,6 +81,45 @@ def _word_head(g: pa.Table, max_words: int) -> pa.Table:
                      "count": pa.array(sums[head])})
 
 
+# text bytes one findall of ``_pretoken_counts`` reads: bounds a
+# writer's working set (the joined str and its list of pretoken
+# objects) whatever the block's size
+PRETOKEN_SLICE_BYTES = 1 << 20
+
+
+def _pretoken_counts(t: pa.Table) -> pa.Table:
+    """(word, count) of a block's ``BPE_PATTERN`` pretokens (a null
+    text counts as empty). The texts go in slices of about
+    ``PRETOKEN_SLICE_BYTES``, each ONE findall over its texts joined
+    by "\\n" and counted by an Arrow group_by; one group_by sums the
+    slices' counts. No pretoken can hold a "\\n" (the pattern's arms
+    are literals, letters, digits or non-whitespace runs), so no match
+    spans two texts and the counts are the per-text findalls'."""
+    parts = []
+    for col in t.column("text").chunks:
+        ends = np.cumsum(pc.binary_length(col).fill_null(0).to_numpy())
+        total = int(ends[-1]) if len(ends) else 0
+        cuts = np.unique(np.concatenate([
+            [0], np.searchsorted(ends, np.arange(
+                PRETOKEN_SLICE_BYTES, total, PRETOKEN_SLICE_BYTES),
+                side="right"), [len(col)]]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            joined = pc.binary_join(pa.ListArray.from_arrays(
+                pa.array([0, hi - lo], pa.int32()),
+                col.slice(lo, hi - lo).fill_null("")),
+                pa.scalar("\n", col.type))
+            found = pa.array(_PRETOKEN_RE.findall(joined[0].as_py()),
+                             pa.string())
+            parts.append(pa.table({"word": found}).group_by("word")
+                         .aggregate([("word", "count")]))
+    g = (pa.concat_tables(parts) if parts else pa.table(
+        {"word_count": pa.array([], pa.int64()),
+         "word": pa.array([], pa.string())})
+         ).group_by("word").aggregate([("word_count", "sum")])
+    return pa.table({"word": g.column("word"),
+                     "count": g.column("word_count_sum")})
+
+
 def _word_count_table(sf_dir: str, max_words: int
                       ) -> tuple[list[str], np.ndarray]:
     """(words, counts) of the corpus's ``max_words`` most frequent
@@ -86,21 +127,10 @@ def _word_count_table(sf_dir: str, max_words: int
     exchange keyed on the word over the documents leaf, the partial
     count running in its writers; only P local heads come back to
     fold."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for s in t.column("text").to_pylist():
-            c.update(_PRETOKEN_RE.findall(s))
-        words = list(c.keys())
-        return pa.table({
-            "word": pa.array(words, pa.string()),
-            "count": pa.array([c[w] for w in words], pa.int64()),
-        })
-
     tabs = [t for t in ray.get(exchange.file_exchange_map_groups(
         _docs(sf_dir, ["text"]),
         functools.partial(_word_head, max_words=max_words),
-        keys=["word"], pre=partial).refs) if t.num_rows > 0]
+        keys=["word"], pre=_pretoken_counts).refs) if t.num_rows > 0]
     if not tabs:
         return [], np.empty(0, np.int64)
     # the parts hold disjoint words: the head of their heads is global

@@ -42,7 +42,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .text import _blocks, _docs, _per_doc, fingerprint_batch, hash_str_array
+from .text import (_blocks, _docs, _per_doc, fingerprint_batch,
+                   hash_str_array, words)
 
 from ..stages import exchange
 
@@ -113,10 +114,10 @@ def _shingle_hashes(t: pa.Table, text_col: str, shingle: int
     shingle. Rows with fewer than ``shingle`` words contribute their
     whole-text hash as a single shingle. Fully vectorized."""
     txt = pc.utf8_trim_whitespace(t.column(text_col))
-    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
+    toks = words(txt)
+    counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
     return _windows(
-        hash_str_array(words.flatten()),
+        hash_str_array(toks.flatten()),
         np.repeat(np.arange(len(counts)), counts), t.num_rows, shingle,
         lambda missing: hash_str_array(txt.combine_chunks())[missing])
 
@@ -446,10 +447,9 @@ def ngram_jaccard_dedup(sf_dir: str, shingle: int = 3,
 def simhash_batch(t: pa.Table, text_col: str = "text") -> np.ndarray:
     """64-bit SimHash per row: sign of per-bit ±1 sums over word hashes
     (vectorized bit expansion + ``add.reduceat``)."""
-    txt = pc.utf8_trim_whitespace(t.column(text_col))
-    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    h = hash_str_array(words.flatten())
-    counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
+    toks = words(t.column(text_col))
+    h = hash_str_array(toks.flatten())
+    counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
     starts = np.zeros(t.num_rows, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
     bits = ((h[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)

@@ -293,9 +293,12 @@ def epoch_shuffle(sf_dir: str, seed: int = 0,
 # --------------------------------------------------------------------- #
 def _md5_hex(prefix: str, ids: "pa.Array | pa.ChunkedArray") -> np.ndarray:
     """md5 hex of ``f"{prefix}{id}"`` per row, as a U32 numpy array.
-    No Arrow md5 kernel exists (same note as text.fingerprint_batch);
-    the digest input here is a ~10-byte id string, so the Python loop
-    is a bounded per-row cost, not a text-proportional one — and md5
+    No Arrow md5 kernel exists (same note as text.fingerprint_batch),
+    so this is a Python loop of ~1 µs a row over ~10-byte id strings:
+    the cost is per row, not text-proportional, but it is the largest
+    per-row cost left in the library, so a caller that needs a row's
+    digest in two places carries the result as a column
+    (``temporal.late_events``' ``ak``) rather than hashing twice. md5
     is the one hash DuckDB shares, which is what makes these sampling
     decisions ORACLE-CHECKABLE end to end."""
     import hashlib

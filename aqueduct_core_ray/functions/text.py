@@ -39,6 +39,20 @@ def read_documents(sf_dir: str, columns: list[str] | None = None
                                  columns=columns)
 
 
+def words(col: "pa.Array | pa.ChunkedArray") -> pa.ListArray:
+    """THE whitespace tokenizer: each text trimmed of Unicode whitespace,
+    then split on runs of RE2 ``\\s`` (``[\\t\\n\\f\\r ]``); a null text
+    is a null list, an empty or all-blank one ``[""]``. Arrow's ASCII
+    split is that regex split except on ``\\v``, which it also cuts
+    at, so a block holding a ``\\v`` keeps the regex split."""
+    txt = pc.utf8_trim_whitespace(col)
+    if pc.any(pc.match_substring(txt, "\x0b")).as_py():
+        out = pc.split_pattern_regex(txt, r"\s+")
+    else:
+        out = pc.ascii_split_whitespace(txt)
+    return out.combine_chunks() if isinstance(out, pa.ChunkedArray) else out
+
+
 def _docs(sf_dir: str, columns: "list[str] | None") -> exchange.Leaf:
     """The documents table as an exchange leaf of ``columns``."""
     return exchange.leaf(f"{sf_dir}/documents.parquet", columns)
@@ -153,13 +167,12 @@ def top_tokens_by_source(sf_dir: str, k: int = 10) -> ray.data.Dataset:
     count (#sources)."""
 
     def pair_counts(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
+        toks = words(t.column("text"))
+        counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         src = t.column("source").to_numpy(zero_copy_only=False)
         g = pa.table({
             "source": pa.array(np.repeat(src, counts)),
-            "token": words.flatten(),
+            "token": toks.flatten(),
         })
         agg = g.group_by(["source", "token"]).aggregate([("token", "count")])
         return pa.table({          # by-name: aggregate column order is
@@ -281,10 +294,9 @@ def repetition_batch(t: pa.Table, text_col: str = "text") -> pa.Table:
     One hash pass + two lexsorts per batch — no Python row loop. Word
     identity via the same keyed siphash the dedup family uses (string
     equality <=> hash equality at ~1e-11 collision odds)."""
-    txt = pc.utf8_trim_whitespace(t.column(text_col))
-    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    h = hash_str_array(words.flatten())
-    counts = pc.list_value_length(words).to_numpy(
+    toks = words(t.column(text_col))
+    h = hash_str_array(toks.flatten())
+    counts = pc.list_value_length(toks).to_numpy(
         zero_copy_only=False).astype(np.int64)
     n = t.num_rows
     docidx = np.repeat(np.arange(n), counts)
@@ -399,9 +411,8 @@ def approx_top_tokens(sf_dir: str, k: int = 20,
     that did NOT report a token to its upper bound."""
 
     def summary(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        flat = words.flatten()
+        toks = words(t.column("text"))
+        flat = toks.flatten()
         g = pa.table({"token": flat}).group_by("token").aggregate(
             [("token", "count")])
         cnt = g.column("token_count").to_numpy(zero_copy_only=False)
@@ -460,13 +471,12 @@ def doc_frequency(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     exchange (``_token_head``)."""
 
     def df_partial(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
+        toks = words(t.column("text"))
+        counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         pairs = pa.table({
             "d": pa.array(np.repeat(np.arange(len(counts), dtype=np.int64),
                                     counts)),
-            "token": words.flatten(),
+            "token": toks.flatten(),
         })
         distinct = pairs.group_by(["d", "token"]).aggregate([])
         agg = distinct.group_by("token").aggregate([("d", "count")])
@@ -512,20 +522,40 @@ def _codes(arr: "pa.Array | pa.ChunkedArray") -> np.ndarray:
     return dict_encode(arr).indices.to_numpy()
 
 
+def _group_count(*codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """(one row of each group, its row count) over the distinct tuples
+    of non-negative int ``codes`` columns, groups in key order. The
+    tuple packs into one int64 key; before a factor could carry it past
+    2**62 the key is re-densified (``np.unique``), so it never
+    overflows. The key is sorted and its runs counted."""
+    key, n = np.zeros(len(codes[0]), np.int64), 1
+    for c in codes:
+        m = int(c.max()) + 1 if len(c) else 1
+        if n * m > 1 << 62:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+            n = int(key.max()) + 1
+        key, n = key * m + c, n * m
+    order = np.argsort(key)
+    ks = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]])
+                            ) if len(ks) else np.empty(0, np.int64)
+    return order[starts], np.diff(np.append(starts, len(ks)))
+
+
 def _tf_rows(t: pa.Table) -> pa.Table:
-    """Per-block (doc, whitespace token, tf) counts via one Arrow
-    group_by — each doc lives in one block, so the counts are final."""
-    txt = pc.utf8_trim_whitespace(t.column("text"))
-    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    agg = pa.table({
-        "doc_id": t.column("doc_id").combine_chunks()
-        .take(pc.list_parent_indices(words)),
-        "token": words.flatten(),
-    }).group_by(["doc_id", "token"]).aggregate([("token", "count")])
+    """Per-block (doc, whitespace token, tf) counts, grouped on the
+    dictionary codes of doc_id and token (``_group_count``), not on
+    the strings — each doc lives in one block, so the counts are
+    final."""
+    toks = words(t.column("text"))
+    flat = toks.flatten()
+    parent = pc.list_parent_indices(toks).to_numpy()
+    rows, tf = _group_count(_codes(t.column("doc_id"))[parent],
+                            _codes(flat))
     return pa.table({
-        "doc_id": agg.column("doc_id"),
-        "token": agg.column("token"),
-        "tf": agg.column("token_count"),
+        "doc_id": t.column("doc_id").take(parent[rows]),
+        "token": flat.take(rows),
+        "tf": pa.array(tf.astype(np.int64)),
     })
 
 
@@ -636,9 +666,8 @@ def unigram_logprob_score(sf_dir: str) -> ray.data.Dataset:
     in a narrow pre-pass."""
 
     def n_tok_partial(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+")
-        n = pc.sum(pc.list_value_length(words)).as_py() or 0
+        toks = words(t.column("text"))
+        n = pc.sum(pc.list_value_length(toks)).as_py() or 0
         return pa.table({"n": pa.array([int(n)], pa.int64())})
 
     total = float(sum(t.column("n").to_numpy().sum()
@@ -743,10 +772,9 @@ def _dsir_features(t: pa.Table, dim: int,
     position order, then all bigrams) — the DSIR (Xie et al. 2023)
     hashed n-gram representation. One split + one hash pass; bigram ids
     mix adjacent word hashes, never crossing a document boundary."""
-    txt = pc.utf8_lower(pc.utf8_trim_whitespace(t.column(text_col)))
-    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-    wh = hash_str_array(words.flatten())
+    toks = words(pc.utf8_lower(t.column(text_col)))
+    counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+    wh = hash_str_array(toks.flatten())
     doc_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     uni = (wh % np.uint64(dim)).astype(np.int64)
     if len(wh) > 1:
@@ -864,10 +892,9 @@ def bm25_topk(sf_dir: str, query: tuple[str, ...] = ("hash", "merge",
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
 
     def globals_partial(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        flat = words.flatten()
+        toks = words(t.column("text"))
+        counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+        flat = toks.flatten()
         qi = pc.index_in(flat, value_set=qset)
         valid = pc.is_valid(qi).to_numpy(zero_copy_only=False)
         rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
@@ -891,10 +918,9 @@ def bm25_topk(sf_dir: str, query: tuple[str, ...] = ("hash", "merge",
     idf = np.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
     def score_local_topk(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        flat = words.flatten()
+        toks = words(t.column("text"))
+        counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+        flat = toks.flatten()
         qi = pc.index_in(flat, value_set=qset)
         valid = pc.is_valid(qi).to_numpy(zero_copy_only=False)
         rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
@@ -1098,10 +1124,9 @@ def pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5
     (one int64 row per block)."""
 
     def _tok_arrays(t: pa.Table):
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        return words.flatten(), lens.astype(np.int64)
+        toks = words(t.column("text"))
+        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+        return toks.flatten(), lens.astype(np.int64)
 
     def scalar_partial(t: pa.Table) -> pa.Table:
         _, lens = _tok_arrays(t)
@@ -1299,13 +1324,12 @@ def source_divergence(sf_dir: str) -> ray.data.Dataset:
     groups, inside the micros tolerance."""
 
     def pair_counts(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
+        toks = words(t.column("text"))
+        counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
         src = t.column("source").to_numpy(zero_copy_only=False)
         g = pa.table({
             "source": pa.array(np.repeat(src, counts)),
-            "token": words.flatten(),
+            "token": toks.flatten(),
         })
         agg = g.group_by(["source", "token"]).aggregate([("token", "count")])
         return pa.table({
@@ -1487,15 +1511,14 @@ def type_token_ratio(sf_dir: str) -> ray.data.Dataset:
     per block, zero exchanges."""
 
     def per_block(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        n_tok = pc.list_value_length(words).to_numpy(
+        toks = words(t.column("text"))
+        n_tok = pc.list_value_length(toks).to_numpy(
             zero_copy_only=False).astype(np.int64)
         dids = t.column("doc_id").to_numpy(zero_copy_only=False)
         pairs = pa.table({
             "d": pa.array(np.repeat(np.arange(len(dids),
                                               dtype=np.int64), n_tok)),
-            "token": words.flatten(),
+            "token": toks.flatten(),
         })
         distinct = pairs.group_by(["d", "token"]).aggregate([])
         types = np.zeros(len(dids), np.int64)
@@ -1607,11 +1630,10 @@ def profile_documents(sf_dir: str) -> pa.Table:
 
 
 def _vocab_hashes(t: pa.Table) -> pa.Table:
-    """Distinct 64-bit digests of a block's whitespace tokens, for
+    """Distinct 64-bit digests of a block's ``words``, for
     bigram_logprob_score's vocabulary count (keyed on the digest)."""
-    txt = pc.utf8_trim_whitespace(t.column("text"))
-    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    h = np.unique(hash_str_array(pc.unique(words.flatten())))
+    h = np.unique(hash_str_array(pc.unique(words(t.column("text"))
+                                           .flatten())))
     return pa.table({"h": pa.array(h.view(np.int64))})
 
 
@@ -1622,36 +1644,38 @@ def _n_distinct(g: pa.Table) -> pa.Table:
 
 def _bigram_grams(t: pa.Table) -> pa.Table:
     """Per-block (doc, a, b, kind, tf) rows of bigram_logprob_score:
-    kind 1 = bigram (a, b), kind 0 = a doc's first token ``a`` (b = "")."""
-    txt = pc.utf8_trim_whitespace(t.column("text"))
-    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    flat = words.flatten()
-    doc = pc.list_parent_indices(words).to_numpy()
-    a_idx = np.flatnonzero(doc[1:] == doc[:-1])   # bigram left tokens
-    first = np.flatnonzero(np.diff(doc, prepend=-1))  # doc starts
-    dids = t.column("doc_id").combine_chunks()
-    agg = pa.table({
-        "doc_id": pa.concat_arrays([dids.take(doc[a_idx]),
-                                    dids.take(doc[first])]),
-        "a": pa.concat_arrays([flat.take(a_idx), flat.take(first)]),
-        "b": pa.concat_arrays([flat.take(a_idx + 1), pa.repeat(
-            pa.scalar("", flat.type), len(first))]),
-        "kind": np.concatenate([np.ones(len(a_idx), np.int8),
-                                np.zeros(len(first), np.int8)]),
-        "tf": np.ones(len(a_idx) + len(first), np.int64),
-    }).group_by(["doc_id", "a", "b", "kind"]).aggregate([("tf", "sum")])
+    kind 1 = bigram (a, b), kind 0 = a doc's first token ``a`` (b =
+    ""). ``a`` and ``b`` are the tokens' int64 ``hash_str_array``
+    digests (each distinct word hashed once), and the counts group on
+    the dictionary codes of doc_id and token (``_group_count``)."""
+    toks = words(t.column("text"))
+    d = dict_encode(toks.flatten())
+    tok = d.indices.to_numpy()
+    h = hash_str_array(d.dictionary).view(np.int64)
+    parent = pc.list_parent_indices(toks).to_numpy()
+    doc = _codes(t.column("doc_id"))[parent]
+    a_idx = np.flatnonzero(parent[1:] == parent[:-1])  # bigram left tokens
+    first = np.flatnonzero(np.diff(parent, prepend=-1))  # doc starts
+    bi, n_bi = _group_count(doc[a_idx], tok[a_idx], tok[a_idx + 1])
+    ft, n_ft = _group_count(doc[first], tok[first])
+    bi, ft = a_idx[bi], first[ft]
+    no_b = hash_str_array(pa.array([""])).view(np.int64)
     return pa.table({
-        "doc_id": agg.column("doc_id"),
-        "a": agg.column("a"),
-        "b": agg.column("b"),
-        "kind": agg.column("kind"),
-        "tf": agg.column("tf_sum"),
+        "doc_id": t.column("doc_id").take(parent[np.concatenate([bi, ft])]),
+        "a": pa.array(h[tok[np.concatenate([bi, ft])]]),
+        "b": pa.array(np.concatenate([h[tok[bi + 1]],
+                                      np.repeat(no_b, len(ft))])),
+        "kind": pa.array(np.concatenate([np.ones(len(bi), np.int8),
+                                         np.zeros(len(ft), np.int8)])),
+        "tf": pa.array(np.concatenate([n_bi, n_ft]).astype(np.int64)),
     })
 
 
 def _bigram_scores(g: pa.Table, vocab: float, n_docs: int) -> pa.Table:
     """Left-token-partition task of bigram_logprob_score: folds c(a,b),
-    c(a) and c_first(a) over the partition's rows and scores each."""
+    c(a) and c_first(a) over the partition's rows and scores each. The
+    int64 token digests ``a`` and ``b`` are factorized to dense codes
+    first."""
     a, b = _codes(g.column("a")), _codes(g.column("b"))
     kind = g.column("kind").to_numpy(zero_copy_only=False)
     tf = g.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1697,10 +1721,12 @@ def bigram_logprob_score(sf_dir: str) -> ray.data.Dataset:
     broadcast — ONE exchange keyed on the LEFT token co-locates every
     (a, b) bigram row AND every first-token row of ``a``; the owning
     partition folds c(a,b), c(a) and c_first(a) in place (bincounts
-    over dictionary codes) and scores rows locally; a keyed sum by doc
-    finishes. The only driver scalars are n_docs and V (V's distinct
-    count is one exchange of 64-bit token digests, never tokens;
-    collision odds ~V^2/2^64)."""
+    over the digests' dense codes) and scores rows locally; a keyed sum
+    by doc finishes. Tokens travel as 64-bit ``hash_str_array``
+    digests, never strings: both exchanges (this one and V's distinct
+    count) key on the digest, so token identity is digest identity
+    (collision odds ~V^2/2^64). The only driver scalars are n_docs and
+    V."""
     import pyarrow.parquet as pq
     path = f"{sf_dir}/documents.parquet"
     n_docs = pq.read_metadata(path).num_rows
@@ -1738,9 +1764,8 @@ def zipf_fit(sf_dir: str, k: int = 100) -> pa.Table:
     arithmetic."""
 
     def tf_partial(t: pa.Table) -> pa.Table:
-        txt = pc.utf8_trim_whitespace(t.column("text"))
-        words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-        agg = pa.table({"token": words.flatten()}).group_by(
+        toks = words(t.column("text"))
+        agg = pa.table({"token": toks.flatten()}).group_by(
             "token").aggregate([("token", "count")])
         return pa.table({"token": agg.column("token"),
                          "cnt": agg.column("token_count")})

@@ -27,7 +27,6 @@ import tempfile
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -35,6 +34,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..functions.text import words
 from ..sources.changelog import BASE_TS_US
 from ..stages import exchange
 from .log_queries import events_to_changelog, read_events
@@ -191,16 +191,14 @@ def tokenize_batch(t: pa.Table, text_col: str = "text",
                    vocab: int = VOCAB) -> pa.Table:
     """Vectorized whitespace+hash tokenizer: text -> tokens:list<int32>.
 
-    Words via an Arrow regex split (no Python row loop); token ids are a
-    stable hash of each word mod vocab (pandas siphash — deterministic
-    across processes, same property partitioning relies on)."""
-    txt = pc.utf8_trim_whitespace(t.column(text_col))
-    words = pc.split_pattern_regex(txt, r"\s+").combine_chunks()
-    flat = words.flatten()
-    ids = (pd.util.hash_array(
-        np.asarray(flat.to_numpy(zero_copy_only=False), dtype=object),
-        categorize=False) % np.uint64(vocab)).astype(np.int32)
-    tokens = pa.ListArray.from_arrays(words.offsets, pa.array(ids))
+    Words via ``text.words`` (no Python row loop); token ids are a
+    stable hash of each word mod vocab (``hash_str_array``'s keyed
+    siphash, each distinct word hashed once — deterministic across
+    processes, same property partitioning relies on)."""
+    toks = words(t.column(text_col))
+    ids = (exchange.hash_str_array(toks.flatten())
+           % np.uint64(vocab)).astype(np.int32)
+    tokens = pa.ListArray.from_arrays(toks.offsets, pa.array(ids))
     n_tok = pc.list_value_length(tokens).cast(pa.int32())
     doc_id = pc.binary_join_element_wise(
         pa.array(np.repeat("doc", t.num_rows)),

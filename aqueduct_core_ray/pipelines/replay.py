@@ -159,6 +159,17 @@ def default_lake_schema() -> pa.Schema:
     return pa.schema(list(pay) + [pa.field("last_lsn", pa.int64())])
 
 
+def _empty_lake(schema: "pa.Schema | None",
+                columns: "list[str] | None" = None) -> pa.Table:
+    """A lake read with no rows to read: no rows of ``schema`` (the
+    manifest's; ``default_lake_schema()`` for a lake without one),
+    projected to ``columns`` in their order, as a read of rows is."""
+    s = default_lake_schema() if schema is None else schema
+    if columns is not None:
+        s = pa.schema([s.field(c) for c in columns])
+    return s.empty_table()
+
+
 class CDCEngine:
     def __init__(
         self,
@@ -1459,8 +1470,7 @@ class CDCEngine:
         partition-local merge (versions are LWW-resolved before a value
         predicate may drop rows); with ``columns``, every column it
         references must be among them."""
-        m = (self.manifest if generation is None
-             else self.manifest_at(generation))
+        m = self._read_manifest(generation)
         if m is None:
             return []
         cols = None if columns is None else list(columns)
@@ -1477,8 +1487,17 @@ class CDCEngine:
         they concatenate); the arguments are ``map_lake``'s."""
         refs = self.map_lake(columns=columns, generation=generation,
                              filter=filter)
-        return (ray.data.from_arrow_refs(refs) if refs else
-                ray.data.from_arrow(default_lake_schema().empty_table()))
+        if refs:
+            return ray.data.from_arrow_refs(refs)
+        m = self._read_manifest(generation)
+        return ray.data.from_arrow(
+            _empty_lake(None if m is None else m.schema, columns))
+
+    def _read_manifest(self, generation: "int | None"
+                       ) -> "Manifest | None":
+        """The manifest a read of ``generation`` (None: CURRENT) uses."""
+        return (self.manifest if generation is None
+                else self.manifest_at(generation))
 
     def live_files(self) -> set[str]:
         """Absolute paths of every base and sidecar file CURRENT names."""
@@ -1505,7 +1524,7 @@ class CDCEngine:
 
         m = self.manifest
         if m is None or not doc_ids:
-            return default_lake_schema().empty_table()
+            return _empty_lake(None if m is None else m.schema, columns)
         if self._files_basis is None or self._files_basis[0] is not m:
             self.file_cache.retain(self.live_files())
             self._files_basis = (m, m.schema)
@@ -1523,9 +1542,7 @@ class CDCEngine:
                                    self.conflict, columns, keys=want,
                                    read=read))
         if not tabs:
-            sch = schema if columns is None else pa.schema(
-                [f for f in schema if f.name in columns])
-            return sch.empty_table()
+            return _empty_lake(schema, columns)
         out = pa.concat_tables(tabs)
         return out.sort_by("doc_id") if "doc_id" in out.column_names else out
 
@@ -2175,7 +2192,7 @@ class CDCEngine:
         m = self.manifest
         entries = self._sorted_entries()
         if not entries:
-            return default_lake_schema().empty_table()
+            return _empty_lake(None if m is None else m.schema)
         return pa.concat_tables([
             _lake_rows(self.store.root, p, m.schema, self.conflict)
             for p in entries]).sort_by("doc_id")

@@ -1064,7 +1064,9 @@ def late_events(sf_dir: str, lateness_minutes: int = 10,
     Natural-order range ids come from parquet row-group statistics
     (zero data read; on the live lake the manifest's watermark supplies
     them for free); md5-order ranges are the first hex nibble (the hex
-    space is uniform, so ranges are balanced by construction)."""
+    space is uniform, so ranges are balanced by construction). Each
+    row's md5 key is computed once per pass over it: the exchange's
+    writers carry it to the range tasks as a column (``ak``)."""
     import pyarrow.parquet as pq
 
     from ..functions.sampling import _md5_hex
@@ -1077,8 +1079,10 @@ def late_events(sf_dir: str, lateness_minutes: int = 10,
 
         def _rng_key(t: pa.Table):
             ak = _md5_hex("arr|", t.column("event_id"))
-            rng = np.array([int(a[0], 16) for a in ak], np.int64)
-            return rng, ak
+            # the first hex digit's code point ('0'-'9', 'a'-'f')
+            c = ak.view(np.uint32).reshape(len(ak), 32)[:, 0]
+            rng = np.where(c <= ord("9"), c - ord("0"), c - ord("a") + 10)
+            return rng.astype(np.int64), ak
     else:
         # max event_id from row-group stats — metadata only. Resolve
         # the physical column index BY NAME (writers may reorder
@@ -1132,13 +1136,15 @@ def late_events(sf_dir: str, lateness_minutes: int = 10,
     np.maximum.accumulate(range_max[:-1], out=prefix[1:])
 
     def tag(t: pa.Table) -> pa.Table:
-        rng, _ = _rng_key(t)
+        rng, key = _rng_key(t)
+        if arrival == "md5":    # carried: per_range sorts, never rehashes
+            t = t.append_column("ak", pa.array(key, pa.string()))
         return t.append_column("part", pa.array(rng.astype(np.int32)))
 
     def per_range(g: pa.Table) -> pa.Table:
-        _, key = _rng_key(g)
         ts = g.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        order = np.argsort(key, kind="stable")
+        order = pc.sort_indices(g.column(
+            "ak" if arrival == "md5" else "event_id")).to_numpy()  # stable
         ts_o = ts[order]
         rng = int(g.column("part")[0].as_py())
         # watermark BEFORE each row: running max over prior rows,

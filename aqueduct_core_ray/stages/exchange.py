@@ -234,11 +234,13 @@ def _per_call(f: Callable) -> Callable:
     return call
 
 
-def _put(obj: Any) -> Any:
-    """``obj`` in the object store, pickled once for all of a call's
-    tasks (a callable passed to ``.remote`` is pickled again per task);
-    None stays None."""
-    return None if obj is None else ray.put(obj)
+def _put(obj: Any, tasks: int) -> Any:
+    """``obj`` for ``tasks`` task submissions: in the object store when
+    there are several, pickled once for all of them (a callable passed
+    to ``.remote`` is pickled again per task); as itself for one task
+    or none, where a put would only add its own round trip. None stays
+    None."""
+    return ray.put(obj) if obj is not None and tasks > 1 else obj
 
 
 @dataclass(frozen=True)
@@ -374,9 +376,9 @@ def map_blocks(src: "Leaf | list", fn: Callable[[pa.Table], pa.Table]
     """``fn`` over every block of a leaf or refs input as raw tasks under
     the writer window — a narrow pass with no exchange and no Ray Data
     execution. Refs come back in input order."""
-    fn_ref = _put(fn)
-    return _windowed([(i, fn_ref) for i in _raw_items(src)],
-                     _map_task.remote)
+    items = _raw_items(src)
+    fn_ref = _put(fn, len(items))
+    return _windowed([(i, fn_ref) for i in items], _map_task.remote)
 
 
 def write_parts(t: pa.Table, root: str, col: str) -> pa.Table:
@@ -427,8 +429,9 @@ def _write_inputs(inputs: list, xdir: str, salt: int
 
     def jobs():
         for m, (_, obj, p, k) in enumerate(inputs):
-            p = _put(p)
-            for it in _raw_items(obj):
+            items = _raw_items(obj)
+            p = _put(p, len(items))
+            for it in items:
                 member.append(m)
                 yield it, xdir, p, k, P, salt
 
@@ -677,8 +680,9 @@ def file_exchange_map_groups(
       ``split`` (chunk-folded parts), ``packed`` (runs of >1 part),
       ``parts``, ``bytes`` and ``strategy`` (``"route"``; ``fx_join``'s
       broadcast says ``"broadcast"``). The same counts, with the input
-      kind ``src`` (leaf / refs) and the writer and task
-      seconds, go to one ``op="exchange"`` row of ``metrics``."""
+      kind ``src`` (leaf / refs), the ``fn`` and ``pre`` names and the
+      writer and task seconds, go to one ``op="exchange"`` row of
+      ``metrics``."""
     inputs = _inputs(src, pre, keys)
     kind = "leaf" if any(k == "leaf" for k, *_ in inputs) else "refs"
     base = (root or os.environ.get("AQR_EXCHANGE_ROOT")
@@ -710,7 +714,7 @@ def file_exchange_map_groups(
                   min(budget, total // (2 * _cluster_cpus())))
         runs = _cut_runs(sizes, cap, budget, salt)
         refs, n_split = [], 0
-        fn_ref, refold_ref = (_put(fn) if runs else None), None
+        fn_ref, refold_ref = _put(fn, len(runs)), None
         for run in runs:
             es = plans[0].get(run[0], [])
             if refold_fn is not None and sizes[run[0]] > budget \
@@ -720,6 +724,8 @@ def file_exchange_map_groups(
                 # single hot key); chunks are cut like runs, by slice
                 chunks = _cut_runs(dict(enumerate(b for _, _, b in es)),
                                    budget, budget, 1)
+                if fn_ref is fn:    # the call's one run: chunks share fn
+                    fn_ref = _put(fn, len(chunks))
                 if refold_ref is None:
                     refold_ref = ray.put(refold_fn)
                 refs.append(_refold_partials.remote(refold_ref, *[
@@ -744,17 +750,29 @@ def file_exchange_map_groups(
             schemas[0] if len(schemas) == 1 else tuple(schemas))
     finally:
         shutil.rmtree(xdir, ignore_errors=True)
-    _record(fn, kind, t0, t1, t2, stats)
+    _record(fn, pre, kind, t0, t1, t2, stats)
     return out
 
 
-def _record(fn: Callable, kind: str, t0: float, t1: float, t2: float,
-            stats: dict) -> None:
-    """One ``op="exchange"`` metrics row: the writer (or broadcast
-    task submission) seconds ``t1 - t0``, the task seconds ``t2 - t1``
-    and the plan's ``stats``."""
-    name = getattr(getattr(fn, "func", fn), "__name__", str(fn))  # partial
-    metrics.record({"op": "exchange", "fn": name, "src": kind,
+def _name(fn: "Callable | None") -> "str | None":
+    """A callable's name for a metrics row (a partial by its wrapped
+    function's); None stays None."""
+    if fn is None:
+        return None
+    return getattr(getattr(fn, "func", fn), "__name__", str(fn))
+
+
+def _record(fn: Callable, pre: "Callable | tuple | None", kind: str,
+            t0: float, t1: float, t2: float, stats: dict) -> None:
+    """One ``op="exchange"`` metrics row: the partition function and the
+    writers' ``pre`` by name (one per member for a co-group; the
+    writer seconds include ``pre``), the writer (or broadcast task
+    submission) seconds ``t1 - t0``, the task seconds ``t2 - t1`` and
+    the plan's ``stats``."""
+    metrics.record({"op": "exchange", "fn": _name(fn),
+                    "pre": ([_name(p) for p in pre]
+                            if isinstance(pre, tuple) else _name(pre)),
+                    "src": kind,
                     "ok": True, "wall_s": round(time.perf_counter() - t0, 6),
                     "write_s": round(t1 - t0, 6),
                     "run_s": round(t2 - t1, 6), **stats})
@@ -1013,8 +1031,9 @@ def _broadcast_join(left: "Leaf | list", right: Leaf,
     lpre, rpre = pre
     t0 = time.perf_counter()
     rrefs = map_blocks(right, functools.partial(_pre, pre=rpre))
-    args = (_put(lpre), _put(join), _put(check), *rrefs)
-    pairs = (_windowed(((it, *args) for it in _raw_items(left)),
+    items = _raw_items(left)
+    args = (*(_put(f, len(items)) for f in (lpre, join, check)), *rrefs)
+    pairs = (_windowed(((it, *args) for it in items),
                        _broadcast_task.remote)
              or [_broadcast_task.remote(pa.table({}), *args)])
     t1 = time.perf_counter()
@@ -1036,7 +1055,7 @@ def _broadcast_join(left: "Leaf | list", right: Leaf,
                  parts=0, bytes=nbytes)
     if plan_out is not None:
         plan_out.update(stats)
-    _record(join, kind, t0, t1, t2, stats)
+    _record(join, pre, kind, t0, t1, t2, stats)
     return Exchanged(refs, schema)
 
 

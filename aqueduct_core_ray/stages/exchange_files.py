@@ -36,7 +36,8 @@ def write_slices(t: pa.Table, xdir: str,
     """Write ``t`` as one exchange block under ``xdir``: EXACTLY one
     record batch per value of its int ``part`` column (the manifest
     addresses slices by batch index). A block not already grouped by
-    part is reordered by one stable argsort; a grouped one
+    part is reordered by one stable argsort (on 16 bits when the parts
+    fit); a grouped one
     (``compact_lww`` on (part, doc_id)) skips that gather of its token
     lists. The per-slice byte count is what lets a planner pack parts
     to a byte budget. A typed empty block writes no file and returns
@@ -53,7 +54,11 @@ def write_slices(t: pa.Table, xdir: str,
         return head
     part = t.column("part").to_numpy(zero_copy_only=False)
     if (np.diff(part) < 0).any():
-        order = np.argsort(part, kind="stable")
+        # a 16-bit copy when every part fits: numpy's stable sort is a
+        # radix sort there (same order, ~8x faster than on int32)
+        key = (part.astype(np.uint16)
+               if part.min() >= 0 and part.max() <= 0xFFFF else part)
+        order = np.argsort(key, kind="stable")
         t, part = t.take(pa.array(order)), part[order]
     t = t.combine_chunks()
     starts = np.flatnonzero(np.concatenate([[True], part[1:] != part[:-1]]))

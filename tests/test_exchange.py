@@ -718,6 +718,38 @@ def test_exchange_writes_one_metrics_row_per_call(ray_session, tmp_path,
     assert len(metrics.recent("exchange")) == 2
 
 
+def test_exchange_metrics_row_names_its_pre(ray_session, blocks):
+    """The op="exchange" row names the writers' ``pre`` beside ``fn``
+    (its ``write_s`` includes the pre's time): None without one, the
+    wrapped function's name for a partial, one name per member for a
+    co-group."""
+    import functools
+
+    import pyarrow.compute as pc
+
+    from aqueduct_core_ray import metrics
+    from aqueduct_core_ray.stages.exchange import file_exchange_map_groups
+
+    def double(t: pa.Table, k: int) -> pa.Table:
+        return t.set_column(1, "v", pc.multiply(t.column("v"), k))
+
+    def pair(a: pa.Table, b: pa.Table) -> pa.Table:
+        return pa.table({"n": [a.num_rows + b.num_rows]})
+
+    t = pa.table({"k": pa.array(np.arange(40) % 5),
+                  "v": pa.array(np.arange(40, dtype=np.int64))})
+    metrics.drain()
+    file_exchange_map_groups(blocks(t, 2), _make_fn(), keys=["k"])
+    file_exchange_map_groups(blocks(t, 2), _make_fn(), keys=["k"],
+                             pre=functools.partial(double, k=2))
+    file_exchange_map_groups((blocks(t, 2), blocks(t, 1)), pair,
+                             keys=["k"],
+                             pre=(functools.partial(double, k=3), None))
+    rows = metrics.recent("exchange")
+    assert [(r["fn"], r["pre"]) for r in rows] == [
+        ("fn", None), ("fn", "double"), ("pair", ["double", None])]
+
+
 def test_fx_join_records_its_strategy(ray_session, tmp_path, monkeypatch):
     """fx_join's ``_plan_out`` and its op="exchange" metrics row name the
     strategy: a leaf right side of at most ``BROADCAST_BYTES`` footer

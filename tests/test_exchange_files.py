@@ -164,3 +164,26 @@ def test_codec_is_the_callers(tmp_path, codec):
         assert rb.num_record_batches == 1
     size = os.path.getsize(path)
     assert (size < 4000) == (codec == "lz4")
+
+
+@pytest.mark.parametrize("hi", [0xFFFF, 0x10000, 1 << 30])
+def test_part_sort_matches_int64_stable_argsort(tmp_path, hi):
+    """Unsorted parts that all fit 16 bits (the writer sorts a uint16
+    copy) and parts past them (it sorts the parts themselves) are
+    written as the block pre-sorted by an int64 stable argsort: same
+    manifest and slices."""
+    rng = np.random.default_rng(hi)
+    part = rng.choice([0, 1, 7, 300, hi - 1, hi], 3000).astype(np.int32)
+    t = pa.table({"part": part, "x": np.arange(3000),
+                  "s": pa.array([str(i % 11) for i in range(3000)])})
+    order = np.argsort(part.astype(np.int64), kind="stable")
+    a = write_slices(t, str(tmp_path))
+    b = write_slices(t.take(pa.array(order)), str(tmp_path))
+    assert a.drop_columns(["path"]).equals(b.drop_columns(["path"]))
+    pa_, _ = plan_slices([a])
+    pb, _ = plan_slices([b])
+    assert sorted(pa_) == sorted(pb) == sorted({0, 1, 7, 300, hi - 1, hi})
+    for p in pa_:
+        (x,), (y,) = read_slices(pa_[p]), read_slices(pb[p])
+        assert x.equals(y) and x.equals(t.take(pa.array(
+            order[part[order] == p])))

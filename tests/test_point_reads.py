@@ -201,3 +201,52 @@ def test_file_cache_rereads_rewritten_path(tmp_path):
     assert cache(p).column("last_lsn").to_pylist() == [2, 3]
     cache.retain(set())
     assert cache.paths() == [] and cache.nbytes == 0
+
+
+def test_empty_lake_reads_project_their_columns(tmp_path):
+    """A lake with no manifest reads as no rows in the projection asked
+    for, as a lake with rows does: ``columns`` selects (and orders) the
+    default lake schema's fields; without it every field comes back."""
+    from aqueduct_core_ray.pipelines.replay import default_lake_schema
+    eng = CDCEngine(str(tmp_path / "empty"), num_partitions=4)
+    assert eng.manifest is None
+    full = default_lake_schema()
+    for cols in (["doc_id"], ["n_tok", "doc_id"]):
+        want = pa.schema([full.field(c) for c in cols])
+        got = eng.read_lake(columns=cols).schema()
+        assert got.names == cols and got.types == want.types
+        assert eng.read_lake(columns=cols).count() == 0
+        for ids in (["doc-1", "doc-2"], []):
+            t = eng.get_docs(ids, columns=cols)
+            assert t.num_rows == 0 and t.schema == want
+    assert eng.read_lake().schema().names == full.names
+    assert eng.get_docs(["doc-1"]).schema == full
+
+
+def test_empty_reads_of_an_evolved_lake_take_the_manifest_schema(tmp_path):
+    """A lake whose manifest carries an evolved schema (an added
+    ``lang``, ``n_tok`` widened to int64) but no rows to read projects
+    the MANIFEST's fields, in ``columns`` order, as the same reads of a
+    lake with rows do."""
+    from aqueduct_core_ray.sources.changelog import seed_lake
+    seed = seed_lake(10, seed=1)
+    seed = seed.set_column(seed.schema.get_field_index("n_tok"), "n_tok",
+                           seed.column("n_tok").cast(pa.int64()))
+    seed = seed.append_column("lang", pa.array(["en"] * 10, pa.string()))
+    full = CDCEngine(str(tmp_path / "full"), num_partitions=4)
+    full.bootstrap(seed)
+    empty = CDCEngine(str(tmp_path / "empty"), num_partitions=4)
+    empty.bootstrap(seed.slice(0, 0))
+    assert empty.manifest is not None and not empty.manifest.partitions
+    ids = seed.column("doc_id").to_pylist()[:3]
+    for cols in (["lang", "n_tok"], ["n_tok", "doc_id"]):
+        want = pa.schema([full.manifest.schema.field(c) for c in cols])
+        assert want.field("n_tok").type == pa.int64()
+        assert full.get_docs(ids, columns=cols).schema == want
+        assert full.get_docs([], columns=cols).schema == want
+        assert empty.get_docs(ids, columns=cols).schema == want
+        assert empty.get_docs([], columns=cols).schema == want
+        assert empty.read_lake(columns=cols).schema() == \
+            full.read_lake(columns=cols).schema()
+    assert empty.get_docs([]).schema == full.get_docs(ids).schema
+    assert empty.lake_table().schema == full.lake_table().schema

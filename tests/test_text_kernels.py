@@ -2,11 +2,15 @@
 equal the object-array kernel it replaced, kept here as the oracle:
 ``hash_str_array`` on Arrow input (hash each distinct value once),
 tf-idf / unigram / bigram partition tasks, the bigram vocabulary
-digests and the BPE word head. Also pins ``collect_tables``: the same
-tables as ``ray.get(ds.to_arrow_refs())`` from one execution.
+digests, the BPE pretoken counter and word head. A per-block partial
+(``_tf_rows``, ``_bigram_grams``) is compared as a set of group rows,
+its bigram tokens as the digests the exchange carries. Also pins
+``collect_tables``: the same tables as ``ray.get(ds.to_arrow_refs())``
+from one execution.
 """
 
 import os
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -15,8 +19,9 @@ import pyarrow.compute as pc
 import pytest
 import ray
 
-from aqueduct_core_ray.functions import text
-from aqueduct_core_ray.functions.bpe import _word_head
+from aqueduct_core_ray.functions import bpe, text
+from aqueduct_core_ray.functions.bpe import (_PRETOKEN_RE, _pretoken_counts,
+                                             _word_head)
 from aqueduct_core_ray.stages.exchange import collect_tables, hash_str_array
 
 
@@ -239,6 +244,24 @@ def assert_tables_equal(got: pa.Table, want: pa.Table) -> None:
     assert got.combine_chunks().equals(want.combine_chunks())
 
 
+def assert_groups_equal(got: pa.Table, want: pa.Table,
+                        keys: "list[str]") -> None:
+    """Equal as sets of group rows: a per-block partial's row order is
+    not a contract (the exchange re-groups it), so both sides are
+    compared sorted by their group keys (unique per row)."""
+    order = [(k, "ascending") for k in keys]
+    assert_tables_equal(got.sort_by(order), want.sort_by(order))
+
+
+def digests(t: pa.Table, cols: "list[str]") -> pa.Table:
+    """``t`` with its string ``cols`` replaced by their int64
+    ``hash_str_array`` digests, as the bigram exchange carries them."""
+    for c in cols:
+        t = t.set_column(t.schema.get_field_index(c), c, pa.array(
+            hash_str_array(t.column(c)).view(np.int64)))
+    return t
+
+
 # ---------------------------------------------------------------- hashing
 @pytest.mark.parametrize("case", ["random", "distinct", "equal", "ints",
                                   "ints_nulls", "empty", "all_null"])
@@ -295,7 +318,8 @@ def test_tfidf_and_unigram_kernels_match_oracle(seed, P):
     n_docs = sum(b.num_rows for b in blocks)
     tf_old = [old_tf_rows(b, P) for b in blocks]
     for old, b in zip(tf_old, blocks):
-        assert_tables_equal(text._tf_rows(b), old.drop_columns(["tpart"]))
+        assert_groups_equal(text._tf_rows(b), old.drop_columns(["tpart"]),
+                            ["doc_id", "token"])
     rows = pa.concat_tables(tf_old)
     total = float(pc.sum(rows.column("tf")).as_py())
     scored = []
@@ -310,6 +334,26 @@ def test_tfidf_and_unigram_kernels_match_oracle(seed, P):
         for g in partitions(pa.concat_tables(scored), "dpart"):
             assert_tables_equal(text._tfidf_topk(g, k=k),
                                 old_tfidf_topk(g, k))
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "wide", "empty"])
+def test_group_count_matches_tuple_unique(case):
+    """``_group_count`` over int code columns: one row of each distinct
+    tuple and its count, in tuple order: a dense key space, a sparse
+    one, and one re-densified because its next factor would pass
+    2**62."""
+    rng = np.random.default_rng(5)
+    n = 0 if case == "empty" else 3000
+    hi = {"dense": [40, 30], "sparse": [3000, 3000, 3000],
+          "wide": [1 << 31, 1 << 31, 1 << 31], "empty": [5, 5]}[case]
+    cols = [rng.integers(0, h, n).astype(np.int64) for h in hi]
+    if case == "wide":       # repeats, so groups have counts above 1
+        cols = [c[rng.integers(0, 500, n)] for c in cols]
+    rows, cnt = text._group_count(*cols)
+    tup = np.stack(cols, axis=1) if n else np.empty((0, len(cols)))
+    want, want_cnt = np.unique(tup, axis=0, return_counts=True)
+    assert np.array_equal(tup[rows], want)
+    assert cnt.tolist() == want_cnt.tolist()
 
 
 def test_tfidf_topk_breaks_score_ties_by_code_point_order():
@@ -331,8 +375,9 @@ def test_bigram_kernels_match_oracle(seed, P):
     n_docs = sum(b.num_rows for b in blocks)
     grams = [old_bigram_grams(b, P) for b in blocks]
     for old, b in zip(grams, blocks):
-        assert_tables_equal(text._bigram_grams(b),
-                            old.drop_columns(["apart"]))
+        assert_groups_equal(text._bigram_grams(b),
+                            digests(old.drop_columns(["apart"]), ["a", "b"]),
+                            ["doc_id", "a", "b", "kind"])
         h = text._vocab_hashes(b)
         assert h.column("h").to_numpy().tolist() == \
             old_vocab_hashes(b).tolist()
@@ -340,7 +385,8 @@ def test_bigram_kernels_match_oracle(seed, P):
         [old_vocab_hashes(b) for b in blocks]))))
     for g in partitions(pa.concat_tables(grams), "apart"):
         assert_tables_equal(
-            text._bigram_scores(g, vocab=vocab, n_docs=n_docs),
+            text._bigram_scores(digests(g, ["a", "b"]), vocab=vocab,
+                                n_docs=n_docs),
             old_bigram_scores(g, vocab, n_docs))
 
 
@@ -372,6 +418,42 @@ def test_word_head_matches_oracle(max_words):
                   "count": pa.array(counts, pa.int64())})
     assert_tables_equal(_word_head(g, max_words),
                         old_word_head(g, max_words))
+
+
+def old_pretoken_counts(t: pa.Table) -> "dict[str, int]":
+    c: Counter = Counter()
+    for s in t.column("text").to_pylist():
+        c.update(_PRETOKEN_RE.findall(s or ""))
+    return dict(c)
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 64, 1])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pretoken_counts_match_per_text_findall(seed, slice_bytes,
+                                                monkeypatch):
+    """A findall over each slice's "\\n"-joined texts, the slices'
+    counts summed, counts what a findall per text counts: texts ending
+    or starting mid-word, in punctuation, in \\n or other whitespace,
+    empty and null ones; in one slice (the default bound), in several,
+    and one text a slice (a bound below every text's size)."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(bpe, "PRETOKEN_SLICE_BYTES", slice_bytes)
+    rng = np.random.default_rng(seed)
+    pool = VOCAB + ["'s", "'ll", "it's", "x--", "!!", "42", "4x2", " ",
+                    "\n", "\t", "\x0b", "\xa0", "\u2003", "\r\n", "é!"]
+    texts = ["".join(rng.choice(pool, int(rng.integers(0, 12))))
+             for _ in range(300)]
+    texts[::41] = [None] * len(texts[::41])
+    t = pa.table({"text": pa.array(texts, pa.string())})
+    for block in (t, t.slice(5, 120), pa.concat_tables(
+            [t.slice(0, 100), t.slice(100)]), t.slice(0, 0),
+            t.cast(pa.schema([("text", pa.large_string())]))):
+        g = _pretoken_counts(block)
+        assert g.schema == pa.schema([("word", pa.string()),
+                                      ("count", pa.int64())])
+        assert dict(zip(g.column("word").to_pylist(),
+                        g.column("count").to_pylist())) == \
+            old_pretoken_counts(block)
 
 
 # ---------------------------------------------------------------- collect
