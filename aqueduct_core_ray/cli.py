@@ -51,6 +51,7 @@ ray.init().
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -70,11 +71,6 @@ def _init_ray() -> None:
                 int(os.environ.get("RAY_GRAFT_CPUS", "0")) or None)
             kwargs["include_dashboard"] = False
         ray.init(address=addr, logging_level="ERROR", **kwargs)
-    import logging
-
-    from ray.data.context import DataContext
-    DataContext.get_current().enable_progress_bars = False
-    logging.getLogger("ray.data").setLevel(logging.ERROR)
 
 
 def cmd_replay(args) -> int:
@@ -265,7 +261,10 @@ def cmd_diff(args) -> int:
     partition, untouched partitions skipped by manifest-entry
     identity)."""
     _init_ray()
+    import ray
+
     from .pipelines.replay import CDCEngine
+    from .stages import exchange
     eng = CDCEngine(args.lake, num_partitions=None)
     cols = ([c.strip() for c in args.columns.split(",") if c.strip()]
             if args.columns else None)
@@ -285,10 +284,10 @@ def cmd_diff(args) -> int:
                                    "(which payload to envelope)"}))
         return 2
     try:
-        ds = eng.diff_generations(args.from_gen, args.to_gen,
-                                  payload_columns=cols,
-                                  before_image=getattr(
-                                      args, "before_image", False))
+        refs = eng.diff_refs(args.from_gen, args.to_gen,
+                             payload_columns=cols,
+                             before_image=getattr(args, "before_image",
+                                                  False))
     except ValueError as e:
         print(json.dumps({"ok": False, "error": str(e)}))
         return 1
@@ -298,12 +297,13 @@ def cmd_diff(args) -> int:
                               "error": f"--out {args.out} is not "
                               "empty"}))
             return 1
-        # changefeed export: stream the diff (with payload) to parquet
-        ds = ds.materialize()
-        ds.write_parquet(args.out)
+        # changefeed export: each diff block's task writes its own file
+        ray.get(exchange.map_blocks(refs, functools.partial(
+            exchange.write_file, out_dir=args.out)))
     counts: dict[str, int] = {}
     sample: list[dict] = []
-    for batch in ds.iter_batches(batch_format="pyarrow"):
+    for ref in refs:
+        batch = ray.get(ref)
         for ch, n in zip(*_value_counts(batch.column("change"))):
             counts[ch] = counts.get(ch, 0) + n
         if len(sample) < args.sample:
@@ -344,22 +344,19 @@ def cmd_sql(args) -> int:
     (or the distributed query surface) instead."""
     _init_ray()
     import duckdb
+    import ray
 
-    from .pipelines.replay import CDCEngine
-    from .stages.exchange import collect_tables
+    from .pipelines.replay import CDCEngine, _empty_lake
     eng = CDCEngine(args.lake, num_partitions=None)
     try:
-        ds = eng.read_lake(generation=args.generation)
+        m = eng._read_manifest(args.generation)
+        tabs = ray.get(eng.map_lake(generation=args.generation))
     except ValueError as exc:          # vacuumed / unknown generation
         print(json.dumps({"ok": False, "error": str(exc)}))
         return 1
     import pyarrow as pa
-    tabs = collect_tables(ds)
-    lake = (pa.concat_tables(tabs, promote_options="default")
-            if tabs else None)
-    if lake is None:
-        print(json.dumps({"ok": False, "error": "lake is empty"}))
-        return 1
+    lake = (pa.concat_tables(tabs) if tabs
+            else _empty_lake(None if m is None else m.schema))
     con = duckdb.connect()
     con.register("lake", lake)
     try:
@@ -588,38 +585,35 @@ def cmd_export(args) -> int:
     """EXPORT: materialize the live table (tombstones excluded, schema
     reconciled, optionally as of --generation) to a plain parquet
     directory — the hand-off format for consumers without the engine.
-    Streams partition-parallel; never gathers rows on the driver."""
+    One writer per partition; never gathers rows on the driver."""
     _init_ray()
+    import ray
+
     from .pipelines.replay import CDCEngine
+    from .stages import exchange
     eng = CDCEngine(args.lake, num_partitions=None)
     cols = ([c.strip() for c in args.columns.split(",") if c.strip()]
             if args.columns else None)
     try:
-        ds = eng.read_lake(columns=cols, generation=args.generation)
+        m = eng._read_manifest(args.generation)
     except ValueError as e:
         print(json.dumps({"ok": False, "error": str(e)}))
         return 1
     if os.path.isdir(args.out) and os.listdir(args.out):
-        # write_parquet APPENDS uuid-named files; a reused directory
-        # would silently mix exports (and inflate the footer count)
+        # the writers add uuid-named files; a reused directory would
+        # silently mix exports (and inflate the row count)
         print(json.dumps({"ok": False,
                           "error": f"--out {args.out} is not empty"}))
         return 1
-    # stream the write (no mid-pipeline materialize — the lake must
-    # never be held whole in the object store); row count comes from
-    # the written files' footers, metadata-only, and the column list
-    # from the manifest's schema (a schema probe would run the plan)
+    # each partition's read task writes its own file (no partition
+    # waits in the object store); the row count is the writers'
     from .pipelines.replay import default_lake_schema
-    m = (eng.manifest if args.generation is None
-         else eng.manifest_at(args.generation))
     names = (m.schema if m is not None and m.partitions
              else default_lake_schema()).names
     cols_out = names if cols is None else [c for c in cols if c in names]
-    ds.write_parquet(args.out)
-    import pyarrow.parquet as pq
-    rows = sum(pq.read_metadata(os.path.join(args.out, fn)).num_rows
-               for fn in os.listdir(args.out)
-               if fn.endswith(".parquet"))
+    rows = sum(t.column("n")[0].as_py() for t in ray.get(eng.map_lake(
+        functools.partial(exchange.write_file, out_dir=args.out),
+        columns=cols, generation=args.generation)))
     print(json.dumps({"ok": True, "out": args.out, "rows": rows,
                       "columns": cols_out}))
     return 0
@@ -739,6 +733,8 @@ def cmd_search(args) -> int:
                                    "required"}))
         return 2
     _init_ray()
+    import pyarrow as pa
+    import ray
     needles = tuple(args.needle)
     if args.lake:
         from .functions.search import LakeTrigramIndex
@@ -746,23 +742,19 @@ def cmd_search(args) -> int:
         eng = CDCEngine(args.lake, num_partitions=None)
         idx_dir = args.index_root or os.path.join(args.lake, "_trigram")
         idx = LakeTrigramIndex(eng, idx_dir, column=args.column)
-        r = idx.refresh()
+        extra = {"refresh": idx.refresh()}
         t = idx.search(needles)
-        out = {}
-        for n, d in zip(t.column("needle").to_pylist(),
-                        t.column("doc_id").to_pylist()):
-            out.setdefault(n, []).append(d)
-        print(json.dumps({"ok": True, "refresh": r,
-                          "matches": {n: out.get(n, [])
-                                      for n in needles}}))
-        return 0
-    from .functions.search import substring_search
-    df = (substring_search(args.sf_dir, needles=needles,
-                           index_root=args.index_root)
-          .to_pandas().sort_values(["needle", "doc_id"]))
-    out = {n: [int(d) for d in g.doc_id]
-           for n, g in df.groupby("needle")}
-    print(json.dumps({"ok": True,
+    else:
+        from .functions.search import _substring_refs
+        extra = {}
+        t = pa.concat_tables(ray.get(_substring_refs(
+            args.sf_dir, needles, args.index_root))).sort_by(
+                [("needle", "ascending"), ("doc_id", "ascending")])
+    out = {}
+    for n, d in zip(t.column("needle").to_pylist(),
+                    t.column("doc_id").to_pylist()):
+        out.setdefault(n, []).append(d)
+    print(json.dumps({"ok": True, **extra,
                       "matches": {n: out.get(n, []) for n in needles}}))
     return 0
 

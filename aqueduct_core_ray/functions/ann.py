@@ -38,11 +38,6 @@ def _load_queries(sf_dir: str, nq: int) -> tuple[np.ndarray, np.ndarray]:
     return qids, Qn
 
 
-def _read_embeddings(sf_dir: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                 columns=["vec_id", "embedding"])
-
-
 def _embeddings(paths: "str | list[str]") -> exchange.Leaf:
     """(vec_id, embedding) of embedding parquet file(s) as a leaf."""
     return exchange.leaf(paths, ["vec_id", "embedding"])
@@ -443,10 +438,9 @@ def centroid_assign(sf_dir: str) -> ray.data.Dataset:
             "is_match": pa.array((lab_ == best).astype(np.int8)),
         })
 
-    return (ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                  columns=["vec_id", "label",
-                                           "embedding"])
-            .map_batches(assign, batch_format="pyarrow"))
+    return ray.data.from_arrow_refs(exchange.map_blocks(exchange.leaf(
+        f"{sf_dir}/embeddings.parquet", ["vec_id", "label", "embedding"]),
+        assign))
 
 
 def _micro_vectors(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
@@ -522,14 +516,15 @@ def kmeans_embeddings(sf_dir: str, k: int = 8, iters: int = 12
     x dim 64 stays far under int64), the driver folds B such partials
     and rebroadcasts the k x dim centroid matrix via ray.put. Vectors
     never leave their blocks; there is no shuffle at any step. Raw
-    tasks, not per-iteration Dataset plans: a map_batches pass costs
+    tasks, not per-iteration Dataset plans: a Ray Data pass costs
     ~1 s of plan/schedule overhead PER ITERATION (measured 15.8 s for
     13 passes at sf0.1), the task fan costs milliseconds. Init is
     deterministic: the k lowest-vec_id vectors (a bounded per-block
     top-k fold, no full read)."""
     import ray
 
-    blocks = _read_embeddings(sf_dir).materialize().to_arrow_refs()
+    blocks = exchange.map_blocks(
+        _embeddings(f"{sf_dir}/embeddings.parquet"), lambda t: t)
     C = _kmeans_fit(blocks, k, iters)
     if C is None:
         return ray.data.from_arrow(pa.table({
@@ -665,8 +660,8 @@ def pca_project(sf_dir: str, n_components: int = 2) -> ray.data.Dataset:
                 np.floor(P[:, c] * 1e6 + 0.5).astype(np.int64))
         return pa.table(cols)
 
-    return _read_embeddings(sf_dir).map_batches(
-        project, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(exchange.map_blocks(
+        _embeddings(f"{sf_dir}/embeddings.parquet"), project))
 
 
 # ------------------------------------------------------------------ #

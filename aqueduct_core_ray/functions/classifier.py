@@ -15,16 +15,16 @@ scores are bit-identical under any partitioning / block order / CPU
 count: the same trick as ``ann.kmeans_embeddings``.
 
 Memory shape (the 100-TB fix): features are extracted ONCE per block
-by a STREAMING map_batches pass that spills each block's arrays to a
-file under the exchange root and returns only a (path, n_docs)
-manifest — nothing corpus-sized is ever pinned in the object store.
+by ``map_blocks`` tasks that spill each block's arrays to a file under
+the exchange root and return only a (path, n_docs) manifest — nothing
+corpus-sized is ever pinned in the object store.
 Each GD iteration is one fan of raw tasks that re-read their feature
 file (buffered local/shared-FS read — the same placement contract as
 stages/exchange.py) and fold a ``(dim+1,)`` int64 gradient; peak
 object-store residency is O(in-flight gradient partials), not
-O(corpus). A map_batches pass per iteration would cost ~1 s of plan
+O(corpus). A Ray Data pass per iteration would cost ~1 s of plan
 overhead PER ITERATION (measured on the k-means twin), which is why
-the iteration fan stays raw tasks over the spilled files.
+the iteration fan is raw tasks over the spilled files.
 
 No reference analog (aqueduct-core moves opaque payloads); this is a
 §"beyond the reference" training-data operator. Iterative => no SQL
@@ -46,8 +46,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..stages import exchange
 from ..stages.exchange import _guard_shared_root
-from .text import _dsir_features, read_documents
+from .text import _docs, _dsir_features
 
 _MICRO = 1e6
 
@@ -162,13 +163,12 @@ def quality_classifier_score(sf_dir: str, positive_source: str = "src0",
     os.makedirs(feat_dir, exist_ok=True)
     try:
         from functools import partial as _p
-        manifest = read_documents(
-            sf_dir, columns=["doc_id", "text", "source"]).map_batches(
+        manifest = pa.concat_tables(ray.get(exchange.map_blocks(
+            _docs(sf_dir, ["doc_id", "text", "source"]),
             _p(_spill_block, feat_dir=feat_dir, dim=dim,
-               positive_source=positive_source),
-            batch_format="pyarrow", batch_size=None).take_all()
-        paths = [r["path"] for r in manifest]
-        n_total = sum(int(r["n_docs"]) for r in manifest)
+               positive_source=positive_source))))
+        paths = manifest.column("path").to_pylist()
+        n_total = pc.sum(manifest.column("n_docs")).as_py() or 0
         if _stats_out is not None:
             _stats_out.update(
                 spilled=True, feat_files=len(paths),

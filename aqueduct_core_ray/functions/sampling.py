@@ -18,7 +18,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .text import _docs, read_documents
+from .text import _docs, _per_doc
 
 from ..stages import exchange
 
@@ -34,7 +34,7 @@ def stratified_sample(sf_dir: str,
                       seed: int = 91) -> ray.data.Dataset:
     """Per-source sampling rates: keep each doc with its source's
     fraction (sources absent from ``fracs`` use ``default_frac``).
-    Pure per-batch filter — streams at read speed."""
+    Pure per-block filter: one raw task per documents unit."""
     fracs = fracs or {}
 
     def pick(t: pa.Table) -> pa.Table:
@@ -46,8 +46,7 @@ def stratified_sample(sf_dir: str,
             keep[m] = _accept(ids[m], fracs.get(s, default_frac), seed)
         return t.filter(pa.array(keep))
 
-    ds = read_documents(sf_dir)
-    return ds.map_batches(pick, batch_format="pyarrow")
+    return _per_doc(sf_dir, None, pick)
 
 
 def mixture_resample(sf_dir: str,
@@ -321,8 +320,8 @@ def train_val_split(sf_dir: str,
     The assignment is pure per-row math: reproducible on any worker,
     stable under reshuffling/repartitioning, and independent of every
     other row — a doc keeps its split when the corpus grows, which is
-    the property eval-set hygiene depends on. Pure map_batches, zero
-    exchanges, streams at read speed. Returns (doc_id, source, split).
+    the property eval-set hygiene depends on. One raw task per documents
+    unit, zero exchanges. Returns (doc_id, source, split).
     """
     if sum(p for _, p in ratios) != 100:
         raise ValueError("ratios must sum to 100")
@@ -345,8 +344,7 @@ def train_val_split(sf_dir: str,
                          "source": t.column("source"),
                          "split": pa.array(split, pa.string())})
 
-    return read_documents(sf_dir, columns=["doc_id", "source"]) \
-        .map_batches(assign, batch_format="pyarrow")
+    return _per_doc(sf_dir, ["doc_id", "source"], assign)
 
 
 def token_budget_sample(sf_dir: str, budget: int = 800,

@@ -165,6 +165,14 @@ def substring_search(sf_dir: str,
     trigrams present but not adjacent) die at (3); false negatives are
     impossible (every substring occurrence contributes all its
     trigrams)."""
+    return ray.data.from_arrow_refs(
+        _substring_refs(sf_dir, needles, index_root))
+
+
+def _substring_refs(sf_dir: str, needles: "tuple[str, ...]",
+                    index_root: "str | None" = None
+                    ) -> "list[ray.ObjectRef]":
+    """``substring_search`` as the verify tasks' block refs."""
     for n in needles:
         if len(n) < 3:
             raise ValueError(f"needle {n!r} shorter than 3 chars")
@@ -186,7 +194,7 @@ def substring_search(sf_dir: str,
             files += [os.path.join(d, f) for f in sorted(os.listdir(d))
                       if f.endswith(".parquet")]
     if not files:
-        return ray.data.from_arrow(out_empty)
+        return [ray.put(out_empty)]
     want_per = [(n, pa.array(c)) for n, c in codes_per]
 
     def hits(t: pa.Table) -> pa.Table:
@@ -224,7 +232,7 @@ def substring_search(sf_dir: str,
     per_needle = {n: np.sort(np.array(v, np.int64))
                   for n, v in per_needle.items()}
     if not per_needle:
-        return ray.data.from_arrow(out_empty)
+        return [ray.put(out_empty)]
     cand_ids = list(per_needle.values())
 
     allids = np.unique(np.concatenate(cand_ids))
@@ -255,7 +263,7 @@ def substring_search(sf_dir: str,
         return (pa.concat_tables(outs, promote_options="default")
                 if outs else out_empty)
 
-    return ray.data.from_arrow_refs(map_blocks(docs, verify))
+    return map_blocks(docs, verify)
 
 
 # --------------------------------------------------------------------- #

@@ -33,12 +33,6 @@ from ..stages import exchange
 from ..stages.exchange import dict_encode, hash_str_array  # noqa: F401
 
 
-def read_documents(sf_dir: str, columns: list[str] | None = None
-                   ) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=columns)
-
-
 def words(col: "pa.Array | pa.ChunkedArray") -> pa.ListArray:
     """THE whitespace tokenizer: each text trimmed of Unicode whitespace,
     then split on runs of RE2 ``\\s`` (``[\\t\\n\\f\\r ]``); a null text
@@ -58,7 +52,8 @@ def _docs(sf_dir: str, columns: "list[str] | None") -> exchange.Leaf:
     return exchange.leaf(f"{sf_dir}/documents.parquet", columns)
 
 
-def _per_doc(sf_dir: str, columns: list[str], fn) -> ray.data.Dataset:
+def _per_doc(sf_dir: str, columns: "list[str] | None", fn
+             ) -> ray.data.Dataset:
     """``fn`` over every documents unit as raw tasks, returned as the
     Dataset of their output blocks (in document order)."""
     return ray.data.from_arrow_refs(
@@ -93,9 +88,13 @@ def token_count(sf_dir: str) -> ray.data.Dataset:
 # this metric intentionally excludes. For single-space-separated prose
 # the counts coincide exactly. Arrow's count_substring_regex and
 # DuckDB's regexp_extract_all both execute RE2 with leftmost-first
-# alternation, so the SQL oracle reproduces counts bit-exactly.
+# alternation, so the SQL oracle reproduces counts bit-exactly. The
+# whitespace class is spelled out as RE2's ``\s`` (``[\t\n\f\r ]``):
+# Python ``re``'s Unicode ``\s`` (bpe's pretokenizer) would also
+# exclude ``\v``, NBSP and the other Unicode spaces and split fewer
+# pretokens than RE2 counts.
 BPE_PATTERN = (r"'s|'t|'re|'ve|'m|'ll|'d| ?[A-Za-z]+| ?[0-9]+"
-               r"| ?[^\sA-Za-z0-9]+")
+               r"| ?[^\t\n\f\r A-Za-z0-9]+")
 
 
 def bpe_token_count_batch(t: pa.Table, text_col: str = "text") -> pa.Table:

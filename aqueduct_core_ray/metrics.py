@@ -12,17 +12,13 @@ Two sinks, both cheap:
   (the library has no lake root of its own; the engine's per-wave
   scan_s/merge_s telemetry already lives in <lake>/metrics.jsonl).
 
-``rows`` is filled only when the result is already materialized
-(pyarrow Table / pandas DataFrame / sized sequence). A lazy
-ray.data.Dataset is NEVER counted — forcing execution for telemetry
-would double-run the pipeline — so Dataset-returning operators record
-rows=None and wall_s covers plan construction plus whatever eager
-work (exchanges, index builds) the operator does internally.
+``rows`` is filled when the result is a pyarrow Table or a pandas
+DataFrame; anything else (a Dataset included) records rows=None.
 
-Every exchange runs eagerly on leaf reads and block refs
-(stages/exchange.py), and an operator that exchanges returns a Dataset
+Every operator runs its reads, maps and exchanges eagerly as raw tasks
+on leaf reads and block refs (stages/exchange.py) and returns a Dataset
 over finished blocks (``from_arrow_refs``), so its wall_s times the
-execution, not the plan: it covers the ``op="exchange"`` rows it wrote
+execution, not a plan: it covers the ``op="exchange"`` rows it wrote
 (each row's ``src`` says whether that call read a leaf or refs).
 """
 

@@ -39,7 +39,6 @@ def partition_ids(doc_ids, num_partitions: int) -> np.ndarray:
 
 
 def add_partition(batch: pa.Table, num_partitions: int) -> pa.Table:
-    """Append `part` (hash(doc_id) % P). Runs inside
-    map_batches(batch_format='pyarrow') or a raw task."""
+    """Append `part` (hash(doc_id) % P). Runs inside a raw task."""
     part = partition_ids(batch.column("doc_id"), num_partitions)
     return batch.append_column("part", pa.array(part))

@@ -152,6 +152,11 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q1-style pricing summary: per (l_returnflag, l_linestatus)
     integer-cent sums of qty / base price / discounted price / charge
     plus the line count, over lines shipped on or before 1998-09-02."""
+    return ray.data.from_arrow(_pricing_summary(sf_dir))
+
+
+def _pricing_summary(sf_dir: str) -> pa.Table:
+    """``pricing_summary``'s rows, folded on the driver."""
 
     def partial(t: pa.Table) -> pa.Table:
         ship = t.column("l_shipdate").to_numpy(zero_copy_only=False)
@@ -208,10 +213,10 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
         "sum_charge_c": pa.array([], pa.int64()),
         "n_lines": pa.array([], pa.int64()),
     })
-    return ray.data.from_arrow(_fold_partials(
+    return _fold_partials(
         parts, ["l_returnflag", "l_linestatus"],
         ["sum_qty_c", "sum_base_c", "sum_disc_c", "sum_charge_c",
-         "n_lines"], empty))
+         "n_lines"], empty)
 
 
 def top_orders_by_revenue(sf_dir: str, segment: str = "BUILDING",
@@ -717,7 +722,7 @@ def pricing_rollup(sf_dir: str) -> ray.data.Dataset:
     super-aggregate levels are pure driver arithmetic over ≤6 rows."""
     import pandas as pd
 
-    leaf = pricing_summary(sf_dir).to_pandas()
+    leaf = _pricing_summary(sf_dir).to_pandas()
     sums = ["sum_qty_c", "sum_base_c", "sum_disc_c", "sum_charge_c",
             "n_lines"]
     if leaf.empty:
@@ -741,7 +746,8 @@ def pricing_rollup(sf_dir: str) -> ray.data.Dataset:
                     ignore_index=True)
     for c in sums:
         out[c] = out[c].astype("int64")
-    return ray.data.from_pandas(out)
+    return ray.data.from_arrow(
+        pa.Table.from_pandas(out, preserve_index=False))
 
 
 def priority_wait_orders(sf_dir: str, date_from: str = "1996-01-01",

@@ -32,7 +32,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data
 
 from ..functions.dedup import build_ngram_blocklist, count_blocklist_hits
 
@@ -157,7 +156,7 @@ def curate_corpus(sf_dir: str, out_dir: str | None = None,
         st = write_shards(refs, out_dir, n_shards, 17, payload)
         n_dedup = int(st["docs"])
     else:
-        n_dedup = ray.data.from_arrow_refs(refs).count()
+        n_dedup = exchange.row_count(refs)
 
     return pa.table({
         "stage": pa.array(["input", "lang", "quality", "decontaminated",

@@ -24,12 +24,10 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import uuid
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray
 import ray.data
@@ -37,7 +35,7 @@ import ray.data
 from ..functions.text import words
 from ..sources.changelog import BASE_TS_US
 from ..stages import exchange
-from .log_queries import events_to_changelog, read_events
+from .log_queries import _events, _extent, events_to_changelog
 from .replay import CDCEngine
 
 VOCAB = 50257
@@ -64,10 +62,7 @@ def replay_events_engine(sf_dir: str, n_waves: int = 4,
     work = _scratch("aqr-events-")
     log_dir, lake_dir = os.path.join(work, "log"), os.path.join(work, "cloud")
     os.makedirs(log_dir, exist_ok=True)
-    (read_events(sf_dir)
-     .map_batches(events_to_changelog, batch_format="pyarrow")
-     .write_parquet(log_dir))
-    max_lsn = int(read_events(sf_dir, columns=["event_id"]).max("event_id")) + 1
+    max_lsn = _stage_log(_events(sf_dir), events_to_changelog, log_dir)
     eng = CDCEngine(lake_dir, num_partitions=num_partitions,
                     derivations=derivations, emit_changelog=emit_changelog)
     eng.replay(log_dir, _wave_bounds(max_lsn, n_waves))
@@ -145,35 +140,24 @@ def schema_evolution_lake(sf_dir: str, num_partitions: int = 8
     shutil.rmtree(work, ignore_errors=True)
     log_dir, lake_dir = os.path.join(work, "log"), os.path.join(work, "lake")
     os.makedirs(log_dir, exist_ok=True)
-    max_lsn = int(read_events(sf_dir, columns=["event_id"]).max("event_id")) + 1
-    half = max_lsn // 2
+    # the wave split is fixed before either half is written
+    half = (_extent(sf_dir, "event_id")[1] + 1) // 2
 
     def to_v1(t: pa.Table) -> pa.Table:
-        e = events_to_changelog(t)
-        vlen = pc.binary_length(
-            e.column("props").cast(pa.binary())).cast(pa.int32())
-        return (e.drop_columns(["props"])
-                .append_column("vlen", vlen))
+        e = to_v2(t).drop_columns(["props"])
+        return e.set_column(e.num_columns - 1, "vlen",
+                            e.column("vlen").cast(pa.int32()))
 
     def to_v2(t: pa.Table) -> pa.Table:
         e = events_to_changelog(t)
-        vlen = pc.binary_length(
-            e.column("props").cast(pa.binary())).cast(pa.int64())
-        return e.append_column("vlen", vlen)
+        return e.append_column("vlen", pc.binary_length(
+            e.column("props").cast(pa.binary())).cast(pa.int64()))
 
-    (read_events(sf_dir, filter=pads.field("event_id") < half)
-     .map_batches(to_v1, batch_format="pyarrow")
-     .write_parquet(os.path.join(log_dir, "v1")))
-    (read_events(sf_dir, filter=pads.field("event_id") >= half)
-     .map_batches(to_v2, batch_format="pyarrow")
-     .write_parquet(os.path.join(log_dir, "v2")))
-    # one flat log dir (the engine's segment index scans a directory)
-    for sub in ("v1", "v2"):
-        d = os.path.join(log_dir, sub)
-        for fn in os.listdir(d):
-            os.replace(os.path.join(d, fn),
-                       os.path.join(log_dir, f"{sub}-{fn}"))
-        os.rmdir(d)
+    max_lsn = max(
+        _stage_log(_events(sf_dir, filter=pads.field("event_id") < half),
+                   to_v1, log_dir),
+        _stage_log(_events(sf_dir, filter=pads.field("event_id") >= half),
+                   to_v2, log_dir))
 
     eng = CDCEngine(lake_dir, num_partitions=num_partitions)
     eng.replay(log_dir, [(0, half), (half, max_lsn)])
@@ -219,32 +203,42 @@ def tokenize_documents(sf_dir: str) -> ray.data.Dataset:
         exchange.map_blocks(_documents(sf_dir), tokenize_batch))
 
 
+def _stage_log(src: exchange.Leaf, to_log, log_dir: str) -> int:
+    """THE log stager: every unit of ``src`` mapped to change events by
+    ``to_log`` and written into ``log_dir`` as one parquet segment by
+    its own raw task; returns the max lsn written (0 for none), so no
+    second pass reads it."""
+
+    def write(t: pa.Table) -> pa.Table:
+        e = to_log(t)
+        exchange.write_file(e, log_dir)
+        return pa.table({"max_lsn": [pc.max(e.column("lsn")).as_py()]})
+
+    return max(t.column("max_lsn")[0].as_py() or 0
+               for t in ray.get(exchange.map_blocks(src, write)))
+
+
+def _document_events(t: pa.Table) -> pa.Table:
+    """A documents unit as tokenized insert events (lsn = doc_id + 1)."""
+    lsn = pc.add(t.column("doc_id"), 1).cast(pa.int64())
+    tok = tokenize_batch(t)
+    return pa.table({
+        "lsn": lsn,
+        "op": pa.array(np.zeros(t.num_rows, np.int8)),
+        "doc_id": tok.column("doc_id"),
+        "tokens": tok.column("tokens"),
+        "n_tok": tok.column("n_tok"),
+        "source": tok.column("source"),
+        "ts": pc.add(pc.multiply(lsn, 1000), BASE_TS_US).cast(
+            pa.timestamp("us")),
+    })
+
+
 def _documents_changelog(sf_dir: str, log_dir: str) -> int:
-    """Write the documents table as a tokenized insert-only changelog
-    (lsn = doc_id + 1), one parquet file per documents unit written by
-    its raw task; returns the max lsn. Shared by the flagship replay
-    and the online-dedup feed."""
-
-    def write_events(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        lsn = pc.add(t.column("doc_id"), 1).cast(pa.int64())
-        tok = tokenize_batch(t)
-        ts = pc.add(pc.multiply(lsn, 1000), BASE_TS_US).cast(
-            pa.timestamp("us"))
-        if n:
-            pq.write_table(pa.table({
-                "lsn": lsn,
-                "op": pa.array(np.zeros(n, np.int8)),
-                "doc_id": tok.column("doc_id"),
-                "tokens": tok.column("tokens"),
-                "n_tok": tok.column("n_tok"),
-                "source": tok.column("source"),
-                "ts": ts,
-            }), os.path.join(log_dir, f"{uuid.uuid4().hex}.parquet"))
-        return pa.table({"max_lsn": [pc.max(lsn).as_py()]})
-
-    return max(t.column("max_lsn")[0].as_py() or 0 for t in ray.get(
-        exchange.map_blocks(_documents(sf_dir), write_events)))
+    """Write the documents table as a tokenized insert-only changelog;
+    returns the max lsn. Shared by the flagship replay and the
+    online-dedup feed."""
+    return _stage_log(_documents(sf_dir), _document_events, log_dir)
 
 
 def replay_documents_lake(sf_dir: str, n_waves: int = 2,
@@ -284,7 +278,7 @@ def generation_diff_events(sf_dir: str, num_partitions: int = 16):
     eng, _ = replay_events_engine(sf_dir, n_waves=2,
                                   num_partitions=num_partitions,
                                   derivations=())
-    out = eng.diff_generations(0, 1).to_pandas()
+    out = pa.concat_tables(ray.get(eng.diff_refs(0, 1))).to_pandas()
     shutil.rmtree(os.path.dirname(eng.store.root), ignore_errors=True)
     return out.sort_values("doc_id").reset_index(drop=True)
 

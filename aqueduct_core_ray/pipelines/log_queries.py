@@ -1,7 +1,7 @@
 """CDC log-view operators over an external change log (the testdata
 ``events`` table), exposing the reference's read-side operator surface
-(SURVEY.md §2: S1, T1, T3, D1, A1–A5, J3) as Ray Data pipelines whose
-results are checkable against an ANSI-SQL oracle.
+(SURVEY.md §2: S1, T1, T3, D1, A1–A5, J3), each checkable against an
+ANSI-SQL oracle.
 
 Mapping of the ``events`` table onto the reference's EVENTS log
 (PostgresqlStorage.java:446-467, SQLiteQueries.java:20-42):
@@ -15,11 +15,15 @@ Mapping of the ``events`` table onto the reference's EVENTS log
                             `data IS NULL` delete marker,
                             SQLiteQueries.java:54-55)
 
-Scale notes: every operator here streams — `read_parquet` with
-column/row pushdown, vectorized Arrow kernels inside map_batches, and the
-only shuffles are the per-key exchanges that the semantics require (LWW
-needs co-location by key; the byte-cap prefix scan needs a range
-partition by offset). Nothing materializes the log on the driver.
+Scale notes: every operator reads the log as an exchange leaf
+(``_events``) with its columns and row filter pushed into the parquet
+scan. A per-row pass is an ``exchange.map_blocks`` of raw tasks running
+vectorized Arrow kernels; the only exchanges are the ones the semantics
+need (LWW co-locates by key; the byte-cap prefix sorts its one boundary
+range). Watermark aggregates fold per-block extremes on the driver
+(``_extent``), and a Dataset is built only at a public return
+(``from_arrow_refs``), so no operator starts a Ray Data execution.
+Nothing materializes the log on the driver.
 """
 
 from __future__ import annotations
@@ -65,24 +69,29 @@ def events_to_changelog(t: pa.Table) -> pa.Table:
     )
 
 
-def read_events(sf_dir: str, columns: list[str] | None = None,
-                filter: pads.Expression | None = None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                 columns=columns, filter=filter)
-
-
 def _events(sf_dir: str, columns: list[str] | None = None,
             filter: pads.Expression | None = None) -> exchange.Leaf:
     """The events table as an exchange leaf."""
     return exchange.leaf(f"{sf_dir}/events.parquet", columns, filter)
 
 
-def _id_range(t: pa.Table) -> pa.Table:
-    """The block's min and max ``event_id`` (no row for an empty one)."""
-    ids = t.column("event_id")
-    return pa.table({"event_id": pa.array(
-        [pc.min(ids).as_py(), pc.max(ids).as_py()] if len(ids) else [],
-        pa.int64())})
+def _block_extent(t: pa.Table) -> pa.Table:
+    """The block's min and max of its one column (no row for an empty
+    block)."""
+    c = t.column(0)
+    return pa.table({t.column_names[0]: pa.array(
+        [pc.min(c).as_py(), pc.max(c).as_py()] if len(c) else [],
+        c.type)})
+
+
+def _extent(sf_dir: str, col: str,
+            filter: pads.Expression | None = None) -> tuple:
+    """(min, max) of the events' ``col`` over the rows ``filter`` keeps,
+    folded from per-block extremes; (None, None) — SQL NULL — when no
+    row is kept."""
+    v = pa.concat_tables(ray.get(exchange.map_blocks(
+        _events(sf_dir, [col], filter), _block_extent))).column(col)
+    return pc.min(v).as_py(), pc.max(v).as_py()
 
 
 # --------------------------------------------------------------------- #
@@ -95,14 +104,14 @@ def log_scan(sf_dir: str, types: tuple[str, ...] = ("click", "purchase"),
     ``lo < offset <= watermark`` and ``type IN (...)``. The watermark here
     is max(event_id) * num/den so the window is meaningful at every sf;
     both bounds push down to the parquet scan (row-group pruning)."""
-    wm = read_events(sf_dir, columns=["event_id"]).max("event_id")
-    hi = wm * hi_frac_num // hi_frac_den
+    hi = _extent(sf_dir, "event_id")[1] * hi_frac_num // hi_frac_den
     flt = (
         (pads.field("event_id") > lo)
         & (pads.field("event_id") <= hi)
         & pads.field("event_type").isin(list(types))
     )
-    return read_events(sf_dir, filter=flt)
+    return ray.data.from_arrow_refs(
+        exchange.map_blocks(_events(sf_dir, filter=flt), lambda t: t))
 
 
 # --------------------------------------------------------------------- #
@@ -127,12 +136,9 @@ def byte_cap_prefix(sf_dir: str, cap: int | None = None,
     Reference edge (PipeReadControllerBatchIntegrationSpec.groovy:49-91):
     a single over-budget first row still ships alone — the batch is
     never empty while the log isn't."""
-    ids = pa.concat_tables(ray.get(exchange.map_blocks(
-        _events(sf_dir, ["event_id"]), _id_range))).column("event_id")
-    first_id = pc.min(ids).as_py()
+    first_id, last_id = _extent(sf_dir, "event_id")
     if range_size is None:
-        range_size = max(4096, -(-(pc.max(ids).as_py() + 1)
-                                 // max_ranges))
+        range_size = max(4096, -(-(last_id + 1) // max_ranges))
 
     # pass 1 — per-range byte totals with a PER-BATCH combiner: only
     # ≤ max_ranges partial rows per batch ever reach the groupby (the
@@ -150,18 +156,15 @@ def byte_cap_prefix(sf_dir: str, cap: int | None = None,
 
     # <= max_ranges partial rows per BLOCK: fold them on the driver
     # (bounded), skipping the native aggregate's sort-shuffle floor
-    part_rows = pa.concat_tables(ray.get(exchange.map_blocks(
-        _events(sf_dir, ["event_id", "props"]), rp_partials))).to_pylist()
-    totals_fold: dict[int, int] = {}
-    for r in part_rows:
-        rp_k = int(r["rp"])
-        totals_fold[rp_k] = totals_fold.get(rp_k, 0) + int(r["nbytes"])
-    per_rp = [{"rp": rp_k, "sum(nbytes)": v}
-              for rp_k, v in sorted(totals_fold.items())]
+    per_rp = pa.concat_tables(ray.get(exchange.map_blocks(
+        _events(sf_dir, ["event_id", "props"]), rp_partials))).group_by(
+        "rp").aggregate([("nbytes", "sum")]).sort_by("rp")
+    totals = dict(zip(per_rp.column("rp").to_pylist(),
+                      per_rp.column("nbytes_sum").to_pylist()))
     offsets, run = {}, 0
-    for r in per_rp:
-        offsets[int(r["rp"])] = run
-        run += int(r["sum(nbytes)"])
+    for rp_k, n in totals.items():
+        offsets[rp_k] = run
+        run += n
     if cap is None:
         cap = run // 2          # total folded from the same pass — the
                                 # log is scanned once, not twice
@@ -173,7 +176,6 @@ def byte_cap_prefix(sf_dir: str, cap: int | None = None,
     # range filter (row-group pruned), so the exact prefix work is
     # O(range_size) regardless of log size. The previous version
     # sort-shuffled the ENTIRE event table by range id.
-    totals = {int(r["rp"]): int(r["sum(nbytes)"]) for r in per_rp}
     full_keep = sorted(rp for rp, off in offsets.items()
                        if off + totals[rp] <= cap)
     boundary = sorted(rp for rp, off in offsets.items()
@@ -258,22 +260,15 @@ def _live_lsn_sum(t: pa.Table) -> pa.Table:
 # A1 / A2 / A3 — watermark aggregates
 # --------------------------------------------------------------------- #
 def global_latest_offset(sf_dir: str) -> pa.Table:
-    v = read_events(sf_dir, columns=["event_id"]).max("event_id")
-    return pa.table({"global_latest_offset": pa.array([int(v)], pa.int64())})
-
-
-def _maybe_int(v) -> int | None:
-    """Ray's max() yields None on an empty dataset — keep it as SQL NULL
-    (matching `SELECT max(...)` over zero rows) instead of crashing."""
-    return None if v is None else int(v)
+    v = _extent(sf_dir, "event_id")[1]
+    return pa.table({"global_latest_offset": pa.array([v], pa.int64())})
 
 
 def max_offset_for_types(sf_dir: str,
                          types: tuple[str, ...] = ("click", "view")) -> pa.Table:
     """A2 — max offset over a type subscription (SQLiteQueries.java:114-124)."""
-    ds = read_events(sf_dir, columns=["event_id", "event_type"],
-                     filter=pads.field("event_type").isin(list(types)))
-    v = _maybe_int(ds.max("event_id"))
+    v = _extent(sf_dir, "event_id",
+                pads.field("event_type").isin(list(types)))[1]
     return pa.table({"max_offset_for_types": pa.array([v], pa.int64())})
 
 
@@ -282,15 +277,9 @@ def max_offset_before_hour(sf_dir: str) -> pa.Table:
     boundary = date_trunc('hour', max(ts)) (reference: boundary-bounded
     max, SQLiteQueries.java:66-67; we use strict < on both the Ray and
     the SQL side). NULL when no event precedes the boundary."""
-    import datetime as dt
-
-    max_ts = read_events(sf_dir, columns=["ts"]).max("ts")
-    if isinstance(max_ts, (int, np.integer)):     # us since epoch
-        max_ts = dt.datetime(1970, 1, 1) + dt.timedelta(microseconds=int(max_ts))
+    max_ts = _extent(sf_dir, "ts")[1]
     boundary = max_ts.replace(minute=0, second=0, microsecond=0)
-    ds = read_events(sf_dir, columns=["event_id", "ts"],
-                     filter=pads.field("ts") < boundary)
-    v = _maybe_int(ds.max("event_id"))
+    v = _extent(sf_dir, "event_id", pads.field("ts") < boundary)[1]
     return pa.table({"max_offset_before_hour": pa.array([v], pa.int64())})
 
 
@@ -300,7 +289,7 @@ def max_offset_before_hour(sf_dir: str) -> pa.Table:
 def count_by_type(sf_dir: str) -> ray.data.Dataset:
     """PostgresqlStorage.java:507-509: SELECT type, COUNT(*) GROUP BY type."""
     return ray.data.from_arrow_refs(exchange.fx_count_by(
-        exchange.leaf(f"{sf_dir}/events.parquet", ["event_type"]),
+        _events(sf_dir, ["event_type"]),
         ["event_type"], "n_rows").refs)
 
 
@@ -327,11 +316,10 @@ def routing_semijoin(sf_dir: str, n_clusters: int = 16,
     with expiry/invalidation semantics instead of a frozen closure
     capture — an invalidation-driven remap reroutes the next wave."""
     if cache is not None:
-        import ray as _ray
         ref = cache.get()
 
         def route(t: pa.Table) -> pa.Table:
-            entry = _ray.get(ref)
+            entry = ray.get(ref)
             cl, ty = entry[0], entry[1]
             ov = entry[2] if len(entry) > 2 else None
             ok, ovl = _sorted_overrides(ov)
@@ -346,7 +334,8 @@ def routing_semijoin(sf_dir: str, n_clusters: int = 16,
         def route(t: pa.Table) -> pa.Table:
             return _route_filter(t, n_clusters, cset, tset, okeys, ovals)
 
-    return read_events(sf_dir).map_batches(route, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(
+        exchange.map_blocks(_events(sf_dir), route))
 
 
 def _sorted_overrides(overrides: "dict[int, int] | None"

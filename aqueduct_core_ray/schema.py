@@ -11,7 +11,7 @@ Reference mapping (see SURVEY.md §1):
 Schema evolution (BASELINE.json north_rule) has no reference analog (the
 reference payload is schemaless JSON); we handle added/dropped columns and
 int32 -> int64 widening of `n_tok` with an explicit reconciler applied
-inside map_batches.
+per block inside the wave's raw tasks.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def reconcile_batch(batch: pa.Table, target: pa.Schema) -> pa.Table:
     target first via `evolve_schema`), int columns cast wider as needed.
 
     Vectorized: per-column `cast` / null-array construction only — no row
-    iteration. Designed to run inside map_batches(batch_format='pyarrow').
+    iteration. Designed to run per block inside a raw task.
     """
     n = batch.num_rows
     cols = []

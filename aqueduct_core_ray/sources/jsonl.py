@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from ..stages import exchange
+
 # Message.java field names -> engine envelope
 _FIELD_MAP = {
     "msg_offset": "lsn",
@@ -308,8 +310,9 @@ def write_message_jsonl(log_dir: str, out_dir: str,
     ``data: null``, and any extra payload columns ride along as extra
     JSON fields (the reference codec ignores unknown fields).
 
-    Vectorized: per read task one pandas ``to_json(lines=True)`` (C
-    serializer) writes one segment file — no per-row Python. With
+    Vectorized: one raw task per unit of the log's leaf writes one
+    segment with one pandas ``to_json(lines=True)`` (C serializer) — no
+    per-row Python. With
     ``compression`` ('gzip' | 'brotli') segments stream through
     Arrow's codec layer (same wire codecs as the ingress)."""
     import os
@@ -320,7 +323,8 @@ def write_message_jsonl(log_dir: str, out_dir: str,
         compression, ".jsonl")
 
     def emit(t: pa.Table) -> pa.Table:
-        import pandas as pd
+        if not t.num_rows:
+            return t
         iso = pc.strftime(t.column("ts").cast(pa.timestamp("us")),
                           format="%Y-%m-%dT%H:%M:%SZ")
         cols = {"msg_offset": t.column("lsn").cast(pa.int64()),
@@ -353,10 +357,7 @@ def write_message_jsonl(log_dir: str, out_dir: str,
         else:
             with open(path, "w", encoding="utf-8") as f:
                 f.write(payload)
-        return pa.table({"path": pa.array([path]),
-                         "rows": pa.array([t.num_rows], pa.int64())})
+        return pa.table({"path": [path]})
 
-    manifest = (ray.data.read_parquet(log_dir)
-                .map_batches(emit, batch_format="pyarrow").take_all())
-    assert sum(r["rows"] for r in manifest) >= 0
+    ray.get(exchange.map_blocks(exchange.leaf(log_dir), emit))
     return out_dir

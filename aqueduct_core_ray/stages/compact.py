@@ -7,10 +7,10 @@ fixtures in SQLiteStorageIntegrationSpec.groovy:710-921. `lsn` is unique by
 generator contract (reference relies on BIGSERIAL uniqueness), so LWW has
 no ties.
 
-`compact_lww` doubles as the *combiner*: applied per batch inside
-map_batches it emits at most one row per (batch, doc_id), which is what
-defuses hot-key skew before the per-partition shuffle (SURVEY.md §7.2
-milestone 5) — the classic partial-aggregate pattern.
+`compact_lww` doubles as the *combiner*: applied per block in an
+exchange's writer task it emits at most one row per (block, doc_id),
+which is what defuses hot-key skew before the per-partition shuffle
+(SURVEY.md §7.2 milestone 5) — the classic partial-aggregate pattern.
 """
 
 from __future__ import annotations

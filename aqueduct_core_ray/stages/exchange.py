@@ -101,7 +101,6 @@ import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
 import ray
-import ray.data
 
 from aqueduct_core_ray import metrics
 from aqueduct_core_ray.stages.exchange_files import (
@@ -203,14 +202,6 @@ def key_parts(t: pa.Table, keys: "list[str]", P: int) -> np.ndarray:
     """THE routing rule of every keyed exchange: int32 part in [0, P)
     per row, ``key_hash % P``."""
     return (key_hash(t, keys) % np.uint64(P)).astype(np.int32)
-
-
-def collect_tables(ds: ray.data.Dataset) -> "list[pa.Table]":
-    """A public-boundary Dataset's blocks as Arrow tables, from ONE
-    execution of its plan. ``ray.get(ds.to_arrow_refs())`` runs a lazy
-    plan a second time for its schema probe, and a cut-short re-run is
-    what trips Ray 2.49.2's cancel race (``task_manager.cc:930``)."""
-    return ray.get(ds.materialize().to_arrow_refs())
 
 
 # the cluster's CPU count inside one public exchange call (``_per_call``)
@@ -381,20 +372,40 @@ def map_blocks(src: "Leaf | list", fn: Callable[[pa.Table], pa.Table]
     return _windowed([(i, fn_ref) for i in items], _map_task.remote)
 
 
+def _n_rows(t: pa.Table) -> pa.Table:
+    return pa.table({"n": pa.array([t.num_rows], pa.int64())})
+
+
+def row_count(src: "Leaf | list") -> int:
+    """The rows of a leaf or refs input, counted in ``map_blocks`` tasks
+    (only the counts reach the driver)."""
+    return sum(t.column("n")[0].as_py()
+               for t in ray.get(map_blocks(src, _n_rows)))
+
+
+def write_file(t: pa.Table, out_dir: str) -> pa.Table:
+    """A ``map_blocks`` writer: ``t`` as one new uuid-named parquet file
+    in ``out_dir`` (made on the first write; an empty block writes
+    nothing); returns the one-row table ``n`` of the rows written.
+    Writers never collide, and a later call appends."""
+    if t.num_rows:
+        os.makedirs(out_dir, exist_ok=True)
+        pq.write_table(t, os.path.join(out_dir,
+                                       f"{uuid.uuid4().hex}.parquet"))
+    return _n_rows(t)
+
+
 def write_parts(t: pa.Table, root: str, col: str) -> pa.Table:
-    """A ``map_blocks`` writer: one new ``<col>=N/<uuid>.parquet`` file
-    under ``root`` per value N of ``t``'s int ``col`` column (the files
-    leave ``col`` out, as a hive layout does); returns the one-row
-    table ``n`` of the rows written. Files are uuid-named, so writers
-    never collide and a later call appends."""
+    """A ``map_blocks`` writer: one ``write_file`` under
+    ``root/<col>=N`` per value N of ``t``'s int ``col`` column (the
+    files leave ``col`` out, as a hive layout does); returns the
+    one-row table ``n`` of the rows written."""
     parts = t.column(col).to_numpy(zero_copy_only=False)
     rest = t.drop_columns([col])
     for p in np.unique(parts):
-        pdir = os.path.join(root, f"{col}={p}")
-        os.makedirs(pdir, exist_ok=True)
-        pq.write_table(rest.filter(pa.array(parts == p)),
-                       os.path.join(pdir, f"{uuid.uuid4().hex}.parquet"))
-    return pa.table({"n": pa.array([t.num_rows], pa.int64())})
+        write_file(rest.filter(pa.array(parts == p)),
+                   os.path.join(root, f"{col}={p}"))
+    return _n_rows(t)
 
 
 class Exchanged(NamedTuple):

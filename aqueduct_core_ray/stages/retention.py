@@ -29,11 +29,9 @@ has not yet applied. `guard_hwm_ts` enforces that.
 from __future__ import annotations
 
 import os
-import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray
 
@@ -119,12 +117,9 @@ def compact_log(
     os.makedirs(out_dir, exist_ok=True)
 
     def per_part(g: pa.Table) -> pa.Table:
-        out = compact_log_table(g.drop_columns(["part"]), compact_ts,
-                                deletion_ts, compact_deletions, keys)
-        if out.num_rows:
-            pq.write_table(out, os.path.join(out_dir,
-                                             f"{uuid.uuid4().hex}.parquet"))
-        return pa.table({"n": [out.num_rows]})
+        return exchange.write_file(compact_log_table(
+            g.drop_columns(["part"]), compact_ts, deletion_ts,
+            compact_deletions, keys), out_dir)
 
     out = exchange.file_exchange_map_groups(
         exchange.leaf(log_path), per_part, keys=list(keys))

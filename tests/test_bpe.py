@@ -7,14 +7,18 @@ the BPE contraction laws."""
 from collections import Counter
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from aqueduct_core_ray.functions.bpe import (
     _PRETOKEN_RE,
+    _pretoken_counts,
     encode_word,
     train_bpe,
     trained_token_count,
 )
+from aqueduct_core_ray.functions.text import bpe_token_count_batch
 
 SF = "/root/testdata/sf0.001"
 
@@ -120,3 +124,16 @@ def test_trained_token_count_contracts():
         want = sum(encode_word(w, rank)
                    for w in _PRETOKEN_RE.findall(texts[i]))
         assert int(t64.loc[ids[i]]) == want
+
+
+@pytest.mark.parametrize("text", ["a\xa0b", "x\x0by", "p\u2003q"])
+def test_pretokenizers_split_whitespace_alike(text):
+    """The Python ``re`` pretokenizer (train_bpe, trained_token_count)
+    and the RE2 count (``bpe_token_count_batch``, the SQL oracle's
+    engine) see the same pretokens: a space RE2's ``\\s`` does not
+    match is a punctuation pretoken on both sides."""
+    t = pa.table({"doc_id": [0], "text": [text]})
+    re2 = bpe_token_count_batch(t).column("n_tok_bpe")[0].as_py()
+    assert re2 == 3
+    assert len(_PRETOKEN_RE.findall(text)) == re2
+    assert sum(_pretoken_counts(t).column("count").to_pylist()) == re2

@@ -2,6 +2,7 @@
 in-process (Ray session provided by the test fixture)."""
 
 import json
+import os
 
 import pytest
 
@@ -29,6 +30,31 @@ def run(argv, capsys):
     out = [json.loads(line) for line in
            capsys.readouterr().out.strip().splitlines()]
     return rc, out
+
+
+def _emptied_lake(tmp_path) -> str:
+    """A lake whose generation 0 holds one doc and generation 1 none
+    (wave 2 deletes it)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from aqueduct_core_ray.pipelines.replay import CDCEngine
+    log = tmp_path / "log1"
+    log.mkdir()
+    pq.write_table(pa.table({
+        "lsn": pa.array([1, 2], pa.int64()),
+        "op": pa.array([0, 1], pa.int8()),
+        "doc_id": pa.array(["a", "a"]),
+        "tokens": pa.array([[1], [2]], pa.list_(pa.int32())),
+        "n_tok": pa.array([1, 1], pa.int32()),
+        "source": pa.array(["web", "web"]),
+        "ts": pa.array([np.datetime64("2020-01-01", "us")] * 2),
+    }), str(log / "chunk-00000.parquet"))
+    lake = str(tmp_path / "emptied")
+    CDCEngine(lake, num_partitions=2, derivations=()).replay(
+        str(log), [(0, 1), (1, 2)])
+    return lake
 
 
 def test_replay_verify_wipe_roundtrip(inputs, tmp_path, capsys):
@@ -215,6 +241,23 @@ def test_diff_changefeed_export_cli(inputs, tmp_path, capsys):
     assert dead["n_tok"].isna().all()
     live = df[df["change"] != "deleted"]
     assert live["n_tok"].notna().all()
+    # a diff without rows reports no change and writes no file
+    emptied = _emptied_lake(tmp_path)
+    for cols in ([], ["--columns", "n_tok"]):
+        out_dir = str(tmp_path / f"empty{len(cols)}")
+        rc, out = run(["diff", "--lake", emptied, "--from-gen", "1",
+                       "--to-gen", "1", *cols, "--out", out_dir], capsys)
+        assert rc == 0
+        assert out[-1] == {"ok": True, "from": 1, "to": 1, "changed": {},
+                           "sample": []}
+        assert not os.path.exists(out_dir)
+    rc, out = run(["diff", "--lake", emptied, "--from-gen", "0",
+                   "--to-gen", "1", "--columns", "n_tok", "--out",
+                   str(tmp_path / "gone")], capsys)
+    assert out[-1]["changed"] == {"deleted": 1}
+    assert pq.read_table(str(tmp_path / "gone")).to_pylist() == [
+        {"doc_id": "a", "change": "deleted", "lsn_old": 1,
+         "lsn_new": None, "n_tok": None}]
 
 
 def test_diff_changefeed_columns_validation(inputs, tmp_path, capsys):
@@ -298,8 +341,11 @@ def test_export_cli(inputs, tmp_path, capsys):
                    "--columns", "doc_id, n_tok"], capsys)
     assert rc == 0 and out[-1]["ok"]
     t = pq.read_table(out_dir)
-    assert set(t.column_names) == {"doc_id", "n_tok"}
+    assert t.column_names == out[-1]["columns"] == ["doc_id", "n_tok"]
     assert t.num_rows == out[-1]["rows"] > 0
+    from aqueduct_core_ray.pipelines.replay import CDCEngine
+    want = CDCEngine(lake, num_partitions=None).lake_table()
+    assert t.sort_by("doc_id").equals(want.select(["doc_id", "n_tok"]))
     # generation 0 export = the bootstrap snapshot
     out0 = str(tmp_path / "export0")
     rc, res = run(["export", "--lake", lake, "--out", out0,
@@ -310,6 +356,40 @@ def test_export_cli(inputs, tmp_path, capsys):
     rc, res = run(["export", "--lake", lake, "--out",
                    str(tmp_path / "nope"), "--generation", "99"], capsys)
     assert rc == 1 and not res[-1]["ok"]
+    # a generation without rows exports none and writes no file
+    emptied = _emptied_lake(tmp_path)
+    for g, rows in (("0", 1), ("1", 0)):
+        out_g = str(tmp_path / f"emptied{g}")
+        rc, res = run(["export", "--lake", emptied, "--out", out_g,
+                       "--columns", "doc_id,n_tok", "--generation", g],
+                      capsys)
+        assert rc == 0
+        assert res[-1] == {"ok": True, "out": out_g, "rows": rows,
+                           "columns": ["doc_id", "n_tok"]}
+        assert (pq.read_table(out_g).num_rows if rows
+                else not os.path.exists(out_g))
+
+
+def test_export_diff_sql_start_no_execution(inputs, tmp_path, capsys,
+                                            executions):
+    """The lake-reading commands run on map_lake / diff_refs tasks: no
+    Ray Data execution in the CLI process."""
+    log, seed = inputs
+    lake = str(tmp_path / "lake")
+    run(["replay", "--lake", lake, "--log", log, "--seed", seed,
+         "--partitions", "4"], capsys)
+    before = len(executions)
+    rc, out = run(["export", "--lake", lake, "--out",
+                   str(tmp_path / "ex")], capsys)
+    assert rc == 0 and out[-1]["rows"] > 0
+    rc, out = run(["diff", "--lake", lake, "--from-gen", "0",
+                   "--columns", "n_tok", "--out", str(tmp_path / "d")],
+                  capsys)
+    assert rc == 0 and sum(out[-1]["changed"].values()) > 0
+    rc, out = run(["sql", "--lake", lake, "--query",
+                   "select count(*) as n from lake"], capsys)
+    assert rc == 0 and out[-1]["data"][0]["n"] > 0
+    assert len(executions) == before
 
 
 def test_search_cli(tmp_path, capsys):

@@ -7,6 +7,7 @@ make at most one (their public boundary)."""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pandas as pd
@@ -313,6 +314,90 @@ def test_moved_query_runs_at_most_one_execution(name, queries, executions,
     else:
         assert len(res) > 0                 # a table or a pandas frame
     assert len(executions) <= 1, (name, len(executions))
+
+
+# the readers, staging writers and in-operator counts moved off Ray
+# Data plans onto leaves and refs: each query starts no Ray Data
+# execution before it returns
+ON_LEAVES = ["log_scan", "routing_semijoin", "routing_semijoin_override",
+             "global_latest_offset", "max_offset_for_types",
+             "max_offset_before_hour", "stratified_sample",
+             "mixture_resample", "train_val_split", "centroid_assign",
+             "kmeans_embeddings", "pca_project", "quality_classifier",
+             "cdc_replay_events", "mirror_lake", "lake_checksum",
+             "restore_lake", "schema_evolution_lake",
+             "generation_diff_events", "replay_documents_lake",
+             "curate_corpus", "pricing_rollup"]
+
+
+@pytest.mark.parametrize("name", ON_LEAVES)
+def test_leaf_query_starts_no_execution_before_it_returns(
+        name, queries, executions):
+    res = queries[name](SF)
+    assert executions == [], name
+    if isinstance(res, ray.data.Dataset):
+        res = pa.concat_tables(ray.get(res.to_arrow_refs()))
+    assert len(res) > 0
+
+
+def test_message_jsonl_writer_starts_no_execution(tmp_path, executions):
+    from aqueduct_core_ray.sources.changelog import (ChangelogSpec,
+                                                     write_changelog)
+    from aqueduct_core_ray.sources.jsonl import write_message_jsonl
+    spec = ChangelogSpec(n_docs=20, n_events=120, chunk_size=40)
+    log = write_changelog(spec, str(tmp_path / "log"))
+    out = write_message_jsonl(log, str(tmp_path / "jsonl"))
+    assert executions == []
+    lines = sum(open(tmp_path / "jsonl" / fn).read().count("\n")
+                for fn in os.listdir(out))
+    assert lines == spec.n_events
+
+
+# Ray Data's readers, maps, writers and collects; inside the package only the
+# JSON/CSV/text readers (sources/jsonl.py) use them
+_PLAN_CALLS = {"read_parquet", "map_batches", "write_parquet", "take_all",
+               "iter_batches", "to_arrow_refs"}
+# the Ray Data names a public return may use
+_RAY_DATA_NAMES = {"Dataset", "from_arrow", "from_arrow_refs"}
+
+
+def test_package_builds_no_ray_data_plan():
+    """A source scan, comments and docstrings aside: outside
+    sources/jsonl.py nothing calls a Ray Data reader, map, writer or
+    collection, ``materialize()``, a Dataset ``.max("col")`` or
+    ``.count()``, or any ``ray.data`` name but a public return's
+    ``from_arrow``/``from_arrow_refs``."""
+    import io
+    import pathlib
+    import tokenize
+
+    import aqueduct_core_ray
+    root = pathlib.Path(aqueduct_core_ray.__file__).parent
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+            tokenize.INDENT, tokenize.DEDENT}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "sources/jsonl.py":
+            continue
+        toks = [t for t in tokenize.generate_tokens(
+            io.StringIO(path.read_text()).readline) if t.type not in skip]
+        for i, t in enumerate(toks[2:-2], start=2):
+            if t.type != tokenize.NAME:
+                continue
+            prev, nxt, arg = toks[i - 1], toks[i + 1], toks[i + 2]
+            call = nxt.string == "("
+            bad = (t.string in _PLAN_CALLS
+                   or (t.string == "materialize" and call)
+                   or (prev.string == "." and call and (
+                       (t.string == "max" and arg.type == tokenize.STRING)
+                       or (t.string == "count" and arg.string == ")")))
+                   or (prev.string == "." and toks[i - 2].string == "data"
+                       and toks[i - 3].string == "ray"
+                       and t.string not in _RAY_DATA_NAMES))
+            if bad:
+                found.append(f"{rel}:{t.start[0]} {t.string}")
+    assert found == []
 
 
 def test_moved_query_record_times_its_exchanges(queries, tmp_path,

@@ -11,6 +11,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from aqueduct_core_ray.functions import dedup, text
 from aqueduct_core_ray.stages.exchange import leaf
@@ -108,8 +109,8 @@ def test_delta_with_no_match_returns_typed_empty():
     """A clean delta (no pair reaches min_est_pct): every match part is
     a typed empty, and the result keeps the documented three typed
     columns instead of an untyped empty table."""
-    from aqueduct_core_ray.stages.exchange import collect_tables
-    tabs = collect_tables(dedup.incremental_dedup(SF, min_est_pct=101))
+    tabs = ray.get(dedup.incremental_dedup(
+        SF, min_est_pct=101).to_arrow_refs())
     assert sum(t.num_rows for t in tabs) == 0
     assert {t.schema for t in tabs} == {pa.schema([
         ("doc_id", pa.int64()), ("dup_of", pa.int64()),

@@ -4,12 +4,9 @@ equal the object-array kernel it replaced, kept here as the oracle:
 tf-idf / unigram / bigram partition tasks, the bigram vocabulary
 digests, the BPE pretoken counter and word head. A per-block partial
 (``_tf_rows``, ``_bigram_grams``) is compared as a set of group rows,
-its bigram tokens as the digests the exchange carries. Also pins
-``collect_tables``: the same tables as ``ray.get(ds.to_arrow_refs())``
-from one execution.
+its bigram tokens as the digests the exchange carries.
 """
 
-import os
 from collections import Counter
 
 import numpy as np
@@ -22,7 +19,7 @@ import ray
 from aqueduct_core_ray.functions import bpe, text
 from aqueduct_core_ray.functions.bpe import (_PRETOKEN_RE, _pretoken_counts,
                                              _word_head)
-from aqueduct_core_ray.stages.exchange import collect_tables, hash_str_array
+from aqueduct_core_ray.stages.exchange import hash_str_array
 
 
 # ---------------------------------------------------------------- oracles
@@ -454,43 +451,3 @@ def test_pretoken_counts_match_per_text_findall(seed, slice_bytes,
         assert dict(zip(g.column("word").to_pylist(),
                         g.column("count").to_pylist())) == \
             old_pretoken_counts(block)
-
-
-# ---------------------------------------------------------------- collect
-@pytest.mark.parametrize("kind", ["arrow", "pandas", "empty"])
-def test_collect_tables_equals_to_arrow_refs(kind, monkeypatch):
-    # the two executions compared block by block must emit their blocks
-    # in one order: without preserve_order Ray Data emits them as tasks
-    # finish, and the pandas case then differs in order about half the
-    # time
-    monkeypatch.setattr(ray.data.DataContext.get_current()
-                        .execution_options, "preserve_order", True)
-    ds = ray.data.range(40, override_num_blocks=4)
-    if kind == "pandas":
-        ds = ds.map_batches(lambda d: d.assign(y=d["id"] * 2),
-                            batch_format="pandas")
-    elif kind == "empty":
-        ds = ds.filter(lambda r: False)
-    want = ray.get(ds.to_arrow_refs())
-    got = collect_tables(ds)
-    assert all(isinstance(t, pa.Table) for t in got)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.equals(b)
-
-
-def test_collect_tables_executes_the_plan_once(tmp_path):
-    log = str(tmp_path / "calls.log")
-
-    def logged(t):
-        with open(log, "a") as fh:
-            fh.write("x\n")
-        return t
-
-    ds = ray.data.range(40, override_num_blocks=4).map_batches(
-        logged, batch_format="pyarrow")
-    got = collect_tables(ds)
-    assert sum(t.num_rows for t in got) == 40
-    with open(log) as fh:
-        assert fh.read().count("x") == len(got) == 4
-    os.remove(log)
